@@ -30,7 +30,6 @@ from .synthesis import (
     abstract_pret_step,
     ainv_forward,
     backward_gfp,
-    forward_gfp_finite,
     synthesize,
     verify_invariant,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "backward_gfp",
     "check_inductive_invariant",
     "closure_to_gi",
-    "forward_gfp_finite",
     "gfp_iterate",
     "gi_to_closure",
     "lfp_iterate",

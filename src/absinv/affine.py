@@ -246,29 +246,11 @@ def generators_to_constraints(a: AffSubspace) -> ConstraintForm:
 def constraints_to_generators(cf: ConstraintForm) -> AffSubspace:
     """Solve the system (Gaussian elimination); Empty when inconsistent."""
     n = cf.n
-    aug = [list(_frac_vec(r.coeffs)) + [Fraction(r.const)] for r in cf.rows]
-    aug = [r for r in aug if any(x != 0 for x in r)]
-    # eliminate with pivots restricted to the coefficient columns
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, len(aug)) if aug[i][c] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        scale = aug[r][c]
-        aug[r] = [x / scale for x in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        r += 1
-        if r == len(aug):
-            break
-    for row in aug[r:]:
-        if row[n] != 0:
-            return AffSubspace.empty(n)
-    rows = aug[:r]
-    pivots = [next(i for i in range(n) if row[i] != 0) for row in rows]
+    rows = rref(tuple(r.coeffs) + (r.const,) for r in cf.rows)
+    # a pivot in the constant column is the row 0 = 1
+    if rows and pivot_col(rows[-1]) == n:
+        return AffSubspace.empty(n)
+    pivots = [pivot_col(row) for row in rows]
     free = [c for c in range(n) if c not in pivots]
     # particular solution: free vars at 0; row gives  x_pivot + ... + const = 0
     point = [Fraction(0)] * n
@@ -303,27 +285,12 @@ def bca_parallel_assign(rows: tuple[LinExpr, ...], a: AffSubspace) -> AffSubspac
     return AffSubspace(a.n, point, dirs)
 
 
-def _const_assign(j: int, value: Fraction, n: int) -> tuple[LinExpr, ...]:
-    zero = Fraction(0)
-    rows = []
-    for i in range(n):
-        coeffs = [zero] * n
-        const = zero
-        if i == j - 1:
-            const = value
-        else:
-            coeffs[i] = Fraction(1)
-        rows.append(LinExpr(tuple(coeffs), const))
-    return tuple(rows)
-
-
 def bca_nondet_assign(j: int, a: AffSubspace) -> AffSubspace:
-    """Best approximation of xj := ? — join of the xj:=0 and xj:=1 images."""
+    """Exact image of xj := ? — ``a`` extended by the unit direction e_j."""
     if a.is_empty:
         return a
-    img0 = bca_parallel_assign(_const_assign(j, Fraction(0), a.n), a)
-    img1 = bca_parallel_assign(_const_assign(j, Fraction(1), a.n), a)
-    return join(img0, img1)
+    unit = tuple(Fraction(int(i == j - 1)) for i in range(a.n))
+    return AffSubspace(a.n, a.point, a.basis + (unit,))
 
 
 def guard_neq_identity(a: AffSubspace) -> AffSubspace:
@@ -346,8 +313,6 @@ def bca_eq_guard(rows: tuple[LinExpr, ...], mode: str, a: AffSubspace) -> AffSub
 
 class AffDomain(AbstractDomain):
     """The n-variable affine-equalities lattice (finite height n+1)."""
-
-    is_finite_height = True
 
     def __init__(self, n: int):
         if n < 1:

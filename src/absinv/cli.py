@@ -77,6 +77,8 @@ def _run_analyze(args: argparse.Namespace) -> int:
             return _fail(f"property {entry!r} must look like 'qk: <literal>'")
         if node not in program.nodes:
             return _fail(f"unknown node {node!r} in property")
+        if node in prop:
+            return _fail(f"node {node!r} has a second property")
         try:
             prop[node] = parse_init_literal(literal.strip(), program.n, program.sort)
         except (ProgramSyntaxError, ValueError) as exc:

@@ -5,8 +5,9 @@ integers or ``top``; the order is the pointwise flat order with a single
 shared bottom.  The concretization of a vector is the box of all integer
 vectors matching its constant slots.
 
-The transfer-function approximations below are best correct approximations
-(alpha ∘ t ∘ gamma): affine assignments are handled exactly; equality guards
+The transfer functions below are best correct approximations (alpha ∘ t ∘
+gamma), except conjunctive multi-row guards, which are only sound (see
+:func:`bca_guard`): affine assignments are handled exactly; equality guards
 refine a single unknown slot when the residual is constant (with a
 divisibility check) and fall back to an integer-solvability test otherwise;
 relational guards keep or kill the whole element depending on whether the
@@ -124,8 +125,6 @@ def meet(a: ConstVec, b: ConstVec) -> ConstVec:
 
 class ConstDomain(AbstractDomain):
     """The n-variable constant-propagation lattice (finite height 2n)."""
-
-    is_finite_height = True
 
     def __init__(self, n: int):
         if n < 1:

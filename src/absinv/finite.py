@@ -60,8 +60,6 @@ class FiniteLattice(AbstractDomain):
     all binary lubs/glbs plus bottom and top.
     """
 
-    is_finite_height = True
-
     def __init__(self, up: Sequence[int], labels: Sequence[str] | None = None):
         self.up = tuple(up)
         self.size = len(self.up)
@@ -316,19 +314,6 @@ class FiniteTS:
 
     def postt(self, x: int) -> int:
         return sum(1 << s for s in range(self.size) if subset(self.pred[s], x))
-
-
-@dataclass(frozen=True)
-class Transformers:
-    pre: Callable[[int], int]
-    post: Callable[[int], int]
-    pret: Callable[[int], int]
-    postt: Callable[[int], int]
-
-
-def transformers(ts: FiniteTS) -> Transformers:
-    """The four predecessor/successor transformers as explicit set functions."""
-    return Transformers(pre=ts.pre, post=ts.post, pret=ts.pret, postt=ts.postt)
 
 
 def reach(ts: FiniteTS, init: int | None = None) -> int:
@@ -803,115 +788,74 @@ def random_monotone(seed: int | str, lat: FiniteLattice) -> tuple[int, ...]:
     return tuple(lat.lub_of(g[j] for j in bits(lat.down[i])) for i in range(lat.size))
 
 
-def random_instance(kind: str, seed: int | str, **sizes) -> FiniteTS | FiniteGI | ClosureFamily:
-    """Dispatcher for seeded instance generation (deterministic per seed)."""
-    if kind == "ts":
-        return random_ts(seed, **sizes)
-    if kind == "gi":
-        return random_gi(seed, **sizes)
-    if kind == "family":
-        return random_closure_family(seed, **sizes)
-    raise ValueError(f"unknown instance kind {kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # Oracle suites
 # ---------------------------------------------------------------------------
 
 
-def _trial_seed(seed: int, name: str, k: int) -> str:
-    return f"{seed}:{name}:{k}"
+# One trial per suite, given the trial seed ``s`` and index ``k``.  Trials call
+# the checkers by their module-global names, so a wrapper installed on a name
+# (a profiler, a tracer) sees every call.
 
 
-def _suite_lemma1(seed: int, trials: int) -> list[str]:
-    failures = []
-    for k in range(trials):
-        s = _trial_seed(seed, "lemma1", k)
-        gi = random_gi(s)
-        f = random_monotone(s + ":f", gi.C)
-        if not all(check_lemma1(gi, f, c2) for c2 in range(gi.C.size)):
-            failures.append(s)
-    return failures
+def _trial_lemma1(s: str, k: int) -> bool:
+    gi = random_gi(s)
+    f = random_monotone(s + ":f", gi.C)
+    return all(check_lemma1(gi, f, c2) for c2 in range(gi.C.size))
 
 
-def _suite_completeness(seed: int, trials: int) -> list[str]:
-    failures = []
-    for k in range(trials):
-        s = _trial_seed(seed, "completeness", k)
-        gi = random_gi(s)
-        fs = [random_monotone(f"{s}:f{j}", gi.C) for j in range(3)]
-        ok = all(check_fixpoint_completeness_char(gi, f)["consistent"] for f in fs)
-        ok = ok and check_safe_inv(gi, fs)["consistent"]
-        if not ok:
-            failures.append(s)
-    return failures
+def _trial_completeness(s: str, k: int) -> bool:
+    gi = random_gi(s)
+    fs = [random_monotone(f"{s}:f{j}", gi.C) for j in range(3)]
+    ok = all(check_fixpoint_completeness_char(gi, f)["consistent"] for f in fs)
+    return ok and check_safe_inv(gi, fs)["consistent"]
 
 
-def _suite_lemma6(seed: int, trials: int) -> list[str]:
-    failures = []
-    for k in range(trials):
-        s = _trial_seed(seed, "lemma6", k)
-        ts = random_ts(s)
-        fam = random_closure_family(s + ":L", ts.size, union_closed=(k % 2 == 0))
-        if not check_lemma6(ts, fam)["ok"]:
-            failures.append(s)
-    return failures
+def _trial_lemma6(s: str, k: int) -> bool:
+    ts = random_ts(s)
+    fam = random_closure_family(s + ":L", ts.size, union_closed=(k % 2 == 0))
+    return check_lemma6(ts, fam)["ok"]
 
 
-def _suite_algorithms(seed: int, trials: int) -> list[str]:
-    failures = []
-    for k in range(trials):
-        s = _trial_seed(seed, "algorithms", k)
-        ts = random_ts(s)
-        fam = random_closure_family(s + ":L", ts.size, union_closed=True)
-        r1 = run_algorithm1(ts, fam)
-        r2 = run_algorithm2_padon(ts, fam)
-        r4 = run_algorithm4(ts, fam)
-        best = greatest_invariant_enum(ts, fam)
-        ok = (r1.found == r2.found == (best is not None))
-        if r1.found:
-            ok = ok and r1.invariant == r2.invariant == best
-        # the forward dual: verdict matches the abstracted backward reachability
-        not_safe = ts.full & ~ts.safe
-        dual_lfp = lfp_iterate(lambda x: fam.mu_up(not_safe) | fam.mu_up(ts.pre(x)), 0)
-        ok = ok and r4.found == subset(dual_lfp, ts.full & ~ts.init)
-        if not_safe in fam.members:
-            # with ¬P in the family the unclosed form coincides
-            plain = lfp_iterate(lambda x: not_safe | fam.mu_up(ts.pre(x)), 0)
-            ok = ok and r4.found == subset(plain, ts.full & ~ts.init)
-        if not ok:
-            failures.append(s)
-    return failures
+def _trial_algorithms(s: str, k: int) -> bool:
+    ts = random_ts(s)
+    fam = random_closure_family(s + ":L", ts.size, union_closed=True)
+    r1 = run_algorithm1(ts, fam)
+    r2 = run_algorithm2_padon(ts, fam)
+    r4 = run_algorithm4(ts, fam)
+    best = greatest_invariant_enum(ts, fam)
+    ok = (r1.found == r2.found == (best is not None))
+    if r1.found:
+        ok = ok and r1.invariant == r2.invariant == best
+    # the forward dual: verdict matches the abstracted backward reachability
+    not_safe = ts.full & ~ts.safe
+    dual_lfp = lfp_iterate(lambda x: fam.mu_up(not_safe) | fam.mu_up(ts.pre(x)), 0)
+    ok = ok and r4.found == subset(dual_lfp, ts.full & ~ts.init)
+    if not_safe in fam.members:
+        # with ¬P in the family the unclosed form coincides
+        plain = lfp_iterate(lambda x: not_safe | fam.mu_up(ts.pre(x)), 0)
+        ok = ok and r4.found == subset(plain, ts.full & ~ts.init)
+    return ok
 
 
-def _suite_corollary9(seed: int, trials: int) -> list[str]:
-    failures = []
-    for k in range(trials):
-        s = _trial_seed(seed, "corollary9", k)
-        ts = random_ts(s)
-        fam = random_closure_family(s + ":L", ts.size, union_closed=False)
-        if not check_corollary9(ts, fam):
-            failures.append(s)
-    return failures
+def _trial_corollary9(s: str, k: int) -> bool:
+    ts = random_ts(s)
+    fam = random_closure_family(s + ":L", ts.size, union_closed=False)
+    return check_corollary9(ts, fam)
 
 
-def _suite_adjunctions(seed: int, trials: int) -> list[str]:
-    failures = []
-    for k in range(trials):
-        s = _trial_seed(seed, "adjunctions", k)
-        ts = random_ts(s)
-        if not (check_adjunctions(ts) and check_eq4_duality(ts)):
-            failures.append(s)
-    return failures
+def _trial_adjunctions(s: str, k: int) -> bool:
+    ts = random_ts(s)
+    return check_adjunctions(ts) and check_eq4_duality(ts)
 
 
-SUITES: dict[str, Callable[[int, int], list[str]]] = {
-    "lemma1": _suite_lemma1,
-    "completeness": _suite_completeness,
-    "lemma6": _suite_lemma6,
-    "algorithms": _suite_algorithms,
-    "corollary9": _suite_corollary9,
-    "adjunctions": _suite_adjunctions,
+SUITES: dict[str, Callable[[str, int], bool]] = {
+    "lemma1": _trial_lemma1,
+    "completeness": _trial_completeness,
+    "lemma6": _trial_lemma6,
+    "algorithms": _trial_algorithms,
+    "corollary9": _trial_corollary9,
+    "adjunctions": _trial_adjunctions,
 }
 
 
@@ -919,7 +863,11 @@ def run_suite(name: str, seed: int, trials: int) -> dict:
     """Run one named suite; returns {name, trials, failures, first_failure_seed}."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
-    failures = SUITES[name](seed, trials)
+    failures = []
+    for k in range(trials):
+        s = f"{seed}:{name}:{k}"
+        if not SUITES[name](s, k):
+            failures.append(s)
     return {
         "name": name,
         "trials": trials,
@@ -928,11 +876,7 @@ def run_suite(name: str, seed: int, trials: int) -> dict:
     }
 
 
-def run_suites(names: Iterable[str] | str, seed: int, trials: int) -> list[dict]:
-    if isinstance(names, str):
-        names = list(SUITES) if names == "all" else [names]
-    else:
-        names = list(names)
-        if names == ["all"]:
-            names = list(SUITES)
+def run_suites(name: str, seed: int, trials: int) -> list[dict]:
+    """Run one named suite, or every suite in table order for ``"all"``."""
+    names = list(SUITES) if name == "all" else [name]
     return [run_suite(n, seed, trials) for n in names]

@@ -45,10 +45,6 @@ class AbstractDomain(ABC):
     required on canonical forms.
     """
 
-    #: True when every strictly ascending/descending chain is finite with a
-    #: known bound (see :meth:`height`).
-    is_finite_height: bool = False
-
     @abstractmethod
     def leq(self, a: Any, b: Any) -> bool:
         """Partial order: does ``a`` entail (is below) ``b``?"""
@@ -73,22 +69,6 @@ class AbstractDomain(ABC):
         """Length (in edges) of the longest strict chain, when known."""
         return None
 
-    def canonicalize(self, a: Any) -> Any:
-        """Reduce ``a`` to its canonical form (identity by default)."""
-        return a
-
-    def join_all(self, items: Iterable[Any]) -> Any:
-        out = self.bottom()
-        for x in items:
-            out = self.join(out, x)
-        return out
-
-    def meet_all(self, items: Iterable[Any]) -> Any:
-        out = self.top()
-        for x in items:
-            out = self.meet(out, x)
-        return out
-
 
 class ProductLattice(AbstractDomain):
     """Index-wise product of a base domain over a finite index set.
@@ -103,7 +83,6 @@ class ProductLattice(AbstractDomain):
             raise ValueError("product size must be nonnegative")
         self.base = base
         self.size = size
-        self.is_finite_height = base.is_finite_height
 
     def leq(self, a: Sequence[Any], b: Sequence[Any]) -> bool:
         return all(self.base.leq(x, y) for x, y in zip(a, b, strict=True))
@@ -123,9 +102,6 @@ class ProductLattice(AbstractDomain):
     def height(self) -> int | None:
         h = self.base.height()
         return None if h is None else h * self.size
-
-    def canonicalize(self, a: Sequence[Any]) -> tuple[Any, ...]:
-        return tuple(self.base.canonicalize(x) for x in a)
 
 
 @dataclass(frozen=True)
@@ -207,6 +183,20 @@ def closure_to_gi(
     return gi, tuple(image)
 
 
+def _kleene(f: Callable[[Any], Any], start: Any, max_steps: int | None) -> Any:
+    """Iterate ``f`` from ``start`` until an iterate repeats (shared by both duals)."""
+    budget = DEFAULT_MAX_STEPS if max_steps is None else max_steps
+    x = start
+    for _ in range(budget):
+        fx = f(x)
+        if fx == x:
+            return x
+        x = fx
+    if f(x) == x:
+        return x
+    raise IterationBudgetExceeded(f"no fixpoint within {budget} steps")
+
+
 def lfp_iterate(
     f: Callable[[Any], Any],
     start: Any,
@@ -221,16 +211,7 @@ def lfp_iterate(
     ``max_steps`` steps (defaults to :data:`DEFAULT_MAX_STEPS`) — the signal
     that no ascending-chain guarantee held.
     """
-    budget = DEFAULT_MAX_STEPS if max_steps is None else max_steps
-    x = start
-    for _ in range(budget):
-        fx = f(x)
-        if fx == x:
-            return x
-        x = fx
-    if f(x) == x:
-        return x
-    raise IterationBudgetExceeded(f"no fixpoint within {budget} steps")
+    return _kleene(f, start, max_steps)
 
 
 def gfp_iterate(
@@ -244,16 +225,7 @@ def gfp_iterate(
     ``start`` must be a post-fixpoint (f(start) ≤ start), e.g. the top
     element.  Same budget contract as :func:`lfp_iterate`.
     """
-    budget = DEFAULT_MAX_STEPS if max_steps is None else max_steps
-    x = start
-    for _ in range(budget):
-        fx = f(x)
-        if fx == x:
-            return x
-        x = fx
-    if f(x) == x:
-        return x
-    raise IterationBudgetExceeded(f"no fixpoint within {budget} steps")
+    return _kleene(f, start, max_steps)
 
 
 def check_inductive_invariant(
@@ -269,8 +241,3 @@ def check_inductive_invariant(
     certificate: its existence is equivalent to lfp(λx. c ∨ f(x)) ≤ cp.
     """
     return leq(c, i) and leq(f(i), i) and leq(i, cp)
-
-
-def table_function(table: dict[Any, Any]) -> Callable[[Any], Any]:
-    """Wrap an explicit finite function table as a callable."""
-    return lambda x: table[x]

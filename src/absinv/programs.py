@@ -101,12 +101,6 @@ class ParallelAffineAssign:
     def arity(self) -> int:
         return len(self.rows)
 
-    def matrix(self) -> tuple[tuple[Number, ...], ...]:
-        return tuple(r.coeffs for r in self.rows)
-
-    def offset(self) -> tuple[Number, ...]:
-        return tuple(r.const for r in self.rows)
-
     def apply_point(self, v: tuple[Number, ...]) -> tuple[Number, ...]:
         return tuple(r.eval(v) for r in self.rows)
 
@@ -142,14 +136,6 @@ def identity_row(j: int, n: int, zero: Number, one: Number) -> LinExpr:
     coeffs = [zero] * n
     coeffs[j] = one
     return LinExpr(tuple(coeffs), zero)
-
-
-def single_assign(j: int, expr: LinExpr, n: int) -> ParallelAffineAssign:
-    """xj := expr as a parallel assignment (identity on the other slots)."""
-    zero, one = (0, 1) if isinstance(expr.const, int) else (Fraction(0), Fraction(1))
-    rows = [identity_row(i, n, zero, one) for i in range(n)]
-    rows[j - 1] = expr
-    return ParallelAffineAssign(tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -209,13 +195,17 @@ class Edge:
 
 @dataclass(frozen=True)
 class Program:
-    """A CFG program: nodes, variable count, value sort, labeled edges, inits."""
+    """A CFG program: nodes, variable count, value sort, labeled edges, inits.
+
+    ``inits`` (a mapping or (node, decl) pairs) is stored as pairs in node
+    order, so a program is immutable and hashable.
+    """
 
     nodes: tuple[str, ...]
     n: int
     sort: str  # "int" | "rat"
     edges: tuple[Edge, ...]
-    inits: Mapping[str, InitDecl]
+    inits: Mapping[str, InitDecl] | tuple[tuple[str, InitDecl], ...]
 
     def __post_init__(self) -> None:
         known = set(self.nodes)
@@ -227,12 +217,14 @@ class Program:
             if e.dst not in known:
                 raise ValueError(f"unknown node {e.dst!r}")
             check_transfer_arity(e.transfer, self.n)
-        for q in self.inits:
+        inits = dict(self.inits)
+        for q in inits:
             if q not in known:
                 raise ValueError(f"unknown node {q!r}")
+        object.__setattr__(self, "inits", tuple((q, inits[q]) for q in self.nodes if q in inits))
 
     def init_decl(self, q: str) -> InitDecl:
-        return self.inits.get(q, InitBot())
+        return next((decl for node, decl in self.inits if node == q), InitBot())
 
 
 def check_transfer_arity(t: TransferFunction, n: int) -> None:
@@ -262,11 +254,6 @@ class StateVector(Mapping[str, Any]):
     def uniform(cls, nodes: Iterable[str], value: Any) -> "StateVector":
         nodes = tuple(nodes)
         return cls(nodes, (value,) * len(nodes))
-
-    @classmethod
-    def from_dict(cls, nodes: Iterable[str], mapping: Mapping[str, Any], default: Any) -> "StateVector":
-        nodes = tuple(nodes)
-        return cls(nodes, tuple(mapping.get(q, default) for q in nodes))
 
     @property
     def nodes(self) -> tuple[str, ...]:
@@ -485,6 +472,8 @@ class _Parser:
             if d is None or d.kind != "int":
                 raise self.fail("expected a denominator")
             self.take()
+            if int(d.text) == 0:
+                raise ProgramSyntaxError("zero denominator", d.line, d.col)
             value: Number = Fraction(num, int(d.text))
         else:
             value = Fraction(num) if sort == "rat" else num
@@ -537,6 +526,14 @@ class _Parser:
             first = False
         return LinExpr(tuple(coeffs), const)
 
+    def equation(self, n: int, sort: str) -> tuple[LinExpr, str]:
+        """Parse ``lhs ⋈ rhs`` into the row ``lhs - rhs`` and the relation ⋈."""
+        lhs = self.linexpr(n, sort)
+        rel = self.relop()
+        rhs = self.linexpr(n, sort)
+        row = LinExpr(tuple(a - b for a, b in zip(lhs.coeffs, rhs.coeffs)), lhs.const - rhs.const)
+        return row, rel
+
     def relop(self) -> str:
         for rel in ("<=", ">=", "!=", "=", "<", ">"):
             if self.at_sym(rel):
@@ -551,15 +548,8 @@ def _parse_guard_rows(p: _Parser, n: int, sort: str) -> tuple[tuple[LinExpr, ...
     rels: list[str] = []
     mode: str | None = None
     while True:
-        lhs = p.linexpr(n, sort)
-        rel = p.relop()
-        rhs = p.linexpr(n, sort)
-        rows.append(
-            LinExpr(
-                tuple(a - b for a, b in zip(lhs.coeffs, rhs.coeffs)),
-                lhs.const - rhs.const,
-            )
-        )
+        row, rel = p.equation(n, sort)
+        rows.append(row)
         rels.append(rel)
         if p.at_ident("and") or p.at_ident("or"):
             word = p.take().text
@@ -673,17 +663,10 @@ def _parse_init_literal(p: _Parser, n: int, sort: str) -> InitDecl:
         raise p.fail("expected top, bot, (c1,...,cn) or {(..);(..)}")
     rows: list[LinExpr] = []
     while True:
-        lhs = p.linexpr(n, sort)
-        rel = p.relop()
+        row, rel = p.equation(n, sort)
         if rel != "=":
             raise p.fail("constraint literals must use '='")
-        rhs = p.linexpr(n, sort)
-        rows.append(
-            LinExpr(
-                tuple(a - b for a, b in zip(lhs.coeffs, rhs.coeffs)),
-                lhs.const - rhs.const,
-            )
-        )
+        rows.append(row)
         if p.at_sym("/\\"):
             p.take()
             continue
@@ -725,6 +708,7 @@ def parse_program(text: str) -> Program:
     nodes: list[str] | None = None
     inits: dict[str, InitDecl] = {}
     edges: list[Edge] = []
+    declared: set[str] = set()
 
     def require_header() -> tuple[int, str, list[str]]:
         if n is None:
@@ -737,6 +721,10 @@ def parse_program(text: str) -> Program:
 
     while p.peek() is not None:
         kw = p.expect_ident()
+        if kw.text in ("vars", "sort", "nodes"):
+            if kw.text in declared:
+                raise ProgramSyntaxError(f"'{kw.text}' is declared twice", kw.line, kw.col)
+            declared.add(kw.text)
         if kw.text == "vars":
             t = p.peek()
             if t is None or t.kind != "int":
@@ -761,6 +749,8 @@ def parse_program(text: str) -> Program:
             t = p.expect_ident()
             if t.text not in nds:
                 raise ProgramSyntaxError(f"unknown node {t.text!r}", t.line, t.col)
+            if t.text in inits:
+                raise ProgramSyntaxError(f"node {t.text!r} has a second init", t.line, t.col)
             p.expect_sym(":")
             inits[t.text] = _parse_init_literal(p, nn, ss)
         elif kw.text == "edge":
@@ -781,7 +771,7 @@ def parse_program(text: str) -> Program:
 
     if n is None or sort is None or nodes is None:
         raise p.fail("program must declare vars, sort and nodes")
-    return Program(tuple(nodes), n, sort, tuple(edges), dict(inits))
+    return Program(tuple(nodes), n, sort, tuple(edges), inits)
 
 
 # ---------------------------------------------------------------------------
@@ -849,8 +839,8 @@ def print_program(program: Program) -> str:
         "nodes " + " ".join(program.nodes) + ";",
     ]
     for q in program.nodes:
-        decl = program.inits.get(q)
-        if decl is not None and not isinstance(decl, InitBot):
+        decl = program.init_decl(q)
+        if not isinstance(decl, InitBot):
             lines.append(f"init {q}: {render_init(decl)};")
     for e in program.edges:
         lines.append(f"edge {e.src} -> {e.dst} : {render_transfer(e.transfer, program.n, program.sort)};")

@@ -19,12 +19,11 @@ iterate is canonical, so traces are reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Callable
 
 from . import affine as aff
 from . import const_domain as cd
-from .finite import AlgoResult, ClosureFamily, FiniteTS, run_algorithm4
-from .lattice import AbstractDomain
+from .lattice import AbstractDomain, IterationBudgetExceeded
 from .programs import (
     EqGuard,
     Identity,
@@ -44,15 +43,12 @@ from .programs import (
     TransferFunction,
     out_edges,
     post_edges_into,
+    relation_holds,
 )
 
 
 class UnsupportedDomain(ValueError):
     """The requested algorithm/domain combination is not implemented."""
-
-
-class HeightBudgetExceeded(RuntimeError):
-    """Defensive guard: iteration exceeded the product-lattice height bound."""
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +59,6 @@ class HeightBudgetExceeded(RuntimeError):
 class ConstAdapter:
     """Constant-propagation domain bound to an n-variable integer program."""
 
-    name = "const"
     sort = "int"
 
     def __init__(self, n: int):
@@ -112,8 +107,6 @@ class ConstAdapter:
         if isinstance(t, (EqGuard, RelGuard)):
             rel = "=" if isinstance(t, EqGuard) else t.rel
             if all(r.is_constant() for r in t.rows):
-                from .programs import relation_holds
-
                 outcomes = [relation_holds(r.const, rel) for r in t.rows]
                 holds = all(outcomes) if t.mode == "conj" else any(outcomes)
                 return target if holds else cd.ConstVec.top(self.n)
@@ -139,7 +132,6 @@ class ConstAdapter:
 class AffAdapter:
     """Affine-equalities domain bound to an n-variable rational program."""
 
-    name = "affine"
     sort = "rat"
 
     def __init__(self, n: int):
@@ -160,9 +152,6 @@ class AffAdapter:
                 raise UnsupportedDomain(f"guard relation {t.rel!r} has no affine approximation")
             return aff.guard_neq_identity(a)
         raise TypeError(f"unknown transfer function {t!r}")
-
-    def wp(self, t: TransferFunction, target: aff.AffSubspace) -> aff.AffSubspace:
-        raise UnsupportedDomain("backward synthesis is not supported for the affine domain")
 
     def from_init(self, decl: InitDecl) -> aff.AffSubspace:
         if isinstance(decl, InitTop):
@@ -322,6 +311,35 @@ def verify_invariant(problem: AnalysisProblem, candidate: StateVector) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _iterate(
+    problem: AnalysisProblem,
+    start: StateVector,
+    step: Callable[[AnalysisProblem, StateVector], StateVector],
+    check: Callable[[StateVector], bool],
+    reason: str,
+    kind: str,
+) -> SynthesisResult:
+    """Kleene iteration of ``step`` from ``start``, shared by both engines.
+
+    ``check`` runs on every iterate before it is stepped; the first iterate
+    failing it ends the run with ``reason``.  A repeated iterate is reported
+    as a found invariant of the given ``kind``.
+    """
+    current = start
+    trace = [current]
+    for _ in range(problem.max_trace_len() + 1):
+        if not check(current):
+            return SynthesisResult(
+                False, None, None, tuple(trace), step=len(trace) - 1, violating=current, reason=reason
+            )
+        stepped = step(problem, current)
+        if stepped == current:
+            return SynthesisResult(True, kind, current, tuple(trace))
+        current = stepped
+        trace.append(current)
+    raise IterationBudgetExceeded("iteration exceeded the product height bound")
+
+
 def ainv_forward(problem: AnalysisProblem) -> SynthesisResult:
     """Least-fixpoint synthesis: ascend from the initial abstraction.
 
@@ -329,21 +347,10 @@ def ainv_forward(problem: AnalysisProblem) -> SynthesisResult:
     disproves the existence of any abstract inductive invariant below the
     property); stabilization yields the least abstract inductive invariant.
     """
-    current = problem.init
-    trace = [current]
-    budget = problem.max_trace_len() + 1
-    for step in range(budget):
-        if not problem.leq(current, problem.safety):
-            return SynthesisResult(
-                False, None, None, tuple(trace), step=step, violating=current,
-                reason="property-violated",
-            )
-        stepped = abstract_post_step(problem, current)
-        if stepped == current:
-            return SynthesisResult(True, "least", current, tuple(trace))
-        current = stepped
-        trace.append(current)
-    raise HeightBudgetExceeded("forward iteration exceeded the product height bound")
+    return _iterate(
+        problem, problem.init, abstract_post_step,
+        lambda v: problem.leq(v, problem.safety), "property-violated", "least",
+    )
 
 
 def backward_gfp(problem: AnalysisProblem) -> SynthesisResult:
@@ -352,61 +359,29 @@ def backward_gfp(problem: AnalysisProblem) -> SynthesisResult:
     The stabilized iterate is the greatest candidate; it is re-verified with
     the forward transformer before being reported (the wp abstraction is
     sound but the domain is not union-closed, so verification is what makes
-    the certificate unconditional).
+    the certificate unconditional).  Constants domain only.
     """
+    if isinstance(problem.adapter, AffAdapter):
+        raise UnsupportedDomain("backward synthesis is not supported for the affine domain")
     top_vec = StateVector.uniform(problem.program.nodes, problem.adapter.domain.top())
-    current = top_vec
-    trace = [current]
-    budget = problem.max_trace_len() + 1
-    for step in range(budget):
-        if not problem.leq(problem.init, current):
-            return SynthesisResult(
-                False, None, None, tuple(trace), step=step, violating=current,
-                reason="init-not-entailed",
-            )
-        stepped = abstract_pret_step(problem, current)
-        if stepped == current:
-            if verify_invariant(problem, current):
-                return SynthesisResult(True, "greatest", current, tuple(trace))
-            return SynthesisResult(
-                False, None, None, tuple(trace), step=step, violating=current,
-                reason="verification-failed",
-            )
-        current = stepped
-        trace.append(current)
-    raise HeightBudgetExceeded("backward iteration exceeded the product height bound")
+    result = _iterate(
+        problem, top_vec, abstract_pret_step,
+        lambda v: problem.leq(problem.init, v), "init-not-entailed", "greatest",
+    )
+    if result.found and not verify_invariant(problem, result.invariant):
+        return SynthesisResult(
+            False, None, None, result.trace, step=len(result.trace) - 1,
+            violating=result.invariant, reason="verification-failed",
+        )
+    return result
 
 
 def synthesize(problem: AnalysisProblem, algorithm: str) -> SynthesisResult:
     if algorithm == "forward":
         return ainv_forward(problem)
     if algorithm == "backward":
-        if isinstance(problem.adapter, AffAdapter):
-            raise UnsupportedDomain("backward synthesis is not supported for the affine domain")
         return backward_gfp(problem)
     raise ValueError(f"unknown algorithm {algorithm!r}")
-
-
-def forward_gfp_finite(
-    ts: FiniteTS,
-    fam: ClosureFamily,
-    init: int | None = None,
-    safe: int | None = None,
-) -> AlgoResult:
-    """Co-inductive forward synthesis on an explicit finite instance.
-
-    Delegates to the finite harness; the family must be intersection- and
-    union-closed (validated there).  ``init``/``safe`` masks override the
-    ones stored in the transition system.
-    """
-    if init is not None or safe is not None:
-        ts = FiniteTS(
-            ts.size,
-            ts.transitions,
-            ts.init if init is None else init,
-            ts.safe if safe is None else safe,
-        )
-    return run_algorithm4(ts, fam)
 
 
 def render_state_vector(adapter: Adapter, v: StateVector) -> str:

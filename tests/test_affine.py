@@ -172,6 +172,58 @@ def test_inconsistent_constraints_give_empty():
     assert a.is_empty
 
 
+def _reference_constraints_to_generators(cf: af.ConstraintForm) -> af.AffSubspace:
+    """Elimination with pivots restricted to the coefficient columns."""
+    n = cf.n
+    aug = [[F(x) for x in r.coeffs] + [F(r.const)] for r in cf.rows]
+    aug = [r for r in aug if any(x != 0 for x in r)]
+    r = 0
+    for c in range(n):
+        piv = next((i for i in range(r, len(aug)) if aug[i][c] != 0), None)
+        if piv is None:
+            continue
+        aug[r], aug[piv] = aug[piv], aug[r]
+        aug[r] = [x / aug[r][c] for x in aug[r]]
+        for i in range(len(aug)):
+            if i != r and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        r += 1
+        if r == len(aug):
+            break
+    if any(row[n] != 0 for row in aug[r:]):
+        return af.AffSubspace.empty(n)
+    rows = aug[:r]
+    pivots = [next(i for i in range(n) if row[i] != 0) for row in rows]
+    point = [F(0)] * n
+    for row, pc in zip(rows, pivots):
+        point[pc] = -row[n]
+    dirs = []
+    for f in (c for c in range(n) if c not in pivots):
+        d = [F(0)] * n
+        d[f] = F(1)
+        for row, pc in zip(rows, pivots):
+            d[pc] = -row[f]
+        dirs.append(tuple(d))
+    return af.AffSubspace(n, tuple(point), tuple(dirs))
+
+
+def test_constraints_to_generators_matches_reference_elimination():
+    rng = random.Random(17)
+    for _ in range(400):
+        n = rng.randint(1, 4)
+        rows = [
+            expr([rng.randint(-2, 2) for _ in range(n)], rng.randint(-2, 2))
+            for _ in range(rng.randint(0, n + 2))
+        ]
+        if rng.random() < 0.2:
+            rows.insert(rng.randint(0, len(rows)), expr([0] * n, 0))  # all-zero row
+        if rng.random() < 0.2:
+            rows.insert(rng.randint(0, len(rows)), expr([0] * n, 1))  # 0 = 1
+        cf = af.ConstraintForm(n, tuple(rows))
+        assert af.constraints_to_generators(cf) == _reference_constraints_to_generators(cf)
+
+
 # ---------------------------------------------------------------------------
 # Transfer functions
 # ---------------------------------------------------------------------------
@@ -214,6 +266,27 @@ def test_nondet_assign_examples():
     assert out == af.AffSubspace(2, frac_point(0, 7), (frac_point(1, 0),))
     assert af.bca_nondet_assign(1, af.AffSubspace.empty(2)).is_empty
     assert af.bca_nondet_assign(1, out) == out  # idempotent on that line
+
+
+def test_nondet_assign_matches_join_of_two_constant_images():
+    """xj := ? equals the join of the xj := 0 and xj := 1 images."""
+
+    def const_assign(j: int, value: int, n: int) -> tuple[pg.LinExpr, ...]:
+        return tuple(
+            expr([0] * n, value) if i == j - 1 else pg.identity_row(i, n, F(0), F(1))
+            for i in range(n)
+        )
+
+    rng = random.Random(19)
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        a = af.hull_points(random_rat_points(rng, n, rng.randint(0, 4)), n)
+        j = rng.randint(1, n)
+        reference = af.join(
+            af.bca_parallel_assign(const_assign(j, 0, n), a),
+            af.bca_parallel_assign(const_assign(j, 1, n), a),
+        )
+        assert af.bca_nondet_assign(j, a) == reference
 
 
 def test_nondet_matches_witness_hulls():

@@ -134,6 +134,57 @@ def test_analyze_bad_property_exits_two(capsys):
     assert code == 2
 
 
+def test_zero_denominator_in_program_exits_two(tmp_path, capsys):
+    prog = tmp_path / "zero.prog"
+    prog.write_text("vars 1;\nsort rat;\nnodes q1;\ninit q1: (1/0);\n")
+    code, out, err = run(
+        ["analyze", "--program", str(prog), "--domain", "affine", "--alg", "forward"],
+        capsys,
+    )
+    assert code == 2 and out == ""
+    assert "4:13: zero denominator" in err
+
+
+def test_zero_denominator_in_property_exits_two(capsys):
+    code, out, err = run(
+        ["analyze", "--program", AFFINE, "--domain", "affine", "--alg", "forward",
+         "--prop", "q1: (1/0,0,0)"],
+        capsys,
+    )
+    assert code == 2 and out == ""
+    assert "property at q1: 1:4: zero denominator" in err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("vars 2; sort int; nodes q1; vars 1;", "'vars' is declared twice"),
+        ("vars 1; sort int; sort rat; nodes q1;", "'sort' is declared twice"),
+        ("vars 1; sort int; nodes q1; nodes q1 q2;", "'nodes' is declared twice"),
+        ("vars 1; sort int; nodes q1; init q1: top; init q1: (3);", "second init"),
+    ],
+    ids=["vars", "sort", "nodes", "init"],
+)
+def test_redeclaration_exits_two(tmp_path, capsys, text, message):
+    prog = tmp_path / "redeclared.prog"
+    prog.write_text(text)
+    code, out, err = run(
+        ["analyze", "--program", str(prog), "--domain", "const", "--alg", "forward"],
+        capsys,
+    )
+    assert code == 2 and out == "" and message in err
+
+
+def test_second_property_for_a_node_exits_two(capsys):
+    code, out, err = run(
+        ["analyze", "--program", CONST, "--domain", "const", "--alg", "forward",
+         "--prop", "q2: (top,2)", "--prop", "q2: (0,top)"],
+        capsys,
+    )
+    assert code == 2 and out == ""
+    assert "node 'q2' has a second property" in err
+
+
 def test_oracle_runs_and_exits_zero(capsys):
     code, out, _ = run(["oracle", "--suite", "lemma1", "--seed", "0", "--trials", "5"], capsys)
     assert code == 0

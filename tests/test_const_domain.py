@@ -335,6 +335,14 @@ def test_multi_row_guard_modes():
     assert cd.bca_guard(dead, "=", "disj", a) == cd.ConstVec.bottom(2)
 
 
+def test_conjunctive_guard_is_sound_but_not_best():
+    """Rows are applied one at a time, so what they imply together is lost."""
+    rows = (pg.LinExpr((1, 1), 0), pg.LinExpr((1, -1), 0))  # x1 + x2 = 0, x1 - x2 = 0
+    image = pg.apply_transfer_concrete(pg.EqGuard(rows, "conj"), gamma_box(vec(TOP, TOP), 4))
+    assert cd.alpha_points(image, 2) == vec(0, 0)  # the best answer
+    assert cd.bca_guard(rows, "=", "conj", vec(TOP, TOP)) == vec(TOP, TOP)
+
+
 def test_guard_incompleteness_witness():
     """Equality guards are not pointwise complete: the two routes differ."""
     x = frozenset({(1, 0), (-1, 0)})

@@ -50,10 +50,9 @@ def test_gi_validation_rejects_broken_tables(three_chain):
 
 def test_transformers_empty_relation():
     ts = fin.FiniteTS(3, frozenset())
-    tr = fin.transformers(ts)
     for x in range(8):
-        assert tr.post(x) == 0
-        assert tr.pret(x) == 0b111
+        assert ts.post(x) == 0
+        assert ts.pret(x) == 0b111
 
 
 def test_transformers_two_cycle():
@@ -333,14 +332,6 @@ def test_random_generators_produce_valid_instances():
         assert gi.C.is_monotone(f)
         fam = fin.random_closure_family(f"valid:{k}:L", 6)
         assert (1 << 6) - 1 in fam.members
-
-
-def test_random_instance_dispatcher():
-    assert isinstance(fin.random_instance("ts", 0), fin.FiniteTS)
-    assert isinstance(fin.random_instance("gi", 0), fin.FiniteGI)
-    assert isinstance(fin.random_instance("family", 0, size=4), fin.ClosureFamily)
-    with pytest.raises(ValueError, match="unknown instance kind"):
-        fin.random_instance("nope", 0)
     with pytest.raises(ValueError, match="bound"):
         fin.random_ts(0, max_states=11)
 

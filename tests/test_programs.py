@@ -205,3 +205,34 @@ def test_state_vector_is_total_mapping():
         sv["c"]
     with pytest.raises(ValueError):
         pg.StateVector(("a", "b"), (1,))
+
+
+def test_zero_denominator_is_a_syntax_error():
+    with pytest.raises(pg.ProgramSyntaxError, match="zero denominator") as exc:
+        pg.parse_program("vars 1; sort rat; nodes q1;\ninit q1: (1/0);")
+    assert (exc.value.line, exc.value.col) == (2, 13)
+
+
+@pytest.mark.parametrize(
+    "src, message",
+    [
+        ("vars 2; sort int; nodes q1; vars 1;", "'vars' is declared twice"),
+        ("vars 1; sort int; nodes q1; sort int;", "'sort' is declared twice"),
+        ("vars 1; sort int; nodes q1; nodes q2;", "'nodes' is declared twice"),
+        ("vars 1; sort int; nodes q1; init q1: top; init q1: (3);", "second init"),
+    ],
+    ids=["vars", "sort", "nodes", "init"],
+)
+def test_redeclaration_is_rejected(src, message):
+    with pytest.raises(pg.ProgramSyntaxError, match=message):
+        pg.parse_program(src)
+
+
+def test_programs_are_hashable_and_immutable():
+    a = pg.parse_program("vars 1; sort int; nodes q1 q2; init q2: (1); init q1: top;")
+    b = pg.parse_program("vars 1; sort int; nodes q1 q2; init q1: top; init q2: (1);")
+    assert a == b and hash(a) == hash(b)
+    assert a.init_decl("q2") == pg.InitVector((1,))
+    assert pg.parse_program(pg.print_program(a)) == a
+    with pytest.raises(TypeError):
+        a.inits["q2"] = pg.InitTop()

@@ -10,7 +10,7 @@ import pytest
 from absinv import affine as af
 from absinv import const_domain as cd
 from absinv import programs as pg
-from absinv.finite import ClosureFamily, FiniteTS, powerset_family
+from absinv.finite import ClosureFamily, FiniteTS, powerset_family, run_algorithm4
 from absinv.lattice import lfp_iterate
 from absinv.synthesis import (
     AnalysisProblem,
@@ -19,7 +19,6 @@ from absinv.synthesis import (
     abstract_pret_step,
     ainv_forward,
     backward_gfp,
-    forward_gfp_finite,
     synthesize,
     verify_invariant,
 )
@@ -194,6 +193,11 @@ def test_backward_greater_than_sampled_invariants(const_problem):
 def test_backward_rejected_for_affine(affine_problem):
     with pytest.raises(UnsupportedDomain):
         synthesize(affine_problem, "backward")
+    with pytest.raises(UnsupportedDomain):
+        backward_gfp(affine_problem)
+    no_edges = pg.parse_program("vars 1; sort rat; nodes q1; init q1: top;")
+    with pytest.raises(UnsupportedDomain):
+        backward_gfp(AnalysisProblem.build(no_edges, "affine"))
 
 
 # ---------------------------------------------------------------------------
@@ -280,12 +284,12 @@ def test_random_affine_programs_respect_height_bound():
 
 def test_forward_gfp_finite_trivial_safety():
     ts = FiniteTS(3, frozenset({(0, 1)}), init=0b001, safe=0b111)
-    assert forward_gfp_finite(ts, powerset_family(3)).found
+    assert run_algorithm4(ts, powerset_family(3)).found
 
 
 def test_forward_gfp_finite_no_transitions():
     ts = FiniteTS(3, frozenset(), init=0b001, safe=0b011)
-    result = forward_gfp_finite(ts, powerset_family(3))
+    result = run_algorithm4(ts, powerset_family(3))
     assert result.found  # init avoids the unsafe region outright
 
 
@@ -301,7 +305,7 @@ def test_forward_gfp_finite_agrees_with_concrete_dual_check():
             init=rng.getrandbits(n),
             safe=rng.getrandbits(n),
         )
-        got = forward_gfp_finite(ts, powerset_family(n)).found
+        got = run_algorithm4(ts, powerset_family(n)).found
         dual = lfp_iterate(lambda x: (ts.full & ~ts.safe) | ts.pre(x), 0)
         assert got == ((dual & ts.init) == 0)
 
@@ -312,4 +316,4 @@ def test_forward_gfp_finite_rejects_unclosed_family():
     ts = FiniteTS(2, frozenset(), init=0b01, safe=0b11)
     fam = ClosureFamily(2, frozenset({0b11, 0b01}))  # not union-closed (no empty set)
     with pytest.raises(ClosureViolation):
-        forward_gfp_finite(ts, fam)
+        run_algorithm4(ts, fam)
