@@ -61,8 +61,8 @@ def _fail(msg: str) -> int:
 def _run_analyze(args: argparse.Namespace) -> int:
     path = Path(args.program)
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         return _fail(f"cannot read {path}: {exc}")
     try:
         program = parse_program(text)

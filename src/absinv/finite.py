@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
-from .lattice import AbstractDomain, lfp_iterate, gfp_iterate
+from .lattice import AbstractDomain, check_inductive_invariant, gfp_iterate, kleene, lfp_iterate
 
 
 class ValidationError(ValueError):
@@ -84,17 +84,17 @@ class FiniteLattice(AbstractDomain):
         up = [1 << i for i in range(size)]
         for a, b in pairs:
             up[a] |= 1 << b
-        changed = True
-        while changed:
-            changed = False
-            for i in range(size):
-                acc = up[i]
-                for j in bits(up[i]):
+
+        def extend(up: tuple[int, ...]) -> tuple[int, ...]:
+            out = []
+            for u in up:
+                acc = u
+                for j in bits(u):
                     acc |= up[j]
-                if acc != up[i]:
-                    up[i] = acc
-                    changed = True
-        return cls(up, labels)
+                out.append(acc)
+            return tuple(out)
+
+        return cls(lfp_iterate(extend, tuple(up)), labels)
 
     @classmethod
     def chain(cls, size: int) -> "FiniteLattice":
@@ -187,9 +187,6 @@ class FiniteLattice(AbstractDomain):
                 if j != i:
                     depth[i] = max(depth[i], depth[j] + 1)
         return max(depth)
-
-    def elements(self) -> range:
-        return range(self.size)
 
     def is_monotone(self, f: Sequence[int]) -> bool:
         return all(
@@ -317,13 +314,9 @@ class FiniteTS:
 
 
 def reach(ts: FiniteTS, init: int | None = None) -> int:
-    """Exact reachable-state mask from the initial states (worklist lfp)."""
-    frontier = ts.init if init is None else init
-    seen = 0
-    while frontier:
-        seen |= frontier
-        frontier = ts.post(frontier) & ~seen
-    return seen
+    """Exact reachable-state mask from the initial states (least fixpoint)."""
+    start = ts.init if init is None else init
+    return lfp_iterate(lambda x: start | ts.post(x), start)
 
 
 def check_adjunctions(ts: FiniteTS) -> bool:
@@ -443,12 +436,7 @@ def check_lemma1(gi: FiniteGI, f: Sequence[int], c_prime: int) -> bool:
     if not C.is_monotone(f):
         raise ValidationError("f is not monotone")
     abs_lfp = lfp_table(gi.A, gi.bca_table(f))
-    lhs = C.leq(gi.gamma[abs_lfp], c_prime)
-    rhs = any(
-        C.leq(f[gi.gamma[a]], gi.gamma[a]) and C.leq(gi.gamma[a], c_prime)
-        for a in range(gi.A.size)
-    )
-    return lhs == rhs
+    return C.leq(gi.gamma[abs_lfp], c_prime) == _has_abstract_witness(gi, f, c_prime)
 
 
 def _has_abstract_witness(gi: FiniteGI, f: Sequence[int], bound: int) -> bool:
@@ -586,8 +574,7 @@ def check_lemma6(ts: FiniteTS, fam: ClosureFamily) -> dict:
 def check_corollary9(ts: FiniteTS, fam: ClosureFamily) -> bool:
     """[∃φ∈L inductive invariant] ⇔ [reach of the best abstraction ⊆ P]."""
     lhs = any(
-        subset(ts.init, phi) and subset(ts.post(phi), phi) and subset(phi, ts.safe)
-        for phi in fam.members
+        check_inductive_invariant(ts.post, ts.init, ts.safe, phi, subset) for phi in fam.members
     )
     rhs = subset(lfp_iterate(lambda x: fam.mu_up(ts.init | ts.post(x)), 0), ts.safe)
     return lhs == rhs
@@ -610,18 +597,22 @@ def _require_a2(fam: ClosureFamily) -> None:
         raise ClosureViolation("family must be union-closed (avoid-closure assumption)")
 
 
+def _descend(
+    fam: ClosureFamily, full: int, init: int, safe: int, pret: Callable[[int], int]
+) -> AlgoResult:
+    """I := I ∩ mu_down(pret(I) ∩ I ∩ safe) from I = full while init ⊆ I."""
+    _require_a2(fam)
+    trace = []
+    for i in kleene(lambda i: i & fam.mu_down(pret(i) & i & safe), full):
+        trace.append(i)
+        if not subset(init, i):
+            return AlgoResult(False, None, tuple(trace))
+    return AlgoResult(True, i, tuple(trace))
+
+
 def run_algorithm1(ts: FiniteTS, fam: ClosureFamily) -> AlgoResult:
     """Backward gfp: I := I ∩ mu_down(pret(I) ∩ I ∩ P) from I = Σ."""
-    _require_a2(fam)
-    i = ts.full
-    trace = [i]
-    while subset(ts.init, i):
-        step = fam.mu_down(ts.pret(i) & i & ts.safe)
-        if i == step:
-            return AlgoResult(True, i, tuple(trace))
-        i &= step
-        trace.append(i)
-    return AlgoResult(False, None, tuple(trace))
+    return _descend(fam, ts.full, ts.init, ts.safe, ts.pret)
 
 
 def run_algorithm2_padon(
@@ -639,8 +630,7 @@ def run_algorithm2_padon(
     i = ts.full
     trace = [i]
     while True:
-        inductive = subset(ts.init, i) and subset(ts.post(i), i) and subset(i, ts.safe)
-        if inductive:
+        if check_inductive_invariant(ts.post, ts.init, ts.safe, i, subset):
             return AlgoResult(True, i, tuple(trace))
         if not subset(ts.init, i):
             return AlgoResult(False, None, tuple(trace))
@@ -651,27 +641,19 @@ def run_algorithm2_padon(
 
 
 def run_algorithm4(ts: FiniteTS, fam: ClosureFamily) -> AlgoResult:
-    """Forward gfp on the dual problem: iterates mu_down(postt(I) ∩ I ∩ ¬Σ0)."""
-    _require_a2(fam)
-    not_init = ts.full & ~ts.init
-    not_safe = ts.full & ~ts.safe
-    i = ts.full
-    trace = [i]
-    while subset(not_safe, i):
-        step = fam.mu_down(ts.postt(i) & i & not_init)
-        if i == step:
-            return AlgoResult(True, i, tuple(trace))
-        i &= step
-        trace.append(i)
-    return AlgoResult(False, None, tuple(trace))
+    """Forward gfp: Algorithm 1 on the dual system.
+
+    The dual system reverses every transition (so its pret is ``postt``),
+    starts from ¬P and must avoid Σ0 (its safety set is ¬Σ0); the iterates
+    are mu_down(postt(I) ∩ I ∩ ¬Σ0).
+    """
+    return _descend(fam, ts.full, ts.full & ~ts.safe, ts.full & ~ts.init, ts.postt)
 
 
 def greatest_invariant_enum(ts: FiniteTS, fam: ClosureFamily) -> int | None:
     """Union of all inductive invariants in L entailing P (None when none exist)."""
     found = [
-        phi
-        for phi in fam.members
-        if subset(ts.init, phi) and subset(ts.post(phi), phi) and subset(phi, ts.safe)
+        phi for phi in fam.members if check_inductive_invariant(ts.post, ts.init, ts.safe, phi, subset)
     ]
     if not found:
         return None
@@ -754,31 +736,20 @@ def random_gi(seed: int | str, max_carrier: int = MAX_CARRIER) -> FiniteGI:
         members = {base.top(), base.bottom()}
         for _ in range(rng.randint(1, max_carrier)):
             members.add(rng.randrange(base.size))
-        changed = True
-        while changed:
-            changed = False
-            for a in list(members):
-                for b in list(members):
-                    m = base.meet_table[a][b]
-                    if m not in members:
-                        members.add(m)
-                        changed = True
+        members = _meet_closure(base, members)
         if len(members) <= max_carrier:
             break
     carrier = FiniteLattice.sub_meet_closed(base, sorted(members))
     sub = {carrier.top()}
     for _ in range(rng.randint(1, carrier.size)):
         sub.add(rng.randrange(carrier.size))
-    changed = True
-    while changed:
-        changed = False
-        for a in list(sub):
-            for b in list(sub):
-                m = carrier.meet_table[a][b]
-                if m not in sub:
-                    sub.add(m)
-                    changed = True
-    return FiniteGI.from_closure_image(carrier, sorted(sub))
+    return FiniteGI.from_closure_image(carrier, sorted(_meet_closure(carrier, sub)))
+
+
+def _meet_closure(lat: FiniteLattice, members: Iterable[int]) -> frozenset[int]:
+    """The least superset of ``members`` closed under the meets of ``lat``."""
+    table = lat.meet_table
+    return lfp_iterate(lambda ms: ms | {table[a][b] for a in ms for b in ms}, frozenset(members))
 
 
 def random_monotone(seed: int | str, lat: FiniteLattice) -> tuple[int, ...]:

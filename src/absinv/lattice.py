@@ -9,8 +9,10 @@ ground-truth harness) is built against the small contracts defined here:
   linking a concrete domain to an abstract one.
 - ``ClosureOperator``: the representation-free equivalent of a Galois
   insertion (upper closures) or of its dual (lower closures).
-- Kleene-style ``lfp_iterate``/``gfp_iterate`` plus the inductive-invariant
-  check that underlies every synthesis algorithm in this package.
+- ``kleene``, the one Kleene chain that every fixpoint loop in this package
+  steps (``lfp_iterate``/``gfp_iterate``, both synthesis engines, the finite
+  co-inductive algorithms), and ``check_inductive_invariant``, the one
+  inductiveness test.
 
 All values are immutable after construction and every operation is a pure
 function, so elements can be shared freely across threads.
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 
 class IterationBudgetExceeded(RuntimeError):
@@ -183,17 +185,24 @@ def closure_to_gi(
     return gi, tuple(image)
 
 
-def _kleene(f: Callable[[Any], Any], start: Any, max_steps: int | None) -> Any:
-    """Iterate ``f`` from ``start`` until an iterate repeats (shared by both duals)."""
+def kleene(f: Callable[[Any], Any], start: Any, max_steps: int | None = None) -> Iterator[Any]:
+    """Yield the Kleene chain ``start, f(start), ...`` up to its first fixpoint.
+
+    Every iterate is yielded before ``f`` is applied to it, so a consumer
+    that stops after k iterates has applied ``f`` exactly k - 1 times.  The
+    chain ends at the first iterate x with f(x) == x (structural equality,
+    so elements must be canonical).  After ``max_steps + 1`` applications
+    of ``f`` (``max_steps`` defaults to :data:`DEFAULT_MAX_STEPS`) without
+    a repeat it raises :class:`IterationBudgetExceeded`.
+    """
     budget = DEFAULT_MAX_STEPS if max_steps is None else max_steps
     x = start
-    for _ in range(budget):
+    for _ in range(budget + 1):
+        yield x
         fx = f(x)
         if fx == x:
-            return x
+            return
         x = fx
-    if f(x) == x:
-        return x
     raise IterationBudgetExceeded(f"no fixpoint within {budget} steps")
 
 
@@ -207,11 +216,13 @@ def lfp_iterate(
 
     ``start`` must be a pre-fixpoint (start ≤ f(start)), e.g. the bottom
     element.  Stabilization is detected by structural equality, so elements
-    must be canonical.  Raises :class:`IterationBudgetExceeded` after
-    ``max_steps`` steps (defaults to :data:`DEFAULT_MAX_STEPS`) — the signal
-    that no ascending-chain guarantee held.
+    must be canonical.  Raises :class:`IterationBudgetExceeded` under the
+    budget of :func:`kleene` — the signal that no ascending-chain guarantee
+    held.
     """
-    return _kleene(f, start, max_steps)
+    for x in kleene(f, start, max_steps):
+        pass
+    return x
 
 
 def gfp_iterate(
@@ -225,7 +236,9 @@ def gfp_iterate(
     ``start`` must be a post-fixpoint (f(start) ≤ start), e.g. the top
     element.  Same budget contract as :func:`lfp_iterate`.
     """
-    return _kleene(f, start, max_steps)
+    for x in kleene(f, start, max_steps):
+        pass
+    return x
 
 
 def check_inductive_invariant(

@@ -14,6 +14,13 @@ Two engines over the node-indexed product lattice:
 
 Both are deterministic: nodes are processed in declaration order and every
 iterate is canonical, so traces are reproducible.
+
+``AnalysisProblem.build`` turns the program into what the steps read: the
+product lattice of the domain over the nodes, and per node the index lists
+of its incoming (source index, transfer) and outgoing (transfer, target
+index) edges.  The steps work on ``StateVector.values`` by node index and
+join or meet whole vectors through the product; both engines step their
+iterates through ``lattice.kleene``.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from typing import Callable
 
 from . import affine as aff
 from . import const_domain as cd
-from .lattice import AbstractDomain, IterationBudgetExceeded
+from .lattice import AbstractDomain, ProductLattice, check_inductive_invariant, kleene
 from .programs import (
     EqGuard,
     Identity,
@@ -204,12 +211,20 @@ def make_adapter(program: Program, domain: str) -> Adapter:
 
 @dataclass(frozen=True)
 class AnalysisProblem:
-    """A program, a domain, the abstracted initial states, and a safety vector."""
+    """A program, a domain, the abstracted initial states, and a safety vector.
+
+    ``lattice`` is the product of the domain over the nodes; ``preds[j]``
+    lists the (source index, transfer) pairs of the edges into node j and
+    ``succs[j]`` the (transfer, target index) pairs of the edges out of it.
+    """
 
     program: Program
     adapter: Adapter
     init: StateVector  # alpha of the declared initial states
     safety: StateVector
+    lattice: ProductLattice
+    preds: tuple[tuple[tuple[int, TransferFunction], ...], ...]
+    succs: tuple[tuple[tuple[TransferFunction, int], ...], ...]
 
     @classmethod
     def build(
@@ -229,16 +244,18 @@ class AnalysisProblem:
             program.nodes,
             tuple(adapter.from_init(prop[q]) if q in prop else top for q in program.nodes),
         )
-        return cls(program, adapter, init, safety)
+        index = {q: j for j, q in enumerate(program.nodes)}
+        preds = tuple(
+            tuple((index[src], t) for src, t in post_edges_into(program, q)) for q in program.nodes
+        )
+        succs = tuple(
+            tuple((t, index[dst]) for t, dst in out_edges(program, q)) for q in program.nodes
+        )
+        lattice = ProductLattice(adapter.domain, len(program.nodes))
+        return cls(program, adapter, init, safety, lattice, preds, succs)
 
     def leq(self, u: StateVector, v: StateVector) -> bool:
-        dom = self.adapter.domain
-        return all(dom.leq(a, b) for a, b in zip(u.values, v.values))
-
-    def max_trace_len(self) -> int:
-        h = self.adapter.domain.height()
-        assert h is not None
-        return h * len(self.program.nodes) + 1
+        return self.lattice.leq(u.values, v.values)
 
 
 @dataclass(frozen=True)
@@ -263,11 +280,12 @@ def pure_post_step(problem: AnalysisProblem, v: StateVector) -> StateVector:
     """Best abstract successor: at q', the join of edge images from all sources."""
     adapter = problem.adapter
     dom = adapter.domain
+    x = v.values
     out = []
-    for q in problem.program.nodes:
+    for edges in problem.preds:
         acc = dom.bottom()
-        for src, t in post_edges_into(problem.program, q):
-            acc = dom.join(acc, adapter.transfer(t, v[src]))
+        for src, t in edges:
+            acc = dom.join(acc, adapter.transfer(t, x[src]))
         out.append(acc)
     return v.with_values(out)
 
@@ -275,10 +293,7 @@ def pure_post_step(problem: AnalysisProblem, v: StateVector) -> StateVector:
 def abstract_post_step(problem: AnalysisProblem, v: StateVector) -> StateVector:
     """One forward iteration step: initial abstraction joined with the post image."""
     stepped = pure_post_step(problem, v)
-    dom = problem.adapter.domain
-    return v.with_values(
-        tuple(dom.join(i, s) for i, s in zip(problem.init.values, stepped.values))
-    )
+    return v.with_values(problem.lattice.join(problem.init.values, stepped.values))
 
 
 def abstract_pret_step(problem: AnalysisProblem, v: StateVector) -> StateVector:
@@ -288,21 +303,21 @@ def abstract_pret_step(problem: AnalysisProblem, v: StateVector) -> StateVector:
     """
     adapter = problem.adapter
     dom = adapter.domain
-    out = []
-    for q, current, safe in zip(problem.program.nodes, v.values, problem.safety.values):
+    x = v.values
+    wps = []
+    for edges in problem.succs:
         acc = dom.top()
-        for t, dst in out_edges(problem.program, q):
-            acc = dom.meet(acc, adapter.wp(t, v[dst]))
-        out.append(dom.meet(dom.meet(acc, current), safe))
-    return v.with_values(out)
+        for t, dst in edges:
+            acc = dom.meet(acc, adapter.wp(t, x[dst]))
+        wps.append(acc)
+    lattice = problem.lattice
+    return v.with_values(lattice.meet(lattice.meet(wps, x), problem.safety.values))
 
 
 def verify_invariant(problem: AnalysisProblem, candidate: StateVector) -> bool:
     """Abstract inductiveness: init ≤ I, post(I) ≤ I, I ≤ safety."""
-    return (
-        problem.leq(problem.init, candidate)
-        and problem.leq(pure_post_step(problem, candidate), candidate)
-        and problem.leq(candidate, problem.safety)
+    return check_inductive_invariant(
+        lambda i: pure_post_step(problem, i), problem.init, problem.safety, candidate, problem.leq
     )
 
 
@@ -319,25 +334,21 @@ def _iterate(
     reason: str,
     kind: str,
 ) -> SynthesisResult:
-    """Kleene iteration of ``step`` from ``start``, shared by both engines.
+    """Kleene chain of ``step`` from ``start``, shared by both engines.
 
     ``check`` runs on every iterate before it is stepped; the first iterate
     failing it ends the run with ``reason``.  A repeated iterate is reported
-    as a found invariant of the given ``kind``.
+    as a found invariant of the given ``kind``.  The budget is the height of
+    the product lattice plus one.
     """
-    current = start
-    trace = [current]
-    for _ in range(problem.max_trace_len() + 1):
+    trace = []
+    for current in kleene(lambda v: step(problem, v), start, problem.lattice.height() + 1):
+        trace.append(current)
         if not check(current):
             return SynthesisResult(
                 False, None, None, tuple(trace), step=len(trace) - 1, violating=current, reason=reason
             )
-        stepped = step(problem, current)
-        if stepped == current:
-            return SynthesisResult(True, kind, current, tuple(trace))
-        current = stepped
-        trace.append(current)
-    raise IterationBudgetExceeded("iteration exceeded the product height bound")
+    return SynthesisResult(True, kind, current, tuple(trace))
 
 
 def ainv_forward(problem: AnalysisProblem) -> SynthesisResult:
@@ -363,7 +374,7 @@ def backward_gfp(problem: AnalysisProblem) -> SynthesisResult:
     """
     if isinstance(problem.adapter, AffAdapter):
         raise UnsupportedDomain("backward synthesis is not supported for the affine domain")
-    top_vec = StateVector.uniform(problem.program.nodes, problem.adapter.domain.top())
+    top_vec = StateVector(problem.program.nodes, problem.lattice.top())
     result = _iterate(
         problem, top_vec, abstract_pret_step,
         lambda v: problem.leq(problem.init, v), "init-not-entailed", "greatest",

@@ -93,6 +93,18 @@ def test_analyze_missing_file_exits_two(capsys):
     assert code == 2 and "cannot read" in err
 
 
+def test_analyze_non_utf8_file_exits_two(tmp_path, capsys):
+    bad = tmp_path / "bad.prog"
+    bad.write_bytes(b"\xff\xfe vars 1;")
+    code, out, err = run(
+        ["analyze", "--program", str(bad), "--domain", "const", "--alg", "forward"],
+        capsys,
+    )
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot read {bad}: ")
+    assert "Traceback" not in err
+
+
 def test_analyze_parse_error_exits_two(tmp_path, capsys):
     bad = tmp_path / "bad.prog"
     bad.write_text("vars 1; sort int; nodes a; edge a -> zz : skip;")

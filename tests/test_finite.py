@@ -237,6 +237,21 @@ def test_algorithm_equivalence_and_greatest_invariant():
             assert r1.invariant == r2.invariant == best
 
 
+def test_algorithm4_is_algorithm1_on_the_dual_system():
+    for k in range(150):
+        ts = fin.random_ts(f"dual-alg:{k}")
+        fam = fin.random_closure_family(f"dual-alg:{k}:L", ts.size, union_closed=True)
+        dual = fin.FiniteTS(
+            ts.size,
+            frozenset((t, s) for s, t in ts.transitions),
+            init=ts.full & ~ts.safe,
+            safe=ts.full & ~ts.init,
+        )
+        r4 = fin.run_algorithm4(ts, fam)
+        r1 = fin.run_algorithm1(dual, fam)
+        assert (r4.found, r4.invariant, r4.trace) == (r1.found, r1.invariant, r1.trace)
+
+
 def test_algorithm2_output_is_choice_independent():
     rng = random.Random(0)
     for k in range(40):

@@ -18,6 +18,7 @@ from absinv.lattice import (
     closure_to_gi,
     gfp_iterate,
     gi_to_closure,
+    kleene,
     lfp_iterate,
 )
 
@@ -53,6 +54,58 @@ def test_gfp_powerset_intersection():
 def test_iteration_budget_exceeded():
     with pytest.raises(IterationBudgetExceeded):
         lfp_iterate(lambda x: x + 1, 0, max_steps=40)
+
+
+class Counted:
+    """Wraps ``f`` and counts its applications."""
+
+    def __init__(self, f):
+        self.f = f
+        self.calls = 0
+
+    def __call__(self, x):
+        self.calls += 1
+        return self.f(x)
+
+
+def test_kleene_first_item_is_start():
+    f = Counted(lambda x: x)
+    chain = kleene(f, 5)
+    assert next(chain) == 5
+    assert f.calls == 0
+
+
+def test_kleene_ends_at_first_fixpoint():
+    f = Counted(CHAIN4_F.__getitem__)
+    assert list(kleene(f, 3)) == [3, 4]
+    assert f.calls == 2
+    # min(x + 1, 6) from 0: 0..6, where 6 is the first x with f(x) == x
+    assert list(kleene(lambda x: min(x + 1, 6), 0)) == [0, 1, 2, 3, 4, 5, 6]
+
+
+@pytest.mark.parametrize("max_steps", [0, 1, 5])
+def test_kleene_budget_counts_applications(max_steps):
+    f = Counted(lambda x: x + 1)
+    seen = []
+    with pytest.raises(IterationBudgetExceeded):
+        for x in kleene(f, 0, max_steps):
+            seen.append(x)
+    assert f.calls == max_steps + 1
+    assert seen == list(range(max_steps + 1))
+    # a chain that stabilizes on the last allowed application is not cut
+    assert list(kleene(lambda x: min(x + 1, max_steps), 0, max_steps))[-1] == max_steps
+
+
+@pytest.mark.parametrize("k", [1, 2, 4])
+def test_kleene_consumer_stopping_after_k_iterates(k):
+    f = Counted(lambda x: x + 1)
+    taken = []
+    for x in kleene(f, 0):
+        taken.append(x)
+        if len(taken) == k:
+            break
+    assert taken == list(range(k))
+    assert f.calls == k - 1
 
 
 def test_check_inductive_invariant_trivial():

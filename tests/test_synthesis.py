@@ -10,6 +10,7 @@ import pytest
 from absinv import affine as af
 from absinv import const_domain as cd
 from absinv import programs as pg
+from absinv import synthesis
 from absinv.finite import ClosureFamily, FiniteTS, powerset_family, run_algorithm4
 from absinv.lattice import lfp_iterate
 from absinv.synthesis import (
@@ -275,6 +276,37 @@ def test_random_affine_programs_respect_height_bound():
         result = ainv_forward(problem)
         assert result.found
         assert len(result.trace) <= (prog.n + 1) * len(prog.nodes) + 1
+
+
+# ---------------------------------------------------------------------------
+# Check-before-step order
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "engine, step, prop, found",
+    [
+        (ainv_forward, "abstract_post_step", {"q2": pg.InitVector((pg.TOP_ENTRY, 2))}, True),
+        (ainv_forward, "abstract_post_step", {"q2": pg.InitVector((0, pg.TOP_ENTRY))}, False),
+        (backward_gfp, "abstract_pret_step", {"q2": pg.InitVector((pg.TOP_ENTRY, 2))}, True),
+        (backward_gfp, "abstract_pret_step", {"q1": pg.InitPoints(frozenset())}, False),
+    ],
+)
+def test_engines_check_each_iterate_before_stepping_it(monkeypatch, const_demo, engine, step, prop, found):
+    calls = []
+    original = getattr(synthesis, step)
+
+    def counted(problem, v):
+        calls.append(v)
+        return original(problem, v)
+
+    monkeypatch.setattr(synthesis, step, counted)
+    result = engine(AnalysisProblem.build(const_demo, "const", prop))
+    assert result.found == found
+    # a found invariant took one more step to confirm it repeats; a failed
+    # check stops before stepping the violating iterate
+    assert len(calls) == (len(result.trace) if found else len(result.trace) - 1)
+    assert calls == list(result.trace[: len(calls)])
 
 
 # ---------------------------------------------------------------------------
