@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import combinations, starmap
+from operator import and_, or_
 from typing import Callable, Iterable, Sequence
 
 from .lattice import AbstractDomain, check_inductive_invariant, gfp_iterate, kleene, lfp_iterate
@@ -600,10 +602,10 @@ def _require_a2(fam: ClosureFamily) -> None:
 def _descend(
     fam: ClosureFamily, full: int, init: int, safe: int, pret: Callable[[int], int]
 ) -> AlgoResult:
-    """I := I ∩ mu_down(pret(I) ∩ I ∩ safe) from I = full while init ⊆ I."""
+    """I := mu_down(pret(I) ∩ I ∩ safe) from I = full while init ⊆ I."""
     _require_a2(fam)
     trace = []
-    for i in kleene(lambda i: i & fam.mu_down(pret(i) & i & safe), full):
+    for i in kleene(lambda i: fam.mu_down(pret(i) & i & safe), full):
         trace.append(i)
         if not subset(init, i):
             return AlgoResult(False, None, tuple(trace))
@@ -611,7 +613,7 @@ def _descend(
 
 
 def run_algorithm1(ts: FiniteTS, fam: ClosureFamily) -> AlgoResult:
-    """Backward gfp: I := I ∩ mu_down(pret(I) ∩ I ∩ P) from I = Σ."""
+    """Backward gfp: I := mu_down(pret(I) ∩ I ∩ P) from I = Σ."""
     return _descend(fam, ts.full, ts.init, ts.safe, ts.pret)
 
 
@@ -706,18 +708,8 @@ def random_closure_family(
         members.add(rng.getrandbits(size))
     if union_closed:
         members.add(0)
-    while True:
-        new = set()
-        for a in members:
-            for b in members:
-                if a & b not in members:
-                    new.add(a & b)
-                if union_closed and a | b not in members:
-                    new.add(a | b)
-        if not new:
-            break
-        members |= new
-    return ClosureFamily(size, frozenset(members))
+        return ClosureFamily(size, _closure(members, and_, or_))
+    return ClosureFamily(size, _closure(members, and_))
 
 
 def random_gi(seed: int | str, max_carrier: int = MAX_CARRIER) -> FiniteGI:
@@ -736,20 +728,22 @@ def random_gi(seed: int | str, max_carrier: int = MAX_CARRIER) -> FiniteGI:
         members = {base.top(), base.bottom()}
         for _ in range(rng.randint(1, max_carrier)):
             members.add(rng.randrange(base.size))
-        members = _meet_closure(base, members)
+        members = _closure(members, base.meet)
         if len(members) <= max_carrier:
             break
     carrier = FiniteLattice.sub_meet_closed(base, sorted(members))
     sub = {carrier.top()}
     for _ in range(rng.randint(1, carrier.size)):
         sub.add(rng.randrange(carrier.size))
-    return FiniteGI.from_closure_image(carrier, sorted(_meet_closure(carrier, sub)))
+    return FiniteGI.from_closure_image(carrier, sorted(_closure(sub, carrier.meet)))
 
 
-def _meet_closure(lat: FiniteLattice, members: Iterable[int]) -> frozenset[int]:
-    """The least superset of ``members`` closed under the meets of ``lat``."""
-    table = lat.meet_table
-    return lfp_iterate(lambda ms: ms | {table[a][b] for a in ms for b in ms}, frozenset(members))
+def _closure(members: Iterable[int], *ops: Callable[[int, int], int]) -> frozenset[int]:
+    """The least superset of ``members`` closed under each of the commutative,
+    idempotent binary ``ops`` (so each unordered pair of distinct members suffices)."""
+    return lfp_iterate(
+        lambda ms: ms.union(*[starmap(op, combinations(ms, 2)) for op in ops]), frozenset(members)
+    )
 
 
 def random_monotone(seed: int | str, lat: FiniteLattice) -> tuple[int, ...]:

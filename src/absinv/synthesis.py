@@ -15,17 +15,18 @@ Two engines over the node-indexed product lattice:
 Both are deterministic: nodes are processed in declaration order and every
 iterate is canonical, so traces are reproducible.
 
-``AnalysisProblem.build`` turns the program into what the steps read: the
-product lattice of the domain over the nodes, and per node the index lists
+``AnalysisProblem`` holds what the steps read: the product lattice of the
+domain over the nodes, computed by ``build``, and per node the index lists
 of its incoming (source index, transfer) and outgoing (transfer, target
-index) edges.  The steps work on ``StateVector.values`` by node index and
-join or meet whole vectors through the product; both engines step their
-iterates through ``lattice.kleene``.
+index) edges, each computed once on first use.  The steps work on
+``StateVector.values`` by node index and join or meet whole vectors through
+the product; both engines step their iterates through ``lattice.kleene``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 from . import affine as aff
@@ -213,9 +214,9 @@ def make_adapter(program: Program, domain: str) -> Adapter:
 class AnalysisProblem:
     """A program, a domain, the abstracted initial states, and a safety vector.
 
-    ``lattice`` is the product of the domain over the nodes; ``preds[j]``
-    lists the (source index, transfer) pairs of the edges into node j and
-    ``succs[j]`` the (transfer, target index) pairs of the edges out of it.
+    ``lattice`` is the product of the domain over the nodes.  The edge lists
+    ``preds`` and ``succs`` are built on first use, so a forward run never
+    builds ``succs``.
     """
 
     program: Program
@@ -223,8 +224,6 @@ class AnalysisProblem:
     init: StateVector  # alpha of the declared initial states
     safety: StateVector
     lattice: ProductLattice
-    preds: tuple[tuple[tuple[int, TransferFunction], ...], ...]
-    succs: tuple[tuple[tuple[TransferFunction, int], ...], ...]
 
     @classmethod
     def build(
@@ -244,15 +243,26 @@ class AnalysisProblem:
             program.nodes,
             tuple(adapter.from_init(prop[q]) if q in prop else top for q in program.nodes),
         )
-        index = {q: j for j, q in enumerate(program.nodes)}
-        preds = tuple(
-            tuple((index[src], t) for src, t in post_edges_into(program, q)) for q in program.nodes
-        )
-        succs = tuple(
-            tuple((t, index[dst]) for t, dst in out_edges(program, q)) for q in program.nodes
-        )
         lattice = ProductLattice(adapter.domain, len(program.nodes))
-        return cls(program, adapter, init, safety, lattice, preds, succs)
+        return cls(program, adapter, init, safety, lattice)
+
+    @cached_property
+    def preds(self) -> tuple[tuple[tuple[int, TransferFunction], ...], ...]:
+        """Per node j, the (source index, transfer) pairs of the edges into j."""
+        nodes = self.program.nodes
+        index = {q: j for j, q in enumerate(nodes)}
+        return tuple(
+            tuple((index[src], t) for src, t in post_edges_into(self.program, q)) for q in nodes
+        )
+
+    @cached_property
+    def succs(self) -> tuple[tuple[tuple[TransferFunction, int], ...], ...]:
+        """Per node j, the (transfer, target index) pairs of the edges out of j."""
+        nodes = self.program.nodes
+        index = {q: j for j, q in enumerate(nodes)}
+        return tuple(
+            tuple((t, index[dst]) for t, dst in out_edges(self.program, q)) for q in nodes
+        )
 
     def leq(self, u: StateVector, v: StateVector) -> bool:
         return self.lattice.leq(u.values, v.values)
