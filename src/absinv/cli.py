@@ -13,8 +13,10 @@ import sys
 from pathlib import Path
 
 from .finite import SUITES, run_suites
-from .programs import ProgramSyntaxError, parse_init_literal, parse_program
+from .programs import ProgramSyntaxError, StateVector, parse_init_literal, parse_program
 from .synthesis import (
+    DOMAINS,
+    Adapter,
     AnalysisProblem,
     SynthesisResult,
     UnsupportedDomain,
@@ -32,7 +34,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     analyze = sub.add_parser("analyze", help="run invariant synthesis on a program file")
     analyze.add_argument("--program", required=True, help="path to a program file")
-    analyze.add_argument("--domain", required=True, choices=["const", "affine"])
+    analyze.add_argument("--domain", required=True, choices=list(DOMAINS))
     analyze.add_argument("--alg", required=True, choices=["forward", "backward"])
     analyze.add_argument(
         "--prop",
@@ -97,6 +99,11 @@ def _run_analyze(args: argparse.Namespace) -> int:
     return 0 if result.found else 1
 
 
+def _rendered(adapter: Adapter, v: StateVector) -> dict[str, str]:
+    """Node -> rendered element, in node order."""
+    return {q: adapter.render(x) for q, x in zip(v.nodes, v.values)}
+
+
 def _print_text(args: argparse.Namespace, problem: AnalysisProblem, result: SynthesisResult) -> None:
     adapter = problem.adapter
     if args.trace:
@@ -105,8 +112,8 @@ def _print_text(args: argparse.Namespace, problem: AnalysisProblem, result: Synt
     steps = len(result.trace) - 1
     if result.found:
         print(f"{result.kind} abstract inductive invariant found after {steps} steps:")
-        for q in problem.program.nodes:
-            print(f"  {q} = {adapter.render(result.invariant[q])}")
+        for q, text in _rendered(adapter, result.invariant).items():
+            print(f"  {q} = {text}")
     else:
         print(f"no abstract inductive invariant ({result.reason} at step {result.step})")
         print(f"violating iterate: {render_state_vector(adapter, result.violating)}")
@@ -114,24 +121,20 @@ def _print_text(args: argparse.Namespace, problem: AnalysisProblem, result: Synt
 
 def _print_json(args: argparse.Namespace, problem: AnalysisProblem, result: SynthesisResult) -> None:
     adapter = problem.adapter
-
-    def vec(v) -> dict[str, str]:
-        return {q: adapter.render(x) for q, x in zip(v.nodes, v.values)}
-
     doc = {
         "algorithm": args.alg,
         "domain": args.domain,
         "steps": len(result.trace) - 1,
         "result": "invariant" if result.found else "no-invariant",
         "kind": result.kind,
-        "invariant": vec(result.invariant) if result.found else None,
+        "invariant": _rendered(adapter, result.invariant) if result.found else None,
     }
     if not result.found:
         doc["reason"] = result.reason
         doc["step"] = result.step
-        doc["violating"] = vec(result.violating)
+        doc["violating"] = _rendered(adapter, result.violating)
     if args.trace:
-        doc["trace"] = [vec(v) for v in result.trace]
+        doc["trace"] = [_rendered(adapter, v) for v in result.trace]
     print(json.dumps(doc, indent=2))
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations, starmap
 from operator import and_, or_
 from typing import Callable, Iterable, Sequence
@@ -379,9 +380,13 @@ class ClosureFamily:
         return (1 << self.size) - 1
 
     def is_union_closed(self) -> bool:
-        if 0 not in self.members:
-            return False
-        return all(a | b in self.members for a in self.members for b in self.members)
+        return self._union_closed
+
+    @cached_property
+    def _union_closed(self) -> bool:
+        """Scanned once per family; ``a | a == a`` needs no check."""
+        members = self.members
+        return 0 in members and all(a | b in members for a, b in combinations(members, 2))
 
     def mu_up(self, x: int) -> int:
         out = self.full

@@ -11,15 +11,24 @@ transfer functions over n numeric variables x1..xn.  Supported labels:
   (disjunctive),
 - ``skip`` (the identity relation).
 
-The text format is line-oriented; see :func:`parse_program`.  Programs are
+The text format is line-oriented; see :func:`parse_program` for its
+declarations.  Lexically, blanks are space, tab and CR; a comment runs from
+``#`` to the end of the line.  An integer is a run of decimal digits (any
+script's, so ``٣`` is 3; ``²`` is not a digit).  An identifier is a run of
+letters, digits and ``_`` that does not start with a decimal digit; a
+variable is ``x`` followed by decimal digits.  The symbols are
+``:= -> <= >= != /\\ ( ) { } , ; : ? * / + - = < >``; any other character is
+an error.  ``vars`` is at most :data:`MAX_VARS`.  :func:`print_program`
+output parses back to a program that prints to the same text.  Programs are
 immutable after parsing and safe to share across threads.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple
 
 Number = Any  # int (sort "int") or Fraction (sort "rat")
 
@@ -96,10 +105,6 @@ class ParallelAffineAssign:
     """
 
     rows: tuple[LinExpr, ...]
-
-    @property
-    def arity(self) -> int:
-        return len(self.rows)
 
     def apply_point(self, v: tuple[Number, ...]) -> tuple[Number, ...]:
         return tuple(r.eval(v) for r in self.rows)
@@ -344,145 +349,119 @@ def out_edges(program: Program, q: str) -> list[tuple[TransferFunction, str]]:
 
 
 # ---------------------------------------------------------------------------
-# Tokenizer
+# Text format: tokenizer and parser
 # ---------------------------------------------------------------------------
 
+#: Largest accepted ``vars`` count.  Every benchmark workload has n <= 12;
+#: the bound keeps the n * n coefficients each assignment edge stores small.
+MAX_VARS = 64
 
-@dataclass(frozen=True)
-class _Tok:
-    kind: str  # "ident" | "int" | "sym"
+_TOKEN = re.compile(
+    r"(?P<newline>\n)|(?P<blanks>[ \t\r]+)|(?P<comment>#[^\n]*)|(?P<int>\d+)"
+    r"|(?P<ident>[^\W\d]\w*)|(?P<sym>:=|->|<=|>=|!=|/\\|[(){},;:?*/+\-=<>])"
+)
+
+
+class _Tok(NamedTuple):
+    kind: str  # "int" | "ident" | "sym"
     text: str
     line: int
     col: int
 
 
-_SYMBOLS = (":=", "->", "<=", ">=", "!=", "/\\", "(", ")", "{", "}", ",", ";", ":", "?", "*", "/", "+", "-", "=", "<", ">")
-
-
 def _tokenize(text: str) -> list[_Tok]:
     toks: list[_Tok] = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < len(text) and text[i] != "\n":
-                i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            toks.append(_Tok("int", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(_Tok("ident", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                toks.append(_Tok("sym", sym, line, col))
-                i += len(sym)
-                col += len(sym)
-                break
-        else:
-            raise ProgramSyntaxError(f"unexpected character {ch!r}", line, col)
+    line, line_start, pos = 1, 0, 0
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        if m is None:
+            raise ProgramSyntaxError(f"unexpected character {text[pos]!r}", line, pos - line_start + 1)
+        kind = m.lastgroup
+        if kind == "newline":
+            line, line_start = line + 1, pos + 1
+        elif kind in ("int", "ident", "sym"):
+            toks.append(_Tok(kind, m.group(), line, pos - line_start + 1))
+        pos = m.end()
     return toks
 
 
+def _numbers(sort: str) -> tuple[Number, Number]:
+    """Zero and one of the value sort."""
+    return (Fraction(0), Fraction(1)) if sort == "rat" else (0, 1)
+
+
 class _Parser:
-    def __init__(self, toks: list[_Tok]):
-        self.toks = toks
+    def __init__(self, text: str):
+        self.toks = _tokenize(text)
         self.pos = 0
 
     # -- token plumbing ----------------------------------------------------
 
-    def _here(self) -> tuple[int, int]:
+    def fail(self, msg: str) -> ProgramSyntaxError:
+        """An error at the next token, or just past the last one."""
         if self.pos < len(self.toks):
             t = self.toks[self.pos]
-            return t.line, t.col
+            return ProgramSyntaxError(msg, t.line, t.col)
         if self.toks:
             t = self.toks[-1]
-            return t.line, t.col + len(t.text)
-        return 1, 1
+            return ProgramSyntaxError(msg, t.line, t.col + len(t.text))
+        return ProgramSyntaxError(msg, 1, 1)
 
-    def fail(self, msg: str) -> ProgramSyntaxError:
-        line, col = self._here()
-        return ProgramSyntaxError(msg, line, col)
+    def peek(self, kind: str | None = None, text: str | None = None) -> _Tok | None:
+        """The next token, if there is one of this kind and text (None: any)."""
+        if self.pos < len(self.toks):
+            t = self.toks[self.pos]
+            if (kind is None or t.kind == kind) and (text is None or t.text == text):
+                return t
+        return None
 
-    def peek(self) -> _Tok | None:
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
+    def accept(self, text: str) -> bool:
+        """Consume the next token if its text is ``text``."""
+        found = self.peek(text=text) is not None
+        self.pos += found
+        return found
 
-    def at_sym(self, text: str) -> bool:
-        t = self.peek()
-        return t is not None and t.kind == "sym" and t.text == text
-
-    def at_ident(self, text: str | None = None) -> bool:
-        t = self.peek()
-        return t is not None and t.kind == "ident" and (text is None or t.text == text)
-
-    def take(self) -> _Tok:
-        t = self.peek()
+    def expect(self, kind: str, text: str | None = None, what: str | None = None) -> _Tok:
+        """Consume the next token, which must match ``peek(kind, text)``."""
+        t = self.peek(kind, text)
         if t is None:
-            raise self.fail("unexpected end of input")
+            raise self.fail(what or f"expected {text or 'identifier'!r}")
         self.pos += 1
         return t
 
-    def expect_sym(self, text: str) -> _Tok:
-        if not self.at_sym(text):
-            raise self.fail(f"expected {text!r}")
-        return self.take()
-
-    def expect_ident(self, text: str | None = None) -> _Tok:
-        t = self.peek()
-        if t is None or t.kind != "ident" or (text is not None and t.text != text):
-            raise self.fail(f"expected {text or 'identifier'!r}")
-        return self.take()
+    def sequence(self, item: Callable[[], Any], sep: str, end: str | None = None) -> list[Any]:
+        """``item {sep item}``; a ``sep`` right before ``end`` ends the list."""
+        items = [item()]
+        while self.accept(sep) and not (end and self.peek(text=end)):
+            items.append(item())
+        return items
 
     # -- numbers and expressions -------------------------------------------
 
+    def signs(self) -> int | None:
+        """The product of a run of '+'/'-' tokens, or None if there is none."""
+        sign = None
+        while (t := self.peek("sym")) is not None and t.text in ("+", "-"):
+            self.pos += 1
+            sign = (sign or 1) * (-1 if t.text == "-" else 1)
+        return sign
+
     def number(self, sort: str) -> Number:
-        neg = False
-        while self.at_sym("-") or self.at_sym("+"):
-            if self.take().text == "-":
-                neg = not neg
-        t = self.peek()
-        if t is None or t.kind != "int":
-            raise self.fail("expected a number")
-        self.take()
-        num = int(t.text)
-        if sort == "rat" and self.at_sym("/"):
-            self.take()
-            d = self.peek()
-            if d is None or d.kind != "int":
-                raise self.fail("expected a denominator")
-            self.take()
-            if int(d.text) == 0:
-                raise ProgramSyntaxError("zero denominator", d.line, d.col)
-            value: Number = Fraction(num, int(d.text))
-        else:
-            value = Fraction(num) if sort == "rat" else num
-        return -value if neg else value
+        sign = self.signs() or 1
+        num = int(self.expect("int", what="expected a number").text)
+        if sort != "rat":
+            return sign * num
+        if not self.accept("/"):
+            return sign * Fraction(num)
+        d = self.expect("int", what="expected a denominator")
+        if int(d.text) == 0:
+            raise ProgramSyntaxError("zero denominator", d.line, d.col)
+        return sign * Fraction(num, int(d.text))
 
     def var_index(self, n: int) -> int:
-        t = self.expect_ident()
+        t = self.expect("ident")
         name = t.text
-        if not (name.startswith("x") and name[1:].isdigit()):
+        if not (name.startswith("x") and name[1:].isdecimal()):
             raise ProgramSyntaxError(f"expected a variable x1..x{n}", t.line, t.col)
         j = int(name[1:])
         if not 1 <= j <= n:
@@ -491,37 +470,29 @@ class _Parser:
 
     def linexpr(self, n: int, sort: str) -> LinExpr:
         """Affine sum of terms: [+-] (coef [* xj] | xj) ..."""
-        zero: Number = Fraction(0) if sort == "rat" else 0
+        zero, one = _numbers(sort)
         coeffs = [zero] * n
         const = zero
         first = True
         while True:
-            sign = 1
-            saw_sign = False
-            while self.at_sym("+") or self.at_sym("-"):
-                if self.take().text == "-":
-                    sign = -sign
-                saw_sign = True
-            if not first and not saw_sign:
+            sign = self.signs()
+            if sign is None and not first:
                 break
+            sign = sign or 1
             t = self.peek()
             if t is None:
                 raise self.fail("expected a term")
             if t.kind == "int":
-                coef = self.number(sort)
-                if self.at_sym("*"):
-                    self.take()
-                    j = self.var_index(n)
-                    coeffs[j - 1] += sign * coef
+                coef = sign * self.number(sort)
+                if self.accept("*"):
+                    coeffs[self.var_index(n) - 1] += coef
                 else:
-                    const += sign * coef
+                    const += coef
             elif t.kind == "ident" and t.text.startswith("x"):
-                j = self.var_index(n)
-                one: Number = Fraction(1) if sort == "rat" else 1
-                coeffs[j - 1] += sign * one
+                coeffs[self.var_index(n) - 1] += sign * one
+            elif first:
+                raise self.fail("expected a term")
             else:
-                if first:
-                    raise self.fail("expected a term")
                 break
             first = False
         return LinExpr(tuple(coeffs), const)
@@ -529,17 +500,13 @@ class _Parser:
     def equation(self, n: int, sort: str) -> tuple[LinExpr, str]:
         """Parse ``lhs ⋈ rhs`` into the row ``lhs - rhs`` and the relation ⋈."""
         lhs = self.linexpr(n, sort)
-        rel = self.relop()
+        rel = self.peek("sym")
+        if rel is None or rel.text not in RELATIONS:
+            raise self.fail("expected a relation symbol (=, !=, <, <=, >, >=)")
+        self.pos += 1
         rhs = self.linexpr(n, sort)
         row = LinExpr(tuple(a - b for a, b in zip(lhs.coeffs, rhs.coeffs)), lhs.const - rhs.const)
-        return row, rel
-
-    def relop(self) -> str:
-        for rel in ("<=", ">=", "!=", "=", "<", ">"):
-            if self.at_sym(rel):
-                self.take()
-                return rel
-        raise self.fail("expected a relation symbol (=, !=, <, <=, >, >=)")
+        return row, rel.text
 
 
 def _parse_guard_rows(p: _Parser, n: int, sort: str) -> tuple[tuple[LinExpr, ...], str, str]:
@@ -551,27 +518,22 @@ def _parse_guard_rows(p: _Parser, n: int, sort: str) -> tuple[tuple[LinExpr, ...
         row, rel = p.equation(n, sort)
         rows.append(row)
         rels.append(rel)
-        if p.at_ident("and") or p.at_ident("or"):
-            word = p.take().text
-            this = "conj" if word == "and" else "disj"
-            if mode is not None and mode != this:
-                raise p.fail("cannot mix 'and' and 'or' in one guard")
-            mode = this
-            if p.at_ident("assume"):
-                p.take()
-            continue
-        break
+        this = "conj" if p.accept("and") else "disj" if p.accept("or") else None
+        if this is None:
+            break
+        if mode not in (None, this):
+            raise p.fail("cannot mix 'and' and 'or' in one guard")
+        mode = this
+        p.accept("assume")
     if len(set(rels)) > 1:
         raise p.fail("mixed relation symbols in one guard are not supported")
     return tuple(rows), rels[0], mode or "conj"
 
 
 def _parse_statements(p: _Parser, n: int, sort: str) -> TransferFunction:
-    if p.at_ident("skip"):
-        p.take()
+    if p.accept("skip"):
         return Identity()
-    if p.at_ident("assume"):
-        p.take()
+    if p.accept("assume"):
         rows, rel, mode = _parse_guard_rows(p, n, sort)
         if rel == "=":
             return EqGuard(rows, mode)
@@ -579,104 +541,69 @@ def _parse_statements(p: _Parser, n: int, sort: str) -> TransferFunction:
             raise p.fail(f"inequality guard {rel!r} is not supported for sort rat")
         return RelGuard(rows, rel, mode)
     # one or more assignments, comma separated, applied in parallel
-    zero: Number = Fraction(0) if sort == "rat" else 0
-    one: Number = Fraction(1) if sort == "rat" else 1
-    rows: list[LinExpr | None] = [None] * n
+    assigned: list[LinExpr | None] = [None] * n
     nondet_targets: list[int] = []
-    while True:
+
+    def assignment() -> None:
         j = p.var_index(n)
-        p.expect_sym(":=")
-        if rows[j - 1] is not None or (j in nondet_targets):
+        p.expect("sym", ":=")
+        if assigned[j - 1] is not None or j in nondet_targets:
             raise p.fail(f"variable x{j} assigned twice on one edge")
-        if p.at_sym("?"):
-            p.take()
+        if p.accept("?"):
             nondet_targets.append(j)
         else:
-            rows[j - 1] = p.linexpr(n, sort)
-        if p.at_sym(","):
-            p.take()
-            continue
-        break
+            assigned[j - 1] = p.linexpr(n, sort)
+
+    p.sequence(assignment, ",")
     if nondet_targets:
-        if len(nondet_targets) > 1 or any(r is not None for r in rows):
+        if len(nondet_targets) > 1 or any(r is not None for r in assigned):
             raise p.fail("xj := ? cannot be combined with other assignments on one edge")
         return NondetAssign(nondet_targets[0])
-    filled = tuple(
-        identity_row(i, n, zero, one) if r is None else r for i, r in enumerate(rows)
-    )
-    if all(r == identity_row(i, n, zero, one) for i, r in enumerate(filled)):
-        return Identity()
-    return ParallelAffineAssign(filled)
+    ids = tuple(identity_row(i, n, *_numbers(sort)) for i in range(n))
+    rows = tuple(ident if r is None else r for ident, r in zip(ids, assigned))
+    return Identity() if rows == ids else ParallelAffineAssign(rows)
 
 
 def _parse_init_literal(p: _Parser, n: int, sort: str) -> InitDecl:
-    if p.at_ident("top"):
-        p.take()
+    if p.accept("top"):
         return InitTop()
-    if p.at_ident("bot"):
-        p.take()
+    if p.accept("bot"):
         return InitBot()
-    if p.at_sym("("):
-        p.take()
-        entries: list[Any] = []
-        while True:
-            if p.at_ident("top"):
-                p.take()
-                entries.append(TOP_ENTRY)
-            else:
-                entries.append(p.number(sort))
-            if p.at_sym(","):
-                p.take()
-                continue
-            break
-        p.expect_sym(")")
+    if p.accept("("):
+        entries = p.sequence(lambda: TOP_ENTRY if p.accept("top") else p.number(sort), ",")
+        p.expect("sym", ")")
         if len(entries) != n:
             raise p.fail(f"vector literal has {len(entries)} entries, expected {n}")
         return InitVector(tuple(entries))
-    if p.at_sym("{"):
-        p.take()
-        points: list[tuple[Number, ...]] = []
-        while True:
-            p.expect_sym("(")
-            pt: list[Number] = []
-            while True:
-                pt.append(p.number(sort))
-                if p.at_sym(","):
-                    p.take()
-                    continue
-                break
-            p.expect_sym(")")
+    if p.accept("{"):
+
+        def point() -> tuple[Number, ...]:
+            p.expect("sym", "(")
+            pt = p.sequence(lambda: p.number(sort), ",")
+            p.expect("sym", ")")
             if len(pt) != n:
                 raise p.fail(f"point has {len(pt)} coordinates, expected {n}")
-            points.append(tuple(pt))
-            if p.at_sym(";") and not p.at_sym("}"):
-                # point separator inside braces
-                p.take()
-                if p.at_sym("}"):
-                    break
-                continue
-            break
-        p.expect_sym("}")
+            return tuple(pt)
+
+        points = p.sequence(point, ";", end="}")
+        p.expect("sym", "}")
         return InitPoints(frozenset(points))
     # constraint conjunction (rat sort only)
     if sort != "rat":
         raise p.fail("expected top, bot, (c1,...,cn) or {(..);(..)}")
-    rows: list[LinExpr] = []
-    while True:
+
+    def constraint() -> LinExpr:
         row, rel = p.equation(n, sort)
         if rel != "=":
             raise p.fail("constraint literals must use '='")
-        rows.append(row)
-        if p.at_sym("/\\"):
-            p.take()
-            continue
-        break
-    return InitConstraints(tuple(rows))
+        return row
+
+    return InitConstraints(tuple(p.sequence(constraint, "/\\")))
 
 
 def parse_init_literal(text: str, n: int, sort: str) -> InitDecl:
     """Parse a standalone element literal (used for CLI --prop values)."""
-    p = _Parser(_tokenize(text))
+    p = _Parser(text)
     decl = _parse_init_literal(p, n, sort)
     if p.peek() is not None:
         raise p.fail("trailing input after literal")
@@ -686,8 +613,7 @@ def parse_init_literal(text: str, n: int, sort: str) -> InitDecl:
 def parse_program(text: str) -> Program:
     """Parse the line-oriented program format.
 
-    Declarations (each terminated by ';', comments run from '#' to the end
-    of the line)::
+    Declarations (each terminated by ';')::
 
         vars n;
         sort int|rat;
@@ -700,9 +626,10 @@ def parse_program(text: str) -> Program:
     {=, !=, <, <=, >, >=}; several assume rows may be joined uniformly by
     ``and`` / ``or``.  Constraint-style init literals (and inequality guard
     relations other than ``!=``) are only available for sort rat / sort int
-    respectively.
+    respectively.  ``n`` is at most :data:`MAX_VARS`.  The lexical rules are
+    in the module docstring.
     """
-    p = _Parser(_tokenize(text))
+    p = _Parser(text)
     n: int | None = None
     sort: str | None = None
     nodes: list[str] | None = None
@@ -719,55 +646,53 @@ def parse_program(text: str) -> Program:
             raise p.fail("'nodes' must be declared before this line")
         return n, sort, nodes
 
+    def node(known: list[str]) -> _Tok:
+        t = p.expect("ident")
+        if t.text not in known:
+            raise ProgramSyntaxError(f"unknown node {t.text!r}", t.line, t.col)
+        return t
+
     while p.peek() is not None:
-        kw = p.expect_ident()
+        kw = p.expect("ident")
         if kw.text in ("vars", "sort", "nodes"):
             if kw.text in declared:
                 raise ProgramSyntaxError(f"'{kw.text}' is declared twice", kw.line, kw.col)
             declared.add(kw.text)
         if kw.text == "vars":
-            t = p.peek()
-            if t is None or t.kind != "int":
-                raise p.fail("expected a variable count")
-            p.take()
+            t = p.expect("int", what="expected a variable count")
             n = int(t.text)
             if n < 1:
                 raise ProgramSyntaxError("variable count must be >= 1", t.line, t.col)
+            if n > MAX_VARS:
+                raise ProgramSyntaxError(f"variable count must be <= {MAX_VARS}", t.line, t.col)
         elif kw.text == "sort":
-            t = p.expect_ident()
+            t = p.expect("ident")
             if t.text not in ("int", "rat"):
                 raise ProgramSyntaxError("sort must be 'int' or 'rat'", t.line, t.col)
             sort = t.text
         elif kw.text == "nodes":
             nodes = []
-            while p.at_ident() and not p.at_sym(";"):
-                nodes.append(p.expect_ident().text)
+            while p.peek("ident"):
+                nodes.append(p.expect("ident").text)
             if not nodes:
                 raise p.fail("expected at least one node name")
         elif kw.text == "init":
             nn, ss, nds = require_header()
-            t = p.expect_ident()
-            if t.text not in nds:
-                raise ProgramSyntaxError(f"unknown node {t.text!r}", t.line, t.col)
-            if t.text in inits:
-                raise ProgramSyntaxError(f"node {t.text!r} has a second init", t.line, t.col)
-            p.expect_sym(":")
-            inits[t.text] = _parse_init_literal(p, nn, ss)
+            q = node(nds)
+            if q.text in inits:
+                raise ProgramSyntaxError(f"node {q.text!r} has a second init", q.line, q.col)
+            p.expect("sym", ":")
+            inits[q.text] = _parse_init_literal(p, nn, ss)
         elif kw.text == "edge":
             nn, ss, nds = require_header()
-            src = p.expect_ident()
-            if src.text not in nds:
-                raise ProgramSyntaxError(f"unknown node {src.text!r}", src.line, src.col)
-            p.expect_sym("->")
-            dst = p.expect_ident()
-            if dst.text not in nds:
-                raise ProgramSyntaxError(f"unknown node {dst.text!r}", dst.line, dst.col)
-            p.expect_sym(":")
-            tf = _parse_statements(p, nn, ss)
-            edges.append(Edge(src.text, tf, dst.text))
+            src = node(nds)
+            p.expect("sym", "->")
+            dst = node(nds)
+            p.expect("sym", ":")
+            edges.append(Edge(src.text, _parse_statements(p, nn, ss), dst.text))
         else:
             raise ProgramSyntaxError(f"unknown declaration {kw.text!r}", kw.line, kw.col)
-        p.expect_sym(";")
+        p.expect("sym", ";")
 
     if n is None or sort is None or nodes is None:
         raise p.fail("program must declare vars, sort and nodes")
@@ -775,12 +700,8 @@ def parse_program(text: str) -> Program:
 
 
 # ---------------------------------------------------------------------------
-# Printer (canonical text; parse ∘ print is the identity)
+# Printer (canonical text; print ∘ parse ∘ print is print)
 # ---------------------------------------------------------------------------
-
-
-def _render_number(v: Number) -> str:
-    return str(v)
 
 
 def render_linexpr(e: LinExpr) -> str:
@@ -789,12 +710,12 @@ def render_linexpr(e: LinExpr) -> str:
         if m == 0:
             continue
         mag = -m if m < 0 else m
-        term = f"x{i + 1}" if mag == 1 else f"{_render_number(mag)}*x{i + 1}"
+        term = f"x{i + 1}" if mag == 1 else f"{mag}*x{i + 1}"
         parts.append(("-" if m < 0 else ("+" if parts else "")) + term)
     if e.const != 0 or not parts:
         c = e.const
         mag = -c if c < 0 else c
-        parts.append(("-" if c < 0 else ("+" if parts else "")) + _render_number(mag))
+        parts.append(("-" if c < 0 else ("+" if parts else "")) + str(mag))
     return "".join(parts)
 
 
@@ -804,14 +725,12 @@ def render_transfer(t: TransferFunction, n: int, sort: str) -> str:
     if isinstance(t, NondetAssign):
         return f"x{t.target} := ?"
     if isinstance(t, ParallelAffineAssign):
-        zero: Number = Fraction(0) if sort == "rat" else 0
-        one: Number = Fraction(1) if sort == "rat" else 1
         parts = [
             f"x{i + 1} := {render_linexpr(r)}"
             for i, r in enumerate(t.rows)
-            if r != identity_row(i, n, zero, one)
+            if r != identity_row(i, n, *_numbers(sort))
         ]
-        return ", ".join(parts)
+        return ", ".join(parts) or "skip"
     rel = "=" if isinstance(t, EqGuard) else t.rel
     joiner = " and " if t.mode == "conj" else " or "
     return joiner.join(f"assume {render_linexpr(r)} {rel} 0" for r in t.rows)
@@ -823,10 +742,10 @@ def render_init(decl: InitDecl) -> str:
     if isinstance(decl, InitBot):
         return "bot"
     if isinstance(decl, InitVector):
-        return "(" + ",".join(TOP_ENTRY if e == TOP_ENTRY else _render_number(e) for e in decl.entries) + ")"
+        return "(" + ",".join(map(str, decl.entries)) + ")"
     if isinstance(decl, InitPoints):
         pts = sorted(decl.points)
-        return "{" + ";".join("(" + ",".join(_render_number(v) for v in pt) + ")" for pt in pts) + "}"
+        return "{" + ";".join("(" + ",".join(map(str, pt)) + ")" for pt in pts) + "}"
     if isinstance(decl, InitConstraints):
         return " /\\ ".join(f"{render_linexpr(r)} = 0" for r in decl.rows)
     raise TypeError(f"unknown init declaration {decl!r}")

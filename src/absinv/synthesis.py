@@ -190,14 +190,14 @@ class AffAdapter:
 
 Adapter = ConstAdapter | AffAdapter
 
+#: Domain name -> adapter class; the CLI offers these names in this order.
+DOMAINS: dict[str, type[Adapter]] = {"const": ConstAdapter, "affine": AffAdapter}
+
 
 def make_adapter(program: Program, domain: str) -> Adapter:
-    if domain == "const":
-        adapter: Adapter = ConstAdapter(program.n)
-    elif domain == "affine":
-        adapter = AffAdapter(program.n)
-    else:
+    if domain not in DOMAINS:
         raise UnsupportedDomain(f"unknown domain {domain!r}")
+    adapter = DOMAINS[domain](program.n)
     if program.sort != adapter.sort:
         raise UnsupportedDomain(
             f"domain {domain!r} requires sort {adapter.sort!r}, program has {program.sort!r}"

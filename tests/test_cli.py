@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import re
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from absinv.cli import main
 from conftest import PROGRAMS_DIR
@@ -224,3 +229,88 @@ def test_oracle_unknown_suite_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["oracle", "--suite", "nope"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "text, prop, where",
+    [
+        (f"vars {10**20}; sort int; nodes q1; init q1: top;", None, ": 1:6: variable count must be <= "),
+        ("vars ²; sort int; nodes q1;", None, ": 1:6: expected a variable count"),
+        ("vars 1; sort int; nodes q1;\nedge q1 -> q1 : x1 := x²;", None, ": 2:23: expected a variable x1..x1"),
+        ("vars 1; sort int; nodes q1;", "q1: (1²)", "property at q1: 1:3: expected ')'"),
+    ],
+    ids=["oversized-count", "count-digit", "variable-digit", "property-digit"],
+)
+def test_malformed_numbers_exit_two_with_a_position(tmp_path, capsys, text, prop, where):
+    path = tmp_path / "bad.prog"
+    path.write_text(text, encoding="utf-8")
+    argv = ["analyze", "--program", str(path), "--domain", "const", "--alg", "forward"]
+    code, out, err = run(argv + (["--prop", prop] if prop else []), capsys)
+    assert code == 2 and out == ""
+    assert where in err and "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing: any program text ends in exit code 0, 1 or 2 with a message
+# ---------------------------------------------------------------------------
+
+_LEXEME = re.compile(r"\s+|\w+|:=|->|<=|>=|!=|/\\|\S")
+_DEMO_TOKENS = [
+    _LEXEME.findall((PROGRAMS_DIR / name).read_text(encoding="utf-8"))
+    for name in ("const_demo.prog", "affine_demo.prog")
+]
+_VOCABULARY = sorted({t for toks in _DEMO_TOKENS for t in toks} | {
+    "vars", "sort", "int", "rat", "bot", "skip", "?", "or", "/", "{", "}",
+    "0", "7", "x0", "x9", "#", "\n", "\t", "é", "٣", "²",
+})
+
+
+@st.composite
+def _mutated_demo(draw) -> str:
+    toks = list(draw(st.sampled_from(_DEMO_TOKENS)))
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(toks)))
+        op = draw(st.sampled_from(["insert", "delete", "replace"]))
+        if op == "insert" or not toks:
+            toks.insert(i, draw(st.sampled_from(_VOCABULARY)))
+        elif op == "delete":
+            del toks[min(i, len(toks) - 1)]
+        else:
+            toks[min(i, len(toks) - 1)] = draw(st.sampled_from(_VOCABULARY))
+    return "".join(toks)
+
+
+@pytest.fixture(scope="module")
+def fuzz_program(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "fuzz.prog"
+
+
+_PROPS = ["q2: (0,top)", "q2: (top,2)", "q3: (1,top)", "q4: x1 + x2 + 1 = 0", "q4: x1 = 5", "q2: bot"]
+
+
+@settings(deadline=None, max_examples=200, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    text=st.one_of(st.text(max_size=80), _mutated_demo()),
+    domain=st.sampled_from(["const", "affine"]),
+    alg=st.sampled_from(["forward", "backward"]),
+    prop=st.one_of(st.none(), st.sampled_from(_PROPS), st.text(max_size=12)),
+)
+@example(text=f"vars {10**20}; sort int; nodes q1; init q1: top;", domain="const", alg="forward", prop=None)
+def test_analyze_fuzzed_text_ends_in_a_verdict_or_an_error(fuzz_program, text, domain, alg, prop):
+    """An exception escaping ``main`` (a traceback from the CLI) fails the test.
+
+    Generated numbers stay small: a large count that fits in memory would
+    make the program hold n * n coefficients per edge.  The explicit example
+    is a count far above ``MAX_VARS`` that cannot be allocated at all.
+    """
+    fuzz_program.write_text(text, encoding="utf-8")
+    argv = ["analyze", "--program", str(fuzz_program), "--domain", domain, "--alg", alg]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv + ([f"--prop={prop}"] if prop is not None else []))
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        assert out.getvalue().startswith("no abstract inductive invariant")
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue().startswith("error: ")

@@ -358,3 +358,18 @@ def test_run_suite_interface():
         fin.run_suite("bogus", 0, 1)
     empty = fin.run_suites("all", seed=0, trials=0)
     assert all(r["trials"] == 0 and r["failures"] == 0 for r in empty)
+
+
+def test_union_closure_matches_the_pairwise_definition():
+    for k in range(200):
+        fam = fin.random_closure_family(f"uc:{k}", 1 + k % 5, union_closed=k % 3 == 0)
+        m = fam.members
+        expected = 0 in m and all(a | b in m for a in m for b in m)
+        assert fam.is_union_closed() is expected
+        assert fam.is_union_closed() is expected
+        assert fam == fin.ClosureFamily(fam.size, m) and hash(fam) == hash(fin.ClosureFamily(fam.size, m))
+    ts = fin.FiniteTS(2, frozenset(), init=0b01, safe=0b11)
+    fam = fin.ClosureFamily(2, frozenset({0b11, 0b01}))
+    for run in (fin.run_algorithm1, fin.run_algorithm2_padon, fin.run_algorithm4):
+        with pytest.raises(fin.ClosureViolation):
+            run(ts, fam)

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from absinv import programs as pg
+from conftest import random_program
 
 
 def test_parse_const_demo_shape(const_demo):
@@ -236,3 +238,52 @@ def test_programs_are_hashable_and_immutable():
     assert pg.parse_program(pg.print_program(a)) == a
     with pytest.raises(TypeError):
         a.inits["q2"] = pg.InitTop()
+
+
+@pytest.mark.parametrize("sort", ["int", "rat"])
+def test_print_parse_print_is_print(sort):
+    for k in range(300):
+        text = pg.print_program(random_program(random.Random(f"rt:{sort}:{k}"), sort))
+        assert pg.print_program(pg.parse_program(text)) == text
+
+
+def test_all_identity_assignment_prints_as_skip():
+    rows = tuple(pg.identity_row(i, 2, 0, 1) for i in range(2))
+    prog = pg.Program(("a",), 2, "int", (pg.Edge("a", pg.ParallelAffineAssign(rows), "a"),), {})
+    assert pg.print_program(prog).endswith("edge a -> a : skip;\n")
+    assert pg.parse_program(pg.print_program(prog)).edges[0].transfer == pg.Identity()
+
+
+@pytest.mark.parametrize("tail", ["init q1: top;", "edge q1 -> q1 : x1 := 1;"])
+def test_oversized_variable_count_is_a_syntax_error(tail):
+    with pytest.raises(pg.ProgramSyntaxError, match=f"variable count must be <= {pg.MAX_VARS}") as exc:
+        pg.parse_program(f"sort int;\nvars {10**20}; nodes q1; {tail}")
+    assert (exc.value.line, exc.value.col) == (2, 6)
+    assert pg.parse_program(f"vars {pg.MAX_VARS}; sort int; nodes q1; {tail}").n == pg.MAX_VARS
+
+
+@pytest.mark.parametrize(
+    "src, line, col, message",
+    [
+        ("vars ²;", 1, 6, "expected a variable count"),
+        ("vars 2; sort int; nodes q1;\nedge q1 -> q1 : x1 := x²;", 2, 23, "expected a variable x1..x2"),
+        ("vars 1; sort int; nodes q1; init q1: (1²);", 1, 40, "expected '\\)'"),
+    ],
+    ids=["count", "variable", "literal"],
+)
+def test_non_decimal_digits_are_syntax_errors(src, line, col, message):
+    with pytest.raises(pg.ProgramSyntaxError, match=message) as exc:
+        pg.parse_program(src)
+    assert (exc.value.line, exc.value.col) == (line, col)
+
+
+def test_decimal_digits_of_any_script_are_numbers():
+    prog = pg.parse_program("vars ٢; sort int; nodes q1; init q1: (٣,top);")
+    assert prog.n == 2 and prog.init_decl("q1") == pg.InitVector((3, "top"))
+
+
+def test_positions_count_blanks_and_skip_comments():
+    src = "vars 1; # a comment ; with $ symbols\r\n\tsort int;\n  nodes q1; init q1: top; $"
+    with pytest.raises(pg.ProgramSyntaxError, match="unexpected character '\\$'") as exc:
+        pg.parse_program(src)
+    assert (exc.value.line, exc.value.col) == (3, 27)
