@@ -2,24 +2,21 @@
 
 Subpackages:
 
-- ``lattice``: order-theoretic core (domains, Galois insertions, fixpoints)
+- ``lattice``: order-theoretic core (domain contract, products, fixpoints)
 - ``programs``: CFG program model, transfer functions, text format
-- ``const_domain``: constant propagation with best transfer approximations
-- ``affine``: affine equalities over exact rationals
-- ``synthesis``: forward lfp and backward co-inductive gfp engines
+- ``const_domain``: constant-propagation elements and transfer functions
+- ``affine``: affine-equality elements over exact rationals and transfers
+- ``synthesis``: one adapter object per numeric domain, and the forward
+  lfp and backward co-inductive gfp engines
 - ``finite``: exhaustive finite-instance oracle harness
 - ``cli``: the ``absinv`` command
 """
 
 from .lattice import (
     AbstractDomain,
-    ClosureOperator,
-    GaloisInsertion,
     ProductLattice,
     check_inductive_invariant,
-    closure_to_gi,
     gfp_iterate,
-    gi_to_closure,
     lfp_iterate,
 )
 from .programs import Program, StateVector, parse_program, print_program
@@ -39,8 +36,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AbstractDomain",
     "AnalysisProblem",
-    "ClosureOperator",
-    "GaloisInsertion",
     "ProductLattice",
     "Program",
     "StateVector",
@@ -50,9 +45,7 @@ __all__ = [
     "ainv_forward",
     "backward_gfp",
     "check_inductive_invariant",
-    "closure_to_gi",
     "gfp_iterate",
-    "gi_to_closure",
     "lfp_iterate",
     "parse_program",
     "print_program",

@@ -10,7 +10,9 @@ Canonical form makes structural equality coincide with semantic equality:
 the direction basis is kept in reduced row-echelon form with lexicographic
 pivot order, and the base point is reduced modulo the span (zeroed on pivot
 columns).  All arithmetic is over ``fractions.Fraction`` — no rounding
-anywhere in this module.
+anywhere in this module.  The n-variable lattice itself, with its bounds,
+height n + 1, alpha (the affine hull) and gamma-membership, is
+``synthesis.AffAdapter``.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .lattice import AbstractDomain
 from .programs import LinExpr
 
 Vec = tuple[Fraction, ...]
@@ -309,33 +310,6 @@ def bca_eq_guard(rows: tuple[LinExpr, ...], mode: str, a: AffSubspace) -> AffSub
     for r in rows:
         out = meet_hyperplane(out, r)
     return out
-
-
-class AffDomain(AbstractDomain):
-    """The n-variable affine-equalities lattice (finite height n+1)."""
-
-    def __init__(self, n: int):
-        if n < 1:
-            raise ValueError("need at least one variable")
-        self.n = n
-
-    def leq(self, a: AffSubspace, b: AffSubspace) -> bool:
-        return includes(b, a)
-
-    def join(self, a: AffSubspace, b: AffSubspace) -> AffSubspace:
-        return join(a, b)
-
-    def meet(self, a: AffSubspace, b: AffSubspace) -> AffSubspace:
-        return meet(a, b)
-
-    def bottom(self) -> AffSubspace:
-        return AffSubspace.empty(self.n)
-
-    def top(self) -> AffSubspace:
-        return AffSubspace.full(self.n)
-
-    def height(self) -> int:
-        return self.n + 1
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@
 An element is either ``bot`` (no value vectors) or an n-vector whose slots are
 integers or ``top``; the order is the pointwise flat order with a single
 shared bottom.  The concretization of a vector is the box of all integer
-vectors matching its constant slots.
+vectors matching its constant slots.  This module holds the elements and
+the pure functions on them; the n-variable lattice itself, with its bounds,
+height 2n, alpha and gamma-membership, is ``synthesis.ConstAdapter``.
 
 The transfer functions below are best correct approximations (alpha ∘ t ∘
 gamma), except conjunctive multi-row guards, which are only sound (see
@@ -22,7 +24,6 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterable
 
-from .lattice import AbstractDomain
 from .programs import LinExpr, relation_holds
 
 
@@ -123,33 +124,6 @@ def meet(a: ConstVec, b: ConstVec) -> ConstVec:
     return ConstVec(a.n, tuple(out))
 
 
-class ConstDomain(AbstractDomain):
-    """The n-variable constant-propagation lattice (finite height 2n)."""
-
-    def __init__(self, n: int):
-        if n < 1:
-            raise ValueError("need at least one variable")
-        self.n = n
-
-    def leq(self, a: ConstVec, b: ConstVec) -> bool:
-        return leq(a, b)
-
-    def join(self, a: ConstVec, b: ConstVec) -> ConstVec:
-        return join(a, b)
-
-    def meet(self, a: ConstVec, b: ConstVec) -> ConstVec:
-        return meet(a, b)
-
-    def bottom(self) -> ConstVec:
-        return ConstVec.bottom(self.n)
-
-    def top(self) -> ConstVec:
-        return ConstVec.top(self.n)
-
-    def height(self) -> int:
-        return 2 * self.n
-
-
 # ---------------------------------------------------------------------------
 # Abstraction of finite point sets
 # ---------------------------------------------------------------------------
@@ -169,13 +143,6 @@ def alpha_points(points: Iterable[tuple[int, ...]], n: int) -> ConstVec:
         proj = {p[i] for p in pts}
         slots.append(proj.pop() if len(proj) == 1 else TOP)
     return ConstVec(n, tuple(slots))
-
-
-def gamma_contains(a: ConstVec, point: tuple[int, ...]) -> bool:
-    """Membership of an integer vector in the concretization of ``a``."""
-    if a.is_bottom:
-        return False
-    return all(s is TOP or s == v for s, v in zip(a.comps, point))
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,13 @@
-"""Order-theoretic core: abstract domains, Galois insertions, closures, fixpoints.
+"""Order-theoretic core: abstract domains, products, fixpoints.
 
 Everything downstream (the numeric domains, the synthesis loops, the finite
 ground-truth harness) is built against the small contracts defined here:
 
 - ``AbstractDomain``: a lattice of properties with decidable order and
-  computable join/meet, the carrier for invariant synthesis.
-- ``GaloisInsertion``: an adjoint pair (alpha, gamma) with alpha surjective,
-  linking a concrete domain to an abstract one.
-- ``ClosureOperator``: the representation-free equivalent of a Galois
-  insertion (upper closures) or of its dual (lower closures).
+  computable join/meet, the carrier for invariant synthesis.  Each numeric
+  domain is one such object (``synthesis.ConstAdapter``/``AffAdapter``)
+  that also carries its alpha, gamma-membership and transfers.
+- ``ProductLattice``: the node-indexed product of a domain.
 - ``kleene``, the one Kleene chain that every fixpoint loop in this package
   steps (``lfp_iterate``/``gfp_iterate``, both synthesis engines, the finite
   co-inductive algorithms), and ``check_inductive_invariant``, the one
@@ -21,16 +20,11 @@ function, so elements can be shared freely across threads.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 
 class IterationBudgetExceeded(RuntimeError):
     """Fixpoint iteration did not stabilize within the allowed step count."""
-
-
-class NotAnInsertion(ValueError):
-    """The supplied (alpha, gamma) pair fails alpha ∘ gamma = identity."""
 
 
 #: Default cap on Kleene iteration steps for clients that cannot promise a
@@ -104,85 +98,6 @@ class ProductLattice(AbstractDomain):
     def height(self) -> int | None:
         h = self.base.height()
         return None if h is None else h * self.size
-
-
-@dataclass(frozen=True)
-class ClosureOperator:
-    """A monotone idempotent map that is extensive (upper) or reductive (lower)."""
-
-    apply: Callable[[Any], Any]
-    kind: str  # "upper" | "lower"
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("upper", "lower"):
-            raise ValueError(f"closure kind must be 'upper' or 'lower', got {self.kind!r}")
-
-    def __call__(self, x: Any) -> Any:
-        return self.apply(x)
-
-
-@dataclass(frozen=True)
-class GaloisInsertion:
-    """An adjoint pair alpha/gamma with alpha surjective (gamma injective).
-
-    ``alpha`` maps a concrete element to its best abstraction, ``gamma`` maps
-    an abstract element back to the concrete property it denotes.  The
-    adjunction law reads: alpha(c) ≤_A a  iff  c ≤_C gamma(a).  Concrete
-    elements may be explicit finite sets or symbolic set descriptions; the
-    insertion itself only needs the two maps and the two orders.
-    """
-
-    alpha: Callable[[Any], Any]
-    gamma: Callable[[Any], Any]
-    concrete_leq: Callable[[Any, Any], bool]
-    abstract_leq: Callable[[Any, Any], bool]
-
-    def adjunction_holds(self, c: Any, a: Any) -> bool:
-        return self.abstract_leq(self.alpha(c), a) == self.concrete_leq(c, self.gamma(a))
-
-    def insertion_holds(self, a: Any) -> bool:
-        return self.alpha(self.gamma(a)) == a
-
-
-def gi_to_closure(gi: GaloisInsertion, abstract_samples: Iterable[Any] | None = None) -> ClosureOperator:
-    """Turn a Galois insertion into its induced upper closure gamma ∘ alpha.
-
-    When ``abstract_samples`` is given, the insertion law alpha(gamma(a)) = a
-    is checked on them and a failure is rejected (a bare connection whose
-    alpha is not surjective does not induce the same closure lattice).
-    """
-    if abstract_samples is not None:
-        for a in abstract_samples:
-            if not gi.insertion_holds(a):
-                raise NotAnInsertion(f"alpha(gamma(a)) != a for a = {a!r}")
-    return ClosureOperator(apply=lambda c: gi.gamma(gi.alpha(c)), kind="upper")
-
-
-def closure_to_gi(
-    mu: Callable[[Any], Any],
-    carrier: Iterable[Any],
-    concrete_leq: Callable[[Any, Any], bool],
-) -> tuple[GaloisInsertion, tuple[Any, ...]]:
-    """Turn an upper closure on an enumerable concrete lattice into a GI.
-
-    The abstract domain is the image mu(carrier) ordered by the concrete
-    order; alpha is mu itself and gamma is the identity.  Returns the
-    insertion together with the image elements (deduplicated, in first-seen
-    order).  Round-tripping through :func:`gi_to_closure` gives back a map
-    that agrees with ``mu`` on the carrier.
-    """
-    image: list[Any] = []
-    for c in carrier:
-        a = mu(c)
-        if a not in image:
-            image.append(a)
-    gi = GaloisInsertion(
-        alpha=mu,
-        gamma=lambda a: a,
-        concrete_leq=concrete_leq,
-        abstract_leq=concrete_leq,
-    )
-    return gi, tuple(image)
 
 
 def kleene(f: Callable[[Any], Any], start: Any, max_steps: int | None = None) -> Iterator[Any]:

@@ -8,7 +8,8 @@ transfer functions over n numeric variables x1..xn.  Supported labels:
 - nondeterministic assignments ``xj := ?``,
 - affine guards ``assume e ⋈ 0`` with ⋈ in {=, !=, <, <=, >, >=}, possibly
   several rows joined uniformly by ``and`` (conjunctive) or ``or``
-  (disjunctive),
+  (disjunctive): one :class:`Guard` ``(rows, rel, mode)`` whatever the
+  relation,
 - ``skip`` (the identity relation).
 
 The text format is line-oriented; see :func:`parse_program` for its
@@ -25,6 +26,7 @@ immutable after parsing and safe to share across threads.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,7 +34,11 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple
 
 Number = Any  # int (sort "int") or Fraction (sort "rat")
 
-RELATIONS = ("=", "!=", "<", "<=", ">", ">=")
+#: Relation symbol ⋈ -> the comparison of ``value ⋈ 0``.
+RELATIONS: dict[str, Callable[[Any, Any], bool]] = {
+    "=": operator.eq, "!=": operator.ne, "<": operator.lt,
+    "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+}
 
 
 class ProgramSyntaxError(ValueError):
@@ -71,19 +77,7 @@ class LinExpr:
 
 def relation_holds(value: Number, rel: str) -> bool:
     """Does ``value ⋈ 0`` hold for the given relation symbol?"""
-    if rel == "=":
-        return value == 0
-    if rel == "!=":
-        return value != 0
-    if rel == "<":
-        return value < 0
-    if rel == "<=":
-        return value <= 0
-    if rel == ">":
-        return value > 0
-    if rel == ">=":
-        return value >= 0
-    raise ValueError(f"unknown relation {rel!r}")
+    return RELATIONS[rel](value, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -118,23 +112,19 @@ class NondetAssign:
 
 
 @dataclass(frozen=True)
-class EqGuard:
-    """assume row = 0 [and/or row = 0 ...]."""
+class Guard:
+    """assume row ⋈ 0 [and/or row ⋈ 0 ...] with one relation ⋈ for all rows."""
 
     rows: tuple[LinExpr, ...]
+    rel: str  # one of RELATIONS
     mode: str  # "conj" | "disj"
 
-
-@dataclass(frozen=True)
-class RelGuard:
-    """assume row ⋈ 0 [and/or ...] with a single non-"=" relation symbol."""
-
-    rows: tuple[LinExpr, ...]
-    rel: str  # one of "!=", "<", "<=", ">", ">="
-    mode: str  # "conj" | "disj"
+    def __post_init__(self) -> None:
+        if self.rel not in RELATIONS:
+            raise ValueError(f"unknown relation {self.rel!r}")
 
 
-TransferFunction = Identity | ParallelAffineAssign | NondetAssign | EqGuard | RelGuard
+TransferFunction = Identity | ParallelAffineAssign | NondetAssign | Guard
 
 
 def identity_row(j: int, n: int, zero: Number, one: Number) -> LinExpr:
@@ -239,7 +229,7 @@ def check_transfer_arity(t: TransferFunction, n: int) -> None:
     elif isinstance(t, NondetAssign):
         if not 1 <= t.target <= n:
             raise ValueError("nondet assignment target out of range")
-    elif isinstance(t, (EqGuard, RelGuard)):
+    elif isinstance(t, Guard):
         if any(r.arity != n for r in t.rows):
             raise ValueError("guard dimension mismatch")
 
@@ -301,9 +291,8 @@ class StateVector(Mapping[str, Any]):
 # ---------------------------------------------------------------------------
 
 
-def guard_holds(t: EqGuard | RelGuard, v: tuple[Number, ...]) -> bool:
-    rel = "=" if isinstance(t, EqGuard) else t.rel
-    results = (relation_holds(r.eval(v), rel) for r in t.rows)
+def guard_holds(t: Guard, v: tuple[Number, ...]) -> bool:
+    results = (relation_holds(r.eval(v), t.rel) for r in t.rows)
     return all(results) if t.mode == "conj" else any(results)
 
 
@@ -329,7 +318,7 @@ def apply_transfer_concrete(
             raise ValueError("nondet assignment needs at least one witness value")
         j = t.target - 1
         return frozenset(v[:j] + (w,) + v[j + 1 :] for v in pts for w in witnesses)
-    if isinstance(t, (EqGuard, RelGuard)):
+    if isinstance(t, Guard):
         return frozenset(v for v in pts if guard_holds(t, v))
     raise TypeError(f"unknown transfer function {t!r}")
 
@@ -438,6 +427,13 @@ class _Parser:
 
     # -- numbers and expressions -------------------------------------------
 
+    def integer(self, t: _Tok, start: int = 0) -> int:
+        """The decimal value of ``t.text[start:]``, an error at ``t`` if too long."""
+        try:
+            return int(t.text[start:])
+        except ValueError:  # more digits than Python converts
+            raise ProgramSyntaxError("number has too many digits", t.line, t.col) from None
+
     def signs(self) -> int | None:
         """The product of a run of '+'/'-' tokens, or None if there is none."""
         sign = None
@@ -448,22 +444,23 @@ class _Parser:
 
     def number(self, sort: str) -> Number:
         sign = self.signs() or 1
-        num = int(self.expect("int", what="expected a number").text)
+        num = self.integer(self.expect("int", what="expected a number"))
         if sort != "rat":
             return sign * num
         if not self.accept("/"):
             return sign * Fraction(num)
         d = self.expect("int", what="expected a denominator")
-        if int(d.text) == 0:
+        den = self.integer(d)
+        if den == 0:
             raise ProgramSyntaxError("zero denominator", d.line, d.col)
-        return sign * Fraction(num, int(d.text))
+        return sign * Fraction(num, den)
 
     def var_index(self, n: int) -> int:
         t = self.expect("ident")
         name = t.text
         if not (name.startswith("x") and name[1:].isdecimal()):
             raise ProgramSyntaxError(f"expected a variable x1..x{n}", t.line, t.col)
-        j = int(name[1:])
+        j = self.integer(t, 1)
         if not 1 <= j <= n:
             raise ProgramSyntaxError(f"variable {name} out of range (n={n})", t.line, t.col)
         return j
@@ -535,11 +532,9 @@ def _parse_statements(p: _Parser, n: int, sort: str) -> TransferFunction:
         return Identity()
     if p.accept("assume"):
         rows, rel, mode = _parse_guard_rows(p, n, sort)
-        if rel == "=":
-            return EqGuard(rows, mode)
-        if sort == "rat" and rel != "!=":
+        if sort == "rat" and rel not in ("=", "!="):
             raise p.fail(f"inequality guard {rel!r} is not supported for sort rat")
-        return RelGuard(rows, rel, mode)
+        return Guard(rows, rel, mode)
     # one or more assignments, comma separated, applied in parallel
     assigned: list[LinExpr | None] = [None] * n
     nondet_targets: list[int] = []
@@ -660,7 +655,7 @@ def parse_program(text: str) -> Program:
             declared.add(kw.text)
         if kw.text == "vars":
             t = p.expect("int", what="expected a variable count")
-            n = int(t.text)
+            n = p.integer(t)
             if n < 1:
                 raise ProgramSyntaxError("variable count must be >= 1", t.line, t.col)
             if n > MAX_VARS:
@@ -673,7 +668,10 @@ def parse_program(text: str) -> Program:
         elif kw.text == "nodes":
             nodes = []
             while p.peek("ident"):
-                nodes.append(p.expect("ident").text)
+                t = p.expect("ident")
+                if t.text in nodes:
+                    raise ProgramSyntaxError(f"duplicate node name {t.text!r}", t.line, t.col)
+                nodes.append(t.text)
             if not nodes:
                 raise p.fail("expected at least one node name")
         elif kw.text == "init":
@@ -731,9 +729,8 @@ def render_transfer(t: TransferFunction, n: int, sort: str) -> str:
             if r != identity_row(i, n, *_numbers(sort))
         ]
         return ", ".join(parts) or "skip"
-    rel = "=" if isinstance(t, EqGuard) else t.rel
     joiner = " and " if t.mode == "conj" else " or "
-    return joiner.join(f"assume {render_linexpr(r)} {rel} 0" for r in t.rows)
+    return joiner.join(f"assume {render_linexpr(r)} {t.rel} 0" for r in t.rows)
 
 
 def render_init(decl: InitDecl) -> str:

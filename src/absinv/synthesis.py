@@ -15,6 +15,12 @@ Two engines over the node-indexed product lattice:
 Both are deterministic: nodes are processed in declaration order and every
 iterate is canonical, so traces are reproducible.
 
+Each numeric domain is one adapter object, ``ConstAdapter`` or
+``AffAdapter`` (by name in ``DOMAINS``): a ``lattice.AbstractDomain`` that
+also carries alpha of finite point sets, gamma-membership (``contains``),
+the edge transfers (and the constants' wp) and rendering.  Their lattice
+operations call the domain module's functions at call time.
+
 ``AnalysisProblem`` holds what the steps read: the product lattice of the
 domain over the nodes, computed by ``build``, and per node the index lists
 of its incoming (source index, transfer) and outgoing (transfer, target
@@ -26,14 +32,15 @@ the product; both engines step their iterates through ``lattice.kleene``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Iterable, Sequence
 
 from . import affine as aff
 from . import const_domain as cd
 from .lattice import AbstractDomain, ProductLattice, check_inductive_invariant, kleene
 from .programs import (
-    EqGuard,
+    Guard,
     Identity,
     InitBot,
     InitConstraints,
@@ -45,13 +52,12 @@ from .programs import (
     NondetAssign,
     ParallelAffineAssign,
     Program,
-    RelGuard,
     StateVector,
     TOP_ENTRY,
     TransferFunction,
+    guard_holds,
     out_edges,
     post_edges_into,
-    relation_holds,
 )
 
 
@@ -64,14 +70,41 @@ class UnsupportedDomain(ValueError):
 # ---------------------------------------------------------------------------
 
 
-class ConstAdapter:
-    """Constant-propagation domain bound to an n-variable integer program."""
+class ConstAdapter(AbstractDomain):
+    """The constant-propagation lattice on n integer variables (height 2n)."""
 
     sort = "int"
 
     def __init__(self, n: int):
+        if n < 1:
+            raise ValueError("need at least one variable")
         self.n = n
-        self.domain: AbstractDomain = cd.ConstDomain(n)
+
+    def leq(self, a: cd.ConstVec, b: cd.ConstVec) -> bool:
+        return cd.leq(a, b)
+
+    def join(self, a: cd.ConstVec, b: cd.ConstVec) -> cd.ConstVec:
+        return cd.join(a, b)
+
+    def meet(self, a: cd.ConstVec, b: cd.ConstVec) -> cd.ConstVec:
+        return cd.meet(a, b)
+
+    def bottom(self) -> cd.ConstVec:
+        return cd.ConstVec.bottom(self.n)
+
+    def top(self) -> cd.ConstVec:
+        return cd.ConstVec.top(self.n)
+
+    def height(self) -> int:
+        return 2 * self.n
+
+    def alpha(self, points: Iterable[tuple[int, ...]]) -> cd.ConstVec:
+        """Best abstraction of a finite set of integer vectors."""
+        return cd.alpha_points(points, self.n)
+
+    def contains(self, a: cd.ConstVec, point: tuple[int, ...]) -> bool:
+        """Is the integer vector ``point`` in gamma(a)?"""
+        return not a.is_bottom and all(s is cd.TOP or s == v for s, v in zip(a.comps, point))
 
     def transfer(self, t: TransferFunction, a: cd.ConstVec) -> cd.ConstVec:
         if isinstance(t, Identity):
@@ -80,9 +113,7 @@ class ConstAdapter:
             return cd.bca_parallel_assign(t.rows, a)
         if isinstance(t, NondetAssign):
             return cd.bca_nondet_assign(t.target, a)
-        if isinstance(t, EqGuard):
-            return cd.bca_guard(t.rows, "=", t.mode, a)
-        if isinstance(t, RelGuard):
+        if isinstance(t, Guard):
             return cd.bca_guard(t.rows, t.rel, t.mode, a)
         raise TypeError(f"unknown transfer function {t!r}")
 
@@ -98,7 +129,7 @@ class ConstAdapter:
         if isinstance(t, ParallelAffineAssign):
             if target.is_bottom:
                 return target
-            w = cd.ConstVec.top(self.n)
+            w = self.top()
             for row, slot in zip(t.rows, target.comps):
                 if slot is cd.TOP:
                     continue
@@ -111,40 +142,65 @@ class ConstAdapter:
                 return target
             if target.comps[t.target - 1] is cd.TOP:
                 return target
-            return cd.ConstVec.bottom(self.n)
-        if isinstance(t, (EqGuard, RelGuard)):
-            rel = "=" if isinstance(t, EqGuard) else t.rel
-            if all(r.is_constant() for r in t.rows):
-                outcomes = [relation_holds(r.const, rel) for r in t.rows]
-                holds = all(outcomes) if t.mode == "conj" else any(outcomes)
-                return target if holds else cd.ConstVec.top(self.n)
-            return cd.ConstVec.top(self.n)
+            return self.bottom()
+        if isinstance(t, Guard):
+            # a guard of constant rows is decided: it holds at every point or none
+            if all(r.is_constant() for r in t.rows) and guard_holds(t, (0,) * self.n):
+                return target
+            return self.top()
         raise TypeError(f"unknown transfer function {t!r}")
 
     def from_init(self, decl: InitDecl) -> cd.ConstVec:
         if isinstance(decl, InitTop):
-            return cd.ConstVec.top(self.n)
+            return self.top()
         if isinstance(decl, InitBot):
-            return cd.ConstVec.bottom(self.n)
+            return self.bottom()
         if isinstance(decl, InitVector):
             slots = tuple(cd.TOP if e == TOP_ENTRY else int(e) for e in decl.entries)
             return cd.ConstVec(self.n, slots)
         if isinstance(decl, InitPoints):
-            return cd.alpha_points(decl.points, self.n)
+            return self.alpha(decl.points)
         raise UnsupportedDomain("constraint literals are not constant-domain elements")
 
     def render(self, a: cd.ConstVec) -> str:
         return cd.render_const(a)
 
 
-class AffAdapter:
-    """Affine-equalities domain bound to an n-variable rational program."""
+class AffAdapter(AbstractDomain):
+    """The affine-equalities lattice on n rational variables (height n + 1)."""
 
     sort = "rat"
 
     def __init__(self, n: int):
+        if n < 1:
+            raise ValueError("need at least one variable")
         self.n = n
-        self.domain: AbstractDomain = aff.AffDomain(n)
+
+    def leq(self, a: aff.AffSubspace, b: aff.AffSubspace) -> bool:
+        return aff.includes(b, a)
+
+    def join(self, a: aff.AffSubspace, b: aff.AffSubspace) -> aff.AffSubspace:
+        return aff.join(a, b)
+
+    def meet(self, a: aff.AffSubspace, b: aff.AffSubspace) -> aff.AffSubspace:
+        return aff.meet(a, b)
+
+    def bottom(self) -> aff.AffSubspace:
+        return aff.AffSubspace.empty(self.n)
+
+    def top(self) -> aff.AffSubspace:
+        return aff.AffSubspace.full(self.n)
+
+    def height(self) -> int:
+        return self.n + 1
+
+    def alpha(self, points: Iterable[Sequence]) -> aff.AffSubspace:
+        """Best abstraction of a finite point set: its affine hull."""
+        return aff.hull_points(points, self.n)
+
+    def contains(self, a: aff.AffSubspace, point: Sequence) -> bool:
+        """Is the rational vector ``point`` in gamma(a)?"""
+        return a.contains_point(point)
 
     def transfer(self, t: TransferFunction, a: aff.AffSubspace) -> aff.AffSubspace:
         if isinstance(t, Identity):
@@ -153,9 +209,9 @@ class AffAdapter:
             return aff.bca_parallel_assign(t.rows, a)
         if isinstance(t, NondetAssign):
             return aff.bca_nondet_assign(t.target, a)
-        if isinstance(t, EqGuard):
-            return aff.bca_eq_guard(t.rows, t.mode, a)
-        if isinstance(t, RelGuard):
+        if isinstance(t, Guard):
+            if t.rel == "=":
+                return aff.bca_eq_guard(t.rows, t.mode, a)
             if t.rel != "!=":
                 raise UnsupportedDomain(f"guard relation {t.rel!r} has no affine approximation")
             return aff.guard_neq_identity(a)
@@ -163,12 +219,10 @@ class AffAdapter:
 
     def from_init(self, decl: InitDecl) -> aff.AffSubspace:
         if isinstance(decl, InitTop):
-            return aff.AffSubspace.full(self.n)
+            return self.top()
         if isinstance(decl, InitBot):
-            return aff.AffSubspace.empty(self.n)
+            return self.bottom()
         if isinstance(decl, InitVector):
-            from fractions import Fraction
-
             rows = []
             for i, e in enumerate(decl.entries):
                 if e == TOP_ENTRY:
@@ -178,7 +232,7 @@ class AffAdapter:
                 rows.append(LinExpr(tuple(coeffs), -Fraction(e)))
             return aff.from_equalities(rows, self.n)
         if isinstance(decl, InitPoints):
-            return aff.hull_points(decl.points, self.n)
+            return self.alpha(decl.points)
         if isinstance(decl, InitConstraints):
             return aff.from_equalities(decl.rows, self.n)
         raise TypeError(f"unknown init declaration {decl!r}")
@@ -237,13 +291,13 @@ class AnalysisProblem:
             program.nodes,
             tuple(adapter.from_init(program.init_decl(q)) for q in program.nodes),
         )
-        top = adapter.domain.top()
+        top = adapter.top()
         prop = prop or {}
         safety = StateVector(
             program.nodes,
             tuple(adapter.from_init(prop[q]) if q in prop else top for q in program.nodes),
         )
-        lattice = ProductLattice(adapter.domain, len(program.nodes))
+        lattice = ProductLattice(adapter, len(program.nodes))
         return cls(program, adapter, init, safety, lattice)
 
     @cached_property
@@ -289,13 +343,12 @@ class SynthesisResult:
 def pure_post_step(problem: AnalysisProblem, v: StateVector) -> StateVector:
     """Best abstract successor: at q', the join of edge images from all sources."""
     adapter = problem.adapter
-    dom = adapter.domain
     x = v.values
     out = []
     for edges in problem.preds:
-        acc = dom.bottom()
+        acc = adapter.bottom()
         for src, t in edges:
-            acc = dom.join(acc, adapter.transfer(t, x[src]))
+            acc = adapter.join(acc, adapter.transfer(t, x[src]))
         out.append(acc)
     return v.with_values(out)
 
@@ -312,13 +365,12 @@ def abstract_pret_step(problem: AnalysisProblem, v: StateVector) -> StateVector:
     At a node with no outgoing edges the wp contribution is the full space.
     """
     adapter = problem.adapter
-    dom = adapter.domain
     x = v.values
     wps = []
     for edges in problem.succs:
-        acc = dom.top()
+        acc = adapter.top()
         for t, dst in edges:
-            acc = dom.meet(acc, adapter.wp(t, x[dst]))
+            acc = adapter.meet(acc, adapter.wp(t, x[dst]))
         wps.append(acc)
     lattice = problem.lattice
     return v.with_values(lattice.meet(lattice.meet(wps, x), problem.safety.values))

@@ -191,10 +191,10 @@ def random_program(rng: random.Random, sort: str, max_vars: int = 5, max_nodes: 
         rows = tuple(rand_expr() for _ in range(rng.randint(1, 2)))
         if sort == "int" and kind < 0.85:
             rel = rng.choice(["<", "<=", ">", ">=", "!="])
-            return pg.RelGuard(rows, rel, mode)
+            return pg.Guard(rows, rel, mode)
         if sort == "rat" and kind < 0.8:
-            return pg.RelGuard(rows, "!=", mode)
-        return pg.EqGuard(rows, mode)
+            return pg.Guard(rows, "!=", mode)
+        return pg.Guard(rows, "=", mode)
 
     edges = tuple(
         pg.Edge(rng.choice(nodes), rand_transfer(), rng.choice(nodes))

@@ -205,7 +205,7 @@ def test_criterion_4_micro_examples(four_chain_gi, three_chain):
 
 def test_criterion_5_completeness_witnesses():
     x_pts = [(1, 0), (-1, 0)]
-    guard = pg.EqGuard((pg.LinExpr((1, 0), 0),), "conj")
+    guard = pg.Guard((pg.LinExpr((1, 0), 0),), "=", "conj")
     const_direct = cd.alpha_points(pg.apply_transfer_concrete(guard, x_pts), 2)
     const_via_domain = cd.bca_eq_guard(pg.LinExpr((1, 0), 0), cd.alpha_points(x_pts, 2))
     const_ok = const_direct == cd.ConstVec.bottom(2) and const_via_domain == cd.ConstVec.of(0, 0)
@@ -213,7 +213,7 @@ def test_criterion_5_completeness_witnesses():
     q_pts = [(F(1), F(0)), (F(-1), F(0))]
     aff_expr = pg.LinExpr((F(1), F(0)), F(0))
     aff_direct = af.hull_points(
-        pg.apply_transfer_concrete(pg.EqGuard((aff_expr,), "conj"), q_pts), 2
+        pg.apply_transfer_concrete(pg.Guard((aff_expr,), "=", "conj"), q_pts), 2
     )
     aff_via_domain = af.meet_hyperplane(af.hull_points(q_pts, 2), aff_expr)
     aff_ok = aff_direct.is_empty and aff_via_domain == af.AffSubspace.point_of((0, 0))

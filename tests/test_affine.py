@@ -7,6 +7,7 @@ from fractions import Fraction
 
 from absinv import affine as af
 from absinv import programs as pg
+from absinv.synthesis import AffAdapter
 from conftest import (
     frac_point,
     random_affine_rows,
@@ -101,7 +102,7 @@ def test_strict_inclusion_increases_dimension():
         if af.includes(b, a) and a != b:
             assert a.dim < b.dim
     # chain length is therefore bounded by n + 2 elements
-    assert af.AffDomain(4).height() == 5
+    assert AffAdapter(4).height() == 5
 
 
 # ---------------------------------------------------------------------------
@@ -326,14 +327,14 @@ def test_guard_neq_is_identity_even_when_imprecise():
     assert af.guard_neq_identity(af.AffSubspace.empty(2)).is_empty
     # the concrete image under x1 != 0 is empty, so identity is sound but lossy
     image = pg.apply_transfer_concrete(
-        pg.RelGuard((expr((1, 0), 0),), "!=", "conj"), {frac_point(0, 0)}
+        pg.Guard((expr((1, 0), 0),), "!=", "conj"), {frac_point(0, 0)}
     )
     assert image == frozenset()
 
 
 def test_guard_incompleteness_witness():
     x = [frac_point(1, 0), frac_point(-1, 0)]
-    guard = pg.EqGuard((expr((1, 0), 0),), "conj")
+    guard = pg.Guard((expr((1, 0), 0),), "=", "conj")
     through_concrete = af.hull_points(pg.apply_transfer_concrete(guard, x), 2)
     assert through_concrete.is_empty
     through_abstraction = af.meet_hyperplane(af.hull_points(x, 2), expr((1, 0), 0))
@@ -356,7 +357,7 @@ def test_guards_sound_on_subspace_samples():
         a = af.hull_points(random_rat_points(rng, n, rng.randint(1, 4)), n)
         pts = subspace_samples(a, rng, 4)
         e = expr([rng.randint(-3, 3) for _ in range(n)], rng.randint(-3, 3))
-        image = pg.apply_transfer_concrete(pg.EqGuard((e,), "conj"), pts)
+        image = pg.apply_transfer_concrete(pg.Guard((e,), "=", "conj"), pts)
         assert af.includes(af.meet_hyperplane(a, e), af.hull_points(image, n))
 
 

@@ -179,8 +179,9 @@ def test_zero_denominator_in_property_exits_two(capsys):
         ("vars 1; sort int; sort rat; nodes q1;", "'sort' is declared twice"),
         ("vars 1; sort int; nodes q1; nodes q1 q2;", "'nodes' is declared twice"),
         ("vars 1; sort int; nodes q1; init q1: top; init q1: (3);", "second init"),
+        ("vars 1; sort int; nodes q1 q1;", ": 1:28: duplicate node name 'q1'"),
     ],
-    ids=["vars", "sort", "nodes", "init"],
+    ids=["vars", "sort", "nodes", "init", "node-name"],
 )
 def test_redeclaration_exits_two(tmp_path, capsys, text, message):
     prog = tmp_path / "redeclared.prog"
@@ -238,8 +239,9 @@ def test_oracle_unknown_suite_exits_two(capsys):
         ("vars ²; sort int; nodes q1;", None, ": 1:6: expected a variable count"),
         ("vars 1; sort int; nodes q1;\nedge q1 -> q1 : x1 := x²;", None, ": 2:23: expected a variable x1..x1"),
         ("vars 1; sort int; nodes q1;", "q1: (1²)", "property at q1: 1:3: expected ')'"),
+        ("vars 1; sort int; nodes q1;", f"q1: ({'9' * 5000})", "property at q1: 1:2: number has too many digits"),
     ],
-    ids=["oversized-count", "count-digit", "variable-digit", "property-digit"],
+    ids=["oversized-count", "count-digit", "variable-digit", "property-digit", "property-too-long"],
 )
 def test_malformed_numbers_exit_two_with_a_position(tmp_path, capsys, text, prop, where):
     path = tmp_path / "bad.prog"

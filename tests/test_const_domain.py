@@ -14,6 +14,7 @@ from hypothesis import given, strategies as st
 
 from absinv import const_domain as cd
 from absinv import programs as pg
+from absinv.synthesis import ConstAdapter
 from conftest import gamma_box, random_const_vec, random_linexpr_int
 
 TOP = cd.TOP
@@ -61,12 +62,12 @@ def test_leq_antisymmetric_on_canonical_forms(a, b):
 
 @given(vec_st)
 def test_bounds(a):
-    dom = cd.ConstDomain(2)
+    dom = ConstAdapter(2)
     assert cd.leq(dom.bottom(), a) and cd.leq(a, dom.top())
 
 
 def test_height_and_chain_length():
-    dom = cd.ConstDomain(3)
+    dom = ConstAdapter(3)
     assert dom.height() == 6
     chain = [
         cd.ConstVec.bottom(3),
@@ -95,7 +96,7 @@ def test_alpha_points_examples():
 def test_alpha_gamma_adjunction_on_finite_sets(points, a):
     x = frozenset(points)
     lhs = cd.leq(cd.alpha_points(x, 2), a)
-    rhs = all(cd.gamma_contains(a, p) for p in x)
+    rhs = all(ConstAdapter(2).contains(a, p) for p in x)
     assert lhs == rhs
 
 
@@ -280,7 +281,7 @@ def test_eq_guard_matches_box_oracle_on_single_unknown():
         coeffs[j] = rng.choice([-3, -2, -1, 1, 2, 3])
         e = pg.LinExpr(tuple(coeffs), rng.randint(-3, 3))
         expected = cd.alpha_points(
-            pg.apply_transfer_concrete(pg.EqGuard((e,), "conj"), gamma_box(a, bound)),
+            pg.apply_transfer_concrete(pg.Guard((e,), "=", "conj"), gamma_box(a, bound)),
             n,
         )
         assert expected == cd.bca_eq_guard(e, a)
@@ -295,7 +296,7 @@ def test_guards_sound_on_box_samples():
         sample = frozenset(rng.sample(pts, min(len(pts), 8))) if pts else frozenset()
         e = random_linexpr_int(rng, n)
         rel = rng.choice(["=", "!=", "<", "<=", ">", ">="])
-        t = pg.EqGuard((e,), "conj") if rel == "=" else pg.RelGuard((e,), rel, "conj")
+        t = pg.Guard((e,), rel, "conj")
         image = pg.apply_transfer_concrete(t, sample)
         out = (
             cd.bca_eq_guard(e, a) if rel == "=" else cd.bca_rel_guard(e, rel, a)
@@ -315,12 +316,12 @@ def test_transfers_exact_on_singleton_concretizations():
             out = cd.bca_parallel_assign(rows, a)
         elif choice < 0.7:
             e = random_linexpr_int(rng, n)
-            t = pg.EqGuard((e,), "conj")
+            t = pg.Guard((e,), "=", "conj")
             out = cd.bca_eq_guard(e, a)
         else:
             e = random_linexpr_int(rng, n)
             rel = rng.choice(["!=", "<", "<=", ">", ">="])
-            t = pg.RelGuard((e,), rel, "conj")
+            t = pg.Guard((e,), rel, "conj")
             out = cd.bca_rel_guard(e, rel, a)
         exact = cd.alpha_points(pg.apply_transfer_concrete(t, gamma_box(a, 40)), n)
         assert exact == out
@@ -339,7 +340,7 @@ def test_multi_row_guard_modes():
 def test_conjunctive_guard_is_sound_but_not_best():
     """Rows are applied one at a time, so what they imply together is lost."""
     rows = (pg.LinExpr((1, 1), 0), pg.LinExpr((1, -1), 0))  # x1 + x2 = 0, x1 - x2 = 0
-    image = pg.apply_transfer_concrete(pg.EqGuard(rows, "conj"), gamma_box(vec(TOP, TOP), 4))
+    image = pg.apply_transfer_concrete(pg.Guard(rows, "=", "conj"), gamma_box(vec(TOP, TOP), 4))
     assert cd.alpha_points(image, 2) == vec(0, 0)  # the best answer
     assert cd.bca_guard(rows, "=", "conj", vec(TOP, TOP)) == vec(TOP, TOP)
 
@@ -347,7 +348,7 @@ def test_conjunctive_guard_is_sound_but_not_best():
 def test_guard_incompleteness_witness():
     """Equality guards are not pointwise complete: the two routes differ."""
     x = frozenset({(1, 0), (-1, 0)})
-    guard = pg.EqGuard((pg.LinExpr((1, 0), 0),), "conj")
+    guard = pg.Guard((pg.LinExpr((1, 0), 0),), "=", "conj")
     through_concrete = cd.alpha_points(pg.apply_transfer_concrete(guard, x), 2)
     assert through_concrete == cd.ConstVec.bottom(2)
     through_abstraction = cd.bca_eq_guard(pg.LinExpr((1, 0), 0), cd.alpha_points(x, 2))

@@ -1,26 +1,24 @@
-"""Order-theoretic core: fixpoint iteration, insertions, closures, products."""
+"""Order-theoretic core: fixpoint iteration, the domains' adjunction, products."""
 
 from __future__ import annotations
 
 import random
+from collections import Counter
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
 
-from absinv.const_domain import ConstDomain, ConstVec, TOP
+from absinv.const_domain import ConstVec, TOP
 from absinv.finite import FiniteLattice, lfp_table, random_gi, random_monotone
 from absinv.lattice import (
-    GaloisInsertion,
     IterationBudgetExceeded,
-    NotAnInsertion,
     ProductLattice,
     check_inductive_invariant,
-    closure_to_gi,
     gfp_iterate,
-    gi_to_closure,
     kleene,
     lfp_iterate,
 )
+from absinv.synthesis import AffAdapter, ConstAdapter
 
 # the 4-element chain, 1-based values, with f = {1->1, 2->2, 3->4, 4->4}
 CHAIN4_F = {1: 1, 2: 2, 3: 4, 4: 4}
@@ -121,91 +119,37 @@ def test_check_inductive_invariant_four_chain():
 
 
 # ---------------------------------------------------------------------------
-# Galois insertions and closures
+# The alpha/gamma adjunction of the numeric domains
 # ---------------------------------------------------------------------------
 
-ALL_INTS = "Z"  # symbolic concretization of top for the one-variable case
 
+@pytest.mark.parametrize("adapter", [ConstAdapter(2), AffAdapter(2)], ids=["const", "affine"])
+def test_alpha_contains_adjunction(adapter):
+    """alpha(X) <= a iff every point of X is in gamma(a), on small point sets.
 
-def _const1_gi() -> GaloisInsertion:
-    """One-variable constant propagation with symbolic concrete sets."""
+    a = alpha(Y) for up to three points Y, which reaches every element of
+    both 2-variable domains.  X mixes points of Y, the affine combination
+    2*y1 - y0 and arbitrary points: small integers for const, small
+    rationals for affine.
+    """
+    rng = random.Random(f"adjunction:{adapter.sort}")
 
-    def alpha(c):
-        if c == ALL_INTS:
-            return TOP
-        if not c:
-            return None  # bottom
-        if len(c) == 1:
-            return next(iter(c))
-        return TOP
+    def point():
+        if adapter.sort == "int":
+            return tuple(rng.randint(-2, 2) for _ in range(2))
+        return tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 2)) for _ in range(2))
 
-    def gamma(a):
-        if a is TOP:
-            return ALL_INTS
-        if a is None:
-            return frozenset()
-        return frozenset({a})
-
-    def c_leq(x, y):
-        if y == ALL_INTS:
-            return True
-        if x == ALL_INTS:
-            return False
-        return x <= y
-
-    def a_leq(x, y):
-        return x is None or y is TOP or x == y
-
-    return GaloisInsertion(alpha, gamma, c_leq, a_leq)
-
-
-def test_gi_to_closure_identity():
-    gi = GaloisInsertion(lambda x: x, lambda x: x, lambda a, b: a <= b, lambda a, b: a <= b)
-    mu = gi_to_closure(gi, abstract_samples=[1, 2, 3])
-    assert mu.kind == "upper"
-    assert mu(7) == 7
-
-
-def test_gi_to_closure_const_single_variable():
-    mu = gi_to_closure(_const1_gi(), abstract_samples=[None, 0, 5, TOP])
-    assert mu(frozenset({5})) == frozenset({5})
-    assert mu(frozenset({1, 2})) == ALL_INTS
-
-
-def test_gi_to_closure_rejects_non_insertion():
-    # gamma lands outside the singleton image, so alpha(gamma(a)) != a
-    bad = GaloisInsertion(
-        alpha=lambda c: TOP,
-        gamma=lambda a: frozenset({1}),
-        concrete_leq=lambda a, b: a <= b,
-        abstract_leq=lambda a, b: True,
-    )
-    with pytest.raises(NotAnInsertion):
-        gi_to_closure(bad, abstract_samples=[5])
-
-
-def test_closure_to_gi_three_chain():
-    mu = {1: 2, 2: 2, 3: 3}
-    gi, image = closure_to_gi(mu.__getitem__, [1, 2, 3], lambda a, b: a <= b)
-    assert set(image) == {2, 3}
-    assert gi.alpha(1) == 2 and gi.alpha(2) == 2 and gi.alpha(3) == 3
-    # round trip: the induced closure agrees with the original map
-    back = gi_to_closure(gi, abstract_samples=image)
-    assert [back(c) for c in (1, 2, 3)] == [2, 2, 3]
-
-
-def test_closure_to_gi_identity():
-    gi, image = closure_to_gi(lambda x: x, [1, 2, 3], lambda a, b: a <= b)
-    assert list(image) == [1, 2, 3]
-    assert all(gi.adjunction_holds(c, a) for c in (1, 2, 3) for a in image)
-
-
-@given(st.integers(-3, 3), st.sets(st.integers(-3, 3), max_size=4))
-def test_const1_adjunction_law(value, concrete_set):
-    gi = _const1_gi()
-    c = frozenset(concrete_set)
-    for a in (None, value, TOP):
-        assert gi.adjunction_holds(c, a)
+    outcomes = Counter()
+    for _ in range(500):
+        y = [point() for _ in range(rng.randint(0, 3))]
+        a = adapter.alpha(y)
+        x = rng.sample(y, rng.randint(0, len(y))) + [point() for _ in range(rng.randint(0, 2))]
+        if len(y) >= 2:
+            x.append(tuple(2 * q - p for p, q in zip(y[0], y[1])))
+        inside = all(adapter.contains(a, p) for p in x)
+        assert adapter.leq(adapter.alpha(x), a) == inside
+        outcomes[inside] += 1
+    assert min(outcomes[True], outcomes[False]) >= 100
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +158,7 @@ def test_const1_adjunction_law(value, concrete_set):
 
 
 def test_product_lattice_componentwise():
-    prod = ProductLattice(ConstDomain(2), 3)
+    prod = ProductLattice(ConstAdapter(2), 3)
     bot, top = prod.bottom(), prod.top()
     assert prod.leq(bot, top) and not prod.leq(top, bot)
     a = (ConstVec.of(1, 2), ConstVec.of(TOP, 2), ConstVec.bottom(2))

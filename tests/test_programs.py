@@ -28,7 +28,7 @@ def test_parse_affine_demo_shape(affine_demo):
         "ParallelAffineAssign",
         "ParallelAffineAssign",
         "ParallelAffineAssign",
-        "EqGuard",
+        "Guard",
         "Identity",
     ]
     # rational coefficients throughout
@@ -76,7 +76,7 @@ def test_parse_rejects_inequality_guard_for_rat():
 def test_parse_allows_neq_guard_for_rat():
     src = "vars 1; sort rat; nodes a; edge a -> a : assume x1 != 0;"
     t = pg.parse_program(src).edges[0].transfer
-    assert isinstance(t, pg.RelGuard) and t.rel == "!="
+    assert isinstance(t, pg.Guard) and t.rel == "!="
 
 
 def test_parse_rejects_double_assignment():
@@ -144,7 +144,7 @@ def test_roundtrip_covers_all_literal_forms():
 
 
 def test_concrete_guard_filters_points():
-    guard = pg.EqGuard((pg.LinExpr((1, 0), 0),), "conj")  # x1 = 0
+    guard = pg.Guard((pg.LinExpr((1, 0), 0),), "=", "conj")  # x1 = 0
     assert pg.apply_transfer_concrete(guard, {(1, 0), (-1, 0)}) == frozenset()
     assert pg.apply_transfer_concrete(guard, {(0, 5), (1, 5)}) == {(0, 5)}
 
@@ -176,11 +176,7 @@ def test_concrete_guard_is_subset_of_input():
         )
         rel = rng.choice(["=", "!=", "<", "<=", ">", ">="])
         e = pg.LinExpr((rng.randint(-2, 2), rng.randint(-2, 2)), rng.randint(-2, 2))
-        t = (
-            pg.EqGuard((e,), "conj")
-            if rel == "="
-            else pg.RelGuard((e,), rel, "conj")
-        )
+        t = pg.Guard((e,), rel, "conj")
         assert pg.apply_transfer_concrete(t, pts) <= pts
 
 
@@ -188,7 +184,7 @@ def test_post_edges_into(const_demo, affine_demo):
     into_q4 = pg.post_edges_into(const_demo, "q4")
     assert len(into_q4) == 1
     src, t = into_q4[0]
-    assert src == "q2" and isinstance(t, pg.RelGuard) and t.rel == ">="
+    assert src == "q2" and isinstance(t, pg.Guard) and t.rel == ">="
     assert pg.post_edges_into(const_demo, "q1") == []
     into_q3 = pg.post_edges_into(affine_demo, "q3")
     assert len(into_q3) == 2 and {s for s, _ in into_q3} == {"q2"}
@@ -287,3 +283,37 @@ def test_positions_count_blanks_and_skip_comments():
     with pytest.raises(pg.ProgramSyntaxError, match="unexpected character '\\$'") as exc:
         pg.parse_program(src)
     assert (exc.value.line, exc.value.col) == (3, 27)
+
+
+def test_duplicate_node_names_are_syntax_errors():
+    with pytest.raises(pg.ProgramSyntaxError, match="duplicate node name 'q1'") as exc:
+        pg.parse_program("vars 1; sort int;\nnodes q1 q2 q1;")
+    assert (exc.value.line, exc.value.col) == (2, 13)
+    # programs built in code are still checked
+    with pytest.raises(ValueError, match="duplicate node names"):
+        pg.Program(("a", "a"), 1, "int", (), {})
+
+
+def test_guard_relation_must_be_known():
+    assert pg.Guard((pg.LinExpr((1,), 0),), "<=", "conj").rel == "<="
+    with pytest.raises(ValueError, match="unknown relation '=='"):
+        pg.Guard((pg.LinExpr((1,), 0),), "==", "conj")
+
+
+LONG = "9" * 5000  # above Python's default limit of 4300 digits for int()
+
+
+@pytest.mark.parametrize(
+    "src, line, col",
+    [
+        (f"vars {LONG};", 1, 6),
+        (f"vars 1; sort int; nodes q1;\ninit q1: ({LONG});", 2, 11),
+        (f"vars 1; sort rat; nodes q1;\ninit q1: (1/{LONG});", 2, 13),
+        (f"vars 1; sort int; nodes q1;\nedge q1 -> q1 : x1 := x{LONG};", 2, 23),
+    ],
+    ids=["count", "number", "denominator", "variable"],
+)
+def test_over_long_numbers_are_syntax_errors(src, line, col):
+    with pytest.raises(pg.ProgramSyntaxError, match="number has too many digits") as exc:
+        pg.parse_program(src)
+    assert (exc.value.line, exc.value.col) == (line, col)

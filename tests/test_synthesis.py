@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -102,7 +103,7 @@ def test_forward_const_not_found_at_step_three(const_demo):
 def test_forward_found_is_least_among_sampled_invariants(const_problem):
     result = ainv_forward(const_problem)
     rng = random.Random(4)
-    dom = const_problem.adapter.domain
+    dom = const_problem.adapter
     hits = 0
     for _ in range(400):
         candidate = sv(
@@ -276,6 +277,70 @@ def test_random_affine_programs_respect_height_bound():
         result = ainv_forward(problem)
         assert result.found
         assert len(result.trace) <= (prog.n + 1) * len(prog.nodes) + 1
+
+
+# ---------------------------------------------------------------------------
+# Soundness against concrete execution
+# ---------------------------------------------------------------------------
+
+WITNESSES = (-1, 0, 3)  # values a nondeterministic assignment may pick
+
+
+def reached_states(problem: AnalysisProblem, rounds: int = 6) -> dict[str, set]:
+    """The states at each node that ``rounds`` steps of concrete execution reach.
+
+    Execution starts at q from the points of the box [-2,2]^n in gamma of the
+    initial abstraction at q, plus the points of a declared point set.
+    """
+    program, adapter = problem.program, problem.adapter
+    num = F if program.sort == "rat" else int
+    box = [tuple(map(num, p)) for p in itertools.product(range(-2, 3), repeat=program.n)]
+    reached = {}
+    for q, a in zip(program.nodes, problem.init.values):
+        decl = program.init_decl(q)
+        declared = decl.points if isinstance(decl, pg.InitPoints) else ()
+        reached[q] = {p for p in box if adapter.contains(a, p)} | set(declared)
+    frontier = {q: set(points) for q, points in reached.items()}
+    for _ in range(rounds):
+        new = {q: set() for q in program.nodes}
+        for e in program.edges:
+            image = pg.apply_transfer_concrete(e.transfer, frontier[e.src], map(num, WITNESSES))
+            new[e.dst] |= image - reached[e.dst]
+        for q in program.nodes:
+            reached[q] |= new[q]
+        frontier = new
+    return reached
+
+
+@pytest.mark.parametrize(
+    "sort, alg, min_found",
+    [("int", "forward", 100), ("rat", "forward", 100), ("int", "backward", 80)],
+    ids=["const-forward", "affine-forward", "const-backward"],
+)
+def test_invariants_contain_every_concretely_reached_state(sort, alg, min_found):
+    """Each found invariant holds on 6 rounds of concrete execution.
+
+    Backward runs take the forward invariant's value at the last node as
+    the property, so an invariant below it exists.
+    """
+    domain = "const" if sort == "int" else "affine"
+    found = 0
+    for k in range(100):
+        prog = random_program(random.Random(f"sound:{sort}:{k}"), sort, max_vars=3, max_nodes=6)
+        problem = AnalysisProblem.build(prog, domain)
+        result = ainv_forward(problem)
+        if alg == "backward":
+            last = prog.nodes[-1]
+            prop = pg.parse_init_literal(problem.adapter.render(result.invariant[last]), prog.n, sort)
+            problem = AnalysisProblem.build(prog, domain, {last: prop})
+            result = backward_gfp(problem)
+        if not result.found:
+            continue
+        found += 1
+        for q, points in reached_states(problem).items():
+            element = result.invariant[q]
+            assert all(problem.adapter.contains(element, p) for p in points), (k, q)
+    assert found >= min_found
 
 
 # ---------------------------------------------------------------------------
