@@ -3,8 +3,9 @@
 An element is the empty set or an affine subspace of ℚⁿ, represented in
 generator form as a base point plus a linearly independent list of direction
 vectors.  The generator form is primary (assignment images are one matrix
-application on the generators); the constraint form {x | Mx + c = 0} is
-derived on demand for rendering, meets with literals, and round-trip checks.
+application on the generators); the constraint form {x | Mx + c = 0}, a
+tuple of rows, is derived on demand for rendering and meets, and constraint
+literals are solved into generator form by ``from_equalities``.
 
 Canonical form makes structural equality coincide with semantic equality:
 the direction basis is kept in reduced row-echelon form with lexicographic
@@ -22,7 +23,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .programs import LinExpr
+from .programs import LinExpr, render_linexpr
 
 Vec = tuple[Fraction, ...]
 
@@ -195,15 +196,8 @@ def meet_hyperplane(a: AffSubspace, e: LinExpr) -> AffSubspace:
 
 
 def meet(a: AffSubspace, b: AffSubspace) -> AffSubspace:
-    """Exact intersection of two subspaces (fold ``b``'s constraints into ``a``)."""
-    if a.is_empty or b.is_empty:
-        return AffSubspace.empty(a.n)
-    out = a
-    for row in generators_to_constraints(b).rows:
-        out = meet_hyperplane(out, row)
-        if out.is_empty:
-            return out
-    return out
+    """Exact intersection of two subspaces: ``a`` under the conjunction of ``b``'s constraints."""
+    return bca_eq_guard(generators_to_constraints(b), "conj", a)
 
 
 # ---------------------------------------------------------------------------
@@ -211,22 +205,10 @@ def meet(a: AffSubspace, b: AffSubspace) -> AffSubspace:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConstraintForm:
-    """The subspace {x | row(x) = 0 for every row}; rows in echelon form.
-
-    An inconsistent system (no solutions) is represented by the single row
-    0 = 1, mirroring the empty subspace.
-    """
-
-    n: int
-    rows: tuple[LinExpr, ...]
-
-
-def generators_to_constraints(a: AffSubspace) -> ConstraintForm:
-    """Constraint representation of a subspace (kernel of its direction span)."""
+def generators_to_constraints(a: AffSubspace) -> tuple[LinExpr, ...]:
+    """Echelon rows whose common zeros are ``a``; the empty set is the row 0 = 1."""
     if a.is_empty:
-        return ConstraintForm(a.n, (LinExpr((Fraction(0),) * a.n, Fraction(1)),))
+        return (LinExpr((Fraction(0),) * a.n, Fraction(1)),)
     basis = a.basis
     pivots = [pivot_col(b) for b in basis]
     free = [c for c in range(a.n) if c not in pivots]
@@ -237,17 +219,13 @@ def generators_to_constraints(a: AffSubspace) -> ConstraintForm:
         for row, pc in zip(basis, pivots):
             m[pc] = -row[f]
         normals.append(tuple(m))
-    normals_rref = rref(normals)
-    rows = tuple(
-        LinExpr(m, -dot(m, a.point)) for m in normals_rref
-    )
-    return ConstraintForm(a.n, rows)
+    return tuple(LinExpr(m, -dot(m, a.point)) for m in rref(normals))
 
 
-def constraints_to_generators(cf: ConstraintForm) -> AffSubspace:
-    """Solve the system (Gaussian elimination); Empty when inconsistent."""
-    n = cf.n
-    rows = rref(tuple(r.coeffs) + (r.const,) for r in cf.rows)
+def from_equalities(rows: Iterable[LinExpr], n: int) -> AffSubspace:
+    """Subspace defined by a conjunction of affine equalities (Gaussian
+    elimination); empty when the system is inconsistent."""
+    rows = rref(tuple(r.coeffs) + (r.const,) for r in rows)
     # a pivot in the constant column is the row 0 = 1
     if rows and pivot_col(rows[-1]) == n:
         return AffSubspace.empty(n)
@@ -265,11 +243,6 @@ def constraints_to_generators(cf: ConstraintForm) -> AffSubspace:
             d[pc] = -row[f]
         dirs.append(tuple(d))
     return AffSubspace(n, tuple(point), tuple(dirs))
-
-
-def from_equalities(rows: Iterable[LinExpr], n: int) -> AffSubspace:
-    """Subspace defined by a conjunction of affine equalities."""
-    return constraints_to_generators(ConstraintForm(n, tuple(rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -292,11 +265,6 @@ def bca_nondet_assign(j: int, a: AffSubspace) -> AffSubspace:
         return a
     unit = tuple(Fraction(int(i == j - 1)) for i in range(a.n))
     return AffSubspace(a.n, a.point, a.basis + (unit,))
-
-
-def guard_neq_identity(a: AffSubspace) -> AffSubspace:
-    """Sound treatment of a negated equality guard: the identity (not a bca)."""
-    return a
 
 
 def bca_eq_guard(rows: tuple[LinExpr, ...], mode: str, a: AffSubspace) -> AffSubspace:
@@ -339,7 +307,5 @@ def render_affine(a: AffSubspace) -> str:
         return "bot"
     if a.dim == a.n:
         return "top"
-    rows = generators_to_constraints(a).rows
-    from .programs import render_linexpr
-
+    rows = generators_to_constraints(a)
     return " /\\ ".join(f"{render_linexpr(_clear_row(r))}=0" for r in rows)

@@ -19,7 +19,6 @@ from .synthesis import (
     Adapter,
     AnalysisProblem,
     SynthesisResult,
-    UnsupportedDomain,
     render_state_vector,
     synthesize,
 )
@@ -89,13 +88,16 @@ def _run_analyze(args: argparse.Namespace) -> int:
     try:
         problem = AnalysisProblem.build(program, args.domain, prop)
         result = synthesize(problem, args.alg)
-    except (UnsupportedDomain, ValueError) as exc:
+    except ValueError as exc:
         return _fail(str(exc))
 
-    if args.format == "json":
-        _print_json(args, problem, result)
-    else:
-        _print_text(args, problem, result)
+    # render everything before printing, so a failed rendering prints nothing
+    render = _json_output if args.format == "json" else _text_output
+    try:
+        output = render(args, problem, result)
+    except ValueError as exc:  # e.g. an integer too long to convert to text
+        return _fail(f"cannot print the result: {exc}")
+    print(output)
     return 0 if result.found else 1
 
 
@@ -104,22 +106,22 @@ def _rendered(adapter: Adapter, v: StateVector) -> dict[str, str]:
     return {q: adapter.render(x) for q, x in zip(v.nodes, v.values)}
 
 
-def _print_text(args: argparse.Namespace, problem: AnalysisProblem, result: SynthesisResult) -> None:
+def _text_output(args: argparse.Namespace, problem: AnalysisProblem, result: SynthesisResult) -> str:
     adapter = problem.adapter
+    lines = []
     if args.trace:
-        for k, vec in enumerate(result.trace):
-            print(f"{k}: {render_state_vector(adapter, vec)}")
+        lines += [f"{k}: {render_state_vector(adapter, vec)}" for k, vec in enumerate(result.trace)]
     steps = len(result.trace) - 1
     if result.found:
-        print(f"{result.kind} abstract inductive invariant found after {steps} steps:")
-        for q, text in _rendered(adapter, result.invariant).items():
-            print(f"  {q} = {text}")
+        lines.append(f"{result.kind} abstract inductive invariant found after {steps} steps:")
+        lines += [f"  {q} = {text}" for q, text in _rendered(adapter, result.invariant).items()]
     else:
-        print(f"no abstract inductive invariant ({result.reason} at step {result.step})")
-        print(f"violating iterate: {render_state_vector(adapter, result.violating)}")
+        lines.append(f"no abstract inductive invariant ({result.reason} at step {result.step})")
+        lines.append(f"violating iterate: {render_state_vector(adapter, result.violating)}")
+    return "\n".join(lines)
 
 
-def _print_json(args: argparse.Namespace, problem: AnalysisProblem, result: SynthesisResult) -> None:
+def _json_output(args: argparse.Namespace, problem: AnalysisProblem, result: SynthesisResult) -> str:
     adapter = problem.adapter
     doc = {
         "algorithm": args.alg,
@@ -135,7 +137,7 @@ def _print_json(args: argparse.Namespace, problem: AnalysisProblem, result: Synt
         doc["violating"] = _rendered(adapter, result.violating)
     if args.trace:
         doc["trace"] = [_rendered(adapter, v) for v in result.trace]
-    print(json.dumps(doc, indent=2))
+    return json.dumps(doc, indent=2)
 
 
 def _run_oracle(args: argparse.Namespace) -> int:

@@ -168,14 +168,6 @@ def eval_linexpr_abstract(e: LinExpr, a: ConstVec) -> ConstVal | None:
     return acc
 
 
-def bca_assign(j: int, e: LinExpr, a: ConstVec) -> ConstVec:
-    """Best approximation of the single assignment xj := e."""
-    v = eval_linexpr_abstract(e, a)
-    if v is None:
-        return a  # bottom
-    return a.replace(j, v)
-
-
 def bca_parallel_assign(rows: tuple[LinExpr, ...], a: ConstVec) -> ConstVec:
     """Best approximation of x := M x + b; every row reads the old slots."""
     if a.is_bottom:

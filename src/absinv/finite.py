@@ -106,13 +106,6 @@ class FiniteLattice(AbstractDomain):
         return cls(up, [str(i + 1) for i in range(size)])
 
     @classmethod
-    def powerset(cls, atoms: int) -> "FiniteLattice":
-        """The powerset of ``atoms`` elements ordered by inclusion."""
-        size = 1 << atoms
-        up = [sum(1 << b for b in range(size) if subset(a, b)) for a in range(size)]
-        return cls(up, [format(a, f"0{atoms}b") for a in range(size)])
-
-    @classmethod
     def sub_meet_closed(cls, base: "FiniteLattice", members: Sequence[int]) -> "FiniteLattice":
         """Sublattice on a glb-closed subset of ``base`` that contains top."""
         members = sorted(set(members))
@@ -205,9 +198,9 @@ class FiniteLattice(AbstractDomain):
         return out
 
 
-def lfp_table(lat: FiniteLattice, f: Sequence[int], start: int | None = None) -> int:
+def lfp_table(lat: FiniteLattice, f: Sequence[int]) -> int:
     """Least fixpoint of a monotone table function by Kleene iteration."""
-    return lfp_iterate(lambda x: f[x], lat.bottom() if start is None else start)
+    return lfp_iterate(lambda x: f[x], lat.bottom())
 
 
 # ---------------------------------------------------------------------------
@@ -674,20 +667,18 @@ def greatest_invariant_enum(ts: FiniteTS, fam: ClosureFamily) -> int | None:
 # Seeded random instances
 # ---------------------------------------------------------------------------
 
-MAX_STATES = 10
-MAX_CARRIER = 12
+MAX_STATES = 8  # states of a random transition system
+MAX_CARRIER = 12  # elements of a random Galois insertion's concrete lattice
 
 
 def _rng(seed: int | str) -> random.Random:
     return random.Random(str(seed))
 
 
-def random_ts(seed: int | str, max_states: int = 8) -> FiniteTS:
+def random_ts(seed: int | str) -> FiniteTS:
     """Deterministic random transition system with init and safety masks."""
-    if max_states > MAX_STATES:
-        raise ValueError(f"state bound exceeds {MAX_STATES}")
     rng = _rng(seed)
-    n = rng.randint(2, max_states)
+    n = rng.randint(2, MAX_STATES)
     density = rng.uniform(0.05, 0.5)
     transitions = frozenset(
         (s, t)
@@ -717,26 +708,28 @@ def random_closure_family(
     return ClosureFamily(size, _closure(members, and_))
 
 
-def random_gi(seed: int | str, max_carrier: int = MAX_CARRIER) -> FiniteGI:
+def random_gi(seed: int | str) -> FiniteGI:
     """Deterministic random Galois insertion over a small lattice carrier.
 
-    The carrier is a glb-closed-with-top subset of a powerset (hence a
-    complete lattice); the abstract domain is a further glb-closed-with-top
-    subset, which always induces a closure and thus a GI.
+    The carrier is a glb-closed-with-top set of bit masks on 2 to 4 atoms,
+    a sublattice of the powerset, whose glb is ``&`` (hence a complete
+    lattice); the abstract domain is a further glb-closed-with-top subset,
+    which always induces a closure and thus a GI.
     """
-    if max_carrier > 1 << 4:
-        raise ValueError("carrier bound exceeds 16")
     rng = _rng(seed)
     while True:
         atoms = rng.randint(2, 4)
-        base = FiniteLattice.powerset(atoms)
-        members = {base.top(), base.bottom()}
-        for _ in range(rng.randint(1, max_carrier)):
-            members.add(rng.randrange(base.size))
-        members = _closure(members, base.meet)
-        if len(members) <= max_carrier:
+        full = (1 << atoms) - 1
+        members = {full, 0}
+        for _ in range(rng.randint(1, MAX_CARRIER)):
+            members.add(rng.randrange(full + 1))
+        members = sorted(_closure(members, and_))
+        if len(members) <= MAX_CARRIER:
             break
-    carrier = FiniteLattice.sub_meet_closed(base, sorted(members))
+    carrier = FiniteLattice(
+        [sum(1 << k for k, b in enumerate(members) if subset(a, b)) for a in members],
+        [format(m, f"0{atoms}b") for m in members],
+    )
     sub = {carrier.top()}
     for _ in range(rng.randint(1, carrier.size)):
         sub.add(rng.randrange(carrier.size))

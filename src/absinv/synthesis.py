@@ -214,7 +214,7 @@ class AffAdapter(AbstractDomain):
                 return aff.bca_eq_guard(t.rows, t.mode, a)
             if t.rel != "!=":
                 raise UnsupportedDomain(f"guard relation {t.rel!r} has no affine approximation")
-            return aff.guard_neq_identity(a)
+            return a  # sound, not best: bot would be exact where the guard is false on all of a
         raise TypeError(f"unknown transfer function {t!r}")
 
     def from_init(self, decl: InitDecl) -> aff.AffSubspace:
@@ -223,14 +223,14 @@ class AffAdapter(AbstractDomain):
         if isinstance(decl, InitBot):
             return self.bottom()
         if isinstance(decl, InitVector):
-            rows = []
-            for i, e in enumerate(decl.entries):
-                if e == TOP_ENTRY:
-                    continue
-                coeffs = [Fraction(0)] * self.n
-                coeffs[i] = Fraction(1)
-                rows.append(LinExpr(tuple(coeffs), -Fraction(e)))
-            return aff.from_equalities(rows, self.n)
+            # the point with 0 in each top slot, spanned by the top slots' unit vectors
+            point = tuple(Fraction(0 if e == TOP_ENTRY else e) for e in decl.entries)
+            units = tuple(
+                tuple(Fraction(int(i == j)) for i in range(self.n))
+                for j, e in enumerate(decl.entries)
+                if e == TOP_ENTRY
+            )
+            return aff.AffSubspace(self.n, point, units)
         if isinstance(decl, InitPoints):
             return self.alpha(decl.points)
         if isinstance(decl, InitConstraints):

@@ -132,14 +132,42 @@ def test_meet_of_two_subspaces():
     assert af.meet(a, af.AffSubspace.full(2)) == a
 
 
+def _reference_meet(a: af.AffSubspace, b: af.AffSubspace) -> af.AffSubspace:
+    """The former ``meet``: its own fold of ``b``'s hyperplanes, stopping when empty."""
+    if a.is_empty or b.is_empty:
+        return af.AffSubspace.empty(a.n)
+    out = a
+    for row in af.generators_to_constraints(b):
+        out = af.meet_hyperplane(out, row)
+        if out.is_empty:
+            return out
+    return out
+
+
+def test_meet_matches_reference_hyperplane_fold():
+    rng = random.Random(23)
+    empty_operands = disjoint = 0
+    for _ in range(400):
+        n = rng.randint(1, 4)
+        a, b = (
+            af.hull_points(random_rat_points(rng, n, rng.randint(0, 4)), n)
+            for _ in range(2)
+        )
+        got = af.meet(a, b)
+        assert got == _reference_meet(a, b)
+        empty_operands += a.is_empty or b.is_empty
+        disjoint += got.is_empty and not (a.is_empty or b.is_empty)
+    assert empty_operands >= 50 and disjoint >= 50
+
+
 # ---------------------------------------------------------------------------
 # Generator / constraint conversions
 # ---------------------------------------------------------------------------
 
 
 def test_generators_to_constraints_point():
-    cf = af.generators_to_constraints(af.AffSubspace.point_of((-2, 1, 1)))
-    solved = {(r.coeffs, r.const) for r in cf.rows}
+    rows = af.generators_to_constraints(af.AffSubspace.point_of((-2, 1, 1)))
+    solved = {(r.coeffs, r.const) for r in rows}
     assert solved == {
         ((F(1), F(0), F(0)), F(2)),
         ((F(0), F(1), F(0)), F(-1)),
@@ -148,7 +176,7 @@ def test_generators_to_constraints_point():
 
 
 def test_full_space_has_no_constraints():
-    assert af.generators_to_constraints(af.AffSubspace.full(3)).rows == ()
+    assert af.generators_to_constraints(af.AffSubspace.full(3)) == ()
 
 
 def test_constraints_to_generators_line():
@@ -163,7 +191,7 @@ def test_conversion_round_trip_preserves_the_point_set():
     for _ in range(120):
         n = rng.randint(1, 4)
         a = af.hull_points(random_rat_points(rng, n, rng.randint(0, 5)), n)
-        back = af.constraints_to_generators(af.generators_to_constraints(a))
+        back = af.from_equalities(af.generators_to_constraints(a), n)
         assert af.includes(a, back) and af.includes(back, a)
         assert back == a  # canonical forms coincide exactly
 
@@ -173,10 +201,9 @@ def test_inconsistent_constraints_give_empty():
     assert a.is_empty
 
 
-def _reference_constraints_to_generators(cf: af.ConstraintForm) -> af.AffSubspace:
+def _reference_constraints_to_generators(rows, n: int) -> af.AffSubspace:
     """Elimination with pivots restricted to the coefficient columns."""
-    n = cf.n
-    aug = [[F(x) for x in r.coeffs] + [F(r.const)] for r in cf.rows]
+    aug = [[F(x) for x in r.coeffs] + [F(r.const)] for r in rows]
     aug = [r for r in aug if any(x != 0 for x in r)]
     r = 0
     for c in range(n):
@@ -221,8 +248,29 @@ def test_constraints_to_generators_matches_reference_elimination():
             rows.insert(rng.randint(0, len(rows)), expr([0] * n, 0))  # all-zero row
         if rng.random() < 0.2:
             rows.insert(rng.randint(0, len(rows)), expr([0] * n, 1))  # 0 = 1
-        cf = af.ConstraintForm(n, tuple(rows))
-        assert af.constraints_to_generators(cf) == _reference_constraints_to_generators(cf)
+        assert af.from_equalities(rows, n) == _reference_constraints_to_generators(rows, n)
+
+
+def _reference_vector_literal(entries, n: int) -> af.AffSubspace:
+    """A vector literal solved as one unit equality row per constant slot."""
+    rows = []
+    for i, e in enumerate(entries):
+        if e != pg.TOP_ENTRY:
+            rows.append(expr([int(i == j) for j in range(n)], -F(e)))
+    return af.from_equalities(rows, n)
+
+
+def test_vector_literal_matches_solved_unit_rows():
+    rng = random.Random(29)
+    for _ in range(400):
+        n = rng.randint(1, 5)
+        entries = tuple(
+            pg.TOP_ENTRY if rng.random() < 0.4 else F(rng.randint(-9, 9), rng.randint(1, 4))
+            for _ in range(n)
+        )
+        got = AffAdapter(n).from_init(pg.InitVector(entries))
+        assert got == _reference_vector_literal(entries, n)
+        assert got.dim == entries.count(pg.TOP_ENTRY)
 
 
 # ---------------------------------------------------------------------------
@@ -323,12 +371,11 @@ def test_nondet_pointwise_complete():
 
 def test_guard_neq_is_identity_even_when_imprecise():
     origin = af.AffSubspace.point_of((0, 0))
-    assert af.guard_neq_identity(origin) == origin
-    assert af.guard_neq_identity(af.AffSubspace.empty(2)).is_empty
+    guard = pg.Guard((expr((1, 0), 0),), "!=", "conj")
+    assert AffAdapter(2).transfer(guard, origin) == origin
+    assert AffAdapter(2).transfer(guard, af.AffSubspace.empty(2)).is_empty
     # the concrete image under x1 != 0 is empty, so identity is sound but lossy
-    image = pg.apply_transfer_concrete(
-        pg.Guard((expr((1, 0), 0),), "!=", "conj"), {frac_point(0, 0)}
-    )
+    image = pg.apply_transfer_concrete(guard, {frac_point(0, 0)})
     assert image == frozenset()
 
 

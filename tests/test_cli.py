@@ -6,6 +6,7 @@ import contextlib
 import io
 import json
 import re
+import sys
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -250,6 +251,23 @@ def test_malformed_numbers_exit_two_with_a_position(tmp_path, capsys, text, prop
     code, out, err = run(argv + (["--prop", prop] if prop else []), capsys)
     assert code == 2 and out == ""
     assert where in err and "Traceback" not in err
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit")
+@pytest.mark.parametrize("sort, domain", [("int", "const"), ("rat", "affine")])
+@pytest.mark.parametrize("flags", [[], ["--format", "json"], ["--trace"]], ids=["text", "json", "trace"])
+def test_result_too_long_to_print_exits_two(tmp_path, capsys, sort, domain, flags):
+    """A computed number past Python's int-to-str digit limit is an error, not a traceback."""
+    nines = "9" * 3000
+    path = tmp_path / "big.prog"
+    path.write_text(
+        f"vars 1; sort {sort}; nodes q1 q2; init q1: ({nines}); edge q1 -> q2 : x1 := {nines}*x1;",
+        encoding="utf-8",
+    )
+    argv = ["analyze", "--program", str(path), "--domain", domain, "--alg", "forward", *flags]
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot print the result: ") and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

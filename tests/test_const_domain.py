@@ -130,11 +130,13 @@ def test_eval_ignores_zero_coefficient_tops():
 
 
 def test_bca_assign_examples():
+    """A single assignment xj := e is the parallel one with identity rows elsewhere."""
+    x1, x2 = (pg.identity_row(i, 2, 0, 1) for i in range(2))
     e = pg.LinExpr((1, 2), 0)
-    assert cd.bca_assign(1, e, vec(0, 2)) == vec(4, 2)
+    assert cd.bca_parallel_assign((e, x2), vec(0, 2)) == vec(4, 2)
     const2 = pg.LinExpr((0, 0), 2)
-    assert cd.bca_assign(2, const2, vec(TOP, TOP)) == vec(TOP, 2)
-    assert cd.bca_assign(1, e, cd.ConstVec.bottom(2)) == cd.ConstVec.bottom(2)
+    assert cd.bca_parallel_assign((x1, const2), vec(TOP, TOP)) == vec(TOP, 2)
+    assert cd.bca_parallel_assign((e, x2), cd.ConstVec.bottom(2)) == cd.ConstVec.bottom(2)
 
 
 def test_bca_parallel_assign_examples():

@@ -201,7 +201,8 @@ def test_invariant_principle_soundness_on_random_lattices():
 
 
 def test_finite_lattice_is_abstract_domain():
-    lat = FiniteLattice.powerset(3)
+    # the powerset of three atoms, from its covering pairs a < a + {i}
+    lat = FiniteLattice.from_pairs(8, [(a, a | 1 << i) for a in range(8) for i in range(3)])
     assert lat.leq(lat.bottom(), lat.top())
     for a in range(lat.size):
         for b in range(lat.size):

@@ -24,7 +24,7 @@ from absinv.synthesis import (
     synthesize,
     verify_invariant,
 )
-from conftest import random_program
+from conftest import random_const_vec, random_program
 
 TOP = cd.TOP
 F = Fraction
@@ -341,6 +341,32 @@ def test_invariants_contain_every_concretely_reached_state(sort, alg, min_found)
             element = result.invariant[q]
             assert all(problem.adapter.contains(element, p) for p in points), (k, q)
     assert found >= min_found
+
+
+def test_const_wp_bounds_the_abstract_right_adjoint():
+    """transfer(t, a) <= b implies a <= wp(t, b) on every edge.
+
+    So the wp transformer is sound: every abstract inductive invariant below
+    the property lies below each descending iterate, which is what makes
+    ``init-not-entailed`` a sound verdict.  Half of the draws widen b to
+    contain the image, so the premise holds often.
+    """
+    draws = held = 0
+    for k in range(60):
+        rng = random.Random(f"wp:{k}")
+        prog = random_program(rng, "int", max_vars=3, max_nodes=4)
+        adapter = synthesis.ConstAdapter(prog.n)
+        for edge in prog.edges:
+            t = edge.transfer
+            for _ in range(50):
+                a, b = (random_const_vec(rng, prog.n, -2, 2) for _ in range(2))
+                if rng.random() < 0.5:
+                    b = adapter.join(b, adapter.transfer(t, a))
+                draws += 1
+                if adapter.leq(adapter.transfer(t, a), b):
+                    held += 1
+                    assert adapter.leq(a, adapter.wp(t, b)), (k, t, a, b)
+    assert held >= draws // 2 and draws - held >= draws // 10
 
 
 # ---------------------------------------------------------------------------
