@@ -205,21 +205,27 @@ def meet(a: AffSubspace, b: AffSubspace) -> AffSubspace:
 # ---------------------------------------------------------------------------
 
 
+def _null_space(rows: Sequence[Vec], n: int) -> tuple[Vec, ...]:
+    """Basis of {x ∈ ℚⁿ | rows · x = 0} for RREF ``rows``: one vector per free
+    column f, with 1 at f and -row[f] at the pivot of each row."""
+    pivots = [pivot_col(row) for row in rows]
+    out: list[Vec] = []
+    for f in range(n):
+        if f in pivots:
+            continue
+        v = [Fraction(0)] * n
+        v[f] = Fraction(1)
+        for row, pc in zip(rows, pivots):
+            v[pc] = -row[f]
+        out.append(tuple(v))
+    return tuple(out)
+
+
 def generators_to_constraints(a: AffSubspace) -> tuple[LinExpr, ...]:
     """Echelon rows whose common zeros are ``a``; the empty set is the row 0 = 1."""
     if a.is_empty:
         return (LinExpr((Fraction(0),) * a.n, Fraction(1)),)
-    basis = a.basis
-    pivots = [pivot_col(b) for b in basis]
-    free = [c for c in range(a.n) if c not in pivots]
-    normals: list[Vec] = []
-    for f in free:
-        m = [Fraction(0)] * a.n
-        m[f] = Fraction(1)
-        for row, pc in zip(basis, pivots):
-            m[pc] = -row[f]
-        normals.append(tuple(m))
-    return tuple(LinExpr(m, -dot(m, a.point)) for m in rref(normals))
+    return tuple(LinExpr(m, -dot(m, a.point)) for m in rref(_null_space(a.basis, a.n)))
 
 
 def from_equalities(rows: Iterable[LinExpr], n: int) -> AffSubspace:
@@ -229,20 +235,11 @@ def from_equalities(rows: Iterable[LinExpr], n: int) -> AffSubspace:
     # a pivot in the constant column is the row 0 = 1
     if rows and pivot_col(rows[-1]) == n:
         return AffSubspace.empty(n)
-    pivots = [pivot_col(row) for row in rows]
-    free = [c for c in range(n) if c not in pivots]
     # particular solution: free vars at 0; row gives  x_pivot + ... + const = 0
     point = [Fraction(0)] * n
-    for row, pc in zip(rows, pivots):
-        point[pc] = -row[n]
-    dirs: list[Vec] = []
-    for f in free:
-        d = [Fraction(0)] * n
-        d[f] = Fraction(1)
-        for row, pc in zip(rows, pivots):
-            d[pc] = -row[f]
-        dirs.append(tuple(d))
-    return AffSubspace(n, tuple(point), tuple(dirs))
+    for row in rows:
+        point[pivot_col(row)] = -row[n]
+    return AffSubspace(n, tuple(point), _null_space(rows, n))
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ integers or ``top``; the order is the pointwise flat order with a single
 shared bottom.  The concretization of a vector is the box of all integer
 vectors matching its constant slots.  This module holds the elements and
 the pure functions on them; the n-variable lattice itself, with its bounds,
-height 2n, alpha and gamma-membership, is ``synthesis.ConstAdapter``.
+height n + 1, alpha and gamma-membership, is ``synthesis.ConstAdapter``.
 
 The transfer functions below are best correct approximations (alpha ∘ t ∘
 gamma), except conjunctive multi-row guards, which are only sound (see

@@ -6,8 +6,10 @@ principle, the fixpoint-completeness characterizations, the avoid/closure
 machinery, and the equivalence of the co-inductive synthesis algorithms.
 
 State spaces are encoded as bit sets (one bit per state, |Σ| ≤ 64, suites
-use |Σ| ≤ 8 so 2^|Σ| sweeps stay cheap).  Finite lattices carry explicit
-order tables and are validated at construction.  Every checker returns a
+use |Σ| ≤ 8 so 2^|Σ| sweeps stay cheap).  The one finite lattice is a Moore
+family of bit masks (:class:`ClosureFamily`), ordered by ⊆.  An abstract
+domain is a subfamily: its upper closure is α and γ is the inclusion, so
+every Galois insertion here holds by construction.  Every checker returns a
 report; on valid inputs a checker reporting a failure is a build-breaking
 bug in either the checker or the core library.
 """
@@ -16,16 +18,16 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import combinations, starmap
 from operator import and_, or_
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .lattice import AbstractDomain, check_inductive_invariant, gfp_iterate, kleene, lfp_iterate
 
 
 class ValidationError(ValueError):
-    """Construction-time validation failure (not a lattice / not a GI)."""
+    """Construction-time validation failure (not a Moore family / not a subfamily)."""
 
 
 class ClosureViolation(ValueError):
@@ -51,154 +53,114 @@ def subset(a: int, b: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Finite lattices
+# Moore families: the finite lattices
 # ---------------------------------------------------------------------------
 
 
-class FiniteLattice(AbstractDomain):
-    """An explicit finite lattice over element indices 0..size-1.
+@dataclass(frozen=True)
+class ClosureFamily(AbstractDomain):
+    """A Moore family L of state sets: intersection-closed and containing Σ.
 
-    ``up[i]`` is the bit mask of elements j with i ≤ j.  Construction
-    validates reflexivity, antisymmetry, transitivity and the existence of
-    all binary lubs/glbs plus bottom and top.
+    L is a complete lattice whose elements are its members, ordered by ⊆:
+    the meet is ``&`` and the join of a and b is mu_up(a | b).  Monotone
+    functions on L are dicts from member to member.  L is the image of the
+    upper closure mu_up(X) = ⋂{φ ∈ L | X ⊆ φ}; it is also the image of the
+    lower closure mu_down(X) = ∪{φ ∈ L | φ ⊆ X} iff L is additionally
+    union-closed (the co-inductive algorithms assume this).
     """
 
-    def __init__(self, up: Sequence[int], labels: Sequence[str] | None = None):
-        self.up = tuple(up)
-        self.size = len(self.up)
-        self.labels = tuple(labels) if labels is not None else tuple(str(i) for i in range(self.size))
-        if len(self.labels) != self.size:
-            raise ValidationError("label count mismatch")
-        self._validate_order()
-        self.down = tuple(
-            sum(1 << i for i in range(self.size) if (self.up[i] >> j) & 1)
-            for j in range(self.size)
-        )
-        self.join_table = self._bound_table(self.up)
-        self.meet_table = self._bound_table(self.down)
-        self._bottom = next(i for i in range(self.size) if self.up[i] == (1 << self.size) - 1)
-        self._top = next(i for i in range(self.size) if self.down[i] == (1 << self.size) - 1)
+    size: int
+    members: frozenset[int]
 
-    # -- construction helpers ----------------------------------------------
-
-    @classmethod
-    def from_pairs(cls, size: int, pairs: Iterable[tuple[int, int]], labels: Sequence[str] | None = None) -> "FiniteLattice":
-        """Build from the reflexive-transitive closure of ≤-pairs."""
-        up = [1 << i for i in range(size)]
-        for a, b in pairs:
-            up[a] |= 1 << b
-
-        def extend(up: tuple[int, ...]) -> tuple[int, ...]:
-            out = []
-            for u in up:
-                acc = u
-                for j in bits(u):
-                    acc |= up[j]
-                out.append(acc)
-            return tuple(out)
-
-        return cls(lfp_iterate(extend, tuple(up)), labels)
-
-    @classmethod
-    def chain(cls, size: int) -> "FiniteLattice":
-        """The chain 0 < 1 < ... < size-1 (labels are 1-based)."""
-        up = [sum(1 << j for j in range(i, size)) for i in range(size)]
-        return cls(up, [str(i + 1) for i in range(size)])
-
-    @classmethod
-    def sub_meet_closed(cls, base: "FiniteLattice", members: Sequence[int]) -> "FiniteLattice":
-        """Sublattice on a glb-closed subset of ``base`` that contains top."""
-        members = sorted(set(members))
-        if base._top not in members:
-            raise ValidationError("sublattice must contain the top element")
-        index = {m: k for k, m in enumerate(members)}
-        for a in members:
-            for b in members:
-                if base.meet_table[a][b] not in index:
-                    raise ValidationError("subset is not glb-closed")
-        up = [
-            sum(1 << index[b] for b in members if base.leq(a, b))
-            for a in members
-        ]
-        lat = cls(up, [base.labels[m] for m in members])
-        lat.base_elements = tuple(members)  # type: ignore[attr-defined]
-        return lat
-
-    # -- validation ----------------------------------------------------------
-
-    def _validate_order(self) -> None:
+    def __post_init__(self) -> None:
         full = (1 << self.size) - 1
-        for i in range(self.size):
-            if self.up[i] & ~full:
-                raise ValidationError("order mask out of range")
-            if not (self.up[i] >> i) & 1:
-                raise ValidationError("order not reflexive")
-            for j in bits(self.up[i]):
-                if i != j and (self.up[j] >> i) & 1:
-                    raise ValidationError("order not antisymmetric")
-                if self.up[j] & ~self.up[i]:
-                    raise ValidationError("order not transitive")
+        if any(m & ~full for m in self.members):
+            raise ValidationError("family member out of range")
+        if full not in self.members:
+            raise ValidationError("family must contain the full state set")
+        for a in self.members:
+            for b in self.members:
+                if a & b not in self.members:
+                    raise ValidationError("family is not intersection-closed")
 
-    def _bound_table(self, up: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-        """Least-upper-bound table w.r.t. ``up`` (glb table when fed ``down``)."""
-        table = []
-        for i in range(self.size):
-            row = []
-            for j in range(self.size):
-                common = up[i] & up[j]
-                best = None
-                for u in bits(common):
-                    if subset(common, up[u]):
-                        if best is not None:
-                            raise ValidationError("bound not unique")
-                        best = u
-                if best is None:
-                    raise ValidationError(f"elements {i},{j} have no bound")
-                row.append(best)
-            table.append(tuple(row))
-        return tuple(table)
+    @property
+    def full(self) -> int:
+        return (1 << self.size) - 1
 
     # -- AbstractDomain interface --------------------------------------------
 
     def leq(self, a: int, b: int) -> bool:
-        return bool((self.up[a] >> b) & 1)
+        return subset(a, b)
 
     def join(self, a: int, b: int) -> int:
-        return self.join_table[a][b]
+        return self.mu_up(a | b)
 
     def meet(self, a: int, b: int) -> int:
-        return self.meet_table[a][b]
+        return a & b
 
     def bottom(self) -> int:
-        return self._bottom
+        return self.mu_up(0)
 
     def top(self) -> int:
-        return self._top
+        return self.full
 
-    def height(self) -> int:
-        depth = [0] * self.size
-        order = sorted(range(self.size), key=lambda i: bin(self.down[i]).count("1"))
-        for i in order:
-            for j in bits(self.down[i]):
-                if j != i:
-                    depth[i] = max(depth[i], depth[j] + 1)
-        return max(depth)
-
-    def is_monotone(self, f: Sequence[int]) -> bool:
+    def is_monotone(self, f: Mapping[int, int]) -> bool:
         return all(
-            self.leq(f[i], f[j])
-            for i in range(self.size)
-            for j in bits(self.up[i])
+            subset(f[a], f[b]) for a in self.members for b in self.members if subset(a, b)
         )
 
-    def lub_of(self, items: Iterable[int]) -> int:
-        out = self._bottom
-        for x in items:
-            out = self.join_table[out][x]
+    # -- closures ------------------------------------------------------------
+
+    def is_union_closed(self) -> bool:
+        return self._union_closed
+
+    @cached_property
+    def _union_closed(self) -> bool:
+        """Scanned once per family; ``a | a == a`` needs no check."""
+        members = self.members
+        return 0 in members and all(a | b in members for a, b in combinations(members, 2))
+
+    def mu_up(self, x: int) -> int:
+        out = self.full
+        for m in self.members:
+            if subset(x, m):
+                out &= m
+        return out
+
+    def mu_down(self, x: int) -> int:
+        out = 0
+        for m in self.members:
+            if subset(m, x):
+                out |= m
+        return out
+
+    def avoid(self, x: int) -> int:
+        """∪{φ ∈ L | φ ⊆ ¬X} — the largest family material avoiding X."""
+        out = 0
+        for m in self.members:
+            if m & x == 0:
+                out |= m
+        return out
+
+    def qo_leq(self, s: int, s_prime: int) -> bool:
+        """s ⊑ s': every member containing s' contains s."""
+        bit_s, bit_sp = 1 << s, 1 << s_prime
+        return all(m & bit_s for m in self.members if m & bit_sp)
+
+    def delta(self, x: int) -> int:
+        """Down-closure of the induced quasiorder."""
+        out = 0
+        for s in range(self.size):
+            if any(self.qo_leq(s, sp) for sp in bits(x)):
+                out |= 1 << s
         return out
 
 
-def lfp_table(lat: FiniteLattice, f: Sequence[int]) -> int:
+def powerset_family(size: int) -> ClosureFamily:
+    return ClosureFamily(size, frozenset(range(1 << size)))
+
+
+def lfp_table(lat: ClosureFamily, f: Mapping[int, int]) -> int:
     """Least fixpoint of a monotone table function by Kleene iteration."""
     return lfp_iterate(lambda x: f[x], lat.bottom())
 
@@ -210,49 +172,25 @@ def lfp_table(lat: FiniteLattice, f: Sequence[int]) -> int:
 
 @dataclass(frozen=True)
 class FiniteGI:
-    """A validated Galois insertion between two finite lattices."""
+    """The Galois insertion of a Moore subfamily A into a Moore family C.
 
-    C: FiniteLattice
-    A: FiniteLattice
-    alpha: tuple[int, ...]  # C index -> A index
-    gamma: tuple[int, ...]  # A index -> C index
+    α is A's upper closure on C's members and γ is the inclusion, so the
+    insertion laws α(c) ⊆ a ⇔ c ⊆ a and α(a) = a hold by construction.
+    """
+
+    C: ClosureFamily
+    A: ClosureFamily
 
     def __post_init__(self) -> None:
-        C, A = self.C, self.A
-        if len(self.alpha) != C.size or len(self.gamma) != A.size:
-            raise ValidationError("alpha/gamma table sizes do not match")
-        if set(self.alpha) != set(range(A.size)):
-            raise ValidationError("alpha is not surjective")
-        for a in range(A.size):
-            if self.alpha[self.gamma[a]] != a:
-                raise ValidationError("alpha(gamma(a)) != a")
-        for c in range(C.size):
-            for a in range(A.size):
-                if A.leq(self.alpha[c], a) != C.leq(c, self.gamma[a]):
-                    raise ValidationError("adjunction law fails")
+        if self.A.size != self.C.size or not self.A.members <= self.C.members:
+            raise ValidationError("A is not a subfamily of C")
 
-    @classmethod
-    def from_closure_image(cls, C: FiniteLattice, members: Sequence[int]) -> "FiniteGI":
-        """GI induced by a glb-closed-with-top subset of C (an upper closure)."""
-        A = FiniteLattice.sub_meet_closed(C, members)
-        base = A.base_elements  # type: ignore[attr-defined]
-        index = {m: k for k, m in enumerate(base)}
-        alpha = []
-        for c in range(C.size):
-            uppers = [m for m in base if C.leq(c, m)]
-            mu = uppers[0]
-            for m in uppers[1:]:
-                mu = C.meet_table[mu][m]
-            alpha.append(index[mu])
-        return cls(C, A, tuple(alpha), tuple(base))
+    def alpha(self, c: int) -> int:
+        return self.A.mu_up(c)
 
-    def bca_table(self, f: Sequence[int]) -> tuple[int, ...]:
+    def bca(self, f: Mapping[int, int]) -> dict[int, int]:
         """alpha ∘ f ∘ gamma as a table on A."""
-        return tuple(self.alpha[f[self.gamma[a]]] for a in range(self.A.size))
-
-    def closure(self, c: int) -> int:
-        """gamma ∘ alpha on C."""
-        return self.gamma[self.alpha[c]]
+        return {a: self.A.mu_up(f[a]) for a in self.A.members}
 
 
 # ---------------------------------------------------------------------------
@@ -341,113 +279,28 @@ def check_eq4_duality(ts: FiniteTS) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Closure families (images of upper closures on the powerset)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ClosureFamily:
-    """An intersection-closed family L of state sets containing Σ.
-
-    L is the image of the upper closure mu_up(X) = ⋂{φ ∈ L | X ⊆ φ}; it is
-    also the image of the lower closure mu_down(X) = ∪{φ ∈ L | φ ⊆ X} iff L
-    is additionally union-closed (the co-inductive algorithms assume this).
-    """
-
-    size: int
-    members: frozenset[int]
-
-    def __post_init__(self) -> None:
-        full = (1 << self.size) - 1
-        if any(m & ~full for m in self.members):
-            raise ValidationError("family member out of range")
-        if full not in self.members:
-            raise ValidationError("family must contain the full state set")
-        for a in self.members:
-            for b in self.members:
-                if a & b not in self.members:
-                    raise ValidationError("family is not intersection-closed")
-
-    @property
-    def full(self) -> int:
-        return (1 << self.size) - 1
-
-    def is_union_closed(self) -> bool:
-        return self._union_closed
-
-    @cached_property
-    def _union_closed(self) -> bool:
-        """Scanned once per family; ``a | a == a`` needs no check."""
-        members = self.members
-        return 0 in members and all(a | b in members for a, b in combinations(members, 2))
-
-    def mu_up(self, x: int) -> int:
-        out = self.full
-        for m in self.members:
-            if subset(x, m):
-                out &= m
-        return out
-
-    def mu_down(self, x: int) -> int:
-        out = 0
-        for m in self.members:
-            if subset(m, x):
-                out |= m
-        return out
-
-    def avoid(self, x: int) -> int:
-        """∪{φ ∈ L | φ ⊆ ¬X} — the largest family material avoiding X."""
-        out = 0
-        for m in self.members:
-            if m & x == 0:
-                out |= m
-        return out
-
-    def qo_leq(self, s: int, s_prime: int) -> bool:
-        """s ⊑ s': every member containing s' contains s."""
-        bit_s, bit_sp = 1 << s, 1 << s_prime
-        return all(m & bit_s for m in self.members if m & bit_sp)
-
-    def delta(self, x: int) -> int:
-        """Down-closure of the induced quasiorder."""
-        out = 0
-        for s in range(self.size):
-            if any(self.qo_leq(s, sp) for sp in bits(x)):
-                out |= 1 << s
-        return out
-
-
-def powerset_family(size: int) -> ClosureFamily:
-    return ClosureFamily(size, frozenset(range(1 << size)))
-
-
-# ---------------------------------------------------------------------------
 # Theorem checkers
 # ---------------------------------------------------------------------------
 
 
-def check_lemma1(gi: FiniteGI, f: Sequence[int], c_prime: int) -> bool:
+def check_lemma1(gi: FiniteGI, f: Mapping[int, int], c_prime: int) -> bool:
     """Abstract inductive-invariant principle, decided by enumerating A.
 
     [gamma(lfp(alpha f gamma)) ≤ c']  ⇔  [∃a. f(gamma(a)) ≤ gamma(a) ∧
     gamma(a) ≤ c'].  Must hold on every valid input.
     """
-    C = gi.C
-    if not C.is_monotone(f):
+    if not gi.C.is_monotone(f):
         raise ValidationError("f is not monotone")
-    abs_lfp = lfp_table(gi.A, gi.bca_table(f))
-    return C.leq(gi.gamma[abs_lfp], c_prime) == _has_abstract_witness(gi, f, c_prime)
+    abs_lfp = lfp_table(gi.A, gi.bca(f))
+    return subset(abs_lfp, c_prime) == _has_abstract_witness(gi, f, c_prime)
 
 
-def _has_abstract_witness(gi: FiniteGI, f: Sequence[int], bound: int) -> bool:
-    """∃a ∈ A with f(gamma(a)) ≤ gamma(a) and gamma(a) ≤ bound (in C)."""
-    return any(
-        gi.C.leq(f[gi.gamma[a]], gi.gamma[a]) and gi.C.leq(gi.gamma[a], bound)
-        for a in range(gi.A.size)
-    )
+def _has_abstract_witness(gi: FiniteGI, f: Mapping[int, int], bound: int) -> bool:
+    """∃a ∈ A with f(a) ⊆ a ⊆ bound (gamma is the inclusion)."""
+    return any(subset(f[a], a) and subset(a, bound) for a in gi.A.members)
 
 
-def check_fixpoint_completeness_char(gi: FiniteGI, f: Sequence[int]) -> dict:
+def check_fixpoint_completeness_char(gi: FiniteGI, f: Mapping[int, int]) -> dict:
     """Evaluate both completeness equations and their invariant characterizations.
 
     Cross-checks that the ∀c' characterization coincides with strong fixpoint
@@ -457,18 +310,17 @@ def check_fixpoint_completeness_char(gi: FiniteGI, f: Sequence[int]) -> dict:
     C = gi.C
     if not C.is_monotone(f):
         raise ValidationError("f is not monotone")
-    lfp_f = lfp_table(C, tuple(f))
-    abs_lfp = lfp_table(gi.A, gi.bca_table(f))
-    strong = lfp_f == gi.gamma[abs_lfp]
-    plain = gi.alpha[lfp_f] == abs_lfp
+    lfp_f = lfp_table(C, f)
+    abs_lfp = lfp_table(gi.A, gi.bca(f))
+    strong = lfp_f == abs_lfp
+    plain = gi.alpha(lfp_f) == abs_lfp
     char_all_concrete = all(
-        C.leq(lfp_f, c2) == _has_abstract_witness(gi, f, c2) for c2 in range(C.size)
+        subset(lfp_f, c2) == _has_abstract_witness(gi, f, c2) for c2 in C.members
     )
     char_all_abstract = all(
-        C.leq(lfp_f, gi.gamma[a2]) == _has_abstract_witness(gi, f, gi.gamma[a2])
-        for a2 in range(gi.A.size)
+        subset(lfp_f, a2) == _has_abstract_witness(gi, f, a2) for a2 in gi.A.members
     )
-    single_witness = _has_abstract_witness(gi, f, gi.closure(lfp_f))
+    single_witness = _has_abstract_witness(gi, f, gi.alpha(lfp_f))
     return {
         "strong": strong,
         "plain": plain,
@@ -483,12 +335,12 @@ def check_fixpoint_completeness_char(gi: FiniteGI, f: Sequence[int]) -> dict:
 
 def check_safe_inv(
     gi: FiniteGI,
-    fs: Sequence[Sequence[int]],
+    fs: Sequence[Mapping[int, int]],
     safe_set: Sequence[int] | None = None,
 ) -> dict:
     """safe-versus-invariant coincidence, checked extensionally.
 
-    With the canonical safety classes (all of gamma(A), resp. all of C) the
+    With the canonical safety classes (all of A, resp. all of C) the
     coincidence of the two problem sets is equivalent to plain (resp. strong)
     fixpoint completeness of every transfer function; an explicitly supplied
     safety class reports the two sets and the one guaranteed implication.
@@ -497,16 +349,12 @@ def check_safe_inv(
     for f in fs:
         if not C.is_monotone(f):
             raise ValidationError("f is not monotone")
+    lfps = [lfp_table(C, f) for f in fs]
 
-    def safe_pairs(sset: Sequence[int]) -> set[tuple[int, int]]:
-        return {
-            (k, s)
-            for k, f in enumerate(fs)
-            for s in sset
-            if C.leq(lfp_table(C, tuple(f)), s)
-        }
+    def safe_pairs(sset: Iterable[int]) -> set[tuple[int, int]]:
+        return {(k, s) for k, lfp in enumerate(lfps) for s in sset if subset(lfp, s)}
 
-    def inv_pairs(sset: Sequence[int]) -> set[tuple[int, int]]:
+    def inv_pairs(sset: Iterable[int]) -> set[tuple[int, int]]:
         return {
             (k, s)
             for k, f in enumerate(fs)
@@ -517,11 +365,9 @@ def check_safe_inv(
     reports = [check_fixpoint_completeness_char(gi, f) for f in fs]
     all_plain = all(r["plain"] for r in reports)
     all_strong = all(r["strong"] for r in reports)
-    gamma_a = [gi.gamma[a] for a in range(gi.A.size)]
-    full_c = list(range(C.size))
     result = {
-        "equal_on_abstract": safe_pairs(gamma_a) == inv_pairs(gamma_a),
-        "equal_on_concrete": safe_pairs(full_c) == inv_pairs(full_c),
+        "equal_on_abstract": safe_pairs(gi.A.members) == inv_pairs(gi.A.members),
+        "equal_on_concrete": safe_pairs(C.members) == inv_pairs(C.members),
         "all_plain": all_plain,
         "all_strong": all_strong,
     }
@@ -529,12 +375,12 @@ def check_safe_inv(
         result["equal_on_concrete"] == all_strong
     )
     if safe_set is not None:
-        s_safe = safe_pairs(list(safe_set))
-        s_inv = inv_pairs(list(safe_set))
+        s_safe = safe_pairs(safe_set)
+        s_inv = inv_pairs(safe_set)
         result["safe"] = s_safe
         result["inv"] = s_inv
         result["equal"] = s_safe == s_inv
-        in_abstract = all(c in gamma_a for c in safe_set)
+        in_abstract = all(c in gi.A.members for c in safe_set)
         if in_abstract and all_plain and not result["equal"]:
             result["consistent"] = False
     return result
@@ -711,10 +557,9 @@ def random_closure_family(
 def random_gi(seed: int | str) -> FiniteGI:
     """Deterministic random Galois insertion over a small lattice carrier.
 
-    The carrier is a glb-closed-with-top set of bit masks on 2 to 4 atoms,
-    a sublattice of the powerset, whose glb is ``&`` (hence a complete
-    lattice); the abstract domain is a further glb-closed-with-top subset,
-    which always induces a closure and thus a GI.
+    The carrier C is a Moore family on 2 to 4 atoms that contains the empty
+    mask, a sublattice of the powerset whose meet is ``&``; the abstract
+    domain is the Moore subfamily generated by random members of C.
     """
     rng = _rng(seed)
     while True:
@@ -723,17 +568,14 @@ def random_gi(seed: int | str) -> FiniteGI:
         members = {full, 0}
         for _ in range(rng.randint(1, MAX_CARRIER)):
             members.add(rng.randrange(full + 1))
-        members = sorted(_closure(members, and_))
+        members = _closure(members, and_)
         if len(members) <= MAX_CARRIER:
             break
-    carrier = FiniteLattice(
-        [sum(1 << k for k, b in enumerate(members) if subset(a, b)) for a in members],
-        [format(m, f"0{atoms}b") for m in members],
-    )
-    sub = {carrier.top()}
-    for _ in range(rng.randint(1, carrier.size)):
-        sub.add(rng.randrange(carrier.size))
-    return FiniteGI.from_closure_image(carrier, sorted(_closure(sub, carrier.meet)))
+    carrier = sorted(members)
+    sub = {full}
+    for _ in range(rng.randint(1, len(carrier))):
+        sub.add(rng.choice(carrier))
+    return FiniteGI(ClosureFamily(atoms, members), ClosureFamily(atoms, _closure(sub, and_)))
 
 
 def _closure(members: Iterable[int], *ops: Callable[[int, int], int]) -> frozenset[int]:
@@ -744,11 +586,20 @@ def _closure(members: Iterable[int], *ops: Callable[[int, int], int]) -> frozens
     )
 
 
-def random_monotone(seed: int | str, lat: FiniteLattice) -> tuple[int, ...]:
-    """Deterministic random monotone table function on a finite lattice."""
+def random_monotone(seed: int | str, lat: ClosureFamily) -> dict[int, int]:
+    """Deterministic random monotone function on a Moore family.
+
+    x ↦ the join of g(y) over the members y ⊆ x, for a random map g.
+    """
     rng = _rng(seed)
-    g = [rng.randrange(lat.size) for _ in range(lat.size)]
-    return tuple(lat.lub_of(g[j] for j in bits(lat.down[i])) for i in range(lat.size))
+    members = sorted(lat.members)
+    g = [rng.choice(members) for _ in members]
+    return {
+        x: lat.mu_up(reduce(or_, (gy for y, gy in zip(members, g) if subset(y, x))))
+        for x in members
+    }
+
+
 
 
 # ---------------------------------------------------------------------------
@@ -764,7 +615,7 @@ def random_monotone(seed: int | str, lat: FiniteLattice) -> tuple[int, ...]:
 def _trial_lemma1(s: str, k: int) -> bool:
     gi = random_gi(s)
     f = random_monotone(s + ":f", gi.C)
-    return all(check_lemma1(gi, f, c2) for c2 in range(gi.C.size))
+    return all(check_lemma1(gi, f, c2) for c2 in gi.C.members)
 
 
 def _trial_completeness(s: str, k: int) -> bool:

@@ -71,7 +71,7 @@ class UnsupportedDomain(ValueError):
 
 
 class ConstAdapter(AbstractDomain):
-    """The constant-propagation lattice on n integer variables (height 2n)."""
+    """The constant-propagation lattice on n integer variables (height n + 1)."""
 
     sort = "int"
 
@@ -96,7 +96,8 @@ class ConstAdapter(AbstractDomain):
         return cd.ConstVec.top(self.n)
 
     def height(self) -> int:
-        return 2 * self.n
+        """bot < (c, ..., c) < one slot top < ... < (top, ..., top)."""
+        return self.n + 1
 
     def alpha(self, points: Iterable[tuple[int, ...]]) -> cd.ConstVec:
         """Best abstraction of a finite set of integer vectors."""

@@ -12,7 +12,7 @@ import pytest
 from absinv import const_domain as cd
 from absinv import programs as pg
 from absinv.affine import AffSubspace
-from absinv.finite import FiniteGI, FiniteLattice
+from absinv.finite import ClosureFamily, FiniteGI
 
 PROGRAMS_DIR = Path(__file__).resolve().parent.parent / "programs"
 
@@ -32,27 +32,36 @@ def affine_demo() -> pg.Program:
 # ---------------------------------------------------------------------------
 
 
+def chain(n: int) -> ClosureFamily:
+    """The chain 1 < 2 < ... < n as down-sets of n states: value v is the
+    mask of the v lowest bits (the 3-chain is {0b001, 0b011, 0b111})."""
+    return ClosureFamily(n, frozenset((1 << v) - 1 for v in range(1, n + 1)))
+
+
+def chain_gi(n: int, *image: int) -> FiniteGI:
+    """The n-chain with abstraction image ``image`` (1-based values, top included)."""
+    return FiniteGI(chain(n), ClosureFamily(n, frozenset((1 << v) - 1 for v in image)))
+
+
 @pytest.fixture(scope="session")
-def four_chain_gi() -> tuple[FiniteGI, tuple[int, ...]]:
+def four_chain_gi() -> tuple[FiniteGI, dict[int, int]]:
     """The 4-element chain with abstraction image {2, 4} (1-based values).
 
     Returns the insertion and the monotone table {1->1, 2->2, 3->4, 4->4}
-    in element indices (0-based).
+    on masks.
     """
-    chain = FiniteLattice.chain(4)
-    gi = FiniteGI.from_closure_image(chain, [1, 3])
-    f = (0, 1, 3, 3)
-    return gi, f
+    f = {0b0001: 0b0001, 0b0011: 0b0011, 0b0111: 0b1111, 0b1111: 0b1111}
+    return chain_gi(4, 2, 4), f
 
 
 @pytest.fixture(scope="session")
-def three_chain() -> FiniteLattice:
-    return FiniteLattice.chain(3)
+def three_chain() -> ClosureFamily:
+    return chain(3)
 
 
-def three_chain_f() -> tuple[int, ...]:
-    """{1 -> 1, 2 -> 3, 3 -> 3} in 0-based indices."""
-    return (0, 2, 2)
+def three_chain_f() -> dict[int, int]:
+    """{1 -> 1, 2 -> 3, 3 -> 3} on masks."""
+    return {0b001: 0b001, 0b011: 0b111, 0b111: 0b111}
 
 
 # ---------------------------------------------------------------------------

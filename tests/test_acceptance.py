@@ -26,7 +26,7 @@ from absinv.synthesis import (
     backward_gfp,
     verify_invariant,
 )
-from conftest import PROGRAMS_DIR, random_program, solve_square_system, three_chain_f
+from conftest import PROGRAMS_DIR, chain_gi, random_program, solve_square_system, three_chain_f
 
 F = Fraction
 TOP = cd.TOP
@@ -166,28 +166,18 @@ def test_criterion_3_backward_const_trace(const_demo):
     _report("3", "backward constant-domain trace", ok, f"elapsed={elapsed:.3f}s")
 
 
-def test_criterion_4_micro_examples(four_chain_gi, three_chain):
+def test_criterion_4_micro_examples(four_chain_gi):
     gi, f = four_chain_gi
-    abs_lfp = fin.lfp_table(gi.A, gi.bca_table(f))
-    chain_ok = gi.A.labels[abs_lfp] == "2"
-    # property "3" (index 2) has an abstract inductive proof, "1" does not
-    provable = gi.C.leq(gi.gamma[abs_lfp], 2) and fin.check_lemma1(gi, f, 2)
-    witness_exists = any(
-        gi.C.leq(f[gi.gamma[a]], gi.gamma[a]) and gi.C.leq(gi.gamma[a], 2)
-        for a in range(gi.A.size)
-    )
-    unprovable = (not gi.C.leq(gi.gamma[abs_lfp], 0)) and fin.check_lemma1(gi, f, 0)
-    no_witness = not any(
-        gi.C.leq(f[gi.gamma[a]], gi.gamma[a]) and gi.C.leq(gi.gamma[a], 0)
-        for a in range(gi.A.size)
-    )
+    abs_lfp = fin.lfp_table(gi.A, gi.bca(f))
+    chain_ok = abs_lfp == 0b0011  # value 2
+    # property "3" has an abstract inductive proof, "1" does not
+    provable = gi.C.leq(abs_lfp, 0b0111) and fin.check_lemma1(gi, f, 0b0111)
+    witness_exists = any(gi.C.leq(f[a], a) and gi.C.leq(a, 0b0111) for a in gi.A.members)
+    unprovable = (not gi.C.leq(abs_lfp, 0b0001)) and fin.check_lemma1(gi, f, 0b0001)
+    no_witness = not any(gi.C.leq(f[a], a) and gi.C.leq(a, 0b0001) for a in gi.A.members)
     g = three_chain_f()
-    incomplete = fin.check_fixpoint_completeness_char(
-        fin.FiniteGI.from_closure_image(three_chain, [1, 2]), g
-    )
-    complete = fin.check_fixpoint_completeness_char(
-        fin.FiniteGI.from_closure_image(three_chain, [0, 2]), g
-    )
+    incomplete = fin.check_fixpoint_completeness_char(chain_gi(3, 2, 3), g)
+    complete = fin.check_fixpoint_completeness_char(chain_gi(3, 1, 3), g)
     ok = (
         chain_ok
         and provable
@@ -343,7 +333,7 @@ def test_criterion_8_termination_bounds():
         rng = random.Random(f"acceptance-8-const:{seed}")
         prog = random_program(rng, "int")
         result = ainv_forward(AnalysisProblem.build(prog, "const"))
-        ok = ok and result.found and len(result.trace) <= 2 * prog.n * len(prog.nodes) + 1
+        ok = ok and result.found and len(result.trace) <= (prog.n + 1) * len(prog.nodes) + 1
     for seed in range(200):
         rng = random.Random(f"acceptance-8-affine:{seed}")
         prog = random_program(rng, "rat")

@@ -68,7 +68,7 @@ def test_bounds(a):
 
 def test_height_and_chain_length():
     dom = ConstAdapter(3)
-    assert dom.height() == 6
+    assert dom.height() == 4
     chain = [
         cd.ConstVec.bottom(3),
         vec(1, 1, 1),
@@ -78,7 +78,7 @@ def test_height_and_chain_length():
     ]
     for lo, hi in zip(chain, chain[1:]):
         assert cd.leq(lo, hi) and lo != hi
-    assert len(chain) <= dom.height() + 1
+    assert len(chain) == dom.height() + 1
 
 
 # ---------------------------------------------------------------------------

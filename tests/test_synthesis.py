@@ -266,7 +266,7 @@ def test_random_const_programs_respect_height_bound():
         problem = AnalysisProblem.build(prog, "const")
         result = ainv_forward(problem)
         assert result.found  # safety defaults to top
-        assert len(result.trace) <= 2 * prog.n * len(prog.nodes) + 1
+        assert len(result.trace) <= (prog.n + 1) * len(prog.nodes) + 1
 
 
 def test_random_affine_programs_respect_height_bound():
