@@ -122,6 +122,8 @@ class Guard:
     def __post_init__(self) -> None:
         if self.rel not in RELATIONS:
             raise ValueError(f"unknown relation {self.rel!r}")
+        if self.mode not in ("conj", "disj"):
+            raise ValueError(f"unknown guard mode {self.mode!r}")
 
 
 TransferFunction = Identity | ParallelAffineAssign | NondetAssign | Guard
@@ -234,56 +236,30 @@ def check_transfer_arity(t: TransferFunction, n: int) -> None:
             raise ValueError("guard dimension mismatch")
 
 
-class StateVector(Mapping[str, Any]):
+@dataclass(frozen=True)
+class StateVector:
     """An immutable node-indexed vector of abstract elements (total on Q)."""
 
-    __slots__ = ("_nodes", "_values")
+    nodes: tuple[str, ...]
+    values: tuple[Any, ...]
 
-    def __init__(self, nodes: Iterable[str], values: Iterable[Any]):
-        self._nodes = tuple(nodes)
-        self._values = tuple(values)
-        if len(self._nodes) != len(self._values):
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "nodes", tuple(self.nodes))
+        object.__setattr__(self, "values", tuple(self.values))
+        if len(self.nodes) != len(self.values):
             raise ValueError("state vector must be total on the node set")
-
-    @classmethod
-    def uniform(cls, nodes: Iterable[str], value: Any) -> "StateVector":
-        nodes = tuple(nodes)
-        return cls(nodes, (value,) * len(nodes))
-
-    @property
-    def nodes(self) -> tuple[str, ...]:
-        return self._nodes
-
-    @property
-    def values(self) -> tuple[Any, ...]:
-        return self._values
 
     def __getitem__(self, q: str) -> Any:
         try:
-            return self._values[self._nodes.index(q)]
+            return self.values[self.nodes.index(q)]
         except ValueError:
             raise KeyError(q) from None
 
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._nodes)
-
-    def __len__(self) -> int:
-        return len(self._nodes)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, StateVector):
-            return NotImplemented
-        return self._nodes == other._nodes and self._values == other._values
-
-    def __hash__(self) -> int:
-        return hash((self._nodes, self._values))
-
-    def __repr__(self) -> str:
-        inner = " ".join(f"{q}={v!r}" for q, v in zip(self._nodes, self._values))
-        return f"StateVector({inner})"
+    def items(self) -> Iterator[tuple[str, Any]]:
+        return zip(self.nodes, self.values)
 
     def with_values(self, values: Iterable[Any]) -> "StateVector":
-        return StateVector(self._nodes, values)
+        return StateVector(self.nodes, values)
 
 
 # ---------------------------------------------------------------------------

@@ -122,7 +122,8 @@ class ConstAdapter(AbstractDomain):
         """Sound abstraction of the weakest precondition of one edge.
 
         Assignments turn each constant target slot into an equality
-        constraint on the old values (exact for single-constant targets);
+        constraint on the old values and apply their conjunction as one
+        guard to the full space (exact for single-constant targets);
         guards are approximated by the full space unless decided.
         """
         if isinstance(t, Identity):
@@ -130,14 +131,12 @@ class ConstAdapter(AbstractDomain):
         if isinstance(t, ParallelAffineAssign):
             if target.is_bottom:
                 return target
-            w = self.top()
-            for row, slot in zip(t.rows, target.comps):
-                if slot is cd.TOP:
-                    continue
-                w = cd.bca_eq_guard(LinExpr(row.coeffs, row.const - slot), w)
-                if w.is_bottom:
-                    break
-            return w
+            rows = tuple(
+                LinExpr(row.coeffs, row.const - slot)
+                for row, slot in zip(t.rows, target.comps)
+                if slot is not cd.TOP
+            )
+            return cd.bca_guard(rows, "=", "conj", self.top())
         if isinstance(t, NondetAssign):
             if target.is_bottom:
                 return target

@@ -171,9 +171,9 @@ def test_criterion_4_micro_examples(four_chain_gi):
     abs_lfp = fin.lfp_table(gi.A, gi.bca(f))
     chain_ok = abs_lfp == 0b0011  # value 2
     # property "3" has an abstract inductive proof, "1" does not
-    provable = gi.C.leq(abs_lfp, 0b0111) and fin.check_lemma1(gi, f, 0b0111)
+    provable = gi.C.leq(abs_lfp, 0b0111) and fin.check_lemma1(gi, f, (0b0111,))
     witness_exists = any(gi.C.leq(f[a], a) and gi.C.leq(a, 0b0111) for a in gi.A.members)
-    unprovable = (not gi.C.leq(abs_lfp, 0b0001)) and fin.check_lemma1(gi, f, 0b0001)
+    unprovable = (not gi.C.leq(abs_lfp, 0b0001)) and fin.check_lemma1(gi, f, (0b0001,))
     no_witness = not any(gi.C.leq(f[a], a) and gi.C.leq(a, 0b0001) for a in gi.A.members)
     g = three_chain_f()
     incomplete = fin.check_fixpoint_completeness_char(chain_gi(3, 2, 3), g)

@@ -153,23 +153,23 @@ def test_lemma1_four_chain(four_chain_gi):
     abs_lfp = fin.lfp_table(gi.A, gi.bca(f))
     assert abs_lfp == 0b0011  # value 2
     # value 3 is provable abstractly, value 1 is not
-    assert fin.check_lemma1(gi, f, 0b0111)
+    assert fin.check_lemma1(gi, f, (0b0111,))
     assert gi.C.leq(abs_lfp, 0b0111)
-    assert fin.check_lemma1(gi, f, 0b0001)
+    assert fin.check_lemma1(gi, f, (0b0001,))
     assert not gi.C.leq(abs_lfp, 0b0001)
 
 
 def test_lemma1_identity_function(four_chain_gi):
     gi, _ = four_chain_gi
     ident = {c: c for c in gi.C.members}
-    assert fin.check_lemma1(gi, ident, gi.C.top())
+    assert fin.check_lemma1(gi, ident, (gi.C.top(),))
 
 
 def test_lemma1_rejects_non_monotone(four_chain_gi):
     gi, _ = four_chain_gi
     antitone = {0b0001: 0b1111, 0b0011: 0b0001, 0b0111: 0b0001, 0b1111: 0b0001}
     with pytest.raises(fin.ValidationError, match="monotone"):
-        fin.check_lemma1(gi, antitone, 0b0111)
+        fin.check_lemma1(gi, antitone, (0b0111,))
 
 
 def test_completeness_characterizations_three_chain():
@@ -204,10 +204,118 @@ def test_safe_inv_three_chain():
     assert rep2["consistent"] and rep2["equal_on_abstract"]
 
 
-def test_safe_inv_trivial_explicit_set(three_chain):
-    ident = {c: c for c in three_chain.members}
-    rep = fin.check_safe_inv(chain_gi(3, 2, 3), [ident], safe_set=[three_chain.top()])
-    assert rep["equal"] and rep["consistent"]
+# Reference checkers that decide every witness question by scanning A again
+# and build check_safe_inv's safe and invariant pair sets extensionally.  The
+# package's checkers read one lfp and one list of f-inductive members of A
+# per function instead; the tests below require the same verdicts.
+
+
+def _reference_witness(gi, f, bound):
+    return any(fin.subset(f[a], a) and fin.subset(a, bound) for a in gi.A.members)
+
+
+def _reference_check_lemma1(gi, f, c_prime):
+    if not gi.C.is_monotone(f):
+        raise fin.ValidationError("f is not monotone")
+    abs_lfp = fin.lfp_table(gi.A, gi.bca(f))
+    return fin.subset(abs_lfp, c_prime) == _reference_witness(gi, f, c_prime)
+
+
+def _reference_check_fixpoint_completeness_char(gi, f):
+    C = gi.C
+    if not C.is_monotone(f):
+        raise fin.ValidationError("f is not monotone")
+    lfp_f = fin.lfp_table(C, f)
+    abs_lfp = fin.lfp_table(gi.A, gi.bca(f))
+    strong = lfp_f == abs_lfp
+    plain = gi.alpha(lfp_f) == abs_lfp
+    char_all_concrete = all(
+        fin.subset(lfp_f, c2) == _reference_witness(gi, f, c2) for c2 in C.members
+    )
+    char_all_abstract = all(
+        fin.subset(lfp_f, a2) == _reference_witness(gi, f, a2) for a2 in gi.A.members
+    )
+    single_witness = _reference_witness(gi, f, gi.alpha(lfp_f))
+    return {
+        "strong": strong,
+        "plain": plain,
+        "char_all_concrete": char_all_concrete,
+        "char_all_abstract": char_all_abstract,
+        "single_witness": single_witness,
+        "consistent": (char_all_concrete == strong)
+        and (char_all_abstract == plain)
+        and (single_witness == plain),
+    }
+
+
+def _reference_check_safe_inv(gi, fs):
+    C = gi.C
+    for f in fs:
+        if not C.is_monotone(f):
+            raise fin.ValidationError("f is not monotone")
+    lfps = [fin.lfp_table(C, f) for f in fs]
+
+    def safe_pairs(sset):
+        return {(k, s) for k, lfp in enumerate(lfps) for s in sset if fin.subset(lfp, s)}
+
+    def inv_pairs(sset):
+        return {(k, s) for k, f in enumerate(fs) for s in sset if _reference_witness(gi, f, s)}
+
+    reports = [_reference_check_fixpoint_completeness_char(gi, f) for f in fs]
+    all_plain = all(r["plain"] for r in reports)
+    all_strong = all(r["strong"] for r in reports)
+    result = {
+        "equal_on_abstract": safe_pairs(gi.A.members) == inv_pairs(gi.A.members),
+        "equal_on_concrete": safe_pairs(C.members) == inv_pairs(C.members),
+        "all_plain": all_plain,
+        "all_strong": all_strong,
+    }
+    result["consistent"] = (result["equal_on_abstract"] == all_plain) and (
+        result["equal_on_concrete"] == all_strong
+    )
+    return result
+
+
+def test_checkers_match_their_per_bound_references():
+    strong = plain = 0
+    for k in range(300):
+        gi = fin.random_gi(f"ref:{k}")
+        fs = [fin.random_monotone(f"ref:{k}:f{j}", gi.C) for j in range(3)]
+        for f in fs:
+            per_bound = [_reference_check_lemma1(gi, f, c) for c in gi.C.members]
+            assert [fin.check_lemma1(gi, f, (c,)) for c in gi.C.members] == per_bound
+            assert fin.check_lemma1(gi, f, gi.C.members) == all(per_bound)
+            report = fin.check_fixpoint_completeness_char(gi, f)
+            assert report == _reference_check_fixpoint_completeness_char(gi, f)
+            strong += report["strong"]
+            plain += report["plain"]
+        assert fin.check_safe_inv(gi, fs) == _reference_check_safe_inv(gi, fs)
+    # both verdicts of both completeness notions occur, so the keys are exercised
+    assert 0 < strong < plain < 900
+
+
+@pytest.mark.parametrize("wrong_lfp", ["top", "bottom"])
+def test_checkers_fail_when_the_lfp_is_wrong(monkeypatch, wrong_lfp):
+    """With every lfp replaced by top (or bottom), Lemma 1 and the
+    safe-versus-inv cross-check must each fail on some instance, and the
+    reports must still match the references, which read the same lfps."""
+    monkeypatch.setattr(fin, "lfp_table", lambda lat, f: getattr(lat, wrong_lfp)())
+    lemma1_fails = safe_inv_fails = 0
+    for k in range(50):
+        gi = fin.random_gi(f"wrong-lfp:{k}")
+        fs = [fin.random_monotone(f"wrong-lfp:{k}:f{j}", gi.C) for j in range(3)]
+        lemma1_fails += not fin.check_lemma1(gi, fs[0], gi.C.members)
+        safe_inv = fin.check_safe_inv(gi, fs)
+        safe_inv_fails += not safe_inv.pop("consistent")
+        # the references' consistent does not require consistent reports
+        reference = _reference_check_safe_inv(gi, fs)
+        del reference["consistent"]
+        assert safe_inv == reference
+        for f in fs:
+            assert fin.check_fixpoint_completeness_char(gi, f) == (
+                _reference_check_fixpoint_completeness_char(gi, f)
+            )
+    assert lemma1_fails > 0 and safe_inv_fails > 0
 
 
 # ---------------------------------------------------------------------------

@@ -198,7 +198,10 @@ def test_post_edges_partition_edge_list(const_demo):
 def test_state_vector_is_total_mapping():
     sv = pg.StateVector(("a", "b"), (1, 2))
     assert sv["a"] == 1 and sv["b"] == 2
-    assert dict(sv) == {"a": 1, "b": 2}
+    assert dict(sv.items()) == {"a": 1, "b": 2}
+    # fields are stored as tuples, so vectors built from lists compare and hash alike
+    assert sv.values == (1, 2) and pg.StateVector(["a", "b"], [1, 2]) == sv
+    assert hash(pg.StateVector(["a", "b"], [1, 2])) == hash(sv)
     with pytest.raises(KeyError):
         sv["c"]
     with pytest.raises(ValueError):
@@ -298,6 +301,16 @@ def test_guard_relation_must_be_known():
     assert pg.Guard((pg.LinExpr((1,), 0),), "<=", "conj").rel == "<="
     with pytest.raises(ValueError, match="unknown relation '=='"):
         pg.Guard((pg.LinExpr((1,), 0),), "==", "conj")
+
+
+def test_guard_mode_must_be_known():
+    # the concrete semantics and the const transfer would read an unknown
+    # mode differently (any mode but "conj" as a disjunction, any mode but
+    # "disj" as a conjunction), so it is rejected at construction
+    rows = (pg.LinExpr((1, 0), 0), pg.LinExpr((0, 1), 0))
+    assert pg.Guard(rows, "=", "disj").mode == "disj"
+    with pytest.raises(ValueError, match="unknown guard mode 'and'"):
+        pg.Guard(rows, "=", "and")
 
 
 LONG = "9" * 5000  # above Python's default limit of 4300 digits for int()

@@ -86,7 +86,7 @@ def test_forward_const_single_steps(const_problem):
 def test_forward_step_on_all_bottom_stays_bottom(const_demo):
     prog = pg.Program(const_demo.nodes, 2, "int", const_demo.edges, {})
     problem = AnalysisProblem.build(prog, "const")
-    bot_vec = pg.StateVector.uniform(prog.nodes, cd.ConstVec.bottom(2))
+    bot_vec = pg.StateVector(prog.nodes, (cd.ConstVec.bottom(2),) * len(prog.nodes))
     assert abstract_post_step(problem, bot_vec) == bot_vec
 
 
@@ -155,7 +155,8 @@ def test_backward_result_strictly_weaker_than_forward(const_problem):
 
 
 def test_backward_pret_single_steps(const_problem):
-    i0 = pg.StateVector.uniform(const_problem.program.nodes, cvec(TOP, TOP))
+    nodes = const_problem.program.nodes
+    i0 = pg.StateVector(nodes, (cvec(TOP, TOP),) * len(nodes))
     i1 = abstract_pret_step(const_problem, i0)
     assert i1 == sv(const_problem, cvec(TOP, TOP), cvec(TOP, 2), cvec(TOP, TOP), cvec(TOP, TOP))
     i2 = abstract_pret_step(const_problem, i1)
@@ -164,7 +165,8 @@ def test_backward_pret_single_steps(const_problem):
 
 
 def test_backward_pret_on_all_bottom(const_problem):
-    bot_vec = pg.StateVector.uniform(const_problem.program.nodes, cd.ConstVec.bottom(2))
+    nodes = const_problem.program.nodes
+    bot_vec = pg.StateVector(nodes, (cd.ConstVec.bottom(2),) * len(nodes))
     assert abstract_pret_step(const_problem, bot_vec) == bot_vec
 
 
