@@ -236,17 +236,18 @@ def bca_guard(rows: tuple[LinExpr, ...], rel: str, mode: str, a: ConstVec) -> Co
     """Multi-row guard: disjunction joins per-row results (alpha is additive
     on unions, so this is exact); conjunction composes the per-row
     approximations sequentially (sound, exact when rows touch disjoint
-    slots)."""
+    slots) and stops at bottom, which every per-row guard returns as is."""
     one = bca_eq_guard if rel == "=" else lambda e, x: bca_rel_guard(e, rel, x)
     if mode == "disj":
         out = ConstVec.bottom(a.n)
         for r in rows:
             out = join(out, one(r, a))
         return out
-    out = a
     for r in rows:
-        out = one(r, out)
-    return out
+        if a.is_bottom:
+            return a
+        a = one(r, a)
+    return a
 
 
 # ---------------------------------------------------------------------------

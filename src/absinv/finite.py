@@ -380,8 +380,9 @@ def check_lemma6(ts: FiniteTS, fam: ClosureFamily) -> dict:
     report["c"] = a2 == fam.is_union_closed()
     if a2:
         # (d) down-closure equals the upper closure, hence is additive
-        report["d"] = all(fam.delta(x) == fam.mu_up(x) for x in range(full + 1)) and all(
-            (fam.delta(x) == x) == (x in fam.members) for x in range(full + 1)
+        report["d"] = all(
+            (d := fam.delta(x)) == fam.mu_up(x) and (d == x) == (x in fam.members)
+            for x in range(full + 1)
         )
         # (e) reachability of the qo-extended system equals best-abstraction reachability
         lhs = lfp_iterate(lambda x: ts.init | ts.post(x) | fam.delta(x), 0)

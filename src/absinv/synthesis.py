@@ -12,8 +12,10 @@ Two engines over the node-indexed product lattice:
   transformer before being reported — the domain's join is not exact on
   unions, so the descending recipe alone is not a proof.
 
-Both are deterministic: nodes are processed in declaration order and every
-iterate is canonical, so traces are reproducible.
+Both are deterministic: every iterate is canonical, so traces are
+reproducible.  Each step recomputes only the nodes that read a node changed
+by the previous step and the property is checked only at changed nodes; the
+iterates are those of the full Jacobi step, which recomputes every node.
 
 Each numeric domain is one adapter object, ``ConstAdapter`` or
 ``AffAdapter`` (by name in ``DOMAINS``): a ``lattice.AbstractDomain`` that
@@ -25,8 +27,8 @@ operations call the domain module's functions at call time.
 domain over the nodes, computed by ``build``, and per node the index lists
 of its incoming (source index, transfer) and outgoing (transfer, target
 index) edges, each computed once on first use.  The steps work on
-``StateVector.values`` by node index and join or meet whole vectors through
-the product; both engines step their iterates through ``lattice.kleene``.
+``StateVector.values`` by node index; both engines step their iterates
+through ``lattice.kleene``.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from . import affine as aff
 from . import const_domain as cd
@@ -56,9 +58,12 @@ from .programs import (
     TOP_ENTRY,
     TransferFunction,
     guard_holds,
-    out_edges,
     post_edges_into,
 )
+
+
+#: The nodes whose value changed in the previous step; None means all nodes.
+Changed = Iterable[int] | None
 
 
 class UnsupportedDomain(ValueError):
@@ -269,8 +274,7 @@ class AnalysisProblem:
     """A program, a domain, the abstracted initial states, and a safety vector.
 
     ``lattice`` is the product of the domain over the nodes.  The edge lists
-    ``preds`` and ``succs`` are built on first use, so a forward run never
-    builds ``succs``.
+    ``preds`` and ``succs`` are built on first use.
     """
 
     program: Program
@@ -312,11 +316,11 @@ class AnalysisProblem:
     @cached_property
     def succs(self) -> tuple[tuple[tuple[TransferFunction, int], ...], ...]:
         """Per node j, the (transfer, target index) pairs of the edges out of j."""
-        nodes = self.program.nodes
-        index = {q: j for j, q in enumerate(nodes)}
-        return tuple(
-            tuple((t, index[dst]) for t, dst in out_edges(self.program, q)) for q in nodes
-        )
+        index = {q: j for j, q in enumerate(self.program.nodes)}
+        out: list[list[tuple[TransferFunction, int]]] = [[] for _ in index]
+        for e in self.program.edges:
+            out[index[e.src]].append((e.transfer, index[e.dst]))
+        return tuple(map(tuple, out))
 
     def leq(self, u: StateVector, v: StateVector) -> bool:
         return self.lattice.leq(u.values, v.values)
@@ -340,40 +344,59 @@ class SynthesisResult:
 # ---------------------------------------------------------------------------
 
 
-def pure_post_step(problem: AnalysisProblem, v: StateVector) -> StateVector:
-    """Best abstract successor: at q', the join of edge images from all sources."""
-    adapter = problem.adapter
+def _post_at(problem: AnalysisProblem, x: tuple, j: int):
+    """The join of the images of the edges into node j."""
+    adapter, acc = problem.adapter, problem.adapter.bottom()
+    for src, t in problem.preds[j]:
+        acc = adapter.join(acc, adapter.transfer(t, x[src]))
+    return acc
+
+
+def _update(v: StateVector, nodes: Iterable[int], recompute: Callable[[int], Any]) -> StateVector:
+    """``v`` with ``recompute(j)`` at each j in ``nodes``; equal values keep their object."""
     x = v.values
-    out = []
-    for edges in problem.preds:
-        acc = adapter.bottom()
-        for src, t in edges:
-            acc = adapter.join(acc, adapter.transfer(t, x[src]))
-        out.append(acc)
+    out = list(x)
+    for j in nodes:
+        if (new := recompute(j)) != x[j]:
+            out[j] = new
     return v.with_values(out)
 
 
-def abstract_post_step(problem: AnalysisProblem, v: StateVector) -> StateVector:
-    """One forward iteration step: initial abstraction joined with the post image."""
-    stepped = pure_post_step(problem, v)
-    return v.with_values(problem.lattice.join(problem.init.values, stepped.values))
+def pure_post_step(problem: AnalysisProblem, v: StateVector) -> StateVector:
+    """Best abstract successor: at q', the join of edge images from all sources."""
+    return v.with_values(_post_at(problem, v.values, j) for j in range(len(v.values)))
 
 
-def abstract_pret_step(problem: AnalysisProblem, v: StateVector) -> StateVector:
+def abstract_post_step(problem: AnalysisProblem, v: StateVector, changed: Changed = None) -> StateVector:
+    """One forward iteration step: initial abstraction joined with the post image.
+
+    ``changed`` holds the nodes where ``v`` differs from the iterate it was
+    stepped from (None: all nodes).  Only targets of edges out of a changed
+    node are recomputed: no other node reads a changed value.
+    """
+    adapter, init, x = problem.adapter, problem.init.values, v.values
+    nodes = range(len(x)) if changed is None else {j for i in changed for _, j in problem.succs[i]}
+    return _update(v, nodes, lambda j: adapter.join(init[j], _post_at(problem, x, j)))
+
+
+def abstract_pret_step(problem: AnalysisProblem, v: StateVector, changed: Changed = None) -> StateVector:
     """One backward iteration step: wp-meet over outgoing edges, then ∩ v ∩ safety.
 
     At a node with no outgoing edges the wp contribution is the full space.
+    ``changed`` is as for :func:`abstract_post_step`.  Only sources of edges
+    into a changed node are recomputed: any other node already is the meet
+    of the same terms, unchanged by idempotence of ∩.
     """
-    adapter = problem.adapter
-    x = v.values
-    wps = []
-    for edges in problem.succs:
+    adapter, safety, x = problem.adapter, problem.safety.values, v.values
+
+    def pret_at(j: int):
         acc = adapter.top()
-        for t, dst in edges:
+        for t, dst in problem.succs[j]:
             acc = adapter.meet(acc, adapter.wp(t, x[dst]))
-        wps.append(acc)
-    lattice = problem.lattice
-    return v.with_values(lattice.meet(lattice.meet(wps, x), problem.safety.values))
+        return adapter.meet(adapter.meet(acc, x[j]), safety[j])
+
+    nodes = range(len(x)) if changed is None else {j for i in changed for j, _ in problem.preds[i]}
+    return _update(v, nodes, pret_at)
 
 
 def verify_invariant(problem: AnalysisProblem, candidate: StateVector) -> bool:
@@ -391,22 +414,27 @@ def verify_invariant(problem: AnalysisProblem, candidate: StateVector) -> bool:
 def _iterate(
     problem: AnalysisProblem,
     start: StateVector,
-    step: Callable[[AnalysisProblem, StateVector], StateVector],
-    check: Callable[[StateVector], bool],
+    step: Callable[[AnalysisProblem, StateVector, Changed], StateVector],
+    check: Callable[[int, Any], bool],
     reason: str,
     kind: str,
 ) -> SynthesisResult:
     """Kleene chain of ``step`` from ``start``, shared by both engines.
 
-    ``check`` runs on every iterate before it is stepped; the first iterate
-    failing it ends the run with ``reason``.  A repeated iterate is reported
-    as a found invariant of the given ``kind``.  The budget is the height of
-    the product lattice plus one.
+    Before an iterate is stepped, ``check(j, value)`` runs at the nodes j
+    that changed since the previous iterate (all nodes of ``start``), and
+    the step is told them; the first failure ends the run with ``reason``.
+    A repeated iterate is a found invariant of the given ``kind``.  The
+    budget is the height of the product lattice plus one.
     """
-    trace = []
-    for current in kleene(lambda v: step(problem, v), start, problem.lattice.height() + 1):
+    trace: list[StateVector] = []
+    changed: Changed = None
+    for current in kleene(lambda v: step(problem, v, changed), start, problem.lattice.height() + 1):
+        x = current.values
+        if trace:
+            changed = [j for j, (a, b) in enumerate(zip(trace[-1].values, x)) if a is not b]
         trace.append(current)
-        if not check(current):
+        if not all(check(j, x[j]) for j in (range(len(x)) if changed is None else changed)):
             return SynthesisResult(
                 False, None, None, tuple(trace), step=len(trace) - 1, violating=current, reason=reason
             )
@@ -422,7 +450,7 @@ def ainv_forward(problem: AnalysisProblem) -> SynthesisResult:
     """
     return _iterate(
         problem, problem.init, abstract_post_step,
-        lambda v: problem.leq(v, problem.safety), "property-violated", "least",
+        lambda j, a: problem.adapter.leq(a, problem.safety.values[j]), "property-violated", "least",
     )
 
 
@@ -439,7 +467,7 @@ def backward_gfp(problem: AnalysisProblem) -> SynthesisResult:
     top_vec = StateVector(problem.program.nodes, problem.lattice.top())
     result = _iterate(
         problem, top_vec, abstract_pret_step,
-        lambda v: problem.leq(problem.init, v), "init-not-entailed", "greatest",
+        lambda j, a: problem.adapter.leq(problem.init.values[j], a), "init-not-entailed", "greatest",
     )
     if result.found and not verify_invariant(problem, result.invariant):
         return SynthesisResult(

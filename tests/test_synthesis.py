@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import itertools
 import random
 from fractions import Fraction
@@ -13,7 +14,7 @@ from absinv import const_domain as cd
 from absinv import programs as pg
 from absinv import synthesis
 from absinv.finite import ClosureFamily, FiniteTS, powerset_family, run_algorithm4
-from absinv.lattice import lfp_iterate
+from absinv.lattice import kleene, lfp_iterate
 from absinv.synthesis import (
     AnalysisProblem,
     UnsupportedDomain,
@@ -21,6 +22,7 @@ from absinv.synthesis import (
     abstract_pret_step,
     ainv_forward,
     backward_gfp,
+    pure_post_step,
     synthesize,
     verify_invariant,
 )
@@ -389,9 +391,9 @@ def test_engines_check_each_iterate_before_stepping_it(monkeypatch, const_demo, 
     calls = []
     original = getattr(synthesis, step)
 
-    def counted(problem, v):
+    def counted(problem, v, changed=None):
         calls.append(v)
-        return original(problem, v)
+        return original(problem, v, changed)
 
     monkeypatch.setattr(synthesis, step, counted)
     result = engine(AnalysisProblem.build(const_demo, "const", prop))
@@ -400,6 +402,128 @@ def test_engines_check_each_iterate_before_stepping_it(monkeypatch, const_demo, 
     # check stops before stepping the violating iterate
     assert len(calls) == (len(result.trace) if found else len(result.trace) - 1)
     assert calls == list(result.trace[: len(calls)])
+
+
+# ---------------------------------------------------------------------------
+# Incremental steps against full Jacobi steps
+# ---------------------------------------------------------------------------
+
+
+def full_post_step(problem: AnalysisProblem, v: pg.StateVector) -> pg.StateVector:
+    """The forward step recomputed at every node."""
+    return v.with_values(problem.lattice.join(problem.init.values, pure_post_step(problem, v).values))
+
+
+def full_pret_step(problem: AnalysisProblem, v: pg.StateVector) -> pg.StateVector:
+    """The backward step recomputed at every node: wp-meet, then ∩ v ∩ safety."""
+    adapter, x = problem.adapter, v.values
+    index = {q: j for j, q in enumerate(v.nodes)}
+    wps = []
+    for q in v.nodes:
+        acc = adapter.top()
+        for t, dst in pg.out_edges(problem.program, q):
+            acc = adapter.meet(acc, adapter.wp(t, x[index[dst]]))
+        wps.append(acc)
+    return v.with_values(problem.lattice.meet(problem.lattice.meet(wps, x), problem.safety.values))
+
+
+def reference_run(problem: AnalysisProblem, alg: str) -> dict:
+    """Either engine's outcome, from lattice.kleene over a full Jacobi step."""
+    if alg == "forward":
+        start, step, kind = problem.init, full_post_step, "least"
+        check, reason = (lambda v: problem.leq(v, problem.safety)), "property-violated"
+    else:
+        start, step, kind = sv(problem, *problem.lattice.top()), full_pret_step, "greatest"
+        check, reason = (lambda v: problem.leq(problem.init, v)), "init-not-entailed"
+    trace = []
+    for v in kleene(lambda v: step(problem, v), start, problem.lattice.height() + 1):
+        trace.append(v)
+        if not check(v):
+            return dict(found=False, kind=None, step=len(trace) - 1, reason=reason, violating=v, trace=trace)
+    if alg == "backward" and not verify_invariant(problem, v):
+        return dict(
+            found=False, kind=None, step=len(trace) - 1, reason="verification-failed", violating=v, trace=trace
+        )
+    return dict(found=True, kind=kind, step=None, reason=None, violating=None, trace=trace)
+
+
+def failing_property(problem: AnalysisProblem, trace) -> dict[str, pg.InitDecl]:
+    """A property the least invariant (the last forward iterate) violates.
+
+    It is the second-to-last iterate at a node that the last step raised,
+    so the forward run fails at its last iterate; with a one-iterate trace
+    it is bottom at a node where the initial abstraction is not.
+    """
+    program, last = problem.program, trace[-1]
+    before = trace[-2] if len(trace) > 1 else sv(problem, *problem.lattice.bottom())
+    j = next(j for j, (a, b) in enumerate(zip(before.values, last.values)) if a != b)
+    render = cd.render_const if program.sort == "int" else af.render_affine
+    text = render(before.values[j])
+    return {program.nodes[j]: pg.parse_init_literal(text, program.n, program.sort)}
+
+
+@pytest.mark.parametrize(
+    "sort, alg", [("int", "forward"), ("int", "backward"), ("rat", "forward")],
+    ids=["const-forward", "const-backward", "affine-forward"],
+)
+def test_incremental_engines_match_full_jacobi_iteration(sort, alg):
+    """Each engine, with no property and with one that fails, gives the
+    outcome and every iterate of lattice.kleene over the full step."""
+    domain = "const" if sort == "int" else "affine"
+    outcomes = collections.Counter()
+    incremental = 0  # runs that take a step told the changed nodes
+    for k in range(300):
+        prog = random_program(random.Random(f"inc:{k}"), sort, max_vars=3, max_nodes=12)
+        free = AnalysisProblem.build(prog, domain)
+        least = reference_run(free, "forward")["trace"]
+        for problem in (free, AnalysisProblem.build(prog, domain, failing_property(free, least))):
+            result, expected = synthesize(problem, alg), reference_run(problem, alg)
+            got = dict(
+                found=result.found, kind=result.kind, step=result.step, reason=result.reason,
+                violating=result.violating, trace=list(result.trace),
+            )
+            assert got == expected, k
+            outcomes[result.reason] += 1
+            incremental += len(result.trace) >= 3
+    assert outcomes[None] == 300 and incremental >= 200
+    if alg == "forward":
+        assert outcomes["property-violated"] == 300
+    else:
+        assert outcomes["init-not-entailed"] >= 100 and outcomes["verification-failed"] >= 30
+
+
+def ring_program(N: int) -> pg.Program:
+    """Ring q1 -> ... -> qN -> q1: each forward edge adds 1 to one of x1..x3,
+    x4 stays 0 and the back edge is skip."""
+    lines = ["vars 4;", "sort int;", "nodes " + " ".join(f"q{i}" for i in range(1, N + 1)) + ";"]
+    lines.append("init q1: (1,2,3,0);")
+    lines += [f"edge q{i} -> q{i + 1} : x{i % 3 + 1} := x{i % 3 + 1} + 1;" for i in range(1, N)]
+    lines.append(f"edge q{N} -> q1 : skip;")
+    return pg.parse_program("\n".join(lines))
+
+
+@pytest.mark.parametrize(
+    "alg, method", [("forward", "transfer"), ("backward", "wp")], ids=["forward-transfer", "backward-wp"]
+)
+def test_steps_recompute_only_nodes_reading_a_changed_node(monkeypatch, alg, method):
+    """After the first step, which applies every edge's transfer (wp), a
+    step on this ring applies about one: one node changes per step."""
+    N = 40
+    calls = []
+    original = getattr(synthesis.ConstAdapter, method)
+
+    def counted(self, t, a):
+        calls.append(t)
+        return original(self, t, a)
+
+    monkeypatch.setattr(synthesis.ConstAdapter, method, counted)
+    prop = {f"q{N}": pg.parse_init_literal("(top,top,top,0)", 4, "int")}
+    result = synthesize(AnalysisProblem.build(ring_program(N), "const", prop), alg)
+    assert result.found
+    steps = len(result.trace) - 1
+    assert steps == (2 * N - 1 if alg == "forward" else N)
+    # a full step per iterate would make N * (steps + 1) calls
+    assert N < len(calls) <= N + 2 * steps
 
 
 # ---------------------------------------------------------------------------
