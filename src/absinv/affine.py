@@ -10,9 +10,11 @@ literals are solved into generator form by ``from_equalities``.
 Canonical form makes structural equality coincide with semantic equality:
 the direction basis is kept in reduced row-echelon form with lexicographic
 pivot order, and the base point is reduced modulo the span (zeroed on pivot
-columns).  All arithmetic is over ``fractions.Fraction`` — no rounding
-anywhere in this module.  The n-variable lattice itself, with its bounds,
-height n + 1, alpha (the affine hull) and gamma-membership, is
+columns).  Every value is an exact ``fractions.Fraction``; elimination
+(``rref``) runs over Python integers and divides by each pivot once, and
+assignment images recompute only the coordinates an edge assigns.  There is
+no rounding anywhere in this module.  The n-variable lattice itself, with
+its bounds, height n + 1, alpha (the affine hull) and gamma-membership, is
 ``synthesis.AffAdapter``.
 """
 
@@ -23,45 +25,61 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .programs import LinExpr, render_linexpr
+from .programs import LinExpr, ParallelAffineAssign, render_linexpr
 
 Vec = tuple[Fraction, ...]
+ZERO = Fraction(0)
 
 
 def _frac_vec(v: Sequence) -> Vec:
-    return tuple(Fraction(x) for x in v)
+    return tuple(x if isinstance(x, Fraction) else Fraction(x) for x in v)
 
 
 def dot(u: Sequence, v: Sequence) -> Fraction:
-    acc = Fraction(0)
+    acc = ZERO
     for a, b in zip(u, v, strict=True):
-        acc += Fraction(a) * Fraction(b)
+        if a and b:
+            acc += a * b
     return acc
 
 
+def _int_row(row: Sequence) -> list[int]:
+    """``row`` times the lcm of its denominators, divided by the gcd: coprime integers."""
+    ratios = [x.as_integer_ratio() for x in row]
+    m = lcm(*(d for _, d in ratios))
+    ints = [x * (m // d) for x, d in ratios]
+    g = gcd(*ints)
+    return [x // g for x in ints] if g > 1 else ints
+
+
 def rref(rows: Iterable[Sequence]) -> tuple[Vec, ...]:
-    """Reduced row-echelon form; zero rows dropped, pivots normalized to 1."""
-    m = [list(_frac_vec(r)) for r in rows]
-    m = [r for r in m if any(x != 0 for x in r)]
-    if not m:
-        return ()
-    ncols = len(m[0])
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+    """Reduced row-echelon form; zero rows dropped, pivots normalized to 1.
+
+    Gauss–Jordan over integer rows: row ← (p·row − f·pivot_row) / gcd, and
+    each row is divided by its pivot p once, at the end.  Each row stays a
+    nonzero multiple of its rational counterpart, so the result is the same.
+    """
+    m = [r for r in map(_int_row, rows) if any(r)]
+    pivots: list[int] = []
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        scale = m[r][c]
-        m[r] = [x / scale for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        r += 1
-        if r == len(m):
+        prow, p = m[r], m[r][c]
+        for i, row in enumerate(m):
+            f = row[c]
+            if f and i != r:
+                row = [p * x - f * y for x, y in zip(row, prow)]
+                g = gcd(*row)
+                m[i] = [x // g for x in row] if g > 1 else row
+        pivots.append(c)
+        if len(pivots) == len(m):
             break
-    return tuple(tuple(row) for row in m[:r] if any(x != 0 for x in row))
+    return tuple(
+        tuple(Fraction(x, row[c]) if x else ZERO for x in row) for row, c in zip(m, pivots)
+    )
 
 
 def pivot_col(row: Sequence) -> int:
@@ -75,10 +93,9 @@ def reduce_mod_span(v: Sequence, basis: Sequence[Vec]) -> Vec:
     """Remainder of ``v`` after eliminating the pivot coordinates of a RREF basis."""
     out = list(_frac_vec(v))
     for row in basis:
-        c = pivot_col(row)
-        f = out[c]
-        if f != 0:
-            out = [x - f * y for x, y in zip(out, row)]
+        f = out[pivot_col(row)]
+        if f:
+            out = [x - f * y if y else x for x, y in zip(out, row)]
     return tuple(out)
 
 
@@ -142,13 +159,11 @@ class AffSubspace:
 
 def includes(outer: AffSubspace, inner: AffSubspace) -> bool:
     """Is ``inner`` a subset of ``outer``?  (Generator containment test.)"""
-    if inner.is_empty:
+    if inner.is_empty or outer.dim == outer.n:
         return True
-    if outer.is_empty:
-        return False
-    if not outer.contains_point(inner.point):
-        return False
-    return all(in_span(b, outer.basis) for b in inner.basis)
+    if inner.dim >= outer.dim:  # a subset of no lower dimension is the same set
+        return inner == outer
+    return outer.contains_point(inner.point) and all(in_span(b, outer.basis) for b in inner.basis)
 
 
 def join(a: AffSubspace, b: AffSubspace) -> AffSubspace:
@@ -186,9 +201,9 @@ def meet_hyperplane(a: AffSubspace, e: LinExpr) -> AffSubspace:
         return a if c == 0 else AffSubspace.empty(a.n)
     i0 = next(i for i, x in enumerate(d) if x != 0)
     b0 = a.basis[i0]
-    point = tuple(p - (c / d[i0]) * y for p, y in zip(a.point, b0))
+    point = tuple(p - (c / d[i0]) * y if y else p for p, y in zip(a.point, b0))
     basis = tuple(
-        tuple(x - (d[i] / d[i0]) * y for x, y in zip(a.basis[i], b0))
+        tuple(x - (d[i] / d[i0]) * y if y else x for x, y in zip(a.basis[i], b0))
         for i in range(len(a.basis))
         if i != i0
     )
@@ -247,13 +262,22 @@ def from_equalities(rows: Iterable[LinExpr], n: int) -> AffSubspace:
 # ---------------------------------------------------------------------------
 
 
-def bca_parallel_assign(rows: tuple[LinExpr, ...], a: AffSubspace) -> AffSubspace:
-    """Exact image under x := M x + b (affine maps preserve affine subspaces)."""
+def bca_parallel_assign(
+    rows: tuple[LinExpr, ...] | ParallelAffineAssign, a: AffSubspace
+) -> AffSubspace:
+    """Exact image under x := M x + b (affine maps preserve affine subspaces).
+
+    Only rows other than identity rows are evaluated, on their nonzero
+    coefficients; pass the transfer itself to derive its sparse rows once."""
     if a.is_empty:
         return a
-    point = tuple(Fraction(r.eval(a.point)) for r in rows)
-    dirs = tuple(tuple(dot(r.coeffs, b) for r in rows) for b in a.basis)
-    return AffSubspace(a.n, point, dirs)
+    t = rows if isinstance(rows, ParallelAffineAssign) else ParallelAffineAssign(rows)
+    point, dirs = list(a.point), [list(b) for b in a.basis]
+    for j, terms, const in t.assigned:
+        point[j] = sum((c * a.point[i] for i, c in terms), ZERO + const)
+        for d, b in zip(dirs, a.basis):
+            d[j] = sum((c * b[i] for i, c in terms), ZERO)
+    return AffSubspace(a.n, tuple(point), tuple(map(tuple, dirs)))
 
 
 def bca_nondet_assign(j: int, a: AffSubspace) -> AffSubspace:

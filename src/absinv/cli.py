@@ -8,6 +8,7 @@ deterministic: identical inputs produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -24,6 +25,7 @@ from .synthesis import (
 )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="absinv",

@@ -30,6 +30,7 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple
 
 Number = Any  # int (sort "int") or Fraction (sort "rat")
@@ -102,6 +103,16 @@ class ParallelAffineAssign:
 
     def apply_point(self, v: tuple[Number, ...]) -> tuple[Number, ...]:
         return tuple(r.eval(v) for r in self.rows)
+
+    @cached_property
+    def assigned(self) -> tuple[tuple[int, tuple[tuple[int, Number], ...], Number], ...]:
+        """Rows other than identity rows, as ``(j, ((i, c) for c != 0), const)``, 0-based."""
+        out = []
+        for j, r in enumerate(self.rows):
+            terms = tuple((i, c) for i, c in enumerate(r.coeffs) if c != 0)
+            if r.const != 0 or terms != ((j, 1),):
+                out.append((j, terms, r.const))
+        return tuple(out)
 
 
 @dataclass(frozen=True)

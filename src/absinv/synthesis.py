@@ -58,7 +58,7 @@ from .programs import (
     TOP_ENTRY,
     TransferFunction,
     guard_holds,
-    post_edges_into,
+    post_edges_into,  # noqa: F401 -- unused here; bench/test_bench.py traces it under this name
 )
 
 
@@ -211,7 +211,7 @@ class AffAdapter(AbstractDomain):
         if isinstance(t, Identity):
             return a
         if isinstance(t, ParallelAffineAssign):
-            return aff.bca_parallel_assign(t.rows, a)
+            return aff.bca_parallel_assign(t, a)
         if isinstance(t, NondetAssign):
             return aff.bca_nondet_assign(t.target, a)
         if isinstance(t, Guard):
@@ -307,11 +307,11 @@ class AnalysisProblem:
     @cached_property
     def preds(self) -> tuple[tuple[tuple[int, TransferFunction], ...], ...]:
         """Per node j, the (source index, transfer) pairs of the edges into j."""
-        nodes = self.program.nodes
-        index = {q: j for j, q in enumerate(nodes)}
-        return tuple(
-            tuple((index[src], t) for src, t in post_edges_into(self.program, q)) for q in nodes
-        )
+        index = {q: j for j, q in enumerate(self.program.nodes)}
+        into: list[list[tuple[int, TransferFunction]]] = [[] for _ in index]
+        for e in self.program.edges:
+            into[index[e.dst]].append((index[e.src], e.transfer))
+        return tuple(map(tuple, into))
 
     @cached_property
     def succs(self) -> tuple[tuple[tuple[TransferFunction, int], ...], ...]:

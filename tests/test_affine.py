@@ -440,3 +440,186 @@ def test_render():
     assert af.render_affine(line) == "x1+2*x2=0 /\\ x3-1=0"
     half = af.from_equalities([expr((F(1, 2), 0), F(-3, 4))], 2)
     assert af.render_affine(half) == "2*x1-3=0"
+
+
+# ---------------------------------------------------------------------------
+# Differential check against dense rational elimination
+# ---------------------------------------------------------------------------
+#
+# The reference functions are the module's earlier dense implementations:
+# every entry wrapped in ``Fraction``, every row read in full, elimination
+# over ℚ.  Integer elimination and sparse assignment images must return
+# exactly the same tuples, with ``Fraction`` entries.
+
+
+def ref_dot(u, v):
+    acc = Fraction(0)
+    for a, b in zip(u, v, strict=True):
+        acc += Fraction(a) * Fraction(b)
+    return acc
+
+
+def ref_rref(rows):
+    m = [[Fraction(x) for x in r] for r in rows]
+    m = [r for r in m if any(x != 0 for x in r)]
+    if not m:
+        return ()
+    r = 0
+    for c in range(len(m[0])):
+        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        scale = m[r][c]
+        m[r] = [x / scale for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        r += 1
+        if r == len(m):
+            break
+    return tuple(tuple(row) for row in m[:r] if any(x != 0 for x in row))
+
+
+def ref_reduce_mod_span(v, basis):
+    out = [Fraction(x) for x in v]
+    for row in basis:
+        f = out[next(i for i, x in enumerate(row) if x != 0)]
+        if f != 0:
+            out = [x - f * y for x, y in zip(out, row)]
+    return tuple(out)
+
+
+def ref_bca_parallel_assign(rows, a):
+    """(point, basis) of the image in canonical form; None for the empty set."""
+    if a.is_empty:
+        return None
+    point = tuple(Fraction(r.eval(a.point)) for r in rows)
+    basis = ref_rref(tuple(ref_dot(r.coeffs, b) for r in rows) for b in a.basis)
+    return ref_reduce_mod_span(point, basis), basis
+
+
+def ref_includes(outer, inner):
+    """Generator containment: the difference of the points and every
+    direction of ``inner`` reduce to zero modulo ``outer``'s basis."""
+    if inner.is_empty:
+        return True
+    if outer.is_empty:
+        return False
+    diff = tuple(x - y for x, y in zip(inner.point, outer.point))
+    return all(not any(ref_reduce_mod_span(v, outer.basis)) for v in (diff, *inner.basis))
+
+
+def random_entry(rng: random.Random, seen: set[str]):
+    """Zero, a small int (as ``int`` or ``Fraction``), a small fraction, or a
+    fraction whose numerator is above 10⁶."""
+    kind = rng.random()
+    if kind < 0.35:
+        return F(0)
+    if kind < 0.6:
+        v = rng.randint(-4, 4)
+        return v if rng.random() < 0.3 else F(v)
+    if kind < 0.85:
+        seen.add("fraction")
+        return F(rng.randint(-9, 9), rng.randint(2, 12))
+    seen.add("big")
+    return F(rng.choice((-1, 1)) * rng.randint(10**6, 10**12), rng.randint(1, 10**4))
+
+
+def random_matrix(rng: random.Random, n: int, seen: set[str]) -> list[list]:
+    """Random rows plus dependent ones: zero rows, multiples and sums of rows."""
+    rows = [[random_entry(rng, seen) for _ in range(n)] for _ in range(rng.randint(0, n + 1))]
+    for _ in range(rng.randint(0, 2)):
+        extra = rng.choice(("zero", "multiple", "sum"))
+        if extra == "zero" or not rows:
+            seen.add("zero row")
+            rows.append([F(0)] * n)
+        elif extra == "multiple":
+            k = F(rng.choice((-3, -1, 2, 7)), rng.randint(1, 5))
+            rows.append([k * x for x in rng.choice(rows)])
+        else:
+            rows.append([x + y for x, y in zip(rng.choice(rows), rng.choice(rows))])
+    rng.shuffle(rows)
+    for row in rows:
+        lead = next((x for x in row if x != 0), 0)
+        if lead < 0:
+            seen.add("negative pivot")
+        if len({F(x).denominator for x in row if x != 0}) > 1:
+            seen.add("mixed denominators")
+    return rows
+
+
+def assert_fraction_entries(*vectors):
+    assert all(type(x) is Fraction for v in vectors for x in v)
+
+
+def test_rref_and_reduction_match_dense_rational_elimination():
+    rng = random.Random(41)
+    seen: set[str] = set()
+    for _ in range(600):
+        n = rng.randint(1, 7)
+        rows = random_matrix(rng, n, seen)
+        basis = af.rref(rows)
+        assert basis == ref_rref(rows)
+        assert_fraction_entries(*basis)
+        v = [random_entry(rng, seen) for _ in range(n)]
+        reduced = af.reduce_mod_span(v, basis)
+        assert reduced == ref_reduce_mod_span(v, basis)
+        assert_fraction_entries(reduced)
+    assert seen == {"fraction", "big", "zero row", "negative pivot", "mixed denominators"}
+
+
+def random_assignment(rng: random.Random, n: int, seen: set[str]) -> tuple[pg.LinExpr, ...]:
+    """Rows that are written-out identity rows, constants, random sparse rows,
+    or a parallel pair over two variables (a swap, or sum and difference)."""
+    rows = []
+    for j in range(n):
+        kind = rng.choice(("identity", "constant", "random"))
+        seen.add(kind)
+        if kind == "identity":
+            one = rng.choice((1, F(1)))
+            rows.append(pg.identity_row(j, n, one * 0, one))
+        elif kind == "constant":
+            rows.append(pg.LinExpr((F(0),) * n, random_entry(rng, seen)))
+        else:
+            rows.append(pg.LinExpr(tuple(random_entry(rng, seen) for _ in range(n)), random_entry(rng, seen)))
+    if n >= 2 and rng.random() < 0.4:
+        seen.add("parallel pair")
+        j, k = rng.sample(range(n), 2)
+        unit = [pg.identity_row(i, n, F(0), F(1)).coeffs for i in (j, k)]
+        if rng.random() < 0.5:
+            rows[j], rows[k] = pg.LinExpr(unit[1], F(0)), pg.LinExpr(unit[0], F(0))
+        else:
+            rows[j] = pg.LinExpr(tuple(x + y for x, y in zip(*unit)), F(0))
+            rows[k] = pg.LinExpr(tuple(x - y for x, y in zip(*unit)), F(0))
+    return tuple(rows)
+
+
+def test_parallel_assign_and_inclusion_match_dense_references():
+    rng = random.Random(43)
+    seen: set[str] = set()
+    for _ in range(600):
+        n = rng.randint(1, 6)
+        shape = rng.choice(("empty", "full", "point", "random", "random"))
+        seen.add(shape)
+        if shape == "empty":
+            a = af.AffSubspace.empty(n)
+        elif shape == "full":
+            a = af.AffSubspace.full(n)
+        else:
+            point = tuple(F(random_entry(rng, seen)) for _ in range(n))
+            basis = random_matrix(rng, n, seen) if shape == "random" else ()
+            a = af.AffSubspace(n, point, tuple(map(tuple, basis)))
+        rows = random_assignment(rng, n, seen)
+        got = af.bca_parallel_assign(rows, a)
+        assert af.bca_parallel_assign(pg.ParallelAffineAssign(rows), a) == got
+        expected = ref_bca_parallel_assign(rows, a)
+        if expected is None:
+            assert got.is_empty
+        else:
+            assert (got.point, got.basis) == expected
+            assert_fraction_entries(got.point, *got.basis)
+        for outer, inner in ((a, got), (got, a), (af.AffSubspace.full(n), got)):
+            assert af.includes(outer, inner) == ref_includes(outer, inner)
+    assert {"empty", "full", "identity", "constant", "parallel pair", "big"} <= seen

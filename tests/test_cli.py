@@ -5,7 +5,9 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
 import sys
 
 import pytest
@@ -88,6 +90,21 @@ def test_analyze_output_is_deterministic(capsys):
     _, first, _ = run(args, capsys)
     _, second, _ = run(args, capsys)
     assert first == second
+
+
+def test_parser_reuse_keeps_no_state_between_calls(capsys):
+    """The parser is built once; ``--prop`` values must not carry over to the next call."""
+    base = ["analyze", "--program", CONST, "--domain", "const", "--alg", "forward", "--trace"]
+    code, out, _ = run(base + ["--prop", "q2: (0,top)", "--prop", "q3: (top,1)"], capsys)
+    assert code == 1 and "no abstract inductive invariant" in out
+    code, out, err = run(base, capsys)
+    src = str(PROGRAMS_DIR.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    fresh = subprocess.run(
+        [sys.executable, "-m", "absinv.cli", *base], capture_output=True, text=True, env=env
+    )
+    assert code == fresh.returncode == 0
+    assert (out, err) == (fresh.stdout, fresh.stderr)
 
 
 def test_analyze_missing_file_exits_two(capsys):
