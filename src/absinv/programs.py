@@ -19,8 +19,11 @@ script's, so ``٣`` is 3; ``²`` is not a digit).  An identifier is a run of
 letters, digits and ``_`` that does not start with a decimal digit; a
 variable is ``x`` followed by decimal digits.  The symbols are
 ``:= -> <= >= != /\\ ( ) { } , ; : ? * / + - = < >``; any other character is
-an error.  ``vars`` is at most :data:`MAX_VARS`.  :func:`print_program`
-output parses back to a program that prints to the same text.  Programs are
+an error.  ``vars`` is at most :data:`MAX_VARS`.  The text is tokenized in
+one ``re.findall`` pass, each token's kind following from its first
+character; the line and column of a syntax error are computed only when it is
+raised, by scanning the text again.  :func:`print_program` output parses back
+to a program that prints to the same text.  Programs are
 immutable after parsing and safe to share across threads.
 """
 
@@ -31,7 +34,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 Number = Any  # int (sort "int") or Fraction (sort "rat")
 
@@ -58,10 +61,6 @@ class LinExpr:
 
     coeffs: tuple[Number, ...]
     const: Number
-
-    @property
-    def arity(self) -> int:
-        return len(self.coeffs)
 
     def eval(self, point: tuple[Number, ...]) -> Number:
         v = self.const
@@ -237,13 +236,13 @@ class Program:
 
 def check_transfer_arity(t: TransferFunction, n: int) -> None:
     if isinstance(t, ParallelAffineAssign):
-        if len(t.rows) != n or any(r.arity != n for r in t.rows):
+        if len(t.rows) != n or any(len(r.coeffs) != n for r in t.rows):
             raise ValueError("assignment dimension mismatch")
     elif isinstance(t, NondetAssign):
         if not 1 <= t.target <= n:
             raise ValueError("nondet assignment target out of range")
     elif isinstance(t, Guard):
-        if any(r.arity != n for r in t.rows):
+        if any(len(r.coeffs) != n for r in t.rows):
             raise ValueError("guard dimension mismatch")
 
 
@@ -332,124 +331,123 @@ def out_edges(program: Program, q: str) -> list[tuple[TransferFunction, str]]:
 #: the bound keeps the n * n coefficients each assignment edge stores small.
 MAX_VARS = 64
 
-_TOKEN = re.compile(
-    r"(?P<newline>\n)|(?P<blanks>[ \t\r]+)|(?P<comment>#[^\n]*)|(?P<int>\d+)"
-    r"|(?P<ident>[^\W\d]\w*)|(?P<sym>:=|->|<=|>=|!=|/\\|[(){},;:?*/+\-=<>])"
-)
+#: One match per blank run, comment or token; group 1 is the token, and its
+#: last alternative takes any other character, which :func:`_kind` rejects.
+_TOKEN = re.compile(r"[ \t\r\n]+|#[^\n]*|(\d+|[^\W\d]\w*|:=|->|<=|>=|!=|/\\|[(){},;:?*/+\-=<>]|.)")
+_SYMBOLS = frozenset(r":= -> <= >= != /\ ( ) { } , ; : ? * / + - = < >".split())
+_RAT_NUMBERS = (Fraction(0), Fraction(1))
 
 
-class _Tok(NamedTuple):
-    kind: str  # "int" | "ident" | "sym"
-    text: str
-    line: int
-    col: int
+def _kind(tok: str) -> str | None:
+    """The kind of a token of :data:`_TOKEN`: "int", "ident", "sym", or None if unexpected."""
+    if tok[0].isdecimal():
+        return "int"
+    if tok[0].isalnum() or tok[0] == "_":  # the first character matches \w
+        return "ident"
+    return "sym" if tok in _SYMBOLS else None
 
 
-def _tokenize(text: str) -> list[_Tok]:
-    toks: list[_Tok] = []
-    line, line_start, pos = 1, 0, 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            raise ProgramSyntaxError(f"unexpected character {text[pos]!r}", line, pos - line_start + 1)
-        kind = m.lastgroup
-        if kind == "newline":
-            line, line_start = line + 1, pos + 1
-        elif kind in ("int", "ident", "sym"):
-            toks.append(_Tok(kind, m.group(), line, pos - line_start + 1))
-        pos = m.end()
-    return toks
+#: :func:`_kind` by first character, for the ASCII characters that decide it
+#: ("!" does not: "!=" is a symbol, a lone "!" is unexpected).
+_ASCII_KINDS = {c: _kind(c) for c in map(chr, range(128)) if c != "!" and _kind(c)}
 
 
 def _numbers(sort: str) -> tuple[Number, Number]:
     """Zero and one of the value sort."""
-    return (Fraction(0), Fraction(1)) if sort == "rat" else (0, 1)
+    return _RAT_NUMBERS if sort == "rat" else (0, 1)
 
 
 class _Parser:
+    """Recursive descent over parallel token and kind lists, which end in a
+    sentinel token "" of kind "".  Positions are found only on error."""
+
     def __init__(self, text: str):
-        self.toks = _tokenize(text)
+        self.text = text
+        self.toks = list(filter(None, _TOKEN.findall(text)))
+        self.kinds = [_ASCII_KINDS.get(t[0]) or _kind(t) for t in self.toks]
         self.pos = 0
+        if None in self.kinds:
+            self.pos = self.kinds.index(None)
+            raise self.fail(f"unexpected character {self.toks[self.pos]!r}")
+        self.toks.append("")
+        self.kinds.append("")
 
     # -- token plumbing ----------------------------------------------------
 
-    def fail(self, msg: str) -> ProgramSyntaxError:
-        """An error at the next token, or just past the last one."""
-        if self.pos < len(self.toks):
-            t = self.toks[self.pos]
-            return ProgramSyntaxError(msg, t.line, t.col)
-        if self.toks:
-            t = self.toks[-1]
-            return ProgramSyntaxError(msg, t.line, t.col + len(t.text))
-        return ProgramSyntaxError(msg, 1, 1)
-
-    def peek(self, kind: str | None = None, text: str | None = None) -> _Tok | None:
-        """The next token, if there is one of this kind and text (None: any)."""
-        if self.pos < len(self.toks):
-            t = self.toks[self.pos]
-            if (kind is None or t.kind == kind) and (text is None or t.text == text):
-                return t
-        return None
+    def fail(self, msg: str, at: int | None = None) -> ProgramSyntaxError:
+        """An error at token ``at`` (default: the next one), or just past the last one."""
+        at, offset = self.pos if at is None else at, 0
+        for k, m in enumerate(m for m in _TOKEN.finditer(self.text) if m.lastindex):
+            offset = m.start() if k == at else m.end()
+            if k == at:
+                break
+        line_start = self.text.rfind("\n", 0, offset) + 1
+        return ProgramSyntaxError(msg, self.text.count("\n", 0, offset) + 1, offset - line_start + 1)
 
     def accept(self, text: str) -> bool:
         """Consume the next token if its text is ``text``."""
-        found = self.peek(text=text) is not None
-        self.pos += found
-        return found
+        if self.toks[self.pos] == text:
+            self.pos += 1
+            return True
+        return False
 
-    def expect(self, kind: str, text: str | None = None, what: str | None = None) -> _Tok:
-        """Consume the next token, which must match ``peek(kind, text)``."""
-        t = self.peek(kind, text)
-        if t is None:
-            raise self.fail(what or f"expected {text or 'identifier'!r}")
+    def expect(self, text: str) -> None:
+        """Consume the next token, whose text must be ``text``."""
+        if not self.accept(text):
+            raise self.fail(f"expected {text!r}")
+
+    def take(self, kind: str, what: str = "expected an identifier") -> int:
+        """Consume the next token, which must be of this kind; return its index."""
+        if self.kinds[self.pos] != kind:
+            raise self.fail(what)
         self.pos += 1
-        return t
+        return self.pos - 1
 
     def sequence(self, item: Callable[[], Any], sep: str, end: str | None = None) -> list[Any]:
         """``item {sep item}``; a ``sep`` right before ``end`` ends the list."""
         items = [item()]
-        while self.accept(sep) and not (end and self.peek(text=end)):
+        while self.accept(sep) and not (end and self.toks[self.pos] == end):
             items.append(item())
         return items
 
     # -- numbers and expressions -------------------------------------------
 
-    def integer(self, t: _Tok, start: int = 0) -> int:
-        """The decimal value of ``t.text[start:]``, an error at ``t`` if too long."""
+    def integer(self, at: int, start: int = 0) -> int:
+        """The decimal value of token ``at`` from ``start`` on, an error there if too long."""
         try:
-            return int(t.text[start:])
+            return int(self.toks[at][start:])
         except ValueError:  # more digits than Python converts
-            raise ProgramSyntaxError("number has too many digits", t.line, t.col) from None
+            raise self.fail("number has too many digits", at) from None
 
     def signs(self) -> int | None:
         """The product of a run of '+'/'-' tokens, or None if there is none."""
         sign = None
-        while (t := self.peek("sym")) is not None and t.text in ("+", "-"):
+        while (t := self.toks[self.pos]) == "-" or t == "+":
             self.pos += 1
-            sign = (sign or 1) * (-1 if t.text == "-" else 1)
+            sign = (sign or 1) * (-1 if t == "-" else 1)
         return sign
 
-    def number(self, sort: str) -> Number:
-        sign = self.signs() or 1
-        num = self.integer(self.expect("int", what="expected a number"))
+    def number(self, sort: str, sign: int | None = None) -> Number:
+        """A number; its signs are read here unless the caller has read them."""
+        num = (sign or self.signs() or 1) * self.integer(self.take("int", "expected a number"))
         if sort != "rat":
-            return sign * num
+            return num
         if not self.accept("/"):
-            return sign * Fraction(num)
-        d = self.expect("int", what="expected a denominator")
+            return Fraction(num)
+        d = self.take("int", "expected a denominator")
         den = self.integer(d)
         if den == 0:
-            raise ProgramSyntaxError("zero denominator", d.line, d.col)
-        return sign * Fraction(num, den)
+            raise self.fail("zero denominator", d)
+        return Fraction(num, den)
 
     def var_index(self, n: int) -> int:
-        t = self.expect("ident")
-        name = t.text
-        if not (name.startswith("x") and name[1:].isdecimal()):
-            raise ProgramSyntaxError(f"expected a variable x1..x{n}", t.line, t.col)
-        j = self.integer(t, 1)
+        name = self.toks[self.pos]
+        if not (name[:1] == "x" and name[1:].isdecimal()):
+            raise self.fail(f"expected a variable x1..x{n}")
+        j = self.integer(self.pos, 1)
         if not 1 <= j <= n:
-            raise ProgramSyntaxError(f"variable {name} out of range (n={n})", t.line, t.col)
+            raise self.fail(f"variable {name} out of range (n={n})")
+        self.pos += 1
         return j
 
     def linexpr(self, n: int, sort: str) -> LinExpr:
@@ -462,19 +460,20 @@ class _Parser:
             sign = self.signs()
             if sign is None and not first:
                 break
-            sign = sign or 1
-            t = self.peek()
-            if t is None:
-                raise self.fail("expected a term")
-            if t.kind == "int":
-                coef = sign * self.number(sort)
+            kind = self.kinds[self.pos]
+            # a sum that is still `zero` takes the term itself: no Fraction addition
+            if kind == "int":
+                coef = self.number(sort, sign or 1)
                 if self.accept("*"):
-                    coeffs[self.var_index(n) - 1] += coef
+                    j = self.var_index(n) - 1
+                    coeffs[j] = coef if coeffs[j] is zero else coeffs[j] + coef
                 else:
-                    const += coef
-            elif t.kind == "ident" and t.text.startswith("x"):
-                coeffs[self.var_index(n) - 1] += sign * one
-            elif first:
+                    const = coef if const is zero else const + coef
+            elif self.toks[self.pos][:1] == "x":
+                j = self.var_index(n) - 1
+                coef = -one if sign == -1 else one
+                coeffs[j] = coef if coeffs[j] is zero else coeffs[j] + coef
+            elif first or not kind:
                 raise self.fail("expected a term")
             else:
                 break
@@ -484,13 +483,13 @@ class _Parser:
     def equation(self, n: int, sort: str) -> tuple[LinExpr, str]:
         """Parse ``lhs ⋈ rhs`` into the row ``lhs - rhs`` and the relation ⋈."""
         lhs = self.linexpr(n, sort)
-        rel = self.peek("sym")
-        if rel is None or rel.text not in RELATIONS:
+        rel = self.toks[self.pos]
+        if rel not in RELATIONS:
             raise self.fail("expected a relation symbol (=, !=, <, <=, >, >=)")
         self.pos += 1
-        rhs = self.linexpr(n, sort)
-        row = LinExpr(tuple(a - b for a, b in zip(lhs.coeffs, rhs.coeffs)), lhs.const - rhs.const)
-        return row, rel.text
+        rhs, zero = self.linexpr(n, sort), _numbers(sort)[0]
+        diff = [a if b is zero else a - b for a, b in zip((*lhs.coeffs, lhs.const), (*rhs.coeffs, rhs.const))]
+        return LinExpr(tuple(diff[:-1]), diff[-1]), rel
 
 
 def _parse_guard_rows(p: _Parser, n: int, sort: str) -> tuple[tuple[LinExpr, ...], str, str]:
@@ -514,7 +513,8 @@ def _parse_guard_rows(p: _Parser, n: int, sort: str) -> tuple[tuple[LinExpr, ...
     return tuple(rows), rels[0], mode or "conj"
 
 
-def _parse_statements(p: _Parser, n: int, sort: str) -> TransferFunction:
+def _parse_statements(p: _Parser, n: int, sort: str, ids: tuple[LinExpr, ...]) -> TransferFunction:
+    """One edge label; ``ids`` are the n identity rows, shared by every edge."""
     if p.accept("skip"):
         return Identity()
     if p.accept("assume"):
@@ -525,23 +525,22 @@ def _parse_statements(p: _Parser, n: int, sort: str) -> TransferFunction:
     # one or more assignments, comma separated, applied in parallel
     assigned: list[LinExpr | None] = [None] * n
     nondet_targets: list[int] = []
-
-    def assignment() -> None:
+    while True:
         j = p.var_index(n)
-        p.expect("sym", ":=")
+        p.expect(":=")
         if assigned[j - 1] is not None or j in nondet_targets:
             raise p.fail(f"variable x{j} assigned twice on one edge")
         if p.accept("?"):
             nondet_targets.append(j)
         else:
             assigned[j - 1] = p.linexpr(n, sort)
-
-    p.sequence(assignment, ",")
+        if not p.accept(","):
+            break
     if nondet_targets:
         if len(nondet_targets) > 1 or any(r is not None for r in assigned):
             raise p.fail("xj := ? cannot be combined with other assignments on one edge")
         return NondetAssign(nondet_targets[0])
-    ids = tuple(identity_row(i, n, *_numbers(sort)) for i in range(n))
+    # rows left alone are the objects in ids, so == compares the assigned rows only
     rows = tuple(ident if r is None else r for ident, r in zip(ids, assigned))
     return Identity() if rows == ids else ParallelAffineAssign(rows)
 
@@ -553,22 +552,22 @@ def _parse_init_literal(p: _Parser, n: int, sort: str) -> InitDecl:
         return InitBot()
     if p.accept("("):
         entries = p.sequence(lambda: TOP_ENTRY if p.accept("top") else p.number(sort), ",")
-        p.expect("sym", ")")
+        p.expect(")")
         if len(entries) != n:
             raise p.fail(f"vector literal has {len(entries)} entries, expected {n}")
         return InitVector(tuple(entries))
     if p.accept("{"):
 
         def point() -> tuple[Number, ...]:
-            p.expect("sym", "(")
+            p.expect("(")
             pt = p.sequence(lambda: p.number(sort), ",")
-            p.expect("sym", ")")
+            p.expect(")")
             if len(pt) != n:
                 raise p.fail(f"point has {len(pt)} coordinates, expected {n}")
             return tuple(pt)
 
         points = p.sequence(point, ";", end="}")
-        p.expect("sym", "}")
+        p.expect("}")
         return InitPoints(frozenset(points))
     # constraint conjunction (rat sort only)
     if sort != "rat":
@@ -587,7 +586,7 @@ def parse_init_literal(text: str, n: int, sort: str) -> InitDecl:
     """Parse a standalone element literal (used for CLI --prop values)."""
     p = _Parser(text)
     decl = _parse_init_literal(p, n, sort)
-    if p.peek() is not None:
+    if p.toks[p.pos]:
         raise p.fail("trailing input after literal")
     return decl
 
@@ -612,72 +611,81 @@ def parse_program(text: str) -> Program:
     in the module docstring.
     """
     p = _Parser(text)
+    toks = p.toks
     n: int | None = None
     sort: str | None = None
     nodes: list[str] | None = None
+    known: set[str] = set()
+    ids: tuple[LinExpr, ...] = ()
     inits: dict[str, InitDecl] = {}
     edges: list[Edge] = []
     declared: set[str] = set()
 
-    def require_header() -> tuple[int, str, list[str]]:
+    def require_header() -> tuple[int, str]:
         if n is None:
             raise p.fail("'vars' must be declared first")
         if sort is None:
             raise p.fail("'sort' must be declared before this line")
         if nodes is None:
             raise p.fail("'nodes' must be declared before this line")
-        return n, sort, nodes
+        return n, sort
 
-    def node(known: list[str]) -> _Tok:
-        t = p.expect("ident")
-        if t.text not in known:
-            raise ProgramSyntaxError(f"unknown node {t.text!r}", t.line, t.col)
-        return t
+    def node() -> str:
+        name = toks[p.pos]
+        if name not in known:
+            raise p.fail(f"unknown node {name!r}" if p.kinds[p.pos] == "ident" else "expected an identifier")
+        p.pos += 1
+        return name
 
-    while p.peek() is not None:
-        kw = p.expect("ident")
-        if kw.text in ("vars", "sort", "nodes"):
-            if kw.text in declared:
-                raise ProgramSyntaxError(f"'{kw.text}' is declared twice", kw.line, kw.col)
-            declared.add(kw.text)
-        if kw.text == "vars":
-            t = p.expect("int", what="expected a variable count")
+    while toks[p.pos]:
+        i = p.take("ident")
+        kw = toks[i]
+        if kw in ("vars", "sort", "nodes"):
+            if kw in declared:
+                raise p.fail(f"'{kw}' is declared twice", i)
+            declared.add(kw)
+        if kw == "edge":
+            nn, ss = require_header()
+            src = node()
+            p.expect("->")
+            dst = node()
+            p.expect(":")
+            if not ids:  # vars and sort are fixed once declared
+                ids = tuple(identity_row(j, nn, *_numbers(ss)) for j in range(nn))
+            edges.append(Edge(src, _parse_statements(p, nn, ss, ids), dst))
+        elif kw == "vars":
+            t = p.take("int", "expected a variable count")
             n = p.integer(t)
             if n < 1:
-                raise ProgramSyntaxError("variable count must be >= 1", t.line, t.col)
+                raise p.fail("variable count must be >= 1", t)
             if n > MAX_VARS:
-                raise ProgramSyntaxError(f"variable count must be <= {MAX_VARS}", t.line, t.col)
-        elif kw.text == "sort":
-            t = p.expect("ident")
-            if t.text not in ("int", "rat"):
-                raise ProgramSyntaxError("sort must be 'int' or 'rat'", t.line, t.col)
-            sort = t.text
-        elif kw.text == "nodes":
+                raise p.fail(f"variable count must be <= {MAX_VARS}", t)
+        elif kw == "sort":
+            t = p.take("ident")
+            if toks[t] not in ("int", "rat"):
+                raise p.fail("sort must be 'int' or 'rat'", t)
+            sort = toks[t]
+        elif kw == "nodes":
             nodes = []
-            while p.peek("ident"):
-                t = p.expect("ident")
-                if t.text in nodes:
-                    raise ProgramSyntaxError(f"duplicate node name {t.text!r}", t.line, t.col)
-                nodes.append(t.text)
+            while p.kinds[p.pos] == "ident":
+                name = toks[p.pos]
+                if name in known:
+                    raise p.fail(f"duplicate node name {name!r}")
+                p.pos += 1
+                nodes.append(name)
+                known.add(name)
             if not nodes:
                 raise p.fail("expected at least one node name")
-        elif kw.text == "init":
-            nn, ss, nds = require_header()
-            q = node(nds)
-            if q.text in inits:
-                raise ProgramSyntaxError(f"node {q.text!r} has a second init", q.line, q.col)
-            p.expect("sym", ":")
-            inits[q.text] = _parse_init_literal(p, nn, ss)
-        elif kw.text == "edge":
-            nn, ss, nds = require_header()
-            src = node(nds)
-            p.expect("sym", "->")
-            dst = node(nds)
-            p.expect("sym", ":")
-            edges.append(Edge(src.text, _parse_statements(p, nn, ss), dst.text))
+        elif kw == "init":
+            nn, ss = require_header()
+            q = p.pos
+            if node() in inits:
+                raise p.fail(f"node {toks[q]!r} has a second init", q)
+            p.expect(":")
+            inits[toks[q]] = _parse_init_literal(p, nn, ss)
         else:
-            raise ProgramSyntaxError(f"unknown declaration {kw.text!r}", kw.line, kw.col)
-        p.expect("sym", ";")
+            raise p.fail(f"unknown declaration {kw!r}", i)
+        p.expect(";")
 
     if n is None or sort is None or nodes is None:
         raise p.fail("program must declare vars, sort and nodes")

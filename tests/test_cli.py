@@ -270,6 +270,23 @@ def test_malformed_numbers_exit_two_with_a_position(tmp_path, capsys, text, prop
     assert where in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("vars 1; sort int; nodes q1;\nedge q1 -> q1 : x1 := 2*3;", ": 2:25: expected a variable x1..x1\n"),
+        ("vars 1; sort int; nodes q1;\nedge -> q1 : skip;", ": 2:6: expected an identifier\n"),
+        ("vars 1;\nsort 1;\nnodes q1;", ": 2:6: expected an identifier\n"),
+    ],
+    ids=["variable", "node", "sort"],
+)
+def test_missing_identifier_is_named_as_a_category(tmp_path, capsys, text, where):
+    path = tmp_path / "bad.prog"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(["analyze", "--program", str(path), "--domain", "const", "--alg", "forward"], capsys)
+    assert code == 2 and out == ""
+    assert err.endswith(where) and "'identifier'" not in err
+
+
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit")
 @pytest.mark.parametrize("sort, domain", [("int", "const"), ("rat", "affine")])
 @pytest.mark.parametrize("flags", [[], ["--format", "json"], ["--trace"]], ids=["text", "json", "trace"])

@@ -7,8 +7,9 @@ from fractions import Fraction
 
 import pytest
 
+import reference_parser as ref
 from absinv import programs as pg
-from conftest import random_program
+from conftest import random_linexpr_int, random_program
 
 
 def test_parse_const_demo_shape(const_demo):
@@ -330,3 +331,162 @@ def test_over_long_numbers_are_syntax_errors(src, line, col):
     with pytest.raises(pg.ProgramSyntaxError, match="number has too many digits") as exc:
         pg.parse_program(src)
     assert (exc.value.line, exc.value.col) == (line, col)
+
+
+# ---------------------------------------------------------------------------
+# The parser against the reference parser kept in tests/reference_parser.py
+# ---------------------------------------------------------------------------
+
+BIG = "9" * 4301  # one digit above Python's default int() limit
+VOCAB = [
+    *r":= -> <= >= != /\ ( ) { } , ; : ? * / + - = < >".split(),
+    *"vars sort nodes init edge skip assume and or top bot int rat".split(),
+    "x1", "x2", "x0", "x9", "x٣", "x²", "xy", "q1", "q2", "qq", "0", "1", "3", "65", "٣", "²", "é",
+    "_a", "$", "!", "\\", "@", "# c $ ;\n", "\t", "\r", "\r\n", "\n", BIG, "1/0", "2/3",
+]
+
+# Every message the parser raises, as a pattern; the corpus must produce each.
+MESSAGES = [
+    "unexpected character", "expected '", "expected an identifier", "expected a number",
+    "expected a denominator", "zero denominator", "number has too many digits",
+    "expected a variable x1..x", "out of range", "expected a term", "expected a relation symbol",
+    "cannot mix 'and' and 'or'", "mixed relation symbols", "is not supported for sort rat",
+    "assigned twice", "cannot be combined", "vector literal has", "point has",
+    "expected top, bot", "constraint literals must use", "trailing input after literal",
+    "'vars' must be declared first", "'sort' must be declared", "'nodes' must be declared",
+    "unknown node", "is declared twice", "variable count must be >= 1", "variable count must be <=",
+    "sort must be", "duplicate node name", "expected at least one node name", "second init",
+    "unknown declaration", "program must declare",
+]
+FIXED_PROGRAMS = [
+    "vars ٢; sort int; nodes q1; init q1: (٣,top);",
+    "vars ²;",
+    "vars 1; sort int; nodes é ü_1 q²; edge é -> ü_1 : skip; init q²: top;",
+    "vars 1;\t# a comment ; with $ symbols\r\n\tsort int;\r\n  nodes q1; init q1: top; $",
+    f"vars 1; sort int; nodes q1; init q1: ({BIG});",
+    f"vars 1; sort int; nodes q1;\nedge q1 -> q1 : x1 := x{BIG};",
+    "vars 65; sort int; nodes q1;",
+    "vars 64; sort int; nodes q1; edge q1 -> q1 : x64 := x1;",
+    "vars 0;",
+    "", "  \n# only a comment", "vars", "vars 1; sort int; nodes q1; edge q1 -> q1 : x1 := x1 +",
+    "vars 1; sort rat; nodes q1; init q1: (1/0);",
+    "vars 1; sort rat; nodes q1; init q1: (1/);",
+    "vars 2; sort rat; nodes q1; init q1: x1 = 0 /\\ x2 != 0;",
+    "vars 2; sort rat; nodes q1; init q1: x1 + 2/3 = x2 /\\ -x2 = 1;",
+    "vars 1; sort int; nodes q1; init q1: x1 = 0;",
+    "vars 1; sort int; nodes q1; edge q1 -> q1 : assume x1 < 0 and x1 < 1 or x1 < 2;",
+    "vars 1; sort int; nodes q1; edge q1 -> q1 : assume x1 < 0 and x1 > 1;",
+    "vars 1; sort rat; nodes q1; edge q1 -> q1 : assume x1 < 0;",
+    "vars 1; sort int; nodes q1; edge q1 -> q1 : x1 := ?, x1 := 1;",
+    "vars 2; sort int; nodes q1; edge q1 -> q1 : x1 := ?, x2 := 1;",
+    "vars 2; sort int; nodes q1; edge q1 -> q1 : x1 := x1 + ;",
+    "vars 2; sort int; nodes q1; edge q1 -> q1 : x3 := 1;",
+    "vars 2; sort int; nodes q1; init q1: (1);",
+    "vars 2; sort int; nodes q1; init q1: {(1,2);(3)};",
+    "vars 2; sort int; nodes q1; init q1: {(1,2);(3,4);};",
+    "sort int;", "vars 1; nodes q1;", "vars 1; sort int; init q1: top;", "vars 1; sort int;",
+    "vars 1; sort real;", "vars 1; sort int; nodes ;", "vars 1; sort int; nodes q1; loop q1;",
+    "vars 1; sort int; nodes q1; init q1: top; init q1: bot;",
+    # every ASCII character, and a few others, as a token and inside one
+    *(f"vars 1; sort int; nodes q{c} {c}a; init {c}: ({c});" for c in [*map(chr, range(128)), "é", "٣", "²", "\u2028"]),
+]
+
+
+def _outcome(parse, *args):
+    try:
+        return repr(parse(*args))
+    except pg.ProgramSyntaxError as exc:
+        return (exc.msg, exc.line, exc.col)
+
+
+def _check_agrees(parse: str, *args) -> str | tuple:
+    """The outcome of ``pg.<parse>(*args)``, checked against the reference's."""
+    new, old = _outcome(getattr(pg, parse), *args), _outcome(getattr(ref, parse), *args)
+    if isinstance(old, tuple) and old[0] == "expected 'identifier'":  # the one declared rewording
+        assert isinstance(new, tuple) and new[1:] == old[1:], (args, old, new)
+        assert new[0] == "expected an identifier" or new[0].startswith("expected a variable x1..x"), new
+    else:
+        assert new == old, (args, old, new)
+    return new
+
+
+def _crlf_program(last: str) -> str:
+    """A 2,000-line program with CRLF line ends, tabs and comments, whose last line is ``last``."""
+    head = ["vars 2;\t# two variables: x1 x2 $", "sort int;", "nodes q1\tq2;  # nodes ; edge q1 -> q2"]
+    body = [f"\tedge q{1 + k % 2} -> q{2 - k % 2} : x1 := x1 + {k};\t# edge {k} ; $" for k in range(1996)]
+    return "\r\n".join([*head, *body, last])
+
+
+@pytest.mark.parametrize(
+    "last, col",
+    [
+        ("\tedge q1 -> q3 : skip;", 13),
+        ("@\t# right after the comment that ends line 1999", 1),
+        ("edge q1 -> q2 : x1 := x1 +\t", 27),
+        ("\t  edge q1 -> q2 : assume x1 < 1 and\tx2 > 2 or x1 = 0;", 48),
+    ],
+    ids=["unknown-node", "character-after-comment", "past-the-end", "mixed-guard"],
+)
+def test_error_positions_on_the_last_line_of_a_long_program(last, col):
+    text = _crlf_program(last)
+    with pytest.raises(pg.ProgramSyntaxError) as exc:
+        pg.parse_program(text)
+    assert (exc.value.line, exc.value.col) == (2000, col)
+    assert _check_agrees("parse_program", text)[1:] == (2000, col)
+
+
+@pytest.mark.parametrize(
+    "text, line, col",
+    [
+        ("vars 1; # a b ; c\n$ sort int;", 2, 1),
+        ("vars 1; # a ; b\r\n\t$", 2, 2),
+        ("#\n#x\n@", 3, 1),
+        ("vars 1; sort int; nodes q1; # init q1 : top ;\n  init q1: (1 ! 2);", 2, 15),
+    ],
+)
+def test_unexpected_character_right_after_a_comment(text, line, col):
+    with pytest.raises(pg.ProgramSyntaxError, match="unexpected character") as exc:
+        pg.parse_program(text)
+    assert (exc.value.line, exc.value.col) == (line, col)
+    assert _check_agrees("parse_program", text)[1:] == (line, col)
+
+
+def _mutants(rng: random.Random, text: str, count: int) -> list[str]:
+    """``text`` with one to three token insertions, deletions or replacements each."""
+    out = []
+    for _ in range(count):
+        t = text
+        for _ in range(rng.randint(1, 3)):
+            spans = [m.span() for m in ref._TOKEN.finditer(t) if m.lastgroup in ("int", "ident", "sym")]
+            if not spans:
+                break
+            s, e = rng.choice(spans)
+            v, op = rng.choice(VOCAB), rng.randrange(3)
+            t = t[:s] + t[e:] if op == 0 else t[:s] + v + t[e:] if op == 1 else t[:s] + v + rng.choice(("", " ")) + t[s:]
+        out.append(t)
+    return out
+
+
+def test_parser_matches_the_reference_parser():
+    """Fixed cases, printed random programs and their init literals, and
+    mutants of both, parse to the same repr or fail at the same position."""
+    outcomes = [_check_agrees("parse_program", text) for text in FIXED_PROGRAMS]
+    for sort in ("int", "rat"):
+        for k in range(150):
+            rng = random.Random(f"ref:{sort}:{k}")
+            program = random_program(rng, sort)
+            text = pg.print_program(program)
+            for t in [text, *_mutants(rng, text, 8)]:
+                outcomes.append(_check_agrees("parse_program", t))
+            literals = [pg.render_init(decl) for _, decl in program.inits]
+            rows = [random_linexpr_int(rng, program.n) for _ in range(rng.randint(1, 2))]
+            literals.append(" /\\ ".join(f"{pg.render_linexpr(r)} = 0" for r in rows))
+            for lit in literals:
+                for t in [lit, lit + " top", *_mutants(rng, lit, 4)]:
+                    outcomes.append(_check_agrees("parse_init_literal", t, program.n, sort))
+    programs = [o for o in outcomes if isinstance(o, str)]
+    messages = [o[0] for o in outcomes if isinstance(o, tuple)]
+    assert len(programs) > 500 and len(messages) > 1000
+    assert {"int", "rat"} <= {o.split("sort='", 1)[1][:3] for o in programs if o.startswith("Program(")}
+    assert [m for m in MESSAGES if not any(m in msg for msg in messages)] == []
+
