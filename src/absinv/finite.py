@@ -15,6 +15,14 @@ bug in either the checker or the core library.  The Galois-insertion
 checkers compute each least fixpoint once per transfer function f, and one
 list of the f-inductive members of A (f(a) ⊆ a) that every witness question
 reads; ``check_safe_inv`` is the conjunction of the per-function reports.
+
+The brute force is bit-parallel where it can be.  ``check_adjunctions``
+decides each law for one x and all 2^|Σ| subsets y at once, as an equality
+of two 2^|Σ|-bit masks over y, built from brute-force transformer tables.
+A family computes each upper closure once per mask (a per-family memo) and
+the down-set of each state once, from ``qo_leq``; ``delta`` ORs those
+down-sets, so Lemma 6 still compares it with ``mu_up``, an independent
+computation.
 """
 
 from __future__ import annotations
@@ -43,12 +51,11 @@ class ClosureViolation(ValueError):
 
 
 def bits(mask: int) -> Iterable[int]:
-    i = 0
+    """The set states of ``mask`` in increasing order, one lowest set bit at a time."""
     while mask:
-        if mask & 1:
-            yield i
-        mask >>= 1
-        i += 1
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def subset(a: int, b: int) -> bool:
@@ -74,6 +81,7 @@ class ClosureFamily(AbstractDomain):
 
     size: int
     members: frozenset[int]
+    _mu_up_memo: dict[int, int] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         full = (1 << self.size) - 1
@@ -81,10 +89,9 @@ class ClosureFamily(AbstractDomain):
             raise ValidationError("family member out of range")
         if full not in self.members:
             raise ValidationError("family must contain the full state set")
-        for a in self.members:
-            for b in self.members:
-                if a & b not in self.members:
-                    raise ValidationError("family is not intersection-closed")
+        # ``a & a == a``, so each unordered pair of distinct members suffices
+        if not {a & b for a, b in combinations(self.members, 2)} <= self.members:
+            raise ValidationError("family is not intersection-closed")
 
     @property
     def full(self) -> int:
@@ -108,9 +115,8 @@ class ClosureFamily(AbstractDomain):
         return self.full
 
     def is_monotone(self, f: Mapping[int, int]) -> bool:
-        return all(
-            subset(f[a], f[b]) for a in self.members for b in self.members if subset(a, b)
-        )
+        members = self.members
+        return all(f[a] & ~f[b] == 0 for a in members for b in members if a & ~b == 0)
 
     # -- closures ------------------------------------------------------------
 
@@ -124,16 +130,21 @@ class ClosureFamily(AbstractDomain):
         return 0 in members and all(a | b in members for a, b in combinations(members, 2))
 
     def mu_up(self, x: int) -> int:
-        out = self.full
-        for m in self.members:
-            if subset(x, m):
-                out &= m
+        """⋂{φ ∈ L | X ⊆ φ}, computed once per mask and family."""
+        memo = self._mu_up_memo
+        out = memo.get(x)
+        if out is None:
+            out = self.full
+            for m in self.members:
+                if x & ~m == 0:
+                    out &= m
+            memo[x] = out
         return out
 
     def mu_down(self, x: int) -> int:
         out = 0
         for m in self.members:
-            if subset(m, x):
+            if m & ~x == 0:
                 out |= m
         return out
 
@@ -151,12 +162,20 @@ class ClosureFamily(AbstractDomain):
         return all(m & bit_s for m in self.members if m & bit_sp)
 
     def delta(self, x: int) -> int:
-        """Down-closure of the induced quasiorder."""
+        """Down-closure of the induced quasiorder: the union of the down-sets of x's states."""
+        down = self._down_sets
         out = 0
-        for s in range(self.size):
-            if any(self.qo_leq(s, sp) for sp in bits(x)):
-                out |= 1 << s
+        for sp in bits(x):
+            out |= down[sp]
         return out
+
+    @cached_property
+    def _down_sets(self) -> tuple[int, ...]:
+        """{s | s ⊑ s'} for each state s', read from ``qo_leq`` (not from ``mu_up``,
+        so that Lemma 6 compares two independent computations)."""
+        return tuple(
+            sum(1 << s for s in range(self.size) if self.qo_leq(s, sp)) for sp in range(self.size)
+        )
 
 
 def powerset_family(size: int) -> ClosureFamily:
@@ -232,22 +251,36 @@ class FiniteTS:
 
     # the four transformers, on bit masks
     def post(self, x: int) -> int:
+        succ = self.succ
         out = 0
-        for s in bits(x):
-            out |= self.succ[s]
+        while x:
+            low = x & -x
+            out |= succ[low.bit_length() - 1]
+            x ^= low
         return out
 
     def pre(self, x: int) -> int:
+        pred = self.pred
         out = 0
-        for s in bits(x):
-            out |= self.pred[s]
+        while x:
+            low = x & -x
+            out |= pred[low.bit_length() - 1]
+            x ^= low
         return out
 
     def pret(self, x: int) -> int:
-        return sum(1 << s for s in range(self.size) if subset(self.succ[s], x))
+        out = 0
+        for s, succ in enumerate(self.succ):
+            if succ & ~x == 0:
+                out |= 1 << s
+        return out
 
     def postt(self, x: int) -> int:
-        return sum(1 << s for s in range(self.size) if subset(self.pred[s], x))
+        out = 0
+        for s, pred in enumerate(self.pred):
+            if pred & ~x == 0:
+                out |= 1 << s
+        return out
 
 
 def reach(ts: FiniteTS, init: int | None = None) -> int:
@@ -257,21 +290,42 @@ def reach(ts: FiniteTS, init: int | None = None) -> int:
 
 
 def check_adjunctions(ts: FiniteTS) -> bool:
-    """post/pret and pre/postt adjunction laws on all subset pairs."""
+    """post ⊣ pret and pre ⊣ postt on all subset pairs, 2^|Σ| pairs at a time.
+
+    For each x, bit y of a 2^|Σ|-bit mask over the subsets y says whether the
+    pair (x, y) satisfies one side of a law: ``sup[p]`` = {y | p ⊆ y}, and
+    ``below_pret[x]`` = {y | x ⊆ pret(y)}.  A law holds at every pair with
+    first element x iff sup[post(x)] == below_pret[x] (pre and postt alike).
+    Each mask is the AND of per-state masks, built from the mask of x without
+    its lowest state.  The four transformer tables are brute-force calls on
+    every subset.
+    """
     n = 1 << ts.size
     post_tab = [ts.post(x) for x in range(n)]
     pret_tab = [ts.pret(x) for x in range(n)]
     postt_tab = [ts.postt(x) for x in range(n)]
     pre_tab = [ts.pre(x) for x in range(n)]
-    for x in range(n):
-        px = post_tab[x]
-        qx = pre_tab[x]
-        for y in range(n):
-            if (px & ~y == 0) != (x & ~pret_tab[y] == 0):
-                return False
-            if (qx & ~y == 0) != (x & ~postt_tab[y] == 0):
-                return False
-    return True
+    # per state s: the subsets y with s in y, in pret(y), in postt(y)
+    has, in_pret, in_postt = ([0] * ts.size for _ in range(3))
+    for y in range(n):
+        bit_y = 1 << y
+        for s in bits(y):
+            has[s] |= bit_y
+        for s in bits(pret_tab[y]):
+            in_pret[s] |= bit_y
+        for s in bits(postt_tab[y]):
+            in_postt[s] |= bit_y
+    everything = (1 << n) - 1
+    sup, below_pret, below_postt = ([everything] * n for _ in range(3))
+    for x in range(1, n):
+        low = x & -x
+        rest, s = x ^ low, low.bit_length() - 1
+        sup[x] = sup[rest] & has[s]
+        below_pret[x] = below_pret[rest] & in_pret[s]
+        below_postt[x] = below_postt[rest] & in_postt[s]
+    return all(
+        sup[post_tab[x]] == below_pret[x] and sup[pre_tab[x]] == below_postt[x] for x in range(n)
+    )
 
 
 def check_eq4_duality(ts: FiniteTS) -> bool:
@@ -299,7 +353,7 @@ def _abstract_facts(gi: FiniteGI, f: Mapping[int, int]) -> tuple[int, list[int]]
 
 def _witnessed(inductive: list[int], bound: int) -> bool:
     """∃a ∈ A with f(a) ⊆ a ⊆ bound, given f's inductive members of A."""
-    return any(subset(a, bound) for a in inductive)
+    return any(a & ~bound == 0 for a in inductive)
 
 
 def check_lemma1(gi: FiniteGI, f: Mapping[int, int], bounds: Iterable[int]) -> bool:
@@ -574,8 +628,6 @@ def random_monotone(seed: int | str, lat: ClosureFamily) -> dict[int, int]:
         x: lat.mu_up(reduce(or_, (gy for y, gy in zip(members, g) if subset(y, x))))
         for x in members
     }
-
-
 
 
 # ---------------------------------------------------------------------------

@@ -473,10 +473,8 @@ class _Parser:
                 j = self.var_index(n) - 1
                 coef = -one if sign == -1 else one
                 coeffs[j] = coef if coeffs[j] is zero else coeffs[j] + coef
-            elif first or not kind:
+            else:  # a first term, or one after a run of signs, is missing
                 raise self.fail("expected a term")
-            else:
-                break
             first = False
         return LinExpr(tuple(coeffs), const)
 

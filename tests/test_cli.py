@@ -287,6 +287,24 @@ def test_missing_identifier_is_named_as_a_category(tmp_path, capsys, text, where
     assert err.endswith(where) and "'identifier'" not in err
 
 
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("vars 1; sort int; nodes q1;\nedge q1 -> q1 : assume x1 + = 0;", ": 2:29: expected a term\n"),
+        ("vars 1; sort int; nodes q1;\nedge q1 -> q1 : x1 := 2*x1 - ;", ": 2:30: expected a term\n"),
+        ("vars 2; sort int; nodes q1;\nedge q1 -> q1 : x1 := x1 +, x2 := x2;", ": 2:27: expected a term\n"),
+    ],
+    ids=["guard", "assignment", "parallel-assignment"],
+)
+def test_sign_without_a_term_exits_two(tmp_path, capsys, text, where):
+    """A run of '+'/'-' that no term follows is an error, not the end of the sum."""
+    path = tmp_path / "bad.prog"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(["analyze", "--program", str(path), "--domain", "const", "--alg", "forward"], capsys)
+    assert code == 2 and out == ""
+    assert err.endswith(where) and "Traceback" not in err
+
+
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit")
 @pytest.mark.parametrize("sort, domain", [("int", "const"), ("rat", "affine")])
 @pytest.mark.parametrize("flags", [[], ["--format", "json"], ["--trace"]], ids=["text", "json", "trace"])

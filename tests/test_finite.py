@@ -73,6 +73,57 @@ def test_adjunctions_exhaustive_small():
     assert fin.check_adjunctions(ts)
 
 
+def _reference_check_adjunctions(ts):
+    """The pairwise definition: both laws at each of the 4^|Σ| pairs (x, y)."""
+    n = 1 << ts.size
+    post_tab = [ts.post(x) for x in range(n)]
+    pret_tab = [ts.pret(x) for x in range(n)]
+    postt_tab = [ts.postt(x) for x in range(n)]
+    pre_tab = [ts.pre(x) for x in range(n)]
+    for x in range(n):
+        px = post_tab[x]
+        qx = pre_tab[x]
+        for y in range(n):
+            if (px & ~y == 0) != (x & ~pret_tab[y] == 0):
+                return False
+            if (qx & ~y == 0) != (x & ~postt_tab[y] == 0):
+                return False
+    return True
+
+
+def test_adjunctions_match_the_pairwise_definition():
+    sizes = {}
+    for k in range(500):
+        ts = fin.random_ts(f"adj:{k}")
+        sizes[ts.size] = sizes.get(ts.size, 0) + 1
+        assert fin.check_adjunctions(ts) == _reference_check_adjunctions(ts) is True
+    assert sorted(sizes) == list(range(2, fin.MAX_STATES + 1))
+
+
+def _mutant(ts, name, mask, flip):
+    """``ts`` as a subclass whose transformer ``name`` has bits ``flip`` toggled at ``mask``."""
+    original = getattr(fin.FiniteTS, name)
+
+    def mutated(self, x):
+        return original(self, x) ^ flip if x == mask else original(self, x)
+
+    return type("Mutant", (fin.FiniteTS,), {name: mutated})(ts.size, ts.transitions, ts.init, ts.safe)
+
+
+@pytest.mark.parametrize("name", ["post", "pre", "pret", "postt"])
+def test_adjunctions_fail_when_one_transformer_is_wrong_on_one_mask(name):
+    """Adjoints determine each other, so any change to one table breaks a law."""
+    rng = random.Random(f"adj-mutant:{name}")
+    for k in range(40):
+        ts = fin.random_ts(f"adj-mutant:{name}:{k}")
+        mask, flip = rng.randrange(1 << ts.size), 1 << rng.randrange(ts.size)
+        mutant = _mutant(ts, name, mask, flip)
+        assert getattr(mutant, name)(mask) != getattr(ts, name)(mask)
+        assert all(getattr(mutant, name)(x) == getattr(ts, name)(x) for x in range(1 << ts.size) if x != mask)
+        assert fin.check_adjunctions(mutant) is _reference_check_adjunctions(mutant) is False
+        assert fin.check_adjunctions(ts) is True
+
+
 def test_reach_examples():
     chain = fin.FiniteTS(3, frozenset({(0, 1), (1, 2)}), init=0b001)
     assert fin.reach(chain) == 0b111
@@ -105,10 +156,66 @@ def test_avoid_examples():
 
 
 def test_family_validation():
-    with pytest.raises(fin.ValidationError, match="intersection"):
+    with pytest.raises(fin.ValidationError, match="intersection-closed"):
         fin.ClosureFamily(2, frozenset({0b11, 0b01, 0b10}))
     with pytest.raises(fin.ValidationError, match="full"):
         fin.ClosureFamily(2, frozenset({0b01}))
+
+
+def test_intersection_closure_validation_matches_the_pairwise_definition():
+    rng = random.Random("moore")
+    verdicts = set()
+    for k in range(300):
+        size = rng.randint(1, 4)
+        full = (1 << size) - 1
+        members = frozenset({full, *(rng.randrange(full + 1) for _ in range(rng.randint(0, 5)))})
+        closed = all(a & b in members for a in members for b in members)
+        verdicts.add(closed)
+        if closed:
+            assert fin.ClosureFamily(size, members).members == members
+        else:
+            with pytest.raises(fin.ValidationError, match="intersection-closed"):
+                fin.ClosureFamily(size, members)
+    assert verdicts == {True, False}
+
+
+def _reference_mu_up(fam, x):
+    out = fam.full
+    for m in fam.members:
+        if x & ~m == 0:
+            out &= m
+    return out
+
+
+def _reference_delta(fam, x):
+    return sum(1 << s for s in range(fam.size) if any(fam.qo_leq(s, sp) for sp in fin.bits(x)))
+
+
+def test_cached_closures_match_their_definitions():
+    """Memoized mu_up and per-state delta equal the uncached definitions on every
+    mask, asked twice, of union-closed and other families."""
+    kinds = set()
+    for k in range(300):
+        fam = fin.random_closure_family(f"cache:{k}", 1 + k % 8, union_closed=k % 2 == 0)
+        kinds.add(fam.is_union_closed())
+        for _ in range(2):
+            for x in range(fam.full + 1):
+                assert fam.mu_up(x) == _reference_mu_up(fam, x)
+                assert fam.delta(x) == _reference_delta(fam, x)
+    assert kinds == {True, False}
+
+
+def test_closure_caches_are_per_family():
+    """Two families of one size, queried in turn, each answer from their own members."""
+    chain = fin.ClosureFamily(3, frozenset({0b001, 0b011, 0b111}))
+    power = fin.powerset_family(3)
+    assert chain.size == power.size and chain.members != power.members
+    for x in range(8):
+        for fam in (chain, power, chain):
+            assert fam.mu_up(x) == _reference_mu_up(fam, x)
+            assert fam.delta(x) == _reference_delta(fam, x)
+    assert [chain.mu_up(x) for x in range(8)] == [0b001, 0b001, 0b011, 0b011] + [0b111] * 4
+    assert [power.mu_up(x) for x in range(8)] == list(range(8))
 
 
 def test_union_closure_flag():
