@@ -2,7 +2,7 @@
 
 Subpackages:
 
-- ``lattice``: order-theoretic core (domain contract, products, fixpoints)
+- ``lattice``: order-theoretic core (domain contract, fixpoints)
 - ``programs``: CFG program model, transfer functions, text format
 - ``const_domain``: constant-propagation elements and transfer functions
 - ``affine``: affine-equality elements over exact rationals and transfers
@@ -14,7 +14,6 @@ Subpackages:
 
 from .lattice import (
     AbstractDomain,
-    ProductLattice,
     check_inductive_invariant,
     gfp_iterate,
     lfp_iterate,
@@ -36,7 +35,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AbstractDomain",
     "AnalysisProblem",
-    "ProductLattice",
     "Program",
     "StateVector",
     "SynthesisResult",

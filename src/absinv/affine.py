@@ -308,16 +308,8 @@ def bca_eq_guard(rows: tuple[LinExpr, ...], mode: str, a: AffSubspace) -> AffSub
 
 def _clear_row(row: LinExpr) -> LinExpr:
     """Scale a constraint row to coprime integers with positive leading coefficient."""
-    entries = [Fraction(x) for x in row.coeffs] + [Fraction(row.const)]
-    mult = lcm(*(e.denominator for e in entries)) if entries else 1
-    ints = [int(e * mult) for e in entries]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if g > 1:
-        ints = [v // g for v in ints]
-    lead = next((v for v in ints if v != 0), 1)
-    if lead < 0:
+    ints = _int_row((*row.coeffs, row.const))
+    if next((v for v in ints if v), 0) < 0:
         ints = [-v for v in ints]
     return LinExpr(tuple(ints[:-1]), ints[-1])
 

@@ -78,8 +78,6 @@ def _run_analyze(args: argparse.Namespace) -> int:
         node = node.strip()
         if not sep:
             return _fail(f"property {entry!r} must look like 'qk: <literal>'")
-        if node not in program.nodes:
-            return _fail(f"unknown node {node!r} in property")
         if node in prop:
             return _fail(f"node {node!r} has a second property")
         try:
@@ -118,25 +116,25 @@ def _text_output(args: argparse.Namespace, problem: AnalysisProblem, result: Syn
         lines.append(f"{result.kind} abstract inductive invariant found after {steps} steps:")
         lines += [f"  {q} = {text}" for q, text in _rendered(adapter, result.invariant).items()]
     else:
-        lines.append(f"no abstract inductive invariant ({result.reason} at step {result.step})")
-        lines.append(f"violating iterate: {render_state_vector(adapter, result.violating)}")
+        lines.append(f"no abstract inductive invariant ({result.reason} at step {steps})")
+        lines.append(f"violating iterate: {render_state_vector(adapter, result.trace[-1])}")
     return "\n".join(lines)
 
 
 def _json_output(args: argparse.Namespace, problem: AnalysisProblem, result: SynthesisResult) -> str:
-    adapter = problem.adapter
+    adapter, steps = problem.adapter, len(result.trace) - 1
     doc = {
         "algorithm": args.alg,
         "domain": args.domain,
-        "steps": len(result.trace) - 1,
+        "steps": steps,
         "result": "invariant" if result.found else "no-invariant",
         "kind": result.kind,
         "invariant": _rendered(adapter, result.invariant) if result.found else None,
     }
     if not result.found:
         doc["reason"] = result.reason
-        doc["step"] = result.step
-        doc["violating"] = _rendered(adapter, result.violating)
+        doc["step"] = steps
+        doc["violating"] = _rendered(adapter, result.trace[-1])
     if args.trace:
         doc["trace"] = [_rendered(adapter, v) for v in result.trace]
     return json.dumps(doc, indent=2)

@@ -1,4 +1,4 @@
-"""Order-theoretic core: abstract domains, products, fixpoints.
+"""Order-theoretic core: abstract domains, fixpoints.
 
 Everything downstream (the numeric domains, the synthesis loops, the finite
 ground-truth harness) is built against the small contracts defined here:
@@ -7,7 +7,6 @@ ground-truth harness) is built against the small contracts defined here:
   computable join/meet, the carrier for invariant synthesis.  Each numeric
   domain is one such object (``synthesis.ConstAdapter``/``AffAdapter``)
   that also carries its alpha, gamma-membership and transfers.
-- ``ProductLattice``: the node-indexed product of a domain.
 - ``kleene``, the one Kleene chain that every fixpoint loop in this package
   steps (``lfp_iterate``/``gfp_iterate``, both synthesis engines, the finite
   co-inductive algorithms), and ``check_inductive_invariant``, the one
@@ -20,7 +19,7 @@ function, so elements can be shared freely across threads.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Iterator
 
 
 class IterationBudgetExceeded(RuntimeError):
@@ -64,40 +63,6 @@ class AbstractDomain(ABC):
     def height(self) -> int | None:
         """Length (in edges) of the longest strict chain, when known."""
         return None
-
-
-class ProductLattice(AbstractDomain):
-    """Index-wise product of a base domain over a finite index set.
-
-    Elements are tuples with one component per index (for programs: one
-    abstract element per control node).  All operations are componentwise;
-    the chain height is ``size * height(base)``.
-    """
-
-    def __init__(self, base: AbstractDomain, size: int):
-        if size < 0:
-            raise ValueError("product size must be nonnegative")
-        self.base = base
-        self.size = size
-
-    def leq(self, a: Sequence[Any], b: Sequence[Any]) -> bool:
-        return all(self.base.leq(x, y) for x, y in zip(a, b, strict=True))
-
-    def join(self, a: Sequence[Any], b: Sequence[Any]) -> tuple[Any, ...]:
-        return tuple(self.base.join(x, y) for x, y in zip(a, b, strict=True))
-
-    def meet(self, a: Sequence[Any], b: Sequence[Any]) -> tuple[Any, ...]:
-        return tuple(self.base.meet(x, y) for x, y in zip(a, b, strict=True))
-
-    def bottom(self) -> tuple[Any, ...]:
-        return tuple(self.base.bottom() for _ in range(self.size))
-
-    def top(self) -> tuple[Any, ...]:
-        return tuple(self.base.top() for _ in range(self.size))
-
-    def height(self) -> int | None:
-        h = self.base.height()
-        return None if h is None else h * self.size
 
 
 def kleene(f: Callable[[Any], Any], start: Any, max_steps: int | None = None) -> Iterator[Any]:

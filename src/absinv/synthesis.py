@@ -1,6 +1,6 @@
 """Inductive-invariant synthesis over CFG programs with pluggable domains.
 
-Two engines over the node-indexed product lattice:
+Two engines over vectors of domain elements, one per node:
 
 - ``ainv_forward``: ascending Kleene iteration of the best transformer
   joined with the initial abstraction.  Returns the least abstract
@@ -23,12 +23,14 @@ also carries alpha of finite point sets, gamma-membership (``contains``),
 the edge transfers (and the constants' wp) and rendering.  Their lattice
 operations call the domain module's functions at call time.
 
-``AnalysisProblem`` holds what the steps read: the product lattice of the
-domain over the nodes, computed by ``build``, and per node the index lists
-of its incoming (source index, transfer) and outgoing (transfer, target
-index) edges, each computed once on first use.  The steps work on
-``StateVector.values`` by node index; both engines step their iterates
-through ``lattice.kleene``.
+``AnalysisProblem`` holds what the steps read: the node names, the edges as
+index triples (source, transfer, target), the adapter, and the initial and
+safety vectors.  ``build`` makes one from a ``Program``; any other graph,
+such as a one-node finite transition system, can be passed directly.  Per
+node the index lists of its incoming (source index, transfer) and outgoing
+(transfer, target index) edges are computed once on first use.  The steps
+work on ``StateVector.values`` by node index; both engines step their
+iterates through ``lattice.kleene``.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from typing import Any, Callable, Iterable, Sequence
 
 from . import affine as aff
 from . import const_domain as cd
-from .lattice import AbstractDomain, ProductLattice, check_inductive_invariant, kleene
+from .lattice import AbstractDomain, check_inductive_invariant, kleene
 from .programs import (
     Guard,
     Identity,
@@ -271,17 +273,20 @@ def make_adapter(program: Program, domain: str) -> Adapter:
 
 @dataclass(frozen=True)
 class AnalysisProblem:
-    """A program, a domain, the abstracted initial states, and a safety vector.
+    """An index graph over a domain: nodes, edges, initial states, safety vector.
 
-    ``lattice`` is the product of the domain over the nodes.  The edge lists
-    ``preds`` and ``succs`` are built on first use.
+    ``edges`` are (source index, transfer, target index) triples.  The
+    engines call only the adapter's lattice operations, ``height``,
+    ``transfer`` and ``wp``, so any domain object with those methods and
+    transfers it understands makes a problem.  The edge lists ``preds`` and
+    ``succs`` are built on first use.
     """
 
-    program: Program
+    nodes: tuple[str, ...]
+    edges: tuple[tuple[int, TransferFunction, int], ...]
     adapter: Adapter
     init: StateVector  # alpha of the declared initial states
     safety: StateVector
-    lattice: ProductLattice
 
     @classmethod
     def build(
@@ -290,53 +295,56 @@ class AnalysisProblem:
         domain: str,
         prop: dict[str, InitDecl] | None = None,
     ) -> "AnalysisProblem":
-        adapter = make_adapter(program, domain)
-        init = StateVector(
-            program.nodes,
-            tuple(adapter.from_init(program.init_decl(q)) for q in program.nodes),
-        )
-        top = adapter.top()
         prop = prop or {}
-        safety = StateVector(
-            program.nodes,
-            tuple(adapter.from_init(prop[q]) if q in prop else top for q in program.nodes),
-        )
-        lattice = ProductLattice(adapter, len(program.nodes))
-        return cls(program, adapter, init, safety, lattice)
+        for q in prop:
+            if q not in program.nodes:
+                raise ValueError(f"unknown node {q!r} in property")
+        adapter = make_adapter(program, domain)
+        nodes = program.nodes
+        index = {q: j for j, q in enumerate(nodes)}
+        edges = tuple((index[e.src], e.transfer, index[e.dst]) for e in program.edges)
+        init = StateVector(nodes, tuple(adapter.from_init(program.init_decl(q)) for q in nodes))
+        top = adapter.top()
+        safety = StateVector(nodes, tuple(adapter.from_init(prop[q]) if q in prop else top for q in nodes))
+        return cls(nodes, edges, adapter, init, safety)
 
     @cached_property
     def preds(self) -> tuple[tuple[tuple[int, TransferFunction], ...], ...]:
         """Per node j, the (source index, transfer) pairs of the edges into j."""
-        index = {q: j for j, q in enumerate(self.program.nodes)}
-        into: list[list[tuple[int, TransferFunction]]] = [[] for _ in index]
-        for e in self.program.edges:
-            into[index[e.dst]].append((index[e.src], e.transfer))
+        into: list[list[tuple[int, TransferFunction]]] = [[] for _ in self.nodes]
+        for src, t, dst in self.edges:
+            into[dst].append((src, t))
         return tuple(map(tuple, into))
 
     @cached_property
     def succs(self) -> tuple[tuple[tuple[TransferFunction, int], ...], ...]:
         """Per node j, the (transfer, target index) pairs of the edges out of j."""
-        index = {q: j for j, q in enumerate(self.program.nodes)}
-        out: list[list[tuple[TransferFunction, int]]] = [[] for _ in index]
-        for e in self.program.edges:
-            out[index[e.src]].append((e.transfer, index[e.dst]))
+        out: list[list[tuple[TransferFunction, int]]] = [[] for _ in self.nodes]
+        for src, t, dst in self.edges:
+            out[src].append((t, dst))
         return tuple(map(tuple, out))
 
     def leq(self, u: StateVector, v: StateVector) -> bool:
-        return self.lattice.leq(u.values, v.values)
+        return all(map(self.adapter.leq, u.values, v.values))
 
 
 @dataclass(frozen=True)
 class SynthesisResult:
-    """Outcome of a synthesis run, with the full iterate trace."""
+    """Outcome of a synthesis run, with the full iterate trace.
+
+    A run that finds an invariant ends its trace with it; a run that does
+    not ends its trace with the iterate that failed the check ``reason``
+    names, at step ``len(trace) - 1``.
+    """
 
     found: bool
     kind: str | None  # "least" | "greatest"
-    invariant: StateVector | None
     trace: tuple[StateVector, ...]
-    step: int | None = None  # failing step index for a negative outcome
-    violating: StateVector | None = None
     reason: str | None = None  # "property-violated" | "init-not-entailed" | "verification-failed"
+
+    @property
+    def invariant(self) -> StateVector | None:
+        return self.trace[-1] if self.found else None
 
 
 # ---------------------------------------------------------------------------
@@ -425,20 +433,20 @@ def _iterate(
     that changed since the previous iterate (all nodes of ``start``), and
     the step is told them; the first failure ends the run with ``reason``.
     A repeated iterate is a found invariant of the given ``kind``.  The
-    budget is the height of the product lattice plus one.
+    budget is the domain's height times the node count, plus one: no strict
+    chain of state vectors is longer.
     """
     trace: list[StateVector] = []
     changed: Changed = None
-    for current in kleene(lambda v: step(problem, v, changed), start, problem.lattice.height() + 1):
+    budget = problem.adapter.height() * len(problem.nodes) + 1
+    for current in kleene(lambda v: step(problem, v, changed), start, budget):
         x = current.values
         if trace:
             changed = [j for j, (a, b) in enumerate(zip(trace[-1].values, x)) if a is not b]
         trace.append(current)
         if not all(check(j, x[j]) for j in (range(len(x)) if changed is None else changed)):
-            return SynthesisResult(
-                False, None, None, tuple(trace), step=len(trace) - 1, violating=current, reason=reason
-            )
-    return SynthesisResult(True, kind, current, tuple(trace))
+            return SynthesisResult(False, None, tuple(trace), reason)
+    return SynthesisResult(True, kind, tuple(trace))
 
 
 def ainv_forward(problem: AnalysisProblem) -> SynthesisResult:
@@ -464,16 +472,13 @@ def backward_gfp(problem: AnalysisProblem) -> SynthesisResult:
     """
     if isinstance(problem.adapter, AffAdapter):
         raise UnsupportedDomain("backward synthesis is not supported for the affine domain")
-    top_vec = StateVector(problem.program.nodes, problem.lattice.top())
+    top_vec = StateVector(problem.nodes, (problem.adapter.top(),) * len(problem.nodes))
     result = _iterate(
         problem, top_vec, abstract_pret_step,
         lambda j, a: problem.adapter.leq(problem.init.values[j], a), "init-not-entailed", "greatest",
     )
     if result.found and not verify_invariant(problem, result.invariant):
-        return SynthesisResult(
-            False, None, None, result.trace, step=len(result.trace) - 1,
-            violating=result.invariant, reason="verification-failed",
-        )
+        return SynthesisResult(False, None, result.trace, "verification-failed")
     return result
 
 

@@ -169,6 +169,18 @@ def test_analyze_bad_property_exits_two(capsys):
     assert code == 2
 
 
+def test_property_literals_are_read_before_the_node_is_looked_up(capsys):
+    """The node of a property is checked when the problem is built, after
+    every literal has been parsed and every node named at most once."""
+    base = ["analyze", "--program", CONST, "--domain", "const", "--alg", "forward"]
+    code, out, err = run(base + ["--prop", "q9: (1,2,3)"], capsys)
+    assert (code, out) == (2, "") and err == "error: property at q9: 1:8: vector literal has 3 entries, expected 2\n"
+    code, out, err = run(base + ["--prop", "q9: top", "--prop", "q9: top"], capsys)
+    assert (code, out) == (2, "") and err == "error: node 'q9' has a second property\n"
+    code, out, err = run(base + ["--prop", "q2: (top,2)", "--prop", "q9: top"], capsys)
+    assert (code, out) == (2, "") and err == "error: unknown node 'q9' in property\n"
+
+
 def test_zero_denominator_in_program_exits_two(tmp_path, capsys):
     prog = tmp_path / "zero.prog"
     prog.write_text("vars 1;\nsort rat;\nnodes q1;\ninit q1: (1/0);\n")

@@ -1,4 +1,4 @@
-"""Order-theoretic core: fixpoint iteration, the domains' adjunction, products."""
+"""Order-theoretic core: fixpoint iteration and the domains' adjunction."""
 
 from __future__ import annotations
 
@@ -8,11 +8,9 @@ from fractions import Fraction
 
 import pytest
 
-from absinv.const_domain import ConstVec, TOP
 from absinv.finite import lfp_table, powerset_family, random_gi, random_monotone
 from absinv.lattice import (
     IterationBudgetExceeded,
-    ProductLattice,
     check_inductive_invariant,
     gfp_iterate,
     kleene,
@@ -150,21 +148,6 @@ def test_alpha_contains_adjunction(adapter):
         assert adapter.leq(adapter.alpha(x), a) == inside
         outcomes[inside] += 1
     assert min(outcomes[True], outcomes[False]) >= 100
-
-
-# ---------------------------------------------------------------------------
-# Product lattice
-# ---------------------------------------------------------------------------
-
-
-def test_product_lattice_componentwise():
-    prod = ProductLattice(ConstAdapter(2), 3)
-    bot, top = prod.bottom(), prod.top()
-    assert prod.leq(bot, top) and not prod.leq(top, bot)
-    a = (ConstVec.of(1, 2), ConstVec.of(TOP, 2), ConstVec.bottom(2))
-    assert prod.join(a, bot) == a
-    assert prod.meet(a, top) == a
-    assert prod.height() == 3 * 3  # |Q| * (n + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ from __future__ import annotations
 import collections
 import itertools
 import random
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 import pytest
 
@@ -13,7 +15,16 @@ from absinv import affine as af
 from absinv import const_domain as cd
 from absinv import programs as pg
 from absinv import synthesis
-from absinv.finite import ClosureFamily, FiniteTS, powerset_family, run_algorithm4
+from absinv.finite import (
+    ClosureFamily,
+    FiniteTS,
+    greatest_invariant_enum,
+    powerset_family,
+    random_closure_family,
+    random_ts,
+    run_algorithm1,
+    run_algorithm4,
+)
 from absinv.lattice import kleene, lfp_iterate
 from absinv.synthesis import (
     AnalysisProblem,
@@ -37,7 +48,7 @@ def cvec(*slots) -> cd.ConstVec:
 
 
 def sv(problem: AnalysisProblem, *values) -> pg.StateVector:
-    return pg.StateVector(problem.program.nodes, values)
+    return pg.StateVector(problem.nodes, values)
 
 
 @pytest.fixture()
@@ -98,8 +109,8 @@ def test_forward_const_not_found_at_step_three(const_demo):
     result = ainv_forward(problem)
     assert not result.found
     assert result.reason == "property-violated"
-    assert result.step == 3
-    assert result.violating["q2"] == cvec(TOP, 2)
+    assert len(result.trace) - 1 == 3
+    assert result.trace[-1]["q2"] == cvec(TOP, 2)
 
 
 def test_forward_found_is_least_among_sampled_invariants(const_problem):
@@ -157,7 +168,7 @@ def test_backward_result_strictly_weaker_than_forward(const_problem):
 
 
 def test_backward_pret_single_steps(const_problem):
-    nodes = const_problem.program.nodes
+    nodes = const_problem.nodes
     i0 = pg.StateVector(nodes, (cvec(TOP, TOP),) * len(nodes))
     i1 = abstract_pret_step(const_problem, i0)
     assert i1 == sv(const_problem, cvec(TOP, TOP), cvec(TOP, 2), cvec(TOP, TOP), cvec(TOP, TOP))
@@ -167,7 +178,7 @@ def test_backward_pret_single_steps(const_problem):
 
 
 def test_backward_pret_on_all_bottom(const_problem):
-    nodes = const_problem.program.nodes
+    nodes = const_problem.nodes
     bot_vec = pg.StateVector(nodes, (cd.ConstVec.bottom(2),) * len(nodes))
     assert abstract_pret_step(const_problem, bot_vec) == bot_vec
 
@@ -178,7 +189,7 @@ def test_backward_not_found_when_init_node_demands_bottom(const_demo):
     result = backward_gfp(problem)
     assert not result.found
     assert result.reason == "init-not-entailed"
-    assert result.step == 1
+    assert len(result.trace) - 1 == 1
 
 
 def test_backward_greater_than_sampled_invariants(const_problem):
@@ -194,6 +205,14 @@ def test_backward_greater_than_sampled_invariants(const_problem):
         )
         if verify_invariant(const_problem, candidate):
             assert const_problem.leq(candidate, result.invariant)
+
+
+def test_build_rejects_a_property_at_an_unknown_node(const_demo):
+    bot = pg.InitBot()
+    with pytest.raises(ValueError, match="^unknown node 'q9' in property$"):
+        AnalysisProblem.build(const_demo, "const", {"q9": bot})
+    result = ainv_forward(AnalysisProblem.build(const_demo, "const", {"q4": bot}))
+    assert result.reason == "property-violated"
 
 
 def test_backward_rejected_for_affine(affine_problem):
@@ -290,13 +309,13 @@ def test_random_affine_programs_respect_height_bound():
 WITNESSES = (-1, 0, 3)  # values a nondeterministic assignment may pick
 
 
-def reached_states(problem: AnalysisProblem, rounds: int = 6) -> dict[str, set]:
+def reached_states(program: pg.Program, problem: AnalysisProblem, rounds: int = 6) -> dict[str, set]:
     """The states at each node that ``rounds`` steps of concrete execution reach.
 
     Execution starts at q from the points of the box [-2,2]^n in gamma of the
     initial abstraction at q, plus the points of a declared point set.
     """
-    program, adapter = problem.program, problem.adapter
+    adapter = problem.adapter
     num = F if program.sort == "rat" else int
     box = [tuple(map(num, p)) for p in itertools.product(range(-2, 3), repeat=program.n)]
     reached = {}
@@ -341,7 +360,7 @@ def test_invariants_contain_every_concretely_reached_state(sort, alg, min_found)
         if not result.found:
             continue
         found += 1
-        for q, points in reached_states(problem).items():
+        for q, points in reached_states(prog, problem).items():
             element = result.invariant[q]
             assert all(problem.adapter.contains(element, p) for p in points), (k, q)
     assert found >= min_found
@@ -411,51 +430,51 @@ def test_engines_check_each_iterate_before_stepping_it(monkeypatch, const_demo, 
 
 def full_post_step(problem: AnalysisProblem, v: pg.StateVector) -> pg.StateVector:
     """The forward step recomputed at every node."""
-    return v.with_values(problem.lattice.join(problem.init.values, pure_post_step(problem, v).values))
+    join = problem.adapter.join
+    return v.with_values(map(join, problem.init.values, pure_post_step(problem, v).values))
 
 
 def full_pret_step(problem: AnalysisProblem, v: pg.StateVector) -> pg.StateVector:
-    """The backward step recomputed at every node: wp-meet, then ∩ v ∩ safety."""
+    """The backward step recomputed at every node: wp-meet, then ∩ v ∩ safety.
+
+    It reads the edge triples directly, not the per-node lists the engine reads.
+    """
     adapter, x = problem.adapter, v.values
-    index = {q: j for j, q in enumerate(v.nodes)}
-    wps = []
-    for q in v.nodes:
-        acc = adapter.top()
-        for t, dst in pg.out_edges(problem.program, q):
-            acc = adapter.meet(acc, adapter.wp(t, x[index[dst]]))
-        wps.append(acc)
-    return v.with_values(problem.lattice.meet(problem.lattice.meet(wps, x), problem.safety.values))
+    wps = [adapter.top() for _ in x]
+    for src, t, dst in problem.edges:
+        wps[src] = adapter.meet(wps[src], adapter.wp(t, x[dst]))
+    meet = adapter.meet
+    return v.with_values(map(meet, map(meet, wps, x), problem.safety.values))
 
 
 def reference_run(problem: AnalysisProblem, alg: str) -> dict:
     """Either engine's outcome, from lattice.kleene over a full Jacobi step."""
+    top, budget = problem.adapter.top(), problem.adapter.height() * len(problem.nodes) + 1
     if alg == "forward":
         start, step, kind = problem.init, full_post_step, "least"
         check, reason = (lambda v: problem.leq(v, problem.safety)), "property-violated"
     else:
-        start, step, kind = sv(problem, *problem.lattice.top()), full_pret_step, "greatest"
+        start, step, kind = sv(problem, *[top for _ in problem.nodes]), full_pret_step, "greatest"
         check, reason = (lambda v: problem.leq(problem.init, v)), "init-not-entailed"
     trace = []
-    for v in kleene(lambda v: step(problem, v), start, problem.lattice.height() + 1):
+    for v in kleene(lambda v: step(problem, v), start, budget):
         trace.append(v)
         if not check(v):
-            return dict(found=False, kind=None, step=len(trace) - 1, reason=reason, violating=v, trace=trace)
+            return dict(found=False, kind=None, reason=reason, trace=trace)
     if alg == "backward" and not verify_invariant(problem, v):
-        return dict(
-            found=False, kind=None, step=len(trace) - 1, reason="verification-failed", violating=v, trace=trace
-        )
-    return dict(found=True, kind=kind, step=None, reason=None, violating=None, trace=trace)
+        return dict(found=False, kind=None, reason="verification-failed", trace=trace)
+    return dict(found=True, kind=kind, reason=None, trace=trace)
 
 
-def failing_property(problem: AnalysisProblem, trace) -> dict[str, pg.InitDecl]:
+def failing_property(program: pg.Program, problem: AnalysisProblem, trace) -> dict[str, pg.InitDecl]:
     """A property the least invariant (the last forward iterate) violates.
 
     It is the second-to-last iterate at a node that the last step raised,
     so the forward run fails at its last iterate; with a one-iterate trace
     it is bottom at a node where the initial abstraction is not.
     """
-    program, last = problem.program, trace[-1]
-    before = trace[-2] if len(trace) > 1 else sv(problem, *problem.lattice.bottom())
+    last = trace[-1]
+    before = trace[-2] if len(trace) > 1 else sv(problem, *[problem.adapter.bottom() for _ in problem.nodes])
     j = next(j for j, (a, b) in enumerate(zip(before.values, last.values)) if a != b)
     render = cd.render_const if program.sort == "int" else af.render_affine
     text = render(before.values[j])
@@ -476,12 +495,9 @@ def test_incremental_engines_match_full_jacobi_iteration(sort, alg):
         prog = random_program(random.Random(f"inc:{k}"), sort, max_vars=3, max_nodes=12)
         free = AnalysisProblem.build(prog, domain)
         least = reference_run(free, "forward")["trace"]
-        for problem in (free, AnalysisProblem.build(prog, domain, failing_property(free, least))):
+        for problem in (free, AnalysisProblem.build(prog, domain, failing_property(prog, free, least))):
             result, expected = synthesize(problem, alg), reference_run(problem, alg)
-            got = dict(
-                found=result.found, kind=result.kind, step=result.step, reason=result.reason,
-                violating=result.violating, trace=list(result.trace),
-            )
+            got = dict(found=result.found, kind=result.kind, reason=result.reason, trace=list(result.trace))
             assert got == expected, k
             outcomes[result.reason] += 1
             incremental += len(result.trace) >= 3
@@ -566,3 +582,117 @@ def test_forward_gfp_finite_rejects_unclosed_family():
     fam = ClosureFamily(2, frozenset({0b11, 0b01}))  # not union-closed (no empty set)
     with pytest.raises(ClosureViolation):
         run_algorithm4(ts, fam)
+
+
+# ---------------------------------------------------------------------------
+# The engines on finite families
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class FamilyAdapter:
+    """A Moore family as an engine domain; each edge's transfer is a FiniteTS.
+
+    ``transfer`` is mu_up ∘ post, the best abstraction of post.  ``wp`` is
+    ``close`` ∘ pret: mu_down ∘ pret is exact on a union-closed family, and
+    mu_up ∘ pret is sound on any family.
+    """
+
+    fam: ClosureFamily
+    close: Callable[[int], int]
+
+    def leq(self, a: int, b: int) -> bool:
+        return self.fam.leq(a, b)
+
+    def join(self, a: int, b: int) -> int:
+        return self.fam.join(a, b)
+
+    def meet(self, a: int, b: int) -> int:
+        return self.fam.meet(a, b)
+
+    def bottom(self) -> int:
+        return self.fam.bottom()
+
+    def top(self) -> int:
+        return self.fam.top()
+
+    def height(self) -> int:
+        return self.fam.size + 1
+
+    def transfer(self, ts: FiniteTS, a: int) -> int:
+        return self.fam.mu_up(ts.post(a))
+
+    def wp(self, ts: FiniteTS, b: int) -> int:
+        return self.close(ts.pret(b))
+
+
+def one_node_problem(ts: FiniteTS, adapter: FamilyAdapter, safety: int) -> AnalysisProblem:
+    """One node with a self-loop labelled ``ts``; init is the closure of ts.init."""
+    nodes = ("s",)
+    init = adapter.fam.mu_up(ts.init)
+    return AnalysisProblem(
+        nodes, ((0, ts, 0),), adapter, pg.StateVector(nodes, (init,)), pg.StateVector(nodes, (safety,))
+    )
+
+
+def masks(result) -> tuple:
+    """(found, invariant, trace) of an engine result, as bit masks."""
+    inv = result.invariant.values[0] if result.found else None
+    return result.found, inv, tuple(v.values[0] for v in result.trace)
+
+
+def dual(ts: FiniteTS) -> FiniteTS:
+    """Every transition reversed, starting from ¬P and avoiding Σ0."""
+    reversed_ = frozenset((t, s) for s, t in ts.transitions)
+    return FiniteTS(ts.size, reversed_, init=ts.full & ~ts.safe, safe=ts.full & ~ts.init)
+
+
+def test_backward_engine_is_algorithms_1_and_4_on_union_closed_families():
+    verdicts = collections.Counter()
+    for k in range(1500):
+        ts = random_ts(f"engine-alg:{k}")
+        fam = random_closure_family(f"engine-alg:{k}:L", ts.size, union_closed=True)
+        adapter = FamilyAdapter(fam, fam.mu_down)
+        a1 = run_algorithm1(ts, fam)
+        assert masks(backward_gfp(one_node_problem(ts, adapter, fam.mu_down(ts.safe)))) == (
+            a1.found, a1.invariant, a1.trace
+        ), k
+        flipped = dual(ts)
+        a4 = run_algorithm4(ts, fam)
+        assert masks(backward_gfp(one_node_problem(flipped, adapter, fam.mu_down(flipped.safe)))) == (
+            a4.found, a4.invariant, a4.trace
+        ), k
+        verdicts[a1.found, a4.found] += 1
+        verdicts["long"] += len(a1.trace) >= 3 or len(a4.trace) >= 3
+    assert min(verdicts[True, True], verdicts[False, False], verdicts["long"]) >= 50
+
+
+@pytest.mark.parametrize("union_closed", [True, False], ids=["union-closed", "not-union-closed"])
+def test_forward_engine_decides_existence_on_any_family(union_closed):
+    """Corollary 9: an invariant in the family exists iff ainv_forward finds one."""
+    found = 0
+    for k in range(1500):
+        ts = random_ts(f"engine-cor9:{k}")
+        fam = random_closure_family(f"engine-cor9:{k}:L", ts.size, union_closed=union_closed)
+        result = ainv_forward(one_node_problem(ts, FamilyAdapter(fam, fam.mu_up), ts.safe))
+        assert result.found == (greatest_invariant_enum(ts, fam) is not None), k
+        found += result.found
+    assert 150 <= found <= 1350
+
+
+def test_backward_verdicts_are_sound_on_families_not_union_closed():
+    """With wp mu_up ∘ pret and a member as the safety set, init-not-entailed
+    means no invariant exists and found means one does; verification-failed
+    claims neither."""
+    outcomes = collections.Counter()
+    for k in range(1500):
+        ts = random_ts(f"engine-sound:{k}")
+        fam = random_closure_family(f"engine-sound:{k}:L", ts.size, union_closed=False)
+        safe = random.Random(f"engine-sound:{k}:P").choice(sorted(fam.members))
+        ts = FiniteTS(ts.size, ts.transitions, ts.init, safe)
+        result = backward_gfp(one_node_problem(ts, FamilyAdapter(fam, fam.mu_up), safe))
+        exists = greatest_invariant_enum(ts, fam) is not None
+        assert result.reason != "init-not-entailed" or not exists, k
+        assert not result.found or exists, k
+        outcomes[result.reason, exists] += 1
+    assert min(outcomes[None, True], outcomes["init-not-entailed", False]) >= 300
