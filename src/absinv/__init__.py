@@ -12,23 +12,9 @@ Subpackages:
 - ``cli``: the ``absinv`` command
 """
 
-from .lattice import (
-    AbstractDomain,
-    check_inductive_invariant,
-    gfp_iterate,
-    lfp_iterate,
-)
+from .lattice import AbstractDomain
 from .programs import Program, StateVector, parse_program, print_program
-from .synthesis import (
-    AnalysisProblem,
-    SynthesisResult,
-    abstract_post_step,
-    abstract_pret_step,
-    ainv_forward,
-    backward_gfp,
-    synthesize,
-    verify_invariant,
-)
+from .synthesis import AnalysisProblem, SynthesisResult, ainv_forward, backward_gfp
 
 __version__ = "0.1.0"
 
@@ -38,15 +24,8 @@ __all__ = [
     "Program",
     "StateVector",
     "SynthesisResult",
-    "abstract_post_step",
-    "abstract_pret_step",
     "ainv_forward",
     "backward_gfp",
-    "check_inductive_invariant",
-    "gfp_iterate",
-    "lfp_iterate",
     "parse_program",
     "print_program",
-    "synthesize",
-    "verify_invariant",
 ]

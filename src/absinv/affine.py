@@ -12,10 +12,11 @@ the direction basis is kept in reduced row-echelon form with lexicographic
 pivot order, and the base point is reduced modulo the span (zeroed on pivot
 columns).  Every value is an exact ``fractions.Fraction``; elimination
 (``rref``) runs over Python integers and divides by each pivot once, and
-assignment images recompute only the coordinates an edge assigns.  There is
-no rounding anywhere in this module.  The n-variable lattice itself, with
-its bounds, height n + 1, alpha (the affine hull) and gamma-membership, is
-``synthesis.AffAdapter``.
+``bca_parallel_assign`` takes the ``ParallelAffineAssign`` transfer and
+recomputes only the coordinates it assigns, from the sparse rows the
+transfer caches.  There is no rounding anywhere in this module.  The
+n-variable lattice itself, with its bounds, height n + 1, alpha (the affine
+hull) and gamma-membership, is ``synthesis.AffAdapter``.
 """
 
 from __future__ import annotations
@@ -262,16 +263,13 @@ def from_equalities(rows: Iterable[LinExpr], n: int) -> AffSubspace:
 # ---------------------------------------------------------------------------
 
 
-def bca_parallel_assign(
-    rows: tuple[LinExpr, ...] | ParallelAffineAssign, a: AffSubspace
-) -> AffSubspace:
+def bca_parallel_assign(t: ParallelAffineAssign, a: AffSubspace) -> AffSubspace:
     """Exact image under x := M x + b (affine maps preserve affine subspaces).
 
     Only rows other than identity rows are evaluated, on their nonzero
-    coefficients; pass the transfer itself to derive its sparse rows once."""
+    coefficients, which the transfer derives once (``t.assigned``)."""
     if a.is_empty:
         return a
-    t = rows if isinstance(rows, ParallelAffineAssign) else ParallelAffineAssign(rows)
     point, dirs = list(a.point), [list(b) for b in a.basis]
     for j, terms, const in t.assigned:
         point[j] = sum((c * a.point[i] for i, c in terms), ZERO + const)

@@ -16,12 +16,12 @@ from pathlib import Path
 from .finite import SUITES, run_suites
 from .programs import ProgramSyntaxError, StateVector, parse_init_literal, parse_program
 from .synthesis import (
+    ALGORITHMS,
     DOMAINS,
     Adapter,
     AnalysisProblem,
     SynthesisResult,
     render_state_vector,
-    synthesize,
 )
 
 
@@ -36,7 +36,7 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze = sub.add_parser("analyze", help="run invariant synthesis on a program file")
     analyze.add_argument("--program", required=True, help="path to a program file")
     analyze.add_argument("--domain", required=True, choices=list(DOMAINS))
-    analyze.add_argument("--alg", required=True, choices=["forward", "backward"])
+    analyze.add_argument("--alg", required=True, choices=list(ALGORITHMS))
     analyze.add_argument(
         "--prop",
         action="append",
@@ -87,7 +87,7 @@ def _run_analyze(args: argparse.Namespace) -> int:
 
     try:
         problem = AnalysisProblem.build(program, args.domain, prop)
-        result = synthesize(problem, args.alg)
+        result = ALGORITHMS[args.alg](problem)
     except ValueError as exc:
         return _fail(str(exc))
 

@@ -188,47 +188,40 @@ def bca_rel_guard(e: LinExpr, rel: str, a: ConstVec) -> ConstVec:
     of ℤ and the element passes unchanged.
     """
     v = eval_linexpr_abstract(e, a)
-    if v is None:
+    if v is None or v is TOP or relation_holds(v, rel):
         return a
-    if v is TOP:
-        return a
-    return a if relation_holds(v, rel) else ConstVec.bottom(a.n)
+    return ConstVec.bottom(a.n)
 
 
 def bca_eq_guard(e: LinExpr, a: ConstVec) -> ConstVec:
     """Best approximation of the equality guard e = 0.
 
-    Cases on a nonbottom vector:
+    One pass sums the constant slots into k and takes the gcd g of the
+    coefficients on top slots.  Cases on a nonbottom vector:
 
-    - the expression is decided: keep ``a`` iff it evaluates to 0;
-    - exactly one top slot j carries a nonzero coefficient and the residual
-      sum is the constant k: the constraint is m_j·x_j + k = 0, so slot j is
-      refined to -k/m_j when m_j divides k and the element dies otherwise;
-    - several top slots carry nonzero coefficients: the element dies when
-      the residual equation is unsolvable over ℤ (gcd test), else every
-      coordinate projection of the solution set is infinite and ``a`` is
-      already the best abstraction.
+    - the expression is decided (no top slot is read): keep ``a`` iff k = 0;
+    - g does not divide k: the equation has no integer solution in gamma(a),
+      so the element dies;
+    - exactly one top slot j is read: the constraint is m_j·x_j + k = 0, so
+      slot j is refined to -k/m_j;
+    - several top slots are read: every coordinate projection of the
+      solution set is infinite and ``a`` is already the best abstraction.
     """
     if a.is_bottom:
         return a
-    v = eval_linexpr_abstract(e, a)
-    if v is not TOP:
-        return a if v == 0 else ConstVec.bottom(a.n)
-    free = [i for i, (m, s) in enumerate(zip(e.coeffs, a.comps)) if m != 0 and s is TOP]
-    residual = e.const
-    for m, s in zip(e.coeffs, a.comps):
-        if m != 0 and s is not TOP:
+    residual, g, free = e.const, 0, []
+    for i, (m, s) in enumerate(zip(e.coeffs, a.comps, strict=True)):
+        if m == 0:
+            continue
+        if s is TOP:
+            free.append(i)
+            g = gcd(g, m)
+        else:
             residual += m * s
+    if (residual % g if free else residual) != 0:
+        return ConstVec.bottom(a.n)
     if len(free) == 1:
-        m_j = e.coeffs[free[0]]
-        if residual % m_j == 0:
-            return a.replace(free[0] + 1, -residual // m_j)
-        return ConstVec.bottom(a.n)
-    g = 0
-    for i in free:
-        g = gcd(g, e.coeffs[i])
-    if residual % g != 0:
-        return ConstVec.bottom(a.n)
+        return a.replace(free[0] + 1, -residual // e.coeffs[free[0]])
     return a
 
 

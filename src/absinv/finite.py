@@ -150,11 +150,7 @@ class ClosureFamily(AbstractDomain):
 
     def avoid(self, x: int) -> int:
         """∪{φ ∈ L | φ ⊆ ¬X} — the largest family material avoiding X."""
-        out = 0
-        for m in self.members:
-            if m & x == 0:
-                out |= m
-        return out
+        return self.mu_down(self.full & ~x)
 
     def qo_leq(self, s: int, s_prime: int) -> bool:
         """s ⊑ s': every member containing s' contains s."""
@@ -531,12 +527,7 @@ def greatest_invariant_enum(ts: FiniteTS, fam: ClosureFamily) -> int | None:
     found = [
         phi for phi in fam.members if check_inductive_invariant(ts.post, ts.init, ts.safe, phi, subset)
     ]
-    if not found:
-        return None
-    out = 0
-    for phi in found:
-        out |= phi
-    return out
+    return reduce(or_, found) if found else None
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,10 @@ ground-truth harness) is built against the small contracts defined here:
   domain is one such object (``synthesis.ConstAdapter``/``AffAdapter``)
   that also carries its alpha, gamma-membership and transfers.
 - ``kleene``, the one Kleene chain that every fixpoint loop in this package
-  steps (``lfp_iterate``/``gfp_iterate``, both synthesis engines, the finite
-  co-inductive algorithms), and ``check_inductive_invariant``, the one
-  inductiveness test.
+  steps (both synthesis engines, the finite co-inductive algorithms, and
+  ``lfp_iterate(f, start)``/``gfp_iterate(f, start)``, which return the
+  chain's last iterate under the default budget), and
+  ``check_inductive_invariant``, the one inductiveness test.
 
 All values are immutable after construction and every operation is a pure
 function, so elements can be shared freely across threads.
@@ -86,37 +87,27 @@ def kleene(f: Callable[[Any], Any], start: Any, max_steps: int | None = None) ->
     raise IterationBudgetExceeded(f"no fixpoint within {budget} steps")
 
 
-def lfp_iterate(
-    f: Callable[[Any], Any],
-    start: Any,
-    *,
-    max_steps: int | None = None,
-) -> Any:
+def lfp_iterate(f: Callable[[Any], Any], start: Any) -> Any:
     """Least fixpoint of a monotone ``f`` above ``start`` by Kleene iteration.
 
     ``start`` must be a pre-fixpoint (start ≤ f(start)), e.g. the bottom
     element.  Stabilization is detected by structural equality, so elements
     must be canonical.  Raises :class:`IterationBudgetExceeded` under the
-    budget of :func:`kleene` — the signal that no ascending-chain guarantee
-    held.
+    default budget of :func:`kleene` (:data:`DEFAULT_MAX_STEPS`) — the
+    signal that no ascending-chain guarantee held.
     """
-    for x in kleene(f, start, max_steps):
+    for x in kleene(f, start):
         pass
     return x
 
 
-def gfp_iterate(
-    f: Callable[[Any], Any],
-    start: Any,
-    *,
-    max_steps: int | None = None,
-) -> Any:
+def gfp_iterate(f: Callable[[Any], Any], start: Any) -> Any:
     """Greatest fixpoint of a monotone ``f`` below ``start`` (dual Kleene).
 
     ``start`` must be a post-fixpoint (f(start) ≤ start), e.g. the top
     element.  Same budget contract as :func:`lfp_iterate`.
     """
-    for x in kleene(f, start, max_steps):
+    for x in kleene(f, start):
         pass
     return x
 

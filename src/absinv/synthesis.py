@@ -21,16 +21,19 @@ Each numeric domain is one adapter object, ``ConstAdapter`` or
 ``AffAdapter`` (by name in ``DOMAINS``): a ``lattice.AbstractDomain`` that
 also carries alpha of finite point sets, gamma-membership (``contains``),
 the edge transfers (and the constants' wp) and rendering.  Their lattice
-operations call the domain module's functions at call time.
+operations call the domain module's functions at call time.  What the two
+share (n ≥ 1, height n + 1, the ``top``, ``bot`` and point-set literals)
+is their base class ``_NumericDomain``.
 
 ``AnalysisProblem`` holds what the steps read: the node names, the edges as
 index triples (source, transfer, target), the adapter, and the initial and
 safety vectors.  ``build`` makes one from a ``Program``; any other graph,
-such as a one-node finite transition system, can be passed directly.  Per
+such as a one-node finite transition system, can be passed directly, and is
+checked: edge endpoints must be node indices, vectors over the nodes.  Per
 node the index lists of its incoming (source index, transfer) and outgoing
 (transfer, target index) edges are computed once on first use.  The steps
-work on ``StateVector.values`` by node index; both engines step their
-iterates through ``lattice.kleene``.
+work on ``StateVector.values`` by node index; both engines, by name in
+``ALGORITHMS``, step their iterates through ``lattice.kleene``.
 """
 
 from __future__ import annotations
@@ -77,15 +80,35 @@ class UnsupportedDomain(ValueError):
 # ---------------------------------------------------------------------------
 
 
-class ConstAdapter(AbstractDomain):
-    """The constant-propagation lattice on n integer variables (height n + 1)."""
+class _NumericDomain(AbstractDomain):
+    """n ≥ 1 variables of one ``sort``, height n + 1, and the ``top``, ``bot``
+    and point-set literals; a subclass reads the others in ``_from_literal``."""
 
-    sort = "int"
+    sort: str
 
     def __init__(self, n: int):
         if n < 1:
             raise ValueError("need at least one variable")
         self.n = n
+
+    def height(self) -> int:
+        """bot < one point < one free variable < ... < n free variables (top)."""
+        return self.n + 1
+
+    def from_init(self, decl: InitDecl) -> Any:
+        if isinstance(decl, InitTop):
+            return self.top()
+        if isinstance(decl, InitBot):
+            return self.bottom()
+        if isinstance(decl, InitPoints):
+            return self.alpha(decl.points)
+        return self._from_literal(decl)
+
+
+class ConstAdapter(_NumericDomain):
+    """The constant-propagation lattice on n integer variables."""
+
+    sort = "int"
 
     def leq(self, a: cd.ConstVec, b: cd.ConstVec) -> bool:
         return cd.leq(a, b)
@@ -101,10 +124,6 @@ class ConstAdapter(AbstractDomain):
 
     def top(self) -> cd.ConstVec:
         return cd.ConstVec.top(self.n)
-
-    def height(self) -> int:
-        """bot < (c, ..., c) < one slot top < ... < (top, ..., top)."""
-        return self.n + 1
 
     def alpha(self, points: Iterable[tuple[int, ...]]) -> cd.ConstVec:
         """Best abstraction of a finite set of integer vectors."""
@@ -157,31 +176,20 @@ class ConstAdapter(AbstractDomain):
             return self.top()
         raise TypeError(f"unknown transfer function {t!r}")
 
-    def from_init(self, decl: InitDecl) -> cd.ConstVec:
-        if isinstance(decl, InitTop):
-            return self.top()
-        if isinstance(decl, InitBot):
-            return self.bottom()
+    def _from_literal(self, decl: InitDecl) -> cd.ConstVec:
         if isinstance(decl, InitVector):
             slots = tuple(cd.TOP if e == TOP_ENTRY else int(e) for e in decl.entries)
             return cd.ConstVec(self.n, slots)
-        if isinstance(decl, InitPoints):
-            return self.alpha(decl.points)
         raise UnsupportedDomain("constraint literals are not constant-domain elements")
 
     def render(self, a: cd.ConstVec) -> str:
         return cd.render_const(a)
 
 
-class AffAdapter(AbstractDomain):
-    """The affine-equalities lattice on n rational variables (height n + 1)."""
+class AffAdapter(_NumericDomain):
+    """The affine-equalities lattice on n rational variables."""
 
     sort = "rat"
-
-    def __init__(self, n: int):
-        if n < 1:
-            raise ValueError("need at least one variable")
-        self.n = n
 
     def leq(self, a: aff.AffSubspace, b: aff.AffSubspace) -> bool:
         return aff.includes(b, a)
@@ -197,9 +205,6 @@ class AffAdapter(AbstractDomain):
 
     def top(self) -> aff.AffSubspace:
         return aff.AffSubspace.full(self.n)
-
-    def height(self) -> int:
-        return self.n + 1
 
     def alpha(self, points: Iterable[Sequence]) -> aff.AffSubspace:
         """Best abstraction of a finite point set: its affine hull."""
@@ -224,11 +229,7 @@ class AffAdapter(AbstractDomain):
             return a  # sound, not best: bot would be exact where the guard is false on all of a
         raise TypeError(f"unknown transfer function {t!r}")
 
-    def from_init(self, decl: InitDecl) -> aff.AffSubspace:
-        if isinstance(decl, InitTop):
-            return self.top()
-        if isinstance(decl, InitBot):
-            return self.bottom()
+    def _from_literal(self, decl: InitDecl) -> aff.AffSubspace:
         if isinstance(decl, InitVector):
             # the point with 0 in each top slot, spanned by the top slots' unit vectors
             point = tuple(Fraction(0 if e == TOP_ENTRY else e) for e in decl.entries)
@@ -238,8 +239,6 @@ class AffAdapter(AbstractDomain):
                 if e == TOP_ENTRY
             )
             return aff.AffSubspace(self.n, point, units)
-        if isinstance(decl, InitPoints):
-            return self.alpha(decl.points)
         if isinstance(decl, InitConstraints):
             return aff.from_equalities(decl.rows, self.n)
         raise TypeError(f"unknown init declaration {decl!r}")
@@ -253,17 +252,6 @@ Adapter = ConstAdapter | AffAdapter
 
 #: Domain name -> adapter class; the CLI offers these names in this order.
 DOMAINS: dict[str, type[Adapter]] = {"const": ConstAdapter, "affine": AffAdapter}
-
-
-def make_adapter(program: Program, domain: str) -> Adapter:
-    if domain not in DOMAINS:
-        raise UnsupportedDomain(f"unknown domain {domain!r}")
-    adapter = DOMAINS[domain](program.n)
-    if program.sort != adapter.sort:
-        raise UnsupportedDomain(
-            f"domain {domain!r} requires sort {adapter.sort!r}, program has {program.sort!r}"
-        )
-    return adapter
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +276,13 @@ class AnalysisProblem:
     init: StateVector  # alpha of the declared initial states
     safety: StateVector
 
+    def __post_init__(self) -> None:
+        n = len(self.nodes)
+        if not all(0 <= src < n and 0 <= dst < n for src, _, dst in self.edges):
+            raise ValueError(f"an edge endpoint is not a node index in range({n})")
+        if not self.init.nodes == self.safety.nodes == self.nodes:
+            raise ValueError("init and safety must be vectors over the problem's nodes")
+
     @classmethod
     def build(
         cls,
@@ -299,7 +294,13 @@ class AnalysisProblem:
         for q in prop:
             if q not in program.nodes:
                 raise ValueError(f"unknown node {q!r} in property")
-        adapter = make_adapter(program, domain)
+        if domain not in DOMAINS:
+            raise UnsupportedDomain(f"unknown domain {domain!r}")
+        adapter = DOMAINS[domain](program.n)
+        if program.sort != adapter.sort:
+            raise UnsupportedDomain(
+                f"domain {domain!r} requires sort {adapter.sort!r}, program has {program.sort!r}"
+            )
         nodes = program.nodes
         index = {q: j for j, q in enumerate(nodes)}
         edges = tuple((index[e.src], e.transfer, index[e.dst]) for e in program.edges)
@@ -482,12 +483,8 @@ def backward_gfp(problem: AnalysisProblem) -> SynthesisResult:
     return result
 
 
-def synthesize(problem: AnalysisProblem, algorithm: str) -> SynthesisResult:
-    if algorithm == "forward":
-        return ainv_forward(problem)
-    if algorithm == "backward":
-        return backward_gfp(problem)
-    raise ValueError(f"unknown algorithm {algorithm!r}")
+#: Algorithm name -> engine; the CLI offers these names in this order.
+ALGORITHMS = {"forward": ainv_forward, "backward": backward_gfp}
 
 
 def render_state_vector(adapter: Adapter, v: StateVector) -> str:

@@ -310,10 +310,9 @@ def test_criterion_7b_affine_assignment_completeness():
             )
             for _ in range(n)
         )
-        image = pg.apply_transfer_concrete(pg.ParallelAffineAssign(rows), pts)
-        ok = ok and af.hull_points(image, n) == af.bca_parallel_assign(
-            rows, af.hull_points(pts, n)
-        )
+        t = pg.ParallelAffineAssign(rows)
+        image = pg.apply_transfer_concrete(t, pts)
+        ok = ok and af.hull_points(image, n) == af.bca_parallel_assign(t, af.hull_points(pts, n))
         j = rng.randint(1, n)
         nd_image = pg.apply_transfer_concrete(
             pg.NondetAssign(j), pts, nondet_witnesses=(F(0), F(1))

@@ -280,14 +280,14 @@ def test_vector_literal_matches_solved_unit_rows():
 
 def test_assign_to_constants_gives_point():
     rows = (expr((0, 0, 0), -2), expr((0, 0, 0), 1), expr((0, 0, 0), 1))
-    out = af.bca_parallel_assign(rows, af.AffSubspace.full(3))
+    out = af.bca_parallel_assign(pg.ParallelAffineAssign(rows), af.AffSubspace.full(3))
     assert out == af.AffSubspace.point_of((-2, 1, 1))
 
 
 def test_parallel_assign_keeps_loop_invariant_line():
     line = line_x1_plus_2x2_x3_is_1()
     rows = (expr((0, -2, 0), -2), expr((0, 1, 1), 0), expr((0, 0, 1), 0))
-    assert af.bca_parallel_assign(rows, line) == line
+    assert af.bca_parallel_assign(pg.ParallelAffineAssign(rows), line) == line
 
 
 def test_identity_assign():
@@ -295,7 +295,7 @@ def test_identity_assign():
     ident = tuple(
         pg.identity_row(i, 3, F(0), F(1)) for i in range(3)
     )
-    assert af.bca_parallel_assign(ident, line) == line
+    assert af.bca_parallel_assign(pg.ParallelAffineAssign(ident), line) == line
 
 
 def test_assignments_pointwise_complete():
@@ -307,7 +307,7 @@ def test_assignments_pointwise_complete():
         rows = random_affine_rows(rng, n)
         t = pg.ParallelAffineAssign(rows)
         image = pg.apply_transfer_concrete(t, pts)
-        assert af.hull_points(image, n) == af.bca_parallel_assign(rows, af.hull_points(pts, n))
+        assert af.hull_points(image, n) == af.bca_parallel_assign(t, af.hull_points(pts, n))
 
 
 def test_nondet_assign_examples():
@@ -332,8 +332,8 @@ def test_nondet_assign_matches_join_of_two_constant_images():
         a = af.hull_points(random_rat_points(rng, n, rng.randint(0, 4)), n)
         j = rng.randint(1, n)
         reference = af.join(
-            af.bca_parallel_assign(const_assign(j, 0, n), a),
-            af.bca_parallel_assign(const_assign(j, 1, n), a),
+            af.bca_parallel_assign(pg.ParallelAffineAssign(const_assign(j, 0, n)), a),
+            af.bca_parallel_assign(pg.ParallelAffineAssign(const_assign(j, 1, n)), a),
         )
         assert af.bca_nondet_assign(j, a) == reference
 
@@ -612,8 +612,7 @@ def test_parallel_assign_and_inclusion_match_dense_references():
             basis = random_matrix(rng, n, seen) if shape == "random" else ()
             a = af.AffSubspace(n, point, tuple(map(tuple, basis)))
         rows = random_assignment(rng, n, seen)
-        got = af.bca_parallel_assign(rows, a)
-        assert af.bca_parallel_assign(pg.ParallelAffineAssign(rows), a) == got
+        got = af.bca_parallel_assign(pg.ParallelAffineAssign(rows), a)
         expected = ref_bca_parallel_assign(rows, a)
         if expected is None:
             assert got.is_empty

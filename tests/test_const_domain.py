@@ -8,6 +8,7 @@ concretization and abstract the image with alpha.
 from __future__ import annotations
 
 import random
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -261,6 +262,69 @@ def test_bca_eq_guard_gcd_on_several_unknowns():
     # 2 x1 + 4 x2 + 1 = 0 unsolvable over the integers; +2 solvable
     assert cd.bca_eq_guard(pg.LinExpr((2, 4), 1), vec(TOP, TOP)) == cd.ConstVec.bottom(2)
     assert cd.bca_eq_guard(pg.LinExpr((2, 4), 2), vec(TOP, TOP)) == vec(TOP, TOP)
+
+
+def reference_bca_eq_guard(e: pg.LinExpr, a: cd.ConstVec) -> cd.ConstVec:
+    """The three-pass equality guard this module had before the one-pass one."""
+    if a.is_bottom:
+        return a
+    v = cd.eval_linexpr_abstract(e, a)
+    if v is not TOP:
+        return a if v == 0 else cd.ConstVec.bottom(a.n)
+    free = [i for i, (m, s) in enumerate(zip(e.coeffs, a.comps)) if m != 0 and s is TOP]
+    residual = e.const
+    for m, s in zip(e.coeffs, a.comps):
+        if m != 0 and s is not TOP:
+            residual += m * s
+    if len(free) == 1:
+        m_j = e.coeffs[free[0]]
+        if residual % m_j == 0:
+            return a.replace(free[0] + 1, -residual // m_j)
+        return cd.ConstVec.bottom(a.n)
+    g = 0
+    for i in free:
+        g = gcd(g, e.coeffs[i])
+    if residual % g != 0:
+        return cd.ConstVec.bottom(a.n)
+    return a
+
+
+def reference_bca_rel_guard(e: pg.LinExpr, rel: str, a: cd.ConstVec) -> cd.ConstVec:
+    """The two-return relational guard this module had before."""
+    v = cd.eval_linexpr_abstract(e, a)
+    if v is None:
+        return a
+    if v is TOP:
+        return a
+    return a if pg.relation_holds(v, rel) else cd.ConstVec.bottom(a.n)
+
+
+def test_one_pass_guards_match_the_reference_guards():
+    """Seeded rows and elements with n ≤ 5 and coefficients in -6..6; every
+    case of the equality guard occurs."""
+    rng = random.Random(29)
+    cases = set()
+    for _ in range(4000):
+        n = rng.randint(1, 5)
+        a = random_const_vec(rng, n, lo=-6, hi=6)
+        e = random_linexpr_int(rng, n, coeff=6)
+        got = cd.bca_eq_guard(e, a)
+        assert got == reference_bca_eq_guard(e, a), (e, a)
+        for rel in ("!=", "<", "<=", ">", ">="):
+            assert cd.bca_rel_guard(e, rel, a) == reference_bca_rel_guard(e, rel, a), (e, rel, a)
+        if a.is_bottom:
+            cases.add("bottom")
+            continue
+        free = [m for m, s in zip(e.coeffs, a.comps) if m != 0 and s is TOP]
+        if not free:
+            cases.add("decided")
+        else:
+            shape = "one free" if len(free) == 1 else "several free"
+            cases.add(f"{shape}, {'no solution' if got.is_bottom else 'solvable'}")
+    assert cases == {
+        "bottom", "decided", "one free, solvable", "one free, no solution",
+        "several free, solvable", "several free, no solution",
+    }
 
 
 def test_eq_guard_matches_box_oracle_on_single_unknown():

@@ -49,7 +49,7 @@ def test_gfp_powerset_intersection():
 
 def test_iteration_budget_exceeded():
     with pytest.raises(IterationBudgetExceeded):
-        lfp_iterate(lambda x: x + 1, 0, max_steps=40)
+        lfp_iterate(lambda x: x + 1, 0)
 
 
 class Counted:

@@ -27,6 +27,7 @@ from absinv.finite import (
 )
 from absinv.lattice import kleene, lfp_iterate
 from absinv.synthesis import (
+    ALGORITHMS,
     AnalysisProblem,
     UnsupportedDomain,
     abstract_post_step,
@@ -34,7 +35,6 @@ from absinv.synthesis import (
     ainv_forward,
     backward_gfp,
     pure_post_step,
-    synthesize,
     verify_invariant,
 )
 from conftest import random_const_vec, random_program
@@ -215,9 +215,27 @@ def test_build_rejects_a_property_at_an_unknown_node(const_demo):
     assert result.reason == "property-violated"
 
 
+def test_a_directly_built_problem_is_checked():
+    """Edge endpoints must be node indices (no negative aliasing, no index
+    past the end), and init and safety must be vectors over the nodes."""
+    adapter = synthesis.ConstAdapter(1)
+    nodes, ident = ("a", "b"), pg.Identity()
+    init = pg.StateVector(nodes, (adapter.top(), adapter.bottom()))
+    safety = pg.StateVector(nodes, (adapter.top(),) * 2)
+    result = ainv_forward(AnalysisProblem(nodes, ((0, ident, 1),), adapter, init, safety))
+    assert result.found and result.invariant.values == (adapter.top(),) * 2
+    for edge in ((-2, ident, 1), (0, ident, 2), (2, ident, 0)):
+        with pytest.raises(ValueError, match="edge endpoint"):
+            AnalysisProblem(nodes, (edge,), adapter, init, safety)
+    with pytest.raises(ValueError, match="over the problem's nodes"):
+        AnalysisProblem(("a", "b", "c"), ((0, ident, 1),), adapter, init, safety)
+    with pytest.raises(ValueError, match="over the problem's nodes"):
+        AnalysisProblem(nodes, (), adapter, init, pg.StateVector(("a", "c"), safety.values))
+
+
 def test_backward_rejected_for_affine(affine_problem):
     with pytest.raises(UnsupportedDomain):
-        synthesize(affine_problem, "backward")
+        ALGORITHMS["backward"](affine_problem)
     with pytest.raises(UnsupportedDomain):
         backward_gfp(affine_problem)
     no_edges = pg.parse_program("vars 1; sort rat; nodes q1; init q1: top;")
@@ -496,7 +514,7 @@ def test_incremental_engines_match_full_jacobi_iteration(sort, alg):
         free = AnalysisProblem.build(prog, domain)
         least = reference_run(free, "forward")["trace"]
         for problem in (free, AnalysisProblem.build(prog, domain, failing_property(prog, free, least))):
-            result, expected = synthesize(problem, alg), reference_run(problem, alg)
+            result, expected = ALGORITHMS[alg](problem), reference_run(problem, alg)
             got = dict(found=result.found, kind=result.kind, reason=result.reason, trace=list(result.trace))
             assert got == expected, k
             outcomes[result.reason] += 1
@@ -534,7 +552,7 @@ def test_steps_recompute_only_nodes_reading_a_changed_node(monkeypatch, alg, met
 
     monkeypatch.setattr(synthesis.ConstAdapter, method, counted)
     prop = {f"q{N}": pg.parse_init_literal("(top,top,top,0)", 4, "int")}
-    result = synthesize(AnalysisProblem.build(ring_program(N), "const", prop), alg)
+    result = ALGORITHMS[alg](AnalysisProblem.build(ring_program(N), "const", prop))
     assert result.found
     steps = len(result.trace) - 1
     assert steps == (2 * N - 1 if alg == "forward" else N)
