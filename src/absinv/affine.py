@@ -1,4 +1,4 @@
-"""Affine-equalities domain over ℚ: affine subspaces with exact arithmetic.
+"""Affine-equalities domain over ℚ: affine subspaces in integer canonical form.
 
 An element is the empty set or an affine subspace of ℚⁿ, represented in
 generator form as a base point plus a linearly independent list of direction
@@ -7,121 +7,115 @@ application on the generators); the constraint form {x | Mx + c = 0}, a
 tuple of rows, is derived on demand for rendering and meets, and constraint
 literals are solved into generator form by ``from_equalities``.
 
-Canonical form makes structural equality coincide with semantic equality:
-the direction basis is kept in reduced row-echelon form with lexicographic
-pivot order, and the base point is reduced modulo the span (zeroed on pivot
-columns).  Every value is an exact ``fractions.Fraction``; elimination
-(``rref``) runs over Python integers and divides by each pivot once, and
-``bca_parallel_assign`` takes the ``ParallelAffineAssign`` transfer and
-recomputes only the coordinates it assigns, from the sparse rows the
-transfer caches.  There is no rounding anywhere in this module.  The
-n-variable lattice itself, with its bounds, height n + 1, alpha (the affine
-hull) and gamma-membership, is ``synthesis.AffAdapter``.
+The canonical form is integer-valued, as in Karr (1976) and Müller-Olm and
+Seidl (2004): the basis is the reduced row-echelon basis (lexicographic pivot
+order) with each row scaled to coprime integers with a positive pivot, and
+the base point is ``num / den``, coprime integer numerators over one positive
+denominator, reduced modulo the span (zero on pivot columns).  Scaling a
+rational RREF row by a positive factor is a bijection, so structural
+equality is semantic equality.  Rationals enter only at the boundary: the
+transfers carry their rows cleared of denominators
+(``ParallelAffineAssign.scaled``, ``Guard.cleared``), and constraint literals
+and concrete points are cleared here.  The n-variable lattice (bounds,
+height n + 1, alpha, gamma-membership) is ``synthesis.AffAdapter``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
-from .programs import LinExpr, ParallelAffineAssign, render_linexpr
+from .programs import LinExpr, ParallelAffineAssign, clear_denominators, render_linexpr
 
-Vec = tuple[Fraction, ...]
-ZERO = Fraction(0)
-
-
-def _frac_vec(v: Sequence) -> Vec:
-    return tuple(x if isinstance(x, Fraction) else Fraction(x) for x in v)
+Row = tuple[int, ...]
 
 
-def dot(u: Sequence, v: Sequence) -> Fraction:
-    acc = ZERO
-    for a, b in zip(u, v, strict=True):
-        if a and b:
-            acc += a * b
-    return acc
+def dot(u: Sequence[int], v: Sequence[int]) -> int:
+    return sum(map(mul, u, v))
 
 
-def _int_row(row: Sequence) -> list[int]:
-    """``row`` times the lcm of its denominators, divided by the gcd: coprime integers."""
-    ratios = [x.as_integer_ratio() for x in row]
-    m = lcm(*(d for _, d in ratios))
-    ints = [x * (m // d) for x, d in ratios]
-    g = gcd(*ints)
-    return [x // g for x in ints] if g > 1 else ints
-
-
-def rref(rows: Iterable[Sequence]) -> tuple[Vec, ...]:
-    """Reduced row-echelon form; zero rows dropped, pivots normalized to 1.
-
-    Gauss–Jordan over integer rows: row ← (p·row − f·pivot_row) / gcd, and
-    each row is divided by its pivot p once, at the end.  Each row stays a
-    nonzero multiple of its rational counterpart, so the result is the same.
-    """
-    m = [r for r in map(_int_row, rows) if any(r)]
+def rref(rows: Iterable[Sequence[int]]) -> tuple[Row, ...]:
+    """Reduced row-echelon form of integer rows: zero rows dropped, each row
+    coprime with a positive pivot.  Fraction-free Gauss–Jordan, row ←
+    (p·row − f·pivot_row) / gcd, keeps each row a nonzero multiple of its
+    rational counterpart, so this is the rational RREF, scaled row by row."""
+    m = [list(r) for r in rows if any(r)]
+    height, r = len(m), 0
     pivots: list[int] = []
     for c in range(len(m[0]) if m else 0):
-        r = len(pivots)
-        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if piv is None:
+        for piv in range(r, height):
+            if m[piv][c]:
+                break
+        else:
             continue
-        m[r], m[piv] = m[piv], m[r]
-        prow, p = m[r], m[r][c]
-        for i, row in enumerate(m):
+        prow = m[piv]
+        m[piv], m[r] = m[r], prow
+        p = prow[c]
+        for i in range(height):
+            row = m[i]
             f = row[c]
             if f and i != r:
                 row = [p * x - f * y for x, y in zip(row, prow)]
                 g = gcd(*row)
                 m[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
-        if len(pivots) == len(m):
+        r += 1
+        if r == height:
             break
-    return tuple(
-        tuple(Fraction(x, row[c]) if x else ZERO for x in row) for row, c in zip(m, pivots)
-    )
-
-
-def pivot_col(row: Sequence) -> int:
-    for i, x in enumerate(row):
-        if x != 0:
-            return i
-    raise ValueError("zero row has no pivot")
-
-
-def reduce_mod_span(v: Sequence, basis: Sequence[Vec]) -> Vec:
-    """Remainder of ``v`` after eliminating the pivot coordinates of a RREF basis."""
-    out = list(_frac_vec(v))
-    for row in basis:
-        f = out[pivot_col(row)]
-        if f:
-            out = [x - f * y if y else x for x, y in zip(out, row)]
+    out = []
+    for row, c in zip(m, pivots):
+        g = gcd(*row) if row[c] > 0 else -gcd(*row)
+        out.append(tuple(x // g for x in row) if g != 1 else tuple(row))
     return tuple(out)
 
 
-def in_span(v: Sequence, basis: Sequence[Vec]) -> bool:
-    return all(x == 0 for x in reduce_mod_span(v, basis))
+def _reduce(v: Sequence[int], basis: Sequence[Row]) -> tuple[Sequence[int], int]:
+    """``(s·v − w, s)`` with w in span(basis) and s > 0, zero on the pivots of
+    the RREF ``basis``: v is in the span exactly when the first part is zero."""
+    s = 1
+    for b in basis:
+        p = next(filter(None, b))  # the pivot
+        f = v[b.index(p)]
+        if f:
+            v = [p * x - f * y for x, y in zip(v, b)]
+            s *= p
+    return v, s
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class AffSubspace:
-    """Empty, or the affine set  point + span(basis)  in ℚⁿ (canonical form)."""
+    """Empty (``num`` is None), or  num/den + span(basis)  in ℚⁿ, stored in canonical
+    form.  Rational entries, as in ``AffSubspace(n, point, basis)``, are cleared first."""
 
     n: int
-    point: Vec | None
-    basis: tuple[Vec, ...] = ()
+    num: Row | None
+    basis: tuple[Row, ...]
+    den: int
 
-    def __post_init__(self) -> None:
-        if self.point is None:
-            object.__setattr__(self, "basis", ())
-            return
-        basis = rref(self.basis)
-        point = reduce_mod_span(self.point, basis)
-        if len(point) != self.n or any(len(b) != self.n for b in basis):
-            raise ValueError("dimension mismatch")
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "point", point)
+    def __init__(
+        self, n: int, num: Sequence | None, basis: Iterable[Sequence] = (), den: int = 1
+    ) -> None:
+        if num is None:
+            basis, den = (), 1
+        elif not den:
+            raise ValueError("zero denominator")
+        else:
+            basis = tuple(basis)  # read twice when entries are rational
+            try:
+                rows = rref(basis)
+                v, s = _reduce(num, rows)
+                g = gcd(den * s, *v)
+            except TypeError:  # a Fraction entry (math.gcd takes only ints): clear and retry
+                num, d = clear_denominators(num)
+                self.__init__(n, num, [clear_denominators(b)[0] for b in basis], den * d)
+                return
+            g = g if den > 0 else -g
+            num, basis, den = tuple(x // g for x in v), rows, den * s // g
+            if len(num) != n or any(len(b) != n for b in basis):
+                raise ValueError("dimension mismatch")
+        self.__dict__.update(n=n, num=num, basis=basis, den=den)  # frozen: no __setattr__
 
     @classmethod
     def empty(cls, n: int) -> "AffSubspace":
@@ -129,30 +123,31 @@ class AffSubspace:
 
     @classmethod
     def full(cls, n: int) -> "AffSubspace":
-        unit = tuple(
-            tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)
-        )
-        return cls(n, (Fraction(0),) * n, unit)
+        unit = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        return cls(n, (0,) * n, unit)
 
     @classmethod
     def point_of(cls, coords: Sequence) -> "AffSubspace":
-        pt = _frac_vec(coords)
-        return cls(len(pt), pt, ())
+        """The single rational point ``coords``."""
+        num, den = clear_denominators(coords)
+        return cls(len(num), num, (), den)
 
     @property
     def is_empty(self) -> bool:
-        return self.point is None
+        return self.num is None
 
     @property
     def dim(self) -> int:
         """-1 for the empty set, else the number of independent directions."""
-        return -1 if self.point is None else len(self.basis)
+        return -1 if self.num is None else len(self.basis)
 
     def contains_point(self, v: Sequence) -> bool:
-        if self.point is None:
+        """Is the rational vector ``v`` in the set?"""
+        if self.num is None:
             return False
-        diff = tuple(a - b for a, b in zip(_frac_vec(v), self.point, strict=True))
-        return in_span(diff, self.basis)
+        vn, vd = clear_denominators(v)
+        diff = [x * self.den - y * vd for x, y in zip(vn, self.num, strict=True)]
+        return not any(_reduce(diff, self.basis)[0])
 
     def __repr__(self) -> str:
         return render_affine(self)
@@ -160,55 +155,59 @@ class AffSubspace:
 
 def includes(outer: AffSubspace, inner: AffSubspace) -> bool:
     """Is ``inner`` a subset of ``outer``?  (Generator containment test.)"""
-    if inner.is_empty or outer.dim == outer.n:
+    if inner.num is None or outer.dim == outer.n:
         return True
     if inner.dim >= outer.dim:  # a subset of no lower dimension is the same set
         return inner == outer
-    return outer.contains_point(inner.point) and all(in_span(b, outer.basis) for b in inner.basis)
+    diff = [x * outer.den - y * inner.den for x, y in zip(inner.num, outer.num)]
+    return not any(any(_reduce(v, outer.basis)[0]) for v in (diff, *inner.basis))
 
 
 def join(a: AffSubspace, b: AffSubspace) -> AffSubspace:
     """Affine hull of the union — the least upper bound in the domain."""
-    if a.is_empty:
+    if a.num is None:
         return b
-    if b.is_empty:
+    if b.num is None:
         return a
-    diff = tuple(x - y for x, y in zip(b.point, a.point))
-    return AffSubspace(a.n, a.point, a.basis + b.basis + (diff,))
+    diff = tuple(y * a.den - x * b.den for x, y in zip(a.num, b.num))
+    return AffSubspace(a.n, a.num, a.basis + b.basis + (diff,), a.den)
 
 
 def hull_points(points: Iterable[Sequence], n: int) -> AffSubspace:
-    """Affine hull of a finite point set."""
-    pts = [_frac_vec(p) for p in points]
+    """Affine hull of a finite set of rational points."""
+    pts = [clear_denominators(p) for p in points]
     if not pts:
         return AffSubspace.empty(n)
-    base = pts[0]
-    dirs = tuple(tuple(a - b for a, b in zip(p, base)) for p in pts[1:])
-    return AffSubspace(n, base, dirs)
+    base, d0 = pts[0]
+    dirs = tuple([x * d0 - y * d for x, y in zip(p, base)] for p, d in pts[1:])
+    return AffSubspace(n, base, dirs, d0)
 
 
 def meet_hyperplane(a: AffSubspace, e: LinExpr) -> AffSubspace:
     """Exact intersection of ``a`` with the hyperplane {x | e(x) = 0}.
 
-    Solved on the parametrization point + span(basis): the affine form
-    restricted to the parameters is  c + sum d_i t_i  with c = e(point) and
-    d_i = coeffs · basis_i; one parameter is eliminated when possible.
-    """
-    if a.is_empty:
+    On the parametrization num/den + sum t_i basis_i, e is c/den + sum d_i t_i
+    with c = coeffs · num + const·den and d_i = coeffs · basis_i; one
+    parameter is eliminated when possible.  Rational rows are cleared first."""
+    if a.num is None:
         return a
-    c = Fraction(e.eval(a.point))
-    d = [dot(e.coeffs, b) for b in a.basis]
-    if all(x == 0 for x in d):
+    coeffs, const = e.coeffs, e.const
+    if type(const) is not int or not all(type(x) is int for x in coeffs):
+        *coeffs, const = clear_denominators((*coeffs, const))[0]
+    c = dot(coeffs, a.num) + const * a.den
+    d = [dot(coeffs, b) for b in a.basis]
+    i0 = next((i for i, x in enumerate(d) if x), None)
+    if i0 is None:
         return a if c == 0 else AffSubspace.empty(a.n)
-    i0 = next(i for i, x in enumerate(d) if x != 0)
-    b0 = a.basis[i0]
-    point = tuple(p - (c / d[i0]) * y if y else p for p, y in zip(a.point, b0))
+    d0, b0 = d[i0], a.basis[i0]
     basis = tuple(
-        tuple(x - (d[i] / d[i0]) * y if y else x for x, y in zip(a.basis[i], b0))
-        for i in range(len(a.basis))
-        if i != i0
+        [d0 * x - di * y for x, y in zip(b, b0)] for i, (b, di) in enumerate(zip(a.basis, d)) if i != i0
     )
-    return AffSubspace(a.n, point, basis)
+    if d0 < 0:
+        d0, c = -d0, -c
+    # num/den − (c / (den·d0))·b0, over the denominator den·|d0|
+    point = [d0 * x - c * y for x, y in zip(a.num, b0)]
+    return AffSubspace(a.n, point, basis, a.den * d0)
 
 
 def meet(a: AffSubspace, b: AffSubspace) -> AffSubspace:
@@ -217,45 +216,61 @@ def meet(a: AffSubspace, b: AffSubspace) -> AffSubspace:
 
 
 # ---------------------------------------------------------------------------
-# Constraint form and conversions
+# Constraint form: conversions and rendering
 # ---------------------------------------------------------------------------
 
 
-def _null_space(rows: Sequence[Vec], n: int) -> tuple[Vec, ...]:
-    """Basis of {x ∈ ℚⁿ | rows · x = 0} for RREF ``rows``: one vector per free
-    column f, with 1 at f and -row[f] at the pivot of each row."""
-    pivots = [pivot_col(row) for row in rows]
-    out: list[Vec] = []
+def _null_space(rows: Sequence[Row], n: int) -> list[list[int]]:
+    """A basis of {x ∈ ℚⁿ | rows · x = 0} for integer RREF ``rows``: one vector
+    per free column f, with the lcm L of the pivots at f and −row[f]·L/pivot
+    at the pivot of each row."""
+    pivots = [row.index(next(filter(None, row))) for row in rows]
+    big = lcm(*(row[c] for row, c in zip(rows, pivots)))
+    out = []
     for f in range(n):
         if f in pivots:
             continue
-        v = [Fraction(0)] * n
-        v[f] = Fraction(1)
-        for row, pc in zip(rows, pivots):
-            v[pc] = -row[f]
-        out.append(tuple(v))
-    return tuple(out)
+        v = [0] * n
+        v[f] = big
+        for row, c in zip(rows, pivots):
+            v[c] = -row[f] * (big // row[c])
+        out.append(v)
+    return out
 
 
 def generators_to_constraints(a: AffSubspace) -> tuple[LinExpr, ...]:
-    """Echelon rows whose common zeros are ``a``; the empty set is the row 0 = 1."""
+    """Echelon rows whose common zeros are ``a``, each coprime with a positive
+    leading coefficient; the empty set is the row 0 = 1."""
+    if a.num is None:
+        return (LinExpr((0,) * a.n, 1),)
+    out = []
+    for m in rref(_null_space(a.basis, a.n)):
+        k = dot(m, a.num)  # m · point = k / den
+        g = gcd(a.den, k)
+        s = a.den // g
+        out.append(LinExpr(tuple(x * s for x in m) if s != 1 else m, -k // g))
+    return tuple(out)
+
+
+def render_affine(a: AffSubspace) -> str:
+    """``bot``, ``top``, or the conjunction of coprime integer equalities."""
     if a.is_empty:
-        return (LinExpr((Fraction(0),) * a.n, Fraction(1)),)
-    return tuple(LinExpr(m, -dot(m, a.point)) for m in rref(_null_space(a.basis, a.n)))
+        return "bot"
+    if a.dim == a.n:
+        return "top"
+    return " /\\ ".join(f"{render_linexpr(r)}=0" for r in generators_to_constraints(a))
 
 
 def from_equalities(rows: Iterable[LinExpr], n: int) -> AffSubspace:
-    """Subspace defined by a conjunction of affine equalities (Gaussian
-    elimination); empty when the system is inconsistent."""
-    rows = rref(tuple(r.coeffs) + (r.const,) for r in rows)
-    # a pivot in the constant column is the row 0 = 1
-    if rows and pivot_col(rows[-1]) == n:
+    """Subspace defined by a conjunction of affine equalities with rational
+    entries (Gaussian elimination); empty when the system is inconsistent."""
+    rows = rref(clear_denominators((*r.coeffs, r.const))[0] for r in rows)
+    if rows and not any(rows[-1][:n]):  # a pivot in the constant column: the row 0 = 1
         return AffSubspace.empty(n)
-    # particular solution: free vars at 0; row gives  x_pivot + ... + const = 0
-    point = [Fraction(0)] * n
-    for row in rows:
-        point[pivot_col(row)] = -row[n]
-    return AffSubspace(n, tuple(point), _null_space(rows, n))
+    # the solutions (x, 1) of the homogeneous system in n + 1 unknowns: the null
+    # vector of the free constant column, (num, den), is the point
+    *dirs, point = _null_space(rows, n + 1)
+    return AffSubspace(n, point[:n], [d[:n] for d in dirs], point[n])
 
 
 # ---------------------------------------------------------------------------
@@ -267,23 +282,29 @@ def bca_parallel_assign(t: ParallelAffineAssign, a: AffSubspace) -> AffSubspace:
     """Exact image under x := M x + b (affine maps preserve affine subspaces).
 
     Only rows other than identity rows are evaluated, on their nonzero
-    coefficients, which the transfer derives once (``t.assigned``)."""
-    if a.is_empty:
+    coefficients, which the transfer carries times the lcm L of their
+    denominators (``t.scaled``); the whole image is scaled by L."""
+    if a.num is None:
         return a
-    point, dirs = list(a.point), [list(b) for b in a.basis]
-    for j, terms, const in t.assigned:
-        point[j] = sum((c * a.point[i] for i, c in terms), ZERO + const)
+    big, assigned = t.scaled
+    if big == 1:
+        point, dirs = list(a.num), [list(b) for b in a.basis]
+    else:
+        point = [x * big for x in a.num]
+        dirs = [[x * big for x in b] for b in a.basis]
+    for j, terms, const in assigned:
+        point[j] = sum(c * a.num[i] for i, c in terms) + const * a.den
         for d, b in zip(dirs, a.basis):
-            d[j] = sum((c * b[i] for i, c in terms), ZERO)
-    return AffSubspace(a.n, tuple(point), tuple(map(tuple, dirs)))
+            d[j] = sum(c * b[i] for i, c in terms)
+    return AffSubspace(a.n, point, dirs, a.den * big)
 
 
 def bca_nondet_assign(j: int, a: AffSubspace) -> AffSubspace:
     """Exact image of xj := ? — ``a`` extended by the unit direction e_j."""
-    if a.is_empty:
+    if a.num is None:
         return a
-    unit = tuple(Fraction(int(i == j - 1)) for i in range(a.n))
-    return AffSubspace(a.n, a.point, a.basis + (unit,))
+    unit = tuple(int(i == j - 1) for i in range(a.n))
+    return AffSubspace(a.n, a.num, a.basis + (unit,), a.den)
 
 
 def bca_eq_guard(rows: tuple[LinExpr, ...], mode: str, a: AffSubspace) -> AffSubspace:
@@ -297,26 +318,3 @@ def bca_eq_guard(rows: tuple[LinExpr, ...], mode: str, a: AffSubspace) -> AffSub
     for r in rows:
         out = meet_hyperplane(out, r)
     return out
-
-
-# ---------------------------------------------------------------------------
-# Rendering
-# ---------------------------------------------------------------------------
-
-
-def _clear_row(row: LinExpr) -> LinExpr:
-    """Scale a constraint row to coprime integers with positive leading coefficient."""
-    ints = _int_row((*row.coeffs, row.const))
-    if next((v for v in ints if v), 0) < 0:
-        ints = [-v for v in ints]
-    return LinExpr(tuple(ints[:-1]), ints[-1])
-
-
-def render_affine(a: AffSubspace) -> str:
-    """``bot``, ``top``, or the conjunction of integer-cleared equalities."""
-    if a.is_empty:
-        return "bot"
-    if a.dim == a.n:
-        return "top"
-    rows = generators_to_constraints(a)
-    return " /\\ ".join(f"{render_linexpr(_clear_row(r))}=0" for r in rows)

@@ -1,7 +1,8 @@
 """Command-line front end: program analysis and the finite oracle suites.
 
 Exit codes: 0 — invariant found / zero oracle failures; 1 — no-invariant
-verdict / oracle failures; 2 — usage, parse or validation errors.  Output is
+verdict / oracle failures; 2 — usage, parse or validation errors, or standard
+output closed before all output was written (as by ``| head``).  Output is
 deterministic: identical inputs produce byte-identical output.
 """
 
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -160,9 +162,15 @@ def _run_oracle(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "analyze":
-        return _run_analyze(args)
-    return _run_oracle(args)
+    try:
+        code = _run_analyze(args) if args.command == "analyze" else _run_oracle(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout was closed early: send what is still buffered to devnull, so
+        # that the flush at interpreter exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -34,6 +34,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
 Number = Any  # int (sort "int") or Fraction (sort "rat")
@@ -80,6 +81,13 @@ def relation_holds(value: Number, rel: str) -> bool:
     return RELATIONS[rel](value, 0)
 
 
+def clear_denominators(values: Iterable[Number]) -> tuple[list[int], int]:
+    """The values times the lcm of their denominators, as ``int``s, and that lcm."""
+    ratios = [x.as_integer_ratio() for x in values]
+    m = lcm(*(d for _, d in ratios))
+    return [p * (m // d) for p, d in ratios], m
+
+
 # ---------------------------------------------------------------------------
 # Transfer functions
 # ---------------------------------------------------------------------------
@@ -105,13 +113,25 @@ class ParallelAffineAssign:
 
     @cached_property
     def assigned(self) -> tuple[tuple[int, tuple[tuple[int, Number], ...], Number], ...]:
-        """Rows other than identity rows, as ``(j, ((i, c) for c != 0), const)``, 0-based."""
-        out = []
+        """Rows other than identity rows, as ``(j, ((i, c) for c != 0), const)``, 0-based.
+        (Entries that are the parser's rational 0 and 1 compare by identity.)"""
+        n, out = len(self.rows), []
         for j, r in enumerate(self.rows):
-            terms = tuple((i, c) for i, c in enumerate(r.coeffs) if c != 0)
-            if r.const != 0 or terms != ((j, 1),):
-                out.append((j, terms, r.const))
+            if r != identity_row(j, n, *_RAT_NUMBERS):
+                out.append((j, tuple((i, c) for i, c in enumerate(r.coeffs) if c), r.const))
         return tuple(out)
+
+    @cached_property
+    def scaled(self) -> tuple[int, tuple[tuple[int, tuple[tuple[int, int], ...], int], ...]]:
+        """``(L, assigned × L)`` with ``int`` entries: L is the lcm of the
+        denominators in ``assigned``."""
+        ints, big = clear_denominators(
+            x for _, terms, const in self.assigned for x in (*(c for _, c in terms), const)
+        )
+        it = iter(ints)
+        return big, tuple(
+            (j, tuple((i, next(it)) for i, _ in terms), next(it)) for j, terms, _ in self.assigned
+        )
 
 
 @dataclass(frozen=True)
@@ -134,6 +154,12 @@ class Guard:
             raise ValueError(f"unknown relation {self.rel!r}")
         if self.mode not in ("conj", "disj"):
             raise ValueError(f"unknown guard mode {self.mode!r}")
+
+    @cached_property
+    def cleared(self) -> tuple[LinExpr, ...]:
+        """Each row times the lcm of its denominators: the same hyperplanes, ``int`` entries."""
+        rows = (clear_denominators((*r.coeffs, r.const))[0] for r in self.rows)
+        return tuple(LinExpr(tuple(ints[:-1]), ints[-1]) for ints in rows)
 
 
 TransferFunction = Identity | ParallelAffineAssign | NondetAssign | Guard

@@ -39,7 +39,6 @@ work on ``StateVector.values`` by node index; both engines, by name in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Any, Callable, Iterable, Sequence
 
@@ -62,6 +61,7 @@ from .programs import (
     StateVector,
     TOP_ENTRY,
     TransferFunction,
+    clear_denominators,
     guard_holds,
     post_edges_into,  # noqa: F401 -- unused here; bench/test_bench.py traces it under this name
 )
@@ -223,7 +223,7 @@ class AffAdapter(_NumericDomain):
             return aff.bca_nondet_assign(t.target, a)
         if isinstance(t, Guard):
             if t.rel == "=":
-                return aff.bca_eq_guard(t.rows, t.mode, a)
+                return aff.bca_eq_guard(t.cleared, t.mode, a)
             if t.rel != "!=":
                 raise UnsupportedDomain(f"guard relation {t.rel!r} has no affine approximation")
             return a  # sound, not best: bot would be exact where the guard is false on all of a
@@ -232,13 +232,13 @@ class AffAdapter(_NumericDomain):
     def _from_literal(self, decl: InitDecl) -> aff.AffSubspace:
         if isinstance(decl, InitVector):
             # the point with 0 in each top slot, spanned by the top slots' unit vectors
-            point = tuple(Fraction(0 if e == TOP_ENTRY else e) for e in decl.entries)
+            num, den = clear_denominators(0 if e == TOP_ENTRY else e for e in decl.entries)
             units = tuple(
-                tuple(Fraction(int(i == j)) for i in range(self.n))
+                tuple(int(i == j) for i in range(self.n))
                 for j, e in enumerate(decl.entries)
                 if e == TOP_ENTRY
             )
-            return aff.AffSubspace(self.n, point, units)
+            return aff.AffSubspace(self.n, num, units, den)
         if isinstance(decl, InitConstraints):
             return aff.from_equalities(decl.rows, self.n)
         raise TypeError(f"unknown init declaration {decl!r}")

@@ -112,12 +112,23 @@ def frac_point(*coords) -> tuple[Fraction, ...]:
     return tuple(Fraction(c) for c in coords)
 
 
+def rational_view(a: AffSubspace) -> tuple[tuple[Fraction, ...], tuple[tuple[Fraction, ...], ...]]:
+    """The point ``num / den`` and the basis rows divided by their pivots, as
+    ``Fraction``s: the rational RREF form of a nonempty subspace.  Asserts
+    that every stored entry is an ``int``."""
+    assert all(type(x) is int for x in (a.den, *a.num, *(x for b in a.basis for x in b)))
+    point = tuple(Fraction(x, a.den) for x in a.num)
+    basis = tuple(tuple(Fraction(x, next(filter(None, b))) for x in b) for b in a.basis)
+    return point, basis
+
+
 def subspace_samples(a: AffSubspace, rng: random.Random, count: int) -> list[tuple[Fraction, ...]]:
     """Random rational points inside a nonempty subspace."""
+    point, basis = rational_view(a)
     out = []
     for _ in range(count):
-        pt = list(a.point)
-        for b in a.basis:
+        pt = list(point)
+        for b in basis:
             c = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
             pt = [x + c * y for x, y in zip(pt, b)]
         out.append(tuple(pt))
@@ -138,6 +149,71 @@ def random_affine_rows(rng: random.Random, n: int) -> tuple[pg.LinExpr, ...]:
         )
         for _ in range(n)
     )
+
+
+def random_entry(rng: random.Random, seen: set[str]):
+    """Zero, a small int (as ``int`` or ``Fraction``), a small fraction, or a
+    fraction whose numerator is above 10⁶."""
+    kind = rng.random()
+    if kind < 0.35:
+        return Fraction(0)
+    if kind < 0.6:
+        v = rng.randint(-4, 4)
+        return v if rng.random() < 0.3 else Fraction(v)
+    if kind < 0.85:
+        seen.add("fraction")
+        return Fraction(rng.randint(-9, 9), rng.randint(2, 12))
+    seen.add("big")
+    return Fraction(rng.choice((-1, 1)) * rng.randint(10**6, 10**12), rng.randint(1, 10**4))
+
+
+def random_matrix(rng: random.Random, n: int, seen: set[str]) -> list[list]:
+    """Random rows plus dependent ones: zero rows, multiples and sums of rows."""
+    rows = [[random_entry(rng, seen) for _ in range(n)] for _ in range(rng.randint(0, n + 1))]
+    for _ in range(rng.randint(0, 2)):
+        extra = rng.choice(("zero", "multiple", "sum"))
+        if extra == "zero" or not rows:
+            seen.add("zero row")
+            rows.append([Fraction(0)] * n)
+        elif extra == "multiple":
+            k = Fraction(rng.choice((-3, -1, 2, 7)), rng.randint(1, 5))
+            rows.append([k * x for x in rng.choice(rows)])
+        else:
+            rows.append([x + y for x, y in zip(rng.choice(rows), rng.choice(rows))])
+    rng.shuffle(rows)
+    for row in rows:
+        lead = next((x for x in row if x != 0), 0)
+        if lead < 0:
+            seen.add("negative pivot")
+        if len({Fraction(x).denominator for x in row if x != 0}) > 1:
+            seen.add("mixed denominators")
+    return rows
+
+
+def random_assignment(rng: random.Random, n: int, seen: set[str]) -> tuple[pg.LinExpr, ...]:
+    """Rows that are written-out identity rows, constants, random sparse rows,
+    or a parallel pair over two variables (a swap, or sum and difference)."""
+    rows = []
+    for j in range(n):
+        kind = rng.choice(("identity", "constant", "random"))
+        seen.add(kind)
+        if kind == "identity":
+            one = rng.choice((1, Fraction(1)))
+            rows.append(pg.identity_row(j, n, one * 0, one))
+        elif kind == "constant":
+            rows.append(pg.LinExpr((Fraction(0),) * n, random_entry(rng, seen)))
+        else:
+            rows.append(pg.LinExpr(tuple(random_entry(rng, seen) for _ in range(n)), random_entry(rng, seen)))
+    if n >= 2 and rng.random() < 0.4:
+        seen.add("parallel pair")
+        j, k = rng.sample(range(n), 2)
+        unit = [pg.identity_row(i, n, Fraction(0), Fraction(1)).coeffs for i in (j, k)]
+        if rng.random() < 0.5:
+            rows[j], rows[k] = pg.LinExpr(unit[1], Fraction(0)), pg.LinExpr(unit[0], Fraction(0))
+        else:
+            rows[j] = pg.LinExpr(tuple(x + y for x, y in zip(*unit)), Fraction(0))
+            rows[k] = pg.LinExpr(tuple(x - y for x, y in zip(*unit)), Fraction(0))
+    return tuple(rows)
 
 
 def solve_square_system(rows: list[tuple[list[Fraction], Fraction]], n: int):

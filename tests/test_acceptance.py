@@ -26,7 +26,9 @@ from absinv.synthesis import (
     backward_gfp,
     verify_invariant,
 )
-from conftest import PROGRAMS_DIR, chain_gi, random_program, solve_square_system, three_chain_f
+from conftest import (
+    PROGRAMS_DIR, chain_gi, random_program, rational_view, solve_square_system, three_chain_f,
+)
 
 F = Fraction
 TOP = cd.TOP
@@ -136,7 +138,7 @@ def test_criterion_2_forward_affine_trace(affine_demo):
         for v in result.trace
         for x in v.values
         if not x.is_empty
-        for c in x.point
+        for c in rational_view(x)[0]  # asserts int entries
     )
     ok = result.found and trace_ok and q4_ok and exact_ok and elapsed < 0.1
     _report("2", "forward affine-domain trace", ok, f"elapsed={elapsed:.3f}s")

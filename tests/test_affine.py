@@ -11,7 +11,11 @@ from absinv.synthesis import AffAdapter
 from conftest import (
     frac_point,
     random_affine_rows,
+    random_assignment,
+    random_entry,
+    random_matrix,
     random_rat_points,
+    rational_view,
     solve_square_system,
     subspace_samples,
 )
@@ -37,8 +41,9 @@ def test_canonical_form_is_representation_independent():
     a = af.AffSubspace(2, frac_point(1, 1), (frac_point(2, 2),))
     b = af.AffSubspace(2, frac_point(3, 3), (frac_point(-1, -1),))
     assert a == b
-    assert a.basis == (frac_point(1, 1),)
-    assert a.point == frac_point(0, 0)  # reduced on the pivot column
+    point, basis = rational_view(a)
+    assert basis == (frac_point(1, 1),)
+    assert point == frac_point(0, 0)  # reduced on the pivot column
 
 
 def test_dependent_generators_are_reduced():
@@ -181,8 +186,10 @@ def test_full_space_has_no_constraints():
 
 def test_constraints_to_generators_line():
     got = af.from_equalities([expr((1, 2, 0), 0), expr((0, 0, 1), -1)], 3)
-    assert got.point == frac_point(0, 0, 1)
-    assert got.basis == (frac_point(1, F(-1, 2), 0),)  # pivot-normalized span of (-2,1,0)
+    assert rational_view(got) == (
+        frac_point(0, 0, 1),
+        (frac_point(1, F(-1, 2), 0),),  # pivot-normalized span of (-2,1,0)
+    )
     assert got.contains_point(frac_point(-2, 1, 1))
 
 
@@ -449,7 +456,7 @@ def test_render():
 # The reference functions are the module's earlier dense implementations:
 # every entry wrapped in ``Fraction``, every row read in full, elimination
 # over ℚ.  Integer elimination and sparse assignment images must return
-# exactly the same tuples, with ``Fraction`` entries.
+# ``int`` entries whose rational view is exactly the same tuples.
 
 
 def ref_dot(u, v):
@@ -495,8 +502,9 @@ def ref_bca_parallel_assign(rows, a):
     """(point, basis) of the image in canonical form; None for the empty set."""
     if a.is_empty:
         return None
-    point = tuple(Fraction(r.eval(a.point)) for r in rows)
-    basis = ref_rref(tuple(ref_dot(r.coeffs, b) for r in rows) for b in a.basis)
+    point, basis = rational_view(a)
+    point = tuple(Fraction(r.eval(point)) for r in rows)
+    basis = ref_rref(tuple(ref_dot(r.coeffs, b) for r in rows) for b in basis)
     return ref_reduce_mod_span(point, basis), basis
 
 
@@ -507,51 +515,9 @@ def ref_includes(outer, inner):
         return True
     if outer.is_empty:
         return False
-    diff = tuple(x - y for x, y in zip(inner.point, outer.point))
-    return all(not any(ref_reduce_mod_span(v, outer.basis)) for v in (diff, *inner.basis))
-
-
-def random_entry(rng: random.Random, seen: set[str]):
-    """Zero, a small int (as ``int`` or ``Fraction``), a small fraction, or a
-    fraction whose numerator is above 10⁶."""
-    kind = rng.random()
-    if kind < 0.35:
-        return F(0)
-    if kind < 0.6:
-        v = rng.randint(-4, 4)
-        return v if rng.random() < 0.3 else F(v)
-    if kind < 0.85:
-        seen.add("fraction")
-        return F(rng.randint(-9, 9), rng.randint(2, 12))
-    seen.add("big")
-    return F(rng.choice((-1, 1)) * rng.randint(10**6, 10**12), rng.randint(1, 10**4))
-
-
-def random_matrix(rng: random.Random, n: int, seen: set[str]) -> list[list]:
-    """Random rows plus dependent ones: zero rows, multiples and sums of rows."""
-    rows = [[random_entry(rng, seen) for _ in range(n)] for _ in range(rng.randint(0, n + 1))]
-    for _ in range(rng.randint(0, 2)):
-        extra = rng.choice(("zero", "multiple", "sum"))
-        if extra == "zero" or not rows:
-            seen.add("zero row")
-            rows.append([F(0)] * n)
-        elif extra == "multiple":
-            k = F(rng.choice((-3, -1, 2, 7)), rng.randint(1, 5))
-            rows.append([k * x for x in rng.choice(rows)])
-        else:
-            rows.append([x + y for x, y in zip(rng.choice(rows), rng.choice(rows))])
-    rng.shuffle(rows)
-    for row in rows:
-        lead = next((x for x in row if x != 0), 0)
-        if lead < 0:
-            seen.add("negative pivot")
-        if len({F(x).denominator for x in row if x != 0}) > 1:
-            seen.add("mixed denominators")
-    return rows
-
-
-def assert_fraction_entries(*vectors):
-    assert all(type(x) is Fraction for v in vectors for x in v)
+    (inner_point, inner_basis), (outer_point, outer_basis) = map(rational_view, (inner, outer))
+    diff = tuple(x - y for x, y in zip(inner_point, outer_point))
+    return all(not any(ref_reduce_mod_span(v, outer_basis)) for v in (diff, *inner_basis))
 
 
 def test_rref_and_reduction_match_dense_rational_elimination():
@@ -560,40 +526,13 @@ def test_rref_and_reduction_match_dense_rational_elimination():
     for _ in range(600):
         n = rng.randint(1, 7)
         rows = random_matrix(rng, n, seen)
-        basis = af.rref(rows)
-        assert basis == ref_rref(rows)
-        assert_fraction_entries(*basis)
+        expected = ref_rref(rows)
+        basis = af.rref(pg.clear_denominators(r)[0] for r in rows)
+        assert all(type(x) is int for b in basis for x in b)
+        assert tuple(tuple(F(x, next(filter(None, b))) for x in b) for b in basis) == expected
         v = [random_entry(rng, seen) for _ in range(n)]
-        reduced = af.reduce_mod_span(v, basis)
-        assert reduced == ref_reduce_mod_span(v, basis)
-        assert_fraction_entries(reduced)
+        assert rational_view(af.AffSubspace(n, v, basis)) == (ref_reduce_mod_span(v, expected), expected)
     assert seen == {"fraction", "big", "zero row", "negative pivot", "mixed denominators"}
-
-
-def random_assignment(rng: random.Random, n: int, seen: set[str]) -> tuple[pg.LinExpr, ...]:
-    """Rows that are written-out identity rows, constants, random sparse rows,
-    or a parallel pair over two variables (a swap, or sum and difference)."""
-    rows = []
-    for j in range(n):
-        kind = rng.choice(("identity", "constant", "random"))
-        seen.add(kind)
-        if kind == "identity":
-            one = rng.choice((1, F(1)))
-            rows.append(pg.identity_row(j, n, one * 0, one))
-        elif kind == "constant":
-            rows.append(pg.LinExpr((F(0),) * n, random_entry(rng, seen)))
-        else:
-            rows.append(pg.LinExpr(tuple(random_entry(rng, seen) for _ in range(n)), random_entry(rng, seen)))
-    if n >= 2 and rng.random() < 0.4:
-        seen.add("parallel pair")
-        j, k = rng.sample(range(n), 2)
-        unit = [pg.identity_row(i, n, F(0), F(1)).coeffs for i in (j, k)]
-        if rng.random() < 0.5:
-            rows[j], rows[k] = pg.LinExpr(unit[1], F(0)), pg.LinExpr(unit[0], F(0))
-        else:
-            rows[j] = pg.LinExpr(tuple(x + y for x, y in zip(*unit)), F(0))
-            rows[k] = pg.LinExpr(tuple(x - y for x, y in zip(*unit)), F(0))
-    return tuple(rows)
 
 
 def test_parallel_assign_and_inclusion_match_dense_references():
@@ -617,8 +556,7 @@ def test_parallel_assign_and_inclusion_match_dense_references():
         if expected is None:
             assert got.is_empty
         else:
-            assert (got.point, got.basis) == expected
-            assert_fraction_entries(got.point, *got.basis)
+            assert rational_view(got) == expected
         for outer, inner in ((a, got), (got, a), (af.AffSubspace.full(n), got)):
             assert af.includes(outer, inner) == ref_includes(outer, inner)
     assert {"empty", "full", "identity", "constant", "parallel pair", "big"} <= seen

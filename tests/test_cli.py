@@ -107,6 +107,39 @@ def test_parser_reuse_keeps_no_state_between_calls(capsys):
     assert (out, err) == (fresh.stdout, fresh.stderr)
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["analyze", "--program", AFFINE, "--domain", "affine", "--alg", "forward", "--trace",
+         "--format", "json"],
+        ["oracle", "--suite", "all", "--seed", "1", "--trials", "50", "--format", "json"],
+        # output small enough to stay in the buffer until the final flush
+        ["analyze", "--program", CONST, "--domain", "const", "--alg", "forward"],
+    ],
+    ids=["analyze-trace-json", "oracle-json", "analyze-short"],
+)
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_closed_stdout_exits_two_without_a_traceback(args, unbuffered):
+    """Standard output whose reader is gone (``| head``) is an error, not a verdict.
+
+    Buffered, a short output fails only when it is flushed; unbuffered, in ``print``."""
+    src = str(PROGRAMS_DIR.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    r, w = os.pipe()
+    os.close(r)  # every write to w fails with EPIPE
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "absinv.cli", *args], stdout=w, stderr=subprocess.PIPE, text=True, env=env
+        )
+    finally:
+        os.close(w)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr and "Error" not in proc.stderr
+
+
 def test_analyze_missing_file_exits_two(capsys):
     code, _, err = run(
         ["analyze", "--program", "no-such-file.prog", "--domain", "const",

@@ -37,7 +37,7 @@ from absinv.synthesis import (
     pure_post_step,
     verify_invariant,
 )
-from conftest import random_const_vec, random_program
+from conftest import random_const_vec, random_program, rational_view
 
 TOP = cd.TOP
 F = Fraction
@@ -282,8 +282,9 @@ def test_forward_affine_exact_arithmetic(affine_problem):
     for vec in result.trace:
         for x in vec.values:
             if not x.is_empty:
-                assert all(isinstance(c, F) for c in x.point)
-                assert all(isinstance(c, F) for b in x.basis for c in b)
+                point, basis = rational_view(x)  # asserts int entries
+                assert all(isinstance(c, F) for c in point)
+                assert all(isinstance(c, F) for b in basis for c in b)
 
 
 # ---------------------------------------------------------------------------
