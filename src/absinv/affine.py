@@ -13,11 +13,15 @@ order) with each row scaled to coprime integers with a positive pivot, and
 the base point is ``num / den``, coprime integer numerators over one positive
 denominator, reduced modulo the span (zero on pivot columns).  Scaling a
 rational RREF row by a positive factor is a bijection, so structural
-equality is semantic equality.  Rationals enter only at the boundary: the
-transfers carry their rows cleared of denominators
-(``ParallelAffineAssign.scaled``, ``Guard.cleared``), and constraint literals
-and concrete points are cleared here.  The n-variable lattice (bounds,
-height n + 1, alpha, gamma-membership) is ``synthesis.AffAdapter``.
+equality is semantic equality.
+
+Every function here that receives coordinates or rows takes Python ``int``s
+only.  Rationals enter through the entry points that clear them:
+``AffSubspace.point_of``, ``hull_points``, ``AffSubspace.contains_point`` and
+``from_equalities`` here, ``synthesis.AffAdapter._from_literal``, and the
+transfers' ``ParallelAffineAssign.scaled`` and ``Guard.cleared``.  The
+n-variable lattice (bounds, height n + 1, alpha, gamma-membership) is
+``synthesis.AffAdapter``.
 """
 
 from __future__ import annotations
@@ -87,7 +91,8 @@ def _reduce(v: Sequence[int], basis: Sequence[Row]) -> tuple[Sequence[int], int]
 @dataclass(frozen=True, init=False)
 class AffSubspace:
     """Empty (``num`` is None), or  num/den + span(basis)  in ℚⁿ, stored in canonical
-    form.  Rational entries, as in ``AffSubspace(n, point, basis)``, are cleared first."""
+    form.  ``num``, ``basis`` and ``den`` are ``int``s; rational points go
+    through ``point_of`` or ``hull_points``."""
 
     n: int
     num: Row | None
@@ -102,15 +107,9 @@ class AffSubspace:
         elif not den:
             raise ValueError("zero denominator")
         else:
-            basis = tuple(basis)  # read twice when entries are rational
-            try:
-                rows = rref(basis)
-                v, s = _reduce(num, rows)
-                g = gcd(den * s, *v)
-            except TypeError:  # a Fraction entry (math.gcd takes only ints): clear and retry
-                num, d = clear_denominators(num)
-                self.__init__(n, num, [clear_denominators(b)[0] for b in basis], den * d)
-                return
+            rows = rref(basis)
+            v, s = _reduce(num, rows)
+            g = gcd(den * s, *v)
             g = g if den > 0 else -g
             num, basis, den = tuple(x // g for x in v), rows, den * s // g
             if len(num) != n or any(len(b) != n for b in basis):
@@ -188,14 +187,12 @@ def meet_hyperplane(a: AffSubspace, e: LinExpr) -> AffSubspace:
 
     On the parametrization num/den + sum t_i basis_i, e is c/den + sum d_i t_i
     with c = coeffs · num + const·den and d_i = coeffs · basis_i; one
-    parameter is eliminated when possible.  Rational rows are cleared first."""
+    parameter is eliminated when possible.  ``e`` has ``int`` entries, as
+    ``Guard.cleared`` and ``generators_to_constraints`` give them."""
     if a.num is None:
         return a
-    coeffs, const = e.coeffs, e.const
-    if type(const) is not int or not all(type(x) is int for x in coeffs):
-        *coeffs, const = clear_denominators((*coeffs, const))[0]
-    c = dot(coeffs, a.num) + const * a.den
-    d = [dot(coeffs, b) for b in a.basis]
+    c = dot(e.coeffs, a.num) + e.const * a.den
+    d = [dot(e.coeffs, b) for b in a.basis]
     i0 = next((i for i, x in enumerate(d) if x), None)
     if i0 is None:
         return a if c == 0 else AffSubspace.empty(a.n)

@@ -736,17 +736,13 @@ def render_linexpr(e: LinExpr) -> str:
     return "".join(parts)
 
 
-def render_transfer(t: TransferFunction, n: int, sort: str) -> str:
+def render_transfer(t: TransferFunction) -> str:
     if isinstance(t, Identity):
         return "skip"
     if isinstance(t, NondetAssign):
         return f"x{t.target} := ?"
     if isinstance(t, ParallelAffineAssign):
-        parts = [
-            f"x{i + 1} := {render_linexpr(r)}"
-            for i, r in enumerate(t.rows)
-            if r != identity_row(i, n, *_numbers(sort))
-        ]
+        parts = [f"x{j + 1} := {render_linexpr(t.rows[j])}" for j, _, _ in t.assigned]
         return ", ".join(parts) or "skip"
     joiner = " and " if t.mode == "conj" else " or "
     return joiner.join(f"assume {render_linexpr(r)} {t.rel} 0" for r in t.rows)
@@ -778,5 +774,5 @@ def print_program(program: Program) -> str:
         if not isinstance(decl, InitBot):
             lines.append(f"init {q}: {render_init(decl)};")
     for e in program.edges:
-        lines.append(f"edge {e.src} -> {e.dst} : {render_transfer(e.transfer, program.n, program.sort)};")
+        lines.append(f"edge {e.src} -> {e.dst} : {render_transfer(e.transfer)};")
     return "\n".join(lines) + "\n"

@@ -278,6 +278,8 @@ class AnalysisProblem:
 
     def __post_init__(self) -> None:
         n = len(self.nodes)
+        if len(set(self.nodes)) != n:
+            raise ValueError("duplicate node names")
         if not all(0 <= src < n and 0 <= dst < n for src, _, dst in self.edges):
             raise ValueError(f"an edge endpoint is not a node index in range({n})")
         if not self.init.nodes == self.safety.nodes == self.nodes:

@@ -203,11 +203,9 @@ def test_criterion_5_completeness_witnesses():
     const_ok = const_direct == cd.ConstVec.bottom(2) and const_via_domain == cd.ConstVec.of(0, 0)
 
     q_pts = [(F(1), F(0)), (F(-1), F(0))]
-    aff_expr = pg.LinExpr((F(1), F(0)), F(0))
-    aff_direct = af.hull_points(
-        pg.apply_transfer_concrete(pg.Guard((aff_expr,), "=", "conj"), q_pts), 2
-    )
-    aff_via_domain = af.meet_hyperplane(af.hull_points(q_pts, 2), aff_expr)
+    aff_guard = pg.Guard((pg.LinExpr((F(1), F(0)), F(0)),), "=", "conj")
+    aff_direct = af.hull_points(pg.apply_transfer_concrete(aff_guard, q_pts), 2)
+    aff_via_domain = af.meet_hyperplane(af.hull_points(q_pts, 2), aff_guard.cleared[0])
     aff_ok = aff_direct.is_empty and aff_via_domain == af.AffSubspace.point_of((0, 0))
     _report("5", "guard incompleteness witnesses", const_ok and aff_ok)
 

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import reference_affine as ra
+
 from absinv import affine as af
 from absinv import programs as pg
 from absinv.synthesis import AffAdapter
@@ -32,14 +34,21 @@ def line_x1_plus_2x2_x3_is_1() -> af.AffSubspace:
     return af.from_equalities([expr((1, 2, 0), 0), expr((0, 0, 1), -1)], 3)
 
 
+def same_set(got: af.AffSubspace, expected: ra.AffSubspace) -> bool:
+    """Both empty, or the reference's rational point and basis."""
+    if expected.is_empty or got.is_empty:
+        return expected.is_empty and got.is_empty
+    return rational_view(got) == (expected.point, expected.basis)
+
+
 # ---------------------------------------------------------------------------
 # Canonical forms
 # ---------------------------------------------------------------------------
 
 
 def test_canonical_form_is_representation_independent():
-    a = af.AffSubspace(2, frac_point(1, 1), (frac_point(2, 2),))
-    b = af.AffSubspace(2, frac_point(3, 3), (frac_point(-1, -1),))
+    a = af.AffSubspace(2, (1, 1), ((2, 2),))
+    b = af.AffSubspace(2, (3, 3), ((-1, -1),))
     assert a == b
     point, basis = rational_view(a)
     assert basis == (frac_point(1, 1),)
@@ -47,11 +56,7 @@ def test_canonical_form_is_representation_independent():
 
 
 def test_dependent_generators_are_reduced():
-    a = af.AffSubspace(
-        3,
-        frac_point(0, 0, 1),
-        (frac_point(-2, 1, 0), frac_point(-4, 2, 0), frac_point(2, -1, 0)),
-    )
+    a = af.AffSubspace(3, (0, 0, 1), ((-2, 1, 0), (-4, 2, 0), (2, -1, 0)))
     assert a.dim == 1
     assert a == line_x1_plus_2x2_x3_is_1()
 
@@ -81,7 +86,7 @@ def test_join_examples():
     two_points = af.join(
         af.AffSubspace.point_of((0, 0)), af.AffSubspace.point_of((2, 2))
     )
-    assert two_points == af.AffSubspace(2, frac_point(0, 0), (frac_point(1, 1),))
+    assert two_points == af.AffSubspace(2, (0, 0), ((1, 1),))
     assert af.join(af.AffSubspace.point_of((-2, 1, 1)), line) == line
 
 
@@ -117,17 +122,17 @@ def test_strict_inclusion_increases_dimension():
 
 def test_meet_hyperplane_examples():
     line = line_x1_plus_2x2_x3_is_1()
-    point = af.meet_hyperplane(line, expr((1, 0, 2), 0))  # x1 + 2 x3 = 0
+    point = af.meet_hyperplane(line, pg.LinExpr((1, 0, 2), 0))  # x1 + 2 x3 = 0
     assert point == af.AffSubspace.point_of((-2, 1, 1))
-    assert af.meet_hyperplane(af.AffSubspace.empty(3), expr((1, 0, 0), 0)).is_empty
-    half = af.meet_hyperplane(af.AffSubspace.full(2), expr((1, 0), 0))
+    assert af.meet_hyperplane(af.AffSubspace.empty(3), pg.LinExpr((1, 0, 0), 0)).is_empty
+    half = af.meet_hyperplane(af.AffSubspace.full(2), pg.LinExpr((1, 0), 0))
     assert half.dim == 1 and half.contains_point(frac_point(0, 7))
 
 
 def test_meet_hyperplane_inconsistent_constant():
     line = line_x1_plus_2x2_x3_is_1()
     # x3 = 0 contradicts x3 = 1 on the line
-    assert af.meet_hyperplane(line, expr((0, 0, 1), 0)).is_empty
+    assert af.meet_hyperplane(line, pg.LinExpr((0, 0, 1), 0)).is_empty
 
 
 def test_meet_of_two_subspaces():
@@ -208,41 +213,6 @@ def test_inconsistent_constraints_give_empty():
     assert a.is_empty
 
 
-def _reference_constraints_to_generators(rows, n: int) -> af.AffSubspace:
-    """Elimination with pivots restricted to the coefficient columns."""
-    aug = [[F(x) for x in r.coeffs] + [F(r.const)] for r in rows]
-    aug = [r for r in aug if any(x != 0 for x in r)]
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, len(aug)) if aug[i][c] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        aug[r] = [x / aug[r][c] for x in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        r += 1
-        if r == len(aug):
-            break
-    if any(row[n] != 0 for row in aug[r:]):
-        return af.AffSubspace.empty(n)
-    rows = aug[:r]
-    pivots = [next(i for i in range(n) if row[i] != 0) for row in rows]
-    point = [F(0)] * n
-    for row, pc in zip(rows, pivots):
-        point[pc] = -row[n]
-    dirs = []
-    for f in (c for c in range(n) if c not in pivots):
-        d = [F(0)] * n
-        d[f] = F(1)
-        for row, pc in zip(rows, pivots):
-            d[pc] = -row[f]
-        dirs.append(tuple(d))
-    return af.AffSubspace(n, tuple(point), tuple(dirs))
-
-
 def test_constraints_to_generators_matches_reference_elimination():
     rng = random.Random(17)
     for _ in range(400):
@@ -255,7 +225,7 @@ def test_constraints_to_generators_matches_reference_elimination():
             rows.insert(rng.randint(0, len(rows)), expr([0] * n, 0))  # all-zero row
         if rng.random() < 0.2:
             rows.insert(rng.randint(0, len(rows)), expr([0] * n, 1))  # 0 = 1
-        assert af.from_equalities(rows, n) == _reference_constraints_to_generators(rows, n)
+        assert same_set(af.from_equalities(rows, n), ra.from_equalities(rows, n))
 
 
 def _reference_vector_literal(entries, n: int) -> af.AffSubspace:
@@ -319,7 +289,7 @@ def test_assignments_pointwise_complete():
 
 def test_nondet_assign_examples():
     out = af.bca_nondet_assign(1, af.AffSubspace.point_of((5, 7)))
-    assert out == af.AffSubspace(2, frac_point(0, 7), (frac_point(1, 0),))
+    assert out == af.AffSubspace(2, (0, 7), ((1, 0),))
     assert af.bca_nondet_assign(1, af.AffSubspace.empty(2)).is_empty
     assert af.bca_nondet_assign(1, out) == out  # idempotent on that line
 
@@ -391,13 +361,13 @@ def test_guard_incompleteness_witness():
     guard = pg.Guard((expr((1, 0), 0),), "=", "conj")
     through_concrete = af.hull_points(pg.apply_transfer_concrete(guard, x), 2)
     assert through_concrete.is_empty
-    through_abstraction = af.meet_hyperplane(af.hull_points(x, 2), expr((1, 0), 0))
+    through_abstraction = af.meet_hyperplane(af.hull_points(x, 2), guard.cleared[0])
     assert through_abstraction == af.AffSubspace.point_of((0, 0))
 
 
 def test_eq_guard_modes():
     full = af.AffSubspace.full(2)
-    rows = (expr((1, 0), 0), expr((0, 1), -1))
+    rows = (pg.LinExpr((1, 0), 0), pg.LinExpr((0, 1), -1))
     conj = af.bca_eq_guard(rows, "conj", full)
     assert conj == af.AffSubspace.point_of((0, 1))
     disj = af.bca_eq_guard(rows, "disj", full)
@@ -411,8 +381,9 @@ def test_guards_sound_on_subspace_samples():
         a = af.hull_points(random_rat_points(rng, n, rng.randint(1, 4)), n)
         pts = subspace_samples(a, rng, 4)
         e = expr([rng.randint(-3, 3) for _ in range(n)], rng.randint(-3, 3))
-        image = pg.apply_transfer_concrete(pg.Guard((e,), "=", "conj"), pts)
-        assert af.includes(af.meet_hyperplane(a, e), af.hull_points(image, n))
+        guard = pg.Guard((e,), "=", "conj")
+        image = pg.apply_transfer_concrete(guard, pts)
+        assert af.includes(af.meet_hyperplane(a, guard.cleared[0]), af.hull_points(image, n))
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +398,7 @@ def test_guard_meet_agrees_with_independent_solver():
     test suite, independent of the domain's parametrized elimination.
     """
     line = line_x1_plus_2x2_x3_is_1()
-    met = af.meet_hyperplane(line, expr((1, 0, 2), 0))
+    met = af.meet_hyperplane(line, pg.LinExpr((1, 0, 2), 0))
     solution = solve_square_system(
         [
             ([F(1), F(2), F(0)], F(0)),
@@ -453,71 +424,10 @@ def test_render():
 # Differential check against dense rational elimination
 # ---------------------------------------------------------------------------
 #
-# The reference functions are the module's earlier dense implementations:
-# every entry wrapped in ``Fraction``, every row read in full, elimination
-# over ℚ.  Integer elimination and sparse assignment images must return
-# ``int`` entries whose rational view is exactly the same tuples.
-
-
-def ref_dot(u, v):
-    acc = Fraction(0)
-    for a, b in zip(u, v, strict=True):
-        acc += Fraction(a) * Fraction(b)
-    return acc
-
-
-def ref_rref(rows):
-    m = [[Fraction(x) for x in r] for r in rows]
-    m = [r for r in m if any(x != 0 for x in r)]
-    if not m:
-        return ()
-    r = 0
-    for c in range(len(m[0])):
-        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        scale = m[r][c]
-        m[r] = [x / scale for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        r += 1
-        if r == len(m):
-            break
-    return tuple(tuple(row) for row in m[:r] if any(x != 0 for x in row))
-
-
-def ref_reduce_mod_span(v, basis):
-    out = [Fraction(x) for x in v]
-    for row in basis:
-        f = out[next(i for i, x in enumerate(row) if x != 0)]
-        if f != 0:
-            out = [x - f * y for x, y in zip(out, row)]
-    return tuple(out)
-
-
-def ref_bca_parallel_assign(rows, a):
-    """(point, basis) of the image in canonical form; None for the empty set."""
-    if a.is_empty:
-        return None
-    point, basis = rational_view(a)
-    point = tuple(Fraction(r.eval(point)) for r in rows)
-    basis = ref_rref(tuple(ref_dot(r.coeffs, b) for r in rows) for b in basis)
-    return ref_reduce_mod_span(point, basis), basis
-
-
-def ref_includes(outer, inner):
-    """Generator containment: the difference of the points and every
-    direction of ``inner`` reduce to zero modulo ``outer``'s basis."""
-    if inner.is_empty:
-        return True
-    if outer.is_empty:
-        return False
-    (inner_point, inner_basis), (outer_point, outer_basis) = map(rational_view, (inner, outer))
-    diff = tuple(x - y for x, y in zip(inner_point, outer_point))
-    return all(not any(ref_reduce_mod_span(v, outer_basis)) for v in (diff, *inner_basis))
+# ``reference_affine`` is the module's earlier implementation: every entry a
+# ``Fraction``, elimination over ℚ with pivots normalized to 1.  Integer
+# elimination and sparse assignment images must return ``int`` entries whose
+# rational view is exactly the reference's tuples.
 
 
 def test_rref_and_reduction_match_dense_rational_elimination():
@@ -526,12 +436,13 @@ def test_rref_and_reduction_match_dense_rational_elimination():
     for _ in range(600):
         n = rng.randint(1, 7)
         rows = random_matrix(rng, n, seen)
-        expected = ref_rref(rows)
+        expected = ra.rref(rows)
         basis = af.rref(pg.clear_denominators(r)[0] for r in rows)
         assert all(type(x) is int for b in basis for x in b)
         assert tuple(tuple(F(x, next(filter(None, b))) for x in b) for b in basis) == expected
         v = [random_entry(rng, seen) for _ in range(n)]
-        assert rational_view(af.AffSubspace(n, v, basis)) == (ref_reduce_mod_span(v, expected), expected)
+        num, den = pg.clear_denominators(v)
+        assert rational_view(af.AffSubspace(n, num, basis, den)) == (ra.reduce_mod_span(v, expected), expected)
     assert seen == {"fraction", "big", "zero row", "negative pivot", "mixed denominators"}
 
 
@@ -543,20 +454,19 @@ def test_parallel_assign_and_inclusion_match_dense_references():
         shape = rng.choice(("empty", "full", "point", "random", "random"))
         seen.add(shape)
         if shape == "empty":
-            a = af.AffSubspace.empty(n)
+            a, ref_a = af.AffSubspace.empty(n), ra.AffSubspace.empty(n)
         elif shape == "full":
-            a = af.AffSubspace.full(n)
+            a, ref_a = af.AffSubspace.full(n), ra.AffSubspace.full(n)
         else:
             point = tuple(F(random_entry(rng, seen)) for _ in range(n))
             basis = random_matrix(rng, n, seen) if shape == "random" else ()
-            a = af.AffSubspace(n, point, tuple(map(tuple, basis)))
-        rows = random_assignment(rng, n, seen)
-        got = af.bca_parallel_assign(pg.ParallelAffineAssign(rows), a)
-        expected = ref_bca_parallel_assign(rows, a)
-        if expected is None:
-            assert got.is_empty
-        else:
-            assert rational_view(got) == expected
-        for outer, inner in ((a, got), (got, a), (af.AffSubspace.full(n), got)):
-            assert af.includes(outer, inner) == ref_includes(outer, inner)
+            num, den = pg.clear_denominators(point)
+            a = af.AffSubspace(n, num, [pg.clear_denominators(b)[0] for b in basis], den)
+            ref_a = ra.AffSubspace(n, point, tuple(map(tuple, basis)))
+        t = pg.ParallelAffineAssign(random_assignment(rng, n, seen))
+        got, expected = af.bca_parallel_assign(t, a), ra.bca_parallel_assign(t, ref_a)
+        assert same_set(got, expected)
+        start, image, full = (a, ref_a), (got, expected), (af.AffSubspace.full(n), ra.AffSubspace.full(n))
+        for (outer, ref_outer), (inner, ref_inner) in ((start, image), (image, start), (full, image)):
+            assert af.includes(outer, inner) == ra.includes(ref_outer, ref_inner)
     assert {"empty", "full", "identity", "constant", "parallel pair", "big"} <= seen

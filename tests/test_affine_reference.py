@@ -91,7 +91,9 @@ def random_pair(rng: random.Random, n: int, seen: set[str]) -> tuple[af.AffSubsp
     if shape == "generators":
         p = [random_entry(rng, seen) for _ in range(n)]
         rows = random_matrix(rng, n, seen)
-        return af.AffSubspace(n, p, rows), ra.AffSubspace(n, tuple(map(Fraction, p)), tuple(map(tuple, rows)))
+        num, den = pg.clear_denominators(p)
+        a = af.AffSubspace(n, num, [pg.clear_denominators(r)[0] for r in rows], den)
+        return a, ra.AffSubspace(n, tuple(map(Fraction, p)), tuple(map(tuple, rows)))
     if shape == "hull":
         pts = [[random_entry(rng, seen) for _ in range(n)] for _ in range(rng.randint(0, n + 1))]
         return af.hull_points(pts, n), ra.hull_points(pts, n)
@@ -141,7 +143,7 @@ def test_every_operation_matches_the_fraction_reference():
         seen.add(f"includes {af.includes(a, b)}")
 
         e = random_linexpr(rng, n, seen)
-        check(af.meet_hyperplane(a, e), ra.meet_hyperplane(ref_a, e))
+        check(af.meet_hyperplane(a, pg.Guard((e,), "=", "conj").cleared[0]), ra.meet_hyperplane(ref_a, e))
         t = pg.ParallelAffineAssign(random_assignment(rng, n, seen))
         check(af.bca_parallel_assign(t, a), ra.bca_parallel_assign(t, ref_a))
         j = rng.randint(1, n)
@@ -150,7 +152,6 @@ def test_every_operation_matches_the_fraction_reference():
             guard = pg.Guard(tuple(random_linexpr(rng, n, seen) for _ in range(rng.randint(1, 3))), "=", mode)
             expected = ra.bca_eq_guard(guard.rows, mode, ref_a)
             check(af.bca_eq_guard(guard.cleared, mode, a), expected)
-            check(af.bca_eq_guard(guard.rows, mode, a), expected)
             seen.add(f"{mode} guard dim {expected.dim - ref_a.dim:+d}")
 
         pts = [[random_entry(rng, seen) for _ in range(n)] for _ in range(rng.randint(0, 3))]
@@ -179,6 +180,33 @@ def test_literals_match_the_fraction_reference():
         check(AffAdapter(n).from_init(pg.InitConstraints(rows)), expected)
         seen.add("empty" if expected.is_empty else "nonempty")
     assert seen >= {"fraction", "big", "empty", "nonempty"}
+
+
+def test_the_core_takes_ints_and_the_entry_points_clear_rationals():
+    """A ``Fraction`` entry, even an integral one, is a ``TypeError`` in the
+    constructor; ``point_of``, ``hull_points``, ``contains_point`` and
+    ``from_equalities`` take rational coordinates and rows and clear them."""
+    for num, basis in (((Fraction(1, 2), 0), ()), ((Fraction(1), 0), ()), ((0, 0), ((Fraction(1, 3), 1),))):
+        with pytest.raises(TypeError):
+            af.AffSubspace(2, num, basis)
+    rng = random.Random(79)
+    seen: set[str] = set()
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        p = [random_entry(rng, seen) for _ in range(n)]
+        check(af.AffSubspace.point_of(p), ra.AffSubspace.point_of(p))
+        pts = [[random_entry(rng, seen) for _ in range(n)] for _ in range(rng.randint(0, n + 1))]
+        a, ref_a = af.hull_points(pts, n), ra.hull_points(pts, n)
+        check(a, ref_a)
+        for q in sample_points(rng, ref_a, 2) + [p]:
+            inside = a.contains_point(q)
+            assert inside == ref_a.contains_point(q)
+            seen.add(f"contains {inside}")
+        rows = [random_linexpr(rng, n, seen) for _ in range(rng.randint(0, n + 1))]
+        expected = ra.from_equalities(rows, n)
+        check(af.from_equalities(rows, n), expected)
+        seen.add("empty" if expected.is_empty else "nonempty")
+    assert {"fraction", "big", "contains True", "contains False", "empty", "nonempty"} <= seen
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +343,8 @@ def test_generator_sets_of_one_subspace_are_equal():
             mixed.append([x - y for x, y in zip(mixed[0], mixed[-1])])
         rng.shuffle(mixed)
         (point,) = sample_points(rng, ref_a, 1)
-        other = af.AffSubspace(n, point, mixed)
+        num, den = pg.clear_denominators(point)
+        other = af.AffSubspace(n, num, [pg.clear_denominators(b)[0] for b in mixed], den)
         assert_canonical(other)
         assert other == a and hash(other) == hash(a)
         # integer generators: the basis in reverse order, the point over a negative denominator

@@ -216,8 +216,9 @@ def test_build_rejects_a_property_at_an_unknown_node(const_demo):
 
 
 def test_a_directly_built_problem_is_checked():
-    """Edge endpoints must be node indices (no negative aliasing, no index
-    past the end), and init and safety must be vectors over the nodes."""
+    """Node names must be distinct, edge endpoints must be node indices (no
+    negative aliasing, no index past the end), and init and safety must be
+    vectors over the nodes."""
     adapter = synthesis.ConstAdapter(1)
     nodes, ident = ("a", "b"), pg.Identity()
     init = pg.StateVector(nodes, (adapter.top(), adapter.bottom()))
@@ -231,6 +232,9 @@ def test_a_directly_built_problem_is_checked():
         AnalysisProblem(("a", "b", "c"), ((0, ident, 1),), adapter, init, safety)
     with pytest.raises(ValueError, match="over the problem's nodes"):
         AnalysisProblem(nodes, (), adapter, init, pg.StateVector(("a", "c"), safety.values))
+    twice = pg.StateVector(("a", "a"), init.values)
+    with pytest.raises(ValueError, match="duplicate node names"):
+        AnalysisProblem(("a", "a"), ((0, ident, 1),), adapter, twice, twice)
 
 
 def test_backward_rejected_for_affine(affine_problem):
