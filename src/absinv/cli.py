@@ -108,37 +108,53 @@ def _rendered(adapter: Adapter, v: StateVector) -> dict[str, str]:
     return {q: adapter.render(x) for q, x in zip(v.nodes, v.values)}
 
 
+def _rendered_trace(adapter: Adapter, result: SynthesisResult) -> list[dict[str, str]]:
+    """``_rendered`` of every iterate: the start, then each diff's nodes only."""
+    nodes, rows = result.start.nodes, [_rendered(adapter, result.start)]
+    for diff in result.diffs:
+        row = dict(rows[-1])
+        for j, x in diff.items():
+            row[nodes[j]] = adapter.render(x)
+        rows.append(row)
+    return rows
+
+
+def _line(row: dict[str, str]) -> str:
+    return " ".join(f"{q}={text}" for q, text in row.items())
+
+
 def _text_output(args: argparse.Namespace, problem: AnalysisProblem, result: SynthesisResult) -> str:
-    adapter = problem.adapter
-    lines = []
-    if args.trace:
-        lines += [f"{k}: {render_state_vector(adapter, vec)}" for k, vec in enumerate(result.trace)]
-    steps = len(result.trace) - 1
+    adapter, steps = problem.adapter, result.steps
+    rows = _rendered_trace(adapter, result) if args.trace else []
+    lines = [f"{k}: {_line(row)}" for k, row in enumerate(rows)]
     if result.found:
         lines.append(f"{result.kind} abstract inductive invariant found after {steps} steps:")
-        lines += [f"  {q} = {text}" for q, text in _rendered(adapter, result.invariant).items()]
+        last = rows[-1] if rows else _rendered(adapter, result.last)
+        lines += [f"  {q} = {text}" for q, text in last.items()]
     else:
         lines.append(f"no abstract inductive invariant ({result.reason} at step {steps})")
-        lines.append(f"violating iterate: {render_state_vector(adapter, result.trace[-1])}")
+        text = _line(rows[-1]) if rows else render_state_vector(adapter, result.last)
+        lines.append(f"violating iterate: {text}")
     return "\n".join(lines)
 
 
 def _json_output(args: argparse.Namespace, problem: AnalysisProblem, result: SynthesisResult) -> str:
-    adapter, steps = problem.adapter, len(result.trace) - 1
+    rows = _rendered_trace(problem.adapter, result) if args.trace else []
+    last = rows[-1] if rows else _rendered(problem.adapter, result.last)
     doc = {
         "algorithm": args.alg,
         "domain": args.domain,
-        "steps": steps,
+        "steps": result.steps,
         "result": "invariant" if result.found else "no-invariant",
         "kind": result.kind,
-        "invariant": _rendered(adapter, result.invariant) if result.found else None,
+        "invariant": last if result.found else None,
     }
     if not result.found:
         doc["reason"] = result.reason
-        doc["step"] = steps
-        doc["violating"] = _rendered(adapter, result.trace[-1])
-    if args.trace:
-        doc["trace"] = [_rendered(adapter, v) for v in result.trace]
+        doc["step"] = result.steps
+        doc["violating"] = last
+    if rows:
+        doc["trace"] = rows
     return json.dumps(doc, indent=2)
 
 

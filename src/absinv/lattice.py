@@ -8,7 +8,8 @@ ground-truth harness) is built against the small contracts defined here:
   domain is one such object (``synthesis.ConstAdapter``/``AffAdapter``)
   that also carries its alpha, gamma-membership and transfers.
 - ``kleene``, the one Kleene chain that every fixpoint loop in this package
-  steps (both synthesis engines, the finite co-inductive algorithms, and
+  steps (both synthesis engines, whose chain is one of per-step diffs that
+  ends at an empty diff, the finite co-inductive algorithms, and
   ``lfp_iterate(f, start)``/``gfp_iterate(f, start)``, which return the
   chain's last iterate under the default budget), and
   ``check_inductive_invariant``, the one inductiveness test.
@@ -66,22 +67,29 @@ class AbstractDomain(ABC):
         return None
 
 
-def kleene(f: Callable[[Any], Any], start: Any, max_steps: int | None = None) -> Iterator[Any]:
+def kleene(
+    f: Callable[[Any], Any],
+    start: Any,
+    max_steps: int | None = None,
+    stable: Callable[[Any, Any], bool] | None = None,
+) -> Iterator[Any]:
     """Yield the Kleene chain ``start, f(start), ...`` up to its first fixpoint.
 
     Every iterate is yielded before ``f`` is applied to it, so a consumer
     that stops after k iterates has applied ``f`` exactly k - 1 times.  The
     chain ends at the first iterate x with f(x) == x (structural equality,
-    so elements must be canonical).  After ``max_steps + 1`` applications
-    of ``f`` (``max_steps`` defaults to :data:`DEFAULT_MAX_STEPS`) without
-    a repeat it raises :class:`IterationBudgetExceeded`.
+    so elements must be canonical), or, given ``stable``, with
+    ``stable(x, f(x))``: a chain of per-step changes ends at the first empty
+    one.  After ``max_steps + 1`` applications of ``f`` (``max_steps``
+    defaults to :data:`DEFAULT_MAX_STEPS`) without a repeat it raises
+    :class:`IterationBudgetExceeded`.
     """
     budget = DEFAULT_MAX_STEPS if max_steps is None else max_steps
     x = start
     for _ in range(budget + 1):
         yield x
         fx = f(x)
-        if fx == x:
+        if (fx == x) if stable is None else stable(x, fx):
             return
         x = fx
     raise IterationBudgetExceeded(f"no fixpoint within {budget} steps")

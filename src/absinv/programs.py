@@ -284,6 +284,8 @@ class StateVector:
         object.__setattr__(self, "values", tuple(self.values))
         if len(self.nodes) != len(self.values):
             raise ValueError("state vector must be total on the node set")
+        if len(set(self.nodes)) != len(self.nodes):
+            raise ValueError("duplicate node names")
 
     def __getitem__(self, q: str) -> Any:
         try:

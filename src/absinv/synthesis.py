@@ -15,7 +15,12 @@ Two engines over vectors of domain elements, one per node:
 Both are deterministic: every iterate is canonical, so traces are
 reproducible.  Each step recomputes only the nodes that read a node changed
 by the previous step and the property is checked only at changed nodes; the
-iterates are those of the full Jacobi step, which recomputes every node.
+iterates are those of the full Jacobi step, which recomputes every node.  A
+step costs O(changed), not O(N): the diff steps ``abstract_post_diff`` and
+``abstract_pret_diff`` return the new values at the nodes they change, and
+the engine applies that diff to one working list in place.  A
+``SynthesisResult`` holds the start vector, the diffs and the last iterate;
+its ``trace`` of full vectors is built on first use.
 
 Each numeric domain is one adapter object, ``ConstAdapter`` or
 ``AffAdapter`` (by name in ``DOMAINS``): a ``lattice.AbstractDomain`` that
@@ -31,14 +36,16 @@ safety vectors.  ``build`` makes one from a ``Program``; any other graph,
 such as a one-node finite transition system, can be passed directly, and is
 checked: edge endpoints must be node indices, vectors over the nodes.  Per
 node the index lists of its incoming (source index, transfer) and outgoing
-(transfer, target index) edges are computed once on first use.  The steps
-work on ``StateVector.values`` by node index; both engines, by name in
-``ALGORITHMS``, step their iterates through ``lattice.kleene``.
+(transfer, target index) edges are computed once on first use.  Both
+engines, by name in ``ALGORITHMS``, step their chain of diffs through
+``lattice.kleene``; ``StateVector`` is met only at the boundary: the
+problem's vectors, the result, and ``abstract_post_step`` and
+``abstract_pret_step``, which apply one diff step to a vector.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Any, Callable, Iterable, Sequence
 
@@ -69,6 +76,8 @@ from .programs import (
 
 #: The nodes whose value changed in the previous step; None means all nodes.
 Changed = Iterable[int] | None
+#: Node index -> new value, at the nodes whose value one step changed.
+Diff = dict[int, Any]
 
 
 class UnsupportedDomain(ValueError):
@@ -333,21 +342,36 @@ class AnalysisProblem:
 
 @dataclass(frozen=True)
 class SynthesisResult:
-    """Outcome of a synthesis run, with the full iterate trace.
+    """Outcome of a synthesis run: the start vector, the per-step diffs and
+    the last iterate.
 
-    A run that finds an invariant ends its trace with it; a run that does
-    not ends its trace with the iterate that failed the check ``reason``
-    names, at step ``len(trace) - 1``.
+    Iterate k is ``start`` with the first k ``diffs`` applied.  A run that
+    finds an invariant ends with it; a run that does not ends with the
+    iterate that failed the check ``reason`` names, at step ``steps``.
+    ``trace``, the tuple of every iterate, is built on first use.
     """
 
     found: bool
     kind: str | None  # "least" | "greatest"
-    trace: tuple[StateVector, ...]
+    start: StateVector
+    diffs: tuple[Diff, ...]
+    last: StateVector
     reason: str | None = None  # "property-violated" | "init-not-entailed" | "verification-failed"
 
     @property
+    def steps(self) -> int:
+        return len(self.diffs)
+
+    @property
     def invariant(self) -> StateVector | None:
-        return self.trace[-1] if self.found else None
+        return self.last if self.found else None
+
+    @cached_property
+    def trace(self) -> tuple[StateVector, ...]:
+        vectors = [self.start]
+        for diff in self.diffs:
+            vectors.append(_applied(vectors[-1], diff))
+        return tuple(vectors)
 
 
 # ---------------------------------------------------------------------------
@@ -363,14 +387,17 @@ def _post_at(problem: AnalysisProblem, x: tuple, j: int):
     return acc
 
 
-def _update(v: StateVector, nodes: Iterable[int], recompute: Callable[[int], Any]) -> StateVector:
-    """``v`` with ``recompute(j)`` at each j in ``nodes``; equal values keep their object."""
-    x = v.values
-    out = list(x)
-    for j in nodes:
-        if (new := recompute(j)) != x[j]:
-            out[j] = new
-    return v.with_values(out)
+def _diff(x: Sequence, nodes: Iterable[int], recompute: Callable[[int], Any]) -> Diff:
+    """``recompute(j)`` at each j in ``nodes`` where it differs from ``x[j]``."""
+    return {j: new for j in nodes if (new := recompute(j)) != x[j]}
+
+
+def _applied(v: StateVector, diff: Diff) -> StateVector:
+    """``v`` with ``diff`` applied; the other nodes keep their object."""
+    x = list(v.values)
+    for j, a in diff.items():
+        x[j] = a
+    return v.with_values(x)
 
 
 def pure_post_step(problem: AnalysisProblem, v: StateVector) -> StateVector:
@@ -378,27 +405,29 @@ def pure_post_step(problem: AnalysisProblem, v: StateVector) -> StateVector:
     return v.with_values(_post_at(problem, v.values, j) for j in range(len(v.values)))
 
 
-def abstract_post_step(problem: AnalysisProblem, v: StateVector, changed: Changed = None) -> StateVector:
-    """One forward iteration step: initial abstraction joined with the post image.
+def abstract_post_diff(problem: AnalysisProblem, x: Sequence, changed: Changed) -> Diff:
+    """The diff of one forward step from the iterate ``x``: at each node,
+    the initial abstraction joined with the post image.
 
-    ``changed`` holds the nodes where ``v`` differs from the iterate it was
+    ``changed`` holds the nodes where ``x`` differs from the iterate it was
     stepped from (None: all nodes).  Only targets of edges out of a changed
     node are recomputed: no other node reads a changed value.
     """
-    adapter, init, x = problem.adapter, problem.init.values, v.values
+    adapter, init = problem.adapter, problem.init.values
     nodes = range(len(x)) if changed is None else {j for i in changed for _, j in problem.succs[i]}
-    return _update(v, nodes, lambda j: adapter.join(init[j], _post_at(problem, x, j)))
+    return _diff(x, nodes, lambda j: adapter.join(init[j], _post_at(problem, x, j)))
 
 
-def abstract_pret_step(problem: AnalysisProblem, v: StateVector, changed: Changed = None) -> StateVector:
-    """One backward iteration step: wp-meet over outgoing edges, then ∩ v ∩ safety.
+def abstract_pret_diff(problem: AnalysisProblem, x: Sequence, changed: Changed) -> Diff:
+    """The diff of one backward step from the iterate ``x``: at each node,
+    the wp-meet over its outgoing edges, then ∩ x ∩ safety.
 
     At a node with no outgoing edges the wp contribution is the full space.
-    ``changed`` is as for :func:`abstract_post_step`.  Only sources of edges
+    ``changed`` is as for :func:`abstract_post_diff`.  Only sources of edges
     into a changed node are recomputed: any other node already is the meet
     of the same terms, unchanged by idempotence of ∩.
     """
-    adapter, safety, x = problem.adapter, problem.safety.values, v.values
+    adapter, safety = problem.adapter, problem.safety.values
 
     def pret_at(j: int):
         acc = adapter.top()
@@ -407,7 +436,19 @@ def abstract_pret_step(problem: AnalysisProblem, v: StateVector, changed: Change
         return adapter.meet(adapter.meet(acc, x[j]), safety[j])
 
     nodes = range(len(x)) if changed is None else {j for i in changed for j, _ in problem.preds[i]}
-    return _update(v, nodes, pret_at)
+    return _diff(x, nodes, pret_at)
+
+
+def abstract_post_step(problem: AnalysisProblem, v: StateVector, changed: Changed = None) -> StateVector:
+    """One forward iteration step: initial abstraction joined with the post
+    image, recomputed as :func:`abstract_post_diff` says."""
+    return _applied(v, abstract_post_diff(problem, v.values, changed))
+
+
+def abstract_pret_step(problem: AnalysisProblem, v: StateVector, changed: Changed = None) -> StateVector:
+    """One backward iteration step: wp-meet over outgoing edges, then ∩ v ∩
+    safety, recomputed as :func:`abstract_pret_diff` says."""
+    return _applied(v, abstract_pret_diff(problem, v.values, changed))
 
 
 def verify_invariant(problem: AnalysisProblem, candidate: StateVector) -> bool:
@@ -425,31 +466,38 @@ def verify_invariant(problem: AnalysisProblem, candidate: StateVector) -> bool:
 def _iterate(
     problem: AnalysisProblem,
     start: StateVector,
-    step: Callable[[AnalysisProblem, StateVector, Changed], StateVector],
+    step: Callable[[AnalysisProblem, list, Changed], Diff],
     check: Callable[[int, Any], bool],
     reason: str,
     kind: str,
 ) -> SynthesisResult:
     """Kleene chain of ``step`` from ``start``, shared by both engines.
 
-    Before an iterate is stepped, ``check(j, value)`` runs at the nodes j
-    that changed since the previous iterate (all nodes of ``start``), and
-    the step is told them; the first failure ends the run with ``reason``.
-    A repeated iterate is a found invariant of the given ``kind``.  The
-    budget is the domain's height times the node count, plus one: no strict
-    chain of state vectors is longer.
+    The chain is one of diffs: the working list ``x`` holds iterate k after
+    k steps, ``step`` is told the nodes of the previous diff (None, all
+    nodes, for ``start``) and its diff is applied to ``x`` in place.  Before
+    an iterate is stepped, ``check(j, value)`` runs at the nodes of its
+    diff; the first failure ends the run with ``reason``.  An empty diff
+    ends it with a found invariant of the given ``kind``.  The budget is the
+    domain's height times the node count, plus one: no strict chain of
+    state vectors is longer.
     """
-    trace: list[StateVector] = []
-    changed: Changed = None
-    budget = problem.adapter.height() * len(problem.nodes) + 1
-    for current in kleene(lambda v: step(problem, v, changed), start, budget):
-        x = current.values
-        if trace:
-            changed = [j for j, (a, b) in enumerate(zip(trace[-1].values, x)) if a is not b]
-        trace.append(current)
-        if not all(check(j, x[j]) for j in (range(len(x)) if changed is None else changed)):
-            return SynthesisResult(False, None, tuple(trace), reason)
-    return SynthesisResult(True, kind, tuple(trace))
+    x = list(start.values)
+    diffs: list[Diff] = []
+
+    def advance(changed: Changed) -> Diff:
+        diff = step(problem, x, changed)
+        for j, a in diff.items():
+            x[j] = a
+        return diff
+
+    budget = problem.adapter.height() * len(x) + 1
+    for diff in kleene(advance, None, budget, lambda _, diff: not diff):
+        if diff is not None:
+            diffs.append(diff)
+        if not all(check(j, x[j]) for j in (range(len(x)) if diff is None else diff)):
+            return SynthesisResult(False, None, start, tuple(diffs), start.with_values(x), reason)
+    return SynthesisResult(True, kind, start, tuple(diffs), start.with_values(x))
 
 
 def ainv_forward(problem: AnalysisProblem) -> SynthesisResult:
@@ -460,7 +508,7 @@ def ainv_forward(problem: AnalysisProblem) -> SynthesisResult:
     property); stabilization yields the least abstract inductive invariant.
     """
     return _iterate(
-        problem, problem.init, abstract_post_step,
+        problem, problem.init, abstract_post_diff,
         lambda j, a: problem.adapter.leq(a, problem.safety.values[j]), "property-violated", "least",
     )
 
@@ -477,11 +525,11 @@ def backward_gfp(problem: AnalysisProblem) -> SynthesisResult:
         raise UnsupportedDomain("backward synthesis is not supported for the affine domain")
     top_vec = StateVector(problem.nodes, (problem.adapter.top(),) * len(problem.nodes))
     result = _iterate(
-        problem, top_vec, abstract_pret_step,
+        problem, top_vec, abstract_pret_diff,
         lambda j, a: problem.adapter.leq(problem.init.values[j], a), "init-not-entailed", "greatest",
     )
     if result.found and not verify_invariant(problem, result.invariant):
-        return SynthesisResult(False, None, result.trace, "verification-failed")
+        return replace(result, found=False, kind=None, reason="verification-failed")
     return result
 
 

@@ -9,12 +9,15 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from absinv import synthesis
 from absinv.cli import main
+from absinv.programs import parse_program
 from conftest import PROGRAMS_DIR
 
 CONST = str(PROGRAMS_DIR / "const_demo.prog")
@@ -90,6 +93,29 @@ def test_analyze_output_is_deterministic(capsys):
     _, first, _ = run(args, capsys)
     _, second, _ = run(args, capsys)
     assert first == second
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_trace_renders_each_element_once(monkeypatch, capsys, fmt):
+    """--trace renders the start vector, then only the nodes each step
+    changed; the invariant reuses the strings of the last iterate."""
+    calls = []
+    original = synthesis.AffAdapter.render
+
+    def counted(self, a):
+        calls.append(a)
+        return original(self, a)
+
+    monkeypatch.setattr(synthesis.AffAdapter, "render", counted)
+    code, out, _ = run(
+        ["analyze", "--program", AFFINE, "--domain", "affine", "--alg", "forward", "--trace", "--format", fmt],
+        capsys,
+    )
+    assert code == 0 and out.count("q1") > 4
+    problem = synthesis.AnalysisProblem.build(parse_program(Path(AFFINE).read_text()), "affine")
+    result = synthesis.ainv_forward(problem)
+    N = len(problem.nodes)
+    assert len(calls) == N + sum(map(len, result.diffs)) < N * (result.steps + 1)
 
 
 def test_parser_reuse_keeps_no_state_between_calls(capsys):

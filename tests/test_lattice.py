@@ -79,6 +79,25 @@ def test_kleene_ends_at_first_fixpoint():
     assert list(kleene(lambda x: min(x + 1, 6), 0)) == [0, 1, 2, 3, 4, 5, 6]
 
 
+def test_kleene_stable_hook_replaces_the_equality_test():
+    """A chain of per-step changes, here the frontiers of a breadth-first
+    search, ends at the first empty one, which is not yielded."""
+    succ = {0: {1, 2}, 1: {3}, 2: {3}, 3: {0}}
+    seen = {0}
+
+    def frontier(last):
+        new = {t for s in last for t in succ[s]} - seen
+        seen.update(new)
+        return new
+
+    f = Counted(frontier)
+    assert list(kleene(f, {0}, stable=lambda x, fx: not fx)) == [{0}, {1, 2}, {3}]
+    assert f.calls == 3 and seen == {0, 1, 2, 3}
+    # the hook alone decides: f(x) == x does not end this chain
+    with pytest.raises(IterationBudgetExceeded):
+        list(kleene(lambda x: x, 0, 3, stable=lambda x, fx: False))
+
+
 @pytest.mark.parametrize("max_steps", [0, 1, 5])
 def test_kleene_budget_counts_applications(max_steps):
     f = Counted(lambda x: x + 1)

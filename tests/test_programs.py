@@ -208,6 +208,9 @@ def test_state_vector_is_total_mapping():
         sv["c"]
     with pytest.raises(ValueError):
         pg.StateVector(("a", "b"), (1,))
+    # a repeated name would make the second value unreachable by name
+    with pytest.raises(ValueError, match="duplicate node names"):
+        pg.StateVector(("a", "a"), (1, 2))
 
 
 def test_zero_denominator_is_a_syntax_error():

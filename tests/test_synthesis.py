@@ -5,6 +5,7 @@ from __future__ import annotations
 import collections
 import itertools
 import random
+import tracemalloc
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -232,9 +233,8 @@ def test_a_directly_built_problem_is_checked():
         AnalysisProblem(("a", "b", "c"), ((0, ident, 1),), adapter, init, safety)
     with pytest.raises(ValueError, match="over the problem's nodes"):
         AnalysisProblem(nodes, (), adapter, init, pg.StateVector(("a", "c"), safety.values))
-    twice = pg.StateVector(("a", "a"), init.values)
     with pytest.raises(ValueError, match="duplicate node names"):
-        AnalysisProblem(("a", "a"), ((0, ident, 1),), adapter, twice, twice)
+        AnalysisProblem(("a", "a"), ((0, ident, 1),), adapter, init, safety)
 
 
 def test_backward_rejected_for_affine(affine_problem):
@@ -423,19 +423,21 @@ def test_const_wp_bounds_the_abstract_right_adjoint():
 @pytest.mark.parametrize(
     "engine, step, prop, found",
     [
-        (ainv_forward, "abstract_post_step", {"q2": pg.InitVector((pg.TOP_ENTRY, 2))}, True),
-        (ainv_forward, "abstract_post_step", {"q2": pg.InitVector((0, pg.TOP_ENTRY))}, False),
-        (backward_gfp, "abstract_pret_step", {"q2": pg.InitVector((pg.TOP_ENTRY, 2))}, True),
-        (backward_gfp, "abstract_pret_step", {"q1": pg.InitPoints(frozenset())}, False),
+        (ainv_forward, "abstract_post_diff", {"q2": pg.InitVector((pg.TOP_ENTRY, 2))}, True),
+        (ainv_forward, "abstract_post_diff", {"q2": pg.InitVector((0, pg.TOP_ENTRY))}, False),
+        (backward_gfp, "abstract_pret_diff", {"q2": pg.InitVector((pg.TOP_ENTRY, 2))}, True),
+        (backward_gfp, "abstract_pret_diff", {"q1": pg.InitPoints(frozenset())}, False),
     ],
 )
 def test_engines_check_each_iterate_before_stepping_it(monkeypatch, const_demo, engine, step, prop, found):
+    """The engine's diff step reads its working list; each call records the
+    iterate that list holds."""
     calls = []
     original = getattr(synthesis, step)
 
-    def counted(problem, v, changed=None):
-        calls.append(v)
-        return original(problem, v, changed)
+    def counted(problem, x, changed):
+        calls.append(pg.StateVector(problem.nodes, x))
+        return original(problem, x, changed)
 
     monkeypatch.setattr(synthesis, step, counted)
     result = engine(AnalysisProblem.build(const_demo, "const", prop))
@@ -522,6 +524,7 @@ def test_incremental_engines_match_full_jacobi_iteration(sort, alg):
             result, expected = ALGORITHMS[alg](problem), reference_run(problem, alg)
             got = dict(found=result.found, kind=result.kind, reason=result.reason, trace=list(result.trace))
             assert got == expected, k
+            assert result.steps == len(result.trace) - 1 and result.last == result.trace[-1], k
             outcomes[result.reason] += 1
             incremental += len(result.trace) >= 3
     assert outcomes[None] == 300 and incremental >= 200
@@ -547,7 +550,6 @@ def ring_program(N: int) -> pg.Program:
 def test_steps_recompute_only_nodes_reading_a_changed_node(monkeypatch, alg, method):
     """After the first step, which applies every edge's transfer (wp), a
     step on this ring applies about one: one node changes per step."""
-    N = 40
     calls = []
     original = getattr(synthesis.ConstAdapter, method)
 
@@ -556,13 +558,32 @@ def test_steps_recompute_only_nodes_reading_a_changed_node(monkeypatch, alg, met
         return original(self, t, a)
 
     monkeypatch.setattr(synthesis.ConstAdapter, method, counted)
+    for N in (40, 1280):
+        calls.clear()
+        prop = {f"q{N}": pg.parse_init_literal("(top,top,top,0)", 4, "int")}
+        result = ALGORITHMS[alg](AnalysisProblem.build(ring_program(N), "const", prop))
+        assert result.found
+        assert result.steps == (2 * N - 1 if alg == "forward" else N)
+        # a full step per iterate would make N * (steps + 1) calls
+        assert N < len(calls) <= N + 2 * result.steps
+
+
+@pytest.mark.parametrize("alg", ["forward", "backward"])
+def test_engine_memory_does_not_grow_with_node_count_times_steps(alg):
+    """A 1,280-node ring takes 2,559 forward (1,280 backward) steps that
+    each change one node: a full iterate per step peaks at 27 MB (14 MB
+    backward), a start vector and per-step diffs under 2 MB (1 MB)."""
+    N = 1280
     prop = {f"q{N}": pg.parse_init_literal("(top,top,top,0)", 4, "int")}
-    result = ALGORITHMS[alg](AnalysisProblem.build(ring_program(N), "const", prop))
-    assert result.found
-    steps = len(result.trace) - 1
-    assert steps == (2 * N - 1 if alg == "forward" else N)
-    # a full step per iterate would make N * (steps + 1) calls
-    assert N < len(calls) <= N + 2 * steps
+    problem = AnalysisProblem.build(ring_program(N), "const", prop)
+    tracemalloc.start()
+    try:
+        result = ALGORITHMS[alg](problem)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.found and result.steps == (2 * N - 1 if alg == "forward" else N)
+    assert peak < 4_000_000
 
 
 # ---------------------------------------------------------------------------
