@@ -15,12 +15,16 @@ divisibility check) and fall back to an integer-solvability test otherwise;
 relational guards keep or kill the whole element depending on whether the
 expression is decided.
 
-All values are immutable; every function is pure.
+All values are immutable; every function is pure.  ``ConstVec`` is a
+``__slots__`` class that checks its slots (``int`` or ``top``; a ``bool`` is
+rejected) on every construction and refuses any later assignment, so an
+element can be shared: ``synthesis.ConstAdapter`` keeps one ``top`` and one
+``bot``, and :func:`join` and :func:`meet` return an operand, not an equal
+copy, when the result equals it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from typing import Iterable
 
@@ -37,6 +41,9 @@ class _Top:
             cls._instance = super().__new__(cls)
         return cls._instance
 
+    def __reduce__(self) -> str:
+        return "TOP"  # pickled by name; copy and deepcopy return the marker itself
+
     def __repr__(self) -> str:
         return "top"
 
@@ -45,21 +52,47 @@ TOP = _Top()
 
 ConstVal = int | _Top  # a single slot; the vector-level bottom is ConstVec.bottom
 
+_SLOT_TYPES = frozenset((int, _Top))
+_set = object.__setattr__
 
-@dataclass(frozen=True)
+
 class ConstVec:
-    """⊥ or an n-vector of (int | top) slots; the unique bottom has comps=None."""
+    """⊥ or an n-vector of (int | top) slots; the unique bottom has comps=None.
+
+    Immutable: every construction checks the slots, and no attribute can be
+    set afterwards, so an element may be shared freely.
+    """
+
+    __slots__ = ("n", "comps")
 
     n: int
     comps: tuple[ConstVal, ...] | None
 
-    def __post_init__(self) -> None:
-        if self.comps is not None:
-            if len(self.comps) != self.n:
+    def __init__(self, n: int, comps: tuple[ConstVal, ...] | None) -> None:
+        if comps is not None and (len(comps) != n or not _SLOT_TYPES.issuperset(map(type, comps))):
+            if len(comps) != n:
                 raise ValueError("component count must equal n")
-            for c in self.comps:
-                if not (c is TOP or isinstance(c, int)):
-                    raise ValueError(f"bad slot value {c!r}")
+            bad = next(c for c in comps if type(c) not in _SLOT_TYPES)
+            raise ValueError(f"bad slot value {bad!r}")
+        _set(self, "n", n)
+        _set(self, "comps", comps)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return ConstVec, (self.n, self.comps)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.comps == other.comps and self.n == other.n
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.comps))
 
     @classmethod
     def bottom(cls, n: int) -> "ConstVec":
@@ -87,32 +120,36 @@ class ConstVec:
         return render_const(self)
 
 
-def _slot_leq(a: ConstVal, b: ConstVal) -> bool:
-    return b is TOP or a == b
-
-
 def leq(a: ConstVec, b: ConstVec) -> bool:
-    if a.is_bottom:
+    if a.comps is None:
         return True
-    if b.is_bottom:
+    if b.comps is None:
         return False
-    return all(_slot_leq(x, y) for x, y in zip(a.comps, b.comps))
+    return all(y is TOP or x == y for x, y in zip(a.comps, b.comps))
+
+
+def _result(comps: tuple[ConstVal, ...], a: ConstVec, b: ConstVec) -> ConstVec:
+    """The element with slots ``comps``: an operand when its slots are these."""
+    if comps == a.comps:
+        return a
+    if comps == b.comps:
+        return b
+    return ConstVec(a.n, comps)
 
 
 def join(a: ConstVec, b: ConstVec) -> ConstVec:
-    if a.is_bottom:
+    if a.comps is None:
         return b
-    if b.is_bottom:
+    if b.comps is None:
         return a
-    return ConstVec(
-        a.n,
-        tuple(x if x == y else TOP for x, y in zip(a.comps, b.comps)),
-    )
+    return _result(tuple(x if x == y else TOP for x, y in zip(a.comps, b.comps)), a, b)
 
 
 def meet(a: ConstVec, b: ConstVec) -> ConstVec:
-    if a.is_bottom or b.is_bottom:
-        return ConstVec.bottom(a.n if not a.is_bottom else b.n)
+    if a.comps is None:
+        return a
+    if b.comps is None:
+        return b
     out: list[ConstVal] = []
     for x, y in zip(a.comps, b.comps):
         if x is TOP:
@@ -121,7 +158,7 @@ def meet(a: ConstVec, b: ConstVec) -> ConstVec:
             out.append(x)
         else:
             return ConstVec.bottom(a.n)  # empty slot collapses the vector
-    return ConstVec(a.n, tuple(out))
+    return _result(tuple(out), a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +193,7 @@ def eval_linexpr_abstract(e: LinExpr, a: ConstVec) -> ConstVal | None:
     None when a is bottom; the exact constant when every slot with a nonzero
     coefficient is constant; top otherwise.
     """
-    if a.is_bottom:
+    if a.comps is None:
         return None
     acc = e.const
     for m, s in zip(e.coeffs, a.comps, strict=True):
@@ -170,7 +207,7 @@ def eval_linexpr_abstract(e: LinExpr, a: ConstVec) -> ConstVal | None:
 
 def bca_parallel_assign(rows: tuple[LinExpr, ...], a: ConstVec) -> ConstVec:
     """Best approximation of x := M x + b; every row reads the old slots."""
-    if a.is_bottom:
+    if a.comps is None:
         return a
     return ConstVec(a.n, tuple(eval_linexpr_abstract(r, a) for r in rows))
 
@@ -207,7 +244,7 @@ def bca_eq_guard(e: LinExpr, a: ConstVec) -> ConstVec:
     - several top slots are read: every coordinate projection of the
       solution set is infinite and ``a`` is already the best abstraction.
     """
-    if a.is_bottom:
+    if a.comps is None:
         return a
     residual, g, free = e.const, 0, []
     for i, (m, s) in enumerate(zip(e.coeffs, a.comps, strict=True)):
@@ -237,7 +274,7 @@ def bca_guard(rows: tuple[LinExpr, ...], rel: str, mode: str, a: ConstVec) -> Co
             out = join(out, one(r, a))
         return out
     for r in rows:
-        if a.is_bottom:
+        if a.comps is None:
             return a
         a = one(r, a)
     return a
@@ -249,6 +286,6 @@ def bca_guard(rows: tuple[LinExpr, ...], rel: str, mode: str, a: ConstVec) -> Co
 
 
 def render_const(a: ConstVec) -> str:
-    if a.is_bottom:
+    if a.comps is None:
         return "bot"
     return "(" + ",".join("top" if s is TOP else str(s) for s in a.comps) + ")"

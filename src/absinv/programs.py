@@ -771,8 +771,7 @@ def print_program(program: Program) -> str:
         f"sort {program.sort};",
         "nodes " + " ".join(program.nodes) + ";",
     ]
-    for q in program.nodes:
-        decl = program.init_decl(q)
+    for q, decl in program.inits:
         if not isinstance(decl, InitBot):
             lines.append(f"init {q}: {render_init(decl)};")
     for e in program.edges:

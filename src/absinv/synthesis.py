@@ -115,9 +115,14 @@ class _NumericDomain(AbstractDomain):
 
 
 class ConstAdapter(_NumericDomain):
-    """The constant-propagation lattice on n integer variables."""
+    """The constant-propagation lattice on n integer variables; ``top()`` and
+    ``bottom()`` return one shared element each."""
 
     sort = "int"
+
+    def __init__(self, n: int):
+        super().__init__(n)
+        self._bottom, self._top = cd.ConstVec.bottom(n), cd.ConstVec.top(n)
 
     def leq(self, a: cd.ConstVec, b: cd.ConstVec) -> bool:
         return cd.leq(a, b)
@@ -129,10 +134,10 @@ class ConstAdapter(_NumericDomain):
         return cd.meet(a, b)
 
     def bottom(self) -> cd.ConstVec:
-        return cd.ConstVec.bottom(self.n)
+        return self._bottom
 
     def top(self) -> cd.ConstVec:
-        return cd.ConstVec.top(self.n)
+        return self._top
 
     def alpha(self, points: Iterable[tuple[int, ...]]) -> cd.ConstVec:
         """Best abstraction of a finite set of integer vectors."""
@@ -315,7 +320,8 @@ class AnalysisProblem:
         nodes = program.nodes
         index = {q: j for j, q in enumerate(nodes)}
         edges = tuple((index[e.src], e.transfer, index[e.dst]) for e in program.edges)
-        init = StateVector(nodes, tuple(adapter.from_init(program.init_decl(q)) for q in nodes))
+        inits = dict(program.inits)
+        init = StateVector(nodes, tuple(adapter.from_init(inits.get(q, InitBot())) for q in nodes))
         top = adapter.top()
         safety = StateVector(nodes, tuple(adapter.from_init(prop[q]) if q in prop else top for q in nodes))
         return cls(nodes, edges, adapter, init, safety)
@@ -380,9 +386,13 @@ class SynthesisResult:
 
 
 def _post_at(problem: AnalysisProblem, x: tuple, j: int):
-    """The join of the images of the edges into node j."""
-    adapter, acc = problem.adapter, problem.adapter.bottom()
-    for src, t in problem.preds[j]:
+    """The join of the images of the edges into node j; bottom if there are none."""
+    adapter, preds = problem.adapter, problem.preds[j]
+    if not preds:
+        return adapter.bottom()
+    src, t = preds[0]
+    acc = adapter.transfer(t, x[src])
+    for src, t in preds[1:]:
         acc = adapter.join(acc, adapter.transfer(t, x[src]))
     return acc
 
@@ -430,10 +440,10 @@ def abstract_pret_diff(problem: AnalysisProblem, x: Sequence, changed: Changed) 
     adapter, safety = problem.adapter, problem.safety.values
 
     def pret_at(j: int):
-        acc = adapter.top()
+        acc = x[j]
         for t, dst in problem.succs[j]:
             acc = adapter.meet(acc, adapter.wp(t, x[dst]))
-        return adapter.meet(adapter.meet(acc, x[j]), safety[j])
+        return adapter.meet(acc, safety[j])
 
     nodes = range(len(x)) if changed is None else {j for i in changed for j, _ in problem.preds[i]}
     return _diff(x, nodes, pret_at)

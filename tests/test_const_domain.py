@@ -7,7 +7,10 @@ concretization and abstract the image with alpha.
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -30,6 +33,80 @@ vec_st = st.one_of(
     st.builds(lambda s: cd.ConstVec(2, tuple(s)), st.tuples(slot_st, slot_st)),
     st.just(cd.ConstVec.bottom(2)),
 )
+
+
+# ---------------------------------------------------------------------------
+# Elements
+# ---------------------------------------------------------------------------
+
+
+def test_element_is_immutable():
+    a = vec(1, TOP)
+    with pytest.raises(AttributeError):
+        a.n = 3
+    with pytest.raises(AttributeError):
+        a.comps = (2, 2)
+    with pytest.raises(AttributeError):
+        a.extra = 0
+    with pytest.raises(AttributeError):
+        del a.comps
+    assert a == vec(1, TOP)
+
+
+def test_equal_elements_hash_equal():
+    pairs = [
+        (vec(1, TOP), cd.ConstVec(2, (1, TOP))),
+        (cd.ConstVec.top(3), vec(TOP, TOP, TOP)),
+        (cd.ConstVec.bottom(2), cd.ConstVec(2, None)),
+    ]
+    for a, b in pairs:
+        assert a is not b and a == b and hash(a) == hash(b)
+    assert vec(1, TOP) != vec(1, 2)
+    assert cd.ConstVec.bottom(2) != cd.ConstVec.bottom(3)
+    assert vec(1, 2) != (1, 2)
+
+
+@pytest.mark.parametrize(
+    "n, comps, message",
+    [
+        (3, (1, 2), "component count must equal n"),
+        (2, (1, Fraction(1, 2)), "bad slot value Fraction(1, 2)"),
+        (2, (1.0, 2), "bad slot value 1.0"),
+        (2, (TOP, True), "bad slot value True"),
+    ],
+    ids=["length", "fraction", "float", "bool"],
+)
+def test_bad_elements_are_rejected(n, comps, message):
+    with pytest.raises(ValueError) as err:
+        cd.ConstVec(n, comps)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("a", [vec(1, TOP, -3), cd.ConstVec.top(2), cd.ConstVec.bottom(2)], ids=repr)
+def test_elements_copy_and_pickle(a):
+    for b in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert b == a and hash(b) == hash(a)
+        assert b.comps is None or [s is TOP for s in b.comps] == [s is TOP for s in a.comps]
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(TOP, protocol)) is TOP
+    assert copy.copy(TOP) is TOP and copy.deepcopy(TOP) is TOP
+
+
+def test_adapter_shares_its_bounds():
+    dom = ConstAdapter(3)
+    assert dom.top() is dom.top() and dom.top() == cd.ConstVec.top(3)
+    assert dom.bottom() is dom.bottom() and dom.bottom() == cd.ConstVec.bottom(3)
+
+
+def test_join_and_meet_return_an_equal_operand():
+    bot, a, b, c = cd.ConstVec.bottom(2), vec(1, TOP), vec(1, 2), vec(3, 2)
+    assert cd.join(bot, a) is a and cd.join(a, bot) is a
+    assert cd.join(a, b) is a and cd.join(b, a) is a
+    assert cd.join(a, vec(1, TOP)) is a
+    assert cd.meet(bot, a) is bot and cd.meet(a, bot) is bot
+    assert cd.meet(a, b) is b and cd.meet(b, a) is b
+    assert cd.meet(b, vec(1, 2)) is b
+    assert cd.join(b, c) == vec(TOP, 2) and cd.meet(b, c) == bot
 
 
 # ---------------------------------------------------------------------------

@@ -545,11 +545,16 @@ def ring_program(N: int) -> pg.Program:
 
 
 @pytest.mark.parametrize(
-    "alg, method", [("forward", "transfer"), ("backward", "wp")], ids=["forward-transfer", "backward-wp"]
+    "alg, method, built_per_step",
+    [("forward", "transfer", 1), ("backward", "wp", 4)],
+    ids=["forward-transfer", "backward-wp"],
 )
-def test_steps_recompute_only_nodes_reading_a_changed_node(monkeypatch, alg, method):
+def test_steps_recompute_only_nodes_reading_a_changed_node(monkeypatch, alg, method, built_per_step):
     """After the first step, which applies every edge's transfer (wp), a
-    step on this ring applies about one: one node changes per step."""
+    step on this ring applies about one: one node changes per step.  A step
+    builds only the elements whose values are new: at most one ``ConstVec``
+    per step forward, at most four backward (the count includes the
+    verification of the backward candidate)."""
     calls = []
     original = getattr(synthesis.ConstAdapter, method)
 
@@ -557,15 +562,27 @@ def test_steps_recompute_only_nodes_reading_a_changed_node(monkeypatch, alg, met
         calls.append(t)
         return original(self, t, a)
 
+    built = 0
+    original_init = cd.ConstVec.__init__
+
+    def counted_init(self, n, comps):
+        nonlocal built
+        built += 1
+        original_init(self, n, comps)
+
     monkeypatch.setattr(synthesis.ConstAdapter, method, counted)
+    monkeypatch.setattr(cd.ConstVec, "__init__", counted_init)
     for N in (40, 1280):
-        calls.clear()
         prop = {f"q{N}": pg.parse_init_literal("(top,top,top,0)", 4, "int")}
-        result = ALGORITHMS[alg](AnalysisProblem.build(ring_program(N), "const", prop))
+        problem = AnalysisProblem.build(ring_program(N), "const", prop)
+        calls.clear()
+        built = 0
+        result = ALGORITHMS[alg](problem)
         assert result.found
         assert result.steps == (2 * N - 1 if alg == "forward" else N)
         # a full step per iterate would make N * (steps + 1) calls
         assert N < len(calls) <= N + 2 * result.steps
+        assert built <= built_per_step * result.steps
 
 
 @pytest.mark.parametrize("alg", ["forward", "backward"])
