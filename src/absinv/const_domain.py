@@ -28,7 +28,7 @@ from __future__ import annotations
 from math import gcd
 from typing import Iterable
 
-from .programs import LinExpr, relation_holds
+from .programs import LinExpr, ParallelAffineAssign, relation_holds
 
 
 class _Top:
@@ -205,11 +205,23 @@ def eval_linexpr_abstract(e: LinExpr, a: ConstVec) -> ConstVal | None:
     return acc
 
 
-def bca_parallel_assign(rows: tuple[LinExpr, ...], a: ConstVec) -> ConstVec:
-    """Best approximation of x := M x + b; every row reads the old slots."""
+def bca_parallel_assign(t: ParallelAffineAssign, a: ConstVec) -> ConstVec:
+    """Best approximation of x := M x + b; every row reads the old slots.
+
+    Only the rows in ``t.assigned`` are evaluated, on their nonzero
+    coefficients: each is its exact constant, or top when it reads a top
+    slot.  An identity row's slot keeps its value."""
     if a.comps is None:
         return a
-    return ConstVec(a.n, tuple(eval_linexpr_abstract(r, a) for r in rows))
+    old, comps = a.comps, list(a.comps)
+    for j, terms, acc in t.assigned:
+        for i, c in terms:
+            if (s := old[i]) is TOP:
+                acc = TOP
+                break
+            acc += c * s
+        comps[j] = acc
+    return ConstVec(a.n, tuple(comps))
 
 
 def bca_nondet_assign(j: int, a: ConstVec) -> ConstVec:

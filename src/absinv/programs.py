@@ -22,7 +22,10 @@ variable is ``x`` followed by decimal digits.  The symbols are
 an error.  ``vars`` is at most :data:`MAX_VARS`.  The text is tokenized in
 one ``re.findall`` pass, each token's kind following from its first
 character; the line and column of a syntax error are computed only when it is
-raised, by scanning the text again.  :func:`print_program` output parses back
+raised, by scanning the text again.  Edges of one program whose labels have
+the same tokens share one transfer object, parsed once; an assignment's
+unassigned rows are identity rows shared by every program of the same
+``vars`` and ``sort``.  :func:`print_program` output parses back
 to a program that prints to the same text.  Programs are
 immutable after parsing and safe to share across threads.
 """
@@ -33,7 +36,7 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from math import lcm
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
@@ -114,11 +117,18 @@ class ParallelAffineAssign:
     @cached_property
     def assigned(self) -> tuple[tuple[int, tuple[tuple[int, Number], ...], Number], ...]:
         """Rows other than identity rows, as ``(j, ((i, c) for c != 0), const)``, 0-based.
-        (Entries that are the parser's rational 0 and 1 compare by identity.)"""
+
+        The parser's shared identity rows (:func:`_identity_rows`) are skipped
+        by identity; any other row is an identity row when its only nonzero
+        coefficient is a 1 at j and its constant is 0."""
         n, out = len(self.rows), []
+        ints, rats = _identity_rows(n)
         for j, r in enumerate(self.rows):
-            if r != identity_row(j, n, *_RAT_NUMBERS):
-                out.append((j, tuple((i, c) for i, c in enumerate(r.coeffs) if c), r.const))
+            if r is ints[j] or r is rats[j]:
+                continue
+            terms = tuple([(i, c) for i, c in enumerate(r.coeffs) if c])
+            if terms != ((j, 1),) or r.const or len(r.coeffs) != n:
+                out.append((j, terms, r.const))
         return tuple(out)
 
     @cached_property
@@ -169,6 +179,13 @@ def identity_row(j: int, n: int, zero: Number, one: Number) -> LinExpr:
     coeffs = [zero] * n
     coeffs[j] = one
     return LinExpr(tuple(coeffs), zero)
+
+
+@cache
+def _identity_rows(n: int) -> tuple[tuple[LinExpr, ...], tuple[LinExpr, ...]]:
+    """The n identity rows of sort int and of sort rat, one shared tuple per
+    ``(n, sort)``; the parser leaves an unassigned variable its row from here."""
+    return tuple(tuple(identity_row(j, n, *_numbers(sort)) for j in range(n)) for sort in ("int", "rat"))
 
 
 # ---------------------------------------------------------------------------
@@ -244,12 +261,15 @@ class Program:
         known = set(self.nodes)
         if len(known) != len(self.nodes):
             raise ValueError("duplicate node names")
+        checked: set[int] = set()  # ids of the transfers checked so far; edges may share one
         for e in self.edges:
             if e.src not in known:
                 raise ValueError(f"unknown node {e.src!r}")
             if e.dst not in known:
                 raise ValueError(f"unknown node {e.dst!r}")
-            check_transfer_arity(e.transfer, self.n)
+            if id(e.transfer) not in checked:
+                checked.add(id(e.transfer))
+                check_transfer_arity(e.transfer, self.n)
         inits = dict(self.inits)
         for q in inits:
             if q not in known:
@@ -539,8 +559,8 @@ def _parse_guard_rows(p: _Parser, n: int, sort: str) -> tuple[tuple[LinExpr, ...
     return tuple(rows), rels[0], mode or "conj"
 
 
-def _parse_statements(p: _Parser, n: int, sort: str, ids: tuple[LinExpr, ...]) -> TransferFunction:
-    """One edge label; ``ids`` are the n identity rows, shared by every edge."""
+def _parse_statements(p: _Parser, n: int, sort: str) -> TransferFunction:
+    """One edge label."""
     if p.accept("skip"):
         return Identity()
     if p.accept("assume"):
@@ -566,7 +586,9 @@ def _parse_statements(p: _Parser, n: int, sort: str, ids: tuple[LinExpr, ...]) -
         if len(nondet_targets) > 1 or any(r is not None for r in assigned):
             raise p.fail("xj := ? cannot be combined with other assignments on one edge")
         return NondetAssign(nondet_targets[0])
-    # rows left alone are the objects in ids, so == compares the assigned rows only
+    # rows left alone are the shared identity rows, so == compares the assigned rows only
+    ints, rats = _identity_rows(n)
+    ids = rats if sort == "rat" else ints
     rows = tuple(ident if r is None else r for ident, r in zip(ids, assigned))
     return Identity() if rows == ids else ParallelAffineAssign(rows)
 
@@ -642,7 +664,7 @@ def parse_program(text: str) -> Program:
     sort: str | None = None
     nodes: list[str] | None = None
     known: set[str] = set()
-    ids: tuple[LinExpr, ...] = ()
+    labels: dict[tuple[str, ...], TransferFunction] = {}
     inits: dict[str, InitDecl] = {}
     edges: list[Edge] = []
     declared: set[str] = set()
@@ -655,6 +677,25 @@ def parse_program(text: str) -> Program:
         if nodes is None:
             raise p.fail("'nodes' must be declared before this line")
         return n, sort
+
+    def label(n: int, sort: str) -> TransferFunction:
+        """The edge label at ``p.pos``: the transfer of an earlier label with
+        the same tokens up to the next ';', else a new parse (n and sort are
+        fixed once declared).  Only a parse that ends at that ';' is kept, so
+        an error is raised, at its position, by a parse of its own."""
+        start = p.pos
+        try:
+            key = tuple(toks[start : toks.index(";", start)])
+        except ValueError:  # no ';' follows: the label cannot end well
+            return _parse_statements(p, n, sort)
+        t = labels.get(key)
+        if t is None:
+            t = _parse_statements(p, n, sort)
+            if p.pos - start == len(key):
+                labels[key] = t
+        else:
+            p.pos += len(key)
+        return t
 
     def node() -> str:
         name = toks[p.pos]
@@ -676,9 +717,7 @@ def parse_program(text: str) -> Program:
             p.expect("->")
             dst = node()
             p.expect(":")
-            if not ids:  # vars and sort are fixed once declared
-                ids = tuple(identity_row(j, nn, *_numbers(ss)) for j in range(nn))
-            edges.append(Edge(src, _parse_statements(p, nn, ss, ids), dst))
+            edges.append(Edge(src, label(nn, ss), dst))
         elif kw == "vars":
             t = p.take("int", "expected a variable count")
             n = p.integer(t)

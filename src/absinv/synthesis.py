@@ -131,6 +131,10 @@ class ConstAdapter(_NumericDomain):
         return cd.join(a, b)
 
     def meet(self, a: cd.ConstVec, b: cd.ConstVec) -> cd.ConstVec:
+        if a is self._top:
+            return b
+        if b is self._top:
+            return a
         return cd.meet(a, b)
 
     def bottom(self) -> cd.ConstVec:
@@ -151,7 +155,7 @@ class ConstAdapter(_NumericDomain):
         if isinstance(t, Identity):
             return a
         if isinstance(t, ParallelAffineAssign):
-            return cd.bca_parallel_assign(t.rows, a)
+            return cd.bca_parallel_assign(t, a)
         if isinstance(t, NondetAssign):
             return cd.bca_nondet_assign(t.target, a)
         if isinstance(t, Guard):
@@ -162,21 +166,31 @@ class ConstAdapter(_NumericDomain):
         """Sound abstraction of the weakest precondition of one edge.
 
         Assignments turn each constant target slot into an equality
-        constraint on the old values and apply their conjunction as one
-        guard to the full space (exact for single-constant targets);
-        guards are approximated by the full space unless decided.
+        constraint on the old values and apply their conjunction, in slot
+        order, to the full space (exact for single-constant targets): an
+        assigned row's constraint is an equality guard, an unassigned slot
+        x_j = c sets or checks slot j directly.  Guards are approximated by
+        the full space unless decided.
         """
         if isinstance(t, Identity):
             return target
         if isinstance(t, ParallelAffineAssign):
             if target.is_bottom:
                 return target
-            rows = tuple(
-                LinExpr(row.coeffs, row.const - slot)
-                for row, slot in zip(t.rows, target.comps)
-                if slot is not cd.TOP
-            )
-            return cd.bca_guard(rows, "=", "conj", self.top())
+            rows = {j: t.rows[j] for j, _, _ in t.assigned}
+            acc = self.top()
+            for j, slot in enumerate(target.comps):
+                if slot is cd.TOP:
+                    continue
+                if j in rows:
+                    acc = cd.bca_eq_guard(LinExpr(rows[j].coeffs, rows[j].const - slot), acc)
+                elif acc.comps[j] is cd.TOP:
+                    acc = acc.replace(j + 1, slot)
+                elif acc.comps[j] != slot:
+                    acc = self.bottom()
+                if acc.is_bottom:
+                    return acc
+            return acc
         if isinstance(t, NondetAssign):
             if target.is_bottom:
                 return target
@@ -320,9 +334,8 @@ class AnalysisProblem:
         nodes = program.nodes
         index = {q: j for j, q in enumerate(nodes)}
         edges = tuple((index[e.src], e.transfer, index[e.dst]) for e in program.edges)
-        inits = dict(program.inits)
-        init = StateVector(nodes, tuple(adapter.from_init(inits.get(q, InitBot())) for q in nodes))
-        top = adapter.top()
+        inits, bottom, top = dict(program.inits), adapter.bottom(), adapter.top()
+        init = StateVector(nodes, tuple(adapter.from_init(inits[q]) if q in inits else bottom for q in nodes))
         safety = StateVector(nodes, tuple(adapter.from_init(prop[q]) if q in prop else top for q in nodes))
         return cls(nodes, edges, adapter, init, safety)
 

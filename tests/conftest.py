@@ -304,3 +304,46 @@ def random_program(rng: random.Random, sort: str, max_vars: int = 5, max_nodes: 
                 )
             )
     return pg.Program(nodes, n, sort, edges, inits)
+
+
+def random_label_text(rng: random.Random, n: int, sort: str) -> str:
+    """One edge label as text: assignments (some of whose right-hand sides
+    are written-out identities such as ``x2``, ``x2 + 0`` or ``2*x2 - x2``),
+    a nondet assignment, a guard or ``skip``."""
+
+    def number() -> str:
+        v = str(rng.randint(-3, 3))
+        return f"{v}/{rng.randint(1, 3)}" if sort == "rat" and rng.random() < 0.3 else v
+
+    def expr() -> str:
+        terms = [f"{number()}*x{rng.randint(1, n)}" for _ in range(rng.randint(0, 2))]
+        return " + ".join([*terms, number()])
+
+    kind = rng.random()
+    if kind < 0.6:
+        parts = []
+        for j in rng.sample(range(1, n + 1), rng.randint(1, n)):
+            rhs = rng.choice((f"x{j}", f"x{j} + 0", f"2*x{j} - x{j}", expr(), expr()))
+            parts.append(f"x{j} := {rhs}")
+        return ", ".join(parts)
+    if kind < 0.7:
+        return f"x{rng.randint(1, n)} := ?"
+    if kind < 0.9:
+        rel = rng.choice(("=", "!=") if sort == "rat" else ("=", "!=", "<", ">="))
+        return " and ".join(f"assume {expr()} {rel} {expr()}" for _ in range(rng.randint(1, 2)))
+    return "skip"
+
+
+def random_label_program(rng: random.Random, sort: str, max_vars: int = 4) -> str:
+    """Program text whose edges draw their labels from a pool of a few
+    labels, so labels repeat; a repeat is written with other blanks and
+    comments between its tokens."""
+    n, k = rng.randint(1, max_vars), rng.randint(2, 5)
+    pool = [random_label_text(rng, n, sort) for _ in range(rng.randint(1, 4))]
+    lines = [f"vars {n};", f"sort {sort};", "nodes " + " ".join(f"q{i}" for i in range(1, k + 1)) + ";"]
+    for _ in range(rng.randint(1, 3 * k)):
+        label = rng.choice(pool)
+        if rng.random() < 0.5:
+            label = label.replace(" ", rng.choice(("  ", "\t", " # a comment\n ")))
+        lines.append(f"edge q{rng.randint(1, k)} -> q{rng.randint(1, k)} : {label};")
+    return "\n".join(lines) + "\n"

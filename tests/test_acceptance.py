@@ -262,7 +262,7 @@ def test_criterion_7a_const_assignment_completeness():
         t = pg.ParallelAffineAssign(rows)
         a = cd.alpha_points(pts, n)
         lhs = cd.alpha_points(pg.apply_transfer_concrete(t, pts), n)
-        rhs = cd.bca_parallel_assign(rows, a)
+        rhs = cd.bca_parallel_assign(t, a)
         where = f"trial {k}: X={sorted(pts)}, rows={[str(r) for r in rows]}"
         differ += lhs != rhs
         if not cd.leq(lhs, rhs):
@@ -284,7 +284,7 @@ def test_criterion_7a_const_assignment_completeness():
     x = frozenset({(0, 0), (1, -1)})
     t = pg.ParallelAffineAssign((pg.LinExpr((1, 1), 0), pg.LinExpr((0, 1), 0)))
     via_concrete = cd.alpha_points(pg.apply_transfer_concrete(t, x), 2)
-    via_abstraction = cd.bca_parallel_assign(t.rows, cd.alpha_points(x, 2))
+    via_abstraction = cd.bca_parallel_assign(t, cd.alpha_points(x, 2))
     if (via_concrete, via_abstraction) != (cd.ConstVec.of(0, TOP), cd.ConstVec.top(2)):
         errors.append(f"witness gives {via_concrete} and {via_abstraction}")
 

@@ -19,7 +19,7 @@ from hypothesis import given, strategies as st
 from absinv import const_domain as cd
 from absinv import programs as pg
 from absinv.synthesis import ConstAdapter
-from conftest import gamma_box, random_const_vec, random_linexpr_int
+from conftest import gamma_box, random_const_vec, random_label_program, random_linexpr_int
 
 TOP = cd.TOP
 
@@ -107,6 +107,18 @@ def test_join_and_meet_return_an_equal_operand():
     assert cd.meet(a, b) is b and cd.meet(b, a) is b
     assert cd.meet(b, vec(1, 2)) is b
     assert cd.join(b, c) == vec(TOP, 2) and cd.meet(b, c) == bot
+
+
+def test_adapter_meet_with_its_top_returns_the_other_operand(monkeypatch):
+    """The backward step meets with a top safety value at most nodes: the
+    adapter answers that meet without calling ``cd.meet``."""
+    dom, a, calls, meet = ConstAdapter(2), vec(1, TOP), [], cd.meet
+    monkeypatch.setattr(cd, "meet", lambda x, y: calls.append((x, y)) or meet(x, y))
+    assert dom.meet(dom.top(), a) is a and dom.meet(a, dom.top()) is a
+    assert dom.meet(dom.top(), dom.bottom()) is dom.bottom()
+    assert calls == []
+    # an equal top that is not the adapter's goes through cd.meet
+    assert dom.meet(vec(TOP, TOP), a) is a and len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -211,19 +223,19 @@ def test_bca_assign_examples():
     """A single assignment xj := e is the parallel one with identity rows elsewhere."""
     x1, x2 = (pg.identity_row(i, 2, 0, 1) for i in range(2))
     e = pg.LinExpr((1, 2), 0)
-    assert cd.bca_parallel_assign((e, x2), vec(0, 2)) == vec(4, 2)
+    assert cd.bca_parallel_assign(pg.ParallelAffineAssign((e, x2)), vec(0, 2)) == vec(4, 2)
     const2 = pg.LinExpr((0, 0), 2)
-    assert cd.bca_parallel_assign((x1, const2), vec(TOP, TOP)) == vec(TOP, 2)
-    assert cd.bca_parallel_assign((e, x2), cd.ConstVec.bottom(2)) == cd.ConstVec.bottom(2)
+    assert cd.bca_parallel_assign(pg.ParallelAffineAssign((x1, const2)), vec(TOP, TOP)) == vec(TOP, 2)
+    assert cd.bca_parallel_assign(pg.ParallelAffineAssign((e, x2)), cd.ConstVec.bottom(2)) == cd.ConstVec.bottom(2)
 
 
 def test_bca_parallel_assign_examples():
     rows = (pg.LinExpr((1, 2), 0), pg.LinExpr((0, 1), -1))
-    assert cd.bca_parallel_assign(rows, vec(0, 2)) == vec(4, 1)
+    assert cd.bca_parallel_assign(pg.ParallelAffineAssign(rows), vec(0, 2)) == vec(4, 1)
     rows2 = (pg.LinExpr((1, -1), 0), pg.LinExpr((0, 1), 1))
-    assert cd.bca_parallel_assign(rows2, vec(4, 1)) == vec(3, 2)
+    assert cd.bca_parallel_assign(pg.ParallelAffineAssign(rows2), vec(4, 1)) == vec(3, 2)
     ident = (pg.LinExpr((1, 0), 0), pg.LinExpr((0, 1), 0))
-    assert cd.bca_parallel_assign(ident, vec(TOP, 7)) == vec(TOP, 7)
+    assert cd.bca_parallel_assign(pg.ParallelAffineAssign(ident), vec(TOP, 7)) == vec(TOP, 7)
 
 
 def test_assignments_sound_on_finite_sets():
@@ -240,7 +252,7 @@ def test_assignments_sound_on_finite_sets():
         image = pg.apply_transfer_concrete(t, pts)
         assert cd.leq(
             cd.alpha_points(image, n),
-            cd.bca_parallel_assign(rows, cd.alpha_points(pts, n)),
+            cd.bca_parallel_assign(t, cd.alpha_points(pts, n)),
         )
 
 
@@ -268,7 +280,7 @@ def test_assignments_complete_for_single_variable_rows():
         t = pg.ParallelAffineAssign(tuple(rows))
         image = pg.apply_transfer_concrete(t, pts)
         assert cd.alpha_points(image, n) == cd.bca_parallel_assign(
-            t.rows, cd.alpha_points(pts, n)
+            t, cd.alpha_points(pts, n)
         )
 
 
@@ -282,7 +294,7 @@ def test_assignments_complete_on_trivial_sets():
         rows = tuple(random_linexpr_int(rng, n) for _ in range(n))
         image = pg.apply_transfer_concrete(pg.ParallelAffineAssign(rows), pts)
         assert cd.alpha_points(image, n) == cd.bca_parallel_assign(
-            rows, cd.alpha_points(pts, n)
+            pg.ParallelAffineAssign(rows), cd.alpha_points(pts, n)
         )
 
 
@@ -296,11 +308,51 @@ def test_assignment_incompleteness_witness_on_correlated_set():
     x = frozenset({(0, 0), (1, -1)})
     t = pg.ParallelAffineAssign((pg.LinExpr((1, 1), 0), pg.LinExpr((0, 1), 0)))
     through_concrete = cd.alpha_points(pg.apply_transfer_concrete(t, x), 2)
-    through_abstraction = cd.bca_parallel_assign(t.rows, cd.alpha_points(x, 2))
+    through_abstraction = cd.bca_parallel_assign(t, cd.alpha_points(x, 2))
     assert through_concrete == vec(0, TOP)
     assert through_abstraction == vec(TOP, TOP)
     assert cd.leq(through_concrete, through_abstraction)
     assert through_concrete != through_abstraction
+
+
+def _dense_post(t: pg.ParallelAffineAssign, a: cd.ConstVec) -> cd.ConstVec:
+    """x := M x + b evaluated row by row, identity rows included."""
+    if a.is_bottom:
+        return a
+    return cd.ConstVec(a.n, tuple(cd.eval_linexpr_abstract(r, a) for r in t.rows))
+
+
+def _dense_wp(t: pg.ParallelAffineAssign, target: cd.ConstVec) -> cd.ConstVec:
+    """Each constant target slot as an equality guard on its row, identity
+    rows included, applied in slot order to the full space."""
+    if target.is_bottom:
+        return target
+    rows = tuple(pg.LinExpr(r.coeffs, r.const - s) for r, s in zip(t.rows, target.comps) if s is not TOP)
+    return cd.bca_guard(rows, "=", "conj", cd.ConstVec.top(target.n))
+
+
+def test_sparse_assignment_post_and_wp_equal_the_dense_per_row_oracle():
+    """The transfer evaluates only the assigned rows and the wp turns an
+    unassigned constant slot into a direct slot constraint; both equal the
+    dense per-row evaluation, on parsed assignments (shared identity rows)
+    and on ones built from fresh rows (written-out identity rows)."""
+    outcomes = {"bot": 0, "top": 0, "other": 0}
+    for k in range(300):
+        rng = random.Random(f"sparse:{k}")
+        program = pg.parse_program(random_label_program(rng, "int"))
+        n, dom = program.n, ConstAdapter(program.n)
+        transfers = [e.transfer for e in program.edges if isinstance(e.transfer, pg.ParallelAffineAssign)]
+        transfers.append(pg.ParallelAffineAssign(tuple(
+            pg.identity_row(j, n, 0, 1) if rng.random() < 0.5 else random_linexpr_int(rng, n) for j in range(n)
+        )))
+        for t in transfers:
+            for _ in range(20):
+                a = random_const_vec(rng, n, -2, 2)
+                assert dom.transfer(t, a) == _dense_post(t, a), (t, a)
+                wp = dom.wp(t, a)
+                assert wp == _dense_wp(t, a), (t, a)
+                outcomes["bot" if wp.is_bottom else "top" if wp == dom.top() else "other"] += 1
+    assert min(outcomes.values()) > 1000, outcomes
 
 
 def test_nondet_assign_sets_slot_to_top():
@@ -456,7 +508,7 @@ def test_transfers_exact_on_singleton_concretizations():
         if choice < 0.4:
             rows = tuple(random_linexpr_int(rng, n) for _ in range(n))
             t: pg.TransferFunction = pg.ParallelAffineAssign(rows)
-            out = cd.bca_parallel_assign(rows, a)
+            out = cd.bca_parallel_assign(t, a)
         elif choice < 0.7:
             e = random_linexpr_int(rng, n)
             t = pg.Guard((e,), "=", "conj")

@@ -10,7 +10,7 @@ import pytest
 
 import reference_parser as ref
 from absinv import programs as pg
-from conftest import random_linexpr_int, random_program
+from conftest import random_label_program, random_linexpr_int, random_program
 
 
 def test_parse_const_demo_shape(const_demo):
@@ -512,3 +512,116 @@ def test_parser_matches_the_reference_parser():
     assert {"int", "rat"} <= {o.split("sort='", 1)[1][:3] for o in programs if o.startswith("Program(")}
     assert [m for m in MESSAGES if not any(m in msg for msg in messages)] == []
 
+
+
+# ---------------------------------------------------------------------------
+# Edge labels with the same tokens share one transfer
+# ---------------------------------------------------------------------------
+
+
+def test_repeated_labels_share_one_transfer():
+    text = """vars 2; sort int; nodes q1 q2;
+    edge q1 -> q2 : x1 := x1 + 1;
+    edge q2 -> q1 : x1 :=\tx1+1 # the same tokens
+    ;
+    edge q2 -> q2 : x1 := x1 + 2;
+    edge q1 -> q1 : x1 := 1 + x1;
+    edge q1 -> q1 : x1 := x1 + 1, x2 := 0;
+    edge q2 -> q1 : assume x1 = 0;  edge q1 -> q2 : assume x1 = 0;
+    edge q1 -> q1 : x2 := ?;  edge q2 -> q2 : x2 := ?;
+    edge q1 -> q1 : skip;  edge q2 -> q2 : skip;
+    """
+    t = [e.transfer for e in pg.parse_program(text).edges]
+    assert t[0] is t[1] and t[5] is t[6] and t[7] is t[8] and t[9] is t[10]
+    assert len({id(x) for x in t}) == len(t) - 4
+    # other tokens, the same value: equal, not shared
+    assert t[3] == t[0] and t[3] is not t[0]
+    # nothing is shared across parses
+    assert pg.parse_program(text).edges[0].transfer is not t[0]
+
+
+def test_unassigned_rows_are_shared_identity_rows():
+    for sort in ("int", "rat"):
+        a, b = (pg.parse_program(f"vars 3; sort {sort}; nodes q; edge q -> q : x2 := {c};") for c in (1, 2))
+        ta, tb = a.edges[0].transfer, b.edges[0].transfer
+        assert ta.rows[0] is tb.rows[0] and ta.rows[2] is tb.rows[2]
+        assert [j for j, _, _ in ta.assigned] == [1]
+
+
+def test_arity_is_checked_once_per_distinct_transfer(monkeypatch):
+    checked = []
+    original = pg.check_transfer_arity
+    monkeypatch.setattr(pg, "check_transfer_arity", lambda t, n: checked.append(t) or original(t, n))
+    t, u = pg.NondetAssign(1), pg.NondetAssign(1)
+    pg.Program(("a",), 1, "int", (pg.Edge("a", t, "a"),) * 3 + (pg.Edge("a", u, "a"),), {})
+    assert len(checked) == 2 and checked[0] is t and checked[1] is u
+    bad = pg.ParallelAffineAssign((pg.LinExpr((1,), 0),))
+    with pytest.raises(ValueError, match="assignment dimension mismatch"):
+        pg.Program(("a",), 2, "int", (pg.Edge("a", bad, "a"),) * 2, {})
+
+
+@pytest.mark.parametrize(
+    "last, line, col, message",
+    [
+        ("edge q2 -> q1 : x1 := x1 + 1 x2;", 3, 30, "expected ';'"),
+        ("edge q2 -> q1 : x1 := x1 + 1, x1 := 2;", 3, 37, "assigned twice"),
+        ("edge q2 -> q1 : x1 := x1 + 1, x3 := 2;", 3, 31, "out of range"),
+        ("edge q2 -> q1 : x1 := x1 + 1 # no ';'\nedge q1 -> q2 : x1 := x1 + 1;", 4, 1, "expected ';'"),
+        ("edge q2 -> q1 : x1 := x1 + 1", 3, 29, "expected ';'"),
+        ("edge q2 -> q3 : x1 := x1 + 1;", 3, 12, "unknown node 'q3'"),
+    ],
+    ids=["extra-token", "assigned-twice", "out-of-range", "next-line", "end-of-text", "unknown-node"],
+)
+def test_a_malformed_repeat_of_a_label_fails_at_its_own_position(last, line, col, message):
+    text = f"vars 2; sort int; nodes q1 q2;\nedge q1 -> q2 : x1 := x1 + 1;\n{last}"
+    with pytest.raises(pg.ProgramSyntaxError, match=message) as exc:
+        pg.parse_program(text)
+    assert (exc.value.line, exc.value.col) == (line, col)
+    assert _check_agrees("parse_program", text)[1:] == (line, col)
+
+
+def test_programs_with_repeated_labels_match_the_reference_parser():
+    """Programs whose labels repeat, and their mutants, which make
+    malformed repeats of well-formed labels, parse as the reference parser
+    does; the parsed edges share one transfer per distinct label text."""
+    shared = errors = 0
+    for sort in ("int", "rat"):
+        for k in range(120):
+            rng = random.Random(f"labels:{sort}:{k}")
+            text = random_label_program(rng, sort)
+            program = pg.parse_program(text)
+            by_label = {}
+            for e, line in zip(program.edges, text.split("edge ")[1:]):
+                key = re.sub(r"#[^\n]*|\s", "", line.split(":", 1)[1])
+                assert by_label.setdefault(key, e.transfer) is e.transfer
+            shared += len(program.edges) - len(by_label)
+            for t in [text, *_mutants(rng, text, 8)]:
+                errors += isinstance(_check_agrees("parse_program", t), tuple)
+    assert shared > 500 and errors > 1000
+
+
+def _assigned_oracle(t: pg.ParallelAffineAssign) -> tuple:
+    """The assigned rows by their definition: every row unequal to the identity row."""
+    n = len(t.rows)
+    return tuple(
+        (j, tuple((i, c) for i, c in enumerate(r.coeffs) if c != 0), r.const)
+        for j, r in enumerate(t.rows)
+        if r != pg.identity_row(j, n, 0, 1)
+    )
+
+
+def test_parsed_assigned_rows_equal_those_of_fresh_rows():
+    """On random programs of both sorts, a parsed assignment's ``assigned``,
+    which skips the shared identity rows by identity, equals that of a copy
+    built from fresh rows, which compares every row, and the definition."""
+    checked = 0
+    for sort in ("int", "rat"):
+        for k in range(1200):
+            rng = random.Random(f"assigned:{sort}:{k}")
+            texts = [random_label_program(rng, sort), pg.print_program(random_program(rng, sort))]
+            for e in (e for text in texts for e in pg.parse_program(text).edges):
+                if isinstance(e.transfer, pg.ParallelAffineAssign):
+                    fresh = pg.ParallelAffineAssign(tuple(pg.LinExpr(r.coeffs, r.const) for r in e.transfer.rows))
+                    assert e.transfer.assigned == fresh.assigned == _assigned_oracle(fresh), e.transfer
+                    checked += 1
+    assert checked > 10_000

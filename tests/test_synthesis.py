@@ -216,6 +216,17 @@ def test_build_rejects_a_property_at_an_unknown_node(const_demo):
     assert result.reason == "property-violated"
 
 
+@pytest.mark.parametrize("domain, sort", [("const", "int"), ("affine", "rat")])
+def test_build_gives_nodes_without_an_init_one_bottom(monkeypatch, domain, sort):
+    """One ``bottom()`` for every node without an init; no ``InitBot`` is built per node."""
+    program = pg.parse_program(f"vars 1; sort {sort}; nodes a b c d; init b: top; init d: bot;")
+    built = []
+    monkeypatch.setattr(pg.InitBot, "__init__", lambda self: built.append(self))
+    init, adapter = AnalysisProblem.build(program, domain).init.values, synthesis.DOMAINS[domain](1)
+    assert built == [] and init[0] is init[2]
+    assert init == (adapter.bottom(), adapter.top(), adapter.bottom(), adapter.bottom())
+
+
 def test_a_directly_built_problem_is_checked():
     """Node names must be distinct, edge endpoints must be node indices (no
     negative aliasing, no index past the end), and init and safety must be
