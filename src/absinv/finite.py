@@ -29,12 +29,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import reduce
 from itertools import combinations, starmap
 from operator import and_, or_
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .lattice import AbstractDomain, check_inductive_invariant, gfp_iterate, kleene, lfp_iterate
+from .lattice import AbstractDomain, check_inductive_invariant, gfp_iterate, kleene, lfp_iterate, memo
 
 
 class ValidationError(ValueError):
@@ -123,7 +123,7 @@ class ClosureFamily(AbstractDomain):
     def is_union_closed(self) -> bool:
         return self._union_closed
 
-    @cached_property
+    @memo
     def _union_closed(self) -> bool:
         """Scanned once per family; ``a | a == a`` needs no check."""
         members = self.members
@@ -165,7 +165,7 @@ class ClosureFamily(AbstractDomain):
             out |= down[sp]
         return out
 
-    @cached_property
+    @memo
     def _down_sets(self) -> tuple[int, ...]:
         """{s | s ⊑ s'} for each state s', read from ``qo_leq`` (not from ``mu_up``,
         so that Lemma 6 compares two independent computations)."""

@@ -34,6 +34,23 @@ class IterationBudgetExceeded(RuntimeError):
 DEFAULT_MAX_STEPS = 10_000
 
 
+class memo:
+    """A ``cached_property`` without its lock: the first read stores the
+    value in the instance's ``__dict__``, where later reads find it before
+    this non-data descriptor, and assignment still goes through the class.
+    For immutable values only: two threads that race on a first read store
+    equal values."""
+
+    def __init__(self, func: Callable[[Any], Any]):
+        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
+
+    def __get__(self, obj: Any, owner: type | None = None) -> Any:
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
 class AbstractDomain(ABC):
     """A complete lattice of properties with computable order and bounds.
 

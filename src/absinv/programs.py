@@ -20,14 +20,17 @@ letters, digits and ``_`` that does not start with a decimal digit; a
 variable is ``x`` followed by decimal digits.  The symbols are
 ``:= -> <= >= != /\\ ( ) { } , ; : ? * / + - = < >``; any other character is
 an error.  ``vars`` is at most :data:`MAX_VARS`.  The text is tokenized in
-one ``re.findall`` pass, each token's kind following from its first
-character; the line and column of a syntax error are computed only when it is
-raised, by scanning the text again.  Edges of one program whose labels have
-the same tokens share one transfer object, parsed once; an assignment's
-unassigned rows are identity rows shared by every program of the same
-``vars`` and ``sort``.  :func:`print_program` output parses back
-to a program that prints to the same text.  Programs are
-immutable after parsing and safe to share across threads.
+one ``re.findall`` pass whose every match is a token, the blanks and
+comments before it included and the end of the text an empty token; an
+unexpected character takes the rest of the text as the last token.  A
+token's kind follows from its first character and is read where the
+grammar asks for it; the line and column of a syntax error are computed
+only when it is raised, by scanning the text again.  Edges of one program
+whose labels have the same tokens share one transfer object, parsed once;
+an assignment's unassigned rows are identity rows shared by every program
+of the same ``vars`` and ``sort``.  :func:`print_program` output parses
+back to a program that prints to the same text.  Programs are immutable
+after parsing and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -36,9 +39,11 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache
 from math import lcm
 from typing import Any, Callable, Iterable, Iterator, Mapping
+
+from .lattice import memo
 
 Number = Any  # int (sort "int") or Fraction (sort "rat")
 
@@ -114,7 +119,7 @@ class ParallelAffineAssign:
     def apply_point(self, v: tuple[Number, ...]) -> tuple[Number, ...]:
         return tuple(r.eval(v) for r in self.rows)
 
-    @cached_property
+    @memo
     def assigned(self) -> tuple[tuple[int, tuple[tuple[int, Number], ...], Number], ...]:
         """Rows other than identity rows, as ``(j, ((i, c) for c != 0), const)``, 0-based.
 
@@ -131,7 +136,7 @@ class ParallelAffineAssign:
                 out.append((j, terms, r.const))
         return tuple(out)
 
-    @cached_property
+    @memo
     def scaled(self) -> tuple[int, tuple[tuple[int, tuple[tuple[int, int], ...], int], ...]]:
         """``(L, assigned × L)`` with ``int`` entries: L is the lcm of the
         denominators in ``assigned``."""
@@ -165,7 +170,7 @@ class Guard:
         if self.mode not in ("conj", "disj"):
             raise ValueError(f"unknown guard mode {self.mode!r}")
 
-    @cached_property
+    @memo
     def cleared(self) -> tuple[LinExpr, ...]:
         """Each row times the lcm of its denominators: the same hyperplanes, ``int`` entries."""
         rows = (clear_denominators((*r.coeffs, r.const))[0] for r in self.rows)
@@ -274,6 +279,10 @@ class Program:
         for q in inits:
             if q not in known:
                 raise ValueError(f"unknown node {q!r}")
+        if len(inits) != len(self.inits):  # pairs that declare a node twice
+            seen: set[str] = set()
+            q = next(q for q, _ in self.inits if q in seen or seen.add(q))
+            raise ValueError(f"node {q!r} has a second init")
         object.__setattr__(self, "inits", tuple((q, inits[q]) for q in self.nodes if q in inits))
 
     def init_decl(self, q: str) -> InitDecl:
@@ -379,25 +388,21 @@ def out_edges(program: Program, q: str) -> list[tuple[TransferFunction, str]]:
 #: the bound keeps the n * n coefficients each assignment edge stores small.
 MAX_VARS = 64
 
-#: One match per blank run, comment or token; group 1 is the token, and its
-#: last alternative takes any other character, which :func:`_kind` rejects.
-_TOKEN = re.compile(r"[ \t\r\n]+|#[^\n]*|(\d+|[^\W\d]\w*|:=|->|<=|>=|!=|/\\|[(){},;:?*/+\-=<>]|.)")
+#: One match per token: group 1 is the token, after the blanks and comments
+#: before it.  The common alternatives come first, and a longer symbol before
+#: its prefix.  The last two take any other character, which the parser
+#: rejects, together with the rest of the text, and the end of the text: the
+#: sentinel token "" (twice if the text ends in a blank or comment).
+_TOKEN = re.compile(
+    r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*"
+    r"([(){},;?*+=]|[a-zA-Z_]\w*|:=?|->?|\d+|<=?|>=?|!=|/\\?|[^\W\d]\w*|(?s:.+)|\Z)"
+)
 _SYMBOLS = frozenset(r":= -> <= >= != /\ ( ) { } , ; : ? * / + - = < >".split())
+_WORD = re.compile(r"\w").match  # does a token start an integer or an identifier?
+_IDENT = re.compile(r"[^\W\d]").match  # does a token start an identifier?
+_VARS = {f"x{j + 1}": j for j in range(MAX_VARS)}  # the usual spellings, by 0-based index
+_MODES = {"and": "conj", "or": "disj"}
 _RAT_NUMBERS = (Fraction(0), Fraction(1))
-
-
-def _kind(tok: str) -> str | None:
-    """The kind of a token of :data:`_TOKEN`: "int", "ident", "sym", or None if unexpected."""
-    if tok[0].isdecimal():
-        return "int"
-    if tok[0].isalnum() or tok[0] == "_":  # the first character matches \w
-        return "ident"
-    return "sym" if tok in _SYMBOLS else None
-
-
-#: :func:`_kind` by first character, for the ASCII characters that decide it
-#: ("!" does not: "!=" is a symbol, a lone "!" is unexpected).
-_ASCII_KINDS = {c: _kind(c) for c in map(chr, range(128)) if c != "!" and _kind(c)}
 
 
 def _numbers(sort: str) -> tuple[Number, Number]:
@@ -406,27 +411,30 @@ def _numbers(sort: str) -> tuple[Number, Number]:
 
 
 class _Parser:
-    """Recursive descent over parallel token and kind lists, which end in a
-    sentinel token "" of kind "".  Positions are found only on error."""
+    """Recursive descent over the tokens of :data:`_TOKEN`, which end in the
+    sentinel "".  A token's kind follows from its first character and is
+    read only where the grammar asks for it; the hot productions step a
+    local cursor and store it in ``pos`` before they call out or fail.
+    Positions are found only on error."""
 
     def __init__(self, text: str):
         self.text = text
-        self.toks = list(filter(None, _TOKEN.findall(text)))
-        self.kinds = [_ASCII_KINDS.get(t[0]) or _kind(t) for t in self.toks]
+        self.toks = toks = _TOKEN.findall(text)
         self.pos = 0
-        if None in self.kinds:
-            self.pos = self.kinds.index(None)
-            raise self.fail(f"unexpected character {self.toks[self.pos]!r}")
-        self.toks.append("")
-        self.kinds.append("")
+        last = toks[-2] if len(toks) > 1 else ""  # an unexpected character's token is last
+        if last and last not in _SYMBOLS and not _WORD(last):
+            self.pos = len(toks) - 2
+            raise self.fail(f"unexpected character {last[0]!r}")
 
     # -- token plumbing ----------------------------------------------------
 
     def fail(self, msg: str, at: int | None = None) -> ProgramSyntaxError:
         """An error at token ``at`` (default: the next one), or just past the last one."""
         at, offset = self.pos if at is None else at, 0
-        for k, m in enumerate(m for m in _TOKEN.finditer(self.text) if m.lastindex):
-            offset = m.start() if k == at else m.end()
+        for k, m in enumerate(_TOKEN.finditer(self.text)):
+            if not m[1]:
+                break
+            offset = m.start(1) if k == at else m.end(1)
             if k == at:
                 break
         line_start = self.text.rfind("\n", 0, offset) + 1
@@ -444,9 +452,9 @@ class _Parser:
         if not self.accept(text):
             raise self.fail(f"expected {text!r}")
 
-    def take(self, kind: str, what: str = "expected an identifier") -> int:
-        """Consume the next token, which must be of this kind; return its index."""
-        if self.kinds[self.pos] != kind:
+    def take(self, is_kind: Callable[[str], Any], what: str = "expected an identifier") -> int:
+        """Consume the next token, which must pass ``is_kind``; return its index."""
+        if not is_kind(self.toks[self.pos]):
             raise self.fail(what)
         self.pos += 1
         return self.pos - 1
@@ -467,63 +475,72 @@ class _Parser:
         except ValueError:  # more digits than Python converts
             raise self.fail("number has too many digits", at) from None
 
-    def signs(self) -> int | None:
-        """The product of a run of '+'/'-' tokens, or None if there is none."""
-        sign = None
+    def number(self, sort: str) -> Number:
+        """A number, after any run of '+'/'-' signs."""
+        neg = False
         while (t := self.toks[self.pos]) == "-" or t == "+":
-            self.pos += 1
-            sign = (sign or 1) * (-1 if t == "-" else 1)
-        return sign
+            neg, self.pos = neg ^ (t == "-"), self.pos + 1
+        at = self.take(str.isdecimal, "expected a number")
+        num = -self.integer(at) if neg else self.integer(at)
+        return self.ratio(num) if sort == "rat" else num
 
-    def number(self, sort: str, sign: int | None = None) -> Number:
-        """A number; its signs are read here unless the caller has read them."""
-        num = (sign or self.signs() or 1) * self.integer(self.take("int", "expected a number"))
-        if sort != "rat":
-            return num
+    def ratio(self, num: int) -> Fraction:
+        """``num`` over the denominator after a '/' at ``pos``, or over 1 if none is next."""
         if not self.accept("/"):
             return Fraction(num)
-        d = self.take("int", "expected a denominator")
-        den = self.integer(d)
-        if den == 0:
-            raise self.fail("zero denominator", d)
+        at = self.take(str.isdecimal, "expected a denominator")
+        if (den := self.integer(at)) == 0:
+            raise self.fail("zero denominator", at)
         return Fraction(num, den)
 
-    def var_index(self, n: int) -> int:
-        name = self.toks[self.pos]
+    def variable(self, n: int, at: int) -> int:
+        """The 0-based index of token ``at``, which must be a variable x1..xn."""
+        name = self.toks[at]
+        if (j := _VARS.get(name, n)) < n:
+            return j
         if not (name[:1] == "x" and name[1:].isdecimal()):
-            raise self.fail(f"expected a variable x1..x{n}")
-        j = self.integer(self.pos, 1)
+            raise self.fail(f"expected a variable x1..x{n}", at)
+        j = self.integer(at, 1)
         if not 1 <= j <= n:
-            raise self.fail(f"variable {name} out of range (n={n})")
-        self.pos += 1
-        return j
+            raise self.fail(f"variable {name} out of range (n={n})", at)
+        return j - 1
 
     def linexpr(self, n: int, sort: str) -> LinExpr:
         """Affine sum of terms: [+-] (coef [* xj] | xj) ..."""
+        toks, pos, rat = self.toks, self.pos, sort == "rat"
         zero, one = _numbers(sort)
-        coeffs = [zero] * n
-        const = zero
-        first = True
+        coeffs, const, term = [zero] * n, zero, True  # term: a term must follow
         while True:
-            sign = self.signs()
-            if sign is None and not first:
+            t, neg = toks[pos], False
+            while t == "-" or t == "+":
+                neg, term, pos = neg ^ (t == "-"), True, pos + 1
+                t = toks[pos]
+            if not term:
                 break
-            kind = self.kinds[self.pos]
+            term = False
             # a sum that is still `zero` takes the term itself: no Fraction addition
-            if kind == "int":
-                coef = self.number(sort, sign or 1)
-                if self.accept("*"):
-                    j = self.var_index(n) - 1
-                    coeffs[j] = coef if coeffs[j] is zero else coeffs[j] + coef
-                else:
+            if t.isdecimal():
+                try:
+                    coef, pos = -int(t) if neg else int(t), pos + 1
+                except ValueError:  # more digits than Python converts
+                    raise self.fail("number has too many digits", pos) from None
+                if rat:
+                    self.pos = pos
+                    coef, pos = self.ratio(coef), self.pos
+                if toks[pos] != "*":
                     const = coef if const is zero else const + coef
-            elif self.toks[self.pos][:1] == "x":
-                j = self.var_index(n) - 1
-                coef = -one if sign == -1 else one
-                coeffs[j] = coef if coeffs[j] is zero else coeffs[j] + coef
+                    continue
+                pos += 1
+            elif t[:1] == "x":
+                coef = -one if neg else one
             else:  # a first term, or one after a run of signs, is missing
+                self.pos = pos
                 raise self.fail("expected a term")
-            first = False
+            if (j := _VARS.get(toks[pos], n)) >= n:
+                j = self.variable(n, pos)
+            pos += 1
+            coeffs[j] = coef if coeffs[j] is zero else coeffs[j] + coef
+        self.pos = pos
         return LinExpr(tuple(coeffs), const)
 
     def equation(self, n: int, sort: str) -> tuple[LinExpr, str]:
@@ -547,9 +564,10 @@ def _parse_guard_rows(p: _Parser, n: int, sort: str) -> tuple[tuple[LinExpr, ...
         row, rel = p.equation(n, sort)
         rows.append(row)
         rels.append(rel)
-        this = "conj" if p.accept("and") else "disj" if p.accept("or") else None
+        this = _MODES.get(p.toks[p.pos])
         if this is None:
             break
+        p.pos += 1
         if mode not in (None, this):
             raise p.fail("cannot mix 'and' and 'or' in one guard")
         mode = this
@@ -561,35 +579,47 @@ def _parse_guard_rows(p: _Parser, n: int, sort: str) -> tuple[tuple[LinExpr, ...
 
 def _parse_statements(p: _Parser, n: int, sort: str) -> TransferFunction:
     """One edge label."""
-    if p.accept("skip"):
+    toks, pos = p.toks, p.pos
+    if toks[pos] == "skip":
+        p.pos = pos + 1
         return Identity()
-    if p.accept("assume"):
+    if toks[pos] == "assume":
+        p.pos = pos + 1
         rows, rel, mode = _parse_guard_rows(p, n, sort)
         if sort == "rat" and rel not in ("=", "!="):
             raise p.fail(f"inequality guard {rel!r} is not supported for sort rat")
         return Guard(rows, rel, mode)
-    # one or more assignments, comma separated, applied in parallel
-    assigned: list[LinExpr | None] = [None] * n
-    nondet_targets: list[int] = []
-    while True:
-        j = p.var_index(n)
-        p.expect(":=")
-        if assigned[j - 1] is not None or j in nondet_targets:
-            raise p.fail(f"variable x{j} assigned twice on one edge")
-        if p.accept("?"):
-            nondet_targets.append(j)
-        else:
-            assigned[j - 1] = p.linexpr(n, sort)
-        if not p.accept(","):
-            break
-    if nondet_targets:
-        if len(nondet_targets) > 1 or any(r is not None for r in assigned):
-            raise p.fail("xj := ? cannot be combined with other assignments on one edge")
-        return NondetAssign(nondet_targets[0])
-    # rows left alone are the shared identity rows, so == compares the assigned rows only
+    # one or more assignments, comma separated, applied in parallel; rows
+    # left alone are the shared identity rows, so == compares the assigned rows only
     ints, rats = _identity_rows(n)
     ids = rats if sort == "rat" else ints
-    rows = tuple(ident if r is None else r for ident, r in zip(ids, assigned))
+    assigned, nondet_targets = list(ids), []  # targets 0-based
+    while True:
+        if (j := _VARS.get(toks[pos], n)) >= n:
+            j = p.variable(n, pos)
+        if toks[pos + 1] != ":=":
+            p.pos = pos + 1
+            raise p.fail("expected ':='")
+        pos += 2
+        if assigned[j] is not ids[j] or j in nondet_targets:
+            p.pos = pos
+            raise p.fail(f"variable x{j + 1} assigned twice on one edge")
+        if toks[pos] == "?":
+            nondet_targets.append(j)
+            pos += 1
+        else:
+            p.pos = pos
+            assigned[j] = p.linexpr(n, sort)
+            pos = p.pos
+        if toks[pos] != ",":
+            break
+        pos += 1
+    p.pos = pos
+    if nondet_targets:
+        if len(nondet_targets) > 1 or any(map(operator.is_not, assigned, ids)):
+            raise p.fail("xj := ? cannot be combined with other assignments on one edge")
+        return NondetAssign(nondet_targets[0] + 1)
+    rows = tuple(assigned)
     return Identity() if rows == ids else ParallelAffineAssign(rows)
 
 
@@ -668,6 +698,7 @@ def parse_program(text: str) -> Program:
     inits: dict[str, InitDecl] = {}
     edges: list[Edge] = []
     declared: set[str] = set()
+    repeated = False  # has a label repeated an earlier one?
 
     def require_header() -> tuple[int, str]:
         if n is None:
@@ -678,62 +709,62 @@ def parse_program(text: str) -> Program:
             raise p.fail("'nodes' must be declared before this line")
         return n, sort
 
-    def label(n: int, sort: str) -> TransferFunction:
-        """The edge label at ``p.pos``: the transfer of an earlier label with
-        the same tokens up to the next ';', else a new parse (n and sort are
-        fixed once declared).  Only a parse that ends at that ';' is kept, so
-        an error is raised, at its position, by a parse of its own."""
-        start = p.pos
-        try:
-            key = tuple(toks[start : toks.index(";", start)])
-        except ValueError:  # no ';' follows: the label cannot end well
-            return _parse_statements(p, n, sort)
-        t = labels.get(key)
-        if t is None:
-            t = _parse_statements(p, n, sort)
-            if p.pos - start == len(key):
-                labels[key] = t
-        else:
-            p.pos += len(key)
-        return t
-
     def node() -> str:
         name = toks[p.pos]
         if name not in known:
-            raise p.fail(f"unknown node {name!r}" if p.kinds[p.pos] == "ident" else "expected an identifier")
+            raise p.fail(f"unknown node {name!r}" if _IDENT(name) else "expected an identifier")
         p.pos += 1
         return name
 
-    while toks[p.pos]:
-        i = p.take("ident")
-        kw = toks[i]
+    while kw := toks[p.pos]:
+        i = p.pos
+        p.pos += 1
         if kw in ("vars", "sort", "nodes"):
             if kw in declared:
                 raise p.fail(f"'{kw}' is declared twice", i)
             declared.add(kw)
         if kw == "edge":
             nn, ss = require_header()
-            src = node()
-            p.expect("->")
-            dst = node()
-            p.expect(":")
-            edges.append(Edge(src, label(nn, ss), dst))
+            pos = p.pos  # the usual `qa -> qb :` is read in one test
+            if toks[pos] in known and toks[pos + 1] == "->" and toks[pos + 2] in known and toks[pos + 3] == ":":
+                src, dst, p.pos = toks[pos], toks[pos + 2], pos + 4
+            else:
+                src = node()
+                p.expect("->")
+                dst = node()
+                p.expect(":")
+            # a label with an earlier one's tokens up to the ';' gets its
+            # transfer; until one repeats, labels are keyed after the parse,
+            # by the tokens it read (a parse short of the ';' is an error)
+            start, t = p.pos, None
+            if repeated:
+                try:
+                    end = toks.index(";", start)
+                    t = labels.get(tuple(toks[start:end]))
+                except ValueError:  # no ';' follows: the parse below fails
+                    pass
+            if t is None:
+                t = _parse_statements(p, nn, ss)
+                u = labels.setdefault(tuple(toks[start : p.pos]), t)
+                repeated, t = repeated or u is not t, u
+            else:
+                p.pos = end
+            edges.append(Edge(src, t, dst))
         elif kw == "vars":
-            t = p.take("int", "expected a variable count")
+            t = p.take(str.isdecimal, "expected a variable count")
             n = p.integer(t)
             if n < 1:
                 raise p.fail("variable count must be >= 1", t)
             if n > MAX_VARS:
                 raise p.fail(f"variable count must be <= {MAX_VARS}", t)
         elif kw == "sort":
-            t = p.take("ident")
+            t = p.take(_IDENT)
             if toks[t] not in ("int", "rat"):
                 raise p.fail("sort must be 'int' or 'rat'", t)
             sort = toks[t]
         elif kw == "nodes":
             nodes = []
-            while p.kinds[p.pos] == "ident":
-                name = toks[p.pos]
+            while _IDENT(name := toks[p.pos]):
                 if name in known:
                     raise p.fail(f"duplicate node name {name!r}")
                 p.pos += 1
@@ -749,7 +780,7 @@ def parse_program(text: str) -> Program:
             p.expect(":")
             inits[toks[q]] = _parse_init_literal(p, nn, ss)
         else:
-            raise p.fail(f"unknown declaration {kw!r}", i)
+            raise p.fail(f"unknown declaration {kw!r}" if _IDENT(kw) else "expected an identifier", i)
         p.expect(";")
 
     if n is None or sort is None or nodes is None:

@@ -46,12 +46,11 @@ problem's vectors, the result, and ``abstract_post_step`` and
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import Any, Callable, Iterable, Sequence
 
 from . import affine as aff
 from . import const_domain as cd
-from .lattice import AbstractDomain, check_inductive_invariant, kleene
+from .lattice import AbstractDomain, check_inductive_invariant, kleene, memo
 from .programs import (
     Guard,
     Identity,
@@ -339,7 +338,7 @@ class AnalysisProblem:
         safety = StateVector(nodes, tuple(adapter.from_init(prop[q]) if q in prop else top for q in nodes))
         return cls(nodes, edges, adapter, init, safety)
 
-    @cached_property
+    @memo
     def preds(self) -> tuple[tuple[tuple[int, TransferFunction], ...], ...]:
         """Per node j, the (source index, transfer) pairs of the edges into j."""
         into: list[list[tuple[int, TransferFunction]]] = [[] for _ in self.nodes]
@@ -347,7 +346,7 @@ class AnalysisProblem:
             into[dst].append((src, t))
         return tuple(map(tuple, into))
 
-    @cached_property
+    @memo
     def succs(self) -> tuple[tuple[tuple[TransferFunction, int], ...], ...]:
         """Per node j, the (transfer, target index) pairs of the edges out of j."""
         out: list[list[tuple[TransferFunction, int]]] = [[] for _ in self.nodes]
@@ -385,7 +384,7 @@ class SynthesisResult:
     def invariant(self) -> StateVector | None:
         return self.last if self.found else None
 
-    @cached_property
+    @memo
     def trace(self) -> tuple[StateVector, ...]:
         vectors = [self.start]
         for diff in self.diffs:

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from absinv import finite, programs, synthesis
 from absinv.finite import lfp_table, powerset_family, random_gi, random_monotone
 from absinv.lattice import (
     IterationBudgetExceeded,
@@ -15,6 +17,7 @@ from absinv.lattice import (
     gfp_iterate,
     kleene,
     lfp_iterate,
+    memo,
 )
 from absinv.synthesis import AffAdapter, ConstAdapter
 
@@ -210,3 +213,50 @@ def test_finite_lattice_is_abstract_domain():
             j, m = lat.join(a, b), lat.meet(a, b)
             assert lat.leq(a, j) and lat.leq(b, j)
             assert lat.leq(m, a) and lat.leq(m, b)
+
+
+# ---------------------------------------------------------------------------
+# memo: a value computed on first read, once per instance
+# ---------------------------------------------------------------------------
+
+
+MEMOS = [
+    (programs.ParallelAffineAssign, "assigned"), (programs.ParallelAffineAssign, "scaled"),
+    (programs.Guard, "cleared"), (synthesis.AnalysisProblem, "preds"), (synthesis.AnalysisProblem, "succs"),
+    (synthesis.SynthesisResult, "trace"), (finite.ClosureFamily, "_union_closed"),
+    (finite.ClosureFamily, "_down_sets"),
+]
+
+
+def _memo_owner(cls: type):
+    """An instance of ``cls`` whose memos have not been read."""
+    if cls is finite.ClosureFamily:
+        return finite.ClosureFamily(2, frozenset({0, 1, 3}))
+    prog = programs.parse_program(
+        "vars 2; sort rat; nodes a b; init a: (1,2);"
+        " edge a -> b : x1 := 2/3*x2 + 1; edge b -> a : assume x1 = 1/2 or x2 = 0;"
+    )
+    if cls is not synthesis.AnalysisProblem and cls is not synthesis.SynthesisResult:
+        return next(e.transfer for e in prog.edges if isinstance(e.transfer, cls))
+    problem = synthesis.AnalysisProblem.build(prog, "affine")
+    return problem if cls is synthesis.AnalysisProblem else synthesis.ainv_forward(problem)
+
+
+@pytest.mark.parametrize("owner, name", MEMOS, ids=[f"{c.__name__}.{name}" for c, name in MEMOS])
+def test_memo_values_are_computed_once_per_instance(monkeypatch, owner, name):
+    obj = _memo_owner(owner)
+    descriptor = vars(owner)[name]
+    assert isinstance(descriptor, memo) and descriptor.__doc__ == descriptor.func.__doc__
+    assert name not in vars(obj)
+    calls = []
+    compute = descriptor.func
+    monkeypatch.setattr(descriptor, "func", lambda self: calls.append(self) or compute(self))
+    first = getattr(obj, name)
+    assert getattr(obj, name) is first and len(calls) == 1 and calls[0] is obj
+    other = dataclasses.replace(obj)  # an equal instance has its own value
+    assert getattr(other, name) == first and len(calls) == 2 and calls[1] is other
+    assert getattr(obj, name) is first and len(calls) == 2
+    # the instances stay frozen: a memo is filled on read, never assigned
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(obj, name, first)
+    assert getattr(obj, name) is first

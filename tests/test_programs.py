@@ -234,6 +234,16 @@ def test_redeclaration_is_rejected(src, message):
         pg.parse_program(src)
 
 
+def test_programs_built_in_code_reject_a_second_init():
+    # (node, decl) pairs, unlike a mapping, can declare a node twice; the
+    # last one used to win without a word
+    pairs = (("q1", pg.InitTop()), ("q2", pg.InitVector((1,))), ("q1", pg.InitBot()))
+    with pytest.raises(ValueError, match="node 'q1' has a second init"):
+        pg.Program(("q1", "q2"), 1, "int", (), pairs)
+    assert pg.Program(("q1", "q2"), 1, "int", (), pairs[:2]).inits == pairs[:2]
+    assert pg.Program(("q1", "q2"), 1, "int", (), dict(pairs)).inits == (pairs[2], pairs[1])
+
+
 def test_programs_are_hashable_and_immutable():
     a = pg.parse_program("vars 1; sort int; nodes q1 q2; init q2: (1); init q1: top;")
     b = pg.parse_program("vars 1; sort int; nodes q1 q2; init q1: top; init q2: (1);")
@@ -511,6 +521,37 @@ def test_parser_matches_the_reference_parser():
     assert len(programs) > 500 and len(messages) > 1000
     assert {"int", "rat"} <= {o.split("sort='", 1)[1][:3] for o in programs if o.startswith("Program(")}
     assert [m for m in MESSAGES if not any(m in msg for msg in messages)] == []
+
+
+# Declarations that take every path of the descent: the `qa -> qb :` header,
+# `xj := ?`, parallel assignments, signs, coefficients with and without '*',
+# `p/q` numbers, `and`/`or` guards, `x٣`, an over-long number and literals.
+# They end in a blank, a comment or nothing, so the text ends in one or two
+# sentinel tokens.
+SINGLE_TOKEN_SEEDS = [
+    ("parse_program", "vars 3; sort int; nodes q1 q2;\nedge q1 -> q2 : x1 := -2*x2 + x1 - 3, x٣ := ?;\n"),
+    ("parse_program", "vars 2; sort int; nodes q1 q2; edge q2 -> q1 : x2 := - -x1 + +4*x2, x1 := 1; "),
+    ("parse_program", "vars 2; sort int; nodes q; edge q -> q : assume x1 + 1 < x2 and 2*x1 >= 0;# end"),
+    ("parse_program", "vars 2; sort rat; nodes q; init q: (1/2,top); edge q -> q : x2 := 2/3*x1 - 1/4;"),
+    ("parse_program", "vars 2; sort rat; nodes q; edge q -> q : assume x1 = 0 or assume 2/3*x2 != x1;\t"),
+    ("parse_program", f"vars 1; sort int; nodes q; init q: {{(1);(-2)}}; edge q -> q : x1 := {BIG}*x1;"),
+    ("parse_init_literal", "x1 + 2/3 = x2 /\\ -x2 = 1 # c"),
+]
+
+
+def test_every_single_token_mutant_matches_the_reference_parser():
+    """Each seed with one of its tokens deleted, or replaced by each
+    vocabulary entry, parses as the reference parser does."""
+    outcomes = []
+    for parse, seed in SINGLE_TOKEN_SEEDS:
+        args = (2, "rat") if parse == "parse_init_literal" else ()
+        spans = [m.span() for m in ref._TOKEN.finditer(seed) if m.lastgroup in ("int", "ident", "sym")]
+        for s, e in spans:
+            for v in ["", *VOCAB]:
+                outcomes.append(_check_agrees(parse, seed[:s] + v + seed[e:], *args))
+    messages = {o[0] for o in outcomes if isinstance(o, tuple)}
+    assert len(outcomes) > 12_000 and sum(isinstance(o, str) for o in outcomes) > 250
+    assert len(messages) > 150
 
 
 
