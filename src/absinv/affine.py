@@ -18,7 +18,7 @@ equality is semantic equality.
 Every function here that receives coordinates or rows takes Python ``int``s
 only.  Rationals enter through the entry points that clear them:
 ``AffSubspace.point_of``, ``hull_points``, ``AffSubspace.contains_point`` and
-``from_equalities`` here, ``synthesis.AffAdapter._from_literal``, and the
+``from_equalities`` here, ``synthesis.AffAdapter._vector``, and the
 transfers' ``ParallelAffineAssign.scaled`` and ``Guard.cleared``.  The
 n-variable lattice (bounds, height n + 1, alpha, gamma-membership) is
 ``synthesis.AffAdapter``.

@@ -25,10 +25,13 @@ its ``trace`` of full vectors is built on first use.
 Each numeric domain is one adapter object, ``ConstAdapter`` or
 ``AffAdapter`` (by name in ``DOMAINS``): a ``lattice.AbstractDomain`` that
 also carries alpha of finite point sets, gamma-membership (``contains``),
-the edge transfers (and the constants' wp) and rendering.  Their lattice
-operations call the domain module's functions at call time.  What the two
-share (n ≥ 1, height n + 1, the ``top``, ``bot`` and point-set literals)
-is their base class ``_NumericDomain``.
+rendering and one dispatch ``table`` from (kind, column) to a cell: each
+transfer class has a ``"post"`` cell and, for the constants, a ``"wp"``
+cell; each init-declaration class an ``"init"`` cell.  A pair without a
+cell is a hole: looking it up raises ``UnsupportedDomain``.  Lattice
+operations and cells call the domain module's functions at call time.  What
+the two share (n ≥ 1, height n + 1, identity post and the ``top``, ``bot``
+and point-set literals) is their base class ``_NumericDomain``.
 
 ``AnalysisProblem`` holds what the steps read: the node names, the edges as
 index triples (source, transfer, target), the adapter, and the initial and
@@ -88,11 +91,24 @@ class UnsupportedDomain(ValueError):
 # ---------------------------------------------------------------------------
 
 
-class _NumericDomain(AbstractDomain):
-    """n ≥ 1 variables of one ``sort``, height n + 1, and the ``top``, ``bot``
-    and point-set literals; a subclass reads the others in ``_from_literal``."""
+class _Table(dict):
+    """(kind, column) -> cell of one domain; a pair without a cell is a hole."""
 
+    def __missing__(self, key: tuple[type, str]) -> Any:
+        raise UnsupportedDomain(f"no {key[1]} cell for {key[0].__name__}")
+
+
+class _NumericDomain(AbstractDomain):
+    """n ≥ 1 variables of one ``sort``, height n + 1, and the cells both tables share."""
+
+    name: str
     sort: str
+    table = _Table({
+        (Identity, "post"): lambda self, t, a: a,
+        (InitTop, "init"): lambda self, decl: self.top(),
+        (InitBot, "init"): lambda self, decl: self.bottom(),
+        (InitPoints, "init"): lambda self, decl: self.alpha(decl.points),
+    })
 
     def __init__(self, n: int):
         if n < 1:
@@ -104,20 +120,14 @@ class _NumericDomain(AbstractDomain):
         return self.n + 1
 
     def from_init(self, decl: InitDecl) -> Any:
-        if isinstance(decl, InitTop):
-            return self.top()
-        if isinstance(decl, InitBot):
-            return self.bottom()
-        if isinstance(decl, InitPoints):
-            return self.alpha(decl.points)
-        return self._from_literal(decl)
+        return self.table[type(decl), "init"](self, decl)
 
 
 class ConstAdapter(_NumericDomain):
     """The constant-propagation lattice on n integer variables; ``top()`` and
     ``bottom()`` return one shared element each."""
 
-    sort = "int"
+    name, sort = "const", "int"
 
     def __init__(self, n: int):
         super().__init__(n)
@@ -151,72 +161,62 @@ class ConstAdapter(_NumericDomain):
         return not a.is_bottom and all(s is cd.TOP or s == v for s, v in zip(a.comps, point))
 
     def transfer(self, t: TransferFunction, a: cd.ConstVec) -> cd.ConstVec:
-        if isinstance(t, Identity):
-            return a
-        if isinstance(t, ParallelAffineAssign):
-            return cd.bca_parallel_assign(t, a)
-        if isinstance(t, NondetAssign):
-            return cd.bca_nondet_assign(t.target, a)
-        if isinstance(t, Guard):
-            return cd.bca_guard(t.rows, t.rel, t.mode, a)
-        raise TypeError(f"unknown transfer function {t!r}")
+        return self.table[type(t), "post"](self, t, a)
 
     def wp(self, t: TransferFunction, target: cd.ConstVec) -> cd.ConstVec:
-        """Sound abstraction of the weakest precondition of one edge.
+        """Sound abstraction of the weakest precondition of one edge."""
+        return self.table[type(t), "wp"](self, t, target)
 
-        Assignments turn each constant target slot into an equality
-        constraint on the old values and apply their conjunction, in slot
-        order, to the full space (exact for single-constant targets): an
-        assigned row's constraint is an equality guard, an unassigned slot
-        x_j = c sets or checks slot j directly.  Guards are approximated by
-        the full space unless decided.
-        """
-        if isinstance(t, Identity):
+    def _assign_wp(self, t: ParallelAffineAssign, target: cd.ConstVec) -> cd.ConstVec:
+        """Each constant target slot is an equality constraint on the old
+        values; their conjunction, in slot order, applied to the full space
+        (exact for single-constant targets): an assigned row's constraint is
+        an equality guard, an unassigned slot x_j = c sets or checks slot j."""
+        if target.is_bottom:
             return target
-        if isinstance(t, ParallelAffineAssign):
-            if target.is_bottom:
-                return target
-            rows = {j: t.rows[j] for j, _, _ in t.assigned}
-            acc = self.top()
-            for j, slot in enumerate(target.comps):
-                if slot is cd.TOP:
-                    continue
-                if j in rows:
-                    acc = cd.bca_eq_guard(LinExpr(rows[j].coeffs, rows[j].const - slot), acc)
-                elif acc.comps[j] is cd.TOP:
-                    acc = acc.replace(j + 1, slot)
-                elif acc.comps[j] != slot:
-                    acc = self.bottom()
-                if acc.is_bottom:
-                    return acc
-            return acc
-        if isinstance(t, NondetAssign):
-            if target.is_bottom:
-                return target
-            if target.comps[t.target - 1] is cd.TOP:
-                return target
-            return self.bottom()
-        if isinstance(t, Guard):
-            # a guard of constant rows is decided: it holds at every point or none
-            if all(r.is_constant() for r in t.rows) and guard_holds(t, (0,) * self.n):
-                return target
-            return self.top()
-        raise TypeError(f"unknown transfer function {t!r}")
+        rows = {j: t.rows[j] for j, _, _ in t.assigned}
+        acc = self.top()
+        for j, slot in enumerate(target.comps):
+            if slot is cd.TOP:
+                continue
+            if j in rows:
+                acc = cd.bca_eq_guard(LinExpr(rows[j].coeffs, rows[j].const - slot), acc)
+            elif acc.comps[j] is cd.TOP:
+                acc = acc.replace(j + 1, slot)
+            elif acc.comps[j] != slot:
+                acc = self.bottom()
+            if acc.is_bottom:
+                return acc
+        return acc
 
-    def _from_literal(self, decl: InitDecl) -> cd.ConstVec:
-        if isinstance(decl, InitVector):
-            slots = tuple(cd.TOP if e == TOP_ENTRY else int(e) for e in decl.entries)
-            return cd.ConstVec(self.n, slots)
-        raise UnsupportedDomain("constraint literals are not constant-domain elements")
+    def _vector(self, decl: InitVector) -> cd.ConstVec:
+        return cd.ConstVec(self.n, tuple(cd.TOP if e == TOP_ENTRY else int(e) for e in decl.entries))
+
+    table = _Table({
+        **_NumericDomain.table,
+        (Identity, "wp"): lambda self, t, target: target,
+        (ParallelAffineAssign, "post"): lambda self, t, a: cd.bca_parallel_assign(t, a),
+        (ParallelAffineAssign, "wp"): _assign_wp,
+        (NondetAssign, "post"): lambda self, t, a: cd.bca_nondet_assign(t.target, a),
+        (NondetAssign, "wp"): lambda self, t, target: (
+            target if target.is_bottom or target.comps[t.target - 1] is cd.TOP else self.bottom()
+        ),
+        (Guard, "post"): lambda self, t, a: cd.bca_guard(t.rows, t.rel, t.mode, a),
+        # the full space, unless the rows are constant: then it holds at every point or none
+        (Guard, "wp"): lambda self, t, target: (
+            target if all(r.is_constant() for r in t.rows) and guard_holds(t, (0,) * self.n) else self.top()
+        ),
+        (InitVector, "init"): _vector,
+    })
 
     def render(self, a: cd.ConstVec) -> str:
         return cd.render_const(a)
 
 
 class AffAdapter(_NumericDomain):
-    """The affine-equalities lattice on n rational variables."""
+    """The affine-equalities lattice on n rational variables; it has no wp."""
 
-    sort = "rat"
+    name, sort = "affine", "rat"
 
     def leq(self, a: aff.AffSubspace, b: aff.AffSubspace) -> bool:
         return aff.includes(b, a)
@@ -242,33 +242,33 @@ class AffAdapter(_NumericDomain):
         return a.contains_point(point)
 
     def transfer(self, t: TransferFunction, a: aff.AffSubspace) -> aff.AffSubspace:
-        if isinstance(t, Identity):
-            return a
-        if isinstance(t, ParallelAffineAssign):
-            return aff.bca_parallel_assign(t, a)
-        if isinstance(t, NondetAssign):
-            return aff.bca_nondet_assign(t.target, a)
-        if isinstance(t, Guard):
-            if t.rel == "=":
-                return aff.bca_eq_guard(t.cleared, t.mode, a)
-            if t.rel != "!=":
-                raise UnsupportedDomain(f"guard relation {t.rel!r} has no affine approximation")
-            return a  # sound, not best: bot would be exact where the guard is false on all of a
-        raise TypeError(f"unknown transfer function {t!r}")
+        return self.table[type(t), "post"](self, t, a)
 
-    def _from_literal(self, decl: InitDecl) -> aff.AffSubspace:
-        if isinstance(decl, InitVector):
-            # the point with 0 in each top slot, spanned by the top slots' unit vectors
-            num, den = clear_denominators(0 if e == TOP_ENTRY else e for e in decl.entries)
-            units = tuple(
-                tuple(int(i == j) for i in range(self.n))
-                for j, e in enumerate(decl.entries)
-                if e == TOP_ENTRY
-            )
-            return aff.AffSubspace(self.n, num, units, den)
-        if isinstance(decl, InitConstraints):
-            return aff.from_equalities(decl.rows, self.n)
-        raise TypeError(f"unknown init declaration {decl!r}")
+    def _guard(self, t: Guard, a: aff.AffSubspace) -> aff.AffSubspace:
+        if t.rel == "=":
+            return aff.bca_eq_guard(t.cleared, t.mode, a)
+        if t.rel != "!=":
+            raise UnsupportedDomain(f"guard relation {t.rel!r} has no affine approximation")
+        return a  # sound, not best: bot would be exact where the guard is false on all of a
+
+    def _vector(self, decl: InitVector) -> aff.AffSubspace:
+        # the point with 0 in each top slot, spanned by the top slots' unit vectors
+        num, den = clear_denominators(0 if e == TOP_ENTRY else e for e in decl.entries)
+        units = tuple(
+            tuple(int(i == j) for i in range(self.n))
+            for j, e in enumerate(decl.entries)
+            if e == TOP_ENTRY
+        )
+        return aff.AffSubspace(self.n, num, units, den)
+
+    table = _Table({
+        **_NumericDomain.table,
+        (ParallelAffineAssign, "post"): lambda self, t, a: aff.bca_parallel_assign(t, a),
+        (NondetAssign, "post"): lambda self, t, a: aff.bca_nondet_assign(t.target, a),
+        (Guard, "post"): _guard,
+        (InitVector, "init"): _vector,
+        (InitConstraints, "init"): lambda self, decl: aff.from_equalities(decl.rows, self.n),
+    })
 
     def render(self, a: aff.AffSubspace) -> str:
         text = aff.render_affine(a)
@@ -278,7 +278,7 @@ class AffAdapter(_NumericDomain):
 Adapter = ConstAdapter | AffAdapter
 
 #: Domain name -> adapter class; the CLI offers these names in this order.
-DOMAINS: dict[str, type[Adapter]] = {"const": ConstAdapter, "affine": AffAdapter}
+DOMAINS: dict[str, type[Adapter]] = {cls.name: cls for cls in (ConstAdapter, AffAdapter)}
 
 
 # ---------------------------------------------------------------------------
@@ -541,10 +541,10 @@ def backward_gfp(problem: AnalysisProblem) -> SynthesisResult:
     The stabilized iterate is the greatest candidate; it is re-verified with
     the forward transformer before being reported (the wp abstraction is
     sound but the domain is not union-closed, so verification is what makes
-    the certificate unconditional).  Constants domain only.
+    the certificate unconditional).  An adapter without ``wp`` is rejected.
     """
-    if isinstance(problem.adapter, AffAdapter):
-        raise UnsupportedDomain("backward synthesis is not supported for the affine domain")
+    if not hasattr(problem.adapter, "wp"):
+        raise UnsupportedDomain(f"backward synthesis is not supported for the {problem.adapter.name} domain")
     top_vec = StateVector(problem.nodes, (problem.adapter.top(),) * len(problem.nodes))
     result = _iterate(
         problem, top_vec, abstract_pret_diff,

@@ -244,10 +244,11 @@ class ReferenceAffAdapter(AffAdapter):
             return ra.bca_eq_guard(t.rows, t.mode, a)
         return a  # skip, and the != guard as AffAdapter treats it
 
-    def _from_literal(self, decl):
-        if isinstance(decl, pg.InitVector):
-            return reference_vector_literal(decl.entries, self.n)
-        return ra.from_equalities(decl.rows, self.n)
+    table = type(AffAdapter.table)({
+        **AffAdapter.table,
+        (pg.InitVector, "init"): lambda self, decl: reference_vector_literal(decl.entries, self.n),
+        (pg.InitConstraints, "init"): lambda self, decl: ra.from_equalities(decl.rows, self.n),
+    })
 
 
 def random_literal(rng: random.Random, n: int, seen: set[str]) -> pg.InitDecl:

@@ -8,7 +8,7 @@ import random
 import tracemalloc
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, get_args
 
 import pytest
 
@@ -248,14 +248,62 @@ def test_a_directly_built_problem_is_checked():
         AnalysisProblem(("a", "a"), ((0, ident, 1),), adapter, init, safety)
 
 
-def test_backward_rejected_for_affine(affine_problem):
-    with pytest.raises(UnsupportedDomain):
-        ALGORITHMS["backward"](affine_problem)
-    with pytest.raises(UnsupportedDomain):
-        backward_gfp(affine_problem)
+def test_backward_rejected_for_affine(affine_problem, monkeypatch):
+    """The affine domain has no wp column: backward synthesis is rejected
+    before any step, also on a program with no edges."""
+    monkeypatch.setattr(synthesis, "abstract_pret_diff", lambda *args: pytest.fail("a backward step ran"))
     no_edges = pg.parse_program("vars 1; sort rat; nodes q1; init q1: top;")
-    with pytest.raises(UnsupportedDomain):
-        backward_gfp(AnalysisProblem.build(no_edges, "affine"))
+    for engine, problem in itertools.product(
+        (ALGORITHMS["backward"], backward_gfp), (affine_problem, AnalysisProblem.build(no_edges, "affine"))
+    ):
+        with pytest.raises(UnsupportedDomain, match="^backward synthesis is not supported for the affine domain$"):
+            engine(problem)
+
+
+#: (domain, column, kind) -> why the domain's table has no cell there
+HOLES = {
+    **{("affine", "wp", kind): "no affine wp is written yet" for kind in get_args(pg.TransferFunction)},
+    ("const", "init", pg.InitConstraints): "constraint literals are rat-only syntax",
+}
+
+
+def kind_samples(sort: str) -> list:
+    """One value of every transfer and init-declaration kind, on two variables."""
+    program = pg.parse_program(
+        f"vars 2; sort {sort}; nodes q1; edge q1 -> q1 : skip; edge q1 -> q1 : x1 := x1 + x2;"
+        " edge q1 -> q1 : x2 := ?; edge q1 -> q1 : assume x1 = 1 and x2 = 0;"
+    )
+    literals = [pg.parse_init_literal(x, 2, sort) for x in ("top", "bot", "(1, top)", "{(1, 2); (3, 2)}")]
+    return [e.transfer for e in program.edges] + literals + [pg.InitConstraints((pg.LinExpr((1, 0), -1),))]
+
+
+@pytest.mark.parametrize("domain", synthesis.DOMAINS)
+def test_every_kind_has_a_cell_or_a_listed_hole(domain):
+    """Walk the domain's table: each transfer kind's post and wp and each
+    init kind's element is a cell that returns an element, or a listed hole
+    that raises ``UnsupportedDomain`` (so the CLI exits 2), not ``TypeError``
+    or ``KeyError``; the table has no other cells."""
+    adapter = synthesis.DOMAINS[domain](2)
+    transfers, inits = get_args(pg.TransferFunction), get_args(pg.InitDecl)
+    columns = {"post": transfers, "wp": transfers, "init": inits}
+    samples = {type(x): x for x in kind_samples(adapter.sort)}
+    assert set(samples) == {*transfers, *inits}
+    method = {"post": "transfer", "wp": "wp", "init": "from_init"}
+    for column, kinds in columns.items():
+        call = getattr(adapter, method[column], None)  # None: the domain has no such column
+        for kind in kinds:
+            args = (samples[kind],) if column == "init" else (samples[kind], adapter.top())
+            if (domain, column, kind) not in HOLES:
+                assert adapter.leq(call(*args), adapter.top())
+                continue
+            assert (kind, column) not in adapter.table
+            with pytest.raises(UnsupportedDomain, match=f"^no {column} cell for {kind.__name__}$"):
+                adapter.table[kind, column]
+            if call is not None:
+                with pytest.raises(UnsupportedDomain):
+                    call(*args)
+    assert set(adapter.table) <= {(kind, column) for column, kinds in columns.items() for kind in kinds}
+    assert hasattr(adapter, "wp") == any(column == "wp" for _, column in adapter.table)
 
 
 # ---------------------------------------------------------------------------
@@ -754,9 +802,13 @@ def test_forward_engine_decides_existence_on_any_family(union_closed):
 
 def test_backward_verdicts_are_sound_on_families_not_union_closed():
     """With wp mu_up ∘ pret and a member as the safety set, init-not-entailed
-    means no invariant exists and found means one does; verification-failed
-    claims neither."""
-    outcomes = collections.Counter()
+    means no invariant exists and found means one does.  verification-failed
+    claims neither, and that is a known fault: on a family that is not
+    union-closed the stabilized candidate can fail re-verification although
+    an invariant exists, and ``backward_gfp`` then reports none.  It happens
+    at exactly these five instances; a fallback that decides existence would
+    mend them."""
+    outcomes, missed = collections.Counter(), set()
     for k in range(1500):
         ts = random_ts(f"engine-sound:{k}")
         fam = random_closure_family(f"engine-sound:{k}:L", ts.size, union_closed=False)
@@ -767,4 +819,7 @@ def test_backward_verdicts_are_sound_on_families_not_union_closed():
         assert result.reason != "init-not-entailed" or not exists, k
         assert not result.found or exists, k
         outcomes[result.reason, exists] += 1
+        if result.reason == "verification-failed" and exists:
+            missed.add(k)
     assert min(outcomes[None, True], outcomes["init-not-entailed", False]) >= 300
+    assert missed == {138, 168, 702, 1112, 1486}
