@@ -16,9 +16,14 @@ checkers compute each least fixpoint once per transfer function f, and one
 list of the f-inductive members of A (f(a) ⊆ a) that every witness question
 reads; ``check_safe_inv`` is the conjunction of the per-function reports.
 
+A transition system has one relation, read forwards by ``post`` and
+``pret``; ``FiniteTS.dual`` reverses it (pre and postt are the dual's post and
+pret).  Algorithms 1 and 2 step one descending Kleene chain from Σ, and
+Algorithm 4 is Algorithm 1 on the dual.
+
 The brute force is bit-parallel where it can be.  ``check_adjunctions``
-decides each law for one x and all 2^|Σ| subsets y at once, as an equality
-of two 2^|Σ|-bit masks over y, built from brute-force transformer tables.
+decides post ⊣ pret on a system and on its dual for one x and all 2^|Σ|
+subsets y at once, as an equality of two 2^|Σ|-bit masks over y.
 A family computes each upper closure once per mask (a per-family memo) and
 the down-set of each state once, from ``qo_leq``; ``delta`` ORs those
 down-sets, so Lemma 6 still compares it with ``mu_up``, an independent
@@ -225,42 +230,39 @@ class FiniteTS:
     init: int = 0  # bit mask Σ0
     safe: int = 0  # bit mask P
     succ: tuple[int, ...] = field(init=False, repr=False)
-    pred: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         full = self.full
         if self.init & ~full or self.safe & ~full:
             raise ValidationError("state mask out of range")
         succ = [0] * self.size
-        pred = [0] * self.size
         for s, t in self.transitions:
             if not (0 <= s < self.size and 0 <= t < self.size):
                 raise ValidationError("transition endpoint out of range")
             succ[s] |= 1 << t
-            pred[t] |= 1 << s
         object.__setattr__(self, "succ", tuple(succ))
-        object.__setattr__(self, "pred", tuple(pred))
 
     @property
     def full(self) -> int:
         return (1 << self.size) - 1
 
-    # the four transformers, on bit masks
+    @memo
+    def dual(self) -> FiniteTS:
+        """Every transition reversed, ¬P as the initial states and ¬Σ0 as the safety set.
+
+        Its post and pret are this system's pre and postt; built once per system.
+        """
+        full = self.full
+        reversed_ = frozenset((t, s) for s, t in self.transitions)
+        return FiniteTS(self.size, reversed_, full & ~self.safe, full & ~self.init)
+
+    # the two transformers, on bit masks; the dual system has the other two
     def post(self, x: int) -> int:
         succ = self.succ
         out = 0
         while x:
             low = x & -x
             out |= succ[low.bit_length() - 1]
-            x ^= low
-        return out
-
-    def pre(self, x: int) -> int:
-        pred = self.pred
-        out = 0
-        while x:
-            low = x & -x
-            out |= pred[low.bit_length() - 1]
             x ^= low
         return out
 
@@ -271,13 +273,6 @@ class FiniteTS:
                 out |= 1 << s
         return out
 
-    def postt(self, x: int) -> int:
-        out = 0
-        for s, pred in enumerate(self.pred):
-            if pred & ~x == 0:
-                out |= 1 << s
-        return out
-
 
 def reach(ts: FiniteTS, init: int | None = None) -> int:
     """Exact reachable-state mask from the initial states (least fixpoint)."""
@@ -285,43 +280,36 @@ def reach(ts: FiniteTS, init: int | None = None) -> int:
     return lfp_iterate(lambda x: start | ts.post(x), start)
 
 
-def check_adjunctions(ts: FiniteTS) -> bool:
-    """post ⊣ pret and pre ⊣ postt on all subset pairs, 2^|Σ| pairs at a time.
-
-    For each x, bit y of a 2^|Σ|-bit mask over the subsets y says whether the
-    pair (x, y) satisfies one side of a law: ``sup[p]`` = {y | p ⊆ y}, and
-    ``below_pret[x]`` = {y | x ⊆ pret(y)}.  A law holds at every pair with
-    first element x iff sup[post(x)] == below_pret[x] (pre and postt alike).
-    Each mask is the AND of per-state masks, built from the mask of x without
-    its lowest state.  The four transformer tables are brute-force calls on
-    every subset.
-    """
-    n = 1 << ts.size
-    post_tab = [ts.post(x) for x in range(n)]
-    pret_tab = [ts.pret(x) for x in range(n)]
-    postt_tab = [ts.postt(x) for x in range(n)]
-    pre_tab = [ts.pre(x) for x in range(n)]
-    # per state s: the subsets y with s in y, in pret(y), in postt(y)
-    has, in_pret, in_postt = ([0] * ts.size for _ in range(3))
-    for y in range(n):
+def _containing(size: int, tab: Sequence[int]) -> list[int]:
+    """For each mask x, the 2^|Σ|-bit mask {y | x ⊆ tab[y]} over the subsets y: the AND of
+    the per-state masks {y | s ∈ tab[y]}, built from the mask of x without its lowest state s."""
+    n = 1 << size
+    per_state = [0] * size
+    for y, t in enumerate(tab):
         bit_y = 1 << y
-        for s in bits(y):
-            has[s] |= bit_y
-        for s in bits(pret_tab[y]):
-            in_pret[s] |= bit_y
-        for s in bits(postt_tab[y]):
-            in_postt[s] |= bit_y
-    everything = (1 << n) - 1
-    sup, below_pret, below_postt = ([everything] * n for _ in range(3))
+        for s in bits(t):
+            per_state[s] |= bit_y
+    out = [(1 << n) - 1] * n
     for x in range(1, n):
         low = x & -x
-        rest, s = x ^ low, low.bit_length() - 1
-        sup[x] = sup[rest] & has[s]
-        below_pret[x] = below_pret[rest] & in_pret[s]
-        below_postt[x] = below_postt[rest] & in_postt[s]
-    return all(
-        sup[post_tab[x]] == below_pret[x] and sup[pre_tab[x]] == below_postt[x] for x in range(n)
-    )
+        out[x] = out[x ^ low] & per_state[low.bit_length() - 1]
+    return out
+
+
+def check_adjunctions(ts: FiniteTS) -> bool:
+    """post ⊣ pret on ``ts`` and on ``ts.dual`` (pre ⊣ postt), 2^|Σ| pairs at a time.
+
+    The law holds at the pairs (x, y) for every y iff two masks over the
+    subsets y are equal: ``sup[post(x)]`` = {y | post(x) ⊆ y} and
+    ``below_pret[x]`` = {y | x ⊆ pret(y)}.  The transformers are brute force.
+    """
+    n = 1 << ts.size
+    sup = _containing(ts.size, range(n))
+    for system in (ts, ts.dual):
+        below_pret = _containing(ts.size, [system.pret(y) for y in range(n)])
+        if any(sup[system.post(x)] != below_pret[x] for x in range(n)):
+            return False
+    return True
 
 
 def check_eq4_duality(ts: FiniteTS) -> bool:
@@ -464,27 +452,21 @@ class AlgoResult:
     trace: tuple[int, ...]
 
 
-def _require_a2(fam: ClosureFamily) -> None:
+def _descend(ts: FiniteTS, fam: ClosureFamily, step: Callable[[int], int]) -> AlgoResult:
+    """The Kleene chain of ``step`` from I = Σ: it fails once Σ0 ⊄ I, else its fixpoint is found."""
     if not fam.is_union_closed():
         raise ClosureViolation("family must be union-closed (avoid-closure assumption)")
-
-
-def _descend(
-    fam: ClosureFamily, full: int, init: int, safe: int, pret: Callable[[int], int]
-) -> AlgoResult:
-    """I := mu_down(pret(I) ∩ I ∩ safe) from I = full while init ⊆ I."""
-    _require_a2(fam)
     trace = []
-    for i in kleene(lambda i: fam.mu_down(pret(i) & i & safe), full):
+    for i in kleene(step, ts.full):
         trace.append(i)
-        if not subset(init, i):
+        if not subset(ts.init, i):
             return AlgoResult(False, None, tuple(trace))
     return AlgoResult(True, i, tuple(trace))
 
 
 def run_algorithm1(ts: FiniteTS, fam: ClosureFamily) -> AlgoResult:
     """Backward gfp: I := mu_down(pret(I) ∩ I ∩ P) from I = Σ."""
-    return _descend(fam, ts.full, ts.init, ts.safe, ts.pret)
+    return _descend(ts, fam, lambda i: fam.mu_down(ts.pret(i) & i & ts.safe))
 
 
 def run_algorithm2_padon(
@@ -492,34 +474,30 @@ def run_algorithm2_padon(
     fam: ClosureFamily,
     choose: Callable[[int], int] | None = None,
 ) -> AlgoResult:
-    """Counterexample-guided weakening: intersect with avoid(s) until inductive.
+    """Counterexample-guided weakening: I := I ∩ avoid(s), s a state of I ∖ (pret(I) ∩ P).
 
-    ``choose`` picks a counterexample state from a nonempty mask; the default
-    takes the smallest state index.  The output is choice-independent.
+    With no such s, I is inductive (Σ0 ⊆ I, or the chain had stopped) and is
+    the fixpoint.  ``choose`` picks s from that nonempty mask, raising
+    ``ValueError`` on a pick outside it; the default takes the smallest
+    state index.  The output is choice-independent.
     """
-    _require_a2(fam)
     pick = choose if choose is not None else lambda mask: next(bits(mask))
-    i = ts.full
-    trace = [i]
-    while True:
-        if check_inductive_invariant(ts.post, ts.init, ts.safe, i, subset):
-            return AlgoResult(True, i, tuple(trace))
-        if not subset(ts.init, i):
-            return AlgoResult(False, None, tuple(trace))
+
+    def weaken(i: int) -> int:
         counterexamples = i & ~(ts.pret(i) & ts.safe)
+        if not counterexamples:
+            return i
         s = pick(counterexamples)
-        i &= fam.avoid(1 << s)
-        trace.append(i)
+        if s < 0 or not counterexamples >> s & 1:
+            raise ValueError(f"choose picked state {s}, not a counterexample in {counterexamples:#b}")
+        return i & fam.avoid(1 << s)
+
+    return _descend(ts, fam, weaken)
 
 
 def run_algorithm4(ts: FiniteTS, fam: ClosureFamily) -> AlgoResult:
-    """Forward gfp: Algorithm 1 on the dual system.
-
-    The dual system reverses every transition (so its pret is ``postt``),
-    starts from ¬P and must avoid Σ0 (its safety set is ¬Σ0); the iterates
-    are mu_down(postt(I) ∩ I ∩ ¬Σ0).
-    """
-    return _descend(fam, ts.full, ts.full & ~ts.safe, ts.full & ~ts.init, ts.postt)
+    """Forward gfp: Algorithm 1 on ``ts.dual``, I := mu_down(postt(I) ∩ I ∩ ¬Σ0) from I = Σ."""
+    return run_algorithm1(ts.dual, fam)
 
 
 def greatest_invariant_enum(ts: FiniteTS, fam: ClosureFamily) -> int | None:
@@ -660,13 +638,13 @@ def _trial_algorithms(s: str, k: int) -> bool:
     if r1.found:
         ok = ok and r1.invariant == r2.invariant == best
     # the forward dual: verdict matches the abstracted backward reachability
-    not_safe = ts.full & ~ts.safe
-    dual_lfp = lfp_iterate(lambda x: fam.mu_up(not_safe) | fam.mu_up(ts.pre(x)), 0)
-    ok = ok and r4.found == subset(dual_lfp, ts.full & ~ts.init)
-    if not_safe in fam.members:
+    dual = ts.dual
+    dual_lfp = lfp_iterate(lambda x: fam.mu_up(dual.init) | fam.mu_up(dual.post(x)), 0)
+    ok = ok and r4.found == subset(dual_lfp, dual.safe)
+    if dual.init in fam.members:
         # with ¬P in the family the unclosed form coincides
-        plain = lfp_iterate(lambda x: not_safe | fam.mu_up(ts.pre(x)), 0)
-        ok = ok and r4.found == subset(plain, ts.full & ~ts.init)
+        plain = lfp_iterate(lambda x: dual.init | fam.mu_up(dual.post(x)), 0)
+        ok = ok and r4.found == subset(plain, dual.safe)
     return ok
 
 

@@ -61,11 +61,39 @@ def test_transformers_empty_relation():
         assert ts.pret(x) == 0b111
 
 
+def _pre(ts, x):
+    """{s | s -> t for some t in x}, read from ``ts.transitions``."""
+    return sum({1 << s for s, t in ts.transitions if x >> t & 1})
+
+
+def _postt(ts, x):
+    """{t | s -> t implies s in x}, read from ``ts.transitions``."""
+    return sum(1 << t for t in range(ts.size) if all(x >> s & 1 for s, u in ts.transitions if u == t))
+
+
+def _reversed(ts):
+    """Every transition reversed, starting from ¬P and avoiding Σ0, built without ``dual``."""
+    reversed_ = frozenset((t, s) for s, t in ts.transitions)
+    return fin.FiniteTS(ts.size, reversed_, init=ts.full & ~ts.safe, safe=ts.full & ~ts.init)
+
+
 def test_transformers_two_cycle():
     ts = fin.FiniteTS(2, frozenset({(0, 1), (1, 0)}))
     assert ts.post(0b01) == 0b10
-    assert ts.pre(0b01) == 0b10
+    assert ts.dual.post(0b01) == _pre(ts, 0b01) == 0b10
     assert ts.pret(0b10) == 0b01
+    assert ts.dual.pret(0b10) == _postt(ts, 0b10) == 0b01
+
+
+def test_dual_is_the_reversed_system_built_once():
+    chain = fin.FiniteTS(3, frozenset({(0, 1), (1, 2)}), init=0b001, safe=0b011)
+    assert chain.dual == fin.FiniteTS(3, frozenset({(1, 0), (2, 1)}), init=0b100, safe=0b110)
+    assert [chain.dual.post(x) for x in (0b001, 0b010, 0b100)] == [0, 0b001, 0b010]
+    for k in range(300):
+        ts = fin.random_ts(f"dual-ts:{k}")
+        assert ts.dual == _reversed(ts)
+        assert ts.dual.dual == ts
+        assert ts.dual is ts.dual
 
 
 def test_adjunctions_exhaustive_small():
@@ -74,20 +102,25 @@ def test_adjunctions_exhaustive_small():
 
 
 def _reference_check_adjunctions(ts):
-    """The pairwise definition: both laws at each of the 4^|Σ| pairs (x, y)."""
+    """The pairwise definition: both laws at each of the 4^|Σ| pairs (x, y).
+
+    post ⊣ pret on ``ts``; for pre ⊣ postt, the dual's post and pret each
+    against the other adjoint read from ``ts.transitions``, so a dual that is
+    wrong anywhere breaks a law.
+    """
     n = 1 << ts.size
-    post_tab = [ts.post(x) for x in range(n)]
-    pret_tab = [ts.pret(x) for x in range(n)]
-    postt_tab = [ts.postt(x) for x in range(n)]
-    pre_tab = [ts.pre(x) for x in range(n)]
-    for x in range(n):
-        px = post_tab[x]
-        qx = pre_tab[x]
-        for y in range(n):
-            if (px & ~y == 0) != (x & ~pret_tab[y] == 0):
-                return False
-            if (qx & ~y == 0) != (x & ~postt_tab[y] == 0):
-                return False
+    laws = [
+        (ts.post, ts.pret),
+        (ts.dual.post, lambda y: _postt(ts, y)),
+        (lambda x: _pre(ts, x), ts.dual.pret),
+    ]
+    for left, right in laws:
+        left_tab = [left(x) for x in range(n)]
+        right_tab = [right(y) for y in range(n)]
+        for x in range(n):
+            for y in range(n):
+                if (left_tab[x] & ~y == 0) != (x & ~right_tab[y] == 0):
+                    return False
     return True
 
 
@@ -110,16 +143,30 @@ def _mutant(ts, name, mask, flip):
     return type("Mutant", (fin.FiniteTS,), {name: mutated})(ts.size, ts.transitions, ts.init, ts.safe)
 
 
-@pytest.mark.parametrize("name", ["post", "pre", "pret", "postt"])
+# each transformer as (on the dual?, method): pre and postt are the dual's post and pret
+TRANSFORMERS = {"post": (False, "post"), "pre": (True, "post"), "pret": (False, "pret"), "postt": (True, "pret")}
+
+
+@pytest.mark.parametrize("name", list(TRANSFORMERS))
 def test_adjunctions_fail_when_one_transformer_is_wrong_on_one_mask(name):
-    """Adjoints determine each other, so any change to one table breaks a law."""
+    """Adjoints determine each other, so any change to one table breaks a law.
+
+    A wrong pre or postt is a mutant installed as the dual of a correct system.
+    """
+    on_dual, method = TRANSFORMERS[name]
     rng = random.Random(f"adj-mutant:{name}")
     for k in range(40):
         ts = fin.random_ts(f"adj-mutant:{name}:{k}")
         mask, flip = rng.randrange(1 << ts.size), 1 << rng.randrange(ts.size)
-        mutant = _mutant(ts, name, mask, flip)
-        assert getattr(mutant, name)(mask) != getattr(ts, name)(mask)
-        assert all(getattr(mutant, name)(x) == getattr(ts, name)(x) for x in range(1 << ts.size) if x != mask)
+        if on_dual:
+            mutant = fin.FiniteTS(ts.size, ts.transitions, ts.init, ts.safe)
+            mutant.__dict__["dual"] = _mutant(ts.dual, method, mask, flip)  # shadows the memo
+            wrong, right = getattr(mutant.dual, method), getattr(ts.dual, method)
+        else:
+            mutant = _mutant(ts, method, mask, flip)
+            wrong, right = getattr(mutant, method), getattr(ts, method)
+        assert wrong(mask) != right(mask)
+        assert all(wrong(x) == right(x) for x in range(1 << ts.size) if x != mask)
         assert fin.check_adjunctions(mutant) is _reference_check_adjunctions(mutant) is False
         assert fin.check_adjunctions(ts) is True
 
@@ -460,14 +507,8 @@ def test_algorithm4_is_algorithm1_on_the_dual_system():
     for k in range(150):
         ts = fin.random_ts(f"dual-alg:{k}")
         fam = fin.random_closure_family(f"dual-alg:{k}:L", ts.size, union_closed=True)
-        dual = fin.FiniteTS(
-            ts.size,
-            frozenset((t, s) for s, t in ts.transitions),
-            init=ts.full & ~ts.safe,
-            safe=ts.full & ~ts.init,
-        )
         r4 = fin.run_algorithm4(ts, fam)
-        r1 = fin.run_algorithm1(dual, fam)
+        r1 = fin.run_algorithm1(_reversed(ts), fam)
         assert (r4.found, r4.invariant, r4.trace) == (r1.found, r1.invariant, r1.trace)
 
 
@@ -486,6 +527,28 @@ def test_algorithm2_output_is_choice_independent():
 
             other = fin.run_algorithm2_padon(ts, fam, choose=pick)
             assert other.found == base.found and other.invariant == base.invariant
+
+
+def test_algorithm2_rejects_a_pick_outside_the_iterate():
+    """At I = Σ, avoiding a state past the last one leaves I as it is: the
+    weakening looped forever there, and a chain that stopped at that I would
+    report the non-inductive Σ as found."""
+    ts = fin.random_ts("h:6")
+    fam = fin.random_closure_family("h:6:L", ts.size, union_closed=True)
+    assert fin.run_algorithm2_padon(ts, fam).found is False
+    for outside in (ts.size, -1):
+        with pytest.raises(ValueError, match=f"state {outside},"):
+            fin.run_algorithm2_padon(ts, fam, choose=lambda mask: outside)
+
+
+def test_algorithm2_rejects_a_pick_that_is_not_a_counterexample():
+    """State 1 is in I = Σ but leaves neither I nor P; avoiding it drops the
+    only inductive invariant {1}, and the weakening reported none."""
+    ts = fin.FiniteTS(3, frozenset({(1, 1)}), init=0b010, safe=0b010)
+    fam = fin.ClosureFamily(3, frozenset({0b000, 0b010, 0b110, 0b111}))
+    assert fin.greatest_invariant_enum(ts, fam) == fin.run_algorithm2_padon(ts, fam).invariant == 0b010
+    with pytest.raises(ValueError, match="state 1,"):
+        fin.run_algorithm2_padon(ts, fam, choose=lambda mask: 1)
 
 
 def test_algorithms_require_union_closure():
