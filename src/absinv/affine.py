@@ -177,6 +177,8 @@ def hull_points(points: Iterable[Sequence], n: int) -> AffSubspace:
     pts = [clear_denominators(p) for p in points]
     if not pts:
         return AffSubspace.empty(n)
+    if any(len(p) != n for p, _ in pts):
+        raise ValueError("dimension mismatch")
     base, d0 = pts[0]
     dirs = tuple([x * d0 - y * d for x, y in zip(p, base)] for p, d in pts[1:])
     return AffSubspace(n, base, dirs, d0)

@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from .finite import SUITES, run_suites
-from .programs import ProgramSyntaxError, StateVector, parse_init_literal, parse_program
+from .programs import parse_init_literal, parse_program
 from .synthesis import (
     ALGORITHMS,
     DOMAINS,
@@ -71,7 +71,7 @@ def _run_analyze(args: argparse.Namespace) -> int:
         return _fail(f"cannot read {path}: {exc}")
     try:
         program = parse_program(text)
-    except (ProgramSyntaxError, ValueError) as exc:
+    except ValueError as exc:  # ProgramSyntaxError is one
         return _fail(f"{path}: {exc}")
 
     prop = {}
@@ -84,7 +84,7 @@ def _run_analyze(args: argparse.Namespace) -> int:
             return _fail(f"node {node!r} has a second property")
         try:
             prop[node] = parse_init_literal(literal.strip(), program.n, program.sort)
-        except (ProgramSyntaxError, ValueError) as exc:
+        except ValueError as exc:
             return _fail(f"property at {node}: {exc}")
 
     try:
@@ -96,21 +96,18 @@ def _run_analyze(args: argparse.Namespace) -> int:
     # render everything before printing, so a failed rendering prints nothing
     render = _json_output if args.format == "json" else _text_output
     try:
-        output = render(args, problem, result)
+        rows = _rendered_trace(problem.adapter, result) if args.trace else []
+        last = rows[-1] if rows else render_state_vector(problem.adapter, result.last)
+        output = render(args, result, rows, last)
     except ValueError as exc:  # e.g. an integer too long to convert to text
         return _fail(f"cannot print the result: {exc}")
     print(output)
     return 0 if result.found else 1
 
 
-def _rendered(adapter: Adapter, v: StateVector) -> dict[str, str]:
-    """Node -> rendered element, in node order."""
-    return {q: adapter.render(x) for q, x in zip(v.nodes, v.values)}
-
-
 def _rendered_trace(adapter: Adapter, result: SynthesisResult) -> list[dict[str, str]]:
-    """``_rendered`` of every iterate: the start, then each diff's nodes only."""
-    nodes, rows = result.start.nodes, [_rendered(adapter, result.start)]
+    """``render_state_vector`` of every iterate: the start, then each diff's nodes only."""
+    nodes, rows = result.start.nodes, [render_state_vector(adapter, result.start)]
     for diff in result.diffs:
         row = dict(rows[-1])
         for j, x in diff.items():
@@ -120,27 +117,23 @@ def _rendered_trace(adapter: Adapter, result: SynthesisResult) -> list[dict[str,
 
 
 def _line(row: dict[str, str]) -> str:
+    """A rendered iterate on one line: ``q=text`` per node."""
     return " ".join(f"{q}={text}" for q, text in row.items())
 
 
-def _text_output(args: argparse.Namespace, problem: AnalysisProblem, result: SynthesisResult) -> str:
-    adapter, steps = problem.adapter, result.steps
-    rows = _rendered_trace(adapter, result) if args.trace else []
+def _text_output(args: argparse.Namespace, result: SynthesisResult, rows: list, last: dict[str, str]) -> str:
+    """``rows``: the rendered iterates, none without ``--trace``; ``last``: the last one."""
     lines = [f"{k}: {_line(row)}" for k, row in enumerate(rows)]
     if result.found:
-        lines.append(f"{result.kind} abstract inductive invariant found after {steps} steps:")
-        last = rows[-1] if rows else _rendered(adapter, result.last)
+        lines.append(f"{result.kind} abstract inductive invariant found after {result.steps} steps:")
         lines += [f"  {q} = {text}" for q, text in last.items()]
     else:
-        lines.append(f"no abstract inductive invariant ({result.reason} at step {steps})")
-        text = _line(rows[-1]) if rows else render_state_vector(adapter, result.last)
-        lines.append(f"violating iterate: {text}")
+        lines.append(f"no abstract inductive invariant ({result.reason} at step {result.steps})")
+        lines.append(f"violating iterate: {_line(last)}")
     return "\n".join(lines)
 
 
-def _json_output(args: argparse.Namespace, problem: AnalysisProblem, result: SynthesisResult) -> str:
-    rows = _rendered_trace(problem.adapter, result) if args.trace else []
-    last = rows[-1] if rows else _rendered(problem.adapter, result.last)
+def _json_output(args: argparse.Namespace, result: SynthesisResult, rows: list, last: dict[str, str]) -> str:
     doc = {
         "algorithm": args.alg,
         "domain": args.domain,

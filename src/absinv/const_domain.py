@@ -16,11 +16,12 @@ relational guards keep or kill the whole element depending on whether the
 expression is decided.
 
 All values are immutable; every function is pure.  ``ConstVec`` is a
-``__slots__`` class that checks its slots (``int`` or ``top``; a ``bool`` is
-rejected) on every construction and refuses any later assignment, so an
-element can be shared: ``synthesis.ConstAdapter`` keeps one ``top`` and one
-``bot``, and :func:`join` and :func:`meet` return an operand, not an equal
-copy, when the result equals it.
+``__slots__`` class that checks its slots (``int`` or the marker
+``programs.TOP``, which a ``top`` entry of a vector literal parses to; a
+``bool`` is rejected) on every construction and refuses any later
+assignment, so an element can be shared: both adapters of ``synthesis``
+keep one ``top`` and one ``bot`` each, and :func:`join` and :func:`meet`
+return an operand, not an equal copy, when the result equals it.
 """
 
 from __future__ import annotations
@@ -28,27 +29,7 @@ from __future__ import annotations
 from math import gcd
 from typing import Iterable
 
-from .programs import LinExpr, ParallelAffineAssign, relation_holds
-
-
-class _Top:
-    """Unique 'unknown integer' marker for vector slots."""
-
-    _instance: "_Top | None" = None
-
-    def __new__(cls) -> "_Top":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __reduce__(self) -> str:
-        return "TOP"  # pickled by name; copy and deepcopy return the marker itself
-
-    def __repr__(self) -> str:
-        return "top"
-
-
-TOP = _Top()
+from .programs import TOP, LinExpr, ParallelAffineAssign, _Top, relation_holds
 
 ConstVal = int | _Top  # a single slot; the vector-level bottom is ConstVec.bottom
 
@@ -175,6 +156,8 @@ def alpha_points(points: Iterable[tuple[int, ...]], n: int) -> ConstVec:
     pts = list(points)
     if not pts:
         return ConstVec.bottom(n)
+    if any(len(p) != n for p in pts):
+        raise ValueError("dimension mismatch")
     slots: list[ConstVal] = []
     for i in range(n):
         proj = {p[i] for p in pts}

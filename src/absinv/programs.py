@@ -208,13 +208,31 @@ class InitBot:
     """No value vectors (the default for undeclared nodes)."""
 
 
-#: Placeholder for an unconstrained coordinate in a vector literal.
-TOP_ENTRY = "top"
+class _Top:
+    """The unknown value: an unconstrained entry of a vector literal and an
+    unknown slot of a constant vector (``const_domain`` imports it)."""
+
+    _instance: "_Top | None" = None
+
+    def __new__(cls) -> "_Top":
+        if cls._instance is None:
+            cls._instance = super().__new__(cls)
+        return cls._instance
+
+    def __reduce__(self) -> str:
+        return "TOP"  # pickled by name; copy and deepcopy return the marker itself
+
+    def __repr__(self) -> str:
+        return "top"
+
+
+TOP = _Top()
 
 
 @dataclass(frozen=True)
 class InitVector:
-    """A (c1,...,cn) literal; entries are numbers or the token ``top``."""
+    """A (c1,...,cn) literal; entries are numbers or the marker :data:`TOP`,
+    which both domains read as an unconstrained coordinate."""
 
     entries: tuple[Any, ...]
 
@@ -494,10 +512,9 @@ class _Parser:
         return Fraction(num, den)
 
     def variable(self, n: int, at: int) -> int:
-        """The 0-based index of token ``at``, which must be a variable x1..xn."""
+        """The 0-based index of token ``at``, which must be a variable x1..xn;
+        the callers call it only when ``_VARS`` has no index below n for it."""
         name = self.toks[at]
-        if (j := _VARS.get(name, n)) < n:
-            return j
         if not (name[:1] == "x" and name[1:].isdecimal()):
             raise self.fail(f"expected a variable x1..x{n}", at)
         j = self.integer(at, 1)
@@ -629,7 +646,7 @@ def _parse_init_literal(p: _Parser, n: int, sort: str) -> InitDecl:
     if p.accept("bot"):
         return InitBot()
     if p.accept("("):
-        entries = p.sequence(lambda: TOP_ENTRY if p.accept("top") else p.number(sort), ",")
+        entries = p.sequence(lambda: TOP if p.accept("top") else p.number(sort), ",")
         p.expect(")")
         if len(entries) != n:
             raise p.fail(f"vector literal has {len(entries)} entries, expected {n}")

@@ -30,8 +30,9 @@ transfer class has a ``"post"`` cell and, for the constants, a ``"wp"``
 cell; each init-declaration class an ``"init"`` cell.  A pair without a
 cell is a hole: looking it up raises ``UnsupportedDomain``.  Lattice
 operations and cells call the domain module's functions at call time.  What
-the two share (n ≥ 1, height n + 1, identity post and the ``top``, ``bot``
-and point-set literals) is their base class ``_NumericDomain``.
+the two share (n ≥ 1, height n + 1, one ``bottom`` and one ``top`` built per
+adapter, identity post and the ``top``, ``bot`` and point-set literals) is
+their base class ``_NumericDomain``.
 
 ``AnalysisProblem`` holds what the steps read: the node names, the edges as
 index triples (source, transfer, target), the adapter, and the initial and
@@ -68,7 +69,7 @@ from .programs import (
     ParallelAffineAssign,
     Program,
     StateVector,
-    TOP_ENTRY,
+    TOP,
     TransferFunction,
     clear_denominators,
     guard_holds,
@@ -99,7 +100,8 @@ class _Table(dict):
 
 
 class _NumericDomain(AbstractDomain):
-    """n ≥ 1 variables of one ``sort``, height n + 1, and the cells both tables share."""
+    """n ≥ 1 variables of one ``sort``, height n + 1, and the cells both tables
+    share; ``bottom()`` and ``top()`` return one element each, built once."""
 
     name: str
     sort: str
@@ -114,6 +116,14 @@ class _NumericDomain(AbstractDomain):
         if n < 1:
             raise ValueError("need at least one variable")
         self.n = n
+        # from the domain's own cells: alpha of no point, the all-top literal
+        self._bottom, self._top = self.alpha(()), self.from_init(InitVector((TOP,) * n))
+
+    def bottom(self) -> Any:
+        return self._bottom
+
+    def top(self) -> Any:
+        return self._top
 
     def height(self) -> int:
         """bot < one point < one free variable < ... < n free variables (top)."""
@@ -124,14 +134,9 @@ class _NumericDomain(AbstractDomain):
 
 
 class ConstAdapter(_NumericDomain):
-    """The constant-propagation lattice on n integer variables; ``top()`` and
-    ``bottom()`` return one shared element each."""
+    """The constant-propagation lattice on n integer variables."""
 
     name, sort = "const", "int"
-
-    def __init__(self, n: int):
-        super().__init__(n)
-        self._bottom, self._top = cd.ConstVec.bottom(n), cd.ConstVec.top(n)
 
     def leq(self, a: cd.ConstVec, b: cd.ConstVec) -> bool:
         return cd.leq(a, b)
@@ -146,19 +151,13 @@ class ConstAdapter(_NumericDomain):
             return a
         return cd.meet(a, b)
 
-    def bottom(self) -> cd.ConstVec:
-        return self._bottom
-
-    def top(self) -> cd.ConstVec:
-        return self._top
-
     def alpha(self, points: Iterable[tuple[int, ...]]) -> cd.ConstVec:
         """Best abstraction of a finite set of integer vectors."""
         return cd.alpha_points(points, self.n)
 
     def contains(self, a: cd.ConstVec, point: tuple[int, ...]) -> bool:
         """Is the integer vector ``point`` in gamma(a)?"""
-        return not a.is_bottom and all(s is cd.TOP or s == v for s, v in zip(a.comps, point))
+        return not a.is_bottom and all(s is TOP or s == v for s, v in zip(a.comps, point))
 
     def transfer(self, t: TransferFunction, a: cd.ConstVec) -> cd.ConstVec:
         return self.table[type(t), "post"](self, t, a)
@@ -177,20 +176,17 @@ class ConstAdapter(_NumericDomain):
         rows = {j: t.rows[j] for j, _, _ in t.assigned}
         acc = self.top()
         for j, slot in enumerate(target.comps):
-            if slot is cd.TOP:
+            if slot is TOP:
                 continue
             if j in rows:
                 acc = cd.bca_eq_guard(LinExpr(rows[j].coeffs, rows[j].const - slot), acc)
-            elif acc.comps[j] is cd.TOP:
+            elif acc.comps[j] is TOP:
                 acc = acc.replace(j + 1, slot)
             elif acc.comps[j] != slot:
                 acc = self.bottom()
             if acc.is_bottom:
                 return acc
         return acc
-
-    def _vector(self, decl: InitVector) -> cd.ConstVec:
-        return cd.ConstVec(self.n, tuple(cd.TOP if e == TOP_ENTRY else int(e) for e in decl.entries))
 
     table = _Table({
         **_NumericDomain.table,
@@ -199,14 +195,15 @@ class ConstAdapter(_NumericDomain):
         (ParallelAffineAssign, "wp"): _assign_wp,
         (NondetAssign, "post"): lambda self, t, a: cd.bca_nondet_assign(t.target, a),
         (NondetAssign, "wp"): lambda self, t, target: (
-            target if target.is_bottom or target.comps[t.target - 1] is cd.TOP else self.bottom()
+            target if target.is_bottom or target.comps[t.target - 1] is TOP else self.bottom()
         ),
         (Guard, "post"): lambda self, t, a: cd.bca_guard(t.rows, t.rel, t.mode, a),
         # the full space, unless the rows are constant: then it holds at every point or none
         (Guard, "wp"): lambda self, t, target: (
             target if all(r.is_constant() for r in t.rows) and guard_holds(t, (0,) * self.n) else self.top()
         ),
-        (InitVector, "init"): _vector,
+        # ConstVec checks the entries (ints and TOP); tuple() keeps a list of them hashable
+        (InitVector, "init"): lambda self, decl: cd.ConstVec(self.n, tuple(decl.entries)),
     })
 
     def render(self, a: cd.ConstVec) -> str:
@@ -226,12 +223,6 @@ class AffAdapter(_NumericDomain):
 
     def meet(self, a: aff.AffSubspace, b: aff.AffSubspace) -> aff.AffSubspace:
         return aff.meet(a, b)
-
-    def bottom(self) -> aff.AffSubspace:
-        return aff.AffSubspace.empty(self.n)
-
-    def top(self) -> aff.AffSubspace:
-        return aff.AffSubspace.full(self.n)
 
     def alpha(self, points: Iterable[Sequence]) -> aff.AffSubspace:
         """Best abstraction of a finite point set: its affine hull."""
@@ -253,11 +244,11 @@ class AffAdapter(_NumericDomain):
 
     def _vector(self, decl: InitVector) -> aff.AffSubspace:
         # the point with 0 in each top slot, spanned by the top slots' unit vectors
-        num, den = clear_denominators(0 if e == TOP_ENTRY else e for e in decl.entries)
+        num, den = clear_denominators(0 if e is TOP else e for e in decl.entries)
         units = tuple(
             tuple(int(i == j) for i in range(self.n))
             for j, e in enumerate(decl.entries)
-            if e == TOP_ENTRY
+            if e is TOP
         )
         return aff.AffSubspace(self.n, num, units, den)
 
@@ -559,5 +550,6 @@ def backward_gfp(problem: AnalysisProblem) -> SynthesisResult:
 ALGORITHMS = {"forward": ainv_forward, "backward": backward_gfp}
 
 
-def render_state_vector(adapter: Adapter, v: StateVector) -> str:
-    return " ".join(f"{q}={adapter.render(x)}" for q, x in zip(v.nodes, v.values))
+def render_state_vector(adapter: Adapter, v: StateVector) -> dict[str, str]:
+    """Node -> rendered element, in node order."""
+    return {q: adapter.render(x) for q, x in zip(v.nodes, v.values)}

@@ -299,7 +299,7 @@ def random_program(rng: random.Random, sort: str, max_vars: int = 5, max_nodes: 
         else:
             inits[q] = pg.InitVector(
                 tuple(
-                    pg.TOP_ENTRY if rng.random() < 0.3 else num(rng.randint(-4, 4))
+                    pg.TOP if rng.random() < 0.3 else num(rng.randint(-4, 4))
                     for _ in range(n)
                 )
             )

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Any, Callable, NamedTuple
 
 from absinv.programs import (
-    MAX_VARS, RELATIONS, TOP_ENTRY, Edge, Guard, Identity, InitBot, InitConstraints, InitDecl,
+    MAX_VARS, RELATIONS, TOP, Edge, Guard, Identity, InitBot, InitConstraints, InitDecl,
     InitPoints, InitTop, InitVector, LinExpr, NondetAssign, Number, ParallelAffineAssign, Program,
     ProgramSyntaxError, TransferFunction, identity_row,
 )
@@ -244,7 +244,7 @@ def _parse_init_literal(p: _Parser, n: int, sort: str) -> InitDecl:
     if p.accept("bot"):
         return InitBot()
     if p.accept("("):
-        entries = p.sequence(lambda: TOP_ENTRY if p.accept("top") else p.number(sort), ",")
+        entries = p.sequence(lambda: TOP if p.accept("top") else p.number(sort), ",")
         p.expect("sym", ")")
         if len(entries) != n:
             raise p.fail(f"vector literal has {len(entries)} entries, expected {n}")

@@ -45,7 +45,7 @@ def _report(ident: str, label: str, ok: bool, detail: str = "") -> None:
 
 def _const_problem(const_demo):
     return AnalysisProblem.build(
-        const_demo, "const", {"q2": pg.InitVector((pg.TOP_ENTRY, 2))}
+        const_demo, "const", {"q2": pg.InitVector((pg.TOP, 2))}
     )
 
 

@@ -232,7 +232,7 @@ def _reference_vector_literal(entries, n: int) -> af.AffSubspace:
     """A vector literal solved as one unit equality row per constant slot."""
     rows = []
     for i, e in enumerate(entries):
-        if e != pg.TOP_ENTRY:
+        if e != pg.TOP:
             rows.append(expr([int(i == j) for j in range(n)], -F(e)))
     return af.from_equalities(rows, n)
 
@@ -242,12 +242,12 @@ def test_vector_literal_matches_solved_unit_rows():
     for _ in range(400):
         n = rng.randint(1, 5)
         entries = tuple(
-            pg.TOP_ENTRY if rng.random() < 0.4 else F(rng.randint(-9, 9), rng.randint(1, 4))
+            pg.TOP if rng.random() < 0.4 else F(rng.randint(-9, 9), rng.randint(1, 4))
             for _ in range(n)
         )
         got = AffAdapter(n).from_init(pg.InitVector(entries))
         assert got == _reference_vector_literal(entries, n)
-        assert got.dim == entries.count(pg.TOP_ENTRY)
+        assert got.dim == entries.count(pg.TOP)
 
 
 # ---------------------------------------------------------------------------

@@ -104,8 +104,8 @@ def random_pair(rng: random.Random, n: int, seen: set[str]) -> tuple[af.AffSubsp
 def reference_vector_literal(entries: tuple, n: int) -> ra.AffSubspace:
     """A vector literal as the ``Fraction`` adapter read it: the point with 0
     in each top slot, spanned by the top slots' unit vectors."""
-    point = tuple(Fraction(0 if e == pg.TOP_ENTRY else e) for e in entries)
-    tops = [j for j, e in enumerate(entries) if e == pg.TOP_ENTRY]
+    point = tuple(Fraction(0 if e == pg.TOP else e) for e in entries)
+    tops = [j for j, e in enumerate(entries) if e == pg.TOP]
     units = tuple(tuple(Fraction(int(i == j)) for i in range(n)) for j in tops)
     return ra.AffSubspace(n, point, units)
 
@@ -173,7 +173,7 @@ def test_literals_match_the_fraction_reference():
     seen: set[str] = set()
     for _ in range(300):
         n = rng.randint(1, 5)
-        entries = tuple(pg.TOP_ENTRY if rng.random() < 0.3 else random_entry(rng, seen) for _ in range(n))
+        entries = tuple(pg.TOP if rng.random() < 0.3 else random_entry(rng, seen) for _ in range(n))
         check(AffAdapter(n).from_init(pg.InitVector(entries)), reference_vector_literal(entries, n))
         rows = tuple(random_linexpr(rng, n, seen) for _ in range(rng.randint(1, n + 1)))
         expected = ra.from_equalities(rows, n)
@@ -261,7 +261,7 @@ def random_literal(rng: random.Random, n: int, seen: set[str]) -> pg.InitDecl:
         ))
     if kind < 0.8:
         return pg.InitVector(tuple(
-            pg.TOP_ENTRY if rng.random() < 0.4 else random_entry(rng, seen) for _ in range(n)
+            pg.TOP if rng.random() < 0.4 else random_entry(rng, seen) for _ in range(n)
         ))
     return pg.InitConstraints(tuple(random_linexpr(rng, n, seen) for _ in range(rng.randint(1, n))))
 

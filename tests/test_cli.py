@@ -87,6 +87,31 @@ def test_analyze_json_format(capsys):
     assert doc["invariant"]["q2"] == "{x1+2*x2=0 /\\ x3-1=0}"
 
 
+@pytest.mark.parametrize(
+    "alg, prop, reason, step",
+    [
+        ("forward", "q2: (0,top)", "property-violated", 3),
+        ("backward", "q2: (0,top)", "verification-failed", 1),
+        ("backward", "q1: (1,1)", "init-not-entailed", 1),
+    ],
+)
+@pytest.mark.parametrize("trace", [[], ["--trace"]], ids=["no-trace", "trace"])
+def test_json_no_invariant_names_the_reason_step_and_violating_iterate(capsys, alg, prop, reason, step, trace):
+    """``violating`` is the iterate the text output prints, and the last row of ``trace``."""
+    args = ["analyze", "--program", CONST, "--domain", "const", "--alg", alg, "--prop", prop, *trace]
+    code, text, _ = run(args, capsys)
+    json_code, out, _ = run([*args, "--format", "json"], capsys)
+    doc = json.loads(out)
+    assert code == json_code == 1
+    assert (doc["result"], doc["kind"], doc["invariant"]) == ("no-invariant", None, None)
+    assert (doc["reason"], doc["step"], doc["steps"]) == (reason, step, step)
+    violating = text.splitlines()[-1].removeprefix("violating iterate: ")
+    assert " ".join(f"{q}={x}" for q, x in doc["violating"].items()) == violating
+    assert list(doc["violating"]) == ["q1", "q2", "q3", "q4"]
+    if trace:
+        assert doc["violating"] == doc["trace"][-1] and len(doc["trace"]) == step + 1
+
+
 def test_analyze_output_is_deterministic(capsys):
     args = ["analyze", "--program", CONST, "--domain", "const", "--alg", "forward",
             "--prop", "q2: (top,2)", "--trace", "--format", "json"]
@@ -313,6 +338,11 @@ def test_oracle_json_format(capsys):
     assert code == 0
     reports = json.loads(out)
     assert reports[0]["name"] == "adjunctions" and reports[0]["failures"] == 0
+
+
+def test_oracle_negative_trials_exits_two(capsys):
+    code, out, err = run(["oracle", "--suite", "all", "--trials", "-1"], capsys)
+    assert (code, out, err) == (2, "", "error: --trials must be nonnegative\n")
 
 
 def test_oracle_unknown_suite_exits_two(capsys):

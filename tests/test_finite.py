@@ -207,6 +207,23 @@ def test_family_validation():
         fin.ClosureFamily(2, frozenset({0b11, 0b01, 0b10}))
     with pytest.raises(fin.ValidationError, match="full"):
         fin.ClosureFamily(2, frozenset({0b01}))
+    with pytest.raises(fin.ValidationError, match="^family member out of range$"):
+        fin.ClosureFamily(2, frozenset({0b11, 0b100}))
+
+
+@pytest.mark.parametrize(
+    "transitions, init, safe, message",
+    [
+        ((), 0b100, 0b11, "state mask out of range"),
+        ((), 0b01, 0b111, "state mask out of range"),
+        (((0, 2),), 0b01, 0b11, "transition endpoint out of range"),
+        (((-1, 0),), 0b01, 0b11, "transition endpoint out of range"),
+    ],
+    ids=["init", "safe", "target", "source"],
+)
+def test_transition_system_validation(transitions, init, safe, message):
+    with pytest.raises(fin.ValidationError, match=f"^{message}$"):
+        fin.FiniteTS(2, frozenset(transitions), init, safe)
 
 
 def test_intersection_closure_validation_matches_the_pairwise_definition():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 import re
 from fractions import Fraction
@@ -9,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 import reference_parser as ref
+from absinv import const_domain as cd
 from absinv import programs as pg
 from conftest import random_label_program, random_linexpr_int, random_program
 
@@ -293,7 +296,20 @@ def test_non_decimal_digits_are_syntax_errors(src, line, col, message):
 
 def test_decimal_digits_of_any_script_are_numbers():
     prog = pg.parse_program("vars ٢; sort int; nodes q1; init q1: (٣,top);")
-    assert prog.n == 2 and prog.init_decl("q1") == pg.InitVector((3, "top"))
+    assert prog.n == 2 and prog.init_decl("q1") == pg.InitVector((3, pg.TOP))
+
+
+@pytest.mark.parametrize("sort, text, first", [("int", "(1,top)", 1), ("rat", "(1/2, top)", Fraction(1, 2))])
+def test_a_top_entry_is_the_one_top_marker(sort, text, first):
+    """A vector literal carries ``programs.TOP``, the constant domain's slot
+    marker too; pickling and copying give back the marker itself."""
+    decl = pg.parse_init_literal(text, 2, sort)
+    assert decl == pg.InitVector((first, pg.TOP)) and decl.entries[1] is pg.TOP is cd.TOP
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(decl, protocol)).entries[1] is pg.TOP
+    assert copy.copy(pg.TOP) is pg.TOP and copy.deepcopy(decl).entries[1] is pg.TOP
+    printed = pg.print_program(pg.Program(("q1",), 2, sort, (), {"q1": decl}))
+    assert printed.endswith(f"init q1: {text.replace(' ', '')};\n")
 
 
 def test_positions_count_blanks_and_skip_comments():
@@ -599,6 +615,23 @@ def test_arity_is_checked_once_per_distinct_transfer(monkeypatch):
     bad = pg.ParallelAffineAssign((pg.LinExpr((1,), 0),))
     with pytest.raises(ValueError, match="assignment dimension mismatch"):
         pg.Program(("a",), 2, "int", (pg.Edge("a", bad, "a"),) * 2, {})
+
+
+@pytest.mark.parametrize(
+    "edges, inits, message",
+    [
+        ((pg.Edge("q9", pg.Identity(), "q1"),), {}, "unknown node 'q9'"),
+        ((pg.Edge("q1", pg.Identity(), "q9"),), {}, "unknown node 'q9'"),
+        ((), {"q9": pg.InitTop()}, "unknown node 'q9'"),
+        ((pg.Edge("q1", pg.NondetAssign(3), "q1"),), {}, "nondet assignment target out of range"),
+        ((pg.Edge("q1", pg.NondetAssign(0), "q1"),), {}, "nondet assignment target out of range"),
+        ((pg.Edge("q1", pg.Guard((pg.LinExpr((1,), 0),), "=", "conj"), "q1"),), {}, "guard dimension mismatch"),
+    ],
+    ids=["edge-source", "edge-target", "init-node", "nondet-past-n", "nondet-zero", "guard-row"],
+)
+def test_a_program_built_in_code_is_checked(edges, inits, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        pg.Program(("q1",), 2, "int", edges, inits)
 
 
 @pytest.mark.parametrize(

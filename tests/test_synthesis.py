@@ -54,7 +54,7 @@ def sv(problem: AnalysisProblem, *values) -> pg.StateVector:
 
 @pytest.fixture()
 def const_problem(const_demo) -> AnalysisProblem:
-    prop = {"q2": pg.InitVector((pg.TOP_ENTRY, 2))}
+    prop = {"q2": pg.InitVector((pg.TOP, 2))}
     return AnalysisProblem.build(const_demo, "const", prop)
 
 
@@ -105,7 +105,7 @@ def test_forward_step_on_all_bottom_stays_bottom(const_demo):
 
 
 def test_forward_const_not_found_at_step_three(const_demo):
-    prop = {"q2": pg.InitVector((0, pg.TOP_ENTRY))}
+    prop = {"q2": pg.InitVector((0, pg.TOP))}
     problem = AnalysisProblem.build(const_demo, "const", prop)
     result = ainv_forward(problem)
     assert not result.found
@@ -225,6 +225,37 @@ def test_build_gives_nodes_without_an_init_one_bottom(monkeypatch, domain, sort)
     init, adapter = AnalysisProblem.build(program, domain).init.values, synthesis.DOMAINS[domain](1)
     assert built == [] and init[0] is init[2]
     assert init == (adapter.bottom(), adapter.top(), adapter.bottom(), adapter.bottom())
+
+
+@pytest.mark.parametrize("domain", synthesis.DOMAINS)
+def test_adapters_build_their_bounds_once(domain):
+    adapter = synthesis.DOMAINS[domain](3)
+    assert adapter.top() is adapter.top() and adapter.bottom() is adapter.bottom()
+    assert adapter.from_init(pg.InitTop()) is adapter.top()
+    assert adapter.from_init(pg.InitBot()) is adapter.bottom()
+    bottom, top = {
+        "const": (cd.ConstVec.bottom(3), cd.ConstVec.top(3)),
+        "affine": (af.AffSubspace.empty(3), af.AffSubspace.full(3)),
+    }[domain]
+    assert (adapter.bottom(), adapter.top()) == (bottom, top)
+
+
+@pytest.mark.parametrize("domain", synthesis.DOMAINS)
+@pytest.mark.parametrize(
+    "n, points", [(2, [(1, 2, 3)]), (3, [(1, 2)]), (2, [(1, 2), (1, 2, 3)])], ids=["long", "short", "second-long"]
+)
+def test_alpha_rejects_a_point_of_another_length(domain, n, points):
+    with pytest.raises(ValueError, match="^dimension mismatch$"):
+        synthesis.DOMAINS[domain](n).alpha(points)
+
+
+@pytest.mark.parametrize("entries", [(F(1, 2), TOP), (1, 2.5), (1, "top")], ids=repr)
+def test_a_const_vector_literal_takes_only_integers_and_top(entries):
+    """The entries are the slots: nothing is truncated or converted."""
+    adapter = synthesis.ConstAdapter(2)
+    assert adapter.from_init(pg.InitVector([-3, TOP])) == cd.ConstVec.of(-3, TOP)
+    with pytest.raises(ValueError, match="^bad slot value"):
+        adapter.from_init(pg.InitVector(entries))
 
 
 def test_a_directly_built_problem_is_checked():
@@ -482,9 +513,9 @@ def test_const_wp_bounds_the_abstract_right_adjoint():
 @pytest.mark.parametrize(
     "engine, step, prop, found",
     [
-        (ainv_forward, "abstract_post_diff", {"q2": pg.InitVector((pg.TOP_ENTRY, 2))}, True),
-        (ainv_forward, "abstract_post_diff", {"q2": pg.InitVector((0, pg.TOP_ENTRY))}, False),
-        (backward_gfp, "abstract_pret_diff", {"q2": pg.InitVector((pg.TOP_ENTRY, 2))}, True),
+        (ainv_forward, "abstract_post_diff", {"q2": pg.InitVector((pg.TOP, 2))}, True),
+        (ainv_forward, "abstract_post_diff", {"q2": pg.InitVector((0, pg.TOP))}, False),
+        (backward_gfp, "abstract_pret_diff", {"q2": pg.InitVector((pg.TOP, 2))}, True),
         (backward_gfp, "abstract_pret_diff", {"q1": pg.InitPoints(frozenset())}, False),
     ],
 )
