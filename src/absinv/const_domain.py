@@ -9,14 +9,11 @@ height n + 1, alpha and gamma-membership, is ``synthesis.ConstAdapter``.
 
 The transfer functions below are best correct approximations (alpha ∘ t ∘
 gamma), except conjunctive multi-row guards, which are only sound (see
-:func:`bca_guard`): affine assignments are handled exactly; equality guards
-refine a single unknown slot when the residual is constant (with a
-divisibility check) and fall back to an integer-solvability test otherwise;
-relational guards keep or kill the whole element depending on whether the
-expression is decided.
+:func:`bca_guard`): affine assignments are handled exactly, and one pass per
+guard row decides the row e ⋈ 0 for every relation ⋈ (see :func:`_row`).
 
 All values are immutable; every function is pure.  ``ConstVec`` is a
-``__slots__`` class that checks its slots (``int`` or the marker
+``__slots__`` class that checks its slots (a tuple of ``int`` or the marker
 ``programs.TOP``, which a ``top`` entry of a vector literal parses to; a
 ``bool`` is rejected) on every construction and refuses any later
 assignment, so an element can be shared: both adapters of ``synthesis``
@@ -50,7 +47,11 @@ class ConstVec:
     comps: tuple[ConstVal, ...] | None
 
     def __init__(self, n: int, comps: tuple[ConstVal, ...] | None) -> None:
-        if comps is not None and (len(comps) != n or not _SLOT_TYPES.issuperset(map(type, comps))):
+        if comps is not None and (
+            type(comps) is not tuple or len(comps) != n or not _SLOT_TYPES.issuperset(map(type, comps))
+        ):
+            if type(comps) is not tuple:
+                raise ValueError(f"slots must be a tuple, not {type(comps).__name__}")
             if len(comps) != n:
                 raise ValueError("component count must equal n")
             bad = next(c for c in comps if type(c) not in _SLOT_TYPES)
@@ -78,14 +79,6 @@ class ConstVec:
     @classmethod
     def bottom(cls, n: int) -> "ConstVec":
         return cls(n, None)
-
-    @classmethod
-    def top(cls, n: int) -> "ConstVec":
-        return cls(n, (TOP,) * n)
-
-    @classmethod
-    def of(cls, *slots: ConstVal) -> "ConstVec":
-        return cls(len(slots), tuple(slots))
 
     @property
     def is_bottom(self) -> bool:
@@ -170,24 +163,6 @@ def alpha_points(points: Iterable[tuple[int, ...]], n: int) -> ConstVec:
 # ---------------------------------------------------------------------------
 
 
-def eval_linexpr_abstract(e: LinExpr, a: ConstVec) -> ConstVal | None:
-    """Abstract value of an affine expression on ``a``.
-
-    None when a is bottom; the exact constant when every slot with a nonzero
-    coefficient is constant; top otherwise.
-    """
-    if a.comps is None:
-        return None
-    acc = e.const
-    for m, s in zip(e.coeffs, a.comps, strict=True):
-        if m == 0:
-            continue
-        if s is TOP:
-            return TOP
-        acc += m * s
-    return acc
-
-
 def bca_parallel_assign(t: ParallelAffineAssign, a: ConstVec) -> ConstVec:
     """Best approximation of x := M x + b; every row reads the old slots.
 
@@ -212,36 +187,22 @@ def bca_nondet_assign(j: int, a: ConstVec) -> ConstVec:
     return a.replace(j, TOP)
 
 
-def bca_rel_guard(e: LinExpr, rel: str, a: ConstVec) -> ConstVec:
-    """Best approximation of the guard e ⋈ 0 for ⋈ in {!=, <, <=, >, >=}.
-
-    When the expression is decided (constant on gamma(a)) the guard either
-    keeps the element or kills it; otherwise the expression ranges over all
-    of ℤ and the element passes unchanged.
-    """
-    v = eval_linexpr_abstract(e, a)
-    if v is None or v is TOP or relation_holds(v, rel):
-        return a
-    return ConstVec.bottom(a.n)
-
-
-def bca_eq_guard(e: LinExpr, a: ConstVec) -> ConstVec:
-    """Best approximation of the equality guard e = 0.
+def _row(e: LinExpr, rel: str, a: ConstVec) -> ConstVec:
+    """Best approximation of one guard row e ⋈ 0.
 
     One pass sums the constant slots into k and takes the gcd g of the
     coefficients on top slots.  Cases on a nonbottom vector:
 
-    - the expression is decided (no top slot is read): keep ``a`` iff k = 0;
-    - g does not divide k: the equation has no integer solution in gamma(a),
-      so the element dies;
-    - exactly one top slot j is read: the constraint is m_j·x_j + k = 0, so
-      slot j is refined to -k/m_j;
+    - no top slot is read: the row is decided, so keep ``a`` iff k ⋈ 0;
+    - ⋈ is not =: the row ranges over k + gℤ, unbounded both ways, so ``a`` stays;
+    - g does not divide k: no integer solution (Granger's test), so ``a`` dies;
+    - one top slot j is read: m_j·x_j + k = 0 refines slot j to -k/m_j;
     - several top slots are read: every coordinate projection of the
       solution set is infinite and ``a`` is already the best abstraction.
     """
     if a.comps is None:
         return a
-    residual, g, free = e.const, 0, []
+    k, g, free = e.const, 0, []
     for i, (m, s) in enumerate(zip(e.coeffs, a.comps, strict=True)):
         if m == 0:
             continue
@@ -249,29 +210,37 @@ def bca_eq_guard(e: LinExpr, a: ConstVec) -> ConstVec:
             free.append(i)
             g = gcd(g, m)
         else:
-            residual += m * s
-    if (residual % g if free else residual) != 0:
+            k += m * s
+    if not free:
+        return a if relation_holds(k, rel) else ConstVec.bottom(a.n)
+    if rel != "=":
+        return a
+    if k % g != 0:
         return ConstVec.bottom(a.n)
     if len(free) == 1:
-        return a.replace(free[0] + 1, -residual // e.coeffs[free[0]])
+        return a.replace(free[0] + 1, -k // e.coeffs[free[0]])
     return a
+
+
+def bca_eq_guard(e: LinExpr, a: ConstVec) -> ConstVec:
+    """Best approximation of the equality guard e = 0 (one row)."""
+    return _row(e, "=", a)
 
 
 def bca_guard(rows: tuple[LinExpr, ...], rel: str, mode: str, a: ConstVec) -> ConstVec:
     """Multi-row guard: disjunction joins per-row results (alpha is additive
     on unions, so this is exact); conjunction composes the per-row
     approximations sequentially (sound, exact when rows touch disjoint
-    slots) and stops at bottom, which every per-row guard returns as is."""
-    one = bca_eq_guard if rel == "=" else lambda e, x: bca_rel_guard(e, rel, x)
+    slots) and stops at bottom, which every row returns as is."""
     if mode == "disj":
         out = ConstVec.bottom(a.n)
         for r in rows:
-            out = join(out, one(r, a))
+            out = join(out, _row(r, rel, a))
         return out
     for r in rows:
         if a.comps is None:
             return a
-        a = one(r, a)
+        a = _row(r, rel, a)
     return a
 
 

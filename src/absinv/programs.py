@@ -38,6 +38,7 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass
+from enum import Enum
 from fractions import Fraction
 from functools import cache
 from math import lcm
@@ -208,25 +209,21 @@ class InitBot:
     """No value vectors (the default for undeclared nodes)."""
 
 
-class _Top:
+class _Top(Enum):
     """The unknown value: an unconstrained entry of a vector literal and an
-    unknown slot of a constant vector (``const_domain`` imports it)."""
+    unknown slot of a constant vector (``const_domain`` imports it).  Its one
+    member is :data:`TOP`, so copy, deepcopy and pickle return the marker
+    itself; it prints as ``top``."""
 
-    _instance: "_Top | None" = None
-
-    def __new__(cls) -> "_Top":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __reduce__(self) -> str:
-        return "TOP"  # pickled by name; copy and deepcopy return the marker itself
+    TOP = "top"
 
     def __repr__(self) -> str:
         return "top"
 
+    __str__ = __repr__
 
-TOP = _Top()
+
+TOP = _Top.TOP
 
 
 @dataclass(frozen=True)

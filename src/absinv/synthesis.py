@@ -50,6 +50,7 @@ problem's vectors, the result, and ``abstract_post_step`` and
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from typing import Any, Callable, Iterable, Sequence
 
 from . import affine as aff
@@ -202,7 +203,7 @@ class ConstAdapter(_NumericDomain):
         (Guard, "wp"): lambda self, t, target: (
             target if all(r.is_constant() for r in t.rows) and guard_holds(t, (0,) * self.n) else self.top()
         ),
-        # ConstVec checks the entries (ints and TOP); tuple() keeps a list of them hashable
+        # ConstVec checks the entries (ints and TOP) and takes only a tuple of them
         (InitVector, "init"): lambda self, decl: cd.ConstVec(self.n, tuple(decl.entries)),
     })
 
@@ -243,6 +244,9 @@ class AffAdapter(_NumericDomain):
         return a  # sound, not best: bot would be exact where the guard is false on all of a
 
     def _vector(self, decl: InitVector) -> aff.AffSubspace:
+        for e in decl.entries:
+            if e is not TOP and type(e) not in (int, Fraction):
+                raise ValueError(f"bad slot value {e!r}")
         # the point with 0 in each top slot, spanned by the top slots' unit vectors
         num, den = clear_denominators(0 if e is TOP else e for e in decl.entries)
         units = tuple(

@@ -200,7 +200,7 @@ def test_criterion_5_completeness_witnesses():
     guard = pg.Guard((pg.LinExpr((1, 0), 0),), "=", "conj")
     const_direct = cd.alpha_points(pg.apply_transfer_concrete(guard, x_pts), 2)
     const_via_domain = cd.bca_eq_guard(pg.LinExpr((1, 0), 0), cd.alpha_points(x_pts, 2))
-    const_ok = const_direct == cd.ConstVec.bottom(2) and const_via_domain == cd.ConstVec.of(0, 0)
+    const_ok = const_direct == cd.ConstVec.bottom(2) and const_via_domain == cd.ConstVec(2, (0, 0))
 
     q_pts = [(F(1), F(0)), (F(-1), F(0))]
     aff_guard = pg.Guard((pg.LinExpr((F(1), F(0)), F(0)),), "=", "conj")
@@ -285,7 +285,7 @@ def test_criterion_7a_const_assignment_completeness():
     t = pg.ParallelAffineAssign((pg.LinExpr((1, 1), 0), pg.LinExpr((0, 1), 0)))
     via_concrete = cd.alpha_points(pg.apply_transfer_concrete(t, x), 2)
     via_abstraction = cd.bca_parallel_assign(t, cd.alpha_points(x, 2))
-    if (via_concrete, via_abstraction) != (cd.ConstVec.of(0, TOP), cd.ConstVec.top(2)):
+    if (via_concrete, via_abstraction) != (cd.ConstVec(2, (0, TOP)), cd.ConstVec(2, (TOP, TOP))):
         errors.append(f"witness gives {via_concrete} and {via_abstraction}")
 
     detail = f"{len(errors)} error(s); first: {errors[0]}" if errors else ""

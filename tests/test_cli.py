@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from absinv import synthesis
+from absinv import finite, synthesis
 from absinv.cli import main
 from absinv.programs import parse_program
 from conftest import PROGRAMS_DIR
@@ -338,6 +338,19 @@ def test_oracle_json_format(capsys):
     assert code == 0
     reports = json.loads(out)
     assert reports[0]["name"] == "adjunctions" and reports[0]["failures"] == 0
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_oracle_reports_its_first_failure_and_exits_one(monkeypatch, capsys, fmt):
+    """A suite whose trials 2 and 4 fail: the report counts both, names the
+    seed of trial 2, and the exit code is 1."""
+    monkeypatch.setitem(finite.SUITES, "lemma1", lambda s, k: k not in (2, 4))
+    code, out, err = run(["oracle", "--suite", "lemma1", "--seed", "7", "--trials", "6", "--format", fmt], capsys)
+    assert (code, err) == (1, "")
+    if fmt == "json":
+        assert json.loads(out) == [{"name": "lemma1", "trials": 6, "failures": 2, "first_failure_seed": "7:lemma1:2"}]
+    else:
+        assert out == "lemma1: trials=6 failures=2 first-failure-seed=7:lemma1:2\ntotal failures: 2\n"
 
 
 def test_oracle_negative_trials_exits_two(capsys):

@@ -25,7 +25,16 @@ TOP = cd.TOP
 
 
 def vec(*slots) -> cd.ConstVec:
-    return cd.ConstVec.of(*slots)
+    return cd.ConstVec(len(slots), slots)
+
+
+def abstract_value(e: pg.LinExpr, a: cd.ConstVec):
+    """e on a nonbottom ``a``: its constant when every slot it reads (with a
+    nonzero coefficient) is constant, top otherwise."""
+    read = [(m, s) for m, s in zip(e.coeffs, a.comps, strict=True) if m != 0]
+    if any(s is TOP for _, s in read):
+        return TOP
+    return e.const + sum(m * s for m, s in read)
 
 
 slot_st = st.one_of(st.integers(-5, 5), st.just(TOP))
@@ -56,7 +65,7 @@ def test_element_is_immutable():
 def test_equal_elements_hash_equal():
     pairs = [
         (vec(1, TOP), cd.ConstVec(2, (1, TOP))),
-        (cd.ConstVec.top(3), vec(TOP, TOP, TOP)),
+        (cd.ConstVec(3, (TOP,) * 3), vec(TOP, TOP, TOP)),
         (cd.ConstVec.bottom(2), cd.ConstVec(2, None)),
     ]
     for a, b in pairs:
@@ -73,8 +82,9 @@ def test_equal_elements_hash_equal():
         (2, (1, Fraction(1, 2)), "bad slot value Fraction(1, 2)"),
         (2, (1.0, 2), "bad slot value 1.0"),
         (2, (TOP, True), "bad slot value True"),
+        (2, [1, 2], "slots must be a tuple, not list"),
     ],
-    ids=["length", "fraction", "float", "bool"],
+    ids=["length", "fraction", "float", "bool", "list"],
 )
 def test_bad_elements_are_rejected(n, comps, message):
     with pytest.raises(ValueError) as err:
@@ -82,7 +92,7 @@ def test_bad_elements_are_rejected(n, comps, message):
     assert str(err.value) == message
 
 
-@pytest.mark.parametrize("a", [vec(1, TOP, -3), cd.ConstVec.top(2), cd.ConstVec.bottom(2)], ids=repr)
+@pytest.mark.parametrize("a", [vec(1, TOP, -3), vec(TOP, TOP), cd.ConstVec.bottom(2)], ids=repr)
 def test_elements_copy_and_pickle(a):
     for b in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
         assert b == a and hash(b) == hash(a)
@@ -94,7 +104,7 @@ def test_elements_copy_and_pickle(a):
 
 def test_adapter_shares_its_bounds():
     dom = ConstAdapter(3)
-    assert dom.top() is dom.top() and dom.top() == cd.ConstVec.top(3)
+    assert dom.top() is dom.top() and dom.top() == vec(TOP, TOP, TOP)
     assert dom.bottom() is dom.bottom() and dom.bottom() == cd.ConstVec.bottom(3)
 
 
@@ -195,23 +205,6 @@ def test_alpha_of_boxed_gamma_is_identity():
     for _ in range(80):
         a = random_const_vec(rng, rng.randint(1, 3))
         assert cd.alpha_points(gamma_box(a, 6), a.n) == a
-
-
-# ---------------------------------------------------------------------------
-# Abstract expression evaluation
-# ---------------------------------------------------------------------------
-
-
-def test_eval_linexpr_examples():
-    e = pg.LinExpr((1, 2), 0)  # x1 + 2 x2
-    assert cd.eval_linexpr_abstract(e, vec(0, 2)) == 4
-    assert cd.eval_linexpr_abstract(e, vec(TOP, 2)) is TOP
-    assert cd.eval_linexpr_abstract(e, cd.ConstVec.bottom(2)) is None
-
-
-def test_eval_ignores_zero_coefficient_tops():
-    e = pg.LinExpr((0, 3), 1)
-    assert cd.eval_linexpr_abstract(e, vec(TOP, 2)) == 7
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +312,7 @@ def _dense_post(t: pg.ParallelAffineAssign, a: cd.ConstVec) -> cd.ConstVec:
     """x := M x + b evaluated row by row, identity rows included."""
     if a.is_bottom:
         return a
-    return cd.ConstVec(a.n, tuple(cd.eval_linexpr_abstract(r, a) for r in t.rows))
+    return cd.ConstVec(a.n, tuple(abstract_value(r, a) for r in t.rows))
 
 
 def _dense_wp(t: pg.ParallelAffineAssign, target: cd.ConstVec) -> cd.ConstVec:
@@ -328,7 +321,7 @@ def _dense_wp(t: pg.ParallelAffineAssign, target: cd.ConstVec) -> cd.ConstVec:
     if target.is_bottom:
         return target
     rows = tuple(pg.LinExpr(r.coeffs, r.const - s) for r, s in zip(t.rows, target.comps) if s is not TOP)
-    return cd.bca_guard(rows, "=", "conj", cd.ConstVec.top(target.n))
+    return cd.bca_guard(rows, "=", "conj", cd.ConstVec(target.n, (TOP,) * target.n))
 
 
 def test_sparse_assignment_post_and_wp_equal_the_dense_per_row_oracle():
@@ -365,11 +358,33 @@ def test_nondet_assign_sets_slot_to_top():
 # ---------------------------------------------------------------------------
 
 
+def test_one_row_guard_examples():
+    """A decided row keeps or kills the element, a row that reads a top slot
+    keeps it unless the relation is = (which refines a lone top slot), and
+    bottom stays bottom."""
+    e = pg.LinExpr((1, 2), 0)  # x1 + 2 x2, which is 4 on (0,2)
+    assert cd.bca_guard((e,), ">", "conj", vec(0, 2)) == vec(0, 2)
+    assert cd.bca_guard((e,), "=", "conj", vec(0, 2)) == cd.ConstVec.bottom(2)
+    assert cd.bca_guard((e,), "=", "conj", vec(TOP, 2)) == vec(-4, 2)
+    for rel in ("!=", "<", "<=", ">", ">="):
+        assert cd.bca_guard((e,), rel, "conj", vec(TOP, 2)) == vec(TOP, 2)
+    for rel in ("=", "!=", "<", "<=", ">", ">="):
+        assert cd.bca_guard((e,), rel, "disj", cd.ConstVec.bottom(2)) == cd.ConstVec.bottom(2)
+
+
+def test_one_row_guard_ignores_zero_coefficient_tops():
+    """3 x2 + 1 is 7 on (top,2): the row is decided, though slot 1 is top."""
+    e = pg.LinExpr((0, 3), 1)
+    assert cd.bca_guard((e,), "<", "conj", vec(TOP, 2)) == cd.ConstVec.bottom(2)
+    assert cd.bca_guard((e,), "=", "conj", vec(TOP, 2)) == cd.ConstVec.bottom(2)
+    assert cd.bca_guard((e,), ">=", "conj", vec(TOP, 2)) == vec(TOP, 2)
+
+
 def test_bca_rel_guard_examples():
     e = pg.LinExpr((1, 0), -9)  # x1 - 9
-    assert cd.bca_rel_guard(e, ">=", vec(0, 2)) == cd.ConstVec.bottom(2)
-    assert cd.bca_rel_guard(e, ">=", vec(TOP, 2)) == vec(TOP, 2)
-    assert cd.bca_rel_guard(e, "<", cd.ConstVec.bottom(2)) == cd.ConstVec.bottom(2)
+    assert cd.bca_guard((e,), ">=", "conj", vec(0, 2)) == cd.ConstVec.bottom(2)
+    assert cd.bca_guard((e,), ">=", "conj", vec(TOP, 2)) == vec(TOP, 2)
+    assert cd.bca_guard((e,), "<", "conj", cd.ConstVec.bottom(2)) == cd.ConstVec.bottom(2)
 
 
 def test_bca_eq_guard_examples():
@@ -397,7 +412,7 @@ def reference_bca_eq_guard(e: pg.LinExpr, a: cd.ConstVec) -> cd.ConstVec:
     """The three-pass equality guard this module had before the one-pass one."""
     if a.is_bottom:
         return a
-    v = cd.eval_linexpr_abstract(e, a)
+    v = abstract_value(e, a)
     if v is not TOP:
         return a if v == 0 else cd.ConstVec.bottom(a.n)
     free = [i for i, (m, s) in enumerate(zip(e.coeffs, a.comps)) if m != 0 and s is TOP]
@@ -420,17 +435,19 @@ def reference_bca_eq_guard(e: pg.LinExpr, a: cd.ConstVec) -> cd.ConstVec:
 
 def reference_bca_rel_guard(e: pg.LinExpr, rel: str, a: cd.ConstVec) -> cd.ConstVec:
     """The two-return relational guard this module had before."""
-    v = cd.eval_linexpr_abstract(e, a)
-    if v is None:
+    if a.is_bottom:
         return a
+    v = abstract_value(e, a)
     if v is TOP:
         return a
     return a if pg.relation_holds(v, rel) else cd.ConstVec.bottom(a.n)
 
 
 def test_one_pass_guards_match_the_reference_guards():
-    """Seeded rows and elements with n ≤ 5 and coefficients in -6..6; every
-    case of the equality guard occurs."""
+    """Seeded rows and elements with n ≤ 5 and coefficients in -6..6: a
+    one-row guard of every relation, in both modes, and the equality guard
+    the wp calls equal the reference guards; every case of the equality
+    guard occurs."""
     rng = random.Random(29)
     cases = set()
     for _ in range(4000):
@@ -439,8 +456,10 @@ def test_one_pass_guards_match_the_reference_guards():
         e = random_linexpr_int(rng, n, coeff=6)
         got = cd.bca_eq_guard(e, a)
         assert got == reference_bca_eq_guard(e, a), (e, a)
-        for rel in ("!=", "<", "<=", ">", ">="):
-            assert cd.bca_rel_guard(e, rel, a) == reference_bca_rel_guard(e, rel, a), (e, rel, a)
+        for rel in ("=", "!=", "<", "<=", ">", ">="):
+            ref = reference_bca_eq_guard(e, a) if rel == "=" else reference_bca_rel_guard(e, rel, a)
+            for mode in ("conj", "disj"):
+                assert cd.bca_guard((e,), rel, mode, a) == ref, (e, rel, mode, a)
         if a.is_bottom:
             cases.add("bottom")
             continue
@@ -493,9 +512,7 @@ def test_guards_sound_on_box_samples():
         rel = rng.choice(["=", "!=", "<", "<=", ">", ">="])
         t = pg.Guard((e,), rel, "conj")
         image = pg.apply_transfer_concrete(t, sample)
-        out = (
-            cd.bca_eq_guard(e, a) if rel == "=" else cd.bca_rel_guard(e, rel, a)
-        )
+        out = cd.bca_guard((e,), rel, "conj", a)
         assert cd.leq(cd.alpha_points(image, n), out)
 
 
@@ -517,7 +534,7 @@ def test_transfers_exact_on_singleton_concretizations():
             e = random_linexpr_int(rng, n)
             rel = rng.choice(["!=", "<", "<=", ">", ">="])
             t = pg.Guard((e,), rel, "conj")
-            out = cd.bca_rel_guard(e, rel, a)
+            out = cd.bca_guard(t.rows, rel, t.mode, a)
         exact = cd.alpha_points(pg.apply_transfer_concrete(t, gamma_box(a, 40)), n)
         assert exact == out
 

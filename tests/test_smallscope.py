@@ -132,7 +132,7 @@ def test_known_faults_where_an_invariant_exists(text, prop, faults):
     verdicts); mending a fault removes its entries from ``faults``."""
     program = pg.parse_program(text)
     base = AnalysisProblem.build(program, "const")
-    p = cd.ConstVec.of(*prop)
+    p = cd.ConstVec(program.n, prop)
     assert all(ainv_forward(over(base, BoxAdapter(program.n, b), p)).found for b in BOXES)
     assert disagreements(program, p, True) == faults
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import collections
 import itertools
 import random
+import re
 import tracemalloc
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,7 +46,7 @@ F = Fraction
 
 
 def cvec(*slots) -> cd.ConstVec:
-    return cd.ConstVec.of(*slots)
+    return cd.ConstVec(len(slots), slots)
 
 
 def sv(problem: AnalysisProblem, *values) -> pg.StateVector:
@@ -234,7 +235,7 @@ def test_adapters_build_their_bounds_once(domain):
     assert adapter.from_init(pg.InitTop()) is adapter.top()
     assert adapter.from_init(pg.InitBot()) is adapter.bottom()
     bottom, top = {
-        "const": (cd.ConstVec.bottom(3), cd.ConstVec.top(3)),
+        "const": (cd.ConstVec.bottom(3), cd.ConstVec(3, (TOP, TOP, TOP))),
         "affine": (af.AffSubspace.empty(3), af.AffSubspace.full(3)),
     }[domain]
     assert (adapter.bottom(), adapter.top()) == (bottom, top)
@@ -253,9 +254,57 @@ def test_alpha_rejects_a_point_of_another_length(domain, n, points):
 def test_a_const_vector_literal_takes_only_integers_and_top(entries):
     """The entries are the slots: nothing is truncated or converted."""
     adapter = synthesis.ConstAdapter(2)
-    assert adapter.from_init(pg.InitVector([-3, TOP])) == cd.ConstVec.of(-3, TOP)
+    assert adapter.from_init(pg.InitVector([-3, TOP])) == cd.ConstVec(2, (-3, TOP))
     with pytest.raises(ValueError, match="^bad slot value"):
         adapter.from_init(pg.InitVector(entries))
+
+
+@pytest.mark.parametrize("domain", synthesis.DOMAINS)
+@pytest.mark.parametrize("bad", ["top", 2.5, True], ids=repr)
+def test_both_vector_literals_reject_the_same_bad_entries(domain, bad):
+    """A string, a float and a bool are no slot value in either domain; the
+    affine literal takes ints, Fractions and TOP."""
+    assert synthesis.AffAdapter(2).from_init(pg.InitVector((F(1, 2), TOP))) == af.AffSubspace(2, (1, 0), ((0, 1),), 2)
+    with pytest.raises(ValueError, match=f"^bad slot value {re.escape(repr(bad))}$"):
+        synthesis.DOMAINS[domain](2).from_init(pg.InitVector((1, bad)))
+
+
+@pytest.mark.parametrize("domain", synthesis.DOMAINS)
+def test_meet_is_the_greatest_lower_bound(domain):
+    """On seeded elements (alpha of one to three points, and the bounds),
+    meet(a, b) is below a and b, and so is every c below both of them."""
+    rng = random.Random(f"glb:{domain}")
+    adapter = synthesis.DOMAINS[domain](2)
+    num = int if domain == "const" else Fraction
+    pool = [adapter.bottom(), adapter.top()]
+    for _ in range(24):
+        points = [(num(rng.randint(-2, 2)), num(rng.randint(-2, 2))) for _ in range(rng.randint(1, 3))]
+        pool.append(adapter.alpha(points))
+    strict = 0
+    for a, b in itertools.product(pool, repeat=2):
+        m = adapter.meet(a, b)
+        assert adapter.leq(m, a) and adapter.leq(m, b), (a, b)
+        assert all(adapter.leq(c, m) for c in pool if adapter.leq(c, a) and adapter.leq(c, b)), (a, b)
+        strict += m not in (a, b, adapter.bottom())
+    assert strict > 0
+
+
+def test_affine_rejects_an_inequality_guard_built_in_code():
+    """The parser rejects ``<`` in a ``sort rat`` program; a program built in
+    code can carry one, and the affine post of it is a hole."""
+    guard = pg.Guard((pg.LinExpr((F(1),), F(0)),), "<", "conj")
+    program = pg.Program(("q1", "q2"), 1, "rat", (pg.Edge("q1", guard, "q2"),), {"q1": pg.InitTop()})
+    with pytest.raises(UnsupportedDomain, match="^guard relation '<' has no affine approximation$"):
+        ainv_forward(AnalysisProblem.build(program, "affine"))
+
+
+def test_unknown_domain_and_zero_variables_are_rejected():
+    program = pg.parse_program("vars 1; sort int; nodes q1;")
+    with pytest.raises(UnsupportedDomain, match="^unknown domain 'box'$"):
+        AnalysisProblem.build(program, "box")
+    for cls in synthesis.DOMAINS.values():
+        with pytest.raises(ValueError, match="^need at least one variable$"):
+            cls(0)
 
 
 def test_a_directly_built_problem_is_checked():
