@@ -10,7 +10,7 @@ height n + 1, alpha and gamma-membership, is ``synthesis.ConstAdapter``.
 The transfer functions below are best correct approximations (alpha ∘ t ∘
 gamma), except conjunctive multi-row guards, which are only sound (see
 :func:`bca_guard`): affine assignments are handled exactly, and one pass per
-guard row decides the row e ⋈ 0 for every relation ⋈ (see :func:`_row`).
+guard row decides the row e ⋈ 0 for every relation ⋈ (see :func:`solve_row`).
 
 All values are immutable; every function is pure.  ``ConstVec`` is a
 ``__slots__`` class that checks its slots (a tuple of ``int`` or the marker
@@ -24,7 +24,7 @@ return an operand, not an equal copy, when the result equals it.
 from __future__ import annotations
 
 from math import gcd
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .programs import TOP, LinExpr, ParallelAffineAssign, _Top, relation_holds
 
@@ -187,39 +187,51 @@ def bca_nondet_assign(j: int, a: ConstVec) -> ConstVec:
     return a.replace(j, TOP)
 
 
-def _row(e: LinExpr, rel: str, a: ConstVec) -> ConstVec:
-    """Best approximation of one guard row e ⋈ 0.
+def solve_row(terms: Iterable[tuple[int, int]], k: int, rel: str, comps: Sequence[ConstVal]) -> bool | tuple[int, int]:
+    """Decide one guard row  Σ m·x_i + k ⋈ 0  (``terms`` are its (i, m)
+    pairs) on the box of the slots ``comps``.
 
     One pass sums the constant slots into k and takes the gcd g of the
-    coefficients on top slots.  Cases on a nonbottom vector:
+    coefficients on top slots.  The cases, with the result:
 
-    - no top slot is read: the row is decided, so keep ``a`` iff k ⋈ 0;
-    - ⋈ is not =: the row ranges over k + gℤ, unbounded both ways, so ``a`` stays;
-    - g does not divide k: no integer solution (Granger's test), so ``a`` dies;
-    - one top slot j is read: m_j·x_j + k = 0 refines slot j to -k/m_j;
+    - no top slot is read: the row is decided, so whether k ⋈ 0;
+    - ⋈ is not =: the row ranges over k + gℤ, unbounded both ways: True;
+    - g does not divide k: no integer solution (Granger's test): False;
+    - one top slot i is read: m_i·x_i + k = 0 fixes slot i: (i, -k/m_i);
     - several top slots are read: every coordinate projection of the
-      solution set is infinite and ``a`` is already the best abstraction.
+      solution set is infinite and the box is already the best: True.
     """
-    if a.comps is None:
-        return a
-    k, g, free = e.const, 0, []
-    for i, (m, s) in enumerate(zip(e.coeffs, a.comps, strict=True)):
+    g, free, m_free = 0, [], 0
+    for i, m in terms:
         if m == 0:
             continue
-        if s is TOP:
+        if (s := comps[i]) is TOP:
             free.append(i)
-            g = gcd(g, m)
+            g, m_free = gcd(g, m), m
         else:
             k += m * s
     if not free:
-        return a if relation_holds(k, rel) else ConstVec.bottom(a.n)
+        return relation_holds(k, rel)
     if rel != "=":
-        return a
+        return True
     if k % g != 0:
-        return ConstVec.bottom(a.n)
+        return False
     if len(free) == 1:
-        return a.replace(free[0] + 1, -k // e.coeffs[free[0]])
-    return a
+        return free[0], -k // m_free
+    return True
+
+
+def _row(e: LinExpr, rel: str, a: ConstVec) -> ConstVec:
+    """Best approximation of one guard row e ⋈ 0: ``a`` kept, killed or
+    with one slot fixed, as :func:`solve_row` decides."""
+    if a.comps is None:
+        return a
+    fix = solve_row(zip(range(a.n), e.coeffs, strict=True), e.const, rel, a.comps)
+    if fix is True:
+        return a
+    if fix is False:
+        return ConstVec.bottom(a.n)
+    return a.replace(fix[0] + 1, fix[1])
 
 
 def bca_eq_guard(e: LinExpr, a: ConstVec) -> ConstVec:
@@ -252,4 +264,4 @@ def bca_guard(rows: tuple[LinExpr, ...], rel: str, mode: str, a: ConstVec) -> Co
 def render_const(a: ConstVec) -> str:
     if a.comps is None:
         return "bot"
-    return "(" + ",".join("top" if s is TOP else str(s) for s in a.comps) + ")"
+    return "(" + ",".join(map(str, a.comps)) + ")"  # TOP prints as top

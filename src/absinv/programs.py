@@ -138,6 +138,11 @@ class ParallelAffineAssign:
         return tuple(out)
 
     @memo
+    def by_target(self) -> dict[int, tuple[tuple[tuple[int, Number], ...], Number]]:
+        """``assigned`` keyed by its 0-based target slot: j -> (terms, const); read only."""
+        return {j: (terms, const) for j, terms, const in self.assigned}
+
+    @memo
     def scaled(self) -> tuple[int, tuple[tuple[int, tuple[tuple[int, int], ...], int], ...]]:
         """``(L, assigned × L)`` with ``int`` entries: L is the lcm of the
         denominators in ``assigned``."""

@@ -14,9 +14,13 @@ Two engines over vectors of domain elements, one per node:
 
 Both are deterministic: every iterate is canonical, so traces are
 reproducible.  Each step recomputes only the nodes that read a node changed
-by the previous step and the property is checked only at changed nodes; the
-iterates are those of the full Jacobi step, which recomputes every node.  A
-step costs O(changed), not O(N): the diff steps ``abstract_post_diff`` and
+by the previous step, and the check runs only at changed nodes whose bound
+can fail: forward where the safety value is not top, backward where the
+initial value is not bottom.  The steps skip the lattice identities too:
+forward joins the initial value only where it is not bottom (⊥ ⊔ a = a),
+backward meets with the safety value only where it is not top (a ⊓ ⊤ = a).
+The iterates are those of the full Jacobi step, which recomputes every node.
+A step costs O(changed), not O(N): the diff steps ``abstract_post_diff`` and
 ``abstract_pret_diff`` return the new values at the nodes they change, and
 the engine applies that diff to one working list in place.  A
 ``SynthesisResult`` holds the start vector, the diffs and the last iterate;
@@ -40,7 +44,8 @@ safety vectors.  ``build`` makes one from a ``Program``; any other graph,
 such as a one-node finite transition system, can be passed directly, and is
 checked: edge endpoints must be node indices, vectors over the nodes.  Per
 node the index lists of its incoming (source index, transfer) and outgoing
-(transfer, target index) edges are computed once on first use.  Both
+(transfer, target index) edges, and the nodes whose initial value is not
+bottom or whose safety value is not top, are computed once on first use.  Both
 engines, by name in ``ALGORITHMS``, step their chain of diffs through
 ``lattice.kleene``; ``StateVector`` is met only at the boundary: the
 problem's vectors, the result, and ``abstract_post_step`` and
@@ -65,7 +70,6 @@ from .programs import (
     InitPoints,
     InitTop,
     InitVector,
-    LinExpr,
     NondetAssign,
     ParallelAffineAssign,
     Program,
@@ -158,6 +162,8 @@ class ConstAdapter(_NumericDomain):
 
     def contains(self, a: cd.ConstVec, point: tuple[int, ...]) -> bool:
         """Is the integer vector ``point`` in gamma(a)?"""
+        if len(point) != self.n:
+            raise ValueError("dimension mismatch")
         return not a.is_bottom and all(s is TOP or s == v for s, v in zip(a.comps, point))
 
     def transfer(self, t: TransferFunction, a: cd.ConstVec) -> cd.ConstVec:
@@ -171,23 +177,28 @@ class ConstAdapter(_NumericDomain):
         """Each constant target slot is an equality constraint on the old
         values; their conjunction, in slot order, applied to the full space
         (exact for single-constant targets): an assigned row's constraint is
-        an equality guard, an unassigned slot x_j = c sets or checks slot j."""
+        an equality guard, an unassigned slot x_j = c sets or checks slot j.
+        The slots are decided in one list; no constant slot gives ``top``."""
         if target.is_bottom:
             return target
-        rows = {j: t.rows[j] for j, _, _ in t.assigned}
-        acc = self.top()
+        rows, comps, constant = t.by_target, [TOP] * self.n, False
         for j, slot in enumerate(target.comps):
             if slot is TOP:
                 continue
-            if j in rows:
-                acc = cd.bca_eq_guard(LinExpr(rows[j].coeffs, rows[j].const - slot), acc)
-            elif acc.comps[j] is TOP:
-                acc = acc.replace(j + 1, slot)
-            elif acc.comps[j] != slot:
-                acc = self.bottom()
-            if acc.is_bottom:
-                return acc
-        return acc
+            constant = True
+            if j not in rows:
+                if comps[j] is TOP:
+                    comps[j] = slot
+                elif comps[j] != slot:
+                    return self._bottom
+                continue
+            terms, const = rows[j]
+            fix = cd.solve_row(terms, const - slot, "=", comps)
+            if fix is False:
+                return self._bottom
+            if fix is not True:
+                comps[fix[0]] = fix[1]
+        return cd.ConstVec(self.n, tuple(comps)) if constant else self._top
 
     table = _Table({
         **_NumericDomain.table,
@@ -231,6 +242,8 @@ class AffAdapter(_NumericDomain):
 
     def contains(self, a: aff.AffSubspace, point: Sequence) -> bool:
         """Is the rational vector ``point`` in gamma(a)?"""
+        if len(point) != self.n:
+            raise ValueError("dimension mismatch")
         return a.contains_point(point)
 
     def transfer(self, t: TransferFunction, a: aff.AffSubspace) -> aff.AffSubspace:
@@ -289,7 +302,8 @@ class AnalysisProblem:
     engines call only the adapter's lattice operations, ``height``,
     ``transfer`` and ``wp``, so any domain object with those methods and
     transfers it understands makes a problem.  The edge lists ``preds`` and
-    ``succs`` are built on first use.
+    ``succs`` and the maps ``nonbottom_init`` and ``nontop_safety`` are built
+    on first use.
     """
 
     nodes: tuple[str, ...]
@@ -349,6 +363,18 @@ class AnalysisProblem:
             out[src].append((t, dst))
         return tuple(map(tuple, out))
 
+    @memo
+    def nonbottom_init(self) -> dict[int, Any]:
+        """Node index -> initial value, where it is not bottom (read only)."""
+        bottom = self.adapter.bottom()
+        return {j: a for j, a in enumerate(self.init.values) if a != bottom}
+
+    @memo
+    def nontop_safety(self) -> dict[int, Any]:
+        """Node index -> safety value, where it is not top (read only)."""
+        top = self.adapter.top()
+        return {j: a for j, a in enumerate(self.safety.values) if a != top}
+
     def leq(self, u: StateVector, v: StateVector) -> bool:
         return all(map(self.adapter.leq, u.values, v.values))
 
@@ -392,21 +418,26 @@ class SynthesisResult:
 # ---------------------------------------------------------------------------
 
 
-def _post_at(problem: AnalysisProblem, x: tuple, j: int):
-    """The join of the images of the edges into node j; bottom if there are none."""
-    adapter, preds = problem.adapter, problem.preds[j]
-    if not preds:
-        return adapter.bottom()
-    src, t = preds[0]
-    acc = adapter.transfer(t, x[src])
-    for src, t in preds[1:]:
-        acc = adapter.join(acc, adapter.transfer(t, x[src]))
-    return acc
-
-
-def _diff(x: Sequence, nodes: Iterable[int], recompute: Callable[[int], Any]) -> Diff:
-    """``recompute(j)`` at each j in ``nodes`` where it differs from ``x[j]``."""
-    return {j: new for j in nodes if (new := recompute(j)) != x[j]}
+def _post_diff(problem: AnalysisProblem, x: Sequence, nodes: Iterable[int], init: dict[int, Any]) -> Diff:
+    """At each j in ``nodes`` where it differs from ``x[j]``: the join of
+    the images of the edges into j, joined with ``init[j]`` where ``init``
+    maps j (bottom at a node with neither)."""
+    adapter, preds = problem.adapter, problem.preds
+    transfer, join = adapter.transfer, adapter.join
+    diff = {}
+    for j in nodes:
+        if ins := preds[j]:
+            src, t = ins[0]
+            acc = transfer(t, x[src])
+            for src, t in ins[1:]:
+                acc = join(acc, transfer(t, x[src]))
+            if j in init:
+                acc = join(init[j], acc)
+        else:
+            acc = init[j] if j in init else adapter.bottom()
+        if acc != x[j]:
+            diff[j] = acc
+    return diff
 
 
 def _applied(v: StateVector, diff: Diff) -> StateVector:
@@ -419,7 +450,7 @@ def _applied(v: StateVector, diff: Diff) -> StateVector:
 
 def pure_post_step(problem: AnalysisProblem, v: StateVector) -> StateVector:
     """Best abstract successor: at q', the join of edge images from all sources."""
-    return v.with_values(_post_at(problem, v.values, j) for j in range(len(v.values)))
+    return _applied(v, _post_diff(problem, v.values, range(len(v.values)), {}))
 
 
 def abstract_post_diff(problem: AnalysisProblem, x: Sequence, changed: Changed) -> Diff:
@@ -428,11 +459,11 @@ def abstract_post_diff(problem: AnalysisProblem, x: Sequence, changed: Changed) 
 
     ``changed`` holds the nodes where ``x`` differs from the iterate it was
     stepped from (None: all nodes).  Only targets of edges out of a changed
-    node are recomputed: no other node reads a changed value.
+    node are recomputed: no other node reads a changed value.  The initial
+    value is joined only where it is not bottom.
     """
-    adapter, init = problem.adapter, problem.init.values
     nodes = range(len(x)) if changed is None else {j for i in changed for _, j in problem.succs[i]}
-    return _diff(x, nodes, lambda j: adapter.join(init[j], _post_at(problem, x, j)))
+    return _post_diff(problem, x, nodes, problem.nonbottom_init)
 
 
 def abstract_pret_diff(problem: AnalysisProblem, x: Sequence, changed: Changed) -> Diff:
@@ -442,18 +473,22 @@ def abstract_pret_diff(problem: AnalysisProblem, x: Sequence, changed: Changed) 
     At a node with no outgoing edges the wp contribution is the full space.
     ``changed`` is as for :func:`abstract_post_diff`.  Only sources of edges
     into a changed node are recomputed: any other node already is the meet
-    of the same terms, unchanged by idempotence of ∩.
+    of the same terms, unchanged by idempotence of ∩.  The safety value is
+    met only where it is not top.
     """
-    adapter, safety = problem.adapter, problem.safety.values
-
-    def pret_at(j: int):
-        acc = x[j]
-        for t, dst in problem.succs[j]:
-            acc = adapter.meet(acc, adapter.wp(t, x[dst]))
-        return adapter.meet(acc, safety[j])
-
+    adapter, succs, safety = problem.adapter, problem.succs, problem.nontop_safety
+    wp, meet = adapter.wp, adapter.meet
     nodes = range(len(x)) if changed is None else {j for i in changed for j, _ in problem.preds[i]}
-    return _diff(x, nodes, pret_at)
+    diff = {}
+    for j in nodes:
+        acc = old = x[j]
+        for t, dst in succs[j]:
+            acc = meet(acc, wp(t, x[dst]))
+        if j in safety:
+            acc = meet(acc, safety[j])
+        if acc != old:
+            diff[j] = acc
+    return diff
 
 
 def abstract_post_step(problem: AnalysisProblem, v: StateVector, changed: Changed = None) -> StateVector:
@@ -484,7 +519,8 @@ def _iterate(
     problem: AnalysisProblem,
     start: StateVector,
     step: Callable[[AnalysisProblem, list, Changed], Diff],
-    check: Callable[[int, Any], bool],
+    bounds: dict[int, Any],
+    holds: Callable[[Any, Any], bool],
     reason: str,
     kind: str,
 ) -> SynthesisResult:
@@ -493,11 +529,12 @@ def _iterate(
     The chain is one of diffs: the working list ``x`` holds iterate k after
     k steps, ``step`` is told the nodes of the previous diff (None, all
     nodes, for ``start``) and its diff is applied to ``x`` in place.  Before
-    an iterate is stepped, ``check(j, value)`` runs at the nodes of its
-    diff; the first failure ends the run with ``reason``.  An empty diff
-    ends it with a found invariant of the given ``kind``.  The budget is the
-    domain's height times the node count, plus one: no strict chain of
-    state vectors is longer.
+    an iterate is stepped, ``holds(x[j], bounds[j])`` runs at the nodes of
+    its diff that ``bounds`` maps (at each of them for ``start``): only
+    there can the check fail.  The first failure ends the run with
+    ``reason``.  An empty diff ends it with a found invariant of the given
+    ``kind``.  The budget is the domain's height times the node count, plus
+    one: no strict chain of state vectors is longer.
     """
     x = list(start.values)
     diffs: list[Diff] = []
@@ -512,8 +549,9 @@ def _iterate(
     for diff in kleene(advance, None, budget, lambda _, diff: not diff):
         if diff is not None:
             diffs.append(diff)
-        if not all(check(j, x[j]) for j in (range(len(x)) if diff is None else diff)):
-            return SynthesisResult(False, None, start, tuple(diffs), start.with_values(x), reason)
+        for j in bounds if diff is None else diff:
+            if j in bounds and not holds(x[j], bounds[j]):
+                return SynthesisResult(False, None, start, tuple(diffs), start.with_values(x), reason)
     return SynthesisResult(True, kind, start, tuple(diffs), start.with_values(x))
 
 
@@ -526,7 +564,7 @@ def ainv_forward(problem: AnalysisProblem) -> SynthesisResult:
     """
     return _iterate(
         problem, problem.init, abstract_post_diff,
-        lambda j, a: problem.adapter.leq(a, problem.safety.values[j]), "property-violated", "least",
+        problem.nontop_safety, problem.adapter.leq, "property-violated", "least",
     )
 
 
@@ -543,7 +581,7 @@ def backward_gfp(problem: AnalysisProblem) -> SynthesisResult:
     top_vec = StateVector(problem.nodes, (problem.adapter.top(),) * len(problem.nodes))
     result = _iterate(
         problem, top_vec, abstract_pret_diff,
-        lambda j, a: problem.adapter.leq(problem.init.values[j], a), "init-not-entailed", "greatest",
+        problem.nonbottom_init, lambda a, init: problem.adapter.leq(init, a), "init-not-entailed", "greatest",
     )
     if result.found and not verify_invariant(problem, result.invariant):
         return replace(result, found=False, kind=None, reason="verification-failed")

@@ -571,3 +571,17 @@ def test_guard_incompleteness_witness():
 def test_render():
     assert cd.render_const(cd.ConstVec.bottom(2)) == "bot"
     assert cd.render_const(vec(TOP, 2)) == "(top,2)"
+
+
+def test_render_prints_each_slot_as_the_slot_type_prints_it():
+    """Every slot renders as ``str`` of it, ``top`` included: the text equals
+    a per-slot rendering with the marker spelled out, on bottom and on
+    seeded vectors with negative, multi-digit and top slots."""
+    rng = random.Random(26)
+    elements = [cd.ConstVec.bottom(3), vec(-12, TOP, 345), vec(TOP), vec(0, -7, TOP, 1000001)]
+    elements += [random_const_vec(rng, rng.randint(1, 6), -1000, 1000) for _ in range(300)]
+    for a in elements:
+        expected = "bot" if a.is_bottom else "(" + ",".join("top" if s is TOP else str(s) for s in a.comps) + ")"
+        assert cd.render_const(a) == expected
+    ints = [s for a in elements if not a.is_bottom for s in a.comps if s is not TOP]
+    assert min(ints) < -9 and max(ints) > 9 and any(a.is_bottom for a in elements[4:])

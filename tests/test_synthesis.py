@@ -7,7 +7,7 @@ import itertools
 import random
 import re
 import tracemalloc
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, get_args
 
@@ -27,7 +27,7 @@ from absinv.finite import (
     run_algorithm1,
     run_algorithm4,
 )
-from absinv.lattice import kleene, lfp_iterate
+from absinv.lattice import IterationBudgetExceeded, kleene, lfp_iterate
 from absinv.synthesis import (
     ALGORITHMS,
     AnalysisProblem,
@@ -36,7 +36,6 @@ from absinv.synthesis import (
     abstract_pret_step,
     ainv_forward,
     backward_gfp,
-    pure_post_step,
     verify_invariant,
 )
 from conftest import random_const_vec, random_program, rational_view
@@ -248,6 +247,19 @@ def test_adapters_build_their_bounds_once(domain):
 def test_alpha_rejects_a_point_of_another_length(domain, n, points):
     with pytest.raises(ValueError, match="^dimension mismatch$"):
         synthesis.DOMAINS[domain](n).alpha(points)
+
+
+@pytest.mark.parametrize("domain", synthesis.DOMAINS)
+@pytest.mark.parametrize("point", [(1,), (1, 5, 9), ()], ids=["short", "long", "empty"])
+def test_contains_rejects_a_point_of_another_length(domain, point):
+    """gamma-membership at n = 2 checks the point's length, on bottom and on
+    nonbottom elements, as ``alpha`` does."""
+    adapter = synthesis.DOMAINS[domain](2)
+    elements = (adapter.bottom(), adapter.top(), adapter.alpha([(1, 5)]), adapter.alpha([(1, 5), (1, 6)]))
+    for a in elements:
+        assert adapter.contains(a, (1, 5)) == (a != adapter.bottom())
+        with pytest.raises(ValueError, match="^dimension mismatch$"):
+            adapter.contains(a, point)
 
 
 @pytest.mark.parametrize("entries", [(F(1, 2), TOP), (1, 2.5), (1, "top")], ids=repr)
@@ -587,15 +599,63 @@ def test_engines_check_each_iterate_before_stepping_it(monkeypatch, const_demo, 
     assert calls == list(result.trace[: len(calls)])
 
 
+def kleene_applications(budget: int) -> int:
+    """The applications of a step that never stabilizes that lattice.kleene
+    makes under ``budget`` before it raises."""
+    calls = 0
+
+    def step(x: int) -> int:
+        nonlocal calls
+        calls += 1
+        return x + 1
+
+    with pytest.raises(IterationBudgetExceeded):
+        for _ in kleene(step, 0, budget):
+            pass
+    return calls
+
+
+@pytest.mark.parametrize(
+    "domain, engine, step",
+    [("const", ainv_forward, "abstract_post_diff"), ("const", backward_gfp, "abstract_pret_diff"),
+     ("affine", ainv_forward, "abstract_post_diff")],
+    ids=["const-forward", "const-backward", "affine-forward"],
+)
+def test_engine_budget_is_height_times_nodes_plus_one(monkeypatch, const_demo, affine_demo, domain, engine, step):
+    """A step whose diff is never empty runs exactly as many times as
+    lattice.kleene applies a step under a budget of height·N + 1."""
+    program = const_demo if domain == "const" else affine_demo
+    problem = AnalysisProblem.build(program, domain)
+    calls = 0
+
+    def endless(problem, x, changed):
+        nonlocal calls
+        calls += 1
+        return {0: problem.adapter.top()}  # a nonempty diff; top passes every check
+
+    monkeypatch.setattr(synthesis, step, endless)
+    with pytest.raises(IterationBudgetExceeded):
+        engine(problem)
+    budget = problem.adapter.height() * len(problem.nodes) + 1
+    assert calls == kleene_applications(budget) == budget + 1
+
+
 # ---------------------------------------------------------------------------
 # Incremental steps against full Jacobi steps
 # ---------------------------------------------------------------------------
 
 
 def full_post_step(problem: AnalysisProblem, v: pg.StateVector) -> pg.StateVector:
-    """The forward step recomputed at every node."""
-    join = problem.adapter.join
-    return v.with_values(map(join, problem.init.values, pure_post_step(problem, v).values))
+    """The forward step recomputed at every node: init ⊔ the edge images.
+
+    It reads the edge triples directly, not the per-node lists the engine
+    reads, and joins at every node, bounds included.
+    """
+    adapter, x = problem.adapter, v.values
+    posts = list(problem.init.values)
+    for src, t, dst in problem.edges:
+        posts[dst] = adapter.join(posts[dst], adapter.transfer(t, x[src]))
+    return v.with_values(posts)
 
 
 def full_pret_step(problem: AnalysisProblem, v: pg.StateVector) -> pg.StateVector:
@@ -645,28 +705,52 @@ def failing_property(program: pg.Program, problem: AnalysisProblem, trace) -> di
     return {program.nodes[j]: pg.parse_init_literal(text, program.n, program.sort)}
 
 
+def explicit_bounds(program: pg.Program, prop: dict[str, pg.InitDecl]) -> tuple[pg.Program, dict[str, pg.InitDecl]]:
+    """The same problem with every bound written out: an ``init q: bot``
+    line, or the empty point set, at each node without an init, and a
+    ``(top,…,top)`` property literal at each node without a property."""
+    inits = dict(program.inits)
+    empty = itertools.cycle((pg.InitPoints(frozenset()), pg.parse_init_literal("bot", program.n, program.sort)))
+    inits.update({q: next(empty) for q in program.nodes if q not in inits})
+    top = pg.parse_init_literal("(" + ",".join(["top"] * program.n) + ")", program.n, program.sort)
+    return replace(program, inits=inits), {q: prop.get(q, top) for q in program.nodes}
+
+
 @pytest.mark.parametrize(
-    "sort, alg", [("int", "forward"), ("int", "backward"), ("rat", "forward")],
-    ids=["const-forward", "const-backward", "affine-forward"],
+    "sort, alg, explicit",
+    [(sort, alg, explicit) for explicit in (False, True)
+     for sort, alg in (("int", "forward"), ("int", "backward"), ("rat", "forward"))],
+    ids=[f"{name}{suffix}" for suffix in ("", "-explicit-bounds")
+         for name in ("const-forward", "const-backward", "affine-forward")],
 )
-def test_incremental_engines_match_full_jacobi_iteration(sort, alg):
+def test_incremental_engines_match_full_jacobi_iteration(sort, alg, explicit):
     """Each engine, with no property and with one that fails, gives the
-    outcome and every iterate of lattice.kleene over the full step."""
+    outcome and every iterate of lattice.kleene over the full step.  With
+    explicit bounds, the initial and safety vectors hold elements equal to
+    the adapter's bottom and top but not the same objects."""
     domain = "const" if sort == "int" else "affine"
     outcomes = collections.Counter()
     incremental = 0  # runs that take a step told the changed nodes
+    copies = 0  # explicit runs with an initial value equal to bottom, not the adapter's object
     for k in range(300):
         prog = random_program(random.Random(f"inc:{k}"), sort, max_vars=3, max_nodes=12)
         free = AnalysisProblem.build(prog, domain)
         least = reference_run(free, "forward")["trace"]
-        for problem in (free, AnalysisProblem.build(prog, domain, failing_property(prog, free, least))):
+        for prop in ({}, failing_property(prog, free, least)):
+            program, prop = explicit_bounds(prog, prop) if explicit else (prog, prop)
+            problem = AnalysisProblem.build(program, domain, prop)
+            if explicit:
+                top = problem.adapter.top()
+                assert any(a == top and a is not top for a in problem.safety.values), k
+                bottom = problem.adapter.bottom()
+                copies += any(a == bottom and a is not bottom for a in problem.init.values)
             result, expected = ALGORITHMS[alg](problem), reference_run(problem, alg)
             got = dict(found=result.found, kind=result.kind, reason=result.reason, trace=list(result.trace))
             assert got == expected, k
             assert result.steps == len(result.trace) - 1 and result.last == result.trace[-1], k
             outcomes[result.reason] += 1
             incremental += len(result.trace) >= 3
-    assert outcomes[None] == 300 and incremental >= 200
+    assert outcomes[None] == 300 and incremental >= 200 and copies >= (400 if explicit else 0)
     if alg == "forward":
         assert outcomes["property-violated"] == 300
     else:
@@ -722,6 +806,34 @@ def test_steps_recompute_only_nodes_reading_a_changed_node(monkeypatch, alg, met
         # a full step per iterate would make N * (steps + 1) calls
         assert N < len(calls) <= N + 2 * result.steps
         assert built <= built_per_step * result.steps
+
+
+@pytest.mark.parametrize("explicit", [False, True], ids=["implicit-bounds", "explicit-bounds"])
+@pytest.mark.parametrize("alg", ["forward", "backward"])
+def test_checks_run_only_where_a_bound_can_fail(monkeypatch, alg, explicit):
+    """On a 40-node ring with a property at q40 and an initial value at q1,
+    forward checks only q40: at the start and at its two changes (reached at
+    step 39, widened at step 79).  Backward checks only q1: at the start and
+    when the property reaches it at step 40, plus the 3·40 of
+    ``verify_invariant`` (init ≤ I, post(I) ≤ I and I ≤ safety per node).
+    Written-out bottom inits and top properties are skipped the same way."""
+    N = 40
+    program, prop = ring_program(N), {f"q{N}": pg.parse_init_literal("(top,top,top,0)", 4, "int")}
+    if explicit:
+        program, prop = explicit_bounds(program, prop)
+    problem = AnalysisProblem.build(program, "const", prop)
+    calls = 0
+    original = synthesis.ConstAdapter.leq
+
+    def counted(self, a, b):
+        nonlocal calls
+        calls += 1
+        return original(self, a, b)
+
+    monkeypatch.setattr(synthesis.ConstAdapter, "leq", counted)
+    result = ALGORITHMS[alg](problem)
+    assert result.found and result.steps == (2 * N - 1 if alg == "forward" else N)
+    assert calls == (1 + 2 if alg == "forward" else 1 + 1 + 3 * N)
 
 
 @pytest.mark.parametrize("alg", ["forward", "backward"])
