@@ -280,9 +280,9 @@ def from_equalities(rows: Iterable[LinExpr], n: int) -> AffSubspace:
 def bca_parallel_assign(t: ParallelAffineAssign, a: AffSubspace) -> AffSubspace:
     """Exact image under x := M x + b (affine maps preserve affine subspaces).
 
-    Only rows other than identity rows are evaluated, on their nonzero
-    coefficients, which the transfer carries times the lcm L of their
-    denominators (``t.scaled``); the whole image is scaled by L."""
+    Only the assigned rows are evaluated, on their nonzero coefficients,
+    which the transfer carries times the lcm L of their denominators
+    (``t.scaled``); the whole image is scaled by L."""
     if a.num is None:
         return a
     big, assigned = t.scaled

@@ -168,7 +168,7 @@ def bca_parallel_assign(t: ParallelAffineAssign, a: ConstVec) -> ConstVec:
 
     Only the rows in ``t.assigned`` are evaluated, on their nonzero
     coefficients: each is its exact constant, or top when it reads a top
-    slot.  An identity row's slot keeps its value."""
+    slot.  An unassigned slot keeps its value."""
     if a.comps is None:
         return a
     old, comps = a.comps, list(a.comps)

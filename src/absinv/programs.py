@@ -26,21 +26,21 @@ unexpected character takes the rest of the text as the last token.  A
 token's kind follows from its first character and is read where the
 grammar asks for it; the line and column of a syntax error are computed
 only when it is raised, by scanning the text again.  Edges of one program
-whose labels have the same tokens share one transfer object, parsed once;
-an assignment's unassigned rows are identity rows shared by every program
-of the same ``vars`` and ``sort``.  :func:`print_program` output parses
-back to a program that prints to the same text.  Programs are immutable
-after parsing and safe to share across threads.
+whose labels have the same tokens share one transfer object, parsed once.
+The parse gives each part the form the engines read: an edge is a (source
+index, transfer, target index) triple, and an assignment holds only its
+assigned rows, as (0-based target, expression) pairs.  :func:`print_program`
+output parses back to a program that prints to the same text.  Programs
+are immutable after parsing and safe to share across threads.
 """
 
 from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import cache
 from math import lcm
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
@@ -109,33 +109,35 @@ class Identity:
 
 @dataclass(frozen=True)
 class ParallelAffineAssign:
-    """x := M x + b; row j is the expression assigned to x_{j+1}.
+    """x := M x + b by its assigned rows: ``(j, e)`` pairs, in target order,
+    that assign e to x_{j+1}; every e reads the old values, and a variable
+    no row assigns keeps its value.  Construction sorts the pairs, drops the
+    self-assignments ``xj := xj`` and rejects a repeated target; ``widths``
+    are the coefficient counts of all rows given, checked against n by
+    :func:`check_transfer_arity`."""
 
-    All rows read the old variable values simultaneously.  Single
-    assignments are represented as a row replacement of the identity.
-    """
+    rows: tuple[tuple[int, LinExpr], ...]
+    widths: frozenset[int] = field(init=False, repr=False, compare=False)
 
-    rows: tuple[LinExpr, ...]
+    def __post_init__(self) -> None:
+        rows = sorted(self.rows, key=operator.itemgetter(0))
+        if len({j for j, _ in rows}) != len(rows):
+            raise ValueError("an assignment target is repeated")
+        object.__setattr__(self, "widths", frozenset([len(r.coeffs) for _, r in rows]))
+        # xj := xj has no constant, a 1 at j >= 0 and zeros elsewhere; the cheap tests come first
+        object.__setattr__(self, "rows", tuple([
+            (j, r) for j, r in rows
+            if r.const or j < 0 or r.coeffs[j : j + 1] != (1,) or r.coeffs.count(0) < len(r.coeffs) - 1
+        ]))
 
     def apply_point(self, v: tuple[Number, ...]) -> tuple[Number, ...]:
-        return tuple(r.eval(v) for r in self.rows)
+        rows = dict(self.rows)
+        return tuple(rows[j].eval(v) if j in rows else x for j, x in enumerate(v))
 
     @memo
     def assigned(self) -> tuple[tuple[int, tuple[tuple[int, Number], ...], Number], ...]:
-        """Rows other than identity rows, as ``(j, ((i, c) for c != 0), const)``, 0-based.
-
-        The parser's shared identity rows (:func:`_identity_rows`) are skipped
-        by identity; any other row is an identity row when its only nonzero
-        coefficient is a 1 at j and its constant is 0."""
-        n, out = len(self.rows), []
-        ints, rats = _identity_rows(n)
-        for j, r in enumerate(self.rows):
-            if r is ints[j] or r is rats[j]:
-                continue
-            terms = tuple([(i, c) for i, c in enumerate(r.coeffs) if c])
-            if terms != ((j, 1),) or r.const or len(r.coeffs) != n:
-                out.append((j, terms, r.const))
-        return tuple(out)
+        """The rows as ``(j, ((i, c) for c != 0), const)``, 0-based."""
+        return tuple((j, tuple([(i, c) for i, c in enumerate(r.coeffs) if c]), r.const) for j, r in self.rows)
 
     @memo
     def by_target(self) -> dict[int, tuple[tuple[tuple[int, Number], ...], Number]]:
@@ -184,19 +186,6 @@ class Guard:
 
 
 TransferFunction = Identity | ParallelAffineAssign | NondetAssign | Guard
-
-
-def identity_row(j: int, n: int, zero: Number, one: Number) -> LinExpr:
-    coeffs = [zero] * n
-    coeffs[j] = one
-    return LinExpr(tuple(coeffs), zero)
-
-
-@cache
-def _identity_rows(n: int) -> tuple[tuple[LinExpr, ...], tuple[LinExpr, ...]]:
-    """The n identity rows of sort int and of sort rat, one shared tuple per
-    ``(n, sort)``; the parser leaves an unassigned variable its row from here."""
-    return tuple(tuple(identity_row(j, n, *_numbers(sort)) for j in range(n)) for sort in ("int", "rat"))
 
 
 # ---------------------------------------------------------------------------
@@ -262,39 +251,31 @@ InitDecl = InitTop | InitBot | InitVector | InitPoints | InitConstraints
 
 
 @dataclass(frozen=True)
-class Edge:
-    src: str
-    transfer: TransferFunction
-    dst: str
-
-
-@dataclass(frozen=True)
 class Program:
     """A CFG program: nodes, variable count, value sort, labeled edges, inits.
 
-    ``inits`` (a mapping or (node, decl) pairs) is stored as pairs in node
-    order, so a program is immutable and hashable.
+    ``edges`` are (source index, transfer, target index) triples over
+    ``nodes``.  ``inits`` (a mapping or (node, decl) pairs) is stored as
+    pairs in node order, so a program is immutable and hashable.
     """
 
     nodes: tuple[str, ...]
     n: int
     sort: str  # "int" | "rat"
-    edges: tuple[Edge, ...]
+    edges: tuple[tuple[int, TransferFunction, int], ...]
     inits: Mapping[str, InitDecl] | tuple[tuple[str, InitDecl], ...]
 
     def __post_init__(self) -> None:
-        known = set(self.nodes)
-        if len(known) != len(self.nodes):
+        known, k = set(self.nodes), len(self.nodes)
+        if len(known) != k:
             raise ValueError("duplicate node names")
         checked: set[int] = set()  # ids of the transfers checked so far; edges may share one
-        for e in self.edges:
-            if e.src not in known:
-                raise ValueError(f"unknown node {e.src!r}")
-            if e.dst not in known:
-                raise ValueError(f"unknown node {e.dst!r}")
-            if id(e.transfer) not in checked:
-                checked.add(id(e.transfer))
-                check_transfer_arity(e.transfer, self.n)
+        for src, t, dst in self.edges:
+            if not (0 <= src < k and 0 <= dst < k):
+                raise ValueError(f"an edge endpoint is not a node index in range({k})")
+            if id(t) not in checked:
+                checked.add(id(t))
+                check_transfer_arity(t, self.n)
         inits = dict(self.inits)
         for q in inits:
             if q not in known:
@@ -311,7 +292,7 @@ class Program:
 
 def check_transfer_arity(t: TransferFunction, n: int) -> None:
     if isinstance(t, ParallelAffineAssign):
-        if len(t.rows) != n or any(len(r.coeffs) != n for r in t.rows):
+        if t.widths - {n} or not all(0 <= j < n for j, _ in t.rows):
             raise ValueError("assignment dimension mismatch")
     elif isinstance(t, NondetAssign):
         if not 1 <= t.target <= n:
@@ -386,18 +367,22 @@ def apply_transfer_concrete(
     raise TypeError(f"unknown transfer function {t!r}")
 
 
+# The engines read ``AnalysisProblem.preds`` and ``succs``; these two keep
+# their names and node-name results because bench/tracing.py wraps them.
 def post_edges_into(program: Program, q: str) -> list[tuple[str, TransferFunction]]:
     """All (source, transfer) pairs of edges with target ``q``."""
     if q not in program.nodes:
         raise ValueError(f"unknown node {q!r}")
-    return [(e.src, e.transfer) for e in program.edges if e.dst == q]
+    nodes, k = program.nodes, program.nodes.index(q)
+    return [(nodes[src], t) for src, t, dst in program.edges if dst == k]
 
 
 def out_edges(program: Program, q: str) -> list[tuple[TransferFunction, str]]:
     """All (transfer, target) pairs of edges with source ``q``."""
     if q not in program.nodes:
         raise ValueError(f"unknown node {q!r}")
-    return [(e.transfer, e.dst) for e in program.edges if e.src == q]
+    nodes, k = program.nodes, program.nodes.index(q)
+    return [(t, nodes[dst]) for src, t, dst in program.edges if src == k]
 
 
 # ---------------------------------------------------------------------------
@@ -608,11 +593,8 @@ def _parse_statements(p: _Parser, n: int, sort: str) -> TransferFunction:
         if sort == "rat" and rel not in ("=", "!="):
             raise p.fail(f"inequality guard {rel!r} is not supported for sort rat")
         return Guard(rows, rel, mode)
-    # one or more assignments, comma separated, applied in parallel; rows
-    # left alone are the shared identity rows, so == compares the assigned rows only
-    ints, rats = _identity_rows(n)
-    ids = rats if sort == "rat" else ints
-    assigned, nondet_targets = list(ids), []  # targets 0-based
+    # one or more assignments, comma separated, applied in parallel
+    assigned: dict[int, LinExpr | None] = {}  # 0-based target -> row; None for xj := ?
     while True:
         if (j := _VARS.get(toks[pos], n)) >= n:
             j = p.variable(n, pos)
@@ -620,26 +602,23 @@ def _parse_statements(p: _Parser, n: int, sort: str) -> TransferFunction:
             p.pos = pos + 1
             raise p.fail("expected ':='")
         pos += 2
-        if assigned[j] is not ids[j] or j in nondet_targets:
+        if j in assigned:
             p.pos = pos
             raise p.fail(f"variable x{j + 1} assigned twice on one edge")
-        if toks[pos] == "?":
-            nondet_targets.append(j)
-            pos += 1
-        else:
-            p.pos = pos
-            assigned[j] = p.linexpr(n, sort)
-            pos = p.pos
+        nondet = toks[pos] == "?"
+        p.pos = pos + nondet
+        assigned[j] = None if nondet else p.linexpr(n, sort)
+        pos = p.pos
         if toks[pos] != ",":
             break
         pos += 1
     p.pos = pos
-    if nondet_targets:
-        if len(nondet_targets) > 1 or any(map(operator.is_not, assigned, ids)):
+    if None in assigned.values():
+        if len(assigned) > 1:
             raise p.fail("xj := ? cannot be combined with other assignments on one edge")
-        return NondetAssign(nondet_targets[0] + 1)
-    rows = tuple(assigned)
-    return Identity() if rows == ids else ParallelAffineAssign(rows)
+        return NondetAssign(j + 1)
+    t = ParallelAffineAssign(tuple(assigned.items()))
+    return t if t.rows else Identity()
 
 
 def _parse_init_literal(p: _Parser, n: int, sort: str) -> InitDecl:
@@ -711,11 +690,10 @@ def parse_program(text: str) -> Program:
     toks = p.toks
     n: int | None = None
     sort: str | None = None
-    nodes: list[str] | None = None
-    known: set[str] = set()
+    nodes: dict[str, int] | None = None  # name -> index, in declaration order
     labels: dict[tuple[str, ...], TransferFunction] = {}
     inits: dict[str, InitDecl] = {}
-    edges: list[Edge] = []
+    edges: list[tuple[int, TransferFunction, int]] = []
     declared: set[str] = set()
     repeated = False  # has a label repeated an earlier one?
 
@@ -730,7 +708,7 @@ def parse_program(text: str) -> Program:
 
     def node() -> str:
         name = toks[p.pos]
-        if name not in known:
+        if name not in nodes:
             raise p.fail(f"unknown node {name!r}" if _IDENT(name) else "expected an identifier")
         p.pos += 1
         return name
@@ -744,14 +722,13 @@ def parse_program(text: str) -> Program:
             declared.add(kw)
         if kw == "edge":
             nn, ss = require_header()
-            pos = p.pos  # the usual `qa -> qb :` is read in one test
-            if toks[pos] in known and toks[pos + 1] == "->" and toks[pos + 2] in known and toks[pos + 3] == ":":
-                src, dst, p.pos = toks[pos], toks[pos + 2], pos + 4
-            else:
-                src = node()
+            pos = p.pos  # a well-formed `qa -> qb :` is read in one test; the steps below raise at a fault
+            if not (toks[pos] in nodes and toks[pos + 1] == "->" and toks[pos + 2] in nodes and toks[pos + 3] == ":"):
+                node()
                 p.expect("->")
-                dst = node()
+                node()
                 p.expect(":")
+            src, dst, p.pos = nodes[toks[pos]], nodes[toks[pos + 2]], pos + 4
             # a label with an earlier one's tokens up to the ';' gets its
             # transfer; until one repeats, labels are keyed after the parse,
             # by the tokens it read (a parse short of the ';' is an error)
@@ -768,7 +745,7 @@ def parse_program(text: str) -> Program:
                 repeated, t = repeated or u is not t, u
             else:
                 p.pos = end
-            edges.append(Edge(src, t, dst))
+            edges.append((src, t, dst))
         elif kw == "vars":
             t = p.take(str.isdecimal, "expected a variable count")
             n = p.integer(t)
@@ -782,13 +759,12 @@ def parse_program(text: str) -> Program:
                 raise p.fail("sort must be 'int' or 'rat'", t)
             sort = toks[t]
         elif kw == "nodes":
-            nodes = []
+            nodes = {}
             while _IDENT(name := toks[p.pos]):
-                if name in known:
+                if name in nodes:
                     raise p.fail(f"duplicate node name {name!r}")
                 p.pos += 1
-                nodes.append(name)
-                known.add(name)
+                nodes[name] = len(nodes)
             if not nodes:
                 raise p.fail("expected at least one node name")
         elif kw == "init":
@@ -833,8 +809,7 @@ def render_transfer(t: TransferFunction) -> str:
     if isinstance(t, NondetAssign):
         return f"x{t.target} := ?"
     if isinstance(t, ParallelAffineAssign):
-        parts = [f"x{j + 1} := {render_linexpr(t.rows[j])}" for j, _, _ in t.assigned]
-        return ", ".join(parts) or "skip"
+        return ", ".join(f"x{j + 1} := {render_linexpr(r)}" for j, r in t.rows) or "skip"
     joiner = " and " if t.mode == "conj" else " or "
     return joiner.join(f"assume {render_linexpr(r)} {t.rel} 0" for r in t.rows)
 
@@ -863,6 +838,7 @@ def print_program(program: Program) -> str:
     for q, decl in program.inits:
         if not isinstance(decl, InitBot):
             lines.append(f"init {q}: {render_init(decl)};")
-    for e in program.edges:
-        lines.append(f"edge {e.src} -> {e.dst} : {render_transfer(e.transfer)};")
+    nodes = program.nodes
+    for src, t, dst in program.edges:
+        lines.append(f"edge {nodes[src]} -> {nodes[dst]} : {render_transfer(t)};")
     return "\n".join(lines) + "\n"

@@ -40,9 +40,10 @@ their base class ``_NumericDomain``.
 
 ``AnalysisProblem`` holds what the steps read: the node names, the edges as
 index triples (source, transfer, target), the adapter, and the initial and
-safety vectors.  ``build`` makes one from a ``Program``; any other graph,
-such as a one-node finite transition system, can be passed directly, and is
-checked: edge endpoints must be node indices, vectors over the nodes.  Per
+safety vectors.  ``build`` makes one from a ``Program``, whose edge triples
+it passes through as the same object; any other graph, such as a one-node
+finite transition system, can be passed directly, and is checked: edge
+endpoints must be node indices, vectors over the nodes.  Per
 node the index lists of its incoming (source index, transfer) and outgoing
 (transfer, target index) edges, and the nodes whose initial value is not
 bottom or whose safety value is not top, are computed once on first use.  Both
@@ -178,7 +179,11 @@ class ConstAdapter(_NumericDomain):
         values; their conjunction, in slot order, applied to the full space
         (exact for single-constant targets): an assigned row's constraint is
         an equality guard, an unassigned slot x_j = c sets or checks slot j.
-        The slots are decided in one list; no constant slot gives ``top``."""
+        The slots are decided in one list; no constant slot gives ``top``.
+        Neither best nor sound when an assigned row reads a constant
+        unassigned slot later in slot order, which it then sees as top:
+        x1 := x1 + x2 at (5,3) gives (top,3), whose post is not below (5,3),
+        and backward's re-verification ends with ``verification-failed``."""
         if target.is_bottom:
             return target
         rows, comps, constant = t.by_target, [TOP] * self.n, False
@@ -340,12 +345,10 @@ class AnalysisProblem:
                 f"domain {domain!r} requires sort {adapter.sort!r}, program has {program.sort!r}"
             )
         nodes = program.nodes
-        index = {q: j for j, q in enumerate(nodes)}
-        edges = tuple((index[e.src], e.transfer, index[e.dst]) for e in program.edges)
         inits, bottom, top = dict(program.inits), adapter.bottom(), adapter.top()
         init = StateVector(nodes, tuple(adapter.from_init(inits[q]) if q in inits else bottom for q in nodes))
         safety = StateVector(nodes, tuple(adapter.from_init(prop[q]) if q in prop else top for q in nodes))
-        return cls(nodes, edges, adapter, init, safety)
+        return cls(nodes, program.edges, adapter, init, safety)
 
     @memo
     def preds(self) -> tuple[tuple[tuple[int, TransferFunction], ...], ...]:

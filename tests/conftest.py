@@ -190,6 +190,19 @@ def random_matrix(rng: random.Random, n: int, seen: set[str]) -> list[list]:
     return rows
 
 
+def identity_row(j: int, n: int, zero, one) -> pg.LinExpr:
+    """The written-out row ``x_{j+1}`` of n coefficients: a self-assignment."""
+    coeffs = [zero] * n
+    coeffs[j] = one
+    return pg.LinExpr(tuple(coeffs), zero)
+
+
+def dense_assign(rows) -> pg.ParallelAffineAssign:
+    """The assignment whose row j is ``rows[j]``, for every j: the dense
+    form, written-out identity rows included."""
+    return pg.ParallelAffineAssign(tuple(enumerate(rows)))
+
+
 def random_assignment(rng: random.Random, n: int, seen: set[str]) -> tuple[pg.LinExpr, ...]:
     """Rows that are written-out identity rows, constants, random sparse rows,
     or a parallel pair over two variables (a swap, or sum and difference)."""
@@ -199,7 +212,7 @@ def random_assignment(rng: random.Random, n: int, seen: set[str]) -> tuple[pg.Li
         seen.add(kind)
         if kind == "identity":
             one = rng.choice((1, Fraction(1)))
-            rows.append(pg.identity_row(j, n, one * 0, one))
+            rows.append(identity_row(j, n, one * 0, one))
         elif kind == "constant":
             rows.append(pg.LinExpr((Fraction(0),) * n, random_entry(rng, seen)))
         else:
@@ -207,7 +220,7 @@ def random_assignment(rng: random.Random, n: int, seen: set[str]) -> tuple[pg.Li
     if n >= 2 and rng.random() < 0.4:
         seen.add("parallel pair")
         j, k = rng.sample(range(n), 2)
-        unit = [pg.identity_row(i, n, Fraction(0), Fraction(1)).coeffs for i in (j, k)]
+        unit = [identity_row(i, n, Fraction(0), Fraction(1)).coeffs for i in (j, k)]
         if rng.random() < 0.5:
             rows[j], rows[k] = pg.LinExpr(unit[1], Fraction(0)), pg.LinExpr(unit[0], Fraction(0))
         else:
@@ -261,13 +274,8 @@ def random_program(rng: random.Random, sort: str, max_vars: int = 5, max_nodes: 
     def rand_transfer() -> pg.TransferFunction:
         kind = rng.random()
         if kind < 0.45:
-            rows = tuple(
-                rand_expr()
-                if rng.random() < 0.5
-                else pg.identity_row(i, n, num(0), num(1))
-                for i in range(n)
-            )
-            return pg.ParallelAffineAssign(rows)
+            # each variable is assigned with probability 1/2
+            return pg.ParallelAffineAssign(tuple((i, rand_expr()) for i in range(n) if rng.random() < 0.5))
         if kind < 0.6:
             return pg.NondetAssign(rng.randint(1, n))
         if kind < 0.7:
@@ -282,7 +290,7 @@ def random_program(rng: random.Random, sort: str, max_vars: int = 5, max_nodes: 
         return pg.Guard(rows, "=", mode)
 
     edges = tuple(
-        pg.Edge(rng.choice(nodes), rand_transfer(), rng.choice(nodes))
+        (rng.choice(range(k)), rand_transfer(), rng.choice(range(k)))
         for _ in range(rng.randint(k - 1, 2 * k))
     )
     inits: dict[str, pg.InitDecl] = {}

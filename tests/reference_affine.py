@@ -255,8 +255,8 @@ def from_equalities(rows: Iterable[LinExpr], n: int) -> AffSubspace:
 def bca_parallel_assign(t: ParallelAffineAssign, a: AffSubspace) -> AffSubspace:
     """Exact image under x := M x + b (affine maps preserve affine subspaces).
 
-    Only rows other than identity rows are evaluated, on their nonzero
-    coefficients, which the transfer derives once (``t.assigned``)."""
+    Only the assigned rows are evaluated, on their nonzero coefficients,
+    which the transfer derives once (``t.assigned``)."""
     if a.is_empty:
         return a
     point, dirs = list(a.point), [list(b) for b in a.basis]

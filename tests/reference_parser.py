@@ -19,9 +19,9 @@ from fractions import Fraction
 from typing import Any, Callable, NamedTuple
 
 from absinv.programs import (
-    MAX_VARS, RELATIONS, TOP, Edge, Guard, Identity, InitBot, InitConstraints, InitDecl,
+    MAX_VARS, RELATIONS, TOP, Guard, Identity, InitBot, InitConstraints, InitDecl,
     InitPoints, InitTop, InitVector, LinExpr, NondetAssign, Number, ParallelAffineAssign, Program,
-    ProgramSyntaxError, TransferFunction, identity_row,
+    ProgramSyntaxError, TransferFunction,
 )
 
 _TOKEN = re.compile(
@@ -233,9 +233,10 @@ def _parse_statements(p: _Parser, n: int, sort: str) -> TransferFunction:
         if len(nondet_targets) > 1 or any(r is not None for r in assigned):
             raise p.fail("xj := ? cannot be combined with other assignments on one edge")
         return NondetAssign(nondet_targets[0])
-    ids = tuple(identity_row(i, n, *_numbers(sort)) for i in range(n))
-    rows = tuple(ident if r is None else r for ident, r in zip(ids, assigned))
-    return Identity() if rows == ids else ParallelAffineAssign(rows)
+    zero, one = _numbers(sort)
+    ids = [LinExpr(tuple(one if i == j else zero for i in range(n)), zero) for j in range(n)]
+    rows = [(j, r) for j, (r, ident) in enumerate(zip(assigned, ids)) if r is not None and r != ident]
+    return ParallelAffineAssign(tuple(rows)) if rows else Identity()
 
 
 def _parse_init_literal(p: _Parser, n: int, sort: str) -> InitDecl:
@@ -308,7 +309,7 @@ def parse_program(text: str) -> Program:
     sort: str | None = None
     nodes: list[str] | None = None
     inits: dict[str, InitDecl] = {}
-    edges: list[Edge] = []
+    edges: list[tuple[int, TransferFunction, int]] = []
     declared: set[str] = set()
 
     def require_header() -> tuple[int, str, list[str]]:
@@ -366,7 +367,7 @@ def parse_program(text: str) -> Program:
             p.expect("sym", "->")
             dst = node(nds)
             p.expect("sym", ":")
-            edges.append(Edge(src.text, _parse_statements(p, nn, ss), dst.text))
+            edges.append((nds.index(src.text), _parse_statements(p, nn, ss), nds.index(dst.text)))
         else:
             raise ProgramSyntaxError(f"unknown declaration {kw.text!r}", kw.line, kw.col)
         p.expect("sym", ";")

@@ -27,7 +27,7 @@ from absinv.synthesis import (
     verify_invariant,
 )
 from conftest import (
-    PROGRAMS_DIR, chain_gi, random_program, rational_view, solve_square_system, three_chain_f,
+    PROGRAMS_DIR, chain_gi, dense_assign, random_program, rational_view, solve_square_system, three_chain_f,
 )
 
 F = Fraction
@@ -259,7 +259,7 @@ def test_criterion_7a_const_assignment_completeness():
             )
             for _ in range(n)
         )
-        t = pg.ParallelAffineAssign(rows)
+        t = dense_assign(rows)
         a = cd.alpha_points(pts, n)
         lhs = cd.alpha_points(pg.apply_transfer_concrete(t, pts), n)
         rhs = cd.bca_parallel_assign(t, a)
@@ -282,7 +282,7 @@ def test_criterion_7a_const_assignment_completeness():
                 errors.append(f"row {i + 1} reads a top slot but is {rhs} at {where}")
 
     x = frozenset({(0, 0), (1, -1)})
-    t = pg.ParallelAffineAssign((pg.LinExpr((1, 1), 0), pg.LinExpr((0, 1), 0)))
+    t = dense_assign((pg.LinExpr((1, 1), 0), pg.LinExpr((0, 1), 0)))
     via_concrete = cd.alpha_points(pg.apply_transfer_concrete(t, x), 2)
     via_abstraction = cd.bca_parallel_assign(t, cd.alpha_points(x, 2))
     if (via_concrete, via_abstraction) != (cd.ConstVec(2, (0, TOP)), cd.ConstVec(2, (TOP, TOP))):
@@ -310,7 +310,7 @@ def test_criterion_7b_affine_assignment_completeness():
             )
             for _ in range(n)
         )
-        t = pg.ParallelAffineAssign(rows)
+        t = dense_assign(rows)
         image = pg.apply_transfer_concrete(t, pts)
         ok = ok and af.hull_points(image, n) == af.bca_parallel_assign(t, af.hull_points(pts, n))
         j = rng.randint(1, n)

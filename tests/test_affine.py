@@ -11,7 +11,9 @@ from absinv import affine as af
 from absinv import programs as pg
 from absinv.synthesis import AffAdapter
 from conftest import (
+    dense_assign,
     frac_point,
+    identity_row,
     random_affine_rows,
     random_assignment,
     random_entry,
@@ -257,22 +259,22 @@ def test_vector_literal_matches_solved_unit_rows():
 
 def test_assign_to_constants_gives_point():
     rows = (expr((0, 0, 0), -2), expr((0, 0, 0), 1), expr((0, 0, 0), 1))
-    out = af.bca_parallel_assign(pg.ParallelAffineAssign(rows), af.AffSubspace.full(3))
+    out = af.bca_parallel_assign(dense_assign(rows), af.AffSubspace.full(3))
     assert out == af.AffSubspace.point_of((-2, 1, 1))
 
 
 def test_parallel_assign_keeps_loop_invariant_line():
     line = line_x1_plus_2x2_x3_is_1()
     rows = (expr((0, -2, 0), -2), expr((0, 1, 1), 0), expr((0, 0, 1), 0))
-    assert af.bca_parallel_assign(pg.ParallelAffineAssign(rows), line) == line
+    assert af.bca_parallel_assign(dense_assign(rows), line) == line
 
 
 def test_identity_assign():
     line = line_x1_plus_2x2_x3_is_1()
     ident = tuple(
-        pg.identity_row(i, 3, F(0), F(1)) for i in range(3)
+        identity_row(i, 3, F(0), F(1)) for i in range(3)
     )
-    assert af.bca_parallel_assign(pg.ParallelAffineAssign(ident), line) == line
+    assert af.bca_parallel_assign(dense_assign(ident), line) == line
 
 
 def test_assignments_pointwise_complete():
@@ -282,7 +284,7 @@ def test_assignments_pointwise_complete():
         n = rng.randint(1, 4)
         pts = random_rat_points(rng, n, rng.randint(0, 6))
         rows = random_affine_rows(rng, n)
-        t = pg.ParallelAffineAssign(rows)
+        t = dense_assign(rows)
         image = pg.apply_transfer_concrete(t, pts)
         assert af.hull_points(image, n) == af.bca_parallel_assign(t, af.hull_points(pts, n))
 
@@ -299,7 +301,7 @@ def test_nondet_assign_matches_join_of_two_constant_images():
 
     def const_assign(j: int, value: int, n: int) -> tuple[pg.LinExpr, ...]:
         return tuple(
-            expr([0] * n, value) if i == j - 1 else pg.identity_row(i, n, F(0), F(1))
+            expr([0] * n, value) if i == j - 1 else identity_row(i, n, F(0), F(1))
             for i in range(n)
         )
 
@@ -309,8 +311,8 @@ def test_nondet_assign_matches_join_of_two_constant_images():
         a = af.hull_points(random_rat_points(rng, n, rng.randint(0, 4)), n)
         j = rng.randint(1, n)
         reference = af.join(
-            af.bca_parallel_assign(pg.ParallelAffineAssign(const_assign(j, 0, n)), a),
-            af.bca_parallel_assign(pg.ParallelAffineAssign(const_assign(j, 1, n)), a),
+            af.bca_parallel_assign(dense_assign(const_assign(j, 0, n)), a),
+            af.bca_parallel_assign(dense_assign(const_assign(j, 1, n)), a),
         )
         assert af.bca_nondet_assign(j, a) == reference
 
@@ -463,7 +465,7 @@ def test_parallel_assign_and_inclusion_match_dense_references():
             num, den = pg.clear_denominators(point)
             a = af.AffSubspace(n, num, [pg.clear_denominators(b)[0] for b in basis], den)
             ref_a = ra.AffSubspace(n, point, tuple(map(tuple, basis)))
-        t = pg.ParallelAffineAssign(random_assignment(rng, n, seen))
+        t = dense_assign(random_assignment(rng, n, seen))
         got, expected = af.bca_parallel_assign(t, a), ra.bca_parallel_assign(t, ref_a)
         assert same_set(got, expected)
         start, image, full = (a, ref_a), (got, expected), (af.AffSubspace.full(n), ra.AffSubspace.full(n))

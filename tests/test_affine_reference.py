@@ -19,7 +19,7 @@ import reference_affine as ra
 from absinv import affine as af
 from absinv import programs as pg
 from absinv.synthesis import AffAdapter, AnalysisProblem, ainv_forward
-from conftest import random_assignment, random_entry, random_matrix, rational_view
+from conftest import dense_assign, random_assignment, random_entry, random_matrix, rational_view
 
 # ---------------------------------------------------------------------------
 # Checks
@@ -144,7 +144,7 @@ def test_every_operation_matches_the_fraction_reference():
 
         e = random_linexpr(rng, n, seen)
         check(af.meet_hyperplane(a, pg.Guard((e,), "=", "conj").cleared[0]), ra.meet_hyperplane(ref_a, e))
-        t = pg.ParallelAffineAssign(random_assignment(rng, n, seen))
+        t = dense_assign(random_assignment(rng, n, seen))
         check(af.bca_parallel_assign(t, a), ra.bca_parallel_assign(t, ref_a))
         j = rng.randint(1, n)
         check(af.bca_nondet_assign(j, a), ra.bca_nondet_assign(j, ref_a))
@@ -274,7 +274,7 @@ def random_rat_program(rng: random.Random, seen: set[str]) -> tuple[pg.Program, 
     def transfer() -> pg.TransferFunction:
         kind = rng.random()
         if kind < 0.45:
-            return pg.ParallelAffineAssign(random_assignment(rng, n, seen))
+            return dense_assign(random_assignment(rng, n, seen))
         if kind < 0.6:
             return pg.NondetAssign(rng.randint(1, n))
         if kind < 0.7:
@@ -283,7 +283,7 @@ def random_rat_program(rng: random.Random, seen: set[str]) -> tuple[pg.Program, 
         return pg.Guard(rows, "!=" if kind < 0.75 else "=", rng.choice(("conj", "disj")))
 
     edges = tuple(
-        pg.Edge(rng.choice(nodes), transfer(), rng.choice(nodes)) for _ in range(rng.randint(k - 1, 2 * k))
+        (rng.choice(range(k)), transfer(), rng.choice(range(k))) for _ in range(rng.randint(k - 1, 2 * k))
     )
     inits = {q: random_literal(rng, n, seen) for q in rng.sample(nodes, rng.randint(1, min(2, k)))}
     return pg.Program(nodes, n, "rat", edges, inits), {nodes[-1]: random_literal(rng, n, seen)}

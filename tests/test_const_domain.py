@@ -19,7 +19,7 @@ from hypothesis import given, strategies as st
 from absinv import const_domain as cd
 from absinv import programs as pg
 from absinv.synthesis import ConstAdapter
-from conftest import gamma_box, random_const_vec, random_label_program, random_linexpr_int
+from conftest import dense_assign, gamma_box, identity_row, random_const_vec, random_label_program, random_linexpr_int
 
 TOP = cd.TOP
 
@@ -214,21 +214,21 @@ def test_alpha_of_boxed_gamma_is_identity():
 
 def test_bca_assign_examples():
     """A single assignment xj := e is the parallel one with identity rows elsewhere."""
-    x1, x2 = (pg.identity_row(i, 2, 0, 1) for i in range(2))
+    x1, x2 = (identity_row(i, 2, 0, 1) for i in range(2))
     e = pg.LinExpr((1, 2), 0)
-    assert cd.bca_parallel_assign(pg.ParallelAffineAssign((e, x2)), vec(0, 2)) == vec(4, 2)
+    assert cd.bca_parallel_assign(dense_assign((e, x2)), vec(0, 2)) == vec(4, 2)
     const2 = pg.LinExpr((0, 0), 2)
-    assert cd.bca_parallel_assign(pg.ParallelAffineAssign((x1, const2)), vec(TOP, TOP)) == vec(TOP, 2)
-    assert cd.bca_parallel_assign(pg.ParallelAffineAssign((e, x2)), cd.ConstVec.bottom(2)) == cd.ConstVec.bottom(2)
+    assert cd.bca_parallel_assign(dense_assign((x1, const2)), vec(TOP, TOP)) == vec(TOP, 2)
+    assert cd.bca_parallel_assign(dense_assign((e, x2)), cd.ConstVec.bottom(2)) == cd.ConstVec.bottom(2)
 
 
 def test_bca_parallel_assign_examples():
     rows = (pg.LinExpr((1, 2), 0), pg.LinExpr((0, 1), -1))
-    assert cd.bca_parallel_assign(pg.ParallelAffineAssign(rows), vec(0, 2)) == vec(4, 1)
+    assert cd.bca_parallel_assign(dense_assign(rows), vec(0, 2)) == vec(4, 1)
     rows2 = (pg.LinExpr((1, -1), 0), pg.LinExpr((0, 1), 1))
-    assert cd.bca_parallel_assign(pg.ParallelAffineAssign(rows2), vec(4, 1)) == vec(3, 2)
+    assert cd.bca_parallel_assign(dense_assign(rows2), vec(4, 1)) == vec(3, 2)
     ident = (pg.LinExpr((1, 0), 0), pg.LinExpr((0, 1), 0))
-    assert cd.bca_parallel_assign(pg.ParallelAffineAssign(ident), vec(TOP, 7)) == vec(TOP, 7)
+    assert cd.bca_parallel_assign(dense_assign(ident), vec(TOP, 7)) == vec(TOP, 7)
 
 
 def test_assignments_sound_on_finite_sets():
@@ -241,7 +241,7 @@ def test_assignments_sound_on_finite_sets():
             for _ in range(rng.randint(0, 6))
         )
         rows = tuple(random_linexpr_int(rng, n) for _ in range(n))
-        t = pg.ParallelAffineAssign(rows)
+        t = dense_assign(rows)
         image = pg.apply_transfer_concrete(t, pts)
         assert cd.leq(
             cd.alpha_points(image, n),
@@ -270,7 +270,7 @@ def test_assignments_complete_for_single_variable_rows():
             if rng.random() < 0.8:
                 coeffs[rng.randrange(n)] = rng.choice([-3, -2, -1, 1, 2, 3])
             rows.append(pg.LinExpr(tuple(coeffs), rng.randint(-3, 3)))
-        t = pg.ParallelAffineAssign(tuple(rows))
+        t = dense_assign(tuple(rows))
         image = pg.apply_transfer_concrete(t, pts)
         assert cd.alpha_points(image, n) == cd.bca_parallel_assign(
             t, cd.alpha_points(pts, n)
@@ -285,9 +285,9 @@ def test_assignments_complete_on_trivial_sets():
             [tuple(rng.randint(-10, 10) for _ in range(n))][: rng.randint(0, 1)]
         )
         rows = tuple(random_linexpr_int(rng, n) for _ in range(n))
-        image = pg.apply_transfer_concrete(pg.ParallelAffineAssign(rows), pts)
+        image = pg.apply_transfer_concrete(dense_assign(rows), pts)
         assert cd.alpha_points(image, n) == cd.bca_parallel_assign(
-            pg.ParallelAffineAssign(rows), cd.alpha_points(pts, n)
+            dense_assign(rows), cd.alpha_points(pts, n)
         )
 
 
@@ -299,7 +299,7 @@ def test_assignment_incompleteness_witness_on_correlated_set():
     first discards the correlation.
     """
     x = frozenset({(0, 0), (1, -1)})
-    t = pg.ParallelAffineAssign((pg.LinExpr((1, 1), 0), pg.LinExpr((0, 1), 0)))
+    t = dense_assign((pg.LinExpr((1, 1), 0), pg.LinExpr((0, 1), 0)))
     through_concrete = cd.alpha_points(pg.apply_transfer_concrete(t, x), 2)
     through_abstraction = cd.bca_parallel_assign(t, cd.alpha_points(x, 2))
     assert through_concrete == vec(0, TOP)
@@ -308,42 +308,46 @@ def test_assignment_incompleteness_witness_on_correlated_set():
     assert through_concrete != through_abstraction
 
 
-def _dense_post(t: pg.ParallelAffineAssign, a: cd.ConstVec) -> cd.ConstVec:
+def _dense_post(rows: tuple[pg.LinExpr, ...], a: cd.ConstVec) -> cd.ConstVec:
     """x := M x + b evaluated row by row, identity rows included."""
     if a.is_bottom:
         return a
-    return cd.ConstVec(a.n, tuple(abstract_value(r, a) for r in t.rows))
+    return cd.ConstVec(a.n, tuple(abstract_value(r, a) for r in rows))
 
 
-def _dense_wp(t: pg.ParallelAffineAssign, target: cd.ConstVec) -> cd.ConstVec:
+def _dense_wp(rows: tuple[pg.LinExpr, ...], target: cd.ConstVec) -> cd.ConstVec:
     """Each constant target slot as an equality guard on its row, identity
     rows included, applied in slot order to the full space."""
     if target.is_bottom:
         return target
-    rows = tuple(pg.LinExpr(r.coeffs, r.const - s) for r, s in zip(t.rows, target.comps) if s is not TOP)
-    return cd.bca_guard(rows, "=", "conj", cd.ConstVec(target.n, (TOP,) * target.n))
+    eqs = tuple(pg.LinExpr(r.coeffs, r.const - s) for r, s in zip(rows, target.comps) if s is not TOP)
+    return cd.bca_guard(eqs, "=", "conj", cd.ConstVec(target.n, (TOP,) * target.n))
 
 
 def test_sparse_assignment_post_and_wp_equal_the_dense_per_row_oracle():
     """The transfer evaluates only the assigned rows and the wp turns an
     unassigned constant slot into a direct slot constraint; both equal the
-    dense per-row evaluation, on parsed assignments (shared identity rows)
-    and on ones built from fresh rows (written-out identity rows)."""
+    dense per-row evaluation, on parsed assignments (identity rows written
+    in for the unassigned slots) and on ones built from every row
+    (written-out identity rows included)."""
     outcomes = {"bot": 0, "top": 0, "other": 0}
     for k in range(300):
         rng = random.Random(f"sparse:{k}")
         program = pg.parse_program(random_label_program(rng, "int"))
         n, dom = program.n, ConstAdapter(program.n)
-        transfers = [e.transfer for e in program.edges if isinstance(e.transfer, pg.ParallelAffineAssign)]
-        transfers.append(pg.ParallelAffineAssign(tuple(
-            pg.identity_row(j, n, 0, 1) if rng.random() < 0.5 else random_linexpr_int(rng, n) for j in range(n)
-        )))
-        for t in transfers:
+        cases = []
+        for _, t, _ in program.edges:
+            if isinstance(t, pg.ParallelAffineAssign):
+                assigned = dict(t.rows)
+                cases.append((t, tuple(assigned.get(j, identity_row(j, n, 0, 1)) for j in range(n))))
+        rows = tuple(identity_row(j, n, 0, 1) if rng.random() < 0.5 else random_linexpr_int(rng, n) for j in range(n))
+        cases.append((dense_assign(rows), rows))
+        for t, rows in cases:
             for _ in range(20):
                 a = random_const_vec(rng, n, -2, 2)
-                assert dom.transfer(t, a) == _dense_post(t, a), (t, a)
+                assert dom.transfer(t, a) == _dense_post(rows, a), (t, a)
                 wp = dom.wp(t, a)
-                assert wp == _dense_wp(t, a), (t, a)
+                assert wp == _dense_wp(rows, a), (t, a)
                 outcomes["bot" if wp.is_bottom else "top" if wp == dom.top() else "other"] += 1
     assert min(outcomes.values()) > 1000, outcomes
 
@@ -524,7 +528,7 @@ def test_transfers_exact_on_singleton_concretizations():
         choice = rng.random()
         if choice < 0.4:
             rows = tuple(random_linexpr_int(rng, n) for _ in range(n))
-            t: pg.TransferFunction = pg.ParallelAffineAssign(rows)
+            t: pg.TransferFunction = dense_assign(rows)
             out = cd.bca_parallel_assign(t, a)
         elif choice < 0.7:
             e = random_linexpr_int(rng, n)

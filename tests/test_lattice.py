@@ -237,7 +237,7 @@ def _memo_owner(cls: type):
         " edge a -> b : x1 := 2/3*x2 + 1; edge b -> a : assume x1 = 1/2 or x2 = 0;"
     )
     if cls is not synthesis.AnalysisProblem and cls is not synthesis.SynthesisResult:
-        return next(e.transfer for e in prog.edges if isinstance(e.transfer, cls))
+        return next(t for _, t, _ in prog.edges if isinstance(t, cls))
     problem = synthesis.AnalysisProblem.build(prog, "affine")
     return problem if cls is synthesis.AnalysisProblem else synthesis.ainv_forward(problem)
 

@@ -13,7 +13,9 @@ import pytest
 import reference_parser as ref
 from absinv import const_domain as cd
 from absinv import programs as pg
-from conftest import random_label_program, random_linexpr_int, random_program
+from conftest import (
+    dense_assign, identity_row, random_assignment, random_label_program, random_linexpr_int, random_program,
+)
 
 
 def test_parse_const_demo_shape(const_demo):
@@ -28,7 +30,7 @@ def test_parse_const_demo_shape(const_demo):
 def test_parse_affine_demo_shape(affine_demo):
     assert affine_demo.n == 3
     assert affine_demo.sort == "rat"
-    kinds = [type(e.transfer).__name__ for e in affine_demo.edges]
+    kinds = [type(t).__name__ for _, t, _ in affine_demo.edges]
     assert kinds == [
         "ParallelAffineAssign",
         "ParallelAffineAssign",
@@ -37,8 +39,8 @@ def test_parse_affine_demo_shape(affine_demo):
         "Identity",
     ]
     # rational coefficients throughout
-    first = affine_demo.edges[0].transfer
-    assert all(isinstance(c, Fraction) for r in first.rows for c in r.coeffs)
+    first = affine_demo.edges[0][1]
+    assert all(isinstance(c, Fraction) for _, r in first.rows for c in r.coeffs)
 
 
 def test_parse_empty_edge_section():
@@ -80,7 +82,7 @@ def test_parse_rejects_inequality_guard_for_rat():
 
 def test_parse_allows_neq_guard_for_rat():
     src = "vars 1; sort rat; nodes a; edge a -> a : assume x1 != 0;"
-    t = pg.parse_program(src).edges[0].transfer
+    t = pg.parse_program(src).edges[0][1]
     assert isinstance(t, pg.Guard) and t.rel == "!="
 
 
@@ -119,7 +121,7 @@ def test_parse_point_set_and_constraint_literals():
 
 def test_parallel_assignment_reads_old_values():
     src = "vars 2; sort int; nodes a; edge a -> a : x1 := x2, x2 := x1;"
-    t = pg.parse_program(src).edges[0].transfer
+    t = pg.parse_program(src).edges[0][1]
     assert pg.apply_transfer_concrete(t, {(1, 9)}) == {(9, 1)}
 
 
@@ -157,9 +159,7 @@ def test_concrete_guard_filters_points():
 def test_concrete_identity_and_assign():
     pts = {(0, 2), (1, 1)}
     assert pg.apply_transfer_concrete(pg.Identity(), pts) == pts
-    assign = pg.ParallelAffineAssign(
-        (pg.LinExpr((1, 2), 0), pg.LinExpr((0, 1), -1))  # x1+2x2, x2-1
-    )
+    assign = dense_assign((pg.LinExpr((1, 2), 0), pg.LinExpr((0, 1), -1)))  # x1+2x2, x2-1
     assert pg.apply_transfer_concrete(assign, {(0, 2)}) == {(4, 1)}
 
 
@@ -265,10 +265,11 @@ def test_print_parse_print_is_print(sort):
 
 
 def test_all_identity_assignment_prints_as_skip():
-    rows = tuple(pg.identity_row(i, 2, 0, 1) for i in range(2))
-    prog = pg.Program(("a",), 2, "int", (pg.Edge("a", pg.ParallelAffineAssign(rows), "a"),), {})
+    t = dense_assign(identity_row(i, 2, 0, 1) for i in range(2))
+    assert t.rows == ()
+    prog = pg.Program(("a",), 2, "int", ((0, t, 0),), {})
     assert pg.print_program(prog).endswith("edge a -> a : skip;\n")
-    assert pg.parse_program(pg.print_program(prog)).edges[0].transfer == pg.Identity()
+    assert pg.parse_program(pg.print_program(prog)).edges[0][1] == pg.Identity()
 
 
 @pytest.mark.parametrize("tail", ["init q1: top;", "edge q1 -> q1 : x1 := 1;"])
@@ -588,21 +589,13 @@ def test_repeated_labels_share_one_transfer():
     edge q1 -> q1 : x2 := ?;  edge q2 -> q2 : x2 := ?;
     edge q1 -> q1 : skip;  edge q2 -> q2 : skip;
     """
-    t = [e.transfer for e in pg.parse_program(text).edges]
+    t = [t for _, t, _ in pg.parse_program(text).edges]
     assert t[0] is t[1] and t[5] is t[6] and t[7] is t[8] and t[9] is t[10]
     assert len({id(x) for x in t}) == len(t) - 4
     # other tokens, the same value: equal, not shared
     assert t[3] == t[0] and t[3] is not t[0]
     # nothing is shared across parses
-    assert pg.parse_program(text).edges[0].transfer is not t[0]
-
-
-def test_unassigned_rows_are_shared_identity_rows():
-    for sort in ("int", "rat"):
-        a, b = (pg.parse_program(f"vars 3; sort {sort}; nodes q; edge q -> q : x2 := {c};") for c in (1, 2))
-        ta, tb = a.edges[0].transfer, b.edges[0].transfer
-        assert ta.rows[0] is tb.rows[0] and ta.rows[2] is tb.rows[2]
-        assert [j for j, _, _ in ta.assigned] == [1]
+    assert pg.parse_program(text).edges[0][1] is not t[0]
 
 
 def test_arity_is_checked_once_per_distinct_transfer(monkeypatch):
@@ -610,28 +603,56 @@ def test_arity_is_checked_once_per_distinct_transfer(monkeypatch):
     original = pg.check_transfer_arity
     monkeypatch.setattr(pg, "check_transfer_arity", lambda t, n: checked.append(t) or original(t, n))
     t, u = pg.NondetAssign(1), pg.NondetAssign(1)
-    pg.Program(("a",), 1, "int", (pg.Edge("a", t, "a"),) * 3 + (pg.Edge("a", u, "a"),), {})
+    pg.Program(("a",), 1, "int", ((0, t, 0),) * 3 + ((0, u, 0),), {})
     assert len(checked) == 2 and checked[0] is t and checked[1] is u
-    bad = pg.ParallelAffineAssign((pg.LinExpr((1,), 0),))
+    # a self-assignment of the wrong length: construction drops the row, not its length
+    bad = pg.ParallelAffineAssign(((0, pg.LinExpr((1,), 0)),))
+    assert bad.rows == ()
     with pytest.raises(ValueError, match="assignment dimension mismatch"):
-        pg.Program(("a",), 2, "int", (pg.Edge("a", bad, "a"),) * 2, {})
+        pg.Program(("a",), 2, "int", ((0, bad, 0),) * 2, {})
 
 
 @pytest.mark.parametrize(
     "edges, inits, message",
     [
-        ((pg.Edge("q9", pg.Identity(), "q1"),), {}, "unknown node 'q9'"),
-        ((pg.Edge("q1", pg.Identity(), "q9"),), {}, "unknown node 'q9'"),
+        (((-1, pg.Identity(), 0),), {}, r"an edge endpoint is not a node index in range\(1\)"),
+        (((0, pg.Identity(), 1),), {}, r"an edge endpoint is not a node index in range\(1\)"),
         ((), {"q9": pg.InitTop()}, "unknown node 'q9'"),
-        ((pg.Edge("q1", pg.NondetAssign(3), "q1"),), {}, "nondet assignment target out of range"),
-        ((pg.Edge("q1", pg.NondetAssign(0), "q1"),), {}, "nondet assignment target out of range"),
-        ((pg.Edge("q1", pg.Guard((pg.LinExpr((1,), 0),), "=", "conj"), "q1"),), {}, "guard dimension mismatch"),
+        (((0, pg.NondetAssign(3), 0),), {}, "nondet assignment target out of range"),
+        (((0, pg.NondetAssign(0), 0),), {}, "nondet assignment target out of range"),
+        (((0, pg.Guard((pg.LinExpr((1,), 0),), "=", "conj"), 0),), {}, "guard dimension mismatch"),
+        # x1 := x1 under the target -2, which would index x1 from the end
+        (((0, pg.ParallelAffineAssign(((-2, pg.LinExpr((1, 0), 0)),)), 0),), {}, "assignment dimension mismatch"),
+        (((0, pg.ParallelAffineAssign(((2, pg.LinExpr((1, 0), 1)),)), 0),), {}, "assignment dimension mismatch"),
     ],
-    ids=["edge-source", "edge-target", "init-node", "nondet-past-n", "nondet-zero", "guard-row"],
+    ids=[
+        "edge-source", "edge-target", "init-node", "nondet-past-n", "nondet-zero", "guard-row",
+        "assign-target-negative", "assign-target-past-n",
+    ],
 )
 def test_a_program_built_in_code_is_checked(edges, inits, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         pg.Program(("q1",), 2, "int", edges, inits)
+
+
+def test_an_assignment_rejects_a_repeated_target():
+    row = pg.LinExpr((1, 0), 1)
+    with pytest.raises(ValueError, match="^an assignment target is repeated$"):
+        pg.ParallelAffineAssign(((1, row), (0, row), (1, pg.LinExpr((0, 1), 0))))
+    # a self-assignment still counts as one
+    with pytest.raises(ValueError, match="^an assignment target is repeated$"):
+        pg.ParallelAffineAssign(((0, pg.LinExpr((1, 0), 0)), (0, row)))
+
+
+def test_program_edges_are_the_index_triples_the_engines_read():
+    from absinv.synthesis import AnalysisProblem
+
+    text = "vars 1; sort int; nodes a b c; edge c -> a : x1 := 1; edge a -> c : skip; edge b -> b : skip;"
+    program = pg.parse_program(text)
+    assert [(src, dst) for src, _, dst in program.edges] == [(2, 0), (0, 2), (1, 1)]
+    assert AnalysisProblem.build(program, "const").edges is program.edges
+    assert pg.post_edges_into(program, "a") == [("c", program.edges[0][1])]
+    assert pg.out_edges(program, "a") == [(pg.Identity(), "c")]
 
 
 @pytest.mark.parametrize(
@@ -665,37 +686,67 @@ def test_programs_with_repeated_labels_match_the_reference_parser():
             text = random_label_program(rng, sort)
             program = pg.parse_program(text)
             by_label = {}
-            for e, line in zip(program.edges, text.split("edge ")[1:]):
+            for (_, t, _), line in zip(program.edges, text.split("edge ")[1:]):
                 key = re.sub(r"#[^\n]*|\s", "", line.split(":", 1)[1])
-                assert by_label.setdefault(key, e.transfer) is e.transfer
+                assert by_label.setdefault(key, t) is t
             shared += len(program.edges) - len(by_label)
             for t in [text, *_mutants(rng, text, 8)]:
                 errors += isinstance(_check_agrees("parse_program", t), tuple)
     assert shared > 500 and errors > 1000
 
 
-def _assigned_oracle(t: pg.ParallelAffineAssign) -> tuple:
-    """The assigned rows by their definition: every row unequal to the identity row."""
-    n = len(t.rows)
+def _assigned_oracle(rows: tuple[pg.LinExpr, ...]) -> tuple:
+    """The assigned rows of the dense ``rows`` by their definition: every
+    row unequal to the identity row."""
+    n = len(rows)
     return tuple(
         (j, tuple((i, c) for i, c in enumerate(r.coeffs) if c != 0), r.const)
-        for j, r in enumerate(t.rows)
-        if r != pg.identity_row(j, n, 0, 1)
+        for j, r in enumerate(rows)
+        if r != identity_row(j, n, 0, 1)
     )
 
 
+def _dense_rows(t: pg.ParallelAffineAssign, n: int, sort: str) -> tuple[pg.LinExpr, ...]:
+    """Row j of ``t`` for every j: the identity row where ``t`` assigns none."""
+    one = Fraction(1) if sort == "rat" else 1
+    rows = dict(t.rows)
+    return tuple(rows.get(j, identity_row(j, n, one * 0, one)) for j in range(n))
+
+
 def test_parsed_assigned_rows_equal_those_of_fresh_rows():
-    """On random programs of both sorts, a parsed assignment's ``assigned``,
-    which skips the shared identity rows by identity, equals that of a copy
-    built from fresh rows, which compares every row, and the definition."""
+    """On random programs of both sorts, a parsed assignment equals the one
+    built from its dense rows, fresh identity rows included, and its
+    ``assigned`` is that of the definition, which compares every row."""
     checked = 0
     for sort in ("int", "rat"):
         for k in range(1200):
             rng = random.Random(f"assigned:{sort}:{k}")
             texts = [random_label_program(rng, sort), pg.print_program(random_program(rng, sort))]
-            for e in (e for text in texts for e in pg.parse_program(text).edges):
-                if isinstance(e.transfer, pg.ParallelAffineAssign):
-                    fresh = pg.ParallelAffineAssign(tuple(pg.LinExpr(r.coeffs, r.const) for r in e.transfer.rows))
-                    assert e.transfer.assigned == fresh.assigned == _assigned_oracle(fresh), e.transfer
-                    checked += 1
+            for program in map(pg.parse_program, texts):
+                for _, t, _ in program.edges:
+                    if isinstance(t, pg.ParallelAffineAssign):
+                        rows = _dense_rows(t, program.n, sort)
+                        fresh = dense_assign(rows)
+                        assert fresh == t and t.assigned == fresh.assigned == _assigned_oracle(rows), t
+                        checked += 1
     assert checked > 10_000
+
+
+def test_dense_rows_and_assigned_rows_agree():
+    """On random dense rows, written-out identity rows included, the
+    assignment built from all of them applies, lists its assigned rows and
+    prints as evaluating and comparing every row does."""
+    seen: set[str] = set()
+    for k in range(400):
+        rng = random.Random(f"dense:{k}")
+        n = rng.randint(1, 5)
+        rows = random_assignment(rng, n, seen)
+        t = dense_assign(rows)
+        for _ in range(3):
+            v = tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n))
+            assert t.apply_point(v) == tuple(r.eval(v) for r in rows)
+        assert t.assigned == _assigned_oracle(rows)
+        changed = [(j, r) for j, r in enumerate(rows) if r != identity_row(j, n, 0, 1)]
+        text = ", ".join(f"x{j + 1} := {pg.render_linexpr(r)}" for j, r in changed)
+        assert pg.render_transfer(t) == (text or "skip")
+    assert {"identity", "constant", "random", "parallel pair"} <= seen

@@ -77,8 +77,8 @@ def named_fault(program: pg.Program, alg: str, result) -> str | None:
     if result.reason != "property-violated":
         return None
     rels = {
-        e.transfer.rel for e in program.edges
-        if isinstance(e.transfer, pg.Guard) and e.transfer.mode == "conj" and len(e.transfer.rows) > 1
+        t.rel for _, t, _ in program.edges
+        if isinstance(t, pg.Guard) and t.mode == "conj" and len(t.rows) > 1
     }
     if "=" in rels:
         return "forward conjunctive multi-row ="
@@ -123,13 +123,21 @@ BACKWARD = {"backward": "backward verification-failed"}
             (0,),
             {"forward": "forward conjunctive multi-row inequality", **BACKWARD},
         ),
+        (
+            # the wp of x1 := x1 + x2 at (5,3) decides slot 1 before it has
+            # set the unassigned slot 2, so it reads x2 as top
+            "vars 2; sort int; nodes q1 q2; init q1: (2,3); edge q1 -> q2 : x1 := x1 + x2;",
+            (5, 3),
+            BACKWARD,
+        ),
     ],
-    ids=["backward-chain", "backward-swap", "forward-eq-pair", "forward-le-pair"],
+    ids=["backward-chain", "backward-swap", "forward-eq-pair", "forward-le-pair", "backward-slot-order"],
 )
 def test_known_faults_where_an_invariant_exists(text, prop, faults):
     """Programs where the oracle finds an invariant and an engine, by a named
     fault, does not (rows 1-4 of the ROADMAP's table of unsound no-invariant
-    verdicts); mending a fault removes its entries from ``faults``."""
+    verdicts, and the constant assignment wp's slot order); mending a fault
+    removes its entries from ``faults``."""
     program = pg.parse_program(text)
     base = AnalysisProblem.build(program, "const")
     p = cd.ConstVec(program.n, prop)

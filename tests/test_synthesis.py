@@ -305,7 +305,7 @@ def test_affine_rejects_an_inequality_guard_built_in_code():
     """The parser rejects ``<`` in a ``sort rat`` program; a program built in
     code can carry one, and the affine post of it is a hole."""
     guard = pg.Guard((pg.LinExpr((F(1),), F(0)),), "<", "conj")
-    program = pg.Program(("q1", "q2"), 1, "rat", (pg.Edge("q1", guard, "q2"),), {"q1": pg.InitTop()})
+    program = pg.Program(("q1", "q2"), 1, "rat", ((0, guard, 1),), {"q1": pg.InitTop()})
     with pytest.raises(UnsupportedDomain, match="^guard relation '<' has no affine approximation$"):
         ainv_forward(AnalysisProblem.build(program, "affine"))
 
@@ -366,7 +366,7 @@ def kind_samples(sort: str) -> list:
         " edge q1 -> q1 : x2 := ?; edge q1 -> q1 : assume x1 = 1 and x2 = 0;"
     )
     literals = [pg.parse_init_literal(x, 2, sort) for x in ("top", "bot", "(1, top)", "{(1, 2); (3, 2)}")]
-    return [e.transfer for e in program.edges] + literals + [pg.InitConstraints((pg.LinExpr((1, 0), -1),))]
+    return [t for _, t, _ in program.edges] + literals + [pg.InitConstraints((pg.LinExpr((1, 0), -1),))]
 
 
 @pytest.mark.parametrize("domain", synthesis.DOMAINS)
@@ -500,9 +500,10 @@ def reached_states(program: pg.Program, problem: AnalysisProblem, rounds: int = 
     frontier = {q: set(points) for q, points in reached.items()}
     for _ in range(rounds):
         new = {q: set() for q in program.nodes}
-        for e in program.edges:
-            image = pg.apply_transfer_concrete(e.transfer, frontier[e.src], map(num, WITNESSES))
-            new[e.dst] |= image - reached[e.dst]
+        for src, t, dst in program.edges:
+            src, dst = program.nodes[src], program.nodes[dst]
+            image = pg.apply_transfer_concrete(t, frontier[src], map(num, WITNESSES))
+            new[dst] |= image - reached[dst]
         for q in program.nodes:
             reached[q] |= new[q]
         frontier = new
@@ -553,8 +554,7 @@ def test_const_wp_bounds_the_abstract_right_adjoint():
         rng = random.Random(f"wp:{k}")
         prog = random_program(rng, "int", max_vars=3, max_nodes=4)
         adapter = synthesis.ConstAdapter(prog.n)
-        for edge in prog.edges:
-            t = edge.transfer
+        for _, t, _ in prog.edges:
             for _ in range(50):
                 a, b = (random_const_vec(rng, prog.n, -2, 2) for _ in range(2))
                 if rng.random() < 0.5:
