@@ -1,8 +1,15 @@
 """Command-line front end: program analysis and the finite oracle suites.
 
+The options are declared once, in ``_COMMANDS``.  ``_read_argv`` reads, in
+one pass, an argv that is the command, then exact long flags, each but
+``--trace`` followed by a value that does not start with ``-``.  argparse,
+built from the same table, reads every other argv (help, abbreviations,
+``--flag=value``, usage errors), so its output and exit codes are its own.
+
 Exit codes: 0 — invariant found / zero oracle failures; 1 — no-invariant
-verdict / oracle failures; 2 — usage, parse or validation errors, or standard
-output closed before all output was written (as by ``| head``).  Output is
+verdict / oracle failures; 2 — usage, parse or validation errors, a result
+that standard output cannot encode, or a standard output that fails (full,
+or closed before all output was written, as by ``| head``).  Output is
 deterministic: identical inputs produce byte-identical output.
 """
 
@@ -27,6 +34,34 @@ from .synthesis import (
 )
 
 
+_FORMAT = {"choices": ["text", "json"], "default": "text"}
+
+# Each command's help and options, the options as ``add_argument`` keyword
+# arguments by flag.  ``_build_parser`` and ``_read_argv`` both read this table.
+_COMMANDS = {
+    "analyze": ("run invariant synthesis on a program file", {
+        "--program": {"required": True, "help": "path to a program file"},
+        "--domain": {"required": True, "choices": list(DOMAINS)},
+        "--alg": {"required": True, "choices": list(ALGORITHMS)},
+        "--prop": {
+            "action": "append",
+            "default": [],
+            "metavar": "'qk: <literal>'",
+            "help": "safety property at a node (same literal syntax as init; repeatable; "
+            "unspecified nodes default to top)",
+        },
+        "--trace": {"action": "store_true", "default": False, "help": "print every iterate"},
+        "--format": _FORMAT,
+    }),
+    "oracle": ("run exhaustive finite-instance checker suites", {
+        "--suite": {"required": True, "choices": sorted(SUITES) + ["all"]},
+        "--seed": {"type": int, "default": 0},
+        "--trials": {"type": int, "default": 100},
+        "--format": _FORMAT,
+    }),
+}
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -34,28 +69,51 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Synthesize abstract inductive invariants for CFG programs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    analyze = sub.add_parser("analyze", help="run invariant synthesis on a program file")
-    analyze.add_argument("--program", required=True, help="path to a program file")
-    analyze.add_argument("--domain", required=True, choices=list(DOMAINS))
-    analyze.add_argument("--alg", required=True, choices=list(ALGORITHMS))
-    analyze.add_argument(
-        "--prop",
-        action="append",
-        default=[],
-        metavar="'qk: <literal>'",
-        help="safety property at a node (same literal syntax as init; repeatable; "
-        "unspecified nodes default to top)",
-    )
-    analyze.add_argument("--trace", action="store_true", help="print every iterate")
-    analyze.add_argument("--format", choices=["text", "json"], default="text")
-
-    oracle = sub.add_parser("oracle", help="run exhaustive finite-instance checker suites")
-    oracle.add_argument("--suite", required=True, choices=sorted(SUITES) + ["all"])
-    oracle.add_argument("--seed", type=int, default=0)
-    oracle.add_argument("--trials", type=int, default=100)
-    oracle.add_argument("--format", choices=["text", "json"], default="text")
+    for command, (text, options) in _COMMANDS.items():
+        command_parser = sub.add_parser(command, help=text)
+        for flag, kwargs in options.items():
+            command_parser.add_argument(flag, **kwargs)
     return parser
+
+
+def _read_argv(argv: list[str]) -> argparse.Namespace | None:
+    """What ``_build_parser().parse_args(argv)`` returns, read in one pass.
+
+    Takes only the command, then exact flags of its ``_COMMANDS`` row, each
+    but a ``store_true`` one followed by a value that does not start with
+    ``-``; ``None`` for anything else, or for a value argparse would reject.
+    """
+    options = _COMMANDS[argv[0]][1] if argv and argv[0] in _COMMANDS else None
+    if options is None:
+        return None
+    args = {"command": argv[0]}
+    for flag, kwargs in options.items():  # argparse's defaults, in its order
+        args[flag[2:]] = list(kwargs["default"]) if kwargs.get("action") == "append" else kwargs.get("default")
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        kwargs = options.get(flag)
+        if kwargs is None:
+            return None
+        if kwargs.get("action") == "store_true":
+            args[flag[2:]] = True
+            continue
+        value = next(tokens, "-")
+        if value[:1] == "-":
+            return None
+        try:
+            value = kwargs.get("type", str)(value)
+        except ValueError:
+            return None
+        if value not in kwargs.get("choices", (value,)):
+            return None
+        if kwargs.get("action") == "append":
+            args[flag[2:]].append(value)
+        else:
+            args[flag[2:]] = value
+    # a value read from argv is never None, so None marks a required flag not given
+    if any(kwargs.get("required") and args[flag[2:]] is None for flag, kwargs in options.items()):
+        return None
+    return argparse.Namespace(**args)
 
 
 def _fail(msg: str) -> int:
@@ -93,15 +151,16 @@ def _run_analyze(args: argparse.Namespace) -> int:
     except ValueError as exc:
         return _fail(str(exc))
 
-    # render everything before printing, so a failed rendering prints nothing
+    # render everything before printing, and print encodes all of it before
+    # writing any, so a failure here (an integer too long to convert to text,
+    # a character stdout cannot encode) prints nothing
     render = _json_output if args.format == "json" else _text_output
     try:
         rows = _rendered_trace(problem.adapter, result) if args.trace else []
         last = rows[-1] if rows else render_state_vector(problem.adapter, result.last)
-        output = render(args, result, rows, last)
-    except ValueError as exc:  # e.g. an integer too long to convert to text
+        print(render(args, result, rows, last))
+    except ValueError as exc:
         return _fail(f"cannot print the result: {exc}")
-    print(output)
     return 0 if result.found else 1
 
 
@@ -169,16 +228,19 @@ def _run_oracle(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _read_argv(argv)
+    if args is None:  # help, usage errors and the rarer forms: argparse's own
+        args = _build_parser().parse_args(argv)
     try:
         code = _run_analyze(args) if args.command == "analyze" else _run_oracle(args)
         sys.stdout.flush()
-    except BrokenPipeError:
-        # stdout was closed early: send what is still buffered to devnull, so
-        # that the flush at interpreter exit does not fail again
+    except OSError as exc:
+        # stdout was closed early (as by ``| head``) or failed: send what is
+        # still buffered to devnull, so that the flush at interpreter exit
+        # does not fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 2
+        return 2 if isinstance(exc, BrokenPipeError) else _fail(f"cannot write the output: {exc}")
     return code
 
 

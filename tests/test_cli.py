@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -15,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from absinv import finite, synthesis
+from absinv import cli, finite, synthesis
 from absinv.cli import main
 from absinv.programs import parse_program
 from conftest import PROGRAMS_DIR
@@ -143,19 +145,88 @@ def test_trace_renders_each_element_once(monkeypatch, capsys, fmt):
     assert len(calls) == N + sum(map(len, result.diffs)) < N * (result.steps + 1)
 
 
-def test_parser_reuse_keeps_no_state_between_calls(capsys):
-    """The parser is built once; ``--prop`` values must not carry over to the next call."""
+def _cli_env(**extra) -> dict[str, str]:
+    """The environment of a ``python -m absinv.cli`` run on this checkout's ``src``."""
+    src = str(PROGRAMS_DIR.parent / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))), **extra}
+
+
+def test_parser_reuse_keeps_no_state_between_calls(monkeypatch, capsys):
+    """The parser is built once; ``--prop`` values must not carry over to the
+    next call, each call gets a list of its own, and no call mutates the
+    default list that the option table and the parser share."""
+    seen = []
+    run_analyze = cli._run_analyze
+    monkeypatch.setattr(cli, "_run_analyze", lambda args: seen.append(args) or run_analyze(args))
+    default = cli._COMMANDS["analyze"][1]["--prop"]["default"]
+    parser_default = cli._build_parser().parse_args(["analyze", "--program", "p", "--domain", "const", "--alg", "forward"]).prop
+    assert parser_default is default == []
     base = ["analyze", "--program", CONST, "--domain", "const", "--alg", "forward", "--trace"]
     code, out, _ = run(base + ["--prop", "q2: (0,top)", "--prop", "q3: (top,1)"], capsys)
     assert code == 1 and "no abstract inductive invariant" in out
+    assert run(base + ["--prop=q2: (top,2)"], capsys)[0] == 0  # argparse reads the = form
     code, out, err = run(base, capsys)
-    src = str(PROGRAMS_DIR.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    fresh = subprocess.run(
-        [sys.executable, "-m", "absinv.cli", *base], capture_output=True, text=True, env=env
-    )
+    run(base, capsys)
+    assert [args.prop for args in seen] == [["q2: (0,top)", "q3: (top,1)"], ["q2: (top,2)"], [], []]
+    assert len({id(args.prop) for args in seen}) == len(seen) and all(args.prop is not default for args in seen)
+    assert default == [] and cli._build_parser().parse_args(base[:-1]).prop == []
+    fresh = subprocess.run([sys.executable, "-m", "absinv.cli", *base], capture_output=True, text=True, env=_cli_env())
     assert code == fresh.returncode == 0
     assert (out, err) == (fresh.stdout, fresh.stderr)
+
+
+def test_main_without_argv_reads_sys_argv_in_one_pass(monkeypatch, capsys):
+    """``main()`` reads ``sys.argv[1:]``, and a well-formed one never builds
+    the argparse parser."""
+    argv = ["analyze", "--program", CONST, "--domain", "const", "--alg", "forward", "--prop", "q2: (top,2)"]
+    expected = run(argv, capsys)
+    monkeypatch.setattr(sys, "argv", ["absinv", *argv])
+    monkeypatch.setattr(cli, "_build_parser", lambda: pytest.fail("argparse read a well-formed argv"))
+    assert run(None, capsys) == expected and expected[0] == 0
+
+
+def test_text_result_stdout_cannot_encode_exits_two(tmp_path):
+    """A result with a character standard output cannot encode is an error,
+    and nothing is printed; JSON output escapes it."""
+    path = tmp_path / "accent.prog"
+    path.write_text("vars 1; sort int; nodes qé q2; init qé: (0); edge qé -> q2 : skip;", encoding="utf-8")
+    argv = [sys.executable, "-m", "absinv.cli", "analyze", "--domain", "const", "--alg", "forward", "--program", str(path)]
+    env = _cli_env(PYTHONIOENCODING="ascii")
+    for trace in ([], ["--trace"]):
+        text = subprocess.run(argv + trace, capture_output=True, env=env)
+        assert (text.returncode, text.stdout) == (2, b"")
+        assert text.stderr.startswith(b"error: cannot print the result: 'ascii' codec can't encode")
+        assert b"Traceback" not in text.stderr
+    doc = subprocess.run(argv + ["--format", "json"], capture_output=True, env=env)
+    assert (doc.returncode, doc.stderr) == (0, b"")
+    assert json.loads(doc.stdout)["invariant"] == {"qé": "(0)", "q2": "(0)"}
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["analyze", "--program", CONST, "--domain", "const", "--alg", "forward"],
+        ["analyze", "--program", AFFINE, "--domain", "affine", "--alg", "forward", "--trace", "--format", "json"],
+        ["oracle", "--suite", "lemma1", "--trials", "2"],
+    ],
+    ids=["analyze-short", "analyze-trace-json", "oracle"],
+)
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_full_stdout_exits_two_with_an_error_line(args, unbuffered):
+    """A standard output that fails other than by a closed pipe is an error
+    too: exit 2, one ``error:`` line and no traceback, not a verdict."""
+    env = _cli_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "absinv.cli", *args], stdout=full, stderr=subprocess.PIPE, text=True, env=env
+        )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: cannot write the output: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize(
@@ -174,8 +245,7 @@ def test_closed_stdout_exits_two_without_a_traceback(args, unbuffered):
     """Standard output whose reader is gone (``| head``) is an error, not a verdict.
 
     Buffered, a short output fails only when it is flushed; unbuffered, in ``print``."""
-    src = str(PROGRAMS_DIR.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    env = _cli_env()
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
@@ -434,6 +504,126 @@ def test_result_too_long_to_print_exits_two(tmp_path, capsys, sort, domain, flag
     code, out, err = run(argv, capsys)
     assert code == 2 and out == ""
     assert err.startswith("error: cannot print the result: ") and "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# The one-pass argv reader against argparse
+# ---------------------------------------------------------------------------
+
+_GOOD = {  # valid values by flag; the first three flags of analyze and the first of oracle are required
+    "analyze": {
+        "--program": ["p.prog", "dir/a b.prog", "é.prog", "+1", " "],
+        "--domain": ["const", "affine"],
+        "--alg": ["forward", "backward"],
+        "--prop": ["q2: (top,2)", "q1: top", "", "q3: x1 = -1"],
+        "--format": ["text", "json"],
+    },
+    "oracle": {
+        "--suite": ["all", "lemma1", "algorithms"],
+        "--seed": ["0", "7", "123", "+5", " 7", "1_000", "٣", "007"],
+        "--trials": ["5", "100", "+0"],
+        "--format": ["text", "json"],
+    },
+}
+_REQUIRED = {"analyze": 3, "oracle": 1}
+_FLAGS = sorted({flag for flags in _GOOD.values() for flag in flags} | {"--trace"})
+_NOISE = [
+    *_FLAGS, *(v for flags in _GOOD.values() for values in flags.values() for v in values),
+    "--prog", "--dom", "--al", "--pr", "--tr", "--form", "--f", "--su", "--se", "--tri", "--t", "--h",
+    "--program=p.prog", "--domain=const", "--seed=3", "--format=json", "--prop=q1: top", "--trace=1",
+    "-h", "--help", "--", "-", "-3", "-x", "--x", "-1e3", "",
+    "constant", "Forward", "JSON", "lemma", "7.0", "0x10", "1e3", "٣٣", "9" * 4301, "²",
+    "extra", "analyze", "oracle", "--PROGRAM",
+]
+
+
+def _well_formed_argv(rng: random.Random) -> list[str]:
+    command = rng.choice(sorted(_GOOD))
+    flags = list(_GOOD[command])
+    chosen = flags[: _REQUIRED[command]] + rng.choices(flags, k=rng.randint(0, 4))
+    rng.shuffle(chosen)
+    argv = [command]
+    for flag in chosen:
+        argv += [flag, rng.choice(_GOOD[command][flag])]
+        if command == "analyze" and rng.random() < 0.3:
+            argv.append("--trace")
+    return argv
+
+
+def _mutated_argv(rng: random.Random) -> list[str]:
+    argv = _well_formed_argv(rng)
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randint(0, len(argv))
+        op = rng.choice(["insert", "delete", "replace"])
+        if op == "insert":
+            argv.insert(i, rng.choice(_NOISE))
+        elif argv:
+            if op == "delete":
+                del argv[min(i, len(argv) - 1)]
+            else:
+                argv[min(i, len(argv) - 1)] = rng.choice(_NOISE)
+    return argv
+
+
+def _rewritten_argv(rng: random.Random) -> list[str]:
+    """A well-formed argv with one flag abbreviated, or joined to its value by ``=``."""
+    argv = _well_formed_argv(rng)
+    i = rng.choice([i for i, token in enumerate(argv) if token in _FLAGS and token != "--trace"])
+    if rng.random() < 0.5:
+        argv[i : i + 2] = [f"{argv[i]}={argv[i + 1]}"]
+    else:
+        argv[i] = argv[i][: rng.randint(3, len(argv[i]) - 1)]
+    return argv
+
+
+def _captured(call):
+    """(result or exit code, stdout, stderr) of ``call()``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = call()
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+_FIXED_ARGVS = [
+    ["oracle", "--suite", "all", "--seed", value] for value in ("+5", " 7", "1_000", "٣", "-3", "", "7.0", "9" * 4301)
+] + [
+    [], ["-h"], ["analyze", "-h"], ["oracle", "--help"], ["analyze"], ["oracle", "--suite", "all", "--"],
+    ["analyze", "--program", "p", "--domain", "const", "--alg", "forward", "--prop", "-q2: top"],
+    ["analyze", "--program", "p", "--domain", "const", "--alg", "forward", "--prop"],
+    ["analyze", "--program", "p", "--domain", "const", "--alg", "forward", "--suite", "all"],
+    ["oracle", "--suite", "all", "--trace"],
+    ["analyze", "--program", "p", "--domain", "const", "--alg", "forward", "stray"],
+]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_one_pass_reader_agrees_with_argparse(monkeypatch, seed):
+    """On every argv the reader's Namespace is argparse's, and wherever
+    argparse exits (help or a usage error) the reader declines, so that
+    ``main`` prints, writes to stderr and exits exactly as bare argparse."""
+    monkeypatch.setenv("COLUMNS", "80")
+    rng = random.Random(f"argv:{seed}")
+    argvs = (_FIXED_ARGVS if seed == 0 else []) + [_well_formed_argv(rng) for _ in range(300)]
+    argvs += [_rewritten_argv(rng) for _ in range(200)] + [_mutated_argv(rng) for _ in range(700)]
+    parser = cli._build_parser()
+    counts = {"read": 0, "declined": 0, "exit": 0, "help": 0}
+    for argv in argvs:
+        read = cli._read_argv(argv)
+        expected = _captured(lambda: parser.parse_args(argv))
+        if isinstance(expected[0], argparse.Namespace):
+            counts["declined" if read is None else "read"] += 1
+            if read is not None:
+                typed = lambda ns: [(k, type(v), v) for k, v in vars(ns).items()]
+                assert typed(read) == typed(expected[0]), argv
+                assert expected[1:] == ("", "")
+        else:
+            assert read is None, argv
+            counts["help" if expected[0] == 0 else "exit"] += 1
+            assert _captured(lambda: main(argv)) == expected, argv
+    assert counts["read"] >= 300 and counts["declined"] >= 100 and counts["exit"] >= 300 and counts["help"] >= 10, counts
 
 
 # ---------------------------------------------------------------------------
