@@ -4,13 +4,14 @@ The options are declared once, in ``_COMMANDS``.  ``_read_argv`` reads, in
 one pass, an argv that is the command, then exact long flags, each but
 ``--trace`` followed by a value that does not start with ``-``.  argparse,
 built from the same table, reads every other argv (help, abbreviations,
-``--flag=value``, usage errors), so its output and exit codes are its own.
+``--flag=value``, usage errors), so its output and exit codes are its own,
+but for help to a failing standard output, which exits 2 as below.
 
 Exit codes: 0 — invariant found / zero oracle failures; 1 — no-invariant
 verdict / oracle failures; 2 — usage, parse or validation errors, a result
 that standard output cannot encode, or a standard output that fails (full,
-or closed before all output was written, as by ``| head``).  Output is
-deterministic: identical inputs produce byte-identical output.
+or closed before all output was written, as by ``| head``), help included.
+Output is deterministic: identical inputs produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -62,9 +63,20 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, except that help is flushed before its exit, and a failing
+    write raises, as on every other write to stdout; argparse's own print
+    drops the error."""
+
+    def print_help(self, file=None) -> None:
+        file = file or sys.stdout
+        file.write(self.format_help())
+        file.flush()
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="absinv",
         description="Synthesize abstract inductive invariants for CFG programs.",
     )
@@ -230,9 +242,9 @@ def _run_oracle(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _read_argv(argv)
-    if args is None:  # help, usage errors and the rarer forms: argparse's own
-        args = _build_parser().parse_args(argv)
     try:
+        if args is None:  # help, usage errors and the rarer forms: argparse's own
+            args = _build_parser().parse_args(argv)
         code = _run_analyze(args) if args.command == "analyze" else _run_oracle(args)
         sys.stdout.flush()
     except OSError as exc:

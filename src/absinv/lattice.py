@@ -79,10 +79,6 @@ class AbstractDomain(ABC):
     def top(self) -> Any:
         """Greatest element."""
 
-    def height(self) -> int | None:
-        """Length (in edges) of the longest strict chain, when known."""
-        return None
-
 
 def kleene(
     f: Callable[[Any], Any],

@@ -43,10 +43,11 @@ index triples (source, transfer, target), the adapter, and the initial and
 safety vectors.  ``build`` makes one from a ``Program``, whose edge triples
 it passes through as the same object; any other graph, such as a one-node
 finite transition system, can be passed directly, and is checked: edge
-endpoints must be node indices, vectors over the nodes.  Per
-node the index lists of its incoming (source index, transfer) and outgoing
-(transfer, target index) edges, and the nodes whose initial value is not
-bottom or whose safety value is not top, are computed once on first use.  Both
+endpoints must be node indices, vectors over the nodes.  The pass over the
+edges that checks their endpoints also lists, per node, its incoming (source
+index, transfer) and outgoing (transfer, target index) edges; the nodes whose
+initial value is not bottom or whose safety value is not top are mapped right
+after.  All four are set at construction.  Both
 engines, by name in ``ALGORITHMS``, step their chain of diffs through
 ``lattice.kleene``; ``StateVector`` is met only at the boundary: the
 problem's vectors, the result, and ``abstract_post_step`` and
@@ -55,7 +56,7 @@ problem's vectors, the result, and ``abstract_post_step`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Sequence
 
@@ -308,7 +309,7 @@ class AnalysisProblem:
     ``transfer`` and ``wp``, so any domain object with those methods and
     transfers it understands makes a problem.  The edge lists ``preds`` and
     ``succs`` and the maps ``nonbottom_init`` and ``nontop_safety`` are built
-    on first use.
+    at construction, in the pass that checks the problem.
     """
 
     nodes: tuple[str, ...]
@@ -316,15 +317,33 @@ class AnalysisProblem:
     adapter: Adapter
     init: StateVector  # alpha of the declared initial states
     safety: StateVector
+    # per node j, the (source index, transfer) pairs of the edges into j
+    preds: tuple[tuple[tuple[int, TransferFunction], ...], ...] = field(init=False, repr=False, compare=False)
+    # per node j, the (transfer, target index) pairs of the edges out of j
+    succs: tuple[tuple[tuple[TransferFunction, int], ...], ...] = field(init=False, repr=False, compare=False)
+    # node index -> initial value, where it is not bottom (read only)
+    nonbottom_init: dict[int, Any] = field(init=False, repr=False, compare=False)
+    # node index -> safety value, where it is not top (read only)
+    nontop_safety: dict[int, Any] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.nodes)
         if len(set(self.nodes)) != n:
             raise ValueError("duplicate node names")
-        if not all(0 <= src < n and 0 <= dst < n for src, _, dst in self.edges):
-            raise ValueError(f"an edge endpoint is not a node index in range({n})")
+        into: list[list[tuple[int, TransferFunction]]] = [[] for _ in self.nodes]
+        out: list[list[tuple[TransferFunction, int]]] = [[] for _ in self.nodes]
+        for src, t, dst in self.edges:
+            if not (0 <= src < n and 0 <= dst < n):
+                raise ValueError(f"an edge endpoint is not a node index in range({n})")
+            into[dst].append((src, t))
+            out[src].append((t, dst))
         if not self.init.nodes == self.safety.nodes == self.nodes:
             raise ValueError("init and safety must be vectors over the problem's nodes")
+        bottom, top = self.adapter.bottom(), self.adapter.top()
+        object.__setattr__(self, "preds", tuple(map(tuple, into)))
+        object.__setattr__(self, "succs", tuple(map(tuple, out)))
+        object.__setattr__(self, "nonbottom_init", {j: a for j, a in enumerate(self.init.values) if a != bottom})
+        object.__setattr__(self, "nontop_safety", {j: a for j, a in enumerate(self.safety.values) if a != top})
 
     @classmethod
     def build(
@@ -349,34 +368,6 @@ class AnalysisProblem:
         init = StateVector(nodes, tuple(adapter.from_init(inits[q]) if q in inits else bottom for q in nodes))
         safety = StateVector(nodes, tuple(adapter.from_init(prop[q]) if q in prop else top for q in nodes))
         return cls(nodes, program.edges, adapter, init, safety)
-
-    @memo
-    def preds(self) -> tuple[tuple[tuple[int, TransferFunction], ...], ...]:
-        """Per node j, the (source index, transfer) pairs of the edges into j."""
-        into: list[list[tuple[int, TransferFunction]]] = [[] for _ in self.nodes]
-        for src, t, dst in self.edges:
-            into[dst].append((src, t))
-        return tuple(map(tuple, into))
-
-    @memo
-    def succs(self) -> tuple[tuple[tuple[TransferFunction, int], ...], ...]:
-        """Per node j, the (transfer, target index) pairs of the edges out of j."""
-        out: list[list[tuple[TransferFunction, int]]] = [[] for _ in self.nodes]
-        for src, t, dst in self.edges:
-            out[src].append((t, dst))
-        return tuple(map(tuple, out))
-
-    @memo
-    def nonbottom_init(self) -> dict[int, Any]:
-        """Node index -> initial value, where it is not bottom (read only)."""
-        bottom = self.adapter.bottom()
-        return {j: a for j, a in enumerate(self.init.values) if a != bottom}
-
-    @memo
-    def nontop_safety(self) -> dict[int, Any]:
-        """Node index -> safety value, where it is not top (read only)."""
-        top = self.adapter.top()
-        return {j: a for j, a in enumerate(self.safety.values) if a != top}
 
     def leq(self, u: StateVector, v: StateVector) -> bool:
         return all(map(self.adapter.leq, u.values, v.values))

@@ -202,6 +202,11 @@ def test_text_result_stdout_cannot_encode_exits_two(tmp_path):
     assert json.loads(doc.stdout)["invariant"] == {"qé": "(0)", "q2": "(0)"}
 
 
+# argparse prints help and exits 0; its own print drops a write that fails
+_HELP_ARGVS = [["-h"], ["analyze", "-h"], ["oracle", "--help"]]
+_HELP_IDS = ["help", "analyze-help", "oracle-help"]
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
 @pytest.mark.parametrize(
     "args",
@@ -209,8 +214,9 @@ def test_text_result_stdout_cannot_encode_exits_two(tmp_path):
         ["analyze", "--program", CONST, "--domain", "const", "--alg", "forward"],
         ["analyze", "--program", AFFINE, "--domain", "affine", "--alg", "forward", "--trace", "--format", "json"],
         ["oracle", "--suite", "lemma1", "--trials", "2"],
+        *_HELP_ARGVS,
     ],
-    ids=["analyze-short", "analyze-trace-json", "oracle"],
+    ids=["analyze-short", "analyze-trace-json", "oracle", *_HELP_IDS],
 )
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 def test_full_stdout_exits_two_with_an_error_line(args, unbuffered):
@@ -237,8 +243,9 @@ def test_full_stdout_exits_two_with_an_error_line(args, unbuffered):
         ["oracle", "--suite", "all", "--seed", "1", "--trials", "50", "--format", "json"],
         # output small enough to stay in the buffer until the final flush
         ["analyze", "--program", CONST, "--domain", "const", "--alg", "forward"],
+        *_HELP_ARGVS,
     ],
-    ids=["analyze-trace-json", "oracle-json", "analyze-short"],
+    ids=["analyze-trace-json", "oracle-json", "analyze-short", *_HELP_IDS],
 )
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 def test_closed_stdout_exits_two_without_a_traceback(args, unbuffered):

@@ -221,8 +221,8 @@ def test_finite_lattice_is_abstract_domain():
 
 
 MEMOS = [
-    (programs.ParallelAffineAssign, "assigned"), (programs.ParallelAffineAssign, "scaled"),
-    (programs.Guard, "cleared"), (synthesis.AnalysisProblem, "preds"), (synthesis.AnalysisProblem, "succs"),
+    (programs.ParallelAffineAssign, "assigned"), (programs.ParallelAffineAssign, "by_target"),
+    (programs.ParallelAffineAssign, "scaled"), (programs.Guard, "cleared"),
     (synthesis.SynthesisResult, "trace"), (finite.ClosureFamily, "_union_closed"),
     (finite.ClosureFamily, "_down_sets"),
 ]
@@ -236,10 +236,9 @@ def _memo_owner(cls: type):
         "vars 2; sort rat; nodes a b; init a: (1,2);"
         " edge a -> b : x1 := 2/3*x2 + 1; edge b -> a : assume x1 = 1/2 or x2 = 0;"
     )
-    if cls is not synthesis.AnalysisProblem and cls is not synthesis.SynthesisResult:
+    if cls is not synthesis.SynthesisResult:
         return next(t for _, t, _ in prog.edges if isinstance(t, cls))
-    problem = synthesis.AnalysisProblem.build(prog, "affine")
-    return problem if cls is synthesis.AnalysisProblem else synthesis.ainv_forward(problem)
+    return synthesis.ainv_forward(synthesis.AnalysisProblem.build(prog, "affine"))
 
 
 @pytest.mark.parametrize("owner, name", MEMOS, ids=[f"{c.__name__}.{name}" for c, name in MEMOS])

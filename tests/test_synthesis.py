@@ -340,6 +340,50 @@ def test_a_directly_built_problem_is_checked():
         AnalysisProblem(("a", "a"), ((0, ident, 1),), adapter, init, safety)
 
 
+def _assert_indexed(problem: AnalysisProblem) -> None:
+    """The edge lists and bound maps of ``problem`` are per-node scans of
+    its edges and vectors, in edge and node order."""
+    nodes, edges, adapter = range(len(problem.nodes)), problem.edges, problem.adapter
+    assert problem.preds == tuple(tuple((s, t) for s, t, d in edges if d == j) for j in nodes)
+    assert problem.succs == tuple(tuple((t, d) for s, t, d in edges if s == j) for j in nodes)
+    assert list(problem.nonbottom_init.items()) == [
+        (j, a) for j, a in enumerate(problem.init.values) if a != adapter.bottom()
+    ]
+    assert list(problem.nontop_safety.items()) == [
+        (j, a) for j, a in enumerate(problem.safety.values) if a != adapter.top()
+    ]
+
+
+def test_a_problem_indexes_its_edges_and_bounds_at_construction():
+    """Right after construction, before any engine runs, each node lists its
+    incoming and outgoing edges, and the bound maps hold the initial values
+    that are not bottom and the safety values that are not top; ``replace``
+    with a new safety vector maps that vector."""
+    rng, changed = random.Random("problem-index"), 0
+    for k in range(200):
+        if k % 3 == 2:  # built directly: any node count, edges in any order
+            adapter, nodes = synthesis.ConstAdapter(2), tuple(f"v{i}" for i in range(rng.randint(1, 6)))
+            edges = tuple(
+                (rng.randrange(len(nodes)), rng.choice([pg.Identity(), pg.NondetAssign(1)]), rng.randrange(len(nodes)))
+                for _ in range(rng.randint(0, 12))
+            )
+            init = pg.StateVector(nodes, tuple(
+                adapter.bottom() if rng.random() < 0.5 else random_const_vec(rng, 2) for _ in nodes
+            ))
+            problem = AnalysisProblem(nodes, edges, adapter, init, init.with_values((adapter.top(),) * len(nodes)))
+        else:
+            sort = "int" if k % 3 == 0 else "rat"
+            problem = AnalysisProblem.build(random_program(rng, sort), "const" if sort == "int" else "affine")
+        _assert_indexed(problem)
+        top, bottom = problem.adapter.top(), problem.adapter.bottom()
+        safety = problem.init.with_values(tuple(rng.choice((top, bottom, *problem.init.values)) for _ in problem.nodes))
+        other = replace(problem, safety=safety)
+        _assert_indexed(other)
+        assert not problem.nontop_safety and other.preds == problem.preds
+        changed += bool(other.nontop_safety)
+    assert changed >= 150
+
+
 def test_backward_rejected_for_affine(affine_problem, monkeypatch):
     """The affine domain has no wp column: backward synthesis is rejected
     before any step, also on a program with no edges."""
