@@ -19,7 +19,9 @@ reads; ``check_safe_inv`` is the conjunction of the per-function reports.
 A transition system has one relation, read forwards by ``post`` and
 ``pret``; ``FiniteTS.dual`` reverses it (pre and postt are the dual's post and
 pret).  Algorithms 1 and 2 step one descending Kleene chain from Σ, and
-Algorithm 4 is Algorithm 1 on the dual.
+Algorithm 4 is Algorithm 1 on the dual.  ``best_reach``, the reachability
+of the best abstraction, is the one least fixpoint that Lemma 6 (e),
+Corollary 9 and the Algorithm 4 check read.
 
 The brute force is bit-parallel where it can be.  ``check_adjunctions``
 decides post ⊣ pret on a system and on its dual for one x and all 2^|Σ|
@@ -280,6 +282,11 @@ def reach(ts: FiniteTS, init: int | None = None) -> int:
     return lfp_iterate(lambda x: start | ts.post(x), start)
 
 
+def best_reach(ts: FiniteTS, fam: ClosureFamily) -> int:
+    """Reachability of the best abstraction: lfp(λx. mu_up(Σ0 ∪ post(x)))."""
+    return lfp_iterate(lambda x: fam.mu_up(ts.init | ts.post(x)), 0)
+
+
 def _containing(size: int, tab: Sequence[int]) -> list[int]:
     """For each mask x, the 2^|Σ|-bit mask {y | x ⊆ tab[y]} over the subsets y: the AND of
     the per-state masks {y | s ∈ tab[y]}, built from the mask of x without its lowest state s."""
@@ -314,7 +321,7 @@ def check_adjunctions(ts: FiniteTS) -> bool:
 
 def check_eq4_duality(ts: FiniteTS) -> bool:
     """lfp(λX.Σ0 ∪ post(X)) ⊆ P  ⇔  Σ0 ⊆ gfp(λX.pret(X) ∩ P)."""
-    forward = lfp_iterate(lambda x: ts.init | ts.post(x), 0)
+    forward = reach(ts)
     backward = gfp_iterate(lambda x: ts.pret(x) & ts.safe, ts.full)
     return subset(forward, ts.safe) == subset(ts.init, backward)
 
@@ -424,8 +431,7 @@ def check_lemma6(ts: FiniteTS, fam: ClosureFamily) -> dict:
         )
         # (e) reachability of the qo-extended system equals best-abstraction reachability
         lhs = lfp_iterate(lambda x: ts.init | ts.post(x) | fam.delta(x), 0)
-        rhs = lfp_iterate(lambda x: fam.mu_up(ts.init | ts.post(x)), 0)
-        report["e"] = lhs == rhs
+        report["e"] = lhs == best_reach(ts, fam)
     else:
         report["d"] = None
         report["e"] = None
@@ -436,8 +442,7 @@ def check_lemma6(ts: FiniteTS, fam: ClosureFamily) -> dict:
 def check_corollary9(ts: FiniteTS, fam: ClosureFamily) -> bool:
     """[∃φ∈L inductive invariant] ⇔ [reach of the best abstraction ⊆ P]."""
     lhs = greatest_invariant_enum(ts, fam) is not None
-    rhs = subset(lfp_iterate(lambda x: fam.mu_up(ts.init | ts.post(x)), 0), ts.safe)
-    return lhs == rhs
+    return lhs == subset(best_reach(ts, fam), ts.safe)
 
 
 # ---------------------------------------------------------------------------
@@ -638,9 +643,7 @@ def _trial_algorithms(s: str, k: int) -> bool:
     if r1.found:
         ok = ok and r1.invariant == r2.invariant == best
     # the forward dual: verdict matches the abstracted backward reachability
-    dual = ts.dual
-    dual_lfp = lfp_iterate(lambda x: fam.mu_up(dual.init) | fam.mu_up(dual.post(x)), 0)
-    return ok and r4.found == subset(dual_lfp, dual.safe)
+    return ok and r4.found == subset(best_reach(ts.dual, fam), ts.dual.safe)
 
 
 def _trial_corollary9(s: str, k: int) -> bool:

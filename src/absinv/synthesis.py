@@ -33,7 +33,10 @@ rendering and one dispatch ``table`` from (kind, column) to a cell: each
 transfer class has a ``"post"`` cell and, for the constants, a ``"wp"``
 cell; each init-declaration class an ``"init"`` cell.  A pair without a
 cell is a hole: looking it up raises ``UnsupportedDomain``.  Lattice
-operations and cells call the domain module's functions at call time.  What
+operations and cells call the domain module's functions at call time.  A
+constant element is the tuple of its slots, ``None`` for bottom; the
+``InitVector`` cell checks a literal's slots with ``const_domain.checked``,
+as ``alpha`` does for points, and no other cell needs a check.  What
 the two share (n ≥ 1, height n + 1, one ``bottom`` and one ``top`` built per
 adapter, identity post and the ``top``, ``bot`` and point-set literals) is
 their base class ``_NumericDomain``.
@@ -43,11 +46,11 @@ index triples (source, transfer, target), the adapter, and the initial and
 safety vectors.  ``build`` makes one from a ``Program``, whose edge triples
 it passes through as the same object; any other graph, such as a one-node
 finite transition system, can be passed directly, and is checked: edge
-endpoints must be node indices, vectors over the nodes.  The pass over the
-edges that checks their endpoints also lists, per node, its incoming (source
-index, transfer) and outgoing (transfer, target index) edges; the nodes whose
-initial value is not bottom or whose safety value is not top are mapped right
-after.  All four are set at construction.  Both
+endpoints must be node indices, vectors over the nodes, and transfer entries
+``int``s over sort ``int``.  The edge pass also lists, per node, its incoming
+(source index, transfer) and outgoing (transfer, target index) edges; the
+nodes whose initial value is not bottom or whose safety value is not top are
+mapped right after.  All four are set at construction.  Both
 engines, by name in ``ALGORITHMS``, step their chain of diffs through
 ``lattice.kleene``; ``StateVector`` is met only at the boundary: the
 problem's vectors, the result, and ``abstract_post_step`` and
@@ -166,13 +169,14 @@ class ConstAdapter(_NumericDomain):
         """Is the integer vector ``point`` in gamma(a)?"""
         if len(point) != self.n:
             raise ValueError("dimension mismatch")
-        return not a.is_bottom and all(s is TOP or s == v for s, v in zip(a.comps, point))
+        return a is not None and all(s is TOP or s == v for s, v in zip(a, point))
 
     def transfer(self, t: TransferFunction, a: cd.ConstVec) -> cd.ConstVec:
         return self.table[type(t), "post"](self, t, a)
 
     def wp(self, t: TransferFunction, target: cd.ConstVec) -> cd.ConstVec:
-        """Sound abstraction of the weakest precondition of one edge."""
+        """Abstract weakest precondition of one edge, which only backward
+        synthesis reads; not always best or sound (see ``_assign_wp``)."""
         return self.table[type(t), "wp"](self, t, target)
 
     def _assign_wp(self, t: ParallelAffineAssign, target: cd.ConstVec) -> cd.ConstVec:
@@ -185,10 +189,10 @@ class ConstAdapter(_NumericDomain):
         unassigned slot later in slot order, which it then sees as top:
         x1 := x1 + x2 at (5,3) gives (top,3), whose post is not below (5,3),
         and backward's re-verification ends with ``verification-failed``."""
-        if target.is_bottom:
+        if target is None:
             return target
         rows, comps, constant = t.by_target, [TOP] * self.n, False
-        for j, slot in enumerate(target.comps):
+        for j, slot in enumerate(target):
             if slot is TOP:
                 continue
             constant = True
@@ -204,7 +208,7 @@ class ConstAdapter(_NumericDomain):
                 return self._bottom
             if fix is not True:
                 comps[fix[0]] = fix[1]
-        return cd.ConstVec(self.n, tuple(comps)) if constant else self._top
+        return tuple(comps) if constant else self._top
 
     table = _Table({
         **_NumericDomain.table,
@@ -213,15 +217,14 @@ class ConstAdapter(_NumericDomain):
         (ParallelAffineAssign, "wp"): _assign_wp,
         (NondetAssign, "post"): lambda self, t, a: cd.bca_nondet_assign(t.target, a),
         (NondetAssign, "wp"): lambda self, t, target: (
-            target if target.is_bottom or target.comps[t.target - 1] is TOP else self.bottom()
+            target if target is None or target[t.target - 1] is TOP else self.bottom()
         ),
         (Guard, "post"): lambda self, t, a: cd.bca_guard(t.rows, t.rel, t.mode, a),
         # the full space, unless the rows are constant: then it holds at every point or none
         (Guard, "wp"): lambda self, t, target: (
             target if all(r.is_constant() for r in t.rows) and guard_holds(t, (0,) * self.n) else self.top()
         ),
-        # ConstVec checks the entries (ints and TOP) and takes only a tuple of them
-        (InitVector, "init"): lambda self, decl: cd.ConstVec(self.n, tuple(decl.entries)),
+        (InitVector, "init"): lambda self, decl: cd.checked(tuple(decl.entries), self.n),
     })
 
     def render(self, a: cd.ConstVec) -> str:
@@ -300,6 +303,12 @@ DOMAINS: dict[str, type[Adapter]] = {cls.name: cls for cls in (ConstAdapter, Aff
 # ---------------------------------------------------------------------------
 
 
+def _non_int_entry(t: TransferFunction) -> Any:
+    """A coefficient or constant of ``t`` that is not an ``int``; None if there is none."""
+    rows = t.rows if isinstance(t, Guard) else [r for _, r in getattr(t, "rows", ())]
+    return next((x for r in rows for x in (*r.coeffs, r.const) if type(x) is not int), None)
+
+
 @dataclass(frozen=True)
 class AnalysisProblem:
     """An index graph over a domain: nodes, edges, initial states, safety vector.
@@ -335,6 +344,8 @@ class AnalysisProblem:
         for src, t, dst in self.edges:
             if not (0 <= src < n and 0 <= dst < n):
                 raise ValueError(f"an edge endpoint is not a node index in range({n})")
+            if getattr(self.adapter, "sort", None) == "int" and (bad := _non_int_entry(t)) is not None:
+                raise ValueError(f"bad slot value {bad!r}: a transfer over sort 'int' needs int entries")
             into[dst].append((src, t))
             out[src].append((t, dst))
         if not self.init.nodes == self.safety.nodes == self.nodes:
@@ -567,8 +578,8 @@ def backward_gfp(problem: AnalysisProblem) -> SynthesisResult:
 
     The stabilized iterate is the greatest candidate; it is re-verified with
     the forward transformer before being reported (the wp abstraction is
-    sound but the domain is not union-closed, so verification is what makes
-    the certificate unconditional).  An adapter without ``wp`` is rejected.
+    not always best or sound, and the domain is not union-closed, so only
+    verification makes the certificate unconditional); it needs ``wp``.
     """
     if not hasattr(problem.adapter, "wp"):
         raise UnsupportedDomain(f"backward synthesis is not supported for the {problem.adapter.name} domain")

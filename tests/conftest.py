@@ -75,10 +75,10 @@ def box_points(n: int, bound: int):
 
 def gamma_box(a: cd.ConstVec, bound: int) -> list[tuple[int, ...]]:
     """All points of the concretization with coordinates in [-bound, bound]."""
-    if a.is_bottom:
+    if a is None:
         return []
     axes = []
-    for s in a.comps:
+    for s in a:
         if s is cd.TOP:
             axes.append(range(-bound, bound + 1))
         else:
@@ -89,11 +89,8 @@ def gamma_box(a: cd.ConstVec, bound: int) -> list[tuple[int, ...]]:
 
 def random_const_vec(rng: random.Random, n: int, lo: int = -5, hi: int = 5) -> cd.ConstVec:
     if rng.random() < 0.1:
-        return cd.ConstVec.bottom(n)
-    slots = tuple(
-        cd.TOP if rng.random() < 0.4 else rng.randint(lo, hi) for _ in range(n)
-    )
-    return cd.ConstVec(n, slots)
+        return None
+    return tuple(cd.TOP if rng.random() < 0.4 else rng.randint(lo, hi) for _ in range(n))
 
 
 def random_linexpr_int(rng: random.Random, n: int, coeff: int = 3) -> pg.LinExpr:

@@ -52,21 +52,19 @@ class BoxAdapter(ConstAdapter):
     def transfer(self, t, a):
         key = (t, a)
         if key not in self.memo:
-            if a.is_bottom:
+            if a is None:
                 self.memo[key] = a
             elif isinstance(t, pg.NondetAssign):
-                self.memo[key] = a.replace(t.target, cd.TOP)
+                self.memo[key] = a[: t.target - 1] + (cd.TOP,) + a[t.target:]
             else:
-                points = itertools.product(*(self.box if s is cd.TOP else (s,) for s in a.comps))
+                points = itertools.product(*(self.box if s is cd.TOP else (s,) for s in a))
                 self.memo[key] = cd.alpha_points(pg.apply_transfer_concrete(t, points), self.n)
         return self.memo[key]
 
 
-def over(problem: AnalysisProblem, adapter, prop: cd.ConstVec | None) -> AnalysisProblem:
-    """``problem`` over ``adapter``, with ``prop`` (None: top) as the property at its last node."""
-    safety = problem.init.with_values(
-        (adapter.top(),) * (len(problem.nodes) - 1) + (adapter.top() if prop is None else prop,)
-    )
+def over(problem: AnalysisProblem, adapter, prop: cd.ConstVec) -> AnalysisProblem:
+    """``problem`` over ``adapter``, with ``prop`` as the property at its last node."""
+    safety = problem.init.with_values((adapter.top(),) * (len(problem.nodes) - 1) + (prop,))
     return AnalysisProblem(problem.nodes, problem.edges, adapter, problem.init, safety)
 
 
@@ -85,7 +83,7 @@ def named_fault(program: pg.Program, alg: str, result) -> str | None:
     return "forward conjunctive multi-row inequality" if rels & INEQUALITIES else None
 
 
-def disagreements(program: pg.Program, prop: cd.ConstVec | None, exists: bool) -> dict[str, str | None]:
+def disagreements(program: pg.Program, prop: cd.ConstVec, exists: bool) -> dict[str, str | None]:
     """Per engine whose ``found`` is not ``exists``: the named fault, or None."""
     problem = over(AnalysisProblem.build(program, "const"), ConstAdapter(program.n), prop)
     out = {}
@@ -140,9 +138,8 @@ def test_known_faults_where_an_invariant_exists(text, prop, faults):
     removes its entries from ``faults``."""
     program = pg.parse_program(text)
     base = AnalysisProblem.build(program, "const")
-    p = cd.ConstVec(program.n, prop)
-    assert all(ainv_forward(over(base, BoxAdapter(program.n, b), p)).found for b in BOXES)
-    assert disagreements(program, p, True) == faults
+    assert all(ainv_forward(over(base, BoxAdapter(program.n, b), prop)).found for b in BOXES)
+    assert disagreements(program, prop, True) == faults
 
 
 def test_engines_agree_with_the_box_oracle():
@@ -156,7 +153,7 @@ def test_engines_agree_with_the_box_oracle():
         program = random_program(rng, "int", max_vars=2, max_nodes=4)
         base = AnalysisProblem.build(program, "const")
         boxes = [BoxAdapter(program.n, b) for b in BOXES]
-        least = ainv_forward(over(base, boxes[-1], None)).last.values[-1]
+        least = ainv_forward(over(base, boxes[-1], boxes[-1].top())).last.values[-1]
         for prop in (least, random_const_vec(rng, program.n)):
             verdicts = {ainv_forward(over(base, box, prop)).found for box in boxes}
             if len(verdicts) > 1:
