@@ -15,11 +15,13 @@ guard row decides the row e ⋈ 0 for every relation ⋈ (see :func:`solve_row`)
 
 Slots enter from outside only through :func:`checked`, which a vector
 literal and :func:`alpha_points` call: a tuple of n slots, each an ``int``
-(not a ``bool``) or ``TOP``.  The rest copy checked slots or compute
-``int``s from ``int`` coefficients (``AnalysisProblem`` rejects others), so
-need no check.  Elements are immutable and can be shared: both adapters of
-``synthesis`` keep one ``top`` and one ``bot`` each, and :func:`join` and
-:func:`meet` return an operand, not an equal copy, when the result equals it.
+or ``TOP``, where the ``int``s are the numbers of sort ``int`` in
+``programs.SORTS`` (no ``bool``).  The rest copy checked slots or compute
+``int``s from ``int`` coefficients (``programs.check_edges`` rejects others
+for ``Program`` and ``AnalysisProblem`` alike), so need no check.  Elements
+are immutable and can be shared: both adapters of ``synthesis`` keep one
+``top`` and one ``bot`` each, and :func:`join` and :func:`meet` return an
+operand, not an equal copy, when the result equals it.
 """
 
 from __future__ import annotations
@@ -27,12 +29,10 @@ from __future__ import annotations
 from math import gcd
 from typing import Iterable, Sequence
 
-from .programs import TOP, LinExpr, ParallelAffineAssign, _Top, relation_holds
+from .programs import TOP, LinExpr, ParallelAffineAssign, _Top, check_numbers, relation_holds
 
 ConstVal = int | _Top  # a single slot
 ConstVec = tuple[ConstVal, ...] | None  # an element; None is bottom
-
-_SLOT_TYPES = frozenset((int, _Top))
 
 
 def checked(slots: object, n: int) -> ConstVec:
@@ -41,9 +41,7 @@ def checked(slots: object, n: int) -> ConstVec:
         raise ValueError(f"slots must be a tuple, not {type(slots).__name__}")
     if len(slots) != n:
         raise ValueError("component count must equal n")
-    for s in slots:
-        if type(s) not in _SLOT_TYPES:
-            raise ValueError(f"bad slot value {s!r}")
+    check_numbers([[s for s in slots if s is not TOP]], "int")
     return slots
 
 

@@ -276,10 +276,9 @@ class FiniteTS:
         return out
 
 
-def reach(ts: FiniteTS, init: int | None = None) -> int:
+def reach(ts: FiniteTS) -> int:
     """Exact reachable-state mask from the initial states (least fixpoint)."""
-    start = ts.init if init is None else init
-    return lfp_iterate(lambda x: start | ts.post(x), start)
+    return lfp_iterate(lambda x: ts.init | ts.post(x), ts.init)
 
 
 def best_reach(ts: FiniteTS, fam: ClosureFamily) -> int:
@@ -667,24 +666,15 @@ SUITES: dict[str, Callable[[str, int], bool]] = {
 }
 
 
-def run_suite(name: str, seed: int, trials: int) -> dict:
-    """Run one named suite; returns {name, trials, failures, first_failure_seed}."""
-    if name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}")
-    failures = []
-    for k in range(trials):
-        s = f"{seed}:{name}:{k}"
-        if not SUITES[name](s, k):
-            failures.append(s)
-    return {
-        "name": name,
-        "trials": trials,
-        "failures": len(failures),
-        "first_failure_seed": failures[0] if failures else None,
-    }
-
-
 def run_suites(name: str, seed: int, trials: int) -> list[dict]:
-    """Run one named suite, or every suite in table order for ``"all"``."""
-    names = list(SUITES) if name == "all" else [name]
-    return [run_suite(n, seed, trials) for n in names]
+    """Run one named suite, or every suite in table order for ``"all"``;
+    one report per suite: {name, trials, failures, first_failure_seed}."""
+    if name != "all" and name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}")
+    reports = []
+    for suite in SUITES if name == "all" else [name]:
+        seeds = (f"{seed}:{suite}:{k}" for k in range(trials))
+        failures = [s for k, s in enumerate(seeds) if not SUITES[suite](s, k)]
+        first = failures[0] if failures else None
+        reports.append({"name": suite, "trials": trials, "failures": len(failures), "first_failure_seed": first})
+    return reports

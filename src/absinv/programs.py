@@ -32,6 +32,12 @@ index, transfer, target index) triple, and an assignment holds only its
 assigned rows, as (0-based target, expression) pairs.  :func:`print_program`
 output parses back to a program that prints to the same text.  Programs
 are immutable after parsing and safe to share across threads.
+
+This module owns the question "is this a well-formed graph over n variables
+of sort s?": :func:`check_edges` answers it for ``Program`` and for
+``synthesis.AnalysisProblem``, and :data:`SORTS`, the one table of each
+sort's numbers, says which entries a sort has, for transfers, literals and
+constant slots alike (:func:`check_numbers`).
 """
 
 from __future__ import annotations
@@ -42,11 +48,14 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from math import lcm
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .lattice import memo
 
 Number = Any  # int (sort "int") or Fraction (sort "rat")
+
+#: Sort -> the types of its numbers (never ``bool`` or ``float``), and its zero and one.
+SORTS = {"int": ((int,), 0, 1), "rat": ((int, Fraction), Fraction(0), Fraction(1))}
 
 #: Relation symbol ⋈ -> the comparison of ``value ⋈ 0``.
 RELATIONS: dict[str, Callable[[Any, Any], bool]] = {
@@ -114,7 +123,7 @@ class ParallelAffineAssign:
     no row assigns keeps its value.  Construction sorts the pairs, drops the
     self-assignments ``xj := xj`` and rejects a repeated target; ``widths``
     are the coefficient counts of all rows given, checked against n by
-    :func:`check_transfer_arity`."""
+    :func:`check_edges`."""
 
     rows: tuple[tuple[int, LinExpr], ...]
     widths: frozenset[int] = field(init=False, repr=False, compare=False)
@@ -257,29 +266,44 @@ class Program:
     ``edges`` are (source index, transfer, target index) triples over
     ``nodes``.  ``inits`` (a mapping or (node, decl) pairs) is stored as
     pairs in node order, so a program is immutable and hashable.
+    Construction rejects what :func:`print_program` could not write back:
+    n outside 1..:data:`MAX_VARS`, a sort not in :data:`SORTS`, a graph
+    that :func:`check_edges` rejects, and an init literal of the wrong
+    length, with an entry outside the sort, or of constraints over ``int``.
     """
 
     nodes: tuple[str, ...]
     n: int
-    sort: str  # "int" | "rat"
+    sort: str  # a key of SORTS
     edges: tuple[tuple[int, TransferFunction, int], ...]
     inits: Mapping[str, InitDecl] | tuple[tuple[str, InitDecl], ...]
 
     def __post_init__(self) -> None:
-        known, k = set(self.nodes), len(self.nodes)
-        if len(known) != k:
-            raise ValueError("duplicate node names")
-        checked: set[int] = set()  # ids of the transfers checked so far; edges may share one
-        for src, t, dst in self.edges:
-            if not (0 <= src < k and 0 <= dst < k):
-                raise ValueError(f"an edge endpoint is not a node index in range({k})")
-            if id(t) not in checked:
-                checked.add(id(t))
-                check_transfer_arity(t, self.n)
-        inits = dict(self.inits)
-        for q in inits:
+        n, sort = self.n, self.sort
+        if not 1 <= n <= MAX_VARS:
+            raise ValueError("variable count must be >= 1" if n < 1 else f"variable count must be <= {MAX_VARS}")
+        if sort not in SORTS:
+            raise ValueError("sort must be 'int' or 'rat'")
+        check_edges(self.nodes, self.edges, n, sort)
+        inits, known = dict(self.inits), set(self.nodes)
+        for q, decl in inits.items():
             if q not in known:
                 raise ValueError(f"unknown node {q!r}")
+            if isinstance(decl, InitVector):
+                if len(decl.entries) != n:
+                    raise ValueError(f"vector literal has {len(decl.entries)} entries, expected {n}")
+                check_numbers([[e for e in decl.entries if e is not TOP]], sort)
+            elif isinstance(decl, InitPoints):
+                for pt in decl.points:
+                    if len(pt) != n:
+                        raise ValueError(f"point has {len(pt)} coordinates, expected {n}")
+                check_numbers(decl.points, sort)
+            elif isinstance(decl, InitConstraints):
+                if sort != "rat":
+                    raise ValueError("constraint literals need sort 'rat'")
+                if any(len(r.coeffs) != n for r in decl.rows):
+                    raise ValueError("constraint dimension mismatch")
+                check_numbers([(*r.coeffs, r.const) for r in decl.rows], sort)
         if len(inits) != len(self.inits):  # pairs that declare a node twice
             seen: set[str] = set()
             q = next(q for q, _ in self.inits if q in seen or seen.add(q))
@@ -290,7 +314,22 @@ class Program:
         return next((decl for node, decl in self.inits if node == q), InitBot())
 
 
-def check_transfer_arity(t: TransferFunction, n: int) -> None:
+def check_edges(nodes: tuple[str, ...], edges: Iterable[tuple[int, Any, int]], n: int | None, sort: str | None) -> None:
+    """The one check of a graph: distinct node names, endpoints that are node indices and, given
+    a sort, transfers over n variables of it; each keeps the (n, sort) it last passed, as a memo."""
+    k, fits = len(nodes), (n, sort)
+    if len(set(nodes)) != k:
+        raise ValueError("duplicate node names")
+    for src, t, dst in edges:
+        if not (0 <= src < k and 0 <= dst < k):
+            raise ValueError(f"an edge endpoint is not a node index in range({k})")
+        if sort is not None and t.__dict__.get("_fits") != fits:
+            _check_transfer(t, n, sort)
+            t.__dict__["_fits"] = fits
+
+
+def _check_transfer(t: TransferFunction, n: int, sort: str) -> None:
+    """Targets and row widths within n; coefficients and constants of the sort."""
     if isinstance(t, ParallelAffineAssign):
         if t.widths - {n} or not all(0 <= j < n for j, _ in t.rows):
             raise ValueError("assignment dimension mismatch")
@@ -300,6 +339,18 @@ def check_transfer_arity(t: TransferFunction, n: int) -> None:
     elif isinstance(t, Guard):
         if any(len(r.coeffs) != n for r in t.rows):
             raise ValueError("guard dimension mismatch")
+    rows = t.rows if isinstance(t, Guard) else [r for _, r in getattr(t, "rows", ())]
+    message = "bad slot value {0!r}: a transfer over sort {1!r} needs {2} entries"
+    check_numbers([(*r.coeffs, r.const) for r in rows], sort, message)
+
+
+def check_numbers(vectors: Iterable[Sequence[Any]], sort: str, message: str = "bad slot value {0!r}") -> None:
+    """Raise ``message`` at the first entry not of the sort; formatted with it, the sort, its types."""
+    types = SORTS[sort][0]
+    for v in vectors:
+        if not set(map(type, v)).issubset(types):
+            x = next(x for x in v if type(x) not in types)
+            raise ValueError(message.format(x, sort, " or ".join(t.__name__ for t in types)))
 
 
 @dataclass(frozen=True)
@@ -407,12 +458,6 @@ _WORD = re.compile(r"\w").match  # does a token start an integer or an identifie
 _IDENT = re.compile(r"[^\W\d]").match  # does a token start an identifier?
 _VARS = {f"x{j + 1}": j for j in range(MAX_VARS)}  # the usual spellings, by 0-based index
 _MODES = {"and": "conj", "or": "disj"}
-_RAT_NUMBERS = (Fraction(0), Fraction(1))
-
-
-def _numbers(sort: str) -> tuple[Number, Number]:
-    """Zero and one of the value sort."""
-    return _RAT_NUMBERS if sort == "rat" else (0, 1)
 
 
 class _Parser:
@@ -512,7 +557,7 @@ class _Parser:
     def linexpr(self, n: int, sort: str) -> LinExpr:
         """Affine sum of terms: [+-] (coef [* xj] | xj) ..."""
         toks, pos, rat = self.toks, self.pos, sort == "rat"
-        zero, one = _numbers(sort)
+        _, zero, one = SORTS[sort]
         coeffs, const, term = [zero] * n, zero, True  # term: a term must follow
         while True:
             t, neg = toks[pos], False
@@ -554,7 +599,7 @@ class _Parser:
         if rel not in RELATIONS:
             raise self.fail("expected a relation symbol (=, !=, <, <=, >, >=)")
         self.pos += 1
-        rhs, zero = self.linexpr(n, sort), _numbers(sort)[0]
+        rhs, zero = self.linexpr(n, sort), SORTS[sort][1]
         diff = [a if b is zero else a - b for a, b in zip((*lhs.coeffs, lhs.const), (*rhs.coeffs, rhs.const))]
         return LinExpr(tuple(diff[:-1]), diff[-1]), rel
 
@@ -755,7 +800,7 @@ def parse_program(text: str) -> Program:
                 raise p.fail(f"variable count must be <= {MAX_VARS}", t)
         elif kw == "sort":
             t = p.take(_IDENT)
-            if toks[t] not in ("int", "rat"):
+            if toks[t] not in SORTS:
                 raise p.fail("sort must be 'int' or 'rat'", t)
             sort = toks[t]
         elif kw == "nodes":

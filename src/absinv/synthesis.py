@@ -36,18 +36,23 @@ cell is a hole: looking it up raises ``UnsupportedDomain``.  Lattice
 operations and cells call the domain module's functions at call time.  A
 constant element is the tuple of its slots, ``None`` for bottom; the
 ``InitVector`` cell checks a literal's slots with ``const_domain.checked``,
-as ``alpha`` does for points, and no other cell needs a check.  What
-the two share (n ≥ 1, height n + 1, one ``bottom`` and one ``top`` built per
-adapter, identity post and the ``top``, ``bot`` and point-set literals) is
-their base class ``_NumericDomain``.
+as ``alpha`` does for points, and no other cell needs a check.  The
+constant ``wp`` keeps one contract: transfer(t, a) ≤ b implies
+a ≤ wp(t, b), and wp is monotone in its target.  What the two share
+(n ≥ 1, height n + 1, one ``bottom`` and one ``top`` built per adapter,
+identity post and the ``top``, ``bot`` and point-set literals) is their
+base class ``_NumericDomain``.
 
 ``AnalysisProblem`` holds what the steps read: the node names, the edges as
 index triples (source, transfer, target), the adapter, and the initial and
 safety vectors.  ``build`` makes one from a ``Program``, whose edge triples
 it passes through as the same object; any other graph, such as a one-node
-finite transition system, can be passed directly, and is checked: edge
-endpoints must be node indices, vectors over the nodes, and transfer entries
-``int``s over sort ``int``.  The edge pass also lists, per node, its incoming
+finite transition system, can be passed directly.  Either way the vectors
+must be over the nodes, and the graph must pass ``programs.check_edges``,
+the one check of a graph that every ``Program`` passes too: distinct node
+names, edge endpoints that are node indices and, over an adapter with a
+``sort``, transfers that fit its n and have entries of that sort in
+``programs.SORTS``.  The index pass then lists, per node, its incoming
 (source index, transfer) and outgoing (transfer, target index) edges; the
 nodes whose initial value is not bottom or whose safety value is not top are
 mapped right after.  All four are set at construction.  Both
@@ -60,7 +65,6 @@ problem's vectors, the result, and ``abstract_post_step`` and
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from typing import Any, Callable, Iterable, Sequence
 
 from . import affine as aff
@@ -81,6 +85,8 @@ from .programs import (
     StateVector,
     TOP,
     TransferFunction,
+    check_edges,
+    check_numbers,
     clear_denominators,
     guard_holds,
     post_edges_into,  # noqa: F401 -- unused here; bench/test_bench.py traces it under this name
@@ -176,7 +182,11 @@ class ConstAdapter(_NumericDomain):
 
     def wp(self, t: TransferFunction, target: cd.ConstVec) -> cd.ConstVec:
         """Abstract weakest precondition of one edge, which only backward
-        synthesis reads; not always best or sound (see ``_assign_wp``)."""
+        synthesis reads.  Its contract: transfer(t, a) ≤ b implies
+        a ≤ wp(t, b), and wp is monotone in its target; so every abstract
+        inductive invariant below the property lies below every backward
+        iterate.  Not always the best such wp (see ``_assign_wp``; the
+        guard cell gives top where a ``!=`` row could fix a slot)."""
         return self.table[type(t), "wp"](self, t, target)
 
     def _assign_wp(self, t: ParallelAffineAssign, target: cd.ConstVec) -> cd.ConstVec:
@@ -185,10 +195,11 @@ class ConstAdapter(_NumericDomain):
         (exact for single-constant targets): an assigned row's constraint is
         an equality guard, an unassigned slot x_j = c sets or checks slot j.
         The slots are decided in one list; no constant slot gives ``top``.
-        Neither best nor sound when an assigned row reads a constant
-        unassigned slot later in slot order, which it then sees as top:
-        x1 := x1 + x2 at (5,3) gives (top,3), whose post is not below (5,3),
-        and backward's re-verification ends with ``verification-failed``."""
+        It keeps the contract of :meth:`wp`, but is not best when an
+        assigned row reads a constant unassigned slot later in slot order,
+        which it then sees as top: x1 := x1 + x2 at (5,3) gives (top,3),
+        where (2,3) is best; the post of (top,3) is not below (5,3), and
+        backward's re-verification ends with ``verification-failed``."""
         if target is None:
             return target
         rows, comps, constant = t.by_target, [TOP] * self.n, False
@@ -266,9 +277,7 @@ class AffAdapter(_NumericDomain):
         return a  # sound, not best: bot would be exact where the guard is false on all of a
 
     def _vector(self, decl: InitVector) -> aff.AffSubspace:
-        for e in decl.entries:
-            if e is not TOP and type(e) not in (int, Fraction):
-                raise ValueError(f"bad slot value {e!r}")
+        check_numbers([[e for e in decl.entries if e is not TOP]], self.sort)
         # the point with 0 in each top slot, spanned by the top slots' unit vectors
         num, den = clear_denominators(0 if e is TOP else e for e in decl.entries)
         units = tuple(
@@ -303,12 +312,6 @@ DOMAINS: dict[str, type[Adapter]] = {cls.name: cls for cls in (ConstAdapter, Aff
 # ---------------------------------------------------------------------------
 
 
-def _non_int_entry(t: TransferFunction) -> Any:
-    """A coefficient or constant of ``t`` that is not an ``int``; None if there is none."""
-    rows = t.rows if isinstance(t, Guard) else [r for _, r in getattr(t, "rows", ())]
-    return next((x for r in rows for x in (*r.coeffs, r.const) if type(x) is not int), None)
-
-
 @dataclass(frozen=True)
 class AnalysisProblem:
     """An index graph over a domain: nodes, edges, initial states, safety vector.
@@ -318,7 +321,7 @@ class AnalysisProblem:
     ``transfer`` and ``wp``, so any domain object with those methods and
     transfers it understands makes a problem.  The edge lists ``preds`` and
     ``succs`` and the maps ``nonbottom_init`` and ``nontop_safety`` are built
-    at construction, in the pass that checks the problem.
+    at construction, once ``programs.check_edges`` has checked the graph.
     """
 
     nodes: tuple[str, ...]
@@ -336,16 +339,10 @@ class AnalysisProblem:
     nontop_safety: dict[int, Any] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        n = len(self.nodes)
-        if len(set(self.nodes)) != n:
-            raise ValueError("duplicate node names")
+        check_edges(self.nodes, self.edges, getattr(self.adapter, "n", None), getattr(self.adapter, "sort", None))
         into: list[list[tuple[int, TransferFunction]]] = [[] for _ in self.nodes]
         out: list[list[tuple[TransferFunction, int]]] = [[] for _ in self.nodes]
         for src, t, dst in self.edges:
-            if not (0 <= src < n and 0 <= dst < n):
-                raise ValueError(f"an edge endpoint is not a node index in range({n})")
-            if getattr(self.adapter, "sort", None) == "int" and (bad := _non_int_entry(t)) is not None:
-                raise ValueError(f"bad slot value {bad!r}: a transfer over sort 'int' needs int entries")
             into[dst].append((src, t))
             out[src].append((t, dst))
         if not self.init.nodes == self.safety.nodes == self.nodes:
@@ -576,10 +573,12 @@ def ainv_forward(problem: AnalysisProblem) -> SynthesisResult:
 def backward_gfp(problem: AnalysisProblem) -> SynthesisResult:
     """Greatest-fixpoint synthesis: descend from the full vector by wp-meets.
 
-    The stabilized iterate is the greatest candidate; it is re-verified with
-    the forward transformer before being reported (the wp abstraction is
-    not always best or sound, and the domain is not union-closed, so only
-    verification makes the certificate unconditional); it needs ``wp``.
+    The stabilized iterate is the greatest candidate: by the contract of
+    ``ConstAdapter.wp`` every abstract inductive invariant below the property
+    lies below it.  It is re-verified with the forward transformer before
+    being reported (the wp is not always best, and the domain is not
+    union-closed, so only verification makes the certificate
+    unconditional); it needs ``wp``.
     """
     if not hasattr(problem.adapter, "wp"):
         raise UnsupportedDomain(f"backward synthesis is not supported for the {problem.adapter.name} domain")

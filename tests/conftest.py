@@ -65,6 +65,39 @@ def three_chain_f() -> dict[int, int]:
 
 
 # ---------------------------------------------------------------------------
+# Graphs that the one check of a graph rejects
+# ---------------------------------------------------------------------------
+
+#: (id, edges over the one node "q1" and 2 variables, message) for every
+#: sort: ``Program`` and ``AnalysisProblem`` both reject these edges with
+#: that message, read by :func:`graph_error`.
+BAD_GRAPHS = [
+    ("edge-source", ((-1, pg.Identity(), 0),), r"an edge endpoint is not a node index in range\(1\)"),
+    ("edge-target", ((0, pg.Identity(), 1),), r"an edge endpoint is not a node index in range\(1\)"),
+    ("nondet-past-n", ((0, pg.NondetAssign(3), 0),), "nondet assignment target out of range"),
+    ("nondet-zero", ((0, pg.NondetAssign(0), 0),), "nondet assignment target out of range"),
+    ("guard-row", ((0, pg.Guard((pg.LinExpr((1,), 0),), "=", "conj"), 0),), "guard dimension mismatch"),
+    ("guard-row-too-wide", ((0, pg.Guard((pg.LinExpr((1, 0, 1), 0),), "=", "conj"), 0),), "guard dimension mismatch"),
+    # x1 := x1 under the target -2, which would index x1 from the end
+    ("assign-target-negative", ((0, pg.ParallelAffineAssign(((-2, pg.LinExpr((1, 0), 0)),)), 0),),
+     "assignment dimension mismatch"),
+    ("assign-target-past-n", ((0, pg.ParallelAffineAssign(((2, pg.LinExpr((1, 0), 1)),)), 0),),
+     "assignment dimension mismatch"),
+    ("assign-row-too-wide", ((0, pg.ParallelAffineAssign(((0, pg.LinExpr((1, 0, 1), 1)),)), 0),),
+     "assignment dimension mismatch"),
+    ("bool-entry", ((0, pg.Guard((pg.LinExpr((True, 0), 1),), "=", "conj"), 0),),
+     "bad slot value True: a transfer over sort '{sort}' needs {needs} entries"),
+    ("float-entry", ((0, pg.ParallelAffineAssign(((1, pg.LinExpr((0, 1), 0.5)),)), 0),),
+     "bad slot value 0.5: a transfer over sort '{sort}' needs {needs} entries"),
+]
+
+
+def graph_error(message: str, sort: str) -> str:
+    """The full-match pattern of a ``BAD_GRAPHS`` message over ``sort``."""
+    return "^" + message.format(sort=sort, needs={"int": "int", "rat": "int or Fraction"}[sort]) + "$"
+
+
+# ---------------------------------------------------------------------------
 # Constant-domain brute-force oracle
 # ---------------------------------------------------------------------------
 

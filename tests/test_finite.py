@@ -174,7 +174,7 @@ def test_adjunctions_fail_when_one_transformer_is_wrong_on_one_mask(name):
 def test_reach_examples():
     chain = fin.FiniteTS(3, frozenset({(0, 1), (1, 2)}), init=0b001)
     assert fin.reach(chain) == 0b111
-    assert fin.reach(chain, init=0) == 0
+    assert fin.reach(fin.FiniteTS(3, chain.transitions, init=0)) == 0
     with_isolated = fin.FiniteTS(3, frozenset({(0, 1)}), init=0b001)
     assert fin.reach(with_isolated) == 0b011
 
@@ -664,10 +664,10 @@ def test_random_gi_and_monotone_draws_are_pinned():
 
 
 def test_run_suite_interface():
-    report = fin.run_suite("lemma1", seed=1, trials=5)
-    assert report == {"name": "lemma1", "trials": 5, "failures": 0, "first_failure_seed": None}
+    reports = fin.run_suites("lemma1", seed=1, trials=5)
+    assert reports == [{"name": "lemma1", "trials": 5, "failures": 0, "first_failure_seed": None}]
     with pytest.raises(ValueError, match="unknown suite"):
-        fin.run_suite("bogus", 0, 1)
+        fin.run_suites("bogus", 0, 1)
     empty = fin.run_suites("all", seed=0, trials=0)
     assert all(r["trials"] == 0 and r["failures"] == 0 for r in empty)
 

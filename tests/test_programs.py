@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import copy
 import pickle
 import random
@@ -14,7 +15,8 @@ import reference_parser as ref
 from absinv import const_domain as cd
 from absinv import programs as pg
 from conftest import (
-    dense_assign, identity_row, random_assignment, random_label_program, random_linexpr_int, random_program,
+    BAD_GRAPHS, dense_assign, graph_error, identity_row, random_assignment, random_label_program, random_linexpr_int,
+    random_program,
 )
 
 
@@ -270,6 +272,98 @@ def test_all_identity_assignment_prints_as_skip():
     prog = pg.Program(("a",), 2, "int", ((0, t, 0),), {})
     assert pg.print_program(prog).endswith("edge a -> a : skip;\n")
     assert pg.parse_program(pg.print_program(prog)).edges[0][1] == pg.Identity()
+
+
+def _built_program_parts(rng: random.Random) -> tuple:
+    """The parts of a ``Program`` as code might build them: mostly well
+    formed, and each with a small chance of a fault that would print text
+    ``parse_program`` rejects.  Parts are drawn in the form the parser
+    gives, so a program that is accepted can round-trip: no explicit
+    ``bot`` init (it prints as nothing), no empty point set, constraint
+    list or guard, a one-row guard is conjunctive, an assignment that keeps
+    every variable is ``skip``, and a ``rat`` guard is ``=`` or ``!=``."""
+
+    def bad() -> bool:
+        return rng.random() < 0.03
+
+    n = rng.choice((0, -1, pg.MAX_VARS + 1)) if bad() else rng.randint(1, 3)
+    sort = rng.choice(("float", "real")) if bad() else rng.choice(("int", "rat"))
+    k = rng.randint(1, 4)
+    nodes = tuple(f"q{i + 1}" for i in range(k)) + (("q1",) if bad() else ())
+
+    def width() -> int:
+        return max(n, 1) + rng.choice((-1, 1)) if bad() else max(n, 1)
+
+    def num():
+        if bad():
+            return rng.choice((True, 0.5, Fraction(1, 3)))
+        v = rng.randint(-3, 3)
+        return Fraction(v, rng.randint(1, 3)) if sort == "rat" and rng.random() < 0.5 else v
+
+    def row() -> pg.LinExpr:
+        return pg.LinExpr(tuple(num() for _ in range(width())), num())
+
+    def transfer() -> pg.TransferFunction:
+        kind, w = rng.randrange(4), max(n, 1)
+        if kind == 0:
+            return pg.Identity()
+        if kind == 1:
+            return pg.NondetAssign(rng.choice((0, w + 1)) if bad() else rng.randint(1, w))
+        if kind == 2:
+            targets = rng.sample(range(w), rng.randint(1, w)) + ([w] if bad() else [])
+            t = pg.ParallelAffineAssign(tuple((j, row()) for j in targets))
+            return t if t.rows else pg.Identity()
+        rows = tuple(row() for _ in range(rng.randint(1, 2)))
+        rel = rng.choice(("=", "!=") if sort == "rat" else tuple(pg.RELATIONS))
+        return pg.Guard(rows, rel, rng.choice(("conj", "disj")) if len(rows) > 1 else "conj")
+
+    def endpoint() -> int:
+        return rng.choice((-1, len(nodes))) if bad() else rng.randrange(k)
+
+    def init() -> pg.InitDecl:
+        kind, w = rng.randrange(4), max(n, 1)
+        if kind == 0:
+            return pg.InitTop()
+        if kind == 1:
+            return pg.InitVector(tuple(pg.TOP if rng.random() < 0.3 else num() for _ in range(width())))
+        if kind == 2:
+            return pg.InitPoints(frozenset(tuple(num() for _ in range(width())) for _ in range(rng.randint(1, 3))))
+        if sort != "rat" and not bad():
+            return pg.InitVector((pg.TOP,) * w)
+        return pg.InitConstraints(tuple(pg.LinExpr(row().coeffs, num()) for _ in range(rng.randint(1, 2))))
+
+    edges = tuple((endpoint(), transfer(), endpoint()) for _ in range(rng.randint(0, 5)))
+    inits = {q: init() for q in rng.sample(nodes[:k], rng.randint(0, k))}
+    return nodes, n, sort, edges, inits
+
+
+def test_a_program_built_in_code_is_rejected_or_prints_back():
+    """Every ``Program`` built in code is rejected with ``ValueError``, or
+    prints text that parses to an equal ``Program``.  The draws include
+    each fault that once printed text the parser rejects (``vars 0;``,
+    ``sort float;``, a literal of the wrong length, ``x1 := 1/2*x1`` or a
+    constraint literal over ``int``) and each fault of the graph."""
+    rejected, accepted = collections.Counter(), 0
+    for k in range(3000):
+        try:
+            program = pg.Program(*_built_program_parts(random.Random(f"built:{k}")))
+        except ValueError as e:
+            rejected[re.sub(r"'\w+'|-?\d+", "_", re.sub(r"^bad slot value [^:]*", "bad slot value _", str(e)))] += 1
+            continue
+        accepted += 1
+        text = pg.print_program(program)
+        assert pg.parse_program(text) == program, text
+    faults = {
+        "variable count must be >= _", "variable count must be <= _", "sort must be _ or _",
+        "duplicate node names", "an edge endpoint is not a node index in range(_)",
+        "nondet assignment target out of range", "assignment dimension mismatch", "guard dimension mismatch",
+        "bad slot value _: a transfer over sort _ needs int entries",
+        "bad slot value _: a transfer over sort _ needs int or Fraction entries",
+        "vector literal has _ entries, expected _", "point has _ coordinates, expected _",
+        "bad slot value _", "constraint literals need sort _", "constraint dimension mismatch",
+    }
+    assert set(rejected) == faults, rejected
+    assert accepted > 1000 and min(rejected.values()) >= 5, (accepted, rejected)
 
 
 @pytest.mark.parametrize("tail", ["init q1: top;", "edge q1 -> q1 : x1 := 1;"])
@@ -599,12 +693,20 @@ def test_repeated_labels_share_one_transfer():
 
 
 def test_arity_is_checked_once_per_distinct_transfer(monkeypatch):
+    """Once per transfer object, and not again over the same n and sort:
+    building a problem from a program finds its transfers checked."""
+    from absinv.synthesis import AnalysisProblem
+
     checked = []
-    original = pg.check_transfer_arity
-    monkeypatch.setattr(pg, "check_transfer_arity", lambda t, n: checked.append(t) or original(t, n))
+    original = pg._check_transfer
+    monkeypatch.setattr(pg, "_check_transfer", lambda t, n, sort: checked.append(t) or original(t, n, sort))
     t, u = pg.NondetAssign(1), pg.NondetAssign(1)
-    pg.Program(("a",), 1, "int", ((0, t, 0),) * 3 + ((0, u, 0),), {})
+    program = pg.Program(("a",), 1, "int", ((0, t, 0),) * 3 + ((0, u, 0),), {})
     assert len(checked) == 2 and checked[0] is t and checked[1] is u
+    AnalysisProblem.build(program, "const")
+    assert len(checked) == 2
+    pg.Program(("a",), 2, "int", ((0, t, 0),), {})  # another n: checked again
+    assert len(checked) == 3 and checked[2] is t
     # a self-assignment of the wrong length: construction drops the row, not its length
     bad = pg.ParallelAffineAssign(((0, pg.LinExpr((1,), 0)),))
     assert bad.rows == ()
@@ -614,25 +716,25 @@ def test_arity_is_checked_once_per_distinct_transfer(monkeypatch):
 
 @pytest.mark.parametrize(
     "edges, inits, message",
-    [
-        (((-1, pg.Identity(), 0),), {}, r"an edge endpoint is not a node index in range\(1\)"),
-        (((0, pg.Identity(), 1),), {}, r"an edge endpoint is not a node index in range\(1\)"),
-        ((), {"q9": pg.InitTop()}, "unknown node 'q9'"),
-        (((0, pg.NondetAssign(3), 0),), {}, "nondet assignment target out of range"),
-        (((0, pg.NondetAssign(0), 0),), {}, "nondet assignment target out of range"),
-        (((0, pg.Guard((pg.LinExpr((1,), 0),), "=", "conj"), 0),), {}, "guard dimension mismatch"),
-        # x1 := x1 under the target -2, which would index x1 from the end
-        (((0, pg.ParallelAffineAssign(((-2, pg.LinExpr((1, 0), 0)),)), 0),), {}, "assignment dimension mismatch"),
-        (((0, pg.ParallelAffineAssign(((2, pg.LinExpr((1, 0), 1)),)), 0),), {}, "assignment dimension mismatch"),
-    ],
-    ids=[
-        "edge-source", "edge-target", "init-node", "nondet-past-n", "nondet-zero", "guard-row",
-        "assign-target-negative", "assign-target-past-n",
-    ],
+    [pytest.param(edges, {}, message, id=name) for name, edges, message in BAD_GRAPHS]
+    + [pytest.param((), {"q9": pg.InitTop()}, "unknown node 'q9'", id="init-node")],
 )
 def test_a_program_built_in_code_is_checked(edges, inits, message):
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        pg.Program(("q1",), 2, "int", edges, inits)
+    """The graphs of ``BAD_GRAPHS``, which ``AnalysisProblem`` rejects too, in both sorts."""
+    for sort in pg.SORTS:
+        with pytest.raises(ValueError, match=graph_error(message, sort)):
+            pg.Program(("q1",), 2, sort, edges, inits)
+
+
+def test_transfer_entries_must_be_numbers_of_the_sort():
+    """A ``Fraction`` coefficient is a number of sort ``rat`` only: ``x1 :=
+    1/2*x1`` over ``int`` would print text that does not parse back."""
+    half = pg.ParallelAffineAssign(((0, pg.LinExpr((Fraction(1, 2),), 0)),))
+    with pytest.raises(ValueError, match=r"^bad slot value Fraction\(1, 2\): a transfer over sort 'int' needs int entries$"):
+        pg.Program(("a",), 1, "int", ((0, half, 0),), {})
+    program = pg.Program(("a",), 1, "rat", ((0, half, 0),), {})
+    assert pg.print_program(program).endswith("edge a -> a : x1 := 1/2*x1;\n")
+    assert pg.parse_program(pg.print_program(program)) == program
 
 
 def test_an_assignment_rejects_a_repeated_target():

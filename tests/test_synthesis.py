@@ -38,7 +38,7 @@ from absinv.synthesis import (
     backward_gfp,
     verify_invariant,
 )
-from conftest import random_const_vec, random_program, rational_view
+from conftest import BAD_GRAPHS, graph_error, random_const_vec, random_program, rational_view
 
 TOP = cd.TOP
 F = Fraction
@@ -322,8 +322,10 @@ def test_unknown_domain_and_zero_variables_are_rejected():
 def test_a_directly_built_problem_is_checked():
     """Node names must be distinct, edge endpoints must be node indices (no
     negative aliasing, no index past the end), init and safety must be
-    vectors over the nodes, and a transfer over the constants must have
-    ``int`` coefficients and constants."""
+    vectors over the nodes, and, in both domains, each transfer must fit
+    the adapter's n and sort: the graphs of ``BAD_GRAPHS``, which a
+    ``Program`` rejects too, are rejected with the same messages.  A
+    ``Fraction`` coefficient or constant is a number of sort ``rat`` only."""
     adapter = synthesis.ConstAdapter(1)
     nodes, ident = ("a", "b"), pg.Identity()
     init = pg.StateVector(nodes, (adapter.top(), adapter.bottom()))
@@ -339,14 +341,19 @@ def test_a_directly_built_problem_is_checked():
         AnalysisProblem(nodes, (), adapter, init, pg.StateVector(("a", "c"), safety.values))
     with pytest.raises(ValueError, match="duplicate node names"):
         AnalysisProblem(("a", "a"), ((0, ident, 1),), adapter, init, safety)
+    for cls in synthesis.DOMAINS.values():
+        wide = cls(2)
+        top = pg.StateVector(("q1",), (wide.top(),))
+        for _, edges, message in BAD_GRAPHS:
+            with pytest.raises(ValueError, match=graph_error(message, cls.sort)):
+                AnalysisProblem(("q1",), edges, wide, top, top)
     half = Fraction(1, 2)
     for t in (
         pg.ParallelAffineAssign(((0, pg.LinExpr((half,), 0)),)),
         pg.ParallelAffineAssign(((0, pg.LinExpr((1,), half)),)),
         pg.Guard((pg.LinExpr((half,), 1),), "=", "conj"),
-        pg.Guard((pg.LinExpr((True,), 1),), "=", "conj"),
     ):
-        with pytest.raises(ValueError, match=r"^bad slot value (Fraction\(1, 2\)|True): "):
+        with pytest.raises(ValueError, match=r"^bad slot value Fraction\(1, 2\): a transfer over sort 'int' needs int entries$"):
             AnalysisProblem(nodes, ((0, t, 1),), adapter, init, safety)
         aff = synthesis.AffAdapter(1)
         top = pg.StateVector(nodes, (aff.top(),) * 2)
@@ -621,6 +628,28 @@ def test_const_wp_bounds_the_abstract_right_adjoint():
                     held += 1
                     assert adapter.leq(a, adapter.wp(t, b)), (k, t, a, b)
     assert held >= draws // 2 and draws - held >= draws // 10
+
+
+def test_const_post_and_wp_are_monotone():
+    """a <= b implies transfer(t, a) <= transfer(t, b) and wp(t, a) <= wp(t, b)
+    on every edge: with the adjoint bound above, this is the contract that
+    backward synthesis relies on.  Each pair is an element and its join with
+    another, or its meet with another, so a strict a < b is common."""
+    draws = strict = 0
+    for k in range(60):
+        rng = random.Random(f"monotone:{k}")
+        prog = random_program(rng, "int", max_vars=3, max_nodes=4)
+        adapter = synthesis.ConstAdapter(prog.n)
+        for _, t, _ in prog.edges:
+            for _ in range(50):
+                a, c = (random_const_vec(rng, prog.n, -2, 2) for _ in range(2))
+                a, b = (a, adapter.join(a, c)) if rng.random() < 0.5 else (adapter.meet(a, c), a)
+                assert adapter.leq(a, b)
+                draws += 1
+                strict += a != b
+                assert adapter.leq(adapter.transfer(t, a), adapter.transfer(t, b)), (k, t, a, b)
+                assert adapter.leq(adapter.wp(t, a), adapter.wp(t, b)), (k, t, a, b)
+    assert strict >= draws // 2
 
 
 # ---------------------------------------------------------------------------
