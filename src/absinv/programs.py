@@ -182,6 +182,8 @@ class Guard:
     mode: str  # "conj" | "disj"
 
     def __post_init__(self) -> None:
+        if not self.rows:
+            raise ValueError("a guard needs at least one row")
         if self.rel not in RELATIONS:
             raise ValueError(f"unknown relation {self.rel!r}")
         if self.mode not in ("conj", "disj"):
@@ -316,7 +318,8 @@ class Program:
 
 def check_edges(nodes: tuple[str, ...], edges: Iterable[tuple[int, Any, int]], n: int | None, sort: str | None) -> None:
     """The one check of a graph: distinct node names, endpoints that are node indices and, given
-    a sort, transfers over n variables of it; each keeps the (n, sort) it last passed, as a memo."""
+    a sort, transfers over n variables of it; each keeps the (n, sort) it last passed, as a memo,
+    which the parser sets on the transfers it builds: they are over its n and sort by construction."""
     k, fits = len(nodes), (n, sort)
     if len(set(nodes)) != k:
         raise ValueError("duplicate node names")
@@ -786,6 +789,7 @@ def parse_program(text: str) -> Program:
                     pass
             if t is None:
                 t = _parse_statements(p, nn, ss)
+                t.__dict__["_fits"] = (nn, ss)  # check_edges's memo: no check of it follows
                 u = labels.setdefault(tuple(toks[start : p.pos]), t)
                 repeated, t = repeated or u is not t, u
             else:

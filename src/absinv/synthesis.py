@@ -14,11 +14,14 @@ Two engines over vectors of domain elements, one per node:
 
 Both are deterministic: every iterate is canonical, so traces are
 reproducible.  Each step recomputes only the nodes that read a node changed
-by the previous step, and the check runs only at changed nodes whose bound
-can fail: forward where the safety value is not top, backward where the
-initial value is not bottom.  The steps skip the lattice identities too:
-forward joins the initial value only where it is not bottom (⊥ ⊔ a = a),
-backward meets with the safety value only where it is not top (a ⊓ ⊤ = a).
+by the previous step and applies only the edges that read one: the node's
+value stands in for the others (forward, the chain ascends under monotone
+transfers; backward, the value lies below their wp).  The check runs only at
+changed nodes whose bound can fail: forward where the safety value is not
+top, backward where the initial value is not bottom.  The steps skip the
+lattice identities too: forward joins the initial value only where it is not
+bottom (⊥ ⊔ a = a), backward meets with the safety value only where it is
+not top (a ⊓ ⊤ = a), and only in the first step, which applies every edge.
 The iterates are those of the full Jacobi step, which recomputes every node.
 A step costs O(changed), not O(N): the diff steps ``abstract_post_diff`` and
 ``abstract_pret_diff`` return the new values at the nodes they change, and
@@ -65,7 +68,7 @@ problem's vectors, the result, and ``abstract_post_step`` and
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Collection, Iterable, Sequence
 
 from . import affine as aff
 from . import const_domain as cd
@@ -94,7 +97,7 @@ from .programs import (
 
 
 #: The nodes whose value changed in the previous step; None means all nodes.
-Changed = Iterable[int] | None
+Changed = Collection[int] | None
 #: Node index -> new value, at the nodes whose value one step changed.
 Diff = dict[int, Any]
 
@@ -420,23 +423,26 @@ class SynthesisResult:
 # ---------------------------------------------------------------------------
 
 
-def _post_diff(problem: AnalysisProblem, x: Sequence, nodes: Iterable[int], init: dict[int, Any]) -> Diff:
-    """At each j in ``nodes`` where it differs from ``x[j]``: the join of
-    the images of the edges into j, joined with ``init[j]`` where ``init``
-    maps j (bottom at a node with neither)."""
+def _post_diff(problem: AnalysisProblem, x: Sequence, changed: Changed, init: dict[int, Any]) -> Diff:
+    """At each node j that reads a node in ``changed`` (None: every node),
+    where it differs from ``x[j]``: ``init[j]`` where ``init`` maps j, joined
+    with the images of the edges into j (bottom at a node with neither).
+    Given ``changed``, only the edges from its nodes are applied; where other
+    edges feed j, ``x[j]``, which lies above ``init[j]``, stands in for them."""
     adapter, preds = problem.adapter, problem.preds
     transfer, join = adapter.transfer, adapter.join
+    nodes = range(len(x)) if changed is None else {j for i in changed for _, j in problem.succs[i]}
     diff = {}
     for j in nodes:
-        if ins := preds[j]:
-            src, t = ins[0]
-            acc = transfer(t, x[src])
-            for src, t in ins[1:]:
-                acc = join(acc, transfer(t, x[src]))
-            if j in init:
-                acc = join(init[j], acc)
-        else:
-            acc = init[j] if j in init else adapter.bottom()
+        ins, acc = preds[j], init.get(j)  # None: nothing yet, as a constant bottom
+        if changed is not None and len(ins) > 1:  # a lone in-edge is from a changed node
+            ins = [e for e in ins if e[0] in changed]
+            acc = x[j] if len(ins) < len(preds[j]) else acc
+        for src, t in ins:
+            a = transfer(t, x[src])
+            acc = a if acc is None else join(acc, a)
+        if acc is None:
+            acc = adapter.bottom()
         if acc != x[j]:
             diff[j] = acc
     return diff
@@ -452,7 +458,7 @@ def _applied(v: StateVector, diff: Diff) -> StateVector:
 
 def pure_post_step(problem: AnalysisProblem, v: StateVector) -> StateVector:
     """Best abstract successor: at q', the join of edge images from all sources."""
-    return _applied(v, _post_diff(problem, v.values, range(len(v.values)), {}))
+    return _applied(v, _post_diff(problem, v.values, None, {}))
 
 
 def abstract_post_diff(problem: AnalysisProblem, x: Sequence, changed: Changed) -> Diff:
@@ -461,11 +467,12 @@ def abstract_post_diff(problem: AnalysisProblem, x: Sequence, changed: Changed) 
 
     ``changed`` holds the nodes where ``x`` differs from the iterate it was
     stepped from (None: all nodes).  Only targets of edges out of a changed
-    node are recomputed: no other node reads a changed value.  The initial
-    value is joined only where it is not bottom.
+    node are recomputed, and only those edges are applied: the other images
+    are already in ``x``.  This gives the full step's iterates because the
+    chain ascends, which needs monotone transfers.  The initial value is
+    joined only where it is not bottom.
     """
-    nodes = range(len(x)) if changed is None else {j for i in changed for _, j in problem.succs[i]}
-    return _post_diff(problem, x, nodes, problem.nonbottom_init)
+    return _post_diff(problem, x, changed, problem.nonbottom_init)
 
 
 def abstract_pret_diff(problem: AnalysisProblem, x: Sequence, changed: Changed) -> Diff:
@@ -474,9 +481,9 @@ def abstract_pret_diff(problem: AnalysisProblem, x: Sequence, changed: Changed) 
 
     At a node with no outgoing edges the wp contribution is the full space.
     ``changed`` is as for :func:`abstract_post_diff`.  Only sources of edges
-    into a changed node are recomputed: any other node already is the meet
-    of the same terms, unchanged by idempotence of ∩.  The safety value is
-    met only where it is not top.
+    into a changed node are recomputed, and only those edges are applied:
+    ``x`` already lies below the wp of an unchanged target and, after the
+    first step, below the safety value, which is met only where it is not top.
     """
     adapter, succs, safety = problem.adapter, problem.succs, problem.nontop_safety
     wp, meet = adapter.wp, adapter.meet
@@ -485,8 +492,9 @@ def abstract_pret_diff(problem: AnalysisProblem, x: Sequence, changed: Changed) 
     for j in nodes:
         acc = old = x[j]
         for t, dst in succs[j]:
-            acc = meet(acc, wp(t, x[dst]))
-        if j in safety:
+            if changed is None or dst in changed:
+                acc = meet(acc, wp(t, x[dst]))
+        if changed is None and j in safety:
             acc = meet(acc, safety[j])
         if acc != old:
             diff[j] = acc

@@ -429,6 +429,13 @@ def test_guard_relation_must_be_known():
         pg.Guard((pg.LinExpr((1,), 0),), "==", "conj")
 
 
+@pytest.mark.parametrize("mode", ["conj", "disj"])
+def test_guard_needs_a_row(mode):
+    # a guard with no row would print as `edge a -> b : ;`, which does not parse
+    with pytest.raises(ValueError, match="^a guard needs at least one row$"):
+        pg.Guard((), "=", mode)
+
+
 def test_guard_mode_must_be_known():
     # the concrete semantics and the const transfer would read an unknown
     # mode differently (any mode but "conj" as a disjunction, any mode but
@@ -712,6 +719,40 @@ def test_arity_is_checked_once_per_distinct_transfer(monkeypatch):
     assert bad.rows == ()
     with pytest.raises(ValueError, match="assignment dimension mismatch"):
         pg.Program(("a",), 2, "int", ((0, bad, 0),) * 2, {})
+
+
+PARSED_LABELS = {
+    "int": [
+        "x1 := 2*x1 - x2 + 3", "x1 := x2, x2 := x1", "x1 := x1", "x2 := ?", "skip",
+        *(f"assume x1 {rel} x2 + 1" for rel in pg.RELATIONS),
+        "assume x1 < 0 and x2 < 1", "assume x1 != 0 or x2 != 2", "x1 := 2*x1 - x2 + 3",
+    ],
+    "rat": [
+        "x1 := 1/2*x1 + 3/4", "x1 := x2, x2 := -2/3*x1", "x2 := x2", "x1 := ?", "skip",
+        "assume x1 = 1/3", "assume x1 != x2 - 5/2", "x1 := 1/2*x1 + 3/4",
+    ],
+}
+
+
+def test_a_parse_runs_no_transfer_check(monkeypatch):
+    """The parser builds every transfer over the declared n and sort, so it
+    sets the memo of :func:`pg.check_edges` itself: ``Program`` checks none
+    of them.  Without the memo each one passes the check, so the memo never
+    vouches for a transfer the check would reject."""
+    checked = []
+    original = pg._check_transfer
+    monkeypatch.setattr(pg, "_check_transfer", lambda t, n, sort: checked.append(t) or original(t, n, sort))
+    for sort, labels in PARSED_LABELS.items():
+        text = f"vars 2; sort {sort}; nodes a b;\n" + "".join(f"edge a -> b : {label};\n" for label in labels)
+        program = pg.parse_program(text)
+        assert checked == []
+        transfers = {id(t): t for _, t, _ in program.edges}.values()
+        assert len(transfers) == len(labels) - 1  # the repeated label shares its transfer
+        kinds = {type(t) for t in transfers}
+        assert kinds == {pg.ParallelAffineAssign, pg.NondetAssign, pg.Identity, pg.Guard}
+        for t in transfers:
+            assert t.__dict__.pop("_fits") == (2, sort)
+            original(t, 2, sort)
 
 
 @pytest.mark.parametrize(

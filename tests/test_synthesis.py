@@ -652,6 +652,36 @@ def test_const_post_and_wp_are_monotone():
     assert strict >= draws // 2
 
 
+def test_affine_post_is_monotone():
+    """a <= b implies transfer(t, a) <= transfer(t, b) on every edge kind of
+    a ``sort rat`` program, the ``!=`` guard included: the forward step
+    applies only the edges whose input changed, which gives the full step's
+    iterates only for monotone transfers.  Each pair is an element and its
+    join with another, or its meet with another."""
+    draws = strict = 0
+    kinds = set()
+    for k in range(60):
+        rng = random.Random(f"affine-monotone:{k}")
+        prog = random_program(rng, "rat", max_vars=3, max_nodes=4)
+        adapter = synthesis.AffAdapter(prog.n)
+
+        def element():
+            return adapter.alpha([tuple(Fraction(rng.randint(-1, 1)) for _ in range(prog.n))
+                                  for _ in range(rng.randint(0, 3))])
+
+        for _, t, _ in prog.edges:
+            kinds.add(t.rel if isinstance(t, pg.Guard) else type(t))
+            for _ in range(30):
+                a, c = element(), element()
+                a, b = (a, adapter.join(a, c)) if rng.random() < 0.5 else (adapter.meet(a, c), a)
+                assert adapter.leq(a, b)
+                draws += 1
+                strict += a != b
+                assert adapter.leq(adapter.transfer(t, a), adapter.transfer(t, b)), (k, t, a, b)
+    assert kinds == {pg.Identity, pg.ParallelAffineAssign, pg.NondetAssign, "=", "!="}
+    assert strict >= draws // 3
+
+
 # ---------------------------------------------------------------------------
 # Check-before-step order
 # ---------------------------------------------------------------------------
@@ -895,6 +925,47 @@ def test_steps_recompute_only_nodes_reading_a_changed_node(monkeypatch, alg, met
         # a full step per iterate would make N * (steps + 1) calls
         assert N < len(calls) <= N + 2 * result.steps
         assert built <= built_per_step * result.steps
+
+
+@pytest.mark.parametrize("alg, method, step", [("forward", "transfer", "abstract_post_diff"),
+                                              ("backward", "wp", "abstract_pret_diff")])
+def test_steps_apply_only_the_edges_whose_input_changed(monkeypatch, alg, method, step):
+    """The first step applies every edge's transfer (wp); a later step applies
+    only the out-edges (in-edges) of the nodes the previous step changed.
+    The join node q4 is fed by the loop at q2 and by q3, which settles at
+    step 1, so step 3 applies q2's two out-edges and not q3's; backward, q1
+    has two out-edges, and step 3, which finds the fixpoint, applies only
+    the one into q3, which changed at step 2."""
+    program = pg.parse_program(
+        "vars 2; sort int; nodes q1 q2 q3 q4; init q1: (0,0);\n"
+        "edge q1 -> q2 : x1 := 0; edge q2 -> q2 : x1 := x1 + 1; edge q1 -> q3 : x2 := 5;\n"
+        "edge q3 -> q4 : skip; edge q2 -> q4 : x2 := 5;\n"
+    )
+    problem = AnalysisProblem.build(program, "const", {"q4": pg.parse_init_literal("(top,5)", 2, "int")})
+    applied, steps = [], []
+    cell = getattr(synthesis.ConstAdapter, method)
+    monkeypatch.setattr(synthesis.ConstAdapter, method, lambda self, t, a: applied.append(t) or cell(self, t, a))
+    original = getattr(synthesis, step)
+
+    def counted(problem, x, changed):
+        before = len(applied)
+        diff = original(problem, x, changed)
+        steps.append((None if changed is None else set(changed), len(applied) - before))
+        return diff
+
+    monkeypatch.setattr(synthesis, step, counted)
+    result = ALGORITHMS[alg](problem)
+    assert result.found and len(steps) == result.steps + 1 == (4 if alg == "forward" else 3)
+    # forward, the out-edges of a changed node lead to the nodes a step
+    # recomputes, each of which a full recomputation reads through all its in-edges
+    edges, full = (problem.succs, problem.preds) if alg == "forward" else (problem.preds, problem.succs)
+    assert steps[0] == (None, len(program.edges))
+    fewer = False
+    for changed, count in steps[1:]:
+        assert count == sum(len(edges[i]) for i in changed)
+        recomputed = {e[1] if alg == "forward" else e[0] for i in changed for e in edges[i]}
+        fewer |= count < sum(len(full[j]) for j in recomputed)
+    assert fewer
 
 
 @pytest.mark.parametrize("explicit", [False, True], ids=["implicit-bounds", "explicit-bounds"])
