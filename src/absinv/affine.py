@@ -17,11 +17,11 @@ equality is semantic equality.
 
 Every function here that receives coordinates or rows takes Python ``int``s
 only.  Rationals enter through the entry points that clear them:
-``AffSubspace.point_of``, ``hull_points``, ``AffSubspace.contains_point`` and
-``from_equalities`` here, ``synthesis.AffAdapter._vector``, and the
+``AffSubspace.point_of``, ``hull_points``, ``AffSubspace.contains_point``
+and the literals ``from_vector`` and ``from_equalities`` here, and the
 transfers' ``ParallelAffineAssign.scaled`` and ``Guard.cleared``.  The
 n-variable lattice (bounds, height n + 1, alpha, gamma-membership) is
-``synthesis.AffAdapter``.
+``synthesis.AffAdapter``, whose cells call the functions here.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
-from .programs import LinExpr, ParallelAffineAssign, clear_denominators, render_linexpr
+from .programs import TOP, LinExpr, ParallelAffineAssign, check_numbers, clear_denominators, render_linexpr
 
 Row = tuple[int, ...]
 
@@ -258,6 +258,15 @@ def render_affine(a: AffSubspace) -> str:
     if a.dim == a.n:
         return "top"
     return " /\\ ".join(f"{render_linexpr(r)}=0" for r in generators_to_constraints(a))
+
+
+def from_vector(entries: Sequence, n: int) -> AffSubspace:
+    """Subspace of a vector literal of sort ``rat`` numbers and ``programs.TOP``s:
+    the point with 0 in each top slot, spanned by the top slots' unit vectors."""
+    check_numbers([[e for e in entries if e is not TOP]], "rat")
+    num, den = clear_denominators(0 if e is TOP else e for e in entries)
+    units = tuple(tuple(int(i == j) for i in range(n)) for j, e in enumerate(entries) if e is TOP)
+    return AffSubspace(n, num, units, den)
 
 
 def from_equalities(rows: Iterable[LinExpr], n: int) -> AffSubspace:

@@ -8,10 +8,14 @@ module holds the pure functions on elements; the n-variable lattice itself,
 with its bounds, height n + 1, alpha and gamma-membership, is
 ``synthesis.ConstAdapter``.
 
-The transfer functions below are best correct approximations (alpha ∘ t ∘
-gamma), except conjunctive multi-row guards, which are only sound (see
-:func:`bca_guard`): affine assignments are handled exactly, and one pass per
-guard row decides the row e ⋈ 0 for every relation ⋈ (see :func:`solve_row`).
+The module owns every constant transfer: the posts ``bca_*`` are best
+correct approximations (alpha ∘ t ∘ gamma), except conjunctive multi-row
+guards, which are only sound (see :func:`bca_guard`), and the weakest
+preconditions ``wp_*``, which only backward synthesis reads, keep the wp
+contract (transfer(t, a) ≤ b implies a ≤ wp(t, b), and wp is monotone in
+b).  Affine assignments are handled exactly.  One routine, :func:`narrow`,
+decides a row e ⋈ 0 on a box for every relation ⋈, one pass per row; guard
+posts and the assignment wp both narrow by it.
 
 Slots enter from outside only through :func:`checked`, which a vector
 literal and :func:`alpha_points` call: a tuple of n slots, each an ``int``
@@ -27,9 +31,9 @@ operand, not an equal copy, when the result equals it.
 from __future__ import annotations
 
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .programs import TOP, LinExpr, ParallelAffineAssign, _Top, check_numbers, relation_holds
+from .programs import RELATIONS, TOP, Guard, LinExpr, ParallelAffineAssign, _Top, check_numbers, guard_holds
 
 ConstVal = int | _Top  # a single slot
 ConstVec = tuple[ConstVal, ...] | None  # an element; None is bottom
@@ -110,7 +114,7 @@ def alpha_points(points: Iterable[tuple[int, ...]], n: int) -> ConstVec:
 
 
 # ---------------------------------------------------------------------------
-# Best correct approximations of transfer functions
+# Transfer functions: best correct approximations and weakest preconditions
 # ---------------------------------------------------------------------------
 
 
@@ -138,74 +142,103 @@ def bca_nondet_assign(j: int, a: ConstVec) -> ConstVec:
     return a if a is None else a[: j - 1] + (TOP,) + a[j:]
 
 
-def solve_row(terms: Iterable[tuple[int, int]], k: int, rel: str, comps: Sequence[ConstVal]) -> bool | tuple[int, int]:
-    """Decide one guard row  Σ m·x_i + k ⋈ 0  (``terms`` are its (i, m)
-    pairs) on the box of the slots ``comps``.
+def narrow(comps: list[ConstVal], rows: Iterable[tuple[Iterable[tuple[int, int]], int]], rel: str) -> bool:
+    """Narrow the box of the slots ``comps`` in place by each row Σ m·x_i + k ⋈ 0
+    in turn, given as its (i, m) pairs and k; False as soon as the box is
+    empty.  One pass per row sums the constant slots into k and takes the gcd
+    g of the coefficients on top slots.  The cases:
 
-    One pass sums the constant slots into k and takes the gcd g of the
-    coefficients on top slots.  The cases, with the result:
-
-    - no top slot is read: the row is decided, so whether k ⋈ 0;
-    - ⋈ is not =: the row ranges over k + gℤ, unbounded both ways: True;
-    - g does not divide k: no integer solution (Granger's test): False;
-    - one top slot i is read: m_i·x_i + k = 0 fixes slot i: (i, -k/m_i);
+    - no top slot is read: the row is decided; the box is empty unless k ⋈ 0;
+    - ⋈ is not =: the row ranges over k + gℤ, unbounded both ways: no change;
+    - g does not divide k: no integer solution (Granger's test): empty;
+    - one top slot i is read: m_i·x_i + k = 0 fixes slot i at -k/m_i;
     - several top slots are read: every coordinate projection of the
-      solution set is infinite and the box is already the best: True.
+      solution set is infinite and the box is already the best: no change.
     """
-    g, free, m_free = 0, [], 0
-    for i, m in terms:
-        if m == 0:
-            continue
-        if (s := comps[i]) is TOP:
-            free.append(i)
-            g, m_free = gcd(g, m), m
-        else:
-            k += m * s
-    if not free:
-        return relation_holds(k, rel)
-    if rel != "=":
-        return True
-    if k % g != 0:
-        return False
-    if len(free) == 1:
-        return free[0], -k // m_free
+    holds = RELATIONS[rel]
+    for terms, k in rows:
+        g = free = 0  # gcd and count of the top slots read; the last is i_free, times m_free
+        for i, m in terms:
+            if m:
+                if (s := comps[i]) is TOP:
+                    g, free, i_free, m_free = gcd(g, m), free + 1, i, m
+                else:
+                    k += m * s
+        if not free:
+            if not holds(k, 0):
+                return False
+        elif rel == "=":
+            if k % g != 0:
+                return False
+            if free == 1:
+                comps[i_free] = -k // m_free
     return True
 
 
-def _row(e: LinExpr, rel: str, a: ConstVec) -> ConstVec:
-    """Best approximation of one guard row e ⋈ 0: ``a`` kept, killed or
-    with one slot fixed, as :func:`solve_row` decides."""
+def _narrowed(rows: Iterable[LinExpr], rel: str, a: ConstVec) -> ConstVec:
+    """``a`` narrowed by the rows e ⋈ 0; ``a`` itself when no row fixes a slot."""
     if a is None:
         return a
-    fix = solve_row(zip(range(len(a)), e.coeffs, strict=True), e.const, rel, a)
-    if fix is True:
-        return a
-    if fix is False:
+    comps = list(a)
+    if not narrow(comps, [(enumerate(e.coeffs), e.const) for e in rows], rel):
         return None
-    i, c = fix
-    return a[:i] + (c,) + a[i + 1:]
+    return _result(tuple(comps), a, a)
 
 
 def bca_eq_guard(e: LinExpr, a: ConstVec) -> ConstVec:
     """Best approximation of the equality guard e = 0 (one row)."""
-    return _row(e, "=", a)
+    return _narrowed((e,), "=", a)
 
 
 def bca_guard(rows: tuple[LinExpr, ...], rel: str, mode: str, a: ConstVec) -> ConstVec:
     """Multi-row guard: disjunction joins per-row results (alpha is additive
-    on unions, so this is exact); conjunction composes the per-row
-    approximations sequentially (sound, exact when rows touch disjoint
-    slots) and stops at bottom, which every row returns as is."""
+    on unions, so this is exact); conjunction narrows by the rows in turn
+    (sound, exact when rows touch disjoint slots) and stops at bottom."""
     if mode == "disj":
         out = None
-        for r in rows:
-            out = join(out, _row(r, rel, a))
+        for e in rows:
+            out = join(out, _narrowed((e,), rel, a))
         return out
-    for r in rows:
-        if a is None:
-            return a
-        a = _row(r, rel, a)
-    return a
+    return _narrowed(rows, rel, a)
+
+
+def wp_parallel_assign(t: ParallelAffineAssign, target: ConstVec, top: ConstVec) -> ConstVec:
+    """Each constant slot of the target is an equality on the old values; their
+    conjunction, in slot order, narrows the full space (exact for single-constant
+    targets): an assigned row as an equality guard, an unassigned slot x_j = c
+    by setting or checking slot j.  No constant slot gives ``top``, the caller's
+    own object.  Not best when an assigned row reads a constant unassigned slot
+    later in slot order, which it sees as top: x1 := x1 + x2 at (5,3) gives
+    (top,3), where (2,3) is best."""
+    if target is None or target is top:  # every post lies below top
+        return target
+    rows, comps, constant = t.by_target, [TOP] * len(target), False
+    for j, slot in enumerate(target):
+        if slot is TOP:
+            continue
+        constant = True
+        if j not in rows:
+            if comps[j] is TOP:
+                comps[j] = slot
+            elif comps[j] != slot:
+                return None
+            continue
+        terms, const = rows[j]
+        if not narrow(comps, ((terms, const - slot),), "="):
+            return None
+    return tuple(comps) if constant else top
+
+
+def wp_nondet_assign(j: int, target: ConstVec) -> ConstVec:
+    """wp of xj := ?: the target when its slot j is top, else bottom."""
+    return target if target is None or target[j - 1] is TOP else None
+
+
+def wp_guard(t: Guard, target: ConstVec, top: ConstVec) -> ConstVec:
+    """The target if the rows are constant and hold, so hold everywhere; else ``top``."""
+    if all(r.is_constant() for r in t.rows) and guard_holds(t, (0,) * len(t.rows[0].coeffs)):
+        return target
+    return top
 
 
 # ---------------------------------------------------------------------------

@@ -188,6 +188,8 @@ class Guard:
             raise ValueError(f"unknown relation {self.rel!r}")
         if self.mode not in ("conj", "disj"):
             raise ValueError(f"unknown guard mode {self.mode!r}")
+        if len(self.rows) == 1:  # the mode the parser gives one row
+            object.__setattr__(self, "mode", "conj")
 
     @memo
     def cleared(self) -> tuple[LinExpr, ...]:
@@ -269,9 +271,11 @@ class Program:
     ``nodes``.  ``inits`` (a mapping or (node, decl) pairs) is stored as
     pairs in node order, so a program is immutable and hashable.
     Construction rejects what :func:`print_program` could not write back:
-    n outside 1..:data:`MAX_VARS`, a sort not in :data:`SORTS`, a graph
-    that :func:`check_edges` rejects, and an init literal of the wrong
-    length, with an entry outside the sort, or of constraints over ``int``.
+    n outside 1..:data:`MAX_VARS`, a sort not in :data:`SORTS`, no node or
+    a node name that is not one identifier, a graph that :func:`check_edges`
+    rejects, and an init literal of the wrong length, with an entry outside
+    the sort, of constraints over ``int``, or empty.  It drops an explicit
+    ``InitBot``, the default, which prints as nothing.
     """
 
     nodes: tuple[str, ...]
@@ -286,6 +290,8 @@ class Program:
             raise ValueError("variable count must be >= 1" if n < 1 else f"variable count must be <= {MAX_VARS}")
         if sort not in SORTS:
             raise ValueError("sort must be 'int' or 'rat'")
+        if not _NAMES("".join(q + "\n" for q in self.nodes)):
+            raise ValueError("a program needs one or more nodes, each named by an identifier")
         check_edges(self.nodes, self.edges, n, sort)
         inits, known = dict(self.inits), set(self.nodes)
         for q, decl in inits.items():
@@ -296,6 +302,8 @@ class Program:
                     raise ValueError(f"vector literal has {len(decl.entries)} entries, expected {n}")
                 check_numbers([[e for e in decl.entries if e is not TOP]], sort)
             elif isinstance(decl, InitPoints):
+                if not decl.points:
+                    raise ValueError("a point set needs at least one point")
                 for pt in decl.points:
                     if len(pt) != n:
                         raise ValueError(f"point has {len(pt)} coordinates, expected {n}")
@@ -303,6 +311,8 @@ class Program:
             elif isinstance(decl, InitConstraints):
                 if sort != "rat":
                     raise ValueError("constraint literals need sort 'rat'")
+                if not decl.rows:
+                    raise ValueError("a constraint literal needs at least one row")
                 if any(len(r.coeffs) != n for r in decl.rows):
                     raise ValueError("constraint dimension mismatch")
                 check_numbers([(*r.coeffs, r.const) for r in decl.rows], sort)
@@ -310,7 +320,9 @@ class Program:
             seen: set[str] = set()
             q = next(q for q, _ in self.inits if q in seen or seen.add(q))
             raise ValueError(f"node {q!r} has a second init")
-        object.__setattr__(self, "inits", tuple((q, inits[q]) for q in self.nodes if q in inits))
+        object.__setattr__(self, "inits", tuple(
+            (q, inits[q]) for q in self.nodes if q in inits and type(inits[q]) is not InitBot
+        ))
 
     def init_decl(self, q: str) -> InitDecl:
         return next((decl for node, decl in self.inits if node == q), InitBot())
@@ -342,6 +354,8 @@ def _check_transfer(t: TransferFunction, n: int, sort: str) -> None:
     elif isinstance(t, Guard):
         if any(len(r.coeffs) != n for r in t.rows):
             raise ValueError("guard dimension mismatch")
+        if sort == "rat" and t.rel not in ("=", "!="):
+            raise ValueError(_RAT_INEQUALITY.format(t.rel))
     rows = t.rows if isinstance(t, Guard) else [r for _, r in getattr(t, "rows", ())]
     message = "bad slot value {0!r}: a transfer over sort {1!r} needs {2} entries"
     check_numbers([(*r.coeffs, r.const) for r in rows], sort, message)
@@ -459,6 +473,8 @@ _TOKEN = re.compile(
 _SYMBOLS = frozenset(r":= -> <= >= != /\ ( ) { } , ; : ? * / + - = < >".split())
 _WORD = re.compile(r"\w").match  # does a token start an integer or an identifier?
 _IDENT = re.compile(r"[^\W\d]").match  # does a token start an identifier?
+_NAMES = re.compile(r"(?:[^\W\d]\w*\n)+").fullmatch  # one or more identifiers, each ended by a newline
+_RAT_INEQUALITY = "inequality guard {!r} is not supported for sort rat"
 _VARS = {f"x{j + 1}": j for j in range(MAX_VARS)}  # the usual spellings, by 0-based index
 _MODES = {"and": "conj", "or": "disj"}
 
@@ -639,7 +655,7 @@ def _parse_statements(p: _Parser, n: int, sort: str) -> TransferFunction:
         p.pos = pos + 1
         rows, rel, mode = _parse_guard_rows(p, n, sort)
         if sort == "rat" and rel not in ("=", "!="):
-            raise p.fail(f"inequality guard {rel!r} is not supported for sort rat")
+            raise p.fail(_RAT_INEQUALITY.format(rel))
         return Guard(rows, rel, mode)
     # one or more assignments, comma separated, applied in parallel
     assigned: dict[int, LinExpr | None] = {}  # 0-based target -> row; None for xj := ?

@@ -35,16 +35,14 @@ also carries alpha of finite point sets, gamma-membership (``contains``),
 rendering and one dispatch ``table`` from (kind, column) to a cell: each
 transfer class has a ``"post"`` cell and, for the constants, a ``"wp"``
 cell; each init-declaration class an ``"init"`` cell.  A pair without a
-cell is a hole: looking it up raises ``UnsupportedDomain``.  Lattice
-operations and cells call the domain module's functions at call time.  A
-constant element is the tuple of its slots, ``None`` for bottom; the
-``InitVector`` cell checks a literal's slots with ``const_domain.checked``,
-as ``alpha`` does for points, and no other cell needs a check.  The
-constant ``wp`` keeps one contract: transfer(t, a) ≤ b implies
-a ≤ wp(t, b), and wp is monotone in its target.  What the two share
-(n ≥ 1, height n + 1, one ``bottom`` and one ``top`` built per adapter,
-identity post and the ``top``, ``bot`` and point-set literals) is their
-base class ``_NumericDomain``.
+cell is a hole: looking it up raises ``UnsupportedDomain``.  Every cell is
+a lattice identity or one call, made at call time, into the domain module
+(``const_domain`` or ``affine``), which owns the transfers, the wps and the
+check of a literal's entries; a wp that can return top is given the
+adapter's own ``top``.  So this module keeps only the dispatch and the
+engines.  What the two share (n ≥ 1, height n + 1, one ``bottom`` and one
+``top`` built per adapter, identity post and the ``top``, ``bot`` and
+point-set literals) is their base class ``_NumericDomain``.
 
 ``AnalysisProblem`` holds what the steps read: the node names, the edges as
 index triples (source, transfer, target), the adapter, and the initial and
@@ -89,9 +87,6 @@ from .programs import (
     TOP,
     TransferFunction,
     check_edges,
-    check_numbers,
-    clear_denominators,
-    guard_holds,
     post_edges_into,  # noqa: F401 -- unused here; bench/test_bench.py traces it under this name
 )
 
@@ -188,56 +183,19 @@ class ConstAdapter(_NumericDomain):
         synthesis reads.  Its contract: transfer(t, a) ≤ b implies
         a ≤ wp(t, b), and wp is monotone in its target; so every abstract
         inductive invariant below the property lies below every backward
-        iterate.  Not always the best such wp (see ``_assign_wp``; the
-        guard cell gives top where a ``!=`` row could fix a slot)."""
+        iterate.  Not always the best such wp (see
+        ``const_domain.wp_parallel_assign`` and ``wp_guard``)."""
         return self.table[type(t), "wp"](self, t, target)
-
-    def _assign_wp(self, t: ParallelAffineAssign, target: cd.ConstVec) -> cd.ConstVec:
-        """Each constant target slot is an equality constraint on the old
-        values; their conjunction, in slot order, applied to the full space
-        (exact for single-constant targets): an assigned row's constraint is
-        an equality guard, an unassigned slot x_j = c sets or checks slot j.
-        The slots are decided in one list; no constant slot gives ``top``.
-        It keeps the contract of :meth:`wp`, but is not best when an
-        assigned row reads a constant unassigned slot later in slot order,
-        which it then sees as top: x1 := x1 + x2 at (5,3) gives (top,3),
-        where (2,3) is best; the post of (top,3) is not below (5,3), and
-        backward's re-verification ends with ``verification-failed``."""
-        if target is None:
-            return target
-        rows, comps, constant = t.by_target, [TOP] * self.n, False
-        for j, slot in enumerate(target):
-            if slot is TOP:
-                continue
-            constant = True
-            if j not in rows:
-                if comps[j] is TOP:
-                    comps[j] = slot
-                elif comps[j] != slot:
-                    return self._bottom
-                continue
-            terms, const = rows[j]
-            fix = cd.solve_row(terms, const - slot, "=", comps)
-            if fix is False:
-                return self._bottom
-            if fix is not True:
-                comps[fix[0]] = fix[1]
-        return tuple(comps) if constant else self._top
 
     table = _Table({
         **_NumericDomain.table,
         (Identity, "wp"): lambda self, t, target: target,
         (ParallelAffineAssign, "post"): lambda self, t, a: cd.bca_parallel_assign(t, a),
-        (ParallelAffineAssign, "wp"): _assign_wp,
+        (ParallelAffineAssign, "wp"): lambda self, t, target: cd.wp_parallel_assign(t, target, self._top),
         (NondetAssign, "post"): lambda self, t, a: cd.bca_nondet_assign(t.target, a),
-        (NondetAssign, "wp"): lambda self, t, target: (
-            target if target is None or target[t.target - 1] is TOP else self.bottom()
-        ),
+        (NondetAssign, "wp"): lambda self, t, target: cd.wp_nondet_assign(t.target, target),
         (Guard, "post"): lambda self, t, a: cd.bca_guard(t.rows, t.rel, t.mode, a),
-        # the full space, unless the rows are constant: then it holds at every point or none
-        (Guard, "wp"): lambda self, t, target: (
-            target if all(r.is_constant() for r in t.rows) and guard_holds(t, (0,) * self.n) else self.top()
-        ),
+        (Guard, "wp"): lambda self, t, target: cd.wp_guard(t, target, self._top),
         (InitVector, "init"): lambda self, decl: cd.checked(tuple(decl.entries), self.n),
     })
 
@@ -272,30 +230,13 @@ class AffAdapter(_NumericDomain):
     def transfer(self, t: TransferFunction, a: aff.AffSubspace) -> aff.AffSubspace:
         return self.table[type(t), "post"](self, t, a)
 
-    def _guard(self, t: Guard, a: aff.AffSubspace) -> aff.AffSubspace:
-        if t.rel == "=":
-            return aff.bca_eq_guard(t.cleared, t.mode, a)
-        if t.rel != "!=":
-            raise UnsupportedDomain(f"guard relation {t.rel!r} has no affine approximation")
-        return a  # sound, not best: bot would be exact where the guard is false on all of a
-
-    def _vector(self, decl: InitVector) -> aff.AffSubspace:
-        check_numbers([[e for e in decl.entries if e is not TOP]], self.sort)
-        # the point with 0 in each top slot, spanned by the top slots' unit vectors
-        num, den = clear_denominators(0 if e is TOP else e for e in decl.entries)
-        units = tuple(
-            tuple(int(i == j) for i in range(self.n))
-            for j, e in enumerate(decl.entries)
-            if e is TOP
-        )
-        return aff.AffSubspace(self.n, num, units, den)
-
     table = _Table({
         **_NumericDomain.table,
         (ParallelAffineAssign, "post"): lambda self, t, a: aff.bca_parallel_assign(t, a),
         (NondetAssign, "post"): lambda self, t, a: aff.bca_nondet_assign(t.target, a),
-        (Guard, "post"): _guard,
-        (InitVector, "init"): _vector,
+        # != keeps a: sound, not best (bot is exact where the guard is false on all of a)
+        (Guard, "post"): lambda self, t, a: aff.bca_eq_guard(t.cleared, t.mode, a) if t.rel == "=" else a,
+        (InitVector, "init"): lambda self, decl: aff.from_vector(decl.entries, self.n),
         (InitConstraints, "init"): lambda self, decl: aff.from_equalities(decl.rows, self.n),
     })
 

@@ -132,6 +132,26 @@ def test_adapter_meet_with_its_top_returns_the_other_operand(monkeypatch):
     assert dom.meet(vec(TOP, TOP), a) is a and len(calls) == 1
 
 
+def test_guard_post_keeps_its_argument_and_assignment_wp_gives_the_adapter_top():
+    """A guard post that no row narrows returns its argument object, not an
+    equal copy: conjunctive, disjunctive and one-row, for = and for an
+    inequality that reads a top slot.  An assignment wp whose target has no
+    constant slot returns the adapter's ``top`` object, given that object
+    or an equal copy.  ``_result`` in ``join`` and the identity shortcut of
+    ``ConstAdapter.meet`` rely on both."""
+    dom, a = ConstAdapter(3), vec(1, TOP, TOP)
+    holds, two_tops, fixes = pg.LinExpr((1, 0, 0), -1), pg.LinExpr((0, 1, 1), 0), pg.LinExpr((0, 1, 0), -2)
+    guards = [pg.Guard(rows, "=", mode) for rows in ((holds, two_tops), (holds,), (two_tops,)) for mode in ("conj", "disj")]
+    guards += [pg.Guard((fixes, two_tops), "=", "disj"), pg.Guard((two_tops, fixes), ">", "conj")]
+    for t in guards:
+        assert dom.transfer(t, a) is a, t
+    assert dom.transfer(pg.Guard((fixes,), "=", "conj"), a) == vec(1, 2, TOP)
+    top, copy_of_top = dom.top(), tuple([TOP] * 3)
+    assert copy_of_top == top and copy_of_top is not top
+    for t in (pg.ParallelAffineAssign(((0, fixes),)), dense_assign([fixes, holds, two_tops])):
+        assert dom.wp(t, top) is top and dom.wp(t, copy_of_top) is top, t
+
+
 # ---------------------------------------------------------------------------
 # Lattice laws
 # ---------------------------------------------------------------------------

@@ -242,7 +242,7 @@ def test_redeclaration_is_rejected(src, message):
 def test_programs_built_in_code_reject_a_second_init():
     # (node, decl) pairs, unlike a mapping, can declare a node twice; the
     # last one used to win without a word
-    pairs = (("q1", pg.InitTop()), ("q2", pg.InitVector((1,))), ("q1", pg.InitBot()))
+    pairs = (("q1", pg.InitTop()), ("q2", pg.InitVector((1,))), ("q1", pg.InitVector((2,))))
     with pytest.raises(ValueError, match="node 'q1' has a second init"):
         pg.Program(("q1", "q2"), 1, "int", (), pairs)
     assert pg.Program(("q1", "q2"), 1, "int", (), pairs[:2]).inits == pairs[:2]
@@ -277,11 +277,11 @@ def test_all_identity_assignment_prints_as_skip():
 def _built_program_parts(rng: random.Random) -> tuple:
     """The parts of a ``Program`` as code might build them: mostly well
     formed, and each with a small chance of a fault that would print text
-    ``parse_program`` rejects.  Parts are drawn in the form the parser
-    gives, so a program that is accepted can round-trip: no explicit
-    ``bot`` init (it prints as nothing), no empty point set, constraint
-    list or guard, a one-row guard is conjunctive, an assignment that keeps
-    every variable is ``skip``, and a ``rat`` guard is ``=`` or ``!=``."""
+    ``parse_program`` rejects or reads as another program.  An explicit
+    ``bot`` init and a one-row ``disj`` guard are drawn too: ``Program``
+    drops the first and ``Guard`` makes the second ``conj``, so both
+    round-trip.  An assignment that keeps every variable is drawn as
+    ``skip``, the form the parser gives, and every guard has a row."""
 
     def bad() -> bool:
         return rng.random() < 0.03
@@ -289,7 +289,10 @@ def _built_program_parts(rng: random.Random) -> tuple:
     n = rng.choice((0, -1, pg.MAX_VARS + 1)) if bad() else rng.randint(1, 3)
     sort = rng.choice(("float", "real")) if bad() else rng.choice(("int", "rat"))
     k = rng.randint(1, 4)
-    nodes = tuple(f"q{i + 1}" for i in range(k)) + (("q1",) if bad() else ())
+    names = [f"q{i + 1}" for i in range(k)]
+    if bad():  # not one identifier token
+        names[rng.randrange(k)] = rng.choice(("a b", "1q", "q-1", ""))
+    nodes = () if bad() else tuple(names) + (("q1",) if bad() else ())
 
     def width() -> int:
         return max(n, 1) + rng.choice((-1, 1)) if bad() else max(n, 1)
@@ -314,8 +317,8 @@ def _built_program_parts(rng: random.Random) -> tuple:
             t = pg.ParallelAffineAssign(tuple((j, row()) for j in targets))
             return t if t.rows else pg.Identity()
         rows = tuple(row() for _ in range(rng.randint(1, 2)))
-        rel = rng.choice(("=", "!=") if sort == "rat" else tuple(pg.RELATIONS))
-        return pg.Guard(rows, rel, rng.choice(("conj", "disj")) if len(rows) > 1 else "conj")
+        rel = rng.choice(("=", "!=") if sort == "rat" and not bad() else tuple(pg.RELATIONS))
+        return pg.Guard(rows, rel, rng.choice(("conj", "disj")))
 
     def endpoint() -> int:
         return rng.choice((-1, len(nodes))) if bad() else rng.randrange(k)
@@ -323,17 +326,19 @@ def _built_program_parts(rng: random.Random) -> tuple:
     def init() -> pg.InitDecl:
         kind, w = rng.randrange(4), max(n, 1)
         if kind == 0:
-            return pg.InitTop()
+            return rng.choice((pg.InitTop(), pg.InitBot()))
         if kind == 1:
             return pg.InitVector(tuple(pg.TOP if rng.random() < 0.3 else num() for _ in range(width())))
         if kind == 2:
-            return pg.InitPoints(frozenset(tuple(num() for _ in range(width())) for _ in range(rng.randint(1, 3))))
+            count = 0 if bad() else rng.randint(1, 3)
+            return pg.InitPoints(frozenset(tuple(num() for _ in range(width())) for _ in range(count)))
         if sort != "rat" and not bad():
             return pg.InitVector((pg.TOP,) * w)
-        return pg.InitConstraints(tuple(pg.LinExpr(row().coeffs, num()) for _ in range(rng.randint(1, 2))))
+        count = 0 if bad() else rng.randint(1, 2)
+        return pg.InitConstraints(tuple(pg.LinExpr(row().coeffs, num()) for _ in range(count)))
 
     edges = tuple((endpoint(), transfer(), endpoint()) for _ in range(rng.randint(0, 5)))
-    inits = {q: init() for q in rng.sample(nodes[:k], rng.randint(0, k))}
+    inits = {q: init() for q in rng.sample(names, rng.randint(0, k))}
     return nodes, n, sort, edges, inits
 
 
@@ -341,14 +346,16 @@ def test_a_program_built_in_code_is_rejected_or_prints_back():
     """Every ``Program`` built in code is rejected with ``ValueError``, or
     prints text that parses to an equal ``Program``.  The draws include
     each fault that once printed text the parser rejects (``vars 0;``,
-    ``sort float;``, a literal of the wrong length, ``x1 := 1/2*x1`` or a
-    constraint literal over ``int``) and each fault of the graph."""
+    ``sort float;``, a literal of the wrong length, ``x1 := 1/2*x1``, a
+    constraint literal over ``int``, no node, an empty point set or
+    constraint literal, ``x1 < 0`` over ``rat``) or reads as another
+    program (a node name ``a b``), and each fault of the graph."""
     rejected, accepted = collections.Counter(), 0
     for k in range(3000):
         try:
             program = pg.Program(*_built_program_parts(random.Random(f"built:{k}")))
         except ValueError as e:
-            rejected[re.sub(r"'\w+'|-?\d+", "_", re.sub(r"^bad slot value [^:]*", "bad slot value _", str(e)))] += 1
+            rejected[re.sub(r"'[^']*'|-?\d+", "_", re.sub(r"^bad slot value [^:]*", "bad slot value _", str(e)))] += 1
             continue
         accepted += 1
         text = pg.print_program(program)
@@ -361,9 +368,14 @@ def test_a_program_built_in_code_is_rejected_or_prints_back():
         "bad slot value _: a transfer over sort _ needs int or Fraction entries",
         "vector literal has _ entries, expected _", "point has _ coordinates, expected _",
         "bad slot value _", "constraint literals need sort _", "constraint dimension mismatch",
+        "a program needs one or more nodes, each named by an identifier", "a point set needs at least one point",
+        "a constraint literal needs at least one row", "inequality guard _ is not supported for sort rat",
     }
     assert set(rejected) == faults, rejected
     assert accepted > 1000 and min(rejected.values()) >= 5, (accepted, rejected)
+    row = pg.LinExpr((1,), 0)
+    assert pg.Guard((row,), "<", "disj") == pg.Guard((row,), "<", "conj")
+    assert pg.Program(("q1",), 1, "int", (), {"q1": pg.InitBot()}).inits == ()
 
 
 @pytest.mark.parametrize("tail", ["init q1: top;", "edge q1 -> q1 : x1 := 1;"])

@@ -302,12 +302,18 @@ def test_meet_is_the_greatest_lower_bound(domain):
 
 
 def test_affine_rejects_an_inequality_guard_built_in_code():
-    """The parser rejects ``<`` in a ``sort rat`` program; a program built in
-    code can carry one, and the affine post of it is a hole."""
+    """The parser rejects ``<`` in a ``sort rat`` program, and so do
+    ``Program`` and ``AnalysisProblem`` built in code, with its message."""
     guard = pg.Guard((pg.LinExpr((F(1),), F(0)),), "<", "conj")
-    program = pg.Program(("q1", "q2"), 1, "rat", ((0, guard, 1),), {"q1": pg.InitTop()})
-    with pytest.raises(UnsupportedDomain, match="^guard relation '<' has no affine approximation$"):
-        ainv_forward(AnalysisProblem.build(program, "affine"))
+    message = "^inequality guard '<' is not supported for sort rat$"
+    with pytest.raises(ValueError, match=message):
+        pg.Program(("q1", "q2"), 1, "rat", ((0, guard, 1),), {"q1": pg.InitTop()})
+    adapter, nodes = synthesis.AffAdapter(1), ("q1", "q2")
+    vector = pg.StateVector(nodes, (adapter.top(), adapter.top()))
+    with pytest.raises(ValueError, match=message):
+        AnalysisProblem(nodes, ((0, guard, 1),), adapter, vector, vector)
+    with pytest.raises(pg.ProgramSyntaxError, match=message[1:]):
+        pg.parse_program("vars 1; sort rat; nodes q1 q2; edge q1 -> q2 : assume x1 < 0;")
 
 
 def test_unknown_domain_and_zero_variables_are_rejected():
@@ -823,10 +829,12 @@ def failing_property(program: pg.Program, problem: AnalysisProblem, trace) -> di
 
 def explicit_bounds(program: pg.Program, prop: dict[str, pg.InitDecl]) -> tuple[pg.Program, dict[str, pg.InitDecl]]:
     """The same problem with every bound written out: an ``init q: bot``
-    line, or the empty point set, at each node without an init, and a
+    line (which ``Program`` drops) or, over ``rat``, the unsatisfiable
+    constraint ``0 = 1``, at each node without an init, and a
     ``(top,…,top)`` property literal at each node without a property."""
     inits = dict(program.inits)
-    empty = itertools.cycle((pg.InitPoints(frozenset()), pg.parse_init_literal("bot", program.n, program.sort)))
+    literals = ("bot", "0 = 1") if program.sort == "rat" else ("bot",)
+    empty = itertools.cycle([pg.parse_init_literal(text, program.n, program.sort) for text in literals])
     inits.update({q: next(empty) for q in program.nodes if q not in inits})
     top = pg.parse_init_literal("(" + ",".join(["top"] * program.n) + ")", program.n, program.sort)
     return replace(program, inits=inits), {q: prop.get(q, top) for q in program.nodes}
@@ -1117,12 +1125,6 @@ def masks(result) -> tuple:
     return result.found, inv, tuple(v.values[0] for v in result.trace)
 
 
-def dual(ts: FiniteTS) -> FiniteTS:
-    """Every transition reversed, starting from ¬P and avoiding Σ0."""
-    reversed_ = frozenset((t, s) for s, t in ts.transitions)
-    return FiniteTS(ts.size, reversed_, init=ts.full & ~ts.safe, safe=ts.full & ~ts.init)
-
-
 def test_backward_engine_is_algorithms_1_and_4_on_union_closed_families():
     verdicts = collections.Counter()
     for k in range(1500):
@@ -1133,7 +1135,7 @@ def test_backward_engine_is_algorithms_1_and_4_on_union_closed_families():
         assert masks(backward_gfp(one_node_problem(ts, adapter, fam.mu_down(ts.safe)))) == (
             a1.found, a1.invariant, a1.trace
         ), k
-        flipped = dual(ts)
+        flipped = ts.dual
         a4 = run_algorithm4(ts, fam)
         assert masks(backward_gfp(one_node_problem(flipped, adapter, fam.mu_down(flipped.safe)))) == (
             a4.found, a4.invariant, a4.trace
