@@ -135,8 +135,9 @@ def _fail(msg: str) -> int:
 
 def _run_analyze(args: argparse.Namespace) -> int:
     path = Path(args.program)
-    try:
-        text = path.read_text(encoding="utf-8")
+    try:  # the text Path.read_text gives, from one unbuffered read
+        with open(path, "rb", buffering=0) as file:
+            text = file.read().decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
     except (OSError, UnicodeDecodeError) as exc:
         return _fail(f"cannot read {path}: {exc}")
     try:

@@ -29,7 +29,11 @@ only when it is raised, by scanning the text again.  Edges of one program
 whose labels have the same tokens share one transfer object, parsed once.
 The parse gives each part the form the engines read: an edge is a (source
 index, transfer, target index) triple, and an assignment holds only its
-assigned rows, as (0-based target, expression) pairs.  :func:`print_program`
+assigned rows, as (0-based target, expression) pairs.  The parser builds
+each ``Program``, ``ParallelAffineAssign`` and ``Guard`` in the form its
+constructor gives but skips the constructor's checks: its grammar rejects
+each of those faults, with a line and column.  Objects built in code keep
+every check.  :func:`print_program`
 output parses back to a program that prints to the same text.  Programs
 are immutable after parsing and safe to share across threads.
 
@@ -133,11 +137,7 @@ class ParallelAffineAssign:
         if len({j for j, _ in rows}) != len(rows):
             raise ValueError("an assignment target is repeated")
         object.__setattr__(self, "widths", frozenset([len(r.coeffs) for _, r in rows]))
-        # xj := xj has no constant, a 1 at j >= 0 and zeros elsewhere; the cheap tests come first
-        object.__setattr__(self, "rows", tuple([
-            (j, r) for j, r in rows
-            if r.const or j < 0 or r.coeffs[j : j + 1] != (1,) or r.coeffs.count(0) < len(r.coeffs) - 1
-        ]))
+        object.__setattr__(self, "rows", _moved(rows))
 
     def apply_point(self, v: tuple[Number, ...]) -> tuple[Number, ...]:
         rows = dict(self.rows)
@@ -164,6 +164,13 @@ class ParallelAffineAssign:
         return big, tuple(
             (j, tuple((i, next(it)) for i, _ in terms), next(it)) for j, terms, _ in self.assigned
         )
+
+
+def _moved(rows: Iterable[tuple[int, LinExpr]]) -> tuple[tuple[int, LinExpr], ...]:
+    """The (j, e) pairs, in their order, without the self-assignments ``xj := xj``: no
+    constant, a 1 at j >= 0 and zeros elsewhere (the cheap tests come first)."""
+    return tuple([(j, r) for j, r in rows
+                  if r.const or j < 0 or r.coeffs[j : j + 1] != (1,) or r.coeffs.count(0) < len(r.coeffs) - 1])
 
 
 @dataclass(frozen=True)
@@ -479,6 +486,14 @@ _VARS = {f"x{j + 1}": j for j in range(MAX_VARS)}  # the usual spellings, by 0-b
 _MODES = {"and": "conj", "or": "disj"}
 
 
+def _final(cls: type, **fields: Any) -> Any:
+    """A ``cls`` with these fields, which must be in the form its ``__post_init__`` gives them;
+    it runs none of its checks, so only the parser calls it, whose grammar makes each of them."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 class _Parser:
     """Recursive descent over the tokens of :data:`_TOKEN`, which end in the
     sentinel "".  A token's kind follows from its first character and is
@@ -656,7 +671,7 @@ def _parse_statements(p: _Parser, n: int, sort: str) -> TransferFunction:
         rows, rel, mode = _parse_guard_rows(p, n, sort)
         if sort == "rat" and rel not in ("=", "!="):
             raise p.fail(_RAT_INEQUALITY.format(rel))
-        return Guard(rows, rel, mode)
+        return _final(Guard, rows=rows, rel=rel, mode=mode)
     # one or more assignments, comma separated, applied in parallel
     assigned: dict[int, LinExpr | None] = {}  # 0-based target -> row; None for xj := ?
     while True:
@@ -681,8 +696,8 @@ def _parse_statements(p: _Parser, n: int, sort: str) -> TransferFunction:
         if len(assigned) > 1:
             raise p.fail("xj := ? cannot be combined with other assignments on one edge")
         return NondetAssign(j + 1)
-    t = ParallelAffineAssign(tuple(assigned.items()))
-    return t if t.rows else Identity()
+    rows = _moved(sorted(assigned.items()))  # the targets are distinct: no row is compared
+    return _final(ParallelAffineAssign, rows=rows, widths=frozenset([n])) if rows else Identity()
 
 
 def _parse_init_literal(p: _Parser, n: int, sort: str) -> InitDecl:
@@ -845,7 +860,8 @@ def parse_program(text: str) -> Program:
 
     if n is None or sort is None or nodes is None:
         raise p.fail("program must declare vars, sort and nodes")
-    return Program(tuple(nodes), n, sort, tuple(edges), inits)
+    pairs = sorted([(q, d) for q, d in inits.items() if type(d) is not InitBot], key=lambda e: nodes[e[0]])
+    return _final(Program, nodes=tuple(nodes), n=n, sort=sort, edges=tuple(edges), inits=tuple(pairs))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -342,6 +343,29 @@ def random_program(rng: random.Random, sort: str, max_vars: int = 5, max_nodes: 
                 )
             )
     return pg.Program(nodes, n, sort, edges, inits)
+
+
+def _fields(x) -> tuple:
+    """The type and every field of a dataclass object, ``compare=False`` ones too."""
+    return (type(x), *(getattr(x, f.name) for f in dataclasses.fields(x)))
+
+
+def rebuilt_differences(program: pg.Program) -> list[tuple[tuple, tuple]]:
+    """The (parsed, rebuilt) fields of ``program`` and of each of its
+    transfers that differ from their rebuild through the checking
+    constructors of ``Program``, ``ParallelAffineAssign`` and ``Guard``:
+    the parser builds these three without the checks, in the form the
+    constructors give, so for a parsed program the list is empty."""
+
+    def rebuilt(t: pg.TransferFunction) -> pg.TransferFunction:
+        if isinstance(t, pg.ParallelAffineAssign):
+            return pg.ParallelAffineAssign(t.rows)
+        return pg.Guard(t.rows, t.rel, t.mode) if isinstance(t, pg.Guard) else t
+
+    edges = tuple((src, rebuilt(t), dst) for src, t, dst in program.edges)
+    pairs = [(program, pg.Program(program.nodes, program.n, program.sort, edges, program.inits))]
+    pairs += [(t, u) for (_, t, _), (_, u, _) in zip(program.edges, edges)]
+    return [(_fields(x), _fields(y)) for x, y in pairs if _fields(x) != _fields(y)]
 
 
 def random_label_text(rng: random.Random, n: int, sort: str) -> str:

@@ -289,6 +289,44 @@ def test_analyze_non_utf8_file_exits_two(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+_LF_PROGRAM = "vars 1; # one variable\nsort int;\nnodes q1 q2;\ninit q1: (1);\nedge q1 -> q2 : x1 := x1 + 1;\n"
+
+
+@pytest.mark.parametrize(
+    "content, code, err",
+    [
+        (_LF_PROGRAM.replace("\n", "\r\n").encode(), 0, ""),
+        (_LF_PROGRAM.replace("\n", "\r").encode(), 0, ""),  # the comment ends at the CR
+        (b"vars 1;\r\nsort int;\r\nnodes q1;\r\nedge q1 -> q2 : skip;\r\n", 2,
+         "error: {path}: 4:12: unknown node 'q2'\n"),
+        (b"vars 1;\rsort int;\rnodes q1;\redge q1 -> q2 : skip;\r", 2,
+         "error: {path}: 4:12: unknown node 'q2'\n"),
+        (b"vars 1; # a\r\nsort int;\rnodes q1;\n\r\n\r\redge q1 -> q2 : skip;", 2,
+         "error: {path}: 7:12: unknown node 'q2'\n"),
+        (b"# " + b"a" * 9000 + b"\r\n\xff", 2,
+         "error: cannot read {path}: 'utf-8' codec can't decode byte 0xff in position 9004: invalid start byte\n"),
+        (b"\xef\xbb\xbf" + _LF_PROGRAM.encode(), 2, "error: {path}: 1:1: unexpected character '\\ufeff'\n"),
+        ("directory", 2, "error: cannot read {path}: [Errno 21] Is a directory: '{path}'\n"),
+        ("missing", 2, "error: cannot read {path}: [Errno 2] No such file or directory: '{path}'\n"),
+    ],
+    ids=["crlf", "cr", "crlf-error", "cr-error", "mixed-error", "bad-utf8-past-8k", "bom", "directory", "missing"],
+)
+def test_program_files_read_as_text_with_universal_newlines(tmp_path, capsys, content, code, err):
+    """A program file is read as ``Path.read_text`` reads it: strict UTF-8,
+    then CRLF and a lone CR as LF; an error names the file and, for a
+    decoding error, the byte's position in the whole file."""
+    path = {"directory": tmp_path, "missing": tmp_path / "missing.prog"}.get(content, tmp_path / "p.prog")
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    argv = ["analyze", "--program", str(path), "--domain", "const", "--alg", "forward"]
+    got = run(argv, capsys)
+    if code == 0:
+        (tmp_path / "lf.prog").write_text(_LF_PROGRAM, encoding="utf-8")
+        argv[2] = str(tmp_path / "lf.prog")
+        assert got == run(argv, capsys) and "found" in got[1]
+    assert got[0] == code and got[2] == err.format(path=path)
+
+
 def test_analyze_parse_error_exits_two(tmp_path, capsys):
     bad = tmp_path / "bad.prog"
     bad.write_text("vars 1; sort int; nodes a; edge a -> zz : skip;")

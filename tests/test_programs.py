@@ -15,8 +15,8 @@ import reference_parser as ref
 from absinv import const_domain as cd
 from absinv import programs as pg
 from conftest import (
-    BAD_GRAPHS, dense_assign, graph_error, identity_row, random_assignment, random_label_program, random_linexpr_int,
-    random_program,
+    BAD_GRAPHS, PROGRAMS_DIR, dense_assign, graph_error, identity_row, random_assignment, random_label_program,
+    random_linexpr_int, random_program, rebuilt_differences,
 )
 
 
@@ -683,6 +683,49 @@ def test_every_single_token_mutant_matches_the_reference_parser():
     assert len(outcomes) > 12_000 and sum(isinstance(o, str) for o in outcomes) > 250
     assert len(messages) > 150
 
+
+# Every normalization the parser makes in place of the constructors: rows out
+# of target order and self-assignments, a one-row guard, inits out of node
+# order and an explicit bot.
+NORMALIZED = (
+    "vars 2; sort int; nodes a b c; init c: (1,top); init b: bot; init a: top;\n"
+    "edge a -> b : x2 := 1, x1 := x1; edge b -> c : x2 := x2, x1 := 3 - x2; edge c -> a : x1 := x1;\n"
+    "edge c -> a : assume x1 < 0; edge c -> c : assume x1 = 0 or x2 = 1;\n"
+)
+
+
+def test_parsed_programs_equal_their_rebuild_through_the_checking_constructors():
+    """The parser builds ``Program``, ``ParallelAffineAssign`` and ``Guard``
+    without their constructors' checks, which its grammar enforces.  On the
+    demo programs, printed random programs, programs with repeated labels
+    and the fuzz corpus above (its fixed programs, mutants and single-token
+    mutants), every parsed object equals its rebuild through those
+    constructors, ``widths`` included."""
+    texts = [NORMALIZED, *FIXED_PROGRAMS, *(path.read_text() for path in sorted(PROGRAMS_DIR.glob("*.prog")))]
+    for sort in ("int", "rat"):
+        for k in range(150):
+            rng = random.Random(f"final:{sort}:{k}")
+            text = pg.print_program(random_program(rng, sort))
+            texts += [text, *_mutants(rng, text, 4), random_label_program(rng, sort)]
+    for parse, seed in SINGLE_TOKEN_SEEDS:
+        spans = [m.span() for m in ref._TOKEN.finditer(seed) if m.lastgroup in ("int", "ident", "sym")]
+        texts += [seed[:s] + v + seed[e:] for s, e in spans for v in ["", *VOCAB] if parse == "parse_program"]
+    kinds = collections.Counter()
+    for text in texts:
+        try:
+            program = pg.parse_program(text)
+        except pg.ProgramSyntaxError:
+            continue
+        assert rebuilt_differences(program) == [], text
+        kinds.update(type(t).__name__ for _, t, _ in program.edges)
+        kinds["program"] += 1
+    assert kinds["program"] > 800 and min(kinds["ParallelAffineAssign"], kinds["Guard"]) > 1_000
+    program = pg.parse_program(NORMALIZED)
+    assert program.inits == (("a", pg.InitTop()), ("c", pg.InitVector((1, pg.TOP))))
+    assert [t.rows for _, t, _ in program.edges[:2]] == [
+        ((1, pg.LinExpr((0, 0), 1)),), ((0, pg.LinExpr((0, -1), 3)),)
+    ]
+    assert program.edges[2][1] == pg.Identity() and [t.mode for _, t, _ in program.edges[3:]] == ["conj", "disj"]
 
 
 # ---------------------------------------------------------------------------

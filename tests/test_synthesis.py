@@ -898,12 +898,15 @@ def ring_program(N: int) -> pg.Program:
     ids=["forward-transfer", "backward-wp"],
 )
 def test_steps_recompute_only_nodes_reading_a_changed_node(monkeypatch, alg, method, built_per_step):
-    """After the first step, which applies every edge's transfer (wp), a
-    step on this ring applies about one: one node changes per step.  A step
-    makes only the elements whose values are new: of the results of the
-    transfer, the wp, ``cd.join`` and ``cd.meet``, at most one per step
-    forward and four backward is not one of the operands (the count includes
-    the verification of the backward candidate)."""
+    """After the first step, which applies every edge's transfer, a forward
+    step on this ring applies about one: one node changes per step.  The
+    first backward step applies no wp, since every target is top, and each
+    later one applies exactly one; the verification of the backward
+    candidate is a forward step, which applies no wp.  A step makes only
+    the elements whose values are new: of the results of the transfer, the
+    wp, ``cd.join`` and ``cd.meet``, at most one per step forward and four
+    backward is not one of the operands (the count includes the
+    verification of the backward candidate)."""
     calls, built = [], 0
 
     def fresh(result, *operands):
@@ -931,15 +934,19 @@ def test_steps_recompute_only_nodes_reading_a_changed_node(monkeypatch, alg, met
         assert result.found
         assert result.steps == (2 * N - 1 if alg == "forward" else N)
         # a full step per iterate would make N * (steps + 1) calls
-        assert N < len(calls) <= N + 2 * result.steps
+        if alg == "forward":
+            assert N < len(calls) <= N + 2 * result.steps
+        else:
+            assert len(calls) == result.steps == N
         assert built <= built_per_step * result.steps
 
 
 @pytest.mark.parametrize("alg, method, step", [("forward", "transfer", "abstract_post_diff"),
                                               ("backward", "wp", "abstract_pret_diff")])
 def test_steps_apply_only_the_edges_whose_input_changed(monkeypatch, alg, method, step):
-    """The first step applies every edge's transfer (wp); a later step applies
-    only the out-edges (in-edges) of the nodes the previous step changed.
+    """The first step applies every edge's transfer, and no wp: backward,
+    every target is still top.  A later step applies only the out-edges
+    (in-edges) of the nodes the previous step changed.
     The join node q4 is fed by the loop at q2 and by q3, which settles at
     step 1, so step 3 applies q2's two out-edges and not q3's; backward, q1
     has two out-edges, and step 3, which finds the fixpoint, applies only
@@ -967,7 +974,7 @@ def test_steps_apply_only_the_edges_whose_input_changed(monkeypatch, alg, method
     # forward, the out-edges of a changed node lead to the nodes a step
     # recomputes, each of which a full recomputation reads through all its in-edges
     edges, full = (problem.succs, problem.preds) if alg == "forward" else (problem.preds, problem.succs)
-    assert steps[0] == (None, len(program.edges))
+    assert steps[0] == (None, len(program.edges) if alg == "forward" else 0)
     fewer = False
     for changed, count in steps[1:]:
         assert count == sum(len(edges[i]) for i in changed)
@@ -982,8 +989,9 @@ def test_checks_run_only_where_a_bound_can_fail(monkeypatch, alg, explicit):
     """On a 40-node ring with a property at q40 and an initial value at q1,
     forward checks only q40: at the start and at its two changes (reached at
     step 39, widened at step 79).  Backward checks only q1: at the start and
-    when the property reaches it at step 40, plus the 3·40 of
-    ``verify_invariant`` (init ≤ I, post(I) ≤ I and I ≤ safety per node).
+    when the property reaches it at step 40, plus one in ``verify_invariant``:
+    I ≤ safety at q40, the one node whose safety value is not top, and none
+    of init ⊔ post(I) ≤ I, since one forward step from I changes no node.
     Written-out bottom inits and top properties are skipped the same way."""
     N = 40
     program, prop = ring_program(N), {f"q{N}": pg.parse_init_literal("(top,top,top,0)", 4, "int")}
@@ -1001,7 +1009,58 @@ def test_checks_run_only_where_a_bound_can_fail(monkeypatch, alg, explicit):
     monkeypatch.setattr(synthesis.ConstAdapter, "leq", counted)
     result = ALGORITHMS[alg](problem)
     assert result.found and result.steps == (2 * N - 1 if alg == "forward" else N)
-    assert calls == (1 + 2 if alg == "forward" else 1 + 1 + 3 * N)
+    assert calls == (1 + 2 if alg == "forward" else 1 + 1 + 1)
+
+
+def failed_parts(problem: AnalysisProblem, candidate: pg.StateVector) -> tuple[bool, bool, bool]:
+    """Which of init ≤ I, post(I) ≤ I and I ≤ safety fail, each by
+    ``problem.leq`` over full vectors; post(I) joins the edge images from
+    bottom and reads the edge triples directly."""
+    adapter, x = problem.adapter, candidate.values
+    posts = [adapter.bottom() for _ in x]
+    for src, t, dst in problem.edges:
+        posts[dst] = adapter.join(posts[dst], adapter.transfer(t, x[src]))
+    return (
+        not problem.leq(problem.init, candidate),
+        not problem.leq(candidate.with_values(posts), candidate),
+        not problem.leq(candidate, problem.safety),
+    )
+
+
+@pytest.mark.parametrize("sort", ["int", "rat"])
+def test_verify_invariant_is_its_definition(sort):
+    """``verify_invariant``, which reads one forward diff step and checks
+    only the nodes it changes and the nodes whose safety value is not top,
+    holds exactly when init ≤ I, post(I) ≤ I and I ≤ safety do.  The
+    candidates are the forward iterates and the least invariant, the full
+    and the empty vector, and the least invariant with one node set to
+    bottom or top, under no property, a property that holds and one that
+    fails; each part fails alone in some of them."""
+    domain = "const" if sort == "int" else "affine"
+    parts = collections.Counter()
+    for k in range(150):
+        rng = random.Random(f"verify:{sort}:{k}")
+        program = random_program(rng, sort, max_vars=3, max_nodes=8)
+        free = AnalysisProblem.build(program, domain)
+        trace = ainv_forward(free).trace
+        least, adapter = trace[-1], free.adapter
+        j = rng.randrange(len(program.nodes))
+        text = adapter.render(least.values[j]).strip("{}")
+        holding = {program.nodes[j]: pg.parse_init_literal(text, program.n, sort)}
+        for prop in ({}, holding, failing_property(program, free, trace)):
+            problem = AnalysisProblem.build(program, domain, prop)
+            bottom, top = adapter.bottom(), adapter.top()
+            candidates = [*trace, least.with_values([top] * len(least.values))]
+            candidates.append(least.with_values([bottom] * len(least.values)))
+            for i in range(len(least.values)):
+                for a in (bottom, top):
+                    candidates.append(least.with_values(least.values[:i] + (a,) + least.values[i + 1 :]))
+            for candidate in candidates:
+                failed = failed_parts(problem, candidate)
+                assert verify_invariant(problem, candidate) == (not any(failed)), (k, candidate)
+                parts[failed] += 1
+    for alone in ((False,) * 3, (True, False, False), (False, True, False), (False, False, True)):
+        assert parts[alone] >= 500, parts
 
 
 @pytest.mark.parametrize("alg", ["forward", "backward"])
@@ -1181,3 +1240,37 @@ def test_backward_verdicts_are_sound_on_families_not_union_closed():
             missed.add(k)
     assert min(outcomes[None, True], outcomes["init-not-entailed", False]) >= 300
     assert missed == {138, 168, 702, 1112, 1486}
+
+
+def test_verify_invariant_is_its_definition_on_finite_families():
+    """On one-node problems over families with and without the empty set,
+    ``verify_invariant`` of each member holds exactly when init ≤ I,
+    post(I) ≤ I and I ≤ safety do; each part fails alone for some member."""
+    parts, empty = collections.Counter(), collections.Counter()
+    for k in range(400):
+        ts = random_ts(f"verify-family:{k}")
+        fam = random_closure_family(f"verify-family:{k}:L", ts.size, union_closed=k % 2 == 0)
+        safe = random.Random(f"verify-family:{k}:P").choice(sorted(fam.members))
+        problem = one_node_problem(ts, FamilyAdapter(fam, fam.mu_up), safe)
+        for member in sorted(fam.members):
+            candidate = sv(problem, member)
+            failed = failed_parts(problem, candidate)
+            assert verify_invariant(problem, candidate) == (not any(failed)), (k, member)
+            parts[failed] += 1
+        empty[0 in fam.members] += 1
+    assert min(empty.values()) >= 100 and len(empty) == 2
+    for alone in ((False,) * 3, (True, False, False), (False, True, False), (False, False, True)):
+        assert parts[alone] >= 50, parts
+
+
+def test_forward_applies_the_edges_from_a_bottom_that_is_not_strict():
+    """A step must not skip an edge whose source is bottom: over the family
+    {0b011, 0b111}, bottom is mu_up(∅) = 0b011 and its post under 0 -> 2
+    is 0b111.  From the initial value 0b011, which is bottom, forward takes
+    one step, to 0b111."""
+    fam = ClosureFamily(3, frozenset({0b011, 0b111}))
+    ts = FiniteTS(3, frozenset({(0, 2)}), init=0b001, safe=0b111)
+    adapter = FamilyAdapter(fam, fam.mu_up)
+    assert adapter.bottom() == fam.mu_up(ts.init) == 0b011 and adapter.transfer(ts, 0b011) == 0b111
+    result = ainv_forward(one_node_problem(ts, adapter, ts.safe))
+    assert masks(result) == (True, 0b111, (0b011, 0b111)) and result.steps == 1
