@@ -205,6 +205,24 @@ def _text_output(args: argparse.Namespace, result: SynthesisResult, rows: list, 
     return "\n".join(lines)
 
 
+_STRING = json.encoder.encode_basestring_ascii  # C, where json has its speedups
+
+
+def _json(obj: object, indent: str = "\n") -> str:
+    """``json.dumps(obj, indent=2)``, byte for byte, for lists, tuples, ``str``-keyed dicts and
+    scalars; with an indent ``json.dumps`` runs its pure-Python encoder, this writes strings in C."""
+    if isinstance(obj, str):
+        return _STRING(obj)
+    if obj and isinstance(obj, (dict, list, tuple)):
+        inner = indent + "  "
+        sep = "," + inner
+        if isinstance(obj, dict):  # a string value, as in every rendered row, is encoded in place
+            items = [_STRING(k) + ": " + (_STRING(v) if type(v) is str else _json(v, inner)) for k, v in obj.items()]
+            return "{" + inner + sep.join(items) + indent + "}"
+        return "[" + inner + sep.join([_json(v, inner) for v in obj]) + indent + "]"
+    return "null" if obj is None else repr(obj) if type(obj) is int else json.dumps(obj)
+
+
 def _json_output(args: argparse.Namespace, result: SynthesisResult, rows: list, last: dict[str, str]) -> str:
     doc = {
         "algorithm": args.alg,
@@ -220,7 +238,7 @@ def _json_output(args: argparse.Namespace, result: SynthesisResult, rows: list, 
         doc["violating"] = last
     if rows:
         doc["trace"] = rows
-    return json.dumps(doc, indent=2)
+    return _json(doc)
 
 
 def _run_oracle(args: argparse.Namespace) -> int:
@@ -229,7 +247,7 @@ def _run_oracle(args: argparse.Namespace) -> int:
     reports = run_suites(args.suite, args.seed, args.trials)
     failures = sum(r["failures"] for r in reports)
     if args.format == "json":
-        print(json.dumps(reports, indent=2))
+        print(_json(reports))
     else:
         for r in reports:
             line = f"{r['name']}: trials={r['trials']} failures={r['failures']}"

@@ -32,8 +32,9 @@ index, transfer, target index) triple, and an assignment holds only its
 assigned rows, as (0-based target, expression) pairs.  The parser builds
 each ``Program``, ``ParallelAffineAssign`` and ``Guard`` in the form its
 constructor gives but skips the constructor's checks: its grammar rejects
-each of those faults, with a line and column.  Objects built in code keep
-every check.  :func:`print_program`
+each of those faults, with a line and column.  ``StateVector.with_values``
+and ``synthesis.AnalysisProblem.build`` build in final form from checked
+objects too.  Objects built in code keep every check.  :func:`print_program`
 output parses back to a program that prints to the same text.  Programs
 are immutable after parsing and safe to share across threads.
 
@@ -402,7 +403,11 @@ class StateVector:
         return zip(self.nodes, self.values)
 
     def with_values(self, values: Iterable[Any]) -> "StateVector":
-        return StateVector(self.nodes, values)
+        """A vector over the same nodes, which this one has checked already."""
+        values = tuple(values)
+        if len(values) != len(self.nodes):
+            raise ValueError("state vector must be total on the node set")
+        return _final(StateVector, nodes=self.nodes, values=values)
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +493,8 @@ _MODES = {"and": "conj", "or": "disj"}
 
 def _final(cls: type, **fields: Any) -> Any:
     """A ``cls`` with these fields, which must be in the form its ``__post_init__`` gives them;
-    it runs none of its checks, so only the parser calls it, whose grammar makes each of them."""
+    it runs none of its checks, so a caller makes them itself (the parser's grammar) or
+    builds from objects that passed them (``StateVector.with_values``, ``AnalysisProblem.build``)."""
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
     return obj

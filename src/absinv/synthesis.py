@@ -49,9 +49,8 @@ point-set literals) is their base class ``_NumericDomain``.
 
 ``AnalysisProblem`` holds what the steps read: the node names, the edges as
 index triples (source, transfer, target), the adapter, and the initial and
-safety vectors.  ``build`` makes one from a ``Program``, whose edge triples
-it passes through as the same object; any other graph, such as a one-node
-finite transition system, can be passed directly.  Either way the vectors
+safety vectors.  Any graph, such as a one-node finite transition system,
+can be passed to the constructor, which keeps every check: the vectors
 must be over the nodes, and the graph must pass ``programs.check_edges``,
 the one check of a graph that every ``Program`` passes too: distinct node
 names, edge endpoints that are node indices and, over an adapter with a
@@ -59,7 +58,9 @@ names, edge endpoints that are node indices and, over an adapter with a
 ``programs.SORTS``.  The index pass then lists, per node, its incoming
 (source index, transfer) and outgoing (transfer, target index) edges; the
 nodes whose initial value is not bottom or whose safety value is not top are
-mapped right after.  All four are set at construction.  Both
+mapped right after.  All four are set at construction.  ``build`` makes the
+problem of a ``Program``, which passed those checks, in final form and one
+pass: it keeps the edge triples object and reads only the declared nodes.  Both
 engines, by name in ``ALGORITHMS``, step their chain of diffs through
 ``lattice.kleene``; ``StateVector`` is met only at the boundary: the
 problem's vectors, the result, and ``abstract_post_step`` and
@@ -89,6 +90,7 @@ from .programs import (
     StateVector,
     TOP,
     TransferFunction,
+    _final,
     check_edges,
     post_edges_into,  # noqa: F401 -- unused here; bench/test_bench.py traces it under this name
 )
@@ -268,7 +270,8 @@ class AnalysisProblem:
     ``transfer`` and ``wp``, so any domain object with those methods and
     transfers it understands makes a problem.  The edge lists ``preds`` and
     ``succs`` and the maps ``nonbottom_init`` and ``nontop_safety`` are built
-    at construction, once ``programs.check_edges`` has checked the graph.
+    at construction, once ``programs.check_edges`` has checked the graph;
+    ``build`` makes them from a checked ``Program`` without the checks.
     """
 
     nodes: tuple[str, ...]
@@ -287,18 +290,14 @@ class AnalysisProblem:
 
     def __post_init__(self) -> None:
         check_edges(self.nodes, self.edges, getattr(self.adapter, "n", None), getattr(self.adapter, "sort", None))
-        into: list[list[tuple[int, TransferFunction]]] = [[] for _ in self.nodes]
-        out: list[list[tuple[TransferFunction, int]]] = [[] for _ in self.nodes]
-        for src, t, dst in self.edges:
-            into[dst].append((src, t))
-            out[src].append((t, dst))
         if not self.init.nodes == self.safety.nodes == self.nodes:
             raise ValueError("init and safety must be vectors over the problem's nodes")
         bottom, top = self.adapter.bottom(), self.adapter.top()
-        object.__setattr__(self, "preds", tuple(map(tuple, into)))
-        object.__setattr__(self, "succs", tuple(map(tuple, out)))
-        object.__setattr__(self, "nonbottom_init", {j: a for j, a in enumerate(self.init.values) if a != bottom})
-        object.__setattr__(self, "nontop_safety", {j: a for j, a in enumerate(self.safety.values) if a != top})
+        self.__dict__.update(
+            _adjacency(len(self.nodes), self.edges),
+            nonbottom_init={j: a for j, a in enumerate(self.init.values) if a != bottom},
+            nontop_safety={j: a for j, a in enumerate(self.safety.values) if a != top},
+        )
 
     @classmethod
     def build(
@@ -307,9 +306,12 @@ class AnalysisProblem:
         domain: str,
         prop: dict[str, InitDecl] | None = None,
     ) -> "AnalysisProblem":
+        """The problem the constructor would give, made without its checks, which
+        ``program`` passed; ``prop`` declares safety values, top elsewhere."""
+        index = {q: j for j, q in enumerate(program.nodes)}
         prop = prop or {}
         for q in prop:
-            if q not in program.nodes:
+            if q not in index:
                 raise ValueError(f"unknown node {q!r} in property")
         if domain not in DOMAINS:
             raise UnsupportedDomain(f"unknown domain {domain!r}")
@@ -319,13 +321,31 @@ class AnalysisProblem:
                 f"domain {domain!r} requires sort {adapter.sort!r}, program has {program.sort!r}"
             )
         nodes = program.nodes
-        inits, bottom, top = dict(program.inits), adapter.bottom(), adapter.top()
-        init = StateVector(nodes, tuple(adapter.from_init(inits[q]) if q in inits else bottom for q in nodes))
-        safety = StateVector(nodes, tuple(adapter.from_init(prop[q]) if q in prop else top for q in nodes))
-        return cls(nodes, program.edges, adapter, init, safety)
 
-    def leq(self, u: StateVector, v: StateVector) -> bool:
-        return all(map(self.adapter.leq, u.values, v.values))
+        def vector(pairs: Iterable[tuple[str, InitDecl]], default: Any) -> tuple[StateVector, dict[int, Any]]:
+            """The declared values, ``default`` elsewhere, and the map of those that are not it."""
+            values, bound = [default] * len(nodes), {}
+            for q, decl in pairs:
+                j = index[q]
+                values[j] = a = adapter.from_init(decl)
+                if a != default:
+                    bound[j] = a
+            return _final(StateVector, nodes=nodes, values=tuple(values)), bound
+
+        init, nonbottom_init = vector(program.inits, adapter.bottom())  # inits are in node order
+        safety, nontop_safety = vector(sorted(prop.items(), key=lambda e: index[e[0]]), adapter.top())
+        return _final(cls, nodes=nodes, edges=program.edges, adapter=adapter, init=init, safety=safety,
+                      **_adjacency(len(nodes), program.edges), nonbottom_init=nonbottom_init, nontop_safety=nontop_safety)
+
+
+def _adjacency(k: int, edges: Iterable[tuple[int, TransferFunction, int]]) -> dict[str, tuple]:
+    """``preds`` and ``succs`` of a graph on k nodes, in edge order (see ``AnalysisProblem``)."""
+    into: list[list[tuple[int, TransferFunction]]] = [[] for _ in range(k)]
+    out: list[list[tuple[TransferFunction, int]]] = [[] for _ in range(k)]
+    for src, t, dst in edges:
+        into[dst].append((src, t))
+        out[src].append((t, dst))
+    return {"preds": tuple(map(tuple, into)), "succs": tuple(map(tuple, out))}
 
 
 @dataclass(frozen=True)
@@ -539,7 +559,7 @@ def backward_gfp(problem: AnalysisProblem) -> SynthesisResult:
     """
     if not hasattr(problem.adapter, "wp"):
         raise UnsupportedDomain(f"backward synthesis is not supported for the {problem.adapter.name} domain")
-    top_vec = StateVector(problem.nodes, (problem.adapter.top(),) * len(problem.nodes))
+    top_vec = problem.init.with_values((problem.adapter.top(),) * len(problem.nodes))
     result = _iterate(
         problem, top_vec, abstract_pret_diff,
         problem.nonbottom_init, lambda a, init: problem.adapter.leq(init, a), "init-not-entailed", "greatest",

@@ -14,6 +14,7 @@ from absinv import const_domain as cd
 from absinv import programs as pg
 from absinv.affine import AffSubspace
 from absinv.finite import ClosureFamily, FiniteGI
+from absinv.synthesis import AnalysisProblem
 
 PROGRAMS_DIR = Path(__file__).resolve().parent.parent / "programs"
 
@@ -366,6 +367,34 @@ def rebuilt_differences(program: pg.Program) -> list[tuple[tuple, tuple]]:
     pairs = [(program, pg.Program(program.nodes, program.n, program.sort, edges, program.inits))]
     pairs += [(t, u) for (_, t, _), (_, u, _) in zip(program.edges, edges)]
     return [(_fields(x), _fields(y)) for x, y in pairs if _fields(x) != _fields(y)]
+
+
+def pointwise_leq(problem: AnalysisProblem, u: pg.StateVector, v: pg.StateVector) -> bool:
+    """u ≤ v at every node, in the order of the problem's domain."""
+    return all(map(problem.adapter.leq, u.values, v.values))
+
+
+def built_differences(program: pg.Program, domain: str, prop: dict | None = None) -> list[tuple[str, object, object]]:
+    """The (field, built, checked) triples of the fields, ``compare=False``
+    ones included and each map as its list of items, so that key order
+    counts, in which ``AnalysisProblem.build(program, domain, prop)`` differs
+    from the problem that the checking constructor makes of the program's
+    graph and of the vectors of its inits and of ``prop`` (bottom and top
+    elsewhere): ``build`` makes every field itself, without the
+    constructor's checks, so the list is empty."""
+    built, prop = AnalysisProblem.build(program, domain, prop), prop or {}
+    adapter, inits, nodes = built.adapter, dict(program.inits), program.nodes
+    init = pg.StateVector(nodes, [adapter.from_init(inits[q]) if q in inits else adapter.bottom() for q in nodes])
+    safety = pg.StateVector(nodes, [adapter.from_init(prop[q]) if q in prop else adapter.top() for q in nodes])
+    checked = AnalysisProblem(nodes, program.edges, adapter, init, safety)
+    differences = []
+    for f in dataclasses.fields(AnalysisProblem):
+        x, y = getattr(built, f.name), getattr(checked, f.name)
+        if isinstance(x, dict):
+            x, y = list(x.items()), list(y.items())
+        if x != y:
+            differences.append((f.name, x, y))
+    return differences
 
 
 def random_label_text(rng: random.Random, n: int, sort: str) -> str:

@@ -27,7 +27,8 @@ from absinv.synthesis import (
     verify_invariant,
 )
 from conftest import (
-    PROGRAMS_DIR, chain_gi, dense_assign, random_program, rational_view, solve_square_system, three_chain_f,
+    PROGRAMS_DIR, chain_gi, dense_assign, pointwise_leq, random_program, rational_view, solve_square_system,
+    three_chain_f,
 )
 
 F = Fraction
@@ -161,7 +162,7 @@ def test_criterion_3_backward_const_trace(const_demo):
         and result.kind == "greatest"
         and rendered == expected
         and verify_invariant(problem, result.invariant)
-        and problem.leq(forward, result.invariant)
+        and pointwise_leq(problem, forward, result.invariant)
         and forward != result.invariant
         and elapsed < 0.1
     )

@@ -145,6 +145,61 @@ def test_trace_renders_each_element_once(monkeypatch, capsys, fmt):
     assert len(calls) == N + sum(map(len, result.diffs)) < N * (result.steps + 1)
 
 
+# quote, backslash, controls, DEL, non-ASCII, a line separator and astral characters
+_JSON_CHARS = ['a', 'q', '1', ' ', '/', '"', '\\', '\n', '\t', '\x00', '\x1f', '\x7f', 'é', '⊤', '\u2028', '\U0001f600', '𝔸']
+
+
+def _random_document(rng: random.Random, depth: int = 0):
+    """A JSON document: scalars, ``str``-keyed dicts, lists and tuples, up to four deep."""
+    kind = rng.randrange(8 if depth < 4 else 4)
+    if kind == 0:
+        return rng.choice([None, True, False])
+    if kind == 1:
+        return rng.choice([0, 7, -1, -(10**25), 2**64, 10**100])
+    if kind in (2, 3):
+        return _random_string(rng)
+    items = [_random_document(rng, depth + 1) for _ in range(rng.randint(0, 3))]
+    if kind == 4:
+        return items
+    if kind == 5:
+        return tuple(items)
+    if kind == 6:  # a trace: rows of node -> rendered element
+        return [{f"q{j}": rng.choice(["bot", "top", "(top,-2)", "{x1-x2=0}"]) for j in range(k)} for k in range(len(items))]
+    return {_random_string(rng): x for x in items}
+
+
+def _random_string(rng: random.Random) -> str:
+    return "".join(rng.choice(_JSON_CHARS) for _ in range(rng.randint(0, 5)))
+
+
+def test_json_writer_is_json_dumps_with_indent_2():
+    rng = random.Random("json-writer")
+    docs = [{}, [], (), "", None, {"": {}}, [[], {}, ()], {"a": [{"b": None}]}]
+    docs += [_random_document(rng) for _ in range(3000)]
+    for doc in docs:
+        assert cli._json(doc) == json.dumps(doc, indent=2), doc
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--program", CONST, "--domain", "const", "--alg", alg, *prop, "--trace", "--format", "json"]
+        for alg in synthesis.ALGORITHMS for prop in ([], ["--prop", "q2: (top,2)"], ["--prop", "q2: (0,top)"])
+    ] + [
+        ["analyze", "--program", AFFINE, "--domain", "affine", "--alg", "forward", "--trace", "--format", "json"],
+        ["analyze", "--program", "{unicode}", "--domain", "const", "--alg", "forward", "--trace", "--format", "json"],
+        ["oracle", "--suite", "all", "--seed", "3", "--trials", "2", "--format", "json"],
+    ],
+)
+def test_json_output_is_json_dumps_with_indent_2(tmp_path, capsys, argv):
+    """Both JSON outputs print what ``json.dumps(doc, indent=2)`` prints; node
+    names with non-ASCII and astral letters are escaped as it escapes them."""
+    path = tmp_path / "unicode.prog"
+    path.write_text("vars 1; sort int; nodes qé q𝔸 qλ; init qé: (1); edge qé -> q𝔸 : x1 := x1 + 1;", encoding="utf-8")
+    code, out, _ = run([str(path) if a == "{unicode}" else a for a in argv], capsys)
+    assert code in (0, 1) and out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
 def _cli_env(**extra) -> dict[str, str]:
     """The environment of a ``python -m absinv.cli`` run on this checkout's ``src``."""
     src = str(PROGRAMS_DIR.parent / "src")

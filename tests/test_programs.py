@@ -216,6 +216,11 @@ def test_state_vector_is_total_mapping():
     # a repeated name would make the second value unreachable by name
     with pytest.raises(ValueError, match="duplicate node names"):
         pg.StateVector(("a", "a"), (1, 2))
+    # with_values keeps the checked nodes, and still checks the length
+    assert sv.with_values(iter([1, 2])) == sv and sv.with_values([3, 4]).nodes is sv.nodes
+    for values in ((1,), (1, 2, 3), ()):
+        with pytest.raises(ValueError, match="^state vector must be total on the node set$"):
+            sv.with_values(values)
 
 
 def test_zero_denominator_is_a_syntax_error():

@@ -38,7 +38,9 @@ from absinv.synthesis import (
     backward_gfp,
     verify_invariant,
 )
-from conftest import BAD_GRAPHS, graph_error, random_const_vec, random_program, rational_view
+from conftest import (
+    BAD_GRAPHS, built_differences, graph_error, pointwise_leq, random_const_vec, random_program, rational_view,
+)
 
 TOP = cd.TOP
 F = Fraction
@@ -129,7 +131,7 @@ def test_forward_found_is_least_among_sampled_invariants(const_problem):
         )
         if verify_invariant(const_problem, candidate):
             hits += 1
-            assert const_problem.leq(result.invariant, candidate)
+            assert pointwise_leq(const_problem, result.invariant, candidate)
     assert hits > 0
 
 
@@ -164,7 +166,7 @@ def test_backward_const_trace_matches_expected(const_problem):
 def test_backward_result_strictly_weaker_than_forward(const_problem):
     fwd = ainv_forward(const_problem).invariant
     bwd = backward_gfp(const_problem).invariant
-    assert const_problem.leq(fwd, bwd)
+    assert pointwise_leq(const_problem, fwd, bwd)
     assert fwd != bwd
 
 
@@ -205,7 +207,7 @@ def test_backward_greater_than_sampled_invariants(const_problem):
             ],
         )
         if verify_invariant(const_problem, candidate):
-            assert const_problem.leq(candidate, result.invariant)
+            assert pointwise_leq(const_problem, candidate, result.invariant)
 
 
 def test_build_rejects_a_property_at_an_unknown_node(const_demo):
@@ -314,6 +316,46 @@ def test_affine_rejects_an_inequality_guard_built_in_code():
         AnalysisProblem(nodes, ((0, guard, 1),), adapter, vector, vector)
     with pytest.raises(pg.ProgramSyntaxError, match=message[1:]):
         pg.parse_program("vars 1; sort rat; nodes q1 q2; edge q1 -> q2 : assume x1 < 0;")
+
+
+def _random_decl(rng: random.Random, n: int, sort: str) -> pg.InitDecl:
+    """A declaration of any kind the sort has; some give bottom or a top that is not the adapter's object."""
+    num = Fraction if sort == "rat" else int
+    kinds = [
+        pg.InitTop, pg.InitBot,
+        lambda: pg.InitVector(tuple(TOP if rng.random() < 0.4 else num(rng.randint(-2, 2)) for _ in range(n))),
+        lambda: pg.InitPoints(frozenset(tuple(num(rng.randint(-2, 2)) for _ in range(n)) for _ in range(2))),
+    ]
+    if sort == "rat":
+        kinds.append(lambda: pg.InitConstraints((pg.LinExpr(tuple(num(rng.randint(-1, 1)) for _ in range(n)), num(1)),)))
+    return rng.choice(kinds)()
+
+
+@pytest.mark.parametrize("sort, domain", [("int", "const"), ("rat", "affine")])
+def test_build_equals_the_checking_constructor(sort, domain):
+    """``build`` skips the constructor's checks and makes every field itself:
+    its problem equals, field by field and in the key order of the bound
+    maps, the one the constructor makes of the same graph and of the vectors
+    of the inits and the property, also when the property names its nodes
+    out of node order and when a declaration gives bottom or top."""
+    rng, out_of_order = random.Random(f"build-{sort}"), 0
+    for _ in range(300):
+        program = random_program(rng, sort)
+        n, nodes = program.n, program.nodes
+        inits = {q: _random_decl(rng, n, sort) for q in rng.sample(nodes, rng.randint(0, len(nodes)))}
+        program = replace(program, inits=inits)
+        prop = {q: _random_decl(rng, n, sort) for q in rng.sample(nodes, rng.randint(0, len(nodes)))}
+        out_of_order += list(prop) != sorted(prop, key=nodes.index)
+        assert built_differences(program, domain, prop) == []
+    assert out_of_order >= 100
+
+
+@pytest.mark.parametrize("sort, domain", [("int", "affine"), ("rat", "const")])
+def test_build_rejects_a_domain_of_another_sort(sort, domain):
+    program = pg.parse_program(f"vars 1; sort {sort}; nodes q1;")
+    other = "rat" if sort == "int" else "int"
+    with pytest.raises(UnsupportedDomain, match=f"^domain '{domain}' requires sort '{other}', program has '{sort}'$"):
+        AnalysisProblem.build(program, domain)
 
 
 def test_unknown_domain_and_zero_variables_are_rejected():
@@ -520,10 +562,10 @@ def test_forward_affine_exact_arithmetic(affine_problem):
 def test_traces_are_strict_chains(const_problem):
     fwd = ainv_forward(const_problem)
     for lo, hi in zip(fwd.trace, fwd.trace[1:]):
-        assert const_problem.leq(lo, hi) and lo != hi
+        assert pointwise_leq(const_problem, lo, hi) and lo != hi
     bwd = backward_gfp(const_problem)
     for hi, lo in zip(bwd.trace, bwd.trace[1:]):
-        assert const_problem.leq(lo, hi) and lo != hi
+        assert pointwise_leq(const_problem, lo, hi) and lo != hi
 
 
 def test_random_const_programs_respect_height_bound():
@@ -798,10 +840,10 @@ def reference_run(problem: AnalysisProblem, alg: str) -> dict:
     top, budget = problem.adapter.top(), problem.adapter.height() * len(problem.nodes) + 1
     if alg == "forward":
         start, step, kind = problem.init, full_post_step, "least"
-        check, reason = (lambda v: problem.leq(v, problem.safety)), "property-violated"
+        check, reason = (lambda v: pointwise_leq(problem, v, problem.safety)), "property-violated"
     else:
         start, step, kind = sv(problem, *[top for _ in problem.nodes]), full_pret_step, "greatest"
-        check, reason = (lambda v: problem.leq(problem.init, v)), "init-not-entailed"
+        check, reason = (lambda v: pointwise_leq(problem, problem.init, v)), "init-not-entailed"
     trace = []
     for v in kleene(lambda v: step(problem, v), start, budget):
         trace.append(v)
@@ -1014,16 +1056,16 @@ def test_checks_run_only_where_a_bound_can_fail(monkeypatch, alg, explicit):
 
 def failed_parts(problem: AnalysisProblem, candidate: pg.StateVector) -> tuple[bool, bool, bool]:
     """Which of init ≤ I, post(I) ≤ I and I ≤ safety fail, each by
-    ``problem.leq`` over full vectors; post(I) joins the edge images from
+    ``pointwise_leq`` over full vectors; post(I) joins the edge images from
     bottom and reads the edge triples directly."""
     adapter, x = problem.adapter, candidate.values
     posts = [adapter.bottom() for _ in x]
     for src, t, dst in problem.edges:
         posts[dst] = adapter.join(posts[dst], adapter.transfer(t, x[src]))
     return (
-        not problem.leq(problem.init, candidate),
-        not problem.leq(candidate.with_values(posts), candidate),
-        not problem.leq(candidate, problem.safety),
+        not pointwise_leq(problem, problem.init, candidate),
+        not pointwise_leq(problem, candidate.with_values(posts), candidate),
+        not pointwise_leq(problem, candidate, problem.safety),
     )
 
 
