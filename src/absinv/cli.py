@@ -7,6 +7,12 @@ built from the same table, reads every other argv (help, abbreviations,
 ``--flag=value``, usage errors), so its output and exit codes are its own,
 but for help to a failing standard output, which exits 2 as below.
 
+``analyze`` reads ``--program`` as named; only where that fails is the name
+read in ``pathlib.Path``'s form (no trailing slash, ``""`` as ``.``), which
+decides, and which every message gives.  The parser checks the program and
+each ``--prop`` literal; ``AnalysisProblem.build`` checks the property's
+nodes and the domain's sort, over one adapter per (domain, n).
+
 Exit codes: 0 — invariant found / zero oracle failures; 1 — no-invariant
 verdict / oracle failures; 2 — usage, parse or validation errors, a result
 that standard output cannot encode, or a standard output that fails (full,
@@ -133,17 +139,24 @@ def _fail(msg: str) -> int:
     return 2
 
 
+def _read_text(path: str | Path) -> str:
+    """The text ``Path.read_text`` gives, from one unbuffered read."""
+    with open(path, "rb", buffering=0) as file:
+        return file.read().decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+
+
 def _run_analyze(args: argparse.Namespace) -> int:
-    path = Path(args.program)
-    try:  # the text Path.read_text gives, from one unbuffered read
-        with open(path, "rb", buffering=0) as file:
-            text = file.read().decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
-    except (OSError, UnicodeDecodeError) as exc:
-        return _fail(f"cannot read {path}: {exc}")
+    try:  # pathlib's form of the name only where the name as given fails (see above)
+        text = _read_text(args.program)
+    except (OSError, UnicodeDecodeError):
+        try:
+            text = _read_text(Path(args.program))
+        except (OSError, UnicodeDecodeError) as exc:
+            return _fail(f"cannot read {Path(args.program)}: {exc}")
     try:
         program = parse_program(text)
     except ValueError as exc:  # ProgramSyntaxError is one
-        return _fail(f"{path}: {exc}")
+        return _fail(f"{Path(args.program)}: {exc}")
 
     prop = {}
     for entry in args.prop:

@@ -17,15 +17,19 @@ b).  Affine assignments are handled exactly.  One routine, :func:`narrow`,
 decides a row e ⋈ 0 on a box for every relation ⋈, one pass per row; guard
 posts and the assignment wp both narrow by it.
 
-Slots enter from outside only through :func:`checked`, which a vector
-literal and :func:`alpha_points` call: a tuple of n slots, each an ``int``
-or ``TOP``, where the ``int``s are the numbers of sort ``int`` in
-``programs.SORTS`` (no ``bool``).  The rest copy checked slots or compute
+Slots enter from outside through :func:`checked`, which
+:func:`alpha_points` and a vector literal built in code pass: a tuple of n
+slots, each an ``int`` or ``TOP``, where the ``int``s are the numbers of
+sort ``int`` in ``programs.SORTS`` (no ``bool``).  A literal the parser
+made, and marked with the n and sort it was parsed at, is the one
+exception: its grammar checked the same, so ``synthesis.ConstAdapter`` takes
+its entries as they are at that n.  The rest copy checked slots or compute
 ``int``s from ``int`` coefficients (``programs.check_edges`` rejects others
 for ``Program`` and ``AnalysisProblem`` alike), so need no check.  Elements
 are immutable and can be shared: both adapters of ``synthesis`` keep one
-``top`` and one ``bot`` each, and :func:`join` and :func:`meet` return an
-operand, not an equal copy, when the result equals it.
+``top`` and one ``bot`` each, ``AnalysisProblem.build`` shares one adapter
+per (domain, n), and :func:`join` and :func:`meet` return an operand, not
+an equal copy, when the result equals it.
 """
 
 from __future__ import annotations

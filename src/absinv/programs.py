@@ -32,11 +32,14 @@ index, transfer, target index) triple, and an assignment holds only its
 assigned rows, as (0-based target, expression) pairs.  The parser builds
 each ``Program``, ``ParallelAffineAssign`` and ``Guard`` in the form its
 constructor gives but skips the constructor's checks: its grammar rejects
-each of those faults, with a line and column.  ``StateVector.with_values``
-and ``synthesis.AnalysisProblem.build`` build in final form from checked
-objects too.  Objects built in code keep every check.  :func:`print_program`
-output parses back to a program that prints to the same text.  Programs
-are immutable after parsing and safe to share across threads.
+each of those faults, with a line and column.  It marks each transfer and
+each vector literal it builds with its n and sort (:func:`fits`), so that no
+check of the graph or of a constant literal repeats its grammar's.
+``StateVector.with_values`` and ``synthesis.AnalysisProblem.build`` build in
+final form from checked objects too.  Objects built in code keep every
+check.  :func:`print_program` output parses back to a program that prints
+to the same text.  Programs are immutable after parsing and safe to share
+across threads.
 
 This module owns the question "is this a well-formed graph over n variables
 of sort s?": :func:`check_edges` answers it for ``Program`` and for
@@ -244,7 +247,9 @@ TOP = _Top.TOP
 @dataclass(frozen=True)
 class InitVector:
     """A (c1,...,cn) literal; entries are numbers or the marker :data:`TOP`,
-    which both domains read as an unconstrained coordinate."""
+    which both domains read as an unconstrained coordinate.  One the parser
+    builds carries the mark :func:`fits` reads, as a parsed transfer does;
+    one built in code has none."""
 
     entries: tuple[Any, ...]
 
@@ -340,15 +345,21 @@ def check_edges(nodes: tuple[str, ...], edges: Iterable[tuple[int, Any, int]], n
     """The one check of a graph: distinct node names, endpoints that are node indices and, given
     a sort, transfers over n variables of it; each keeps the (n, sort) it last passed, as a memo,
     which the parser sets on the transfers it builds: they are over its n and sort by construction."""
-    k, fits = len(nodes), (n, sort)
+    k = len(nodes)
     if len(set(nodes)) != k:
         raise ValueError("duplicate node names")
     for src, t, dst in edges:
         if not (0 <= src < k and 0 <= dst < k):
             raise ValueError(f"an edge endpoint is not a node index in range({k})")
-        if sort is not None and t.__dict__.get("_fits") != fits:
+        if sort is not None and not fits(t, n, sort):
             _check_transfer(t, n, sort)
-            t.__dict__["_fits"] = fits
+            t.__dict__["_fits"] = (n, sort)
+
+
+def fits(obj: Any, n: int, sort: str) -> bool:
+    """Does ``obj``, a transfer or a vector literal, carry the mark that it is over n
+    variables of ``sort``?  The parser marks what it builds, and ``check_edges`` what it passed."""
+    return obj.__dict__.get("_fits") == (n, sort)
 
 
 def _check_transfer(t: TransferFunction, n: int, sort: str) -> None:
@@ -716,7 +727,8 @@ def _parse_init_literal(p: _Parser, n: int, sort: str) -> InitDecl:
         p.expect(")")
         if len(entries) != n:
             raise p.fail(f"vector literal has {len(entries)} entries, expected {n}")
-        return InitVector(tuple(entries))
+        # marked as fitting n and the sort (see fits): the constant cell takes the entries as they are
+        return _final(InitVector, entries=tuple(entries), _fits=(n, sort))
     if p.accept("{"):
 
         def point() -> tuple[Number, ...]:

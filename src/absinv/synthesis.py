@@ -42,10 +42,14 @@ cell is a hole: looking it up raises ``UnsupportedDomain``.  Every cell is
 a lattice identity or one call, made at call time, into the domain module
 (``const_domain`` or ``affine``), which owns the transfers, the wps and the
 check of a literal's entries; a wp that can return top is given the
-adapter's own ``top``.  So this module keeps only the dispatch and the
-engines.  What the two share (n ≥ 1, height n + 1, one ``bottom`` and one
-``top`` built per adapter, identity post and the ``top``, ``bot`` and
-point-set literals) is their base class ``_NumericDomain``.
+adapter's own ``top``; the constant vector cell skips that check for a
+literal the parser marked with the adapter's n and sort.  So this module
+keeps only the dispatch and the engines.  What the two share (n ≥ 1, height
+n + 1, one ``bottom`` and one ``top`` built per adapter, identity post and
+the ``top``, ``bot`` and point-set literals) is their base class
+``_NumericDomain``.  An adapter is immutable after ``__init__``, so ``build``
+gives every problem over one (domain, n) the same one; a direct
+``ConstAdapter(n)`` or ``AffAdapter(n)`` call makes a fresh one.
 
 ``AnalysisProblem`` holds what the steps read: the node names, the edges as
 index triples (source, transfer, target), the adapter, and the initial and
@@ -69,6 +73,7 @@ problem's vectors, the result, and ``abstract_post_step`` and
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Collection, Iterable, Sequence
 
@@ -92,6 +97,7 @@ from .programs import (
     TransferFunction,
     _final,
     check_edges,
+    fits,
     post_edges_into,  # noqa: F401 -- unused here; bench/test_bench.py traces it under this name
 )
 
@@ -201,7 +207,10 @@ class ConstAdapter(_NumericDomain):
         (NondetAssign, "wp"): lambda self, t, target: cd.wp_nondet_assign(t.target, target),
         (Guard, "post"): lambda self, t, a: cd.bca_guard(t.rows, t.rel, t.mode, a),
         (Guard, "wp"): lambda self, t, target: cd.wp_guard(t, target, self._top),
-        (InitVector, "init"): lambda self, decl: cd.checked(tuple(decl.entries), self.n),
+        # a literal the parser marked with this n and sort is its slots as they are
+        (InitVector, "init"): lambda self, decl: (
+            decl.entries if fits(decl, self.n, self.sort) else cd.checked(tuple(decl.entries), self.n)
+        ),
     })
 
     def render(self, a: cd.ConstVec) -> str:
@@ -256,6 +265,13 @@ Adapter = ConstAdapter | AffAdapter
 DOMAINS: dict[str, type[Adapter]] = {cls.name: cls for cls in (ConstAdapter, AffAdapter)}
 
 
+@functools.cache
+def _shared(cls: type[Adapter], n: int) -> Adapter:
+    """The one ``cls(n)`` that ``build`` gives every problem over (cls, n): an adapter
+    is immutable after ``__init__``, and a ``Program`` has n ≤ ``programs.MAX_VARS``."""
+    return cls(n)
+
+
 # ---------------------------------------------------------------------------
 # Analysis problems and results
 # ---------------------------------------------------------------------------
@@ -307,7 +323,8 @@ class AnalysisProblem:
         prop: dict[str, InitDecl] | None = None,
     ) -> "AnalysisProblem":
         """The problem the constructor would give, made without its checks, which
-        ``program`` passed; ``prop`` declares safety values, top elsewhere."""
+        ``program`` passed, over the one adapter of its (domain, n); ``prop``
+        declares safety values, top elsewhere."""
         index = {q: j for j, q in enumerate(program.nodes)}
         prop = prop or {}
         for q in prop:
@@ -315,7 +332,7 @@ class AnalysisProblem:
                 raise ValueError(f"unknown node {q!r} in property")
         if domain not in DOMAINS:
             raise UnsupportedDomain(f"unknown domain {domain!r}")
-        adapter = DOMAINS[domain](program.n)
+        adapter = _shared(DOMAINS[domain], program.n)
         if program.sort != adapter.sort:
             raise UnsupportedDomain(
                 f"domain {domain!r} requires sort {adapter.sort!r}, program has {program.sort!r}"

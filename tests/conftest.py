@@ -374,6 +374,16 @@ def pointwise_leq(problem: AnalysisProblem, u: pg.StateVector, v: pg.StateVector
     return all(map(problem.adapter.leq, u.values, v.values))
 
 
+def checked_problem(program: pg.Program, adapter, prop: dict | None = None) -> AnalysisProblem:
+    """The problem the checking constructor makes over ``adapter`` of the
+    program's graph and of the vectors of its inits and of ``prop`` (bottom
+    and top elsewhere)."""
+    prop, inits, nodes = prop or {}, dict(program.inits), program.nodes
+    init = pg.StateVector(nodes, [adapter.from_init(inits[q]) if q in inits else adapter.bottom() for q in nodes])
+    safety = pg.StateVector(nodes, [adapter.from_init(prop[q]) if q in prop else adapter.top() for q in nodes])
+    return AnalysisProblem(nodes, program.edges, adapter, init, safety)
+
+
 def built_differences(program: pg.Program, domain: str, prop: dict | None = None) -> list[tuple[str, object, object]]:
     """The (field, built, checked) triples of the fields, ``compare=False``
     ones included and each map as its list of items, so that key order
@@ -382,11 +392,8 @@ def built_differences(program: pg.Program, domain: str, prop: dict | None = None
     graph and of the vectors of its inits and of ``prop`` (bottom and top
     elsewhere): ``build`` makes every field itself, without the
     constructor's checks, so the list is empty."""
-    built, prop = AnalysisProblem.build(program, domain, prop), prop or {}
-    adapter, inits, nodes = built.adapter, dict(program.inits), program.nodes
-    init = pg.StateVector(nodes, [adapter.from_init(inits[q]) if q in inits else adapter.bottom() for q in nodes])
-    safety = pg.StateVector(nodes, [adapter.from_init(prop[q]) if q in prop else adapter.top() for q in nodes])
-    checked = AnalysisProblem(nodes, program.edges, adapter, init, safety)
+    built = AnalysisProblem.build(program, domain, prop)
+    checked = checked_problem(program, built.adapter, prop)
     differences = []
     for f in dataclasses.fields(AnalysisProblem):
         x, y = getattr(built, f.name), getattr(checked, f.name)

@@ -392,6 +392,47 @@ def test_analyze_parse_error_exits_two(tmp_path, capsys):
     assert code == 2 and "unknown node" in err
 
 
+_BAD_PROGRAM = "vars 1; sort int; nodes a; edge a -> zz : skip;"
+
+
+@pytest.mark.parametrize(
+    "name, code, err",
+    [
+        ("a.prog/", 0, ""),
+        ("./a.prog", 0, ""),
+        ("./nodir//missing.prog", 2,
+         "error: cannot read nodir/missing.prog: [Errno 2] No such file or directory: 'nodir/missing.prog'\n"),
+        ("", 2, "error: cannot read .: [Errno 21] Is a directory: '.'\n"),
+        ("sub", 2, "error: cannot read sub: [Errno 21] Is a directory: 'sub'\n"),
+        ("./sub/", 2, "error: cannot read sub: [Errno 21] Is a directory: 'sub'\n"),
+        (".//bad.prog", 2, "error: bad.prog: {syntax}\n"),
+    ],
+    ids=["trailing-slash", "dot-slash", "missing", "empty", "directory", "directory-slash", "syntax-error"],
+)
+def test_program_path_is_read_and_named_in_pathlib_form(tmp_path, monkeypatch, capsys, name, code, err):
+    """``--program`` reads the file ``pathlib.Path`` names: a trailing slash
+    and ``.`` components are dropped, doubled slashes are one and ``""`` is
+    ``.``; every message names the file in that form."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a.prog").write_text(Path(CONST).read_text(encoding="utf-8"), encoding="utf-8")
+    (tmp_path / "bad.prog").write_text(_BAD_PROGRAM, encoding="utf-8")
+    (tmp_path / "sub").mkdir()
+    with pytest.raises(ValueError) as syntax:
+        parse_program(_BAD_PROGRAM)
+    got = run(["analyze", "--program", name, "--domain", "const", "--alg", "forward"], capsys)
+    if code == 0:
+        assert got == run(["analyze", "--program", "a.prog", "--domain", "const", "--alg", "forward"], capsys)
+        assert "found" in got[1]
+    assert got[0] == code and got[2] == err.format(syntax=syntax.value)
+
+
+def test_a_program_read_as_named_builds_no_path(monkeypatch, capsys):
+    """pathlib's form of the name is made only once a read fails."""
+    expected = run(["analyze", "--program", CONST, "--domain", "const", "--alg", "forward"], capsys)
+    monkeypatch.setattr(cli, "Path", lambda name: pytest.fail(f"Path({name!r}) was built"))
+    assert run(["analyze", "--program", CONST, "--domain", "const", "--alg", "forward"], capsys) == expected
+
+
 def test_analyze_domain_sort_mismatch_exits_two(capsys):
     code, _, err = run(
         ["analyze", "--program", AFFINE, "--domain", "const", "--alg", "forward"],

@@ -39,7 +39,8 @@ from absinv.synthesis import (
     verify_invariant,
 )
 from conftest import (
-    BAD_GRAPHS, built_differences, graph_error, pointwise_leq, random_const_vec, random_program, rational_view,
+    BAD_GRAPHS, built_differences, checked_problem, graph_error, pointwise_leq, random_const_vec, random_program,
+    rational_view,
 )
 
 TOP = cd.TOP
@@ -356,6 +357,100 @@ def test_build_rejects_a_domain_of_another_sort(sort, domain):
     other = "rat" if sort == "int" else "int"
     with pytest.raises(UnsupportedDomain, match=f"^domain '{domain}' requires sort '{other}', program has '{sort}'$"):
         AnalysisProblem.build(program, domain)
+
+
+def test_build_shares_one_adapter_per_domain_and_n():
+    """Problems over equal (domain, n) get one adapter object, whatever the
+    program; another domain or n gets another.  A direct constructor call
+    still makes a fresh adapter."""
+    adapters = {}
+    for sort, domain in (("int", "const"), ("rat", "affine")):
+        for n in (1, 2, 3):
+            for nodes in ("a", "a b", "a b c"):
+                program = pg.parse_program(f"vars {n}; sort {sort}; nodes {nodes}; init a: top;")
+                adapter = AnalysisProblem.build(program, domain).adapter
+                assert adapters.setdefault((domain, n), adapter) is adapter
+                assert type(adapter) is synthesis.DOMAINS[domain] and adapter.n == n
+    assert len({id(a) for a in adapters.values()}) == len(adapters) == 6
+    fresh = synthesis.ConstAdapter(2)
+    assert fresh is not adapters["const", 2] and fresh is not synthesis.ConstAdapter(2)
+
+
+@pytest.mark.parametrize("sort, domain", [("int", "const"), ("rat", "affine")])
+def test_shared_adapters_give_the_results_of_fresh_ones(sort, domain):
+    """Forward, then (constants) backward, run back to back on problems that
+    share their adapters give, on seeded random programs and properties,
+    the results of the same problems made by the checking constructor over
+    a fresh ``DOMAINS[domain](n)``; ``build`` stays equal to that
+    constructor over its own adapter."""
+    rng, shared = random.Random(f"shared-{sort}"), set()
+    algorithms = [ainv_forward, backward_gfp] if domain == "const" else [ainv_forward]
+    for _ in range(150):
+        program = random_program(rng, sort, max_vars=3)
+        n, nodes = program.n, program.nodes
+        program = replace(program, inits={q: _random_decl(rng, n, sort) for q in rng.sample(nodes, rng.randint(0, 2))})
+        prop = {q: _random_decl(rng, n, sort) for q in rng.sample(nodes, rng.randint(0, 2))}
+        built = AnalysisProblem.build(program, domain, prop)
+        shared.add(built.adapter)
+        checked = checked_problem(program, synthesis.DOMAINS[domain](n), prop)
+        assert [alg(built) for alg in algorithms] == [alg(checked) for alg in algorithms]
+        assert built_differences(program, domain, prop) == []
+    assert len(shared) == 3  # n = 1, 2, 3: each adapter served about 50 problems
+
+
+def test_a_parsed_literal_reaches_its_cell_unchecked(monkeypatch):
+    """The grammar made a parsed init or property literal n slots of sort
+    ``int``: its entries are the element as they are, and no
+    ``const_domain.checked`` runs for them; it runs for an equal literal
+    built in code."""
+    program = pg.parse_program("vars 2; sort int; nodes a b; init a: (1, top); edge a -> b : x1 := x1 + 1;")
+    prop = {"b": pg.parse_init_literal("(2, top)", 2, "int")}
+    AnalysisProblem.build(program, "const", prop)  # the shared adapter is made, and its top checked, here
+    calls = []
+    monkeypatch.setattr(cd, "checked", lambda slots, n: calls.append(slots))
+    problem = AnalysisProblem.build(program, "const", prop)
+    assert problem.init.values[0] is program.inits[0][1].entries and problem.safety.values[1] is prop["b"].entries
+    assert ainv_forward(problem).invariant.values == ((1, TOP), (2, TOP))
+    assert calls == []
+    AnalysisProblem.build(program, "const", {"b": pg.InitVector((2, TOP))})  # equal, built in code
+    assert calls == [(2, TOP)]
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        ((True, 0), "bad slot value True"),
+        ((1.5, 0), "bad slot value 1.5"),
+        ((F(1, 2), 0), "bad slot value Fraction(1, 2)"),
+        ((1,), "component count must equal n"),
+        ((1, 2, TOP), "component count must equal n"),
+    ],
+    ids=["bool", "float", "fraction", "short", "long"],
+)
+def test_a_const_literal_built_in_code_is_checked(entries, message):
+    """Only the parser marks a literal: one built in code is checked, by
+    ``from_init`` and as a property of ``build``."""
+    program = pg.parse_program("vars 2; sort int; nodes a b;")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        synthesis.ConstAdapter(2).from_init(pg.InitVector(entries))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        AnalysisProblem.build(program, "const", {"b": pg.InitVector(entries)})
+
+
+def test_a_parsed_literal_is_checked_again_at_another_n_or_sort():
+    """The mark is the (n, sort) the literal was parsed at: at another n or
+    sort the cell checks the literal, as it checks one built in code."""
+    literal = pg.parse_init_literal("(1, top)", 2, "int")
+    assert synthesis.ConstAdapter(2).from_init(literal) is literal.entries
+    for n in (1, 3):
+        with pytest.raises(ValueError, match="^component count must equal n$"):
+            synthesis.ConstAdapter(n).from_init(literal)
+        program = pg.parse_program(f"vars {n}; sort int; nodes a;")
+        with pytest.raises(ValueError, match="^component count must equal n$"):
+            AnalysisProblem.build(program, "const", {"a": literal})
+    rational = pg.parse_init_literal("(1, top)", 2, "rat")
+    with pytest.raises(ValueError, match=r"^bad slot value Fraction\(1, 1\)$"):
+        synthesis.ConstAdapter(2).from_init(rational)
 
 
 def test_unknown_domain_and_zero_variables_are_rejected():
