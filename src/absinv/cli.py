@@ -148,10 +148,10 @@ def _read_text(path: str | Path) -> str:
 def _run_analyze(args: argparse.Namespace) -> int:
     try:  # pathlib's form of the name only where the name as given fails (see above)
         text = _read_text(args.program)
-    except (OSError, UnicodeDecodeError):
+    except (OSError, ValueError):  # a decoding error or a NUL in the name is a ValueError
         try:
             text = _read_text(Path(args.program))
-        except (OSError, UnicodeDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             return _fail(f"cannot read {Path(args.program)}: {exc}")
     try:
         program = parse_program(text)

@@ -17,19 +17,18 @@ b).  Affine assignments are handled exactly.  One routine, :func:`narrow`,
 decides a row e ⋈ 0 on a box for every relation ⋈, one pass per row; guard
 posts and the assignment wp both narrow by it.
 
-Slots enter from outside through :func:`checked`, which
-:func:`alpha_points` and a vector literal built in code pass: a tuple of n
-slots, each an ``int`` or ``TOP``, where the ``int``s are the numbers of
-sort ``int`` in ``programs.SORTS`` (no ``bool``).  A literal the parser
-made, and marked with the n and sort it was parsed at, is the one
-exception: its grammar checked the same, so ``synthesis.ConstAdapter`` takes
-its entries as they are at that n.  The rest copy checked slots or compute
-``int``s from ``int`` coefficients (``programs.check_edges`` rejects others
-for ``Program`` and ``AnalysisProblem`` alike), so need no check.  Elements
-are immutable and can be shared: both adapters of ``synthesis`` keep one
-``top`` and one ``bot`` each, ``AnalysisProblem.build`` shares one adapter
-per (domain, n), and :func:`join` and :func:`meet` return an operand, not
-an equal copy, when the result equals it.
+Slots enter from outside through :func:`checked`, which :func:`alpha_points`
+and every vector literal pass, parsed or built in code, each time
+``synthesis.ConstAdapter`` reads one: a tuple of n slots, each ``TOP`` or
+of a type of sort ``int`` in ``programs.SORTS`` (no ``bool``), checked in
+one pass; no element records that it passed.  The rest copy checked slots
+or compute ``int``s from ``int`` coefficients (``programs.check_edges``
+rejects others for ``Program`` and ``AnalysisProblem`` alike), so need no
+check.  Elements are immutable and can be shared: both adapters of
+``synthesis`` keep one ``top`` and one ``bot`` each,
+``AnalysisProblem.build`` shares one adapter per (domain, n), and
+:func:`join` and :func:`meet` return an operand, not an equal copy, when
+the result equals it.
 """
 
 from __future__ import annotations
@@ -37,10 +36,12 @@ from __future__ import annotations
 from math import gcd
 from typing import Iterable
 
-from .programs import RELATIONS, TOP, Guard, LinExpr, ParallelAffineAssign, _Top, check_numbers, guard_holds
+from .programs import RELATIONS, SORTS, TOP, Guard, LinExpr, ParallelAffineAssign, _Top, guard_holds
 
 ConstVal = int | _Top  # a single slot
 ConstVec = tuple[ConstVal, ...] | None  # an element; None is bottom
+
+_INTS = SORTS["int"][0]  # the types of a constant slot's number
 
 
 def checked(slots: object, n: int) -> ConstVec:
@@ -49,7 +50,9 @@ def checked(slots: object, n: int) -> ConstVec:
         raise ValueError(f"slots must be a tuple, not {type(slots).__name__}")
     if len(slots) != n:
         raise ValueError("component count must equal n")
-    check_numbers([[s for s in slots if s is not TOP]], "int")
+    for s in slots:
+        if type(s) not in _INTS and s is not TOP:
+            raise ValueError(f"bad slot value {s!r}")
     return slots
 
 

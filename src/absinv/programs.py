@@ -32,20 +32,21 @@ index, transfer, target index) triple, and an assignment holds only its
 assigned rows, as (0-based target, expression) pairs.  The parser builds
 each ``Program``, ``ParallelAffineAssign`` and ``Guard`` in the form its
 constructor gives but skips the constructor's checks: its grammar rejects
-each of those faults, with a line and column.  It marks each transfer and
-each vector literal it builds with its n and sort (:func:`fits`), so that no
-check of the graph or of a constant literal repeats its grammar's.
-``StateVector.with_values`` and ``synthesis.AnalysisProblem.build`` build in
-final form from checked objects too.  Objects built in code keep every
-check.  :func:`print_program` output parses back to a program that prints
-to the same text.  Programs are immutable after parsing and safe to share
+each of those faults, with a line and column.  ``StateVector.with_values``
+and ``synthesis.AnalysisProblem.build`` build in final form from checked
+objects too.  Objects built in code keep every check.  A check runs where
+input enters, and no object records that it passed: a vector literal, parsed
+or built in code, is checked again where a domain reads it.
+:func:`print_program` output parses back to a program that prints to the
+same text.  Programs are immutable after parsing and safe to share
 across threads.
 
 This module owns the question "is this a well-formed graph over n variables
 of sort s?": :func:`check_edges` answers it for ``Program`` and for
 ``synthesis.AnalysisProblem``, and :data:`SORTS`, the one table of each
 sort's numbers, says which entries a sort has, for transfers, literals and
-constant slots alike (:func:`check_numbers`).
+constant slots alike (:func:`check_numbers`; ``const_domain.checked`` reads it
+for constant slots).
 """
 
 from __future__ import annotations
@@ -247,9 +248,7 @@ TOP = _Top.TOP
 @dataclass(frozen=True)
 class InitVector:
     """A (c1,...,cn) literal; entries are numbers or the marker :data:`TOP`,
-    which both domains read as an unconstrained coordinate.  One the parser
-    builds carries the mark :func:`fits` reads, as a parsed transfer does;
-    one built in code has none."""
+    which both domains read as an unconstrained coordinate."""
 
     entries: tuple[Any, ...]
 
@@ -342,24 +341,16 @@ class Program:
 
 
 def check_edges(nodes: tuple[str, ...], edges: Iterable[tuple[int, Any, int]], n: int | None, sort: str | None) -> None:
-    """The one check of a graph: distinct node names, endpoints that are node indices and, given
-    a sort, transfers over n variables of it; each keeps the (n, sort) it last passed, as a memo,
-    which the parser sets on the transfers it builds: they are over its n and sort by construction."""
+    """The one check of a graph: distinct node names, endpoints that are node indices and,
+    given a sort, the transfer of every edge over n variables of it."""
     k = len(nodes)
     if len(set(nodes)) != k:
         raise ValueError("duplicate node names")
     for src, t, dst in edges:
         if not (0 <= src < k and 0 <= dst < k):
             raise ValueError(f"an edge endpoint is not a node index in range({k})")
-        if sort is not None and not fits(t, n, sort):
+        if sort is not None:
             _check_transfer(t, n, sort)
-            t.__dict__["_fits"] = (n, sort)
-
-
-def fits(obj: Any, n: int, sort: str) -> bool:
-    """Does ``obj``, a transfer or a vector literal, carry the mark that it is over n
-    variables of ``sort``?  The parser marks what it builds, and ``check_edges`` what it passed."""
-    return obj.__dict__.get("_fits") == (n, sort)
 
 
 def _check_transfer(t: TransferFunction, n: int, sort: str) -> None:
@@ -503,9 +494,10 @@ _MODES = {"and": "conj", "or": "disj"}
 
 
 def _final(cls: type, **fields: Any) -> Any:
-    """A ``cls`` with these fields, which must be in the form its ``__post_init__`` gives them;
-    it runs none of its checks, so a caller makes them itself (the parser's grammar) or
-    builds from objects that passed them (``StateVector.with_values``, ``AnalysisProblem.build``)."""
+    """A ``cls`` with these fields and no other attribute, which must be in the form its
+    ``__post_init__`` gives them; it runs none of its checks, so a caller makes them itself
+    (the parser's grammar) or builds from objects that passed them (``StateVector.with_values``,
+    ``AnalysisProblem.build``), and nothing records that they passed."""
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
     return obj
@@ -727,8 +719,7 @@ def _parse_init_literal(p: _Parser, n: int, sort: str) -> InitDecl:
         p.expect(")")
         if len(entries) != n:
             raise p.fail(f"vector literal has {len(entries)} entries, expected {n}")
-        # marked as fitting n and the sort (see fits): the constant cell takes the entries as they are
-        return _final(InitVector, entries=tuple(entries), _fits=(n, sort))
+        return InitVector(tuple(entries))
     if p.accept("{"):
 
         def point() -> tuple[Number, ...]:
@@ -838,7 +829,6 @@ def parse_program(text: str) -> Program:
                     pass
             if t is None:
                 t = _parse_statements(p, nn, ss)
-                t.__dict__["_fits"] = (nn, ss)  # check_edges's memo: no check of it follows
                 u = labels.setdefault(tuple(toks[start : p.pos]), t)
                 repeated, t = repeated or u is not t, u
             else:
@@ -934,9 +924,7 @@ def print_program(program: Program) -> str:
         f"sort {program.sort};",
         "nodes " + " ".join(program.nodes) + ";",
     ]
-    for q, decl in program.inits:
-        if not isinstance(decl, InitBot):
-            lines.append(f"init {q}: {render_init(decl)};")
+    lines += [f"init {q}: {render_init(decl)};" for q, decl in program.inits]
     nodes = program.nodes
     for src, t, dst in program.edges:
         lines.append(f"edge {nodes[src]} -> {nodes[dst]} : {render_transfer(t)};")

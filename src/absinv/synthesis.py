@@ -41,15 +41,15 @@ cell; each init-declaration class an ``"init"`` cell.  A pair without a
 cell is a hole: looking it up raises ``UnsupportedDomain``.  Every cell is
 a lattice identity or one call, made at call time, into the domain module
 (``const_domain`` or ``affine``), which owns the transfers, the wps and the
-check of a literal's entries; a wp that can return top is given the
-adapter's own ``top``; the constant vector cell skips that check for a
-literal the parser marked with the adapter's n and sort.  So this module
-keeps only the dispatch and the engines.  What the two share (n ≥ 1, height
-n + 1, one ``bottom`` and one ``top`` built per adapter, identity post and
-the ``top``, ``bot`` and point-set literals) is their base class
-``_NumericDomain``.  An adapter is immutable after ``__init__``, so ``build``
-gives every problem over one (domain, n) the same one; a direct
-``ConstAdapter(n)`` or ``AffAdapter(n)`` call makes a fresh one.
+check of a literal's entries, made at every call of a vector cell, parsed
+literal or not; a wp that can return top is given the adapter's own
+``top``.  So this module keeps only the dispatch and the engines.  What the
+two share (n ≥ 1, height n + 1, one ``bottom`` and one ``top`` built per
+adapter, identity post and the ``top``, ``bot`` and point-set literals) is
+their base class ``_NumericDomain``.  An adapter is immutable after
+``__init__``, so ``build`` gives every problem over one (domain, n) the
+same one; a direct ``ConstAdapter(n)`` or ``AffAdapter(n)`` call makes a
+fresh one.
 
 ``AnalysisProblem`` holds what the steps read: the node names, the edges as
 index triples (source, transfer, target), the adapter, and the initial and
@@ -58,8 +58,9 @@ can be passed to the constructor, which keeps every check: the vectors
 must be over the nodes, and the graph must pass ``programs.check_edges``,
 the one check of a graph that every ``Program`` passes too: distinct node
 names, edge endpoints that are node indices and, over an adapter with a
-``sort``, transfers that fit its n and have entries of that sort in
-``programs.SORTS``.  The index pass then lists, per node, its incoming
+``sort``, on every edge a transfer over its n with entries of that sort
+in ``programs.SORTS``; the check records nothing, so each construction
+runs it on every edge.  The index pass then lists, per node, its incoming
 (source index, transfer) and outgoing (transfer, target index) edges; the
 nodes whose initial value is not bottom or whose safety value is not top are
 mapped right after.  All four are set at construction.  ``build`` makes the
@@ -97,7 +98,6 @@ from .programs import (
     TransferFunction,
     _final,
     check_edges,
-    fits,
     post_edges_into,  # noqa: F401 -- unused here; bench/test_bench.py traces it under this name
 )
 
@@ -207,10 +207,7 @@ class ConstAdapter(_NumericDomain):
         (NondetAssign, "wp"): lambda self, t, target: cd.wp_nondet_assign(t.target, target),
         (Guard, "post"): lambda self, t, a: cd.bca_guard(t.rows, t.rel, t.mode, a),
         (Guard, "wp"): lambda self, t, target: cd.wp_guard(t, target, self._top),
-        # a literal the parser marked with this n and sort is its slots as they are
-        (InitVector, "init"): lambda self, decl: (
-            decl.entries if fits(decl, self.n, self.sort) else cd.checked(tuple(decl.entries), self.n)
-        ),
+        (InitVector, "init"): lambda self, decl: cd.checked(tuple(decl.entries), self.n),
     })
 
     def render(self, a: cd.ConstVec) -> str:

@@ -14,6 +14,7 @@ from absinv import const_domain as cd
 from absinv import programs as pg
 from absinv.affine import AffSubspace
 from absinv.finite import ClosureFamily, FiniteGI
+from absinv.lattice import memo
 from absinv.synthesis import AnalysisProblem
 
 PROGRAMS_DIR = Path(__file__).resolve().parent.parent / "programs"
@@ -402,6 +403,29 @@ def built_differences(program: pg.Program, domain: str, prop: dict | None = None
         if x != y:
             differences.append((f.name, x, y))
     return differences
+
+
+#: Edge labels of every transfer kind over 2 variables, per sort; each list
+#: repeats its first label last, so that two of its edges share a transfer.
+PARSED_LABELS = {
+    "int": [
+        "x1 := 2*x1 - x2 + 3", "x1 := x2, x2 := x1", "x1 := x1", "x2 := ?", "skip",
+        *(f"assume x1 {rel} x2 + 1" for rel in pg.RELATIONS),
+        "assume x1 < 0 and x2 < 1", "assume x1 != 0 or x2 != 2", "x1 := 2*x1 - x2 + 3",
+    ],
+    "rat": [
+        "x1 := 1/2*x1 + 3/4", "x1 := x2, x2 := -2/3*x1", "x2 := x2", "x1 := ?", "skip",
+        "assume x1 = 1/3", "assume x1 != x2 - 5/2", "x1 := 1/2*x1 + 3/4",
+    ],
+}
+
+
+def stray_attributes(obj) -> set[str]:
+    """The names in the ``__dict__`` of the dataclass object ``obj`` that are
+    neither its fields nor ``lattice.memo`` descriptors of its class: a
+    check that left a mark on a transfer or literal would show here."""
+    memos = {name for cls in type(obj).__mro__ for name, v in vars(cls).items() if isinstance(v, memo)}
+    return set(vars(obj)) - memos - {f.name for f in dataclasses.fields(obj)}
 
 
 def random_label_text(rng: random.Random, n: int, sort: str) -> str:

@@ -344,6 +344,13 @@ def test_analyze_non_utf8_file_exits_two(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_analyze_program_name_with_a_nul_exits_two(capsys):
+    """A name no file can have, such as one with a NUL, which only an
+    in-process caller can pass, is a file that cannot be read."""
+    code, out, err = run(["analyze", "--program", "a\0b", "--domain", "const", "--alg", "forward"], capsys)
+    assert (code, out, err) == (2, "", "error: cannot read a\0b: embedded null byte\n")
+
+
 _LF_PROGRAM = "vars 1; # one variable\nsort int;\nnodes q1 q2;\ninit q1: (1);\nedge q1 -> q2 : x1 := x1 + 1;\n"
 
 

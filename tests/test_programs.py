@@ -15,8 +15,8 @@ import reference_parser as ref
 from absinv import const_domain as cd
 from absinv import programs as pg
 from conftest import (
-    BAD_GRAPHS, PROGRAMS_DIR, dense_assign, graph_error, identity_row, random_assignment, random_label_program,
-    random_linexpr_int, random_program, rebuilt_differences,
+    BAD_GRAPHS, PARSED_LABELS, PROGRAMS_DIR, dense_assign, graph_error, identity_row, random_assignment,
+    random_label_program, random_linexpr_int, random_program, rebuilt_differences,
 )
 
 
@@ -759,21 +759,27 @@ def test_repeated_labels_share_one_transfer():
     assert pg.parse_program(text).edges[0][1] is not t[0]
 
 
-def test_arity_is_checked_once_per_distinct_transfer(monkeypatch):
-    """Once per transfer object, and not again over the same n and sort:
-    building a problem from a program finds its transfers checked."""
-    from absinv.synthesis import AnalysisProblem
+def test_arity_is_checked_on_every_edge(monkeypatch):
+    """The checking constructors check the transfer of every edge, however
+    many edges share it, at each n; building a problem from a program, which
+    passed that check, runs none."""
+    from absinv.synthesis import AnalysisProblem, ConstAdapter
 
     checked = []
     original = pg._check_transfer
-    monkeypatch.setattr(pg, "_check_transfer", lambda t, n, sort: checked.append(t) or original(t, n, sort))
+    monkeypatch.setattr(pg, "_check_transfer", lambda t, n, sort: checked.append((t, n)) or original(t, n, sort))
     t, u = pg.NondetAssign(1), pg.NondetAssign(1)
-    program = pg.Program(("a",), 1, "int", ((0, t, 0),) * 3 + ((0, u, 0),), {})
-    assert len(checked) == 2 and checked[0] is t and checked[1] is u
+    edges = ((0, t, 0),) * 3 + ((0, u, 0),)
+    program = pg.Program(("a",), 1, "int", edges, {})
+    assert [(id(x), n) for x, n in checked] == [(id(t), 1)] * 3 + [(id(u), 1)]
     AnalysisProblem.build(program, "const")
-    assert len(checked) == 2
+    assert len(checked) == 4
+    adapter = ConstAdapter(1)
+    vector = pg.StateVector(("a",), (adapter.bottom(),))
+    AnalysisProblem(("a",), edges, adapter, vector, vector)
+    assert [(id(x), n) for x, n in checked[4:]] == [(id(t), 1)] * 3 + [(id(u), 1)]
     pg.Program(("a",), 2, "int", ((0, t, 0),), {})  # another n: checked again
-    assert len(checked) == 3 and checked[2] is t
+    assert [(id(x), n) for x, n in checked[8:]] == [(id(t), 2)]
     # a self-assignment of the wrong length: construction drops the row, not its length
     bad = pg.ParallelAffineAssign(((0, pg.LinExpr((1,), 0)),))
     assert bad.rows == ()
@@ -781,24 +787,11 @@ def test_arity_is_checked_once_per_distinct_transfer(monkeypatch):
         pg.Program(("a",), 2, "int", ((0, bad, 0),) * 2, {})
 
 
-PARSED_LABELS = {
-    "int": [
-        "x1 := 2*x1 - x2 + 3", "x1 := x2, x2 := x1", "x1 := x1", "x2 := ?", "skip",
-        *(f"assume x1 {rel} x2 + 1" for rel in pg.RELATIONS),
-        "assume x1 < 0 and x2 < 1", "assume x1 != 0 or x2 != 2", "x1 := 2*x1 - x2 + 3",
-    ],
-    "rat": [
-        "x1 := 1/2*x1 + 3/4", "x1 := x2, x2 := -2/3*x1", "x2 := x2", "x1 := ?", "skip",
-        "assume x1 = 1/3", "assume x1 != x2 - 5/2", "x1 := 1/2*x1 + 3/4",
-    ],
-}
-
-
 def test_a_parse_runs_no_transfer_check(monkeypatch):
-    """The parser builds every transfer over the declared n and sort, so it
-    sets the memo of :func:`pg.check_edges` itself: ``Program`` checks none
-    of them.  Without the memo each one passes the check, so the memo never
-    vouches for a transfer the check would reject."""
+    """The parser builds every transfer over the declared n and sort, and
+    its grammar is the check: no call of ``_check_transfer`` follows.  Each
+    one it builds passes that check at the declared n and sort, so the
+    grammar rejects no less than the check does."""
     checked = []
     original = pg._check_transfer
     monkeypatch.setattr(pg, "_check_transfer", lambda t, n, sort: checked.append(t) or original(t, n, sort))
@@ -811,7 +804,6 @@ def test_a_parse_runs_no_transfer_check(monkeypatch):
         kinds = {type(t) for t in transfers}
         assert kinds == {pg.ParallelAffineAssign, pg.NondetAssign, pg.Identity, pg.Guard}
         for t in transfers:
-            assert t.__dict__.pop("_fits") == (2, sort)
             original(t, 2, sort)
 
 

@@ -39,8 +39,8 @@ from absinv.synthesis import (
     verify_invariant,
 )
 from conftest import (
-    BAD_GRAPHS, built_differences, checked_problem, graph_error, pointwise_leq, random_const_vec, random_program,
-    rational_view,
+    BAD_GRAPHS, PARSED_LABELS, built_differences, checked_problem, graph_error, pointwise_leq, random_const_vec,
+    random_program, rational_view, stray_attributes,
 )
 
 TOP = cd.TOP
@@ -398,22 +398,42 @@ def test_shared_adapters_give_the_results_of_fresh_ones(sort, domain):
     assert len(shared) == 3  # n = 1, 2, 3: each adapter served about 50 problems
 
 
-def test_a_parsed_literal_reaches_its_cell_unchecked(monkeypatch):
-    """The grammar made a parsed init or property literal n slots of sort
-    ``int``: its entries are the element as they are, and no
-    ``const_domain.checked`` runs for them; it runs for an equal literal
-    built in code."""
+def test_a_parsed_literal_reaches_its_cell_through_one_check(monkeypatch):
+    """The entries of a parsed init or property literal are the element as
+    they are, once one ``const_domain.checked`` call per literal has passed
+    them, as for an equal literal built in code."""
     program = pg.parse_program("vars 2; sort int; nodes a b; init a: (1, top); edge a -> b : x1 := x1 + 1;")
     prop = {"b": pg.parse_init_literal("(2, top)", 2, "int")}
     AnalysisProblem.build(program, "const", prop)  # the shared adapter is made, and its top checked, here
-    calls = []
-    monkeypatch.setattr(cd, "checked", lambda slots, n: calls.append(slots))
+    calls, original = [], cd.checked
+    monkeypatch.setattr(cd, "checked", lambda slots, n: calls.append(slots) or original(slots, n))
     problem = AnalysisProblem.build(program, "const", prop)
-    assert problem.init.values[0] is program.inits[0][1].entries and problem.safety.values[1] is prop["b"].entries
+    init, safety = program.inits[0][1].entries, prop["b"].entries
+    assert problem.init.values[0] is init and problem.safety.values[1] is safety
     assert ainv_forward(problem).invariant.values == ((1, TOP), (2, TOP))
-    assert calls == []
+    assert len(calls) == 2 and calls[0] is init and calls[1] is safety
     AnalysisProblem.build(program, "const", {"b": pg.InitVector((2, TOP))})  # equal, built in code
-    assert calls == [(2, TOP)]
+    assert calls[2:] == [(1, TOP), (2, TOP)]
+
+
+@pytest.mark.parametrize("sort, domain", [("int", "const"), ("rat", "affine")])
+def test_no_check_leaves_a_mark_on_a_transfer_or_literal(sort, domain):
+    """After a parse, a build, every engine of the domain and a print, each
+    transfer and literal holds only its fields and the memos its class
+    declares: no check records on the object that it passed."""
+    labels = PARSED_LABELS[sort]
+    text = (f"vars 2; sort {sort}; nodes a b; init a: (1, top);\n"
+            + "".join(f"edge a -> b : {label};\nedge b -> a : {label};\n" for label in labels))
+    program = pg.parse_program(text)
+    prop = {"b": pg.parse_init_literal("(top, 2)", 2, sort)}
+    problem = AnalysisProblem.build(program, domain, prop)
+    for alg in ALGORITHMS.values() if domain == "const" else [ainv_forward]:
+        result = alg(problem)
+        synthesis.render_state_vector(problem.adapter, result.last)
+    pg.parse_program(pg.print_program(program))
+    objects = [t for _, t, _ in program.edges] + [decl for _, decl in program.inits] + list(prop.values())
+    assert {type(x) for x in objects} >= {pg.ParallelAffineAssign, pg.NondetAssign, pg.Guard, pg.InitVector}
+    assert [(x, stray_attributes(x)) for x in objects if stray_attributes(x)] == []
 
 
 @pytest.mark.parametrize(
@@ -428,8 +448,8 @@ def test_a_parsed_literal_reaches_its_cell_unchecked(monkeypatch):
     ids=["bool", "float", "fraction", "short", "long"],
 )
 def test_a_const_literal_built_in_code_is_checked(entries, message):
-    """Only the parser marks a literal: one built in code is checked, by
-    ``from_init`` and as a property of ``build``."""
+    """A literal built in code is checked where the cell reads it, as a
+    parsed one is: by ``from_init`` and as a property of ``build``."""
     program = pg.parse_program("vars 2; sort int; nodes a b;")
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         synthesis.ConstAdapter(2).from_init(pg.InitVector(entries))
@@ -438,8 +458,9 @@ def test_a_const_literal_built_in_code_is_checked(entries, message):
 
 
 def test_a_parsed_literal_is_checked_again_at_another_n_or_sort():
-    """The mark is the (n, sort) the literal was parsed at: at another n or
-    sort the cell checks the literal, as it checks one built in code."""
+    """The cell checks a parsed literal at every read, as it checks one
+    built in code: it passes at the n and sort it was parsed at and fails
+    at another n or sort."""
     literal = pg.parse_init_literal("(1, top)", 2, "int")
     assert synthesis.ConstAdapter(2).from_init(literal) is literal.entries
     for n in (1, 3):
