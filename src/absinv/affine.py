@@ -16,10 +16,11 @@ rational RREF row by a positive factor is a bijection, so structural
 equality is semantic equality.
 
 Every function here that receives coordinates or rows takes Python ``int``s
-only.  Rationals enter through the entry points that clear them:
-``AffSubspace.point_of``, ``hull_points``, ``AffSubspace.contains_point``
-and the literals ``from_vector`` and ``from_equalities`` here, and the
-transfers' ``ParallelAffineAssign.scaled`` and ``Guard.cleared``.  The
+only.  Rationals enter through the entry points that clear them, which check a
+vector by ``programs.checked_vector``: ``hull_points`` (and so ``point_of``),
+``AffSubspace.contains_point``, the literals ``from_vector`` and
+``from_equalities`` here, and the transfers' ``ParallelAffineAssign.scaled``
+and ``Guard.cleared``.  The
 n-variable lattice (bounds, height n + 1, alpha, gamma-membership) is
 ``synthesis.AffAdapter``, whose cells call the functions here.
 """
@@ -31,7 +32,9 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
-from .programs import TOP, LinExpr, ParallelAffineAssign, check_numbers, clear_denominators, render_linexpr
+from .programs import (
+    TOP, LinExpr, ParallelAffineAssign, checked_constraints, checked_vector, clear_denominators, render_linexpr,
+)
 
 Row = tuple[int, ...]
 
@@ -128,8 +131,7 @@ class AffSubspace:
     @classmethod
     def point_of(cls, coords: Sequence) -> "AffSubspace":
         """The single rational point ``coords``."""
-        num, den = clear_denominators(coords)
-        return cls(len(num), num, (), den)
+        return hull_points((coords,), len(coords))
 
     @property
     def is_empty(self) -> bool:
@@ -142,10 +144,10 @@ class AffSubspace:
 
     def contains_point(self, v: Sequence) -> bool:
         """Is the rational vector ``v`` in the set?"""
+        vn, vd = clear_denominators(checked_vector(v, self.n, "rat", top=False))
         if self.num is None:
             return False
-        vn, vd = clear_denominators(v)
-        diff = [x * self.den - y * vd for x, y in zip(vn, self.num, strict=True)]
+        diff = [x * self.den - y * vd for x, y in zip(vn, self.num)]
         return not any(_reduce(diff, self.basis)[0])
 
     def __repr__(self) -> str:
@@ -174,11 +176,9 @@ def join(a: AffSubspace, b: AffSubspace) -> AffSubspace:
 
 def hull_points(points: Iterable[Sequence], n: int) -> AffSubspace:
     """Affine hull of a finite set of rational points."""
-    pts = [clear_denominators(p) for p in points]
+    pts = [clear_denominators(checked_vector(p, n, "rat", top=False)) for p in points]
     if not pts:
         return AffSubspace.empty(n)
-    if any(len(p) != n for p, _ in pts):
-        raise ValueError("dimension mismatch")
     base, d0 = pts[0]
     dirs = tuple([x * d0 - y * d for x, y in zip(p, base)] for p, d in pts[1:])
     return AffSubspace(n, base, dirs, d0)
@@ -263,7 +263,7 @@ def render_affine(a: AffSubspace) -> str:
 def from_vector(entries: Sequence, n: int) -> AffSubspace:
     """Subspace of a vector literal of sort ``rat`` numbers and ``programs.TOP``s:
     the point with 0 in each top slot, spanned by the top slots' unit vectors."""
-    check_numbers([[e for e in entries if e is not TOP]], "rat")
+    entries = checked_vector(entries, n, "rat")
     num, den = clear_denominators(0 if e is TOP else e for e in entries)
     units = tuple(tuple(int(i == j) for i in range(n)) for j, e in enumerate(entries) if e is TOP)
     return AffSubspace(n, num, units, den)

@@ -17,14 +17,14 @@ b).  Affine assignments are handled exactly.  One routine, :func:`narrow`,
 decides a row e ⋈ 0 on a box for every relation ⋈, one pass per row; guard
 posts and the assignment wp both narrow by it.
 
-Slots enter from outside through :func:`checked`, which :func:`alpha_points`
-and every vector literal pass, parsed or built in code, each time
-``synthesis.ConstAdapter`` reads one: a tuple of n slots, each ``TOP`` or
-of a type of sort ``int`` in ``programs.SORTS`` (no ``bool``), checked in
-one pass; no element records that it passed.  The rest copy checked slots
-or compute ``int``s from ``int`` coefficients (``programs.check_edges``
-rejects others for ``Program`` and ``AnalysisProblem`` alike), so need no
-check.  Elements are immutable and can be shared: both adapters of
+Slots enter from outside only through ``programs.checked_vector``, which
+every vector literal (parsed or built in code, each time
+``synthesis.ConstAdapter`` reads one) and each point of :func:`alpha_points`
+pass: n entries, each a number of sort ``int`` (no ``bool``) or, in a
+literal, ``TOP``.  The rest copy checked slots or compute ``int``s from
+``int`` coefficients (``programs.check_edges`` rejects others for
+``Program`` and ``AnalysisProblem`` alike), so need no check.  Elements
+are immutable and can be shared: both adapters of
 ``synthesis`` keep one ``top`` and one ``bot`` each,
 ``AnalysisProblem.build`` shares one adapter per (domain, n), and
 :func:`join` and :func:`meet` return an operand, not an equal copy, when
@@ -36,24 +36,10 @@ from __future__ import annotations
 from math import gcd
 from typing import Iterable
 
-from .programs import RELATIONS, SORTS, TOP, Guard, LinExpr, ParallelAffineAssign, _Top, guard_holds
+from .programs import RELATIONS, TOP, Guard, LinExpr, ParallelAffineAssign, _Top, checked_vector, guard_holds
 
 ConstVal = int | _Top  # a single slot
 ConstVec = tuple[ConstVal, ...] | None  # an element; None is bottom
-
-_INTS = SORTS["int"][0]  # the types of a constant slot's number
-
-
-def checked(slots: object, n: int) -> ConstVec:
-    """``slots`` as an element, once it is a tuple of n ints or ``TOP``."""
-    if type(slots) is not tuple:
-        raise ValueError(f"slots must be a tuple, not {type(slots).__name__}")
-    if len(slots) != n:
-        raise ValueError("component count must equal n")
-    for s in slots:
-        if type(s) not in _INTS and s is not TOP:
-            raise ValueError(f"bad slot value {s!r}")
-    return slots
 
 
 def leq(a: ConstVec, b: ConstVec) -> bool:
@@ -108,16 +94,8 @@ def alpha_points(points: Iterable[tuple[int, ...]], n: int) -> ConstVec:
     Componentwise: bottom for the empty set, the constant when a coordinate
     projection is a singleton, top otherwise.
     """
-    pts = list(points)
-    if not pts:
-        return None
-    if any(len(p) != n for p in pts):
-        raise ValueError("dimension mismatch")
-    slots: list[ConstVal] = []
-    for i in range(n):
-        proj = {p[i] for p in pts}
-        slots.append(proj.pop() if len(proj) == 1 else TOP)
-    return checked(tuple(slots), n)
+    pts = [checked_vector(p, n, "int", top=False) for p in points]
+    return tuple(c[0] if len(set(c)) == 1 else TOP for c in zip(*pts)) if pts else None
 
 
 # ---------------------------------------------------------------------------

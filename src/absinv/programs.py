@@ -35,18 +35,18 @@ constructor gives but skips the constructor's checks: its grammar rejects
 each of those faults, with a line and column.  ``StateVector.with_values``
 and ``synthesis.AnalysisProblem.build`` build in final form from checked
 objects too.  Objects built in code keep every check.  A check runs where
-input enters, and no object records that it passed: a vector literal, parsed
-or built in code, is checked again where a domain reads it.
+input enters, and no object records that it passed: a vector, parsed or
+built in code, is checked again at every door of a domain.
 :func:`print_program` output parses back to a program that prints to the
 same text.  Programs are immutable after parsing and safe to share
 across threads.
 
-This module owns the question "is this a well-formed graph over n variables
-of sort s?": :func:`check_edges` answers it for ``Program`` and for
-``synthesis.AnalysisProblem``, and :data:`SORTS`, the one table of each
-sort's numbers, says which entries a sort has, for transfers, literals and
-constant slots alike (:func:`check_numbers`; ``const_domain.checked`` reads it
-for constant slots).
+This module owns the questions "is this a well-formed graph over n variables
+of sort s?", which :func:`check_edges` answers for ``Program`` and
+``synthesis.AnalysisProblem``, and "is this an n-vector of sort s?", which
+:func:`checked_vector` answers at every door where a vector enters a domain
+(:func:`checked_constraints` for a constraint literal's rows).  :data:`SORTS`,
+the one table of each sort's numbers, says which entries a sort has.
 """
 
 from __future__ import annotations
@@ -194,6 +194,7 @@ class Guard:
     mode: str  # "conj" | "disj"
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "rows", tuple(self.rows))
         if not self.rows:
             raise ValueError("a guard needs at least one row")
         if self.rel not in RELATIONS:
@@ -280,14 +281,14 @@ class Program:
     """A CFG program: nodes, variable count, value sort, labeled edges, inits.
 
     ``edges`` are (source index, transfer, target index) triples over
-    ``nodes``.  ``inits`` (a mapping or (node, decl) pairs) is stored as
-    pairs in node order, so a program is immutable and hashable.
-    Construction rejects what :func:`print_program` could not write back:
-    n outside 1..:data:`MAX_VARS`, a sort not in :data:`SORTS`, no node or
-    a node name that is not one identifier, a graph that :func:`check_edges`
-    rejects, and an init literal of the wrong length, with an entry outside
-    the sort, of constraints over ``int``, or empty.  It drops an explicit
-    ``InitBot``, the default, which prints as nothing.
+    ``nodes``; both are stored as tuples, and ``inits`` (a mapping or
+    (node, decl) pairs) as pairs in node order, so a program is immutable
+    and hashable.  Construction rejects what :func:`print_program` could not
+    write back: n outside 1..:data:`MAX_VARS`, a sort not in :data:`SORTS`,
+    no node or a node name that is not one identifier, a graph that
+    :func:`check_edges` rejects, an empty point set and an init literal that
+    :func:`checked_vector` or :func:`checked_constraints` rejects.  It drops
+    an explicit ``InitBot``, the default, which prints as nothing.
     """
 
     nodes: tuple[str, ...]
@@ -297,6 +298,7 @@ class Program:
     inits: Mapping[str, InitDecl] | tuple[tuple[str, InitDecl], ...]
 
     def __post_init__(self) -> None:
+        self.__dict__.update(nodes=tuple(self.nodes), edges=tuple(self.edges))  # frozen: no __setattr__
         n, sort = self.n, self.sort
         if not 1 <= n <= MAX_VARS:
             raise ValueError("variable count must be >= 1" if n < 1 else f"variable count must be <= {MAX_VARS}")
@@ -310,24 +312,14 @@ class Program:
             if q not in known:
                 raise ValueError(f"unknown node {q!r}")
             if isinstance(decl, InitVector):
-                if len(decl.entries) != n:
-                    raise ValueError(f"vector literal has {len(decl.entries)} entries, expected {n}")
-                check_numbers([[e for e in decl.entries if e is not TOP]], sort)
+                checked_vector(decl.entries, n, sort)
             elif isinstance(decl, InitPoints):
                 if not decl.points:
                     raise ValueError("a point set needs at least one point")
                 for pt in decl.points:
-                    if len(pt) != n:
-                        raise ValueError(f"point has {len(pt)} coordinates, expected {n}")
-                check_numbers(decl.points, sort)
+                    checked_vector(pt, n, sort, top=False)
             elif isinstance(decl, InitConstraints):
-                if sort != "rat":
-                    raise ValueError("constraint literals need sort 'rat'")
-                if not decl.rows:
-                    raise ValueError("a constraint literal needs at least one row")
-                if any(len(r.coeffs) != n for r in decl.rows):
-                    raise ValueError("constraint dimension mismatch")
-                check_numbers([(*r.coeffs, r.const) for r in decl.rows], sort)
+                checked_constraints(decl.rows, n, sort)
         if len(inits) != len(self.inits):  # pairs that declare a node twice
             seen: set[str] = set()
             q = next(q for q, _ in self.inits if q in seen or seen.add(q))
@@ -378,6 +370,32 @@ def check_numbers(vectors: Iterable[Sequence[Any]], sort: str, message: str = "b
         if not set(map(type, v)).issubset(types):
             x = next(x for x in v if type(x) not in types)
             raise ValueError(message.format(x, sort, " or ".join(t.__name__ for t in types)))
+
+
+def checked_vector(entries: Iterable[Any], n: int, sort: str, top: bool = True) -> tuple[Any, ...]:
+    """``tuple(entries)``, once it has n entries, each a number of ``sort`` or, for a
+    vector literal (``top``), :data:`TOP`; a point (not ``top``) has numbers only."""
+    v, types = tuple(entries), SORTS[sort][0]
+    if len(v) != n:
+        raise ValueError(f"vector literal has {len(v)} entries, expected {n}" if top
+                         else f"point has {len(v)} coordinates, expected {n}")
+    for x in v:
+        if type(x) not in types and not (top and x is TOP):
+            raise ValueError(f"bad slot value {x!r}")
+    return v
+
+
+def checked_constraints(rows: tuple[LinExpr, ...], n: int, sort: str) -> tuple[LinExpr, ...]:
+    """``rows``, once they are a constraint literal: sort ``rat``, one or more rows, each
+    of n coefficients, and every coefficient and constant a number of the sort."""
+    if sort != "rat":
+        raise ValueError("constraint literals need sort 'rat'")
+    if not rows:
+        raise ValueError("a constraint literal needs at least one row")
+    if any(len(r.coeffs) != n for r in rows):
+        raise ValueError("constraint dimension mismatch")
+    check_numbers([(*r.coeffs, r.const) for r in rows], sort)
+    return rows
 
 
 @dataclass(frozen=True)

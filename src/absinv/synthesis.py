@@ -40,10 +40,11 @@ transfer class has a ``"post"`` cell and, for the constants, a ``"wp"``
 cell; each init-declaration class an ``"init"`` cell.  A pair without a
 cell is a hole: looking it up raises ``UnsupportedDomain``.  Every cell is
 a lattice identity or one call, made at call time, into the domain module
-(``const_domain`` or ``affine``), which owns the transfers, the wps and the
-check of a literal's entries, made at every call of a vector cell, parsed
-literal or not; a wp that can return top is given the adapter's own
-``top``.  So this module keeps only the dispatch and the engines.  What the
+(``const_domain`` or ``affine``), which owns the transfers and the wps; a
+wp that can return top is given the adapter's own ``top``.  Each call of a
+literal cell, parsed literal or not, of alpha and of ``contains`` checks its
+input by ``programs.checked_vector`` or ``checked_constraints``.  So this
+module keeps only the dispatch and the engines.  What the
 two share (n ≥ 1, height n + 1, one ``bottom`` and one ``top`` built per
 adapter, identity post and the ``top``, ``bot`` and point-set literals) is
 their base class ``_NumericDomain``.  An adapter is immutable after
@@ -98,6 +99,8 @@ from .programs import (
     TransferFunction,
     _final,
     check_edges,
+    checked_constraints,
+    checked_vector,
     post_edges_into,  # noqa: F401 -- unused here; bench/test_bench.py traces it under this name
 )
 
@@ -182,8 +185,7 @@ class ConstAdapter(_NumericDomain):
 
     def contains(self, a: cd.ConstVec, point: tuple[int, ...]) -> bool:
         """Is the integer vector ``point`` in gamma(a)?"""
-        if len(point) != self.n:
-            raise ValueError("dimension mismatch")
+        point = checked_vector(point, self.n, self.sort, top=False)
         return a is not None and all(s is TOP or s == v for s, v in zip(a, point))
 
     def transfer(self, t: TransferFunction, a: cd.ConstVec) -> cd.ConstVec:
@@ -207,7 +209,7 @@ class ConstAdapter(_NumericDomain):
         (NondetAssign, "wp"): lambda self, t, target: cd.wp_nondet_assign(t.target, target),
         (Guard, "post"): lambda self, t, a: cd.bca_guard(t.rows, t.rel, t.mode, a),
         (Guard, "wp"): lambda self, t, target: cd.wp_guard(t, target, self._top),
-        (InitVector, "init"): lambda self, decl: cd.checked(tuple(decl.entries), self.n),
+        (InitVector, "init"): lambda self, decl: checked_vector(decl.entries, self.n, self.sort),
     })
 
     def render(self, a: cd.ConstVec) -> str:
@@ -234,8 +236,6 @@ class AffAdapter(_NumericDomain):
 
     def contains(self, a: aff.AffSubspace, point: Sequence) -> bool:
         """Is the rational vector ``point`` in gamma(a)?"""
-        if len(point) != self.n:
-            raise ValueError("dimension mismatch")
         return a.contains_point(point)
 
     def transfer(self, t: TransferFunction, a: aff.AffSubspace) -> aff.AffSubspace:
@@ -248,7 +248,8 @@ class AffAdapter(_NumericDomain):
         # != keeps a: sound, not best (bot is exact where the guard is false on all of a)
         (Guard, "post"): lambda self, t, a: aff.bca_eq_guard(t.cleared, t.mode, a) if t.rel == "=" else a,
         (InitVector, "init"): lambda self, decl: aff.from_vector(decl.entries, self.n),
-        (InitConstraints, "init"): lambda self, decl: aff.from_equalities(decl.rows, self.n),
+        (InitConstraints, "init"):
+            lambda self, decl: aff.from_equalities(checked_constraints(decl.rows, self.n, self.sort), self.n),
     })
 
     def render(self, a: aff.AffSubspace) -> str:
@@ -302,6 +303,7 @@ class AnalysisProblem:
     nontop_safety: dict[int, Any] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        self.__dict__.update(nodes=tuple(self.nodes), edges=tuple(self.edges))
         check_edges(self.nodes, self.edges, getattr(self.adapter, "n", None), getattr(self.adapter, "sort", None))
         if not self.init.nodes == self.safety.nodes == self.nodes:
             raise ValueError("init and safety must be vectors over the problem's nodes")

@@ -57,8 +57,8 @@ def test_element_is_immutable():
 
 def test_equal_elements_hash_equal():
     pairs = [
-        (vec(1, TOP), cd.checked((1, TOP), 2)),
-        (cd.checked((TOP,) * 3, 3), vec(TOP, TOP, TOP)),
+        (vec(1, TOP), (1, TOP)),
+        ((TOP,) * 3, vec(TOP, TOP, TOP)),
     ]
     for a, b in pairs:
         assert a is not b and a == b and hash(a) == hash(b)
@@ -68,26 +68,28 @@ def test_equal_elements_hash_equal():
 @pytest.mark.parametrize(
     "n, comps, message",
     [
-        (3, (1, 2), "component count must equal n"),
+        (3, (1, 2), "vector literal has 2 entries, expected 3"),
         (2, (1, Fraction(1, 2)), "bad slot value Fraction(1, 2)"),
         (2, (1.0, 2), "bad slot value 1.0"),
         (2, (TOP, True), "bad slot value True"),
-        (2, [1, 2], "slots must be a tuple, not list"),
+        (2, [1, 2], None),
     ],
     ids=["length", "fraction", "float", "bool", "list"],
 )
 def test_bad_elements_are_rejected(n, comps, message):
-    """Slots enter from outside through ``cd.checked``: directly, from a
-    vector literal (whose entries become a tuple first) and from alpha of
-    points whose coordinate is the bad value (a wrong length is alpha's
-    own ``dimension mismatch``)."""
-    entries = [lambda: cd.checked(comps, n)]
-    if type(comps) is tuple:
-        entries.append(lambda: ConstAdapter(n).from_init(pg.InitVector(comps)))
-        if len(comps) == n:
-            points = [tuple(v if s is TOP else s for s in comps) for v in (0, 1)]
-            entries.append(lambda: ConstAdapter(n).alpha(points))
+    """Slots enter from outside through ``programs.checked_vector``: directly,
+    from a vector literal and from alpha of points whose coordinate is the
+    bad value.  A list of good slots is no fault: it reads as the equal
+    tuple (``message`` None)."""
+    entries = [lambda: pg.checked_vector(comps, n, "int"), lambda: ConstAdapter(n).from_init(pg.InitVector(comps))]
+    if len(comps) == n:
+        points = [tuple(v if s is TOP else s for s in comps) for v in (0, 1)]
+        entries.append(lambda: ConstAdapter(n).alpha(points))
     for entry in entries:
+        if message is None:
+            a = entry()
+            assert type(a) is tuple and a == tuple(comps)
+            continue
         with pytest.raises(ValueError) as err:
             entry()
         assert str(err.value) == message

@@ -830,6 +830,27 @@ def test_transfer_entries_must_be_numbers_of_the_sort():
     assert pg.parse_program(pg.print_program(program)) == program
 
 
+def test_the_checking_constructors_store_lists_as_tuples():
+    """A ``Program``, ``Guard`` or ``AnalysisProblem`` built in code from lists
+    stores tuples: it hashes, equals its tuple twin and, for a program, its
+    reparse; a problem over list nodes is no longer rejected."""
+    from absinv.synthesis import AnalysisProblem, ConstAdapter
+
+    row = pg.LinExpr((1,), -2)
+    guard = pg.Guard([row], "=", "conj")
+    assert guard == pg.Guard((row,), "=", "conj") and hash(guard) == hash(pg.Guard((row,), "=", "conj"))
+    for nodes, edges in [(["q1"], []), (["q1", "q2"], [(0, guard, 1), (1, pg.Identity(), 0)])]:
+        program = pg.Program(nodes, 1, "int", edges, {"q1": pg.InitTop()})
+        twin = pg.Program(tuple(nodes), 1, "int", tuple(edges), {"q1": pg.InitTop()})
+        reparsed = pg.parse_program(pg.print_program(program))
+        assert program == twin == reparsed and hash(program) == hash(twin) == hash(reparsed)
+        adapter = ConstAdapter(1)
+        v = pg.StateVector(nodes, (adapter.top(),) * len(nodes))
+        problem = AnalysisProblem(nodes, edges, adapter, v, v)
+        assert (problem.nodes, problem.edges) == (tuple(nodes), tuple(edges))
+        assert problem == AnalysisProblem(tuple(nodes), tuple(edges), adapter, v, v)
+
+
 def test_an_assignment_rejects_a_repeated_target():
     row = pg.LinExpr((1, 0), 1)
     with pytest.raises(ValueError, match="^an assignment target is repeated$"):

@@ -248,7 +248,9 @@ def test_adapters_build_their_bounds_once(domain):
     "n, points", [(2, [(1, 2, 3)]), (3, [(1, 2)]), (2, [(1, 2), (1, 2, 3)])], ids=["long", "short", "second-long"]
 )
 def test_alpha_rejects_a_point_of_another_length(domain, n, points):
-    with pytest.raises(ValueError, match="^dimension mismatch$"):
+    """In the parser's wording, at the first point whose length is not n."""
+    k = next(len(p) for p in points if len(p) != n)
+    with pytest.raises(ValueError, match=f"^point has {k} coordinates, expected {n}$"):
         synthesis.DOMAINS[domain](n).alpha(points)
 
 
@@ -261,7 +263,7 @@ def test_contains_rejects_a_point_of_another_length(domain, point):
     elements = (adapter.bottom(), adapter.top(), adapter.alpha([(1, 5)]), adapter.alpha([(1, 5), (1, 6)]))
     for a in elements:
         assert adapter.contains(a, (1, 5)) == (a != adapter.bottom())
-        with pytest.raises(ValueError, match="^dimension mismatch$"):
+        with pytest.raises(ValueError, match=f"^point has {len(point)} coordinates, expected 2$"):
             adapter.contains(a, point)
 
 
@@ -275,13 +277,63 @@ def test_a_const_vector_literal_takes_only_integers_and_top(entries):
 
 
 @pytest.mark.parametrize("domain", synthesis.DOMAINS)
-@pytest.mark.parametrize("bad", ["top", 2.5, True], ids=repr)
+@pytest.mark.parametrize("bad", ["top", 2.5, True, None], ids=repr)
 def test_both_vector_literals_reject_the_same_bad_entries(domain, bad):
-    """A string, a float and a bool are no slot value in either domain; the
-    affine literal takes ints, Fractions and TOP."""
+    """A string, a float, a bool and None are no slot value in either domain;
+    the affine literal takes ints, Fractions and TOP.  Every door rejects the
+    entry with the literal's message: alpha of points, gamma-membership and a
+    ``Program`` whose init is the literal or a point set.  A point, unlike a
+    literal, has no ``TOP`` entry."""
     assert synthesis.AffAdapter(2).from_init(pg.InitVector((F(1, 2), TOP))) == af.AffSubspace(2, (1, 0), ((0, 1),), 2)
-    with pytest.raises(ValueError, match=f"^bad slot value {re.escape(repr(bad))}$"):
-        synthesis.DOMAINS[domain](2).from_init(pg.InitVector((1, bad)))
+    adapter = synthesis.DOMAINS[domain](2)
+    doors = [
+        lambda: adapter.from_init(pg.InitVector((1, bad))),
+        lambda: adapter.alpha([(bad, 1), (1, 1)]),
+        lambda: adapter.contains(adapter.top(), (bad, 1)),
+        lambda: pg.Program(("a",), 2, adapter.sort, (), {"a": pg.InitVector((1, bad))}),
+        lambda: pg.Program(("a",), 2, adapter.sort, (), {"a": pg.InitPoints(frozenset({(bad, 1)}))}),
+    ]
+    for door in doors:
+        with pytest.raises(ValueError, match=f"^bad slot value {re.escape(repr(bad))}$"):
+            door()
+    with pytest.raises(ValueError, match="^bad slot value top$"):
+        adapter.alpha([(TOP, 1)])
+    with pytest.raises(ValueError, match="^bad slot value top$"):
+        adapter.contains(adapter.top(), (TOP, 1))
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ((pg.LinExpr((1, 1, 1), 0),), "constraint dimension mismatch"),
+        ((pg.LinExpr((F(1, 2),), 1),), "constraint dimension mismatch"),
+        ((pg.LinExpr((0.5, 1), 1),), "bad slot value 0.5"),
+        ((pg.LinExpr((1, 1), 0), pg.LinExpr(("a", 1), 0)), "bad slot value 'a'"),
+        ((pg.LinExpr((1, 1), True),), "bad slot value True"),
+        ((), "a constraint literal needs at least one row"),
+    ],
+    ids=["wide", "narrow", "float", "string", "bool-constant", "empty"],
+)
+def test_the_constraint_cell_rejects_what_a_program_rejects(rows, message):
+    """``programs.checked_constraints`` is the one check of a constraint
+    literal: a ``Program`` init, the affine cell and a property of ``build``
+    reject the same rows with the same message, and pass them as they are."""
+    decl, adapter = pg.InitConstraints(rows), synthesis.AffAdapter(2)
+    program = pg.parse_program("vars 2; sort rat; nodes a;")
+    doors = [
+        lambda: pg.Program(("a",), 2, "rat", (), {"a": decl}),
+        lambda: adapter.from_init(decl),
+        lambda: AnalysisProblem.build(program, "affine", {"a": decl}),
+        lambda: pg.checked_constraints(rows, 2, "rat"),
+    ]
+    for door in doors:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            door()
+    good = (pg.LinExpr((F(1, 2), 1), -1), pg.LinExpr((0, 1), 0))
+    assert pg.checked_constraints(good, 2, "rat") is good
+    assert adapter.from_init(pg.InitConstraints(good)) == af.AffSubspace.point_of((2, 0))
+    with pytest.raises(ValueError, match="^constraint literals need sort 'rat'$"):
+        pg.checked_constraints(good, 2, "int")
 
 
 @pytest.mark.parametrize("domain", synthesis.DOMAINS)
@@ -400,13 +452,13 @@ def test_shared_adapters_give_the_results_of_fresh_ones(sort, domain):
 
 def test_a_parsed_literal_reaches_its_cell_through_one_check(monkeypatch):
     """The entries of a parsed init or property literal are the element as
-    they are, once one ``const_domain.checked`` call per literal has passed
+    they are, once one ``checked_vector`` call per literal has passed
     them, as for an equal literal built in code."""
     program = pg.parse_program("vars 2; sort int; nodes a b; init a: (1, top); edge a -> b : x1 := x1 + 1;")
     prop = {"b": pg.parse_init_literal("(2, top)", 2, "int")}
     AnalysisProblem.build(program, "const", prop)  # the shared adapter is made, and its top checked, here
-    calls, original = [], cd.checked
-    monkeypatch.setattr(cd, "checked", lambda slots, n: calls.append(slots) or original(slots, n))
+    calls, original = [], synthesis.checked_vector
+    monkeypatch.setattr(synthesis, "checked_vector", lambda v, *args: calls.append(v) or original(v, *args))
     problem = AnalysisProblem.build(program, "const", prop)
     init, safety = program.inits[0][1].entries, prop["b"].entries
     assert problem.init.values[0] is init and problem.safety.values[1] is safety
@@ -442,8 +494,8 @@ def test_no_check_leaves_a_mark_on_a_transfer_or_literal(sort, domain):
         ((True, 0), "bad slot value True"),
         ((1.5, 0), "bad slot value 1.5"),
         ((F(1, 2), 0), "bad slot value Fraction(1, 2)"),
-        ((1,), "component count must equal n"),
-        ((1, 2, TOP), "component count must equal n"),
+        ((1,), "vector literal has 1 entries, expected 2"),
+        ((1, 2, TOP), "vector literal has 3 entries, expected 2"),
     ],
     ids=["bool", "float", "fraction", "short", "long"],
 )
@@ -464,10 +516,10 @@ def test_a_parsed_literal_is_checked_again_at_another_n_or_sort():
     literal = pg.parse_init_literal("(1, top)", 2, "int")
     assert synthesis.ConstAdapter(2).from_init(literal) is literal.entries
     for n in (1, 3):
-        with pytest.raises(ValueError, match="^component count must equal n$"):
+        with pytest.raises(ValueError, match=f"^vector literal has 2 entries, expected {n}$"):
             synthesis.ConstAdapter(n).from_init(literal)
         program = pg.parse_program(f"vars {n}; sort int; nodes a;")
-        with pytest.raises(ValueError, match="^component count must equal n$"):
+        with pytest.raises(ValueError, match=f"^vector literal has 2 entries, expected {n}$"):
             AnalysisProblem.build(program, "const", {"a": literal})
     rational = pg.parse_init_literal("(1, top)", 2, "rat")
     with pytest.raises(ValueError, match=r"^bad slot value Fraction\(1, 1\)$"):
