@@ -292,7 +292,7 @@ def bca_parallel_assign(t: ParallelAffineAssign, a: AffSubspace) -> AffSubspace:
     Only the assigned rows are evaluated, on their nonzero coefficients,
     which the transfer carries times the lcm L of their denominators
     (``t.scaled``); the whole image is scaled by L."""
-    if a.num is None:
+    if a.num is None or not t.rows:  # bottom, or skip
         return a
     big, assigned = t.scaled
     if big == 1:

@@ -108,8 +108,8 @@ def bca_parallel_assign(t: ParallelAffineAssign, a: ConstVec) -> ConstVec:
 
     Only the rows in ``t.assigned`` are evaluated, on their nonzero
     coefficients: each is its exact constant, or top when it reads a top
-    slot.  An unassigned slot keeps its value."""
-    if a is None:
+    slot.  An unassigned slot keeps its value, so ``skip`` returns ``a``."""
+    if a is None or not t.rows:
         return a
     comps = list(a)
     for j, terms, acc in t.assigned:
@@ -195,7 +195,7 @@ def wp_parallel_assign(t: ParallelAffineAssign, target: ConstVec, top: ConstVec)
     own object.  Not best when an assigned row reads a constant unassigned slot
     later in slot order, which it sees as top: x1 := x1 + x2 at (5,3) gives
     (top,3), where (2,3) is best."""
-    if target is None or target is top:  # every post lies below top
+    if target is None or target is top or not t.rows:  # every post lies below top; skip is its own wp
         return target
     rows, comps, constant = t.by_target, [TOP] * len(target), False
     for j, slot in enumerate(target):

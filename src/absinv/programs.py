@@ -10,7 +10,7 @@ transfer functions over n numeric variables x1..xn.  Supported labels:
   several rows joined uniformly by ``and`` (conjunctive) or ``or``
   (disjunctive): one :class:`Guard` ``(rows, rel, mode)`` whatever the
   relation,
-- ``skip`` (the identity relation).
+- ``skip``, the identity relation: :data:`SKIP`, which assigns no variable.
 
 The text format is line-oriented; see :func:`parse_program` for its
 declarations.  Lexically, blanks are space, tab and CR; a comment runs from
@@ -29,17 +29,18 @@ only when it is raised, by scanning the text again.  Edges of one program
 whose labels have the same tokens share one transfer object, parsed once.
 The parse gives each part the form the engines read: an edge is a (source
 index, transfer, target index) triple, and an assignment holds only its
-assigned rows, as (0-based target, expression) pairs.  The parser builds
-each ``Program``, ``ParallelAffineAssign`` and ``Guard`` in the form its
-constructor gives but skips the constructor's checks: its grammar rejects
-each of those faults, with a line and column.  ``StateVector.with_values``
-and ``synthesis.AnalysisProblem.build`` build in final form from checked
-objects too.  Objects built in code keep every check.  A check runs where
-input enters, and no object records that it passed: a vector, parsed or
-built in code, is checked again at every door of a domain.
-:func:`print_program` output parses back to a program that prints to the
-same text.  Programs are immutable after parsing and safe to share
-across threads.
+assigned rows, as (0-based target, expression) pairs; ``skip``, like an
+assignment whose every row drops (``x1 := x1``), is :data:`SKIP`.  The
+parser builds each ``Program``, ``ParallelAffineAssign`` and ``Guard`` in
+the form its constructor gives but skips the constructor's checks: its
+grammar rejects each of those faults, with a line and column.
+``StateVector.with_values`` and ``synthesis.AnalysisProblem.build`` build
+in final form from checked objects too.  Objects built in code keep every
+check.  A check runs where input enters, and no object records that it
+passed: a vector, parsed or built in code, is checked again at every door
+of a domain.  :func:`print_program` output parses back to a program that
+prints to the same text.  Programs are immutable after parsing and safe to
+share across threads.
 
 This module owns the questions "is this a well-formed graph over n variables
 of sort s?", which :func:`check_edges` answers for ``Program`` and
@@ -57,7 +58,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from math import lcm
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from .lattice import memo
 
@@ -121,28 +122,24 @@ def clear_denominators(values: Iterable[Number]) -> tuple[list[int], int]:
 
 
 @dataclass(frozen=True)
-class Identity:
-    """The identity relation (an unlabeled edge)."""
-
-
-@dataclass(frozen=True)
 class ParallelAffineAssign:
     """x := M x + b by its assigned rows: ``(j, e)`` pairs, in target order,
     that assign e to x_{j+1}; every e reads the old values, and a variable
     no row assigns keeps its value.  Construction sorts the pairs, drops the
-    self-assignments ``xj := xj`` and rejects a repeated target; ``widths``
-    are the coefficient counts of all rows given, checked against n by
-    :func:`check_edges`."""
+    self-assignments ``xj := xj`` and rejects a target that is not an ``int``
+    or is repeated; ``widths`` are the coefficient counts of all rows given,
+    checked against n by :func:`check_edges`.  With no row it equals :data:`SKIP`."""
 
     rows: tuple[tuple[int, LinExpr], ...]
     widths: frozenset[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if any(type(j) is not int for j, _ in self.rows):
+            raise ValueError("an assignment target is not an int")
         rows = sorted(self.rows, key=operator.itemgetter(0))
         if len({j for j, _ in rows}) != len(rows):
             raise ValueError("an assignment target is repeated")
-        object.__setattr__(self, "widths", frozenset([len(r.coeffs) for _, r in rows]))
-        object.__setattr__(self, "rows", _moved(rows))
+        self.__dict__.update(widths=frozenset([len(r.coeffs) for _, r in rows]), rows=_moved(rows))
 
     def apply_point(self, v: tuple[Number, ...]) -> tuple[Number, ...]:
         rows = dict(self.rows)
@@ -178,6 +175,9 @@ def _moved(rows: Iterable[tuple[int, LinExpr]]) -> tuple[tuple[int, LinExpr], ..
                   if r.const or j < 0 or r.coeffs[j : j + 1] != (1,) or r.coeffs.count(0) < len(r.coeffs) - 1])
 
 
+SKIP = ParallelAffineAssign(())  #: ``skip``: the assignment with no rows, which keeps every variable
+
+
 @dataclass(frozen=True)
 class NondetAssign:
     """xj := ? — the target variable receives an arbitrary value."""
@@ -211,7 +211,7 @@ class Guard:
         return tuple(LinExpr(tuple(ints[:-1]), ints[-1]) for ints in rows)
 
 
-TransferFunction = Identity | ParallelAffineAssign | NondetAssign | Guard
+TransferFunction = ParallelAffineAssign | NondetAssign | Guard
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +287,9 @@ class Program:
     write back: n outside 1..:data:`MAX_VARS`, a sort not in :data:`SORTS`,
     no node or a node name that is not one identifier, a graph that
     :func:`check_edges` rejects, an empty point set and an init literal that
-    :func:`checked_vector` or :func:`checked_constraints` rejects.  It drops
-    an explicit ``InitBot``, the default, which prints as nothing.
+    :func:`checked_vector` or :func:`checked_constraints` rejects.  It stores the
+    tuples those return (a point set as a ``frozenset``, kept if it is one) and
+    drops an explicit ``InitBot``, the default, which prints as nothing.
     """
 
     nodes: tuple[str, ...]
@@ -312,14 +313,14 @@ class Program:
             if q not in known:
                 raise ValueError(f"unknown node {q!r}")
             if isinstance(decl, InitVector):
-                checked_vector(decl.entries, n, sort)
+                inits[q] = InitVector(checked_vector(decl.entries, n, sort))
             elif isinstance(decl, InitPoints):
                 if not decl.points:
                     raise ValueError("a point set needs at least one point")
-                for pt in decl.points:
-                    checked_vector(pt, n, sort, top=False)
+                points = frozenset([checked_vector(pt, n, sort, top=False) for pt in decl.points])
+                inits[q] = decl if type(decl.points) is frozenset and decl.points == points else InitPoints(points)
             elif isinstance(decl, InitConstraints):
-                checked_constraints(decl.rows, n, sort)
+                inits[q] = InitConstraints(checked_constraints(decl.rows, n, sort))
         if len(inits) != len(self.inits):  # pairs that declare a node twice
             seen: set[str] = set()
             q = next(q for q, _ in self.inits if q in seen or seen.add(q))
@@ -333,25 +334,25 @@ class Program:
 
 
 def check_edges(nodes: tuple[str, ...], edges: Iterable[tuple[int, Any, int]], n: int | None, sort: str | None) -> None:
-    """The one check of a graph: distinct node names, endpoints that are node indices and,
-    given a sort, the transfer of every edge over n variables of it."""
+    """The one check of a graph: distinct node names, endpoints that are ``int`` node indices
+    and, given a sort, the transfer of every edge over n variables of it."""
     k = len(nodes)
     if len(set(nodes)) != k:
         raise ValueError("duplicate node names")
     for src, t, dst in edges:
-        if not (0 <= src < k and 0 <= dst < k):
+        if not (type(src) is type(dst) is int and 0 <= src < k and 0 <= dst < k):
             raise ValueError(f"an edge endpoint is not a node index in range({k})")
         if sort is not None:
             _check_transfer(t, n, sort)
 
 
 def _check_transfer(t: TransferFunction, n: int, sort: str) -> None:
-    """Targets and row widths within n; coefficients and constants of the sort."""
+    """``int`` targets and row widths within n; coefficients and constants of the sort."""
     if isinstance(t, ParallelAffineAssign):
         if t.widths - {n} or not all(0 <= j < n for j, _ in t.rows):
             raise ValueError("assignment dimension mismatch")
     elif isinstance(t, NondetAssign):
-        if not 1 <= t.target <= n:
+        if type(t.target) is not int or not 1 <= t.target <= n:
             raise ValueError("nondet assignment target out of range")
     elif isinstance(t, Guard):
         if any(len(r.coeffs) != n for r in t.rows):
@@ -359,15 +360,17 @@ def _check_transfer(t: TransferFunction, n: int, sort: str) -> None:
         if sort == "rat" and t.rel not in ("=", "!="):
             raise ValueError(_RAT_INEQUALITY.format(t.rel))
     rows = t.rows if isinstance(t, Guard) else [r for _, r in getattr(t, "rows", ())]
-    message = "bad slot value {0!r}: a transfer over sort {1!r} needs {2} entries"
-    check_numbers([(*r.coeffs, r.const) for r in rows], sort, message)
+    check_rows(rows, sort, "bad slot value {0!r}: a transfer over sort {1!r} needs {2} entries")
 
 
-def check_numbers(vectors: Iterable[Sequence[Any]], sort: str, message: str = "bad slot value {0!r}") -> None:
-    """Raise ``message`` at the first entry not of the sort; formatted with it, the sort, its types."""
+def check_rows(rows: Iterable[LinExpr], sort: str, message: str = "bad slot value {0!r}") -> None:
+    """Raise at a row whose coefficients are not a tuple, and ``message``, formatted with it,
+    the sort and its types, at the first coefficient or constant not of the sort."""
     types = SORTS[sort][0]
-    for v in vectors:
-        if not set(map(type, v)).issubset(types):
+    for r in rows:
+        if type(r.coeffs) is not tuple:
+            raise ValueError(f"row coefficients {r.coeffs!r} are not a tuple")
+        if not set(map(type, v := (*r.coeffs, r.const))).issubset(types):
             x = next(x for x in v if type(x) not in types)
             raise ValueError(message.format(x, sort, " or ".join(t.__name__ for t in types)))
 
@@ -375,7 +378,11 @@ def check_numbers(vectors: Iterable[Sequence[Any]], sort: str, message: str = "b
 def checked_vector(entries: Iterable[Any], n: int, sort: str, top: bool = True) -> tuple[Any, ...]:
     """``tuple(entries)``, once it has n entries, each a number of ``sort`` or, for a
     vector literal (``top``), :data:`TOP`; a point (not ``top``) has numbers only."""
-    v, types = tuple(entries), SORTS[sort][0]
+    types = SORTS[sort][0]
+    try:
+        v = tuple(entries)
+    except TypeError:
+        raise ValueError(f"{'vector literal' if top else 'point'} {entries!r} is not iterable") from None
     if len(v) != n:
         raise ValueError(f"vector literal has {len(v)} entries, expected {n}" if top
                          else f"point has {len(v)} coordinates, expected {n}")
@@ -385,16 +392,17 @@ def checked_vector(entries: Iterable[Any], n: int, sort: str, top: bool = True) 
     return v
 
 
-def checked_constraints(rows: tuple[LinExpr, ...], n: int, sort: str) -> tuple[LinExpr, ...]:
-    """``rows``, once they are a constraint literal: sort ``rat``, one or more rows, each
-    of n coefficients, and every coefficient and constant a number of the sort."""
+def checked_constraints(rows: Iterable[LinExpr], n: int, sort: str) -> tuple[LinExpr, ...]:
+    """``tuple(rows)``, once they are a constraint literal: sort ``rat``, one or more rows,
+    each of n coefficients in a tuple, and every coefficient and constant a number of the sort."""
+    rows = tuple(rows)
     if sort != "rat":
         raise ValueError("constraint literals need sort 'rat'")
     if not rows:
         raise ValueError("a constraint literal needs at least one row")
     if any(len(r.coeffs) != n for r in rows):
         raise ValueError("constraint dimension mismatch")
-    check_numbers([(*r.coeffs, r.const) for r in rows], sort)
+    check_rows(rows, sort)
     return rows
 
 
@@ -452,8 +460,6 @@ def apply_transfer_concrete(
     oracles, never by the analysis itself.
     """
     pts = frozenset(points)
-    if isinstance(t, Identity):
-        return pts
     if isinstance(t, ParallelAffineAssign):
         return frozenset(t.apply_point(v) for v in pts)
     if isinstance(t, NondetAssign):
@@ -692,7 +698,7 @@ def _parse_statements(p: _Parser, n: int, sort: str) -> TransferFunction:
     toks, pos = p.toks, p.pos
     if toks[pos] == "skip":
         p.pos = pos + 1
-        return Identity()
+        return SKIP
     if toks[pos] == "assume":
         p.pos = pos + 1
         rows, rel, mode = _parse_guard_rows(p, n, sort)
@@ -724,7 +730,7 @@ def _parse_statements(p: _Parser, n: int, sort: str) -> TransferFunction:
             raise p.fail("xj := ? cannot be combined with other assignments on one edge")
         return NondetAssign(j + 1)
     rows = _moved(sorted(assigned.items()))  # the targets are distinct: no row is compared
-    return _final(ParallelAffineAssign, rows=rows, widths=frozenset([n])) if rows else Identity()
+    return _final(ParallelAffineAssign, rows=rows, widths=frozenset([n])) if rows else SKIP
 
 
 def _parse_init_literal(p: _Parser, n: int, sort: str) -> InitDecl:
@@ -911,8 +917,6 @@ def render_linexpr(e: LinExpr) -> str:
 
 
 def render_transfer(t: TransferFunction) -> str:
-    if isinstance(t, Identity):
-        return "skip"
     if isinstance(t, NondetAssign):
         return f"x{t.target} := ?"
     if isinstance(t, ParallelAffineAssign):

@@ -44,13 +44,14 @@ a lattice identity or one call, made at call time, into the domain module
 wp that can return top is given the adapter's own ``top``.  Each call of a
 literal cell, parsed literal or not, of alpha and of ``contains`` checks its
 input by ``programs.checked_vector`` or ``checked_constraints``.  So this
-module keeps only the dispatch and the engines.  What the
-two share (n ≥ 1, height n + 1, one ``bottom`` and one ``top`` built per
-adapter, identity post and the ``top``, ``bot`` and point-set literals) is
-their base class ``_NumericDomain``.  An adapter is immutable after
-``__init__``, so ``build`` gives every problem over one (domain, n) the
-same one; a direct ``ConstAdapter(n)`` or ``AffAdapter(n)`` call makes a
-fresh one.
+module keeps only the dispatch and the engines.  ``skip`` is
+``programs.SKIP``, the assignment with no rows, which each assignment cell
+returns unchanged.  What the two share (n ≥ 1, height n + 1, one
+``bottom`` and one ``top`` built per adapter, and the ``top``, ``bot`` and
+point-set literals) is their base class ``_NumericDomain``.  An adapter is
+immutable after ``__init__``, so ``build`` gives every problem over one
+(domain, n) the same one; a direct ``ConstAdapter(n)`` or ``AffAdapter(n)``
+call makes a fresh one.
 
 ``AnalysisProblem`` holds what the steps read: the node names, the edges as
 index triples (source, transfer, target), the adapter, and the initial and
@@ -58,19 +59,19 @@ safety vectors.  Any graph, such as a one-node finite transition system,
 can be passed to the constructor, which keeps every check: the vectors
 must be over the nodes, and the graph must pass ``programs.check_edges``,
 the one check of a graph that every ``Program`` passes too: distinct node
-names, edge endpoints that are node indices and, over an adapter with a
-``sort``, on every edge a transfer over its n with entries of that sort
-in ``programs.SORTS``; the check records nothing, so each construction
-runs it on every edge.  The index pass then lists, per node, its incoming
-(source index, transfer) and outgoing (transfer, target index) edges; the
-nodes whose initial value is not bottom or whose safety value is not top are
-mapped right after.  All four are set at construction.  ``build`` makes the
-problem of a ``Program``, which passed those checks, in final form and one
-pass: it keeps the edge triples object and reads only the declared nodes.  Both
-engines, by name in ``ALGORITHMS``, step their chain of diffs through
-``lattice.kleene``; ``StateVector`` is met only at the boundary: the
-problem's vectors, the result, and ``abstract_post_step`` and
-``abstract_pret_step``, which apply one diff step to a vector.
+names, edge endpoints that are ``int`` node indices and, over an adapter
+with a ``sort``, on every edge a transfer over its n with entries of that
+sort in ``programs.SORTS``; the check records nothing, so each
+construction runs it on every edge.  The one index pass, ``_indexed``,
+then lists, per node, its incoming (source index, transfer) and outgoing
+(transfer, target index) edges, and maps the nodes whose initial value is
+not bottom or whose safety value is not top.  ``build`` makes the problem
+of a ``Program``, which passed those checks, in final form: it keeps the
+edge triples object and runs the same index pass, so the two differ only
+in the checks.  Both engines, by name in ``ALGORITHMS``, step their chain
+of diffs through ``lattice.kleene``; ``StateVector`` is met only at the
+boundary: the problem's vectors, the result, and ``abstract_post_step``
+and ``abstract_pret_step``, which apply one diff step to a vector.
 """
 
 from __future__ import annotations
@@ -84,7 +85,6 @@ from . import const_domain as cd
 from .lattice import AbstractDomain, kleene, memo
 from .programs import (
     Guard,
-    Identity,
     InitBot,
     InitConstraints,
     InitDecl,
@@ -128,13 +128,12 @@ class _Table(dict):
 
 
 class _NumericDomain(AbstractDomain):
-    """n ≥ 1 variables of one ``sort``, height n + 1, and the cells both tables
-    share; ``bottom()`` and ``top()`` return one element each, built once."""
+    """n ≥ 1 variables of one ``sort``, height n + 1, and the literal cells both
+    tables share; ``bottom()`` and ``top()`` return one element each, built once."""
 
     name: str
     sort: str
     table = _Table({
-        (Identity, "post"): lambda self, t, a: a,
         (InitTop, "init"): lambda self, decl: self.top(),
         (InitBot, "init"): lambda self, decl: self.bottom(),
         (InitPoints, "init"): lambda self, decl: self.alpha(decl.points),
@@ -202,7 +201,6 @@ class ConstAdapter(_NumericDomain):
 
     table = _Table({
         **_NumericDomain.table,
-        (Identity, "wp"): lambda self, t, target: target,
         (ParallelAffineAssign, "post"): lambda self, t, a: cd.bca_parallel_assign(t, a),
         (ParallelAffineAssign, "wp"): lambda self, t, target: cd.wp_parallel_assign(t, target, self._top),
         (NondetAssign, "post"): lambda self, t, a: cd.bca_nondet_assign(t.target, a),
@@ -283,9 +281,10 @@ class AnalysisProblem:
     engines call only the adapter's lattice operations, ``height``,
     ``transfer`` and ``wp``, so any domain object with those methods and
     transfers it understands makes a problem.  The edge lists ``preds`` and
-    ``succs`` and the maps ``nonbottom_init`` and ``nontop_safety`` are built
-    at construction, once ``programs.check_edges`` has checked the graph;
-    ``build`` makes them from a checked ``Program`` without the checks.
+    ``succs`` and the maps ``nonbottom_init`` and ``nontop_safety`` are made
+    by ``_indexed``, which the constructor runs once ``programs.check_edges``
+    has checked the graph, and ``build`` on a checked ``Program`` without the
+    checks.
     """
 
     nodes: tuple[str, ...]
@@ -307,12 +306,7 @@ class AnalysisProblem:
         check_edges(self.nodes, self.edges, getattr(self.adapter, "n", None), getattr(self.adapter, "sort", None))
         if not self.init.nodes == self.safety.nodes == self.nodes:
             raise ValueError("init and safety must be vectors over the problem's nodes")
-        bottom, top = self.adapter.bottom(), self.adapter.top()
-        self.__dict__.update(
-            _adjacency(len(self.nodes), self.edges),
-            nonbottom_init={j: a for j, a in enumerate(self.init.values) if a != bottom},
-            nontop_safety={j: a for j, a in enumerate(self.safety.values) if a != top},
-        )
+        self.__dict__.update(_indexed(self.edges, self.adapter, self.init, self.safety))
 
     @classmethod
     def build(
@@ -338,30 +332,31 @@ class AnalysisProblem:
             )
         nodes = program.nodes
 
-        def vector(pairs: Iterable[tuple[str, InitDecl]], default: Any) -> tuple[StateVector, dict[int, Any]]:
-            """The declared values, ``default`` elsewhere, and the map of those that are not it."""
-            values, bound = [default] * len(nodes), {}
+        def vector(pairs: Iterable[tuple[str, InitDecl]], default: Any) -> StateVector:
+            """The declared values, ``default`` elsewhere."""
+            values = [default] * len(nodes)
             for q, decl in pairs:
-                j = index[q]
-                values[j] = a = adapter.from_init(decl)
-                if a != default:
-                    bound[j] = a
-            return _final(StateVector, nodes=nodes, values=tuple(values)), bound
+                values[index[q]] = adapter.from_init(decl)
+            return _final(StateVector, nodes=nodes, values=tuple(values))
 
-        init, nonbottom_init = vector(program.inits, adapter.bottom())  # inits are in node order
-        safety, nontop_safety = vector(sorted(prop.items(), key=lambda e: index[e[0]]), adapter.top())
+        init, safety = vector(program.inits, adapter.bottom()), vector(prop.items(), adapter.top())
         return _final(cls, nodes=nodes, edges=program.edges, adapter=adapter, init=init, safety=safety,
-                      **_adjacency(len(nodes), program.edges), nonbottom_init=nonbottom_init, nontop_safety=nontop_safety)
+                      **_indexed(program.edges, adapter, init, safety))
 
 
-def _adjacency(k: int, edges: Iterable[tuple[int, TransferFunction, int]]) -> dict[str, tuple]:
-    """``preds`` and ``succs`` of a graph on k nodes, in edge order (see ``AnalysisProblem``)."""
+def _indexed(edges: Iterable[tuple[int, TransferFunction, int]], adapter: Adapter,
+             init: StateVector, safety: StateVector) -> dict[str, Any]:
+    """``preds`` and ``succs`` in edge order, ``nonbottom_init`` and ``nontop_safety`` in node order; a
+    node that holds the adapter's own bottom or top, as each undeclared node does, needs no compare."""
+    k, bottom, top = len(init.values), adapter.bottom(), adapter.top()
     into: list[list[tuple[int, TransferFunction]]] = [[] for _ in range(k)]
     out: list[list[tuple[TransferFunction, int]]] = [[] for _ in range(k)]
     for src, t, dst in edges:
         into[dst].append((src, t))
         out[src].append((t, dst))
-    return {"preds": tuple(map(tuple, into)), "succs": tuple(map(tuple, out))}
+    return {"preds": tuple(map(tuple, into)), "succs": tuple(map(tuple, out)),
+            "nonbottom_init": {j: a for j, a in enumerate(init.values) if a is not bottom and a != bottom},
+            "nontop_safety": {j: a for j, a in enumerate(safety.values) if a is not top and a != top}}
 
 
 @dataclass(frozen=True)

@@ -75,10 +75,14 @@ def three_chain_f() -> dict[int, int]:
 #: sort: ``Program`` and ``AnalysisProblem`` both reject these edges with
 #: that message, read by :func:`graph_error`.
 BAD_GRAPHS = [
-    ("edge-source", ((-1, pg.Identity(), 0),), r"an edge endpoint is not a node index in range\(1\)"),
-    ("edge-target", ((0, pg.Identity(), 1),), r"an edge endpoint is not a node index in range\(1\)"),
+    ("edge-source", ((-1, pg.SKIP, 0),), r"an edge endpoint is not a node index in range\(1\)"),
+    ("edge-target", ((0, pg.SKIP, 1),), r"an edge endpoint is not a node index in range\(1\)"),
     ("nondet-past-n", ((0, pg.NondetAssign(3), 0),), "nondet assignment target out of range"),
     ("nondet-zero", ((0, pg.NondetAssign(0), 0),), "nondet assignment target out of range"),
+    # indices that are not ints: xTrue := ? and x1.0 := ? would print text that does not parse
+    ("nondet-bool", ((0, pg.NondetAssign(True), 0),), "nondet assignment target out of range"),
+    ("nondet-float", ((0, pg.NondetAssign(1.0), 0),), "nondet assignment target out of range"),
+    ("edge-float-endpoint", ((0.0, pg.SKIP, 0),), r"an edge endpoint is not a node index in range\(1\)"),
     ("guard-row", ((0, pg.Guard((pg.LinExpr((1,), 0),), "=", "conj"), 0),), "guard dimension mismatch"),
     ("guard-row-too-wide", ((0, pg.Guard((pg.LinExpr((1, 0, 1), 0),), "=", "conj"), 0),), "guard dimension mismatch"),
     # x1 := x1 under the target -2, which would index x1 from the end
@@ -92,6 +96,11 @@ BAD_GRAPHS = [
      "bad slot value True: a transfer over sort '{sort}' needs {needs} entries"),
     ("float-entry", ((0, pg.ParallelAffineAssign(((1, pg.LinExpr((0, 1), 0.5)),)), 0),),
      "bad slot value 0.5: a transfer over sort '{sort}' needs {needs} entries"),
+    # a row built from a list would keep it: the program could not be hashed
+    ("guard-list-row", ((0, pg.Guard((pg.LinExpr([1, 0], 0),), "=", "conj"), 0),),
+     r"row coefficients \[1, 0\] are not a tuple"),
+    ("assign-list-row", ((0, pg.ParallelAffineAssign(((1, pg.LinExpr([0, 2], 0)),)), 0),),
+     r"row coefficients \[0, 2\] are not a tuple"),
 ]
 
 
@@ -312,7 +321,7 @@ def random_program(rng: random.Random, sort: str, max_vars: int = 5, max_nodes: 
         if kind < 0.6:
             return pg.NondetAssign(rng.randint(1, n))
         if kind < 0.7:
-            return pg.Identity()
+            return pg.SKIP
         mode = rng.choice(["conj", "disj"])
         rows = tuple(rand_expr() for _ in range(rng.randint(1, 2)))
         if sort == "int" and kind < 0.85:

@@ -19,9 +19,9 @@ from fractions import Fraction
 from typing import Any, Callable, NamedTuple
 
 from absinv.programs import (
-    MAX_VARS, RELATIONS, TOP, Guard, Identity, InitBot, InitConstraints, InitDecl,
+    MAX_VARS, RELATIONS, TOP, Guard, InitBot, InitConstraints, InitDecl,
     InitPoints, InitTop, InitVector, LinExpr, NondetAssign, Number, ParallelAffineAssign, Program,
-    ProgramSyntaxError, TransferFunction,
+    ProgramSyntaxError, SKIP, TransferFunction,
 )
 
 _TOKEN = re.compile(
@@ -208,7 +208,7 @@ def _parse_guard_rows(p: _Parser, n: int, sort: str) -> tuple[tuple[LinExpr, ...
 
 def _parse_statements(p: _Parser, n: int, sort: str) -> TransferFunction:
     if p.accept("skip"):
-        return Identity()
+        return SKIP
     if p.accept("assume"):
         rows, rel, mode = _parse_guard_rows(p, n, sort)
         if sort == "rat" and rel not in ("=", "!="):
@@ -236,7 +236,7 @@ def _parse_statements(p: _Parser, n: int, sort: str) -> TransferFunction:
     zero, one = _numbers(sort)
     ids = [LinExpr(tuple(one if i == j else zero for i in range(n)), zero) for j in range(n)]
     rows = [(j, r) for j, (r, ident) in enumerate(zip(assigned, ids)) if r is not None and r != ident]
-    return ParallelAffineAssign(tuple(rows)) if rows else Identity()
+    return ParallelAffineAssign(tuple(rows)) if rows else SKIP
 
 
 def _parse_init_literal(p: _Parser, n: int, sort: str) -> InitDecl:

@@ -278,7 +278,7 @@ def random_rat_program(rng: random.Random, seen: set[str]) -> tuple[pg.Program, 
         if kind < 0.6:
             return pg.NondetAssign(rng.randint(1, n))
         if kind < 0.7:
-            return pg.Identity()
+            return pg.SKIP
         rows = tuple(random_linexpr(rng, n, seen) for _ in range(rng.randint(1, 2)))
         return pg.Guard(rows, "!=" if kind < 0.75 else "=", rng.choice(("conj", "disj")))
 

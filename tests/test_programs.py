@@ -38,8 +38,9 @@ def test_parse_affine_demo_shape(affine_demo):
         "ParallelAffineAssign",
         "ParallelAffineAssign",
         "Guard",
-        "Identity",
+        "ParallelAffineAssign",
     ]
+    assert affine_demo.edges[-1][1].rows == ()  # skip
     # rational coefficients throughout
     first = affine_demo.edges[0][1]
     assert all(isinstance(c, Fraction) for _, r in first.rows for c in r.coeffs)
@@ -160,7 +161,7 @@ def test_concrete_guard_filters_points():
 
 def test_concrete_identity_and_assign():
     pts = {(0, 2), (1, 1)}
-    assert pg.apply_transfer_concrete(pg.Identity(), pts) == pts
+    assert pg.apply_transfer_concrete(pg.SKIP, pts) == pts
     assign = dense_assign((pg.LinExpr((1, 2), 0), pg.LinExpr((0, 1), -1)))  # x1+2x2, x2-1
     assert pg.apply_transfer_concrete(assign, {(0, 2)}) == {(4, 1)}
 
@@ -273,10 +274,12 @@ def test_print_parse_print_is_print(sort):
 
 def test_all_identity_assignment_prints_as_skip():
     t = dense_assign(identity_row(i, 2, 0, 1) for i in range(2))
-    assert t.rows == ()
+    assert t.rows == () and t == pg.SKIP
     prog = pg.Program(("a",), 2, "int", ((0, t, 0),), {})
     assert pg.print_program(prog).endswith("edge a -> a : skip;\n")
-    assert pg.parse_program(pg.print_program(prog)).edges[0][1] == pg.Identity()
+    reparsed = pg.parse_program(pg.print_program(prog))
+    assert reparsed.edges[0][1] is pg.SKIP
+    assert reparsed == prog and hash(reparsed) == hash(prog)
 
 
 def _built_program_parts(rng: random.Random) -> tuple:
@@ -285,8 +288,7 @@ def _built_program_parts(rng: random.Random) -> tuple:
     ``parse_program`` rejects or reads as another program.  An explicit
     ``bot`` init and a one-row ``disj`` guard are drawn too: ``Program``
     drops the first and ``Guard`` makes the second ``conj``, so both
-    round-trip.  An assignment that keeps every variable is drawn as
-    ``skip``, the form the parser gives, and every guard has a row."""
+    round-trip.  Every guard has a row."""
 
     def bad() -> bool:
         return rng.random() < 0.03
@@ -314,13 +316,12 @@ def _built_program_parts(rng: random.Random) -> tuple:
     def transfer() -> pg.TransferFunction:
         kind, w = rng.randrange(4), max(n, 1)
         if kind == 0:
-            return pg.Identity()
+            return pg.SKIP
         if kind == 1:
             return pg.NondetAssign(rng.choice((0, w + 1)) if bad() else rng.randint(1, w))
         if kind == 2:
             targets = rng.sample(range(w), rng.randint(1, w)) + ([w] if bad() else [])
-            t = pg.ParallelAffineAssign(tuple((j, row()) for j in targets))
-            return t if t.rows else pg.Identity()
+            return pg.ParallelAffineAssign(tuple((j, row()) for j in targets))
         rows = tuple(row() for _ in range(rng.randint(1, 2)))
         rel = rng.choice(("=", "!=") if sort == "rat" and not bad() else tuple(pg.RELATIONS))
         return pg.Guard(rows, rel, rng.choice(("conj", "disj")))
@@ -730,7 +731,7 @@ def test_parsed_programs_equal_their_rebuild_through_the_checking_constructors()
     assert [t.rows for _, t, _ in program.edges[:2]] == [
         ((1, pg.LinExpr((0, 0), 1)),), ((0, pg.LinExpr((0, -1), 3)),)
     ]
-    assert program.edges[2][1] == pg.Identity() and [t.mode for _, t, _ in program.edges[3:]] == ["conj", "disj"]
+    assert program.edges[2][1] == pg.SKIP and [t.mode for _, t, _ in program.edges[3:]] == ["conj", "disj"]
 
 
 # ---------------------------------------------------------------------------
@@ -800,9 +801,10 @@ def test_a_parse_runs_no_transfer_check(monkeypatch):
         program = pg.parse_program(text)
         assert checked == []
         transfers = {id(t): t for _, t, _ in program.edges}.values()
-        assert len(transfers) == len(labels) - 1  # the repeated label shares its transfer
+        # the repeated label shares its transfer, and the self-assignment and skip share SKIP
+        assert len(transfers) == len(labels) - 2
         kinds = {type(t) for t in transfers}
-        assert kinds == {pg.ParallelAffineAssign, pg.NondetAssign, pg.Identity, pg.Guard}
+        assert kinds == {pg.ParallelAffineAssign, pg.NondetAssign, pg.Guard}
         for t in transfers:
             original(t, 2, sort)
 
@@ -839,7 +841,7 @@ def test_the_checking_constructors_store_lists_as_tuples():
     row = pg.LinExpr((1,), -2)
     guard = pg.Guard([row], "=", "conj")
     assert guard == pg.Guard((row,), "=", "conj") and hash(guard) == hash(pg.Guard((row,), "=", "conj"))
-    for nodes, edges in [(["q1"], []), (["q1", "q2"], [(0, guard, 1), (1, pg.Identity(), 0)])]:
+    for nodes, edges in [(["q1"], []), (["q1", "q2"], [(0, guard, 1), (1, pg.SKIP, 0)])]:
         program = pg.Program(nodes, 1, "int", edges, {"q1": pg.InitTop()})
         twin = pg.Program(tuple(nodes), 1, "int", tuple(edges), {"q1": pg.InitTop()})
         reparsed = pg.parse_program(pg.print_program(program))
@@ -849,6 +851,37 @@ def test_the_checking_constructors_store_lists_as_tuples():
         problem = AnalysisProblem(nodes, edges, adapter, v, v)
         assert (problem.nodes, problem.edges) == (tuple(nodes), tuple(edges))
         assert problem == AnalysisProblem(tuple(nodes), tuple(edges), adapter, v, v)
+
+
+def test_a_program_stores_list_built_literals_as_tuples():
+    """A vector literal, point set or constraint literal built from lists is
+    stored in the tuples (and, for points, the ``frozenset``) that its check
+    returns, so the program hashes and equals its reparse; a tuple is kept,
+    and so is a point set that is a ``frozenset`` of them.  A constraint row
+    whose coefficients are a list is rejected, as a transfer's row is
+    (``BAD_GRAPHS``)."""
+    for sort, decl in [
+        ("int", pg.InitVector([1, 2])), ("int", pg.InitVector([pg.TOP, -3])), ("int", pg.InitPoints([[1, 2], [3, 4]])),
+        ("rat", pg.InitPoints({(1, Fraction(1, 2))})), ("rat", pg.InitConstraints([pg.LinExpr((1, -1), 2)])),
+    ]:
+        program = pg.Program(("a",), 2, sort, (), {"a": decl})
+        reparsed = pg.parse_program(pg.print_program(program))
+        assert program == reparsed and hash(program) == hash(reparsed), decl
+    vector, points = pg.InitVector((1, 2)), pg.InitPoints(frozenset({(1, 2), (3, 4)}))
+    program = pg.Program(("a", "b"), 2, "int", (), {"a": vector, "b": points})
+    assert program.inits[0][1].entries is vector.entries and program.inits[1][1] is points
+    with pytest.raises(ValueError, match=r"^row coefficients \[1, 0\] are not a tuple$"):
+        pg.Program(("a",), 2, "rat", (), {"a": pg.InitConstraints((pg.LinExpr([1, 0], 0),))})
+    with pytest.raises(ValueError, match="^vector literal None is not iterable$"):
+        pg.Program(("a",), 2, "int", (), {"a": pg.InitVector(None)})
+
+
+def test_an_assignment_target_must_be_an_int():
+    """A target that is not an ``int`` (``x1.0``, ``xTrue``) is rejected at construction."""
+    row = pg.LinExpr((1, 0), 1)
+    for j in (1.0, True, "1"):
+        with pytest.raises(ValueError, match="^an assignment target is not an int$"):
+            pg.ParallelAffineAssign(((j, row),))
 
 
 def test_an_assignment_rejects_a_repeated_target():
@@ -868,7 +901,7 @@ def test_program_edges_are_the_index_triples_the_engines_read():
     assert [(src, dst) for src, _, dst in program.edges] == [(2, 0), (0, 2), (1, 1)]
     assert AnalysisProblem.build(program, "const").edges is program.edges
     assert pg.post_edges_into(program, "a") == [("c", program.edges[0][1])]
-    assert pg.out_edges(program, "a") == [(pg.Identity(), "c")]
+    assert pg.out_edges(program, "a") == [(pg.SKIP, "c")]
 
 
 @pytest.mark.parametrize(

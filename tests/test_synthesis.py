@@ -468,6 +468,21 @@ def test_a_parsed_literal_reaches_its_cell_through_one_check(monkeypatch):
     assert calls[2:] == [(1, TOP), (2, TOP)]
 
 
+@pytest.mark.parametrize("cls", list(synthesis.DOMAINS.values()), ids=list(synthesis.DOMAINS))
+def test_a_vector_that_is_not_iterable_is_a_value_error(cls):
+    """A point or vector literal that is not iterable gets the ``ValueError``
+    of every other bad vector, at each door of both domains."""
+    adapter = cls(2)
+    for entry, message in [
+        (lambda: adapter.alpha([5]), "point 5 is not iterable"),
+        (lambda: adapter.contains(adapter.top(), 5), "point 5 is not iterable"),
+        (lambda: adapter.from_init(pg.InitVector(None)), "vector literal None is not iterable"),
+        (lambda: adapter.from_init(pg.InitPoints([7])), "point 7 is not iterable"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            entry()
+
+
 @pytest.mark.parametrize("sort, domain", [("int", "const"), ("rat", "affine")])
 def test_no_check_leaves_a_mark_on_a_transfer_or_literal(sort, domain):
     """After a parse, a build, every engine of the domain and a print, each
@@ -543,7 +558,7 @@ def test_a_directly_built_problem_is_checked():
     ``Program`` rejects too, are rejected with the same messages.  A
     ``Fraction`` coefficient or constant is a number of sort ``rat`` only."""
     adapter = synthesis.ConstAdapter(1)
-    nodes, ident = ("a", "b"), pg.Identity()
+    nodes, ident = ("a", "b"), pg.SKIP
     init = pg.StateVector(nodes, (adapter.top(), adapter.bottom()))
     safety = pg.StateVector(nodes, (adapter.top(),) * 2)
     result = ainv_forward(AnalysisProblem(nodes, ((0, ident, 1),), adapter, init, safety))
@@ -600,7 +615,7 @@ def test_a_problem_indexes_its_edges_and_bounds_at_construction():
         if k % 3 == 2:  # built directly: any node count, edges in any order
             adapter, nodes = synthesis.ConstAdapter(2), tuple(f"v{i}" for i in range(rng.randint(1, 6)))
             edges = tuple(
-                (rng.randrange(len(nodes)), rng.choice([pg.Identity(), pg.NondetAssign(1)]), rng.randrange(len(nodes)))
+                (rng.randrange(len(nodes)), rng.choice([pg.SKIP, pg.NondetAssign(1)]), rng.randrange(len(nodes)))
                 for _ in range(rng.randint(0, 12))
             )
             init = pg.StateVector(nodes, tuple(
@@ -894,7 +909,7 @@ def test_affine_post_is_monotone():
                 draws += 1
                 strict += a != b
                 assert adapter.leq(adapter.transfer(t, a), adapter.transfer(t, b)), (k, t, a, b)
-    assert kinds == {pg.Identity, pg.ParallelAffineAssign, pg.NondetAssign, "=", "!="}
+    assert kinds == {pg.ParallelAffineAssign, pg.NondetAssign, "=", "!="}
     assert strict >= draws // 3
 
 
