@@ -139,7 +139,8 @@ class ParallelAffineAssign:
         rows = sorted(self.rows, key=operator.itemgetter(0))
         if len({j for j, _ in rows}) != len(rows):
             raise ValueError("an assignment target is repeated")
-        self.__dict__.update(widths=frozenset([len(r.coeffs) for _, r in rows]), rows=_moved(rows))
+        object.__setattr__(self, "widths", frozenset([len(r.coeffs) for _, r in rows]))
+        object.__setattr__(self, "rows", _moved(rows))
 
     def apply_point(self, v: tuple[Number, ...]) -> tuple[Number, ...]:
         rows = dict(self.rows)
@@ -288,8 +289,8 @@ class Program:
     no node or a node name that is not one identifier, a graph that
     :func:`check_edges` rejects, an empty point set and an init literal that
     :func:`checked_vector` or :func:`checked_constraints` rejects.  It stores the
-    tuples those return (a point set as a ``frozenset``, kept if it is one) and
-    drops an explicit ``InitBot``, the default, which prints as nothing.
+    tuples those return (a point set as a ``frozenset`` of them) and drops an
+    explicit ``InitBot``, the default, which prints as nothing.
     """
 
     nodes: tuple[str, ...]
@@ -317,8 +318,7 @@ class Program:
             elif isinstance(decl, InitPoints):
                 if not decl.points:
                     raise ValueError("a point set needs at least one point")
-                points = frozenset([checked_vector(pt, n, sort, top=False) for pt in decl.points])
-                inits[q] = decl if type(decl.points) is frozenset and decl.points == points else InitPoints(points)
+                inits[q] = InitPoints(frozenset([checked_vector(pt, n, sort, top=False) for pt in decl.points]))
             elif isinstance(decl, InitConstraints):
                 inits[q] = InitConstraints(checked_constraints(decl.rows, n, sort))
         if len(inits) != len(self.inits):  # pairs that declare a node twice
@@ -360,7 +360,8 @@ def _check_transfer(t: TransferFunction, n: int, sort: str) -> None:
         if sort == "rat" and t.rel not in ("=", "!="):
             raise ValueError(_RAT_INEQUALITY.format(t.rel))
     rows = t.rows if isinstance(t, Guard) else [r for _, r in getattr(t, "rows", ())]
-    check_rows(rows, sort, "bad slot value {0!r}: a transfer over sort {1!r} needs {2} entries")
+    message = "bad slot value {0!r}: a transfer over sort {1!r} needs {2} entries"
+    check_rows(rows, sort, message)
 
 
 def check_rows(rows: Iterable[LinExpr], sort: str, message: str = "bad slot value {0!r}") -> None:
@@ -370,7 +371,8 @@ def check_rows(rows: Iterable[LinExpr], sort: str, message: str = "bad slot valu
     for r in rows:
         if type(r.coeffs) is not tuple:
             raise ValueError(f"row coefficients {r.coeffs!r} are not a tuple")
-        if not set(map(type, v := (*r.coeffs, r.const))).issubset(types):
+        v = (*r.coeffs, r.const)
+        if not set(map(type, v)).issubset(types):
             x = next(x for x in v if type(x) not in types)
             raise ValueError(message.format(x, sort, " or ".join(t.__name__ for t in types)))
 

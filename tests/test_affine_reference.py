@@ -146,6 +146,7 @@ def test_every_operation_matches_the_fraction_reference():
         check(af.meet_hyperplane(a, pg.Guard((e,), "=", "conj").cleared[0]), ra.meet_hyperplane(ref_a, e))
         t = dense_assign(random_assignment(rng, n, seen))
         check(af.bca_parallel_assign(t, a), ra.bca_parallel_assign(t, ref_a))
+        assert af.bca_parallel_assign(pg.SKIP, a) is a and ra.bca_parallel_assign(pg.SKIP, ref_a) == ref_a
         j = rng.randint(1, n)
         check(af.bca_nondet_assign(j, a), ra.bca_nondet_assign(j, ref_a))
         for mode in ("conj", "disj"):
@@ -242,7 +243,7 @@ class ReferenceAffAdapter(AffAdapter):
             return ra.bca_nondet_assign(t.target, a)
         if isinstance(t, pg.Guard) and t.rel == "=":
             return ra.bca_eq_guard(t.rows, t.mode, a)
-        return a  # skip, and the != guard as AffAdapter treats it
+        return a  # the != guard, as AffAdapter treats it
 
     table = type(AffAdapter.table)({
         **AffAdapter.table,

@@ -545,10 +545,22 @@ FIXED_PROGRAMS = [
 
 
 def _outcome(parse, *args):
+    """The ``repr`` of the parse, each point set as its sorted points, or the error's place.
+
+    A point set's iteration order is that of its hash table, and that differs between
+    equal sets built in different orders (``(-1,)`` and ``(-2,)`` have one hash)."""
     try:
-        return repr(parse(*args))
+        result = parse(*args)
     except pg.ProgramSyntaxError as exc:
         return (exc.msg, exc.line, exc.col)
+    if isinstance(result, pg.Program):
+        inits = tuple((q, _sorted_points(decl)) for q, decl in result.inits)
+        return f"{repr(result).partition(', inits=')[0]}, inits={inits!r})"
+    return repr(_sorted_points(result))
+
+
+def _sorted_points(decl: pg.InitDecl) -> object:
+    return ("InitPoints", sorted(decl.points)) if isinstance(decl, pg.InitPoints) else decl
 
 
 def _after_a_sign(text: str, line: int, col: int) -> bool:
@@ -835,41 +847,36 @@ def test_transfer_entries_must_be_numbers_of_the_sort():
 def test_the_checking_constructors_store_lists_as_tuples():
     """A ``Program``, ``Guard`` or ``AnalysisProblem`` built in code from lists
     stores tuples: it hashes, equals its tuple twin and, for a program, its
-    reparse; a problem over list nodes is no longer rejected."""
+    reparse; a problem over list nodes is no longer rejected.  A program's
+    vector literal, point set or constraint literal built from lists is stored
+    in the tuples (and, for points, the ``frozenset``) that its check returns.
+    A constraint row whose coefficients are a list is rejected, as a
+    transfer's row is (``BAD_GRAPHS``)."""
     from absinv.synthesis import AnalysisProblem, ConstAdapter
 
     row = pg.LinExpr((1,), -2)
     guard = pg.Guard([row], "=", "conj")
     assert guard == pg.Guard((row,), "=", "conj") and hash(guard) == hash(pg.Guard((row,), "=", "conj"))
-    for nodes, edges in [(["q1"], []), (["q1", "q2"], [(0, guard, 1), (1, pg.SKIP, 0)])]:
-        program = pg.Program(nodes, 1, "int", edges, {"q1": pg.InitTop()})
-        twin = pg.Program(tuple(nodes), 1, "int", tuple(edges), {"q1": pg.InitTop()})
+    for nodes, edges, sort, init in [
+        (["q1"], [], "int", pg.InitTop()),
+        (["q1", "q2"], [(0, guard, 1), (1, pg.SKIP, 0)], "int", pg.InitTop()),
+        (["q1"], [], "int", pg.InitVector([1])),
+        (["q1"], [], "int", pg.InitVector([pg.TOP])),
+        (["q1"], [], "int", pg.InitPoints([[1], [3]])),
+        (["q1"], [], "rat", pg.InitPoints({(Fraction(1, 2),)})),
+        (["q1"], [], "rat", pg.InitConstraints([pg.LinExpr((1,), 2)])),
+    ]:
+        program = pg.Program(nodes, 1, sort, edges, {"q1": init})
+        twin = pg.Program(tuple(nodes), 1, sort, tuple(edges), {"q1": init})
         reparsed = pg.parse_program(pg.print_program(program))
-        assert program == twin == reparsed and hash(program) == hash(twin) == hash(reparsed)
+        assert program == twin == reparsed and hash(program) == hash(twin) == hash(reparsed), init
         adapter = ConstAdapter(1)
         v = pg.StateVector(nodes, (adapter.top(),) * len(nodes))
         problem = AnalysisProblem(nodes, edges, adapter, v, v)
         assert (problem.nodes, problem.edges) == (tuple(nodes), tuple(edges))
         assert problem == AnalysisProblem(tuple(nodes), tuple(edges), adapter, v, v)
-
-
-def test_a_program_stores_list_built_literals_as_tuples():
-    """A vector literal, point set or constraint literal built from lists is
-    stored in the tuples (and, for points, the ``frozenset``) that its check
-    returns, so the program hashes and equals its reparse; a tuple is kept,
-    and so is a point set that is a ``frozenset`` of them.  A constraint row
-    whose coefficients are a list is rejected, as a transfer's row is
-    (``BAD_GRAPHS``)."""
-    for sort, decl in [
-        ("int", pg.InitVector([1, 2])), ("int", pg.InitVector([pg.TOP, -3])), ("int", pg.InitPoints([[1, 2], [3, 4]])),
-        ("rat", pg.InitPoints({(1, Fraction(1, 2))})), ("rat", pg.InitConstraints([pg.LinExpr((1, -1), 2)])),
-    ]:
-        program = pg.Program(("a",), 2, sort, (), {"a": decl})
-        reparsed = pg.parse_program(pg.print_program(program))
-        assert program == reparsed and hash(program) == hash(reparsed), decl
-    vector, points = pg.InitVector((1, 2)), pg.InitPoints(frozenset({(1, 2), (3, 4)}))
-    program = pg.Program(("a", "b"), 2, "int", (), {"a": vector, "b": points})
-    assert program.inits[0][1].entries is vector.entries and program.inits[1][1] is points
+    vector = pg.InitVector((1, 2))
+    assert pg.Program(("a",), 2, "int", (), {"a": vector}).inits[0][1].entries is vector.entries
     with pytest.raises(ValueError, match=r"^row coefficients \[1, 0\] are not a tuple$"):
         pg.Program(("a",), 2, "rat", (), {"a": pg.InitConstraints((pg.LinExpr([1, 0], 0),))})
     with pytest.raises(ValueError, match="^vector literal None is not iterable$"):
