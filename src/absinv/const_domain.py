@@ -221,7 +221,7 @@ def wp_nondet_assign(j: int, target: ConstVec) -> ConstVec:
 
 def wp_guard(t: Guard, target: ConstVec, top: ConstVec) -> ConstVec:
     """The target if the rows are constant and hold, so hold everywhere; else ``top``."""
-    if all(r.is_constant() for r in t.rows) and guard_holds(t, (0,) * len(t.rows[0].coeffs)):
+    if not any(any(r.coeffs) for r in t.rows) and guard_holds(t, (0,) * len(t.rows[0].coeffs)):
         return target
     return top
 

@@ -30,10 +30,11 @@ whose labels have the same tokens share one transfer object, parsed once.
 The parse gives each part the form the engines read: an edge is a (source
 index, transfer, target index) triple, and an assignment holds only its
 assigned rows, as (0-based target, expression) pairs; ``skip``, like an
-assignment whose every row drops (``x1 := x1``), is :data:`SKIP`.  The
-parser builds each ``Program``, ``ParallelAffineAssign`` and ``Guard`` in
-the form its constructor gives but skips the constructor's checks: its
-grammar rejects each of those faults, with a line and column.
+assignment whose every row drops (``x1 := x1``), is :data:`SKIP`; ``bot``
+is :data:`BOT`, the empty point set.  The parser builds each ``Program``,
+``ParallelAffineAssign`` and ``Guard`` in the form its constructor gives
+but skips the constructor's checks: its grammar rejects each of those
+faults, with a line and column.
 ``StateVector.with_values`` and ``synthesis.AnalysisProblem.build`` build
 in final form from checked objects too.  Objects built in code keep every
 check.  A check runs where input enters, and no object records that it
@@ -97,16 +98,19 @@ class LinExpr:
             v += m * x
         return v
 
-    def is_constant(self) -> bool:
-        return all(m == 0 for m in self.coeffs)
-
     def __str__(self) -> str:
         return render_linexpr(self)
 
 
-def relation_holds(value: Number, rel: str) -> bool:
-    """Does ``value ⋈ 0`` hold for the given relation symbol?"""
-    return RELATIONS[rel](value, 0)
+def _tuple(items: Any, what: str, rows: bool = False) -> tuple[Any, ...]:
+    """The one test of a container: ``tuple(items)``, once iterable and, for ``rows``, each item a ``LinExpr``."""
+    try:
+        v = tuple(items)
+    except TypeError:
+        raise ValueError(f"{what} {items!r} is not iterable") from None
+    if rows and (bad := [r for r in v if not isinstance(r, LinExpr)]):
+        raise ValueError(f"row {bad[0]!r} is not a LinExpr")
+    return v
 
 
 def clear_denominators(values: Iterable[Number]) -> tuple[list[int], int]:
@@ -134,9 +138,11 @@ class ParallelAffineAssign:
     widths: frozenset[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if any(type(j) is not int for j, _ in self.rows):
+        rows = _tuple(self.rows, "assignment row list")
+        if any(type(j) is not int for j, _ in rows):
             raise ValueError("an assignment target is not an int")
-        rows = sorted(self.rows, key=operator.itemgetter(0))
+        _tuple([r for _, r in rows], "assignment row list", rows=True)
+        rows = sorted(rows, key=operator.itemgetter(0))
         if len({j for j, _ in rows}) != len(rows):
             raise ValueError("an assignment target is repeated")
         object.__setattr__(self, "widths", frozenset([len(r.coeffs) for _, r in rows]))
@@ -195,7 +201,7 @@ class Guard:
     mode: str  # "conj" | "disj"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "rows", tuple(self.rows))
+        object.__setattr__(self, "rows", _tuple(self.rows, "guard row list", rows=True))
         if not self.rows:
             raise ValueError("a guard needs at least one row")
         if self.rel not in RELATIONS:
@@ -223,11 +229,6 @@ TransferFunction = ParallelAffineAssign | NondetAssign | Guard
 @dataclass(frozen=True)
 class InitTop:
     """All value vectors."""
-
-
-@dataclass(frozen=True)
-class InitBot:
-    """No value vectors (the default for undeclared nodes)."""
 
 
 class _Top(Enum):
@@ -262,6 +263,9 @@ class InitPoints:
     points: frozenset[tuple[Number, ...]]
 
 
+BOT = InitPoints(frozenset())  #: ``bot``: the point set with no points, the default for undeclared nodes
+
+
 @dataclass(frozen=True)
 class InitConstraints:
     """A conjunction of affine equalities (rat sort only)."""
@@ -269,7 +273,7 @@ class InitConstraints:
     rows: tuple[LinExpr, ...]
 
 
-InitDecl = InitTop | InitBot | InitVector | InitPoints | InitConstraints
+InitDecl = InitTop | InitVector | InitPoints | InitConstraints
 
 
 # ---------------------------------------------------------------------------
@@ -287,10 +291,10 @@ class Program:
     and hashable.  Construction rejects what :func:`print_program` could not
     write back: n outside 1..:data:`MAX_VARS`, a sort not in :data:`SORTS`,
     no node or a node name that is not one identifier, a graph that
-    :func:`check_edges` rejects, an empty point set and an init literal that
+    :func:`check_edges` rejects, an init that is not a literal and a literal that
     :func:`checked_vector` or :func:`checked_constraints` rejects.  It stores the
     tuples those return (a point set as a ``frozenset`` of them) and drops an
-    explicit ``InitBot``, the default, which prints as nothing.
+    empty point set, :data:`BOT`, the default, which prints as nothing.
     """
 
     nodes: tuple[str, ...]
@@ -316,21 +320,22 @@ class Program:
             if isinstance(decl, InitVector):
                 inits[q] = InitVector(checked_vector(decl.entries, n, sort))
             elif isinstance(decl, InitPoints):
-                if not decl.points:
-                    raise ValueError("a point set needs at least one point")
-                inits[q] = InitPoints(frozenset([checked_vector(pt, n, sort, top=False) for pt in decl.points]))
+                points = [checked_vector(pt, n, sort, top=False) for pt in _tuple(decl.points, "point set")]
+                inits[q] = InitPoints(frozenset(points))
             elif isinstance(decl, InitConstraints):
                 inits[q] = InitConstraints(checked_constraints(decl.rows, n, sort))
+            elif not isinstance(decl, InitTop):
+                raise ValueError(f"unknown init declaration {decl!r}")
         if len(inits) != len(self.inits):  # pairs that declare a node twice
             seen: set[str] = set()
             q = next(q for q, _ in self.inits if q in seen or seen.add(q))
             raise ValueError(f"node {q!r} has a second init")
         object.__setattr__(self, "inits", tuple(
-            (q, inits[q]) for q in self.nodes if q in inits and type(inits[q]) is not InitBot
+            (q, inits[q]) for q in self.nodes if q in inits and inits[q] != BOT
         ))
 
     def init_decl(self, q: str) -> InitDecl:
-        return next((decl for node, decl in self.inits if node == q), InitBot())
+        return next((decl for node, decl in self.inits if node == q), BOT)
 
 
 def check_edges(nodes: tuple[str, ...], edges: Iterable[tuple[int, Any, int]], n: int | None, sort: str | None) -> None:
@@ -381,10 +386,7 @@ def checked_vector(entries: Iterable[Any], n: int, sort: str, top: bool = True) 
     """``tuple(entries)``, once it has n entries, each a number of ``sort`` or, for a
     vector literal (``top``), :data:`TOP`; a point (not ``top``) has numbers only."""
     types = SORTS[sort][0]
-    try:
-        v = tuple(entries)
-    except TypeError:
-        raise ValueError(f"{'vector literal' if top else 'point'} {entries!r} is not iterable") from None
+    v = _tuple(entries, "vector literal" if top else "point")
     if len(v) != n:
         raise ValueError(f"vector literal has {len(v)} entries, expected {n}" if top
                          else f"point has {len(v)} coordinates, expected {n}")
@@ -397,7 +399,7 @@ def checked_vector(entries: Iterable[Any], n: int, sort: str, top: bool = True) 
 def checked_constraints(rows: Iterable[LinExpr], n: int, sort: str) -> tuple[LinExpr, ...]:
     """``tuple(rows)``, once they are a constraint literal: sort ``rat``, one or more rows,
     each of n coefficients in a tuple, and every coefficient and constant a number of the sort."""
-    rows = tuple(rows)
+    rows = _tuple(rows, "constraint literal", rows=True)
     if sort != "rat":
         raise ValueError("constraint literals need sort 'rat'")
     if not rows:
@@ -446,7 +448,7 @@ class StateVector:
 
 
 def guard_holds(t: Guard, v: tuple[Number, ...]) -> bool:
-    results = (relation_holds(r.eval(v), t.rel) for r in t.rows)
+    results = (RELATIONS[t.rel](r.eval(v), 0) for r in t.rows)
     return all(results) if t.mode == "conj" else any(results)
 
 
@@ -739,7 +741,7 @@ def _parse_init_literal(p: _Parser, n: int, sort: str) -> InitDecl:
     if p.accept("top"):
         return InitTop()
     if p.accept("bot"):
-        return InitBot()
+        return BOT
     if p.accept("("):
         entries = p.sequence(lambda: TOP if p.accept("top") else p.number(sort), ",")
         p.expect(")")
@@ -894,7 +896,7 @@ def parse_program(text: str) -> Program:
 
     if n is None or sort is None or nodes is None:
         raise p.fail("program must declare vars, sort and nodes")
-    pairs = sorted([(q, d) for q, d in inits.items() if type(d) is not InitBot], key=lambda e: nodes[e[0]])
+    pairs = sorted([(q, d) for q, d in inits.items() if d is not BOT], key=lambda e: nodes[e[0]])
     return _final(Program, nodes=tuple(nodes), n=n, sort=sort, edges=tuple(edges), inits=tuple(pairs))
 
 
@@ -930,13 +932,11 @@ def render_transfer(t: TransferFunction) -> str:
 def render_init(decl: InitDecl) -> str:
     if isinstance(decl, InitTop):
         return "top"
-    if isinstance(decl, InitBot):
-        return "bot"
     if isinstance(decl, InitVector):
         return "(" + ",".join(map(str, decl.entries)) + ")"
     if isinstance(decl, InitPoints):
         pts = sorted(decl.points)
-        return "{" + ";".join("(" + ",".join(map(str, pt)) + ")" for pt in pts) + "}"
+        return "{" + ";".join("(" + ",".join(map(str, pt)) + ")" for pt in pts) + "}" if pts else "bot"
     if isinstance(decl, InitConstraints):
         return " /\\ ".join(f"{render_linexpr(r)} = 0" for r in decl.rows)
     raise TypeError(f"unknown init declaration {decl!r}")

@@ -46,12 +46,12 @@ literal cell, parsed literal or not, of alpha and of ``contains`` checks its
 input by ``programs.checked_vector`` or ``checked_constraints``.  So this
 module keeps only the dispatch and the engines.  ``skip`` is
 ``programs.SKIP``, the assignment with no rows, which each assignment cell
-returns unchanged.  What the two share (n ≥ 1, height n + 1, one
-``bottom`` and one ``top`` built per adapter, and the ``top``, ``bot`` and
-point-set literals) is their base class ``_NumericDomain``.  An adapter is
-immutable after ``__init__``, so ``build`` gives every problem over one
-(domain, n) the same one; a direct ``ConstAdapter(n)`` or ``AffAdapter(n)``
-call makes a fresh one.
+returns unchanged; ``bot`` is ``programs.BOT``, the empty point set, whose
+cell gives ``bottom()``.  What the two share (n ≥ 1, height n + 1, one
+``bottom`` and one ``top`` built per adapter, and the ``top`` and point-set
+literals) is their base class ``_NumericDomain``.  An adapter is immutable after ``__init__``, so
+``build`` gives every problem over one (domain, n) the same one; a direct
+``ConstAdapter(n)`` or ``AffAdapter(n)`` call makes a fresh one.
 
 ``AnalysisProblem`` holds what the steps read: the node names, the edges as
 index triples (source, transfer, target), the adapter, and the initial and
@@ -84,8 +84,8 @@ from . import affine as aff
 from . import const_domain as cd
 from .lattice import AbstractDomain, kleene, memo
 from .programs import (
+    BOT,
     Guard,
-    InitBot,
     InitConstraints,
     InitDecl,
     InitPoints,
@@ -135,8 +135,7 @@ class _NumericDomain(AbstractDomain):
     sort: str
     table = _Table({
         (InitTop, "init"): lambda self, decl: self.top(),
-        (InitBot, "init"): lambda self, decl: self.bottom(),
-        (InitPoints, "init"): lambda self, decl: self.alpha(decl.points),
+        (InitPoints, "init"): lambda self, decl: self.bottom() if decl == BOT else self.alpha(decl.points),
     })
 
     def __init__(self, n: int):

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Any, Callable, NamedTuple
 
 from absinv.programs import (
-    MAX_VARS, RELATIONS, TOP, Guard, InitBot, InitConstraints, InitDecl,
+    BOT, MAX_VARS, RELATIONS, TOP, Guard, InitConstraints, InitDecl,
     InitPoints, InitTop, InitVector, LinExpr, NondetAssign, Number, ParallelAffineAssign, Program,
     ProgramSyntaxError, SKIP, TransferFunction,
 )
@@ -243,7 +243,7 @@ def _parse_init_literal(p: _Parser, n: int, sort: str) -> InitDecl:
     if p.accept("top"):
         return InitTop()
     if p.accept("bot"):
-        return InitBot()
+        return BOT
     if p.accept("("):
         entries = p.sequence(lambda: TOP if p.accept("top") else p.number(sort), ",")
         p.expect("sym", ")")

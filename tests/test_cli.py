@@ -114,6 +114,35 @@ def test_json_no_invariant_names_the_reason_step_and_violating_iterate(capsys, a
         assert doc["violating"] == doc["trace"][-1] and len(doc["trace"]) == step + 1
 
 
+@pytest.mark.parametrize(
+    "args, reason, iterates",
+    [
+        ([CONST, "--domain", "const", "--alg", "forward", "--prop", "q2: bot", "--prop", "q3: bot"],
+         "property-violated", ["q1=(top,top) q2=bot q3=bot q4=bot", "q1=(top,top) q2=(0,2) q3=bot q4=bot"]),
+        ([CONST, "--domain", "const", "--alg", "backward", "--prop", "q2: bot", "--prop", "q3: bot"],
+         "init-not-entailed", ["q1=(top,top) q2=(top,top) q3=(top,top) q4=(top,top)",
+                               "q1=(top,top) q2=bot q3=bot q4=(top,top)", "q1=bot q2=bot q3=bot q4=(top,top)"]),
+        ([AFFINE, "--domain", "affine", "--alg", "forward", "--prop", "q2: bot"],
+         "property-violated", ["q1=top q2=bot q3=bot q4=bot", r"q1=top q2={x1+2=0 /\ x2-1=0 /\ x3-1=0} q3=bot q4=bot"]),
+    ],
+    ids=["const-forward", "const-backward", "affine-forward"],
+)
+def test_a_bot_property_prints_its_no_invariant_verdict(capsys, args, reason, iterates):
+    """A ``bot`` property, the point set with no points, at a reachable node:
+    the text and JSON outputs, pinned byte for byte, and exit code 1."""
+    argv = ["analyze", "--program", *args, "--trace"]
+    code, text, _ = run(argv, capsys)
+    step = len(iterates) - 1
+    assert code == 1
+    assert text == "".join(f"{k}: {row}\n" for k, row in enumerate(iterates)) + (
+        f"no abstract inductive invariant ({reason} at step {step})\nviolating iterate: {iterates[-1]}\n")
+    code, out, _ = run([*argv, "--format", "json"], capsys)
+    vectors = [dict(entry.split("=", 1) for entry in re.split(r" (?=q\d=)", row)) for row in iterates]
+    doc = {"algorithm": args[4], "domain": args[2], "steps": step, "result": "no-invariant", "kind": None,
+           "invariant": None, "reason": reason, "step": step, "violating": vectors[-1], "trace": vectors}
+    assert code == 1 and out == json.dumps(doc, indent=2) + "\n"
+
+
 def test_analyze_output_is_deterministic(capsys):
     args = ["analyze", "--program", CONST, "--domain", "const", "--alg", "forward",
             "--prop", "q2: (top,2)", "--trace", "--format", "json"]

@@ -468,7 +468,7 @@ def reference_bca_rel_guard(e: pg.LinExpr, rel: str, a: cd.ConstVec) -> cd.Const
     v = abstract_value(e, a)
     if v is TOP:
         return a
-    return a if pg.relation_holds(v, rel) else None
+    return a if pg.RELATIONS[rel](v, 0) else None
 
 
 def test_one_pass_guards_match_the_reference_guards():

@@ -26,7 +26,7 @@ def test_parse_const_demo_shape(const_demo):
     assert const_demo.sort == "int"
     assert len(const_demo.edges) == 4
     assert isinstance(const_demo.init_decl("q1"), pg.InitTop)
-    assert isinstance(const_demo.init_decl("q2"), pg.InitBot)
+    assert const_demo.init_decl("q2") is pg.BOT
 
 
 def test_parse_affine_demo_shape(affine_demo):
@@ -332,7 +332,7 @@ def _built_program_parts(rng: random.Random) -> tuple:
     def init() -> pg.InitDecl:
         kind, w = rng.randrange(4), max(n, 1)
         if kind == 0:
-            return rng.choice((pg.InitTop(), pg.InitBot()))
+            return rng.choice((pg.InitTop(), pg.BOT))
         if kind == 1:
             return pg.InitVector(tuple(pg.TOP if rng.random() < 0.3 else num() for _ in range(width())))
         if kind == 2:
@@ -353,9 +353,10 @@ def test_a_program_built_in_code_is_rejected_or_prints_back():
     prints text that parses to an equal ``Program``.  The draws include
     each fault that once printed text the parser rejects (``vars 0;``,
     ``sort float;``, a literal of the wrong length, ``x1 := 1/2*x1``, a
-    constraint literal over ``int``, no node, an empty point set or
-    constraint literal, ``x1 < 0`` over ``rat``) or reads as another
-    program (a node name ``a b``), and each fault of the graph."""
+    constraint literal over ``int``, no node, an empty constraint literal,
+    ``x1 < 0`` over ``rat``) or reads as another program (a node name
+    ``a b``), and each fault of the graph.  An empty point set is ``bot``,
+    the default, which the program drops."""
     rejected, accepted = collections.Counter(), 0
     for k in range(3000):
         try:
@@ -374,14 +375,14 @@ def test_a_program_built_in_code_is_rejected_or_prints_back():
         "bad slot value _: a transfer over sort _ needs int or Fraction entries",
         "vector literal has _ entries, expected _", "point has _ coordinates, expected _",
         "bad slot value _", "constraint literals need sort _", "constraint dimension mismatch",
-        "a program needs one or more nodes, each named by an identifier", "a point set needs at least one point",
+        "a program needs one or more nodes, each named by an identifier",
         "a constraint literal needs at least one row", "inequality guard _ is not supported for sort rat",
     }
     assert set(rejected) == faults, rejected
     assert accepted > 1000 and min(rejected.values()) >= 5, (accepted, rejected)
     row = pg.LinExpr((1,), 0)
     assert pg.Guard((row,), "<", "disj") == pg.Guard((row,), "<", "conj")
-    assert pg.Program(("q1",), 1, "int", (), {"q1": pg.InitBot()}).inits == ()
+    assert pg.Program(("q1",), 1, "int", (), {"q1": pg.BOT}).inits == ()
 
 
 @pytest.mark.parametrize("tail", ["init q1: top;", "edge q1 -> q1 : x1 := 1;"])
@@ -881,6 +882,44 @@ def test_the_checking_constructors_store_lists_as_tuples():
         pg.Program(("a",), 2, "rat", (), {"a": pg.InitConstraints((pg.LinExpr([1, 0], 0),))})
     with pytest.raises(ValueError, match="^vector literal None is not iterable$"):
         pg.Program(("a",), 2, "int", (), {"a": pg.InitVector(None)})
+
+
+@pytest.mark.parametrize("sort", ["int", "rat"])
+def test_bot_is_the_point_set_with_no_points(sort):
+    """``bot`` parses to ``BOT``, the point set with no points.  Built in code
+    from an empty set or list, it is dropped as the default: the program
+    equals and hashes as the one without that init, and equals its reparse."""
+    assert pg.parse_init_literal("bot", 2, sort) is pg.BOT == pg.InitPoints(frozenset())
+    assert pg.render_init(pg.BOT) == "bot"
+    bare = pg.Program(("a", "b"), 2, sort, ((0, pg.SKIP, 1),), {"a": pg.InitTop()})
+    for empty in (pg.BOT, pg.InitPoints(frozenset()), pg.InitPoints([])):
+        program = pg.Program(("a", "b"), 2, sort, ((0, pg.SKIP, 1),), {"a": pg.InitTop(), "b": empty})
+        assert program == bare == pg.parse_program(pg.print_program(program)) and hash(program) == hash(bare)
+        assert program.init_decl("b") is pg.BOT
+
+
+@pytest.mark.parametrize("decl", ["junk", None, pg.TOP, pg.InitTop], ids=["str", "None", "TOP", "class"])
+def test_an_init_that_is_not_a_literal_is_rejected(decl):
+    """``print_program`` could not write it, so ``Program`` rejects it."""
+    with pytest.raises(ValueError, match="^unknown init declaration "):
+        pg.Program(("a",), 2, "int", (), {"a": decl})
+
+
+def test_a_row_list_that_is_not_iterable_or_holds_a_non_row_is_a_value_error():
+    """A list of rows, or of points, that is not iterable gets the ``ValueError``
+    of a vector that is not; so does a row that is not a ``LinExpr``."""
+    for build, message in [
+        (lambda: pg.Guard(None, "=", "conj"), "guard row list None is not iterable"),
+        (lambda: pg.Guard((None,), "=", "conj"), "row None is not a LinExpr"),
+        (lambda: pg.ParallelAffineAssign(None), "assignment row list None is not iterable"),
+        (lambda: pg.ParallelAffineAssign(((0, None),)), "row None is not a LinExpr"),
+        (lambda: pg.Program(("a",), 2, "rat", (), {"a": pg.InitConstraints(None)}),
+         "constraint literal None is not iterable"),
+        (lambda: pg.Program(("a",), 2, "rat", (), {"a": pg.InitConstraints((None,))}), "row None is not a LinExpr"),
+        (lambda: pg.Program(("a",), 2, "int", (), {"a": pg.InitPoints(None)}), "point set None is not iterable"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()
 
 
 def test_an_assignment_target_must_be_an_int():

@@ -212,7 +212,7 @@ def test_backward_greater_than_sampled_invariants(const_problem):
 
 
 def test_build_rejects_a_property_at_an_unknown_node(const_demo):
-    bot = pg.InitBot()
+    bot = pg.BOT
     with pytest.raises(ValueError, match="^unknown node 'q9' in property$"):
         AnalysisProblem.build(const_demo, "const", {"q9": bot})
     result = ainv_forward(AnalysisProblem.build(const_demo, "const", {"q4": bot}))
@@ -221,13 +221,16 @@ def test_build_rejects_a_property_at_an_unknown_node(const_demo):
 
 @pytest.mark.parametrize("domain, sort", [("const", "int"), ("affine", "rat")])
 def test_build_gives_nodes_without_an_init_one_bottom(monkeypatch, domain, sort):
-    """One ``bottom()`` for every node without an init; no ``InitBot`` is built per node."""
+    """One ``bottom()`` for every node without an init, ``bot`` included: ``build``
+    reads no literal for such a node."""
     program = pg.parse_program(f"vars 1; sort {sort}; nodes a b c d; init b: top; init d: bot;")
-    built = []
-    monkeypatch.setattr(pg.InitBot, "__init__", lambda self: built.append(self))
-    init, adapter = AnalysisProblem.build(program, domain).init.values, synthesis.DOMAINS[domain](1)
-    assert built == [] and init[0] is init[2]
-    assert init == (adapter.bottom(), adapter.top(), adapter.bottom(), adapter.bottom())
+    adapter, read = synthesis._shared(synthesis.DOMAINS[domain], 1), []
+    from_init = adapter.from_init
+    monkeypatch.setattr(adapter, "from_init", lambda decl: read.append(decl) or from_init(decl))
+    problem = AnalysisProblem.build(program, domain)
+    assert problem.adapter is adapter and read == [pg.InitTop()]
+    assert [a is adapter.bottom() for a in problem.init.values] == [True, False, True, True]
+    assert problem.init.values[1] is adapter.top()
 
 
 @pytest.mark.parametrize("domain", synthesis.DOMAINS)
@@ -235,7 +238,7 @@ def test_adapters_build_their_bounds_once(domain):
     adapter = synthesis.DOMAINS[domain](3)
     assert adapter.top() is adapter.top() and adapter.bottom() is adapter.bottom()
     assert adapter.from_init(pg.InitTop()) is adapter.top()
-    assert adapter.from_init(pg.InitBot()) is adapter.bottom()
+    assert adapter.from_init(pg.BOT) is adapter.from_init(pg.InitPoints(frozenset())) is adapter.bottom()
     bottom, top = {
         "const": (None, (TOP, TOP, TOP)),
         "affine": (af.AffSubspace.empty(3), af.AffSubspace.full(3)),
@@ -375,7 +378,7 @@ def _random_decl(rng: random.Random, n: int, sort: str) -> pg.InitDecl:
     """A declaration of any kind the sort has; some give bottom or a top that is not the adapter's object."""
     num = Fraction if sort == "rat" else int
     kinds = [
-        pg.InitTop, pg.InitBot,
+        pg.InitTop, lambda: pg.BOT,
         lambda: pg.InitVector(tuple(TOP if rng.random() < 0.4 else num(rng.randint(-2, 2)) for _ in range(n))),
         lambda: pg.InitPoints(frozenset(tuple(num(rng.randint(-2, 2)) for _ in range(n)) for _ in range(2))),
     ]
@@ -481,6 +484,14 @@ def test_a_vector_that_is_not_iterable_is_a_value_error(cls):
     ]:
         with pytest.raises(ValueError, match=f"^{message}$"):
             entry()
+
+
+def test_a_constraint_literal_that_is_not_a_row_list_is_a_value_error():
+    adapter = synthesis.AffAdapter(2)
+    with pytest.raises(ValueError, match="^constraint literal 5 is not iterable$"):
+        adapter.from_init(pg.InitConstraints(5))
+    with pytest.raises(ValueError, match="^row None is not a LinExpr$"):
+        adapter.from_init(pg.InitConstraints((None,)))
 
 
 @pytest.mark.parametrize("sort, domain", [("int", "const"), ("rat", "affine")])
